@@ -83,7 +83,8 @@ pub fn shape_check(name: &str, ok: bool, detail: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contention_sim::engine::Sweep;
+    use contention_sim::engine::{Accumulator, Sweep};
+    use contention_sim::summary::TrialSummary;
 
     #[test]
     fn mac_median_is_deterministic() {
@@ -122,9 +123,21 @@ mod tests {
             trials: 3,
             exec: contention_sim::ExecPolicy::threads(2),
         }
-        .run_raw();
+        .run_fold_monitored(|_, _, _| Third::default(), None, None, None);
         let lone = mac_trial("bench-vs-sweep", &config, 15, 2);
-        assert_eq!(cells[0].trials[2].metrics, lone.metrics);
+        assert_eq!(cells[0].acc.0, Some(TrialSummary::from(lone)));
+    }
+
+    /// Keeps the summary of trial 2.
+    #[derive(Clone, Default)]
+    struct Third(Option<TrialSummary>);
+
+    impl Accumulator<TrialSummary> for Third {
+        fn record(&mut self, trial: u32, value: TrialSummary) {
+            if trial == 2 {
+                self.0 = Some(value);
+            }
+        }
     }
 
     #[test]

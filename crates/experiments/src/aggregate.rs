@@ -1,13 +1,13 @@
 //! The paper's reporting pipeline: outlier filter → median → 95 % CI —
 //! fed by the sweep engine's streaming fold seam.
 //!
-//! [`MetricStats`] is the accumulator every figure plugs into
-//! [`Sweep::run_fold`](crate::sweep::Sweep::run_fold): it extracts *only the
+//! [`MetricStats`] is the accumulator every figure's sweep folds into
+//! ([`fold_grid`](crate::figures::shared::fold_grid)): it extracts *only the
 //! requested metrics* from each trial's summary into flat per-trial `f64`
 //! buffers (one [`StreamingSample`] per metric), so a cell retains
 //! `trials × requested-metrics × 8` bytes instead of `trials ×
 //! size_of::<TrialSummary>()`. The buffers are position-addressed by trial
-//! index, so the fold is bit-identical across thread counts and batch sizes.
+//! index, so the fold is bit-identical across thread counts and plans.
 
 use crate::summary::{Metric, TrialSummary};
 use contention_core::algorithm::AlgorithmKind;
@@ -18,10 +18,9 @@ use contention_stats::ci::median_ci95;
 use contention_stats::outliers::without_outliers;
 use contention_stats::stream::StreamingSample;
 use contention_stats::summary::median;
-use serde::{Deserialize, Serialize};
 
 /// One plotted point: median with its 95 % confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     pub x: f64,
     pub median: f64,
@@ -34,7 +33,7 @@ pub struct SeriesPoint {
 }
 
 /// A named series (one line of a figure).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     pub name: String,
     pub points: Vec<SeriesPoint>,
@@ -76,8 +75,8 @@ impl MetricStats {
         }
     }
 
-    /// The `init` closure [`Sweep::run_fold`](crate::sweep::Sweep::run_fold)
-    /// wants: one collector per cell over the given metrics.
+    /// The `init` closure `Sweep::run_fold_monitored` wants: one collector
+    /// per cell over the given metrics.
     pub fn collector(
         metrics: &[Metric],
     ) -> impl FnMut(AlgorithmKind, u32, u32) -> MetricStats + '_ {

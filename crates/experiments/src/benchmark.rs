@@ -18,18 +18,20 @@
 //! runs it on every push to keep the harness and the JSON schema from
 //! rotting, without pretending CI wall time is a measurement.
 
-use crate::aggregate::MetricStats;
+use crate::figures::shared::{fold_grid, SweepHooks};
 use crate::figures::Report;
 use crate::jsonout::{escape, num};
 use crate::options::Options;
+use crate::shard::GridMeta;
 use crate::summary::Metric;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::ChannelModel;
 use contention_core::time::Nanos;
 use contention_mac::medium::{ActiveTx, Medium, TxKind, TxSource};
 use contention_mac::{MacConfig, MacSim};
-use contention_sim::engine::{run_trial_with, ExecPolicy, Simulator, Sweep};
+use contention_sim::engine::{run_trial_with, Simulator};
 use contention_sim::event::EventQueue;
+use contention_sim::sched::CostSpec;
 use contention_slotted::dynamic::{ArrivalProcess, DynamicConfig, DynamicSim};
 use contention_slotted::noisy::NoisyConfig;
 use contention_slotted::windowed::WindowedConfig;
@@ -82,7 +84,7 @@ const BASELINE_MEDIUM: f64 = 88_900.0;
 const BASELINE_DYN_SATURATION: f64 = 147_263_517.0;
 const BASELINE_DYN_DRAIN: f64 = 2_105_455.0;
 // The scheduler-tail workload was measured at the PR 8 tree (commit
-// f1575ac), immediately before the cost-aware runtime: fixed `auto_batch`
+// f1575ac), immediately before the cost-aware runtime: fixed-size batch
 // claims from the atomic cursor, grid-order claiming, no worker-count cap,
 // and a fresh `thread::scope` (8 spawns + joins) for every one of the
 // workload's twenty-four sub-sweeps. The grid and trial set are identical
@@ -298,8 +300,8 @@ fn workloads() -> Vec<Workload> {
                    scheduling overhead, pool reuse and tail idle",
             iters: 4,
             // Cost-aware-runtime acceptance: tapered claiming + the
-            // persistent worker pool must keep this ≥1.3× over the fixed
-            // auto-batch scheduler that respawned threads per sub-sweep.
+            // persistent worker pool must keep this ≥1.3× over the
+            // fixed-batch scheduler that respawned threads per sub-sweep.
             target_speedup: 1.3,
             make: || Box::new(|_| sched_tail_pass()),
         },
@@ -330,32 +332,27 @@ fn workloads() -> Vec<Workload> {
 /// fixed per-sub-sweep costs are the signal, not the noise.
 fn sched_tail_pass() -> u64 {
     const SUB_SWEEPS: usize = 24;
-    let ns: Vec<u32> = vec![25, 50, 100, 200, 400];
-    let algorithms = vec![AlgorithmKind::Beb, AlgorithmKind::Sawtooth];
-    // The cost table the production fold path (fold_grid) would attach for
-    // a windowed grid, driving tapered claims and heaviest-first order.
-    let costs: Vec<f64> = algorithms
-        .iter()
-        .flat_map(|_| {
-            ns.iter()
-                .map(|&n| contention_sim::sched::CostSpec::NLogN.cost(n))
-        })
-        .collect();
+    // A windowed grid's n·log n cost table drives tapered claims and
+    // heaviest-first order, as in every production sweep.
+    let grid = GridMeta {
+        algorithms: vec![AlgorithmKind::Beb, AlgorithmKind::Sawtooth],
+        ns: vec![25, 50, 100, 200, 400],
+        trials: 2,
+        metrics: vec![Metric::CwSlots],
+        cost: CostSpec::NLogN,
+    };
+    let opts = Options {
+        threads: Some(8),
+        ..Options::default()
+    };
     let mut checksum = 0u64;
     for _ in 0..SUB_SWEEPS {
-        let cells = Sweep::<WindowedSim> {
-            experiment: "bench-sched-tail",
-            config: WindowedConfig::abstract_model(AlgorithmKind::Beb),
-            algorithms: algorithms.clone(),
-            ns: ns.clone(),
-            trials: 2,
-            exec: ExecPolicy::threads(8),
-        }
-        .run_fold_monitored(
-            MetricStats::collector(&[Metric::CwSlots]),
-            None,
-            None,
-            Some(&costs),
+        let cells = fold_grid::<WindowedSim>(
+            "bench-sched-tail",
+            WindowedConfig::abstract_model(AlgorithmKind::Beb),
+            &grid,
+            &opts,
+            &SweepHooks::none(),
         );
         for cell in &cells {
             for sample in cell.acc.raw_samples() {

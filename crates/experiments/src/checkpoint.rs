@@ -31,8 +31,8 @@ use crate::fsutil;
 use crate::jsonin::Json;
 use crate::jsonout::{escape, num};
 use crate::shard::{GridMeta, ShardState, SHARD_SUFFIX};
+use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
-use contention_sim::sched::CostModel;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -156,7 +156,7 @@ impl CheckpointWriter {
                     .map(|s| s.raw().iter().filter(|v| !v.is_nan()).count())
                     .min()
                     .unwrap_or(0);
-                done as f64 * self.grid.cost.trial_cost(c.algorithm, c.n)
+                done as f64 * self.grid.cost.cost(c.n)
             })
             .sum()
     }
@@ -321,43 +321,54 @@ fn recorded_trials(state: &ShardState) -> usize {
         .sum()
 }
 
-/// The resume work plan: for each canonical grid-cell index, the trials the
-/// state has not recorded — exactly the `missing` argument of
-/// `Sweep::run_fold_monitored`. Cells with nothing missing are omitted; a
-/// complete state yields an empty plan.
+/// The resume work plan: the trials the state has not recorded, as
+/// [`TrialRange`]s in grid order (one per run of consecutive holes) —
+/// exactly the `plan` argument of `Sweep::run_fold_monitored`. Cells with
+/// nothing missing are omitted; a complete state yields an empty plan.
 ///
 /// A trial recorded for only *some* of a cell's metrics cannot have come
 /// from this pipeline (trials record all metrics atomically under the cell
 /// lock) and is rejected as a corrupt artifact rather than re-run — re-running
 /// it would double-record the metrics that are present.
-pub fn missing_work(state: &ShardState) -> Result<Vec<(usize, Vec<u32>)>, String> {
+pub fn missing_work(state: &ShardState) -> Result<Vec<TrialRange>, String> {
     let trials = state.grid.trials;
-    let mut plan = Vec::new();
-    let mut index = 0usize;
+    let mut plan: Vec<TrialRange> = Vec::new();
+    let mut cell_index = 0usize;
     for &alg in &state.grid.algorithms {
         for &n in &state.grid.ns {
             let cell = state.cells.iter().find(|c| c.algorithm == alg && c.n == n);
-            let mut missing: Vec<u32> = Vec::new();
-            match cell {
-                None => missing.extend(0..trials),
-                Some(cell) => {
-                    for t in 0..trials as usize {
-                        let holes = cell.samples.iter().filter(|s| s[t].is_nan()).count();
-                        if holes == cell.samples.len() {
-                            missing.push(t as u32);
-                        } else if holes > 0 {
+            for t in 0..trials {
+                let missing = match cell {
+                    None => true,
+                    Some(cell) => {
+                        let holes = cell
+                            .samples
+                            .iter()
+                            .filter(|s| s[t as usize].is_nan())
+                            .count();
+                        let missing = holes == cell.samples.len();
+                        if holes > 0 && !missing {
                             return Err(format!(
                                 "cell ({alg}, n={n}) trial {t} is recorded for only some \
                                  metrics — corrupt artifact"
                             ));
                         }
+                        missing
                     }
+                };
+                if !missing {
+                    continue;
+                }
+                match plan.last_mut() {
+                    Some(last) if last.cell == cell_index && last.hi == t => last.hi = t + 1,
+                    _ => plan.push(TrialRange {
+                        cell: cell_index,
+                        lo: t,
+                        hi: t + 1,
+                    }),
                 }
             }
-            if !missing.is_empty() {
-                plan.push((index, missing));
-            }
-            index += 1;
+            cell_index += 1;
         }
     }
     Ok(plan)
@@ -667,11 +678,35 @@ mod tests {
             &grid,
             &[cell(10, vec![1.0, 2.0]), cell(20, vec![3.0, f64::NAN])],
         );
-        assert_eq!(missing_work(&state).unwrap(), vec![(1, vec![1])]);
+        let range = |cell, lo, hi| TrialRange { cell, lo, hi };
+        assert_eq!(missing_work(&state).unwrap(), vec![range(1, 1, 2)]);
 
-        // A whole cell absent → all its trials missing.
+        // A whole cell absent → all its trials missing, as one range.
         let state = ShardState::from_cells("t", false, (0, 1), &grid, &[cell(10, vec![1.0, 2.0])]);
-        assert_eq!(missing_work(&state).unwrap(), vec![(1, vec![0, 1])]);
+        assert_eq!(missing_work(&state).unwrap(), vec![range(1, 0, 2)]);
+
+        // Scattered holes become one range per run of consecutive holes.
+        let wide = GridMeta {
+            trials: 6,
+            ..tiny_grid()
+        };
+        let nan = f64::NAN;
+        let state = ShardState::from_cells(
+            "t",
+            false,
+            (0, 1),
+            &wide,
+            &[cell(20, vec![nan, nan, 1.0, nan, 2.0, nan])],
+        );
+        assert_eq!(
+            missing_work(&state).unwrap(),
+            vec![
+                range(0, 0, 6),
+                range(1, 0, 2),
+                range(1, 3, 4),
+                range(1, 5, 6)
+            ]
+        );
 
         // Complete state → empty plan.
         let state = ShardState::from_cells(

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json]
-//!       [--threads N] [--batch N]
+//!       [--threads N]
 //! repro shard <experiment> --shard i/N --out DIR   # partial-state artifact
 //! repro merge DIR... --out DIR [--json]            # recombine + report
 //! ```
@@ -28,7 +28,7 @@ use crate::figures::shared::SweepHooks;
 use crate::figures::{registry, Report};
 use crate::options::Options;
 use crate::shard::{load_dir, merge_states, write_state, ShardState};
-use contention_sim::engine::CellRange;
+use contention_sim::engine::{validate_plan, CellRange, TrialRange};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -231,14 +231,12 @@ fn run_resume(opts: &Options) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    // Rebuild the grid-shaping options of the original run; execution knobs
-    // (--threads/--batch) may differ freely — results are independent of
-    // them.
+    // Rebuild the grid-shaping options of the original run; the execution
+    // knob (--threads) may differ freely — results are independent of it.
     let run_opts = Options {
         full: state.full,
         trials: Some(state.grid.trials),
         threads: opts.threads,
-        batch: opts.batch,
         ..Options::default()
     };
     let grid = (entry.grid)(&run_opts);
@@ -250,14 +248,16 @@ fn run_resume(opts: &Options) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let plan = match checkpoint::missing_work(&state) {
+    let plan = match checkpoint::missing_work(&state)
+        .and_then(|plan| validate_plan(&plan, grid.cell_count(), grid.trials).map(|()| plan))
+    {
         Ok(plan) => plan,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let missing: usize = plan.iter().map(|(_, trials)| trials.len()).sum();
+    let missing: usize = plan.iter().map(TrialRange::len).sum();
     let total = grid.cell_count() * grid.trials as usize;
     let name = state.experiment.clone();
     println!(
@@ -280,9 +280,8 @@ fn run_resume(opts: &Options) -> ExitCode {
         };
         let cadence = opts.checkpoint.unwrap_or_default().cadence();
         let hooks = SweepHooks {
-            missing: Some(&plan),
+            plan: Some(&plan),
             monitor: Some((cadence, &writer)),
-            ..SweepHooks::default()
         };
         let fresh = (entry.cells)(&run_opts, &hooks);
         match checkpoint::merge_cells(&grid, &state.into_cells(), &fresh) {
@@ -336,7 +335,12 @@ fn run_shard(opts: &Options) -> ExitCode {
     // still reassemble — as long as every index ran under the same binary.
     let range = CellRange::shard_weighted(&grid.cell_costs(), index as usize, of as usize);
     let started = std::time::Instant::now();
-    let cells = (entry.cells)(opts, &SweepHooks::range(Some(range)));
+    let plan = range.plan(grid.trials);
+    let hooks = SweepHooks {
+        plan: Some(&plan),
+        ..SweepHooks::default()
+    };
+    let cells = (entry.cells)(opts, &hooks);
     let state = ShardState::from_cells(entry.name, opts.full, (index, of), &grid, &cells);
     let dir = opts.out_dir.as_deref().expect("validated at parse time");
     let path = match write_state(dir, &state) {
@@ -426,7 +430,7 @@ pub fn main() -> ExitCode {
 fn print_usage() {
     println!(
         "usage: repro <experiment|all|list|bench> [--full] [--quick] [--trials N] [--out DIR] \
-         [--json] [--threads N] [--batch N]"
+         [--json] [--threads N]"
     );
     println!("       repro shard <experiment> --shard i/N --out DIR   (partial-state artifact)");
     println!("       repro merge DIR... --out DIR [--json]            (recombine + report)");
@@ -442,9 +446,7 @@ fn print_usage() {
     println!("  --trials N  override the trial count");
     println!("  --out DIR   also write CSV series to DIR");
     println!("  --json      also write JSON artifacts to DIR (needs --out)");
-    println!("  --threads N worker threads (default: all cores)");
-    println!("  --batch N   pin fixed N-trial claims instead of the default cost-tapered");
-    println!("              scheduling (results are bit-identical either way)");
+    println!("  --threads N worker threads (default: all cores; results never depend on it)");
     println!("  --shard i/N run only cell shard i of N, split by estimated work (shard");
     println!("              subcommand; merged output is byte-identical to one process)");
     println!("  --checkpoint           snapshot in-flight state into DIR/checkpoints/ and");
@@ -492,6 +494,13 @@ mod tests {
     #[test]
     fn bad_flag_fails() {
         assert_eq!(run(&strs(&["fig3", "--bogus"])), ExitCode::FAILURE);
+        assert_eq!(run(&strs(&["fig5", "--batch", "8"])), ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn zero_trials_fail_cleanly_instead_of_panicking() {
+        assert_eq!(run(&strs(&["fig5", "--trials", "0"])), ExitCode::FAILURE);
+        assert_eq!(run(&strs(&["fig5", "--threads", "0"])), ExitCode::FAILURE);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::figures::shared::{paper_algorithms, single_stats};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
-use crate::sweep::ExecPolicy;
 use crate::table::render;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::params::Phy80211g;
@@ -41,14 +40,14 @@ fn mac_medians(
     config: &MacConfig,
     n: u32,
     trials: u32,
-    exec: ExecPolicy,
+    opts: &Options,
 ) -> (f64, f64, f64) {
     let stats = single_stats::<MacSim>(
         experiment,
         *config,
         n,
         trials,
-        exec,
+        opts,
         &[Metric::TotalTimeUs, Metric::AckTimeouts, Metric::Successes],
     );
     (
@@ -76,8 +75,7 @@ pub fn ack_timeout(opts: &Options) -> Report {
         let mut config = MacConfig::paper(AlgorithmKind::Beb, 64);
         config.phy.ack_timeout = Nanos::from_micros(timeout_us);
         config.max_sim_time = Nanos::from_millis(500);
-        let (total, timeouts, successes) =
-            mac_medians("ablate-ackto", &config, n, trials, opts.exec());
+        let (total, timeouts, successes) = mac_medians("ablate-ackto", &config, n, trials, opts);
         rows.push(vec![
             format!("{timeout_us}"),
             format!("{successes:.0}/{n}"),
@@ -146,7 +144,7 @@ pub fn eifs(opts: &Options) -> Report {
                 &config,
                 n,
                 trials,
-                opts.exec(),
+                opts,
             );
             cells[i] = total;
         }
@@ -203,7 +201,7 @@ pub fn truncation(opts: &Options) -> Report {
             config,
             n,
             trials,
-            opts.exec(),
+            opts,
             &[Metric::CwSlots, Metric::Collisions],
         );
         rows.push(vec![
@@ -238,7 +236,7 @@ pub fn semantics(opts: &Options) -> Report {
             WindowedConfig::truncated_model(alg),
             n,
             trials,
-            opts.exec(),
+            opts,
             &SEM_METRICS,
         );
         let residual = single_stats::<ResidualSim>(
@@ -246,7 +244,7 @@ pub fn semantics(opts: &Options) -> Report {
             ResidualConfig::paper(alg),
             n,
             trials,
-            opts.exec(),
+            opts,
             &SEM_METRICS,
         );
         rows.push(vec![
@@ -291,7 +289,7 @@ pub fn ack_loss(opts: &Options) -> Report {
             config,
             n,
             trials,
-            opts.exec(),
+            opts,
             &[
                 Metric::TotalTimeUs,
                 Metric::AckTimeouts,
@@ -342,7 +340,7 @@ pub fn polynomial(opts: &Options) -> Report {
             config,
             n,
             trials,
-            opts.exec(),
+            opts,
             &[Metric::TotalTimeUs, Metric::CwSlots, Metric::Collisions],
         );
         let t = stats.raw_median(Metric::TotalTimeUs);

@@ -10,9 +10,9 @@ use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
 use crate::summary::Metric;
-use crate::sweep::folded;
 use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
+use contention_sim::engine::folded;
 use contention_sim::sched::CostSpec;
 use contention_slotted::windowed::WindowedConfig;
 use contention_slotted::WindowedSim;

@@ -1,10 +1,10 @@
 //! Figures 18 and 19 — the BEST-OF-k size-estimation approach (§VI).
 
-use crate::aggregate::{series_per_algorithm, MetricStats, Series, SeriesPoint, StatsCell};
+use crate::aggregate::{series_per_algorithm, Series, SeriesPoint, StatsCell};
+use crate::figures::shared::{fold_grid, uniform_grid, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
-use crate::sweep::Sweep;
 use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::util::percent_change;
@@ -21,18 +21,19 @@ fn algorithms() -> Vec<AlgorithmKind> {
 /// One shared sweep stream feeds both figures, mirroring the paper's
 /// 20-trial runs.
 fn sweep(opts: &Options) -> Vec<StatsCell> {
-    Sweep::<MacSim> {
-        experiment: "fig18-19",
-        config: MacConfig::paper(AlgorithmKind::Beb, 64),
-        algorithms: algorithms(),
-        ns: opts.mac_ns(),
-        trials: opts.trials_or(6, 20),
-        exec: opts.exec(),
-    }
-    .run_fold(MetricStats::collector(&[
-        Metric::MedianEstimate,
-        Metric::TotalTimeUs,
-    ]))
+    let grid = uniform_grid(
+        algorithms(),
+        opts.mac_ns(),
+        opts.trials_or(6, 20),
+        &[Metric::MedianEstimate, Metric::TotalTimeUs],
+    );
+    fold_grid::<MacSim>(
+        "fig18-19",
+        MacConfig::paper(AlgorithmKind::Beb, 64),
+        &grid,
+        opts,
+        &SweepHooks::none(),
+    )
 }
 
 /// Figure 18: the estimates of n. Best-of-3 is noisier than Best-of-5, and

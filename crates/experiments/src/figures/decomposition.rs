@@ -6,11 +6,10 @@
 //! dominating ACK timeouts by an order of magnitude. We measure the same
 //! three components directly.
 
-use crate::aggregate::MetricStats;
+use crate::figures::shared::{fold_grid, uniform_grid, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
-use crate::sweep::Sweep;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::model::{CostModel, Decomposition};
 use contention_core::params::Phy80211g;
@@ -20,20 +19,24 @@ use contention_mac::{MacConfig, MacSim};
 pub fn run(opts: &Options) -> Report {
     let n = 150;
     let payload = 64;
-    let cells = Sweep::<MacSim> {
-        experiment: "decomp",
-        config: MacConfig::paper(AlgorithmKind::Beb, payload),
-        algorithms: vec![AlgorithmKind::Beb],
-        ns: vec![n],
-        trials: opts.trials_or(8, 30),
-        exec: opts.exec(),
-    }
-    .run_fold(MetricStats::collector(&[
-        Metric::Collisions,
-        Metric::CwSlots,
-        Metric::MaxAckTimeoutTimeUs,
-        Metric::TotalTimeUs,
-    ]));
+    let grid = uniform_grid(
+        vec![AlgorithmKind::Beb],
+        vec![n],
+        opts.trials_or(8, 30),
+        &[
+            Metric::Collisions,
+            Metric::CwSlots,
+            Metric::MaxAckTimeoutTimeUs,
+            Metric::TotalTimeUs,
+        ],
+    );
+    let cells = fold_grid::<MacSim>(
+        "decomp",
+        MacConfig::paper(AlgorithmKind::Beb, payload),
+        &grid,
+        opts,
+        &SweepHooks::none(),
+    );
     let cell = &cells[0].acc;
     let x = n as f64;
     let collisions = cell.point(x, Metric::Collisions).median;

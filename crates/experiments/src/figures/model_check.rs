@@ -9,12 +9,10 @@
 //!    `W_A` into the model with the real 64 B / 1024 B packet costs predicts
 //!    the same winner the MAC simulator measures.
 
-use crate::aggregate::MetricStats;
-use crate::figures::shared::paper_algorithms;
+use crate::figures::shared::{fold_grid, paper_algorithms, uniform_grid, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
-use crate::sweep::{folded, Sweep};
 use crate::table::render;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::bounds::{llb_vs_beb_packet_threshold, total_time_bound};
@@ -22,6 +20,7 @@ use contention_core::model::CostModel;
 use contention_core::params::Phy80211g;
 use contention_core::util::lg;
 use contention_mac::{MacConfig, MacSim};
+use contention_sim::engine::folded;
 use contention_slotted::windowed::WindowedConfig;
 use contention_slotted::WindowedSim;
 
@@ -61,29 +60,29 @@ pub fn run(opts: &Options) -> Report {
     // 2. Empirical: model( measured C, W from the abstract sim ) vs MAC total.
     let n = 150u32;
     let trials = opts.trials_or(8, 30);
-    let abs_cells = Sweep::<WindowedSim> {
-        experiment: "model-abs",
-        config: WindowedConfig::truncated_model(AlgorithmKind::Beb),
-        algorithms: paper_algorithms(),
-        ns: vec![n],
+    let abs_grid = uniform_grid(
+        paper_algorithms(),
+        vec![n],
         trials,
-        exec: opts.exec(),
-    }
-    .run_fold(MetricStats::collector(&[
-        Metric::Collisions,
-        Metric::CwSlots,
-    ]));
+        &[Metric::Collisions, Metric::CwSlots],
+    );
+    let abs_cells = fold_grid::<WindowedSim>(
+        "model-abs",
+        WindowedConfig::truncated_model(AlgorithmKind::Beb),
+        &abs_grid,
+        opts,
+        &SweepHooks::none(),
+    );
+    let mac_grid = uniform_grid(paper_algorithms(), vec![n], trials, &[Metric::TotalTimeUs]);
     let phy = Phy80211g::paper_defaults();
     for payload in [64u32, 1024] {
-        let mac_cells = Sweep::<MacSim> {
-            experiment: "model-mac",
-            config: MacConfig::paper(AlgorithmKind::Beb, payload),
-            algorithms: paper_algorithms(),
-            ns: vec![n],
-            trials,
-            exec: opts.exec(),
-        }
-        .run_fold(MetricStats::collector(&[Metric::TotalTimeUs]));
+        let mac_cells = fold_grid::<MacSim>(
+            "model-mac",
+            MacConfig::paper(AlgorithmKind::Beb, payload),
+            &mac_grid,
+            opts,
+            &SweepHooks::none(),
+        );
         let model = CostModel::for_payload(&phy, payload);
         let mut rows = Vec::new();
         let mut predicted: Vec<(String, f64)> = Vec::new();

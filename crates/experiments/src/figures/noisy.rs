@@ -54,7 +54,7 @@ pub fn run(opts: &Options) -> Report {
                         NoisyConfig::abstract_model(alg, ChannelModel::softened(p)),
                         n,
                         trials,
-                        opts.exec(),
+                        opts,
                         &[Metric::CwSlots],
                     );
                     stats.point(p, Metric::CwSlots)
@@ -91,7 +91,7 @@ pub fn run(opts: &Options) -> Report {
             NoisyConfig::abstract_model(AlgorithmKind::Beb, ChannelModel::noisy(noise)),
             n,
             noise_trials,
-            opts.exec(),
+            opts,
             &[Metric::CwSlots, Metric::Collisions],
         );
         let point = stats.point(noise, Metric::CwSlots);
@@ -126,7 +126,7 @@ pub fn run(opts: &Options) -> Report {
             MacConfig::with_channel(AlgorithmKind::Beb, 64, ChannelModel::softened(p)),
             mac_n,
             mac_trials,
-            opts.exec(),
+            opts,
             &[Metric::TotalTimeUs, Metric::AckTimeouts],
         );
         let total = stats.raw_median(Metric::TotalTimeUs);

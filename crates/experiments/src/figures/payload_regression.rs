@@ -5,11 +5,11 @@
 //! p < 0.001 — empirical support for the §IV-D asymptotics (total time
 //! depends on collisions × packet time).
 
-use crate::aggregate::{aggregate_values, paired_differences, MetricStats, Series};
+use crate::aggregate::{aggregate_values, paired_differences, Series};
+use crate::figures::shared::{fold_grid, uniform_grid, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
-use crate::sweep::Sweep;
 use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_mac::{MacConfig, MacSim};
@@ -28,16 +28,20 @@ pub fn fig14(opts: &Options) -> Report {
     let mut xs: Vec<f64> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
     let mut points = Vec::new();
+    let grid = uniform_grid(
+        vec![AlgorithmKind::Beb, AlgorithmKind::LogLogBackoff],
+        vec![n],
+        trials,
+        &[Metric::TotalTimeUs],
+    );
     for &payload in &payloads {
-        let cells = Sweep::<MacSim> {
-            experiment: "fig14",
-            config: MacConfig::paper(AlgorithmKind::Beb, payload),
-            algorithms: vec![AlgorithmKind::Beb, AlgorithmKind::LogLogBackoff],
-            ns: vec![n],
-            trials,
-            exec: opts.exec(),
-        }
-        .run_fold(MetricStats::collector(&[Metric::TotalTimeUs]));
+        let cells = fold_grid::<MacSim>(
+            "fig14",
+            MacConfig::paper(AlgorithmKind::Beb, payload),
+            &grid,
+            opts,
+            &SweepHooks::none(),
+        );
         // Position-addressed buffers keep trial order, so pairing by index
         // still compares common-random-number partners.
         let diffs = paired_differences(

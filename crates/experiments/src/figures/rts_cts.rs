@@ -6,11 +6,10 @@
 //! +5.6 %/+9.1 % (64 B/1024 B, RTS off) to +10.7 %/+7.5 % (RTS on) — same
 //! qualitative picture.
 
-use crate::aggregate::MetricStats;
+use crate::figures::shared::{fold_grid, uniform_grid, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
-use crate::sweep::Sweep;
 use crate::table::render;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::util::percent_change;
@@ -25,15 +24,14 @@ pub fn run(opts: &Options) -> Report {
         for rts in [false, true] {
             let mut config = MacConfig::paper(AlgorithmKind::Beb, payload);
             config.rts_cts = rts;
-            let cells = Sweep::<MacSim> {
-                experiment: if rts { "rtscts-on" } else { "rtscts-off" },
-                config,
-                algorithms: vec![AlgorithmKind::Beb, AlgorithmKind::LogLogBackoff],
-                ns: vec![n],
+            let grid = uniform_grid(
+                vec![AlgorithmKind::Beb, AlgorithmKind::LogLogBackoff],
+                vec![n],
                 trials,
-                exec: opts.exec(),
-            }
-            .run_fold(MetricStats::collector(&[Metric::TotalTimeUs]));
+                &[Metric::TotalTimeUs],
+            );
+            let experiment = if rts { "rtscts-on" } else { "rtscts-off" };
+            let cells = fold_grid::<MacSim>(experiment, config, &grid, opts, &SweepHooks::none());
             let beb = cells[0].acc.point(n as f64, Metric::TotalTimeUs).median;
             let llb = cells[1].acc.point(n as f64, Metric::TotalTimeUs).median;
             let paper = match (payload, rts) {

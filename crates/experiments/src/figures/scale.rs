@@ -3,8 +3,8 @@
 //! The paper's large-n evaluation pushes the abstract simulator to n = 10⁵
 //! stations with hundreds of trials per cell on four 16-core Xeon nodes.
 //! This experiment runs that regime in one process on the engine's
-//! stream-and-fold path: trials are claimed in batches from an on-the-fly
-//! cursor and each trial folds into flat per-metric buffers
+//! stream-and-fold path: trials are claimed in tapered runs from an
+//! on-the-fly cursor and each trial folds into flat per-metric buffers
 //! ([`MetricStats`]), so a cell retains `trials × metrics × 8` bytes no
 //! matter how large `n` gets. The default grid reaches the paper's n = 10⁵;
 //! `--full` extends it to 10⁶ — a regime the collect-everything pipeline

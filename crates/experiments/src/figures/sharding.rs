@@ -30,8 +30,8 @@ pub struct ShardableEntry {
     pub name: &'static str,
     /// The grid the experiment sweeps under these options.
     pub grid: fn(&Options) -> GridMeta,
-    /// Runs the sweep — restricted/sparsified/monitored per the hooks —
-    /// and returns the folded cells.
+    /// Runs the sweep — the hooks' plan (the whole grid by default), with
+    /// the hooks' monitor attached — and returns the folded cells.
     pub cells: fn(&Options, &SweepHooks) -> Vec<StatsCell>,
     /// Builds the figure's report from (complete) folded cells.
     pub report: fn(&Options, &[StatsCell]) -> Report,
@@ -248,8 +248,12 @@ mod tests {
         let grid = (entry.grid)(&opts);
         let states: Vec<ShardState> = (0..2)
             .map(|i| {
-                let range = CellRange::shard(grid.cell_count(), i, 2);
-                let cells = (entry.cells)(&opts, &SweepHooks::range(Some(range)));
+                let plan = CellRange::shard(grid.cell_count(), i, 2).plan(grid.trials);
+                let hooks = SweepHooks {
+                    plan: Some(&plan),
+                    ..SweepHooks::default()
+                };
+                let cells = (entry.cells)(&opts, &hooks);
                 let text =
                     ShardState::from_cells(entry.name, opts.full, (i as u32, 2), &grid, &cells)
                         .to_json();

@@ -13,11 +13,10 @@ use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
 use crate::summary::{Metric, TrialSummary};
-use crate::sweep::{ExecPolicy, Simulator, Sweep};
 use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_mac::{MacConfig, MacSim};
-use contention_sim::engine::CellRange;
+use contention_sim::engine::{Simulator, Sweep, TrialRange};
 use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
 use contention_sim::sched::CostSpec;
 
@@ -31,37 +30,27 @@ pub fn paper_algorithms() -> Vec<AlgorithmKind> {
 /// `*_cells` function forwards it untouched to [`fold_grid`].
 #[derive(Default, Clone, Copy)]
 pub struct SweepHooks<'a> {
-    /// Restrict the run to these grid cells (`repro shard`).
-    pub range: Option<CellRange>,
-    /// Run only these `(grid cell index, trials)` (`repro resume`); mutually
-    /// exclusive with `range`.
-    pub missing: Option<&'a [(usize, Vec<u32>)]>,
+    /// Run only these trial ranges (`repro shard`, `repro resume`, a
+    /// `repro work` lease); `None` runs the whole grid.
+    pub plan: Option<&'a [TrialRange]>,
     /// Snapshot the in-flight accumulators on this cadence into this sink
     /// (`--checkpoint`).
     pub monitor: Option<(SnapshotCadence, &'a dyn SweepMonitor<MetricStats>)>,
 }
 
-impl<'a> SweepHooks<'a> {
+impl SweepHooks<'_> {
     /// No seams attached: the plain full-grid run.
     pub fn none() -> SweepHooks<'static> {
         SweepHooks::default()
     }
-
-    /// Only a cell-range restriction (the `repro shard` path).
-    pub fn range(range: Option<CellRange>) -> SweepHooks<'static> {
-        SweepHooks {
-            range,
-            ..SweepHooks::default()
-        }
-    }
 }
 
 /// Runs (part of) one grid on any backend, folded down to the grid's
-/// metrics — the single engine-facing entry point every shardable figure
+/// metrics — the single engine-facing entry point every production sweep
 /// rides, so the grid description (what `repro shard` partitions and what
 /// the artifact records) and the sweep that executes can never disagree.
-/// `hooks` carries the execution seams: cell-range restriction, sparse
-/// resume plan, checkpoint monitor.
+/// `hooks` carries the execution seams: the plan (shard cells, resume
+/// holes, lease ranges) and the checkpoint monitor.
 pub fn fold_grid<S: Simulator>(
     experiment: &'static str,
     config: S::Config,
@@ -72,8 +61,6 @@ pub fn fold_grid<S: Simulator>(
 where
     TrialSummary: From<S::Output>,
 {
-    let mut exec = opts.exec();
-    exec.cells = hooks.range;
     // The grid's cost table rides along so the engine can taper claims and
     // start heavy cells first; it cannot affect any result bit.
     let costs = grid.cell_trial_costs();
@@ -83,14 +70,31 @@ where
         algorithms: grid.algorithms.clone(),
         ns: grid.ns.clone(),
         trials: grid.trials,
-        exec,
+        exec: opts.exec(),
     }
     .run_fold_monitored(
         MetricStats::collector(&grid.metrics),
-        hooks.missing,
+        hooks.plan,
         hooks.monitor,
         Some(&costs),
     )
+}
+
+/// A grid without a cost estimate: every cell weighs the same, so claims
+/// run in grid order. What the single-panel figures and ablations sweep.
+pub fn uniform_grid(
+    algorithms: Vec<AlgorithmKind>,
+    ns: Vec<u32>,
+    trials: u32,
+    metrics: &[Metric],
+) -> GridMeta {
+    GridMeta {
+        algorithms,
+        ns,
+        trials,
+        metrics: metrics.to_vec(),
+        cost: CostSpec::Uniform,
+    }
 }
 
 /// The grid every standard MAC figure sweeps (payload-independent).
@@ -134,29 +138,21 @@ pub fn mac_stats(opts: &Options, payload: u32, metrics: &[Metric]) -> Vec<StatsC
 }
 
 /// A one-cell sweep: all trials of a single `(config, n)` pair, streamed
-/// through the generic engine into the requested metric buffers. The
-/// ablations use this to vary config fields the grid dimensions don't cover.
+/// through [`fold_grid`] into the requested metric buffers. The ablations
+/// use this to vary config fields the grid dimensions don't cover.
 pub fn single_stats<S: Simulator>(
     experiment: &'static str,
     config: S::Config,
     n: u32,
     trials: u32,
-    exec: ExecPolicy,
+    opts: &Options,
     metrics: &[Metric],
 ) -> MetricStats
 where
     TrialSummary: From<S::Output>,
 {
-    let algorithm = S::algorithm(&config);
-    let mut cells = Sweep::<S> {
-        experiment,
-        config,
-        algorithms: vec![algorithm],
-        ns: vec![n],
-        trials,
-        exec,
-    }
-    .run_fold(MetricStats::collector(metrics));
+    let grid = uniform_grid(vec![S::algorithm(&config)], vec![n], trials, metrics);
+    let mut cells = fold_grid::<S>(experiment, config, &grid, opts, &SweepHooks::none());
     cells.remove(0).acc
 }
 

@@ -7,9 +7,9 @@
 
 use crate::figures::Report;
 use crate::options::Options;
-use crate::sweep::run_trial;
 use contention_core::algorithm::AlgorithmKind;
 use contention_mac::{MacConfig, MacSim, SpanKind};
+use contention_sim::engine::run_trial;
 
 /// Runs the trace trial (through the engine's canonical single-trial path)
 /// and renders it.

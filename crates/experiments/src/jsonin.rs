@@ -1,8 +1,7 @@
 //! A minimal JSON reader — the parsing side of [`crate::jsonout`].
 //!
-//! The vendored serde facade is a no-op, so artifacts this crate writes
-//! (`repro --json`, shard state) are parsed back with this hand-rolled
-//! recursive-descent reader. It accepts exactly RFC 8259 JSON; numbers are
+//! Artifacts this crate writes (`repro --json`, shard state) are parsed
+//! back with this hand-rolled recursive-descent reader. It accepts exactly RFC 8259 JSON; numbers are
 //! parsed with Rust's correctly-rounding `str::parse::<f64>`, which inverts
 //! `jsonout::num`'s shortest-round-trip formatting **exactly** — write then
 //! read recovers the original bits, the property the shard merge pipeline's

@@ -6,8 +6,6 @@
 //! printed with Rust's shortest round-trip `f64` formatting, so parsing the
 //! JSON back recovers the exact bits — which is what lets the golden-file
 //! regression fixtures under `tests/golden/` pin results byte-for-byte.
-//! (The vendored serde facade stays a no-op; this writer is the real
-//! serialization path until upstream serde is available.)
 
 use crate::aggregate::Series;
 use crate::fsutil;

@@ -9,10 +9,12 @@
 //! * [`summary::TrialSummary`] — the scalar metrics extracted from one trial
 //!   (full per-station vectors are dropped inside the worker so large-`n`
 //!   abstract sweeps stay memory-light). Defined in `contention-sim`.
-//! * [`sweep`] — the generic `Sweep<S: Simulator>` engine (defined in
-//!   `contention-sim`): one Cartesian `(algorithm × n × trial)` runner
-//!   drives the MAC, windowed, residual and dynamic simulators alike,
-//!   streaming each trial into a per-cell accumulator (the `run_fold` seam).
+//! * [`figures::shared::fold_grid`] — the one call site every production
+//!   sweep goes through: a grid description ([`shard::GridMeta`]) plus a
+//!   backend config become one `Sweep<S: Simulator>` (defined in
+//!   `contention-sim`) run over a plan of trial ranges — the whole grid, a
+//!   shard's cells, a resume's holes or a lease — streaming each trial into
+//!   a per-cell accumulator.
 //! * [`aggregate`] — the paper's reporting pipeline: outlier filtering
 //!   (1.5·IQR from the median), medians, and 95 % CIs, fed by
 //!   [`aggregate::MetricStats`] — flat per-metric trial buffers that retain
@@ -39,7 +41,7 @@
 //! * [`worker`] — the `repro work` half: claims leases, runs exactly the
 //!   leased trials through the shared engine path, POSTs artifacts back.
 //! * [`options`] — the `repro` CLI options (quick vs `--full` paper grids,
-//!   `--threads` / `--batch` execution knobs).
+//!   the `--threads` execution knob).
 //! * [`cli`] — the `repro` entry point; the binary itself lives in the
 //!   workspace root package so `cargo run --bin repro` needs no `-p` flag.
 
@@ -56,7 +58,6 @@ pub mod options;
 pub mod server;
 pub mod shard;
 pub mod summary;
-pub mod sweep;
 pub mod table;
 pub mod worker;
 

@@ -48,10 +48,6 @@ pub struct Options {
     pub out_dir: Option<PathBuf>,
     /// Worker threads (`None` = all cores).
     pub threads: Option<usize>,
-    /// `--batch N`: pin fixed `N`-trial claims in grid order, overriding the
-    /// default tapered (cost-aware, heaviest-first) scheduling. Purely a
-    /// performance knob — results are bit-identical either way.
-    pub batch: Option<usize>,
     /// Also write JSON series next to the CSVs (requires `--out`, except for
     /// `bench`, where `--json` alone writes `./BENCH_mac.json`).
     pub json: bool,
@@ -113,8 +109,6 @@ impl Options {
     pub fn exec(&self) -> ExecPolicy {
         ExecPolicy {
             threads: self.threads,
-            batch: self.batch,
-            cells: None,
             progress: self.full,
         }
     }
@@ -131,7 +125,11 @@ impl Options {
                 "--json" => opts.json = true,
                 "--trials" => {
                     let v = it.next().ok_or("--trials needs a value")?;
-                    opts.trials = Some(v.parse().map_err(|_| format!("bad trial count {v:?}"))?);
+                    let trials: u32 = v.parse().map_err(|_| format!("bad trial count {v:?}"))?;
+                    if trials == 0 {
+                        return Err("--trials must be at least 1".to_string());
+                    }
+                    opts.trials = Some(trials);
                 }
                 "--out" => {
                     let v = it.next().ok_or("--out needs a directory")?;
@@ -139,15 +137,12 @@ impl Options {
                 }
                 "--threads" => {
                     let v = it.next().ok_or("--threads needs a value")?;
-                    opts.threads = Some(v.parse().map_err(|_| format!("bad thread count {v:?}"))?);
-                }
-                "--batch" => {
-                    let v = it.next().ok_or("--batch needs a value")?;
-                    let batch: usize = v.parse().map_err(|_| format!("bad batch size {v:?}"))?;
-                    if batch == 0 {
-                        return Err("--batch must be at least 1".to_string());
+                    let threads: usize =
+                        v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
+                    if threads == 0 {
+                        return Err("--threads must be at least 1".to_string());
                     }
-                    opts.batch = Some(batch);
+                    opts.threads = Some(threads);
                 }
                 "--shard" => {
                     let v = it.next().ok_or("--shard needs a value like 0/4")?;
@@ -334,7 +329,6 @@ impl Options {
                 }
                 for (set, flag) in [
                     (self.threads.is_some(), "--threads"),
-                    (self.batch.is_some(), "--batch"),
                     (self.trials.is_some(), "--trials"),
                     (self.full, "--full"),
                 ] {
@@ -381,16 +375,12 @@ impl Options {
                 if self.out_dir.is_none() {
                     return Err("serve needs --out DIR for its checkpoints and reports".to_string());
                 }
-                for (set, flag) in [
-                    (self.threads.is_some(), "--threads"),
-                    (self.batch.is_some(), "--batch"),
-                ] {
-                    if set {
-                        return Err(format!(
-                            "{flag} does not apply to `serve` (workers run the trials; \
-                             pass it to `repro work`)"
-                        ));
-                    }
+                if self.threads.is_some() {
+                    return Err(
+                        "--threads does not apply to `serve` (workers run the trials; \
+                         pass it to `repro work`)"
+                            .to_string(),
+                    );
                 }
                 if self.checkpoint.is_some() {
                     return Err(
@@ -455,15 +445,12 @@ mod tests {
             "5",
             "--threads",
             "2",
-            "--batch",
-            "64",
         ]))
         .unwrap();
         assert_eq!(sub, "fig7");
         assert!(opts.full);
         assert_eq!(opts.trials, Some(5));
         assert_eq!(opts.threads, Some(2));
-        assert_eq!(opts.batch, Some(64));
     }
 
     #[test]
@@ -510,7 +497,32 @@ mod tests {
         assert!(Options::parse(&strs(&["--full"])).is_err());
         assert!(Options::parse(&strs(&["fig3", "fig4"])).is_err());
         assert!(Options::parse(&strs(&["fig3", "--trials", "abc"])).is_err());
-        assert!(Options::parse(&strs(&["fig3", "--batch", "0"])).is_err());
+        // Claims are always tapered; there is no batch-size knob.
+        let err = Options::parse(&strs(&["fig5", "--batch", "8"])).unwrap_err();
+        assert_eq!(err, "unknown flag \"--batch\"");
+    }
+
+    #[test]
+    fn zero_trials_and_zero_threads_are_rejected_at_parse_time() {
+        // Zero trials leave nothing to aggregate, and zero threads would
+        // silently mean one: both fail before any work starts.
+        for (args, expect) in [
+            (vec!["fig5", "--trials", "0"], "--trials must be at least 1"),
+            (
+                vec!["fig5", "--threads", "0"],
+                "--threads must be at least 1",
+            ),
+            (
+                vec!["work", "--connect", "h:1", "--threads", "0"],
+                "--threads must be at least 1",
+            ),
+        ] {
+            let err = Options::parse(&strs(&args)).unwrap_err();
+            assert_eq!(err, expect, "{args:?}");
+        }
+        let (_, opts) =
+            Options::parse(&strs(&["fig5", "--trials", "1", "--threads", "1"])).unwrap();
+        assert_eq!((opts.trials, opts.threads), (Some(1), Some(1)));
     }
 
     #[test]
@@ -565,7 +577,6 @@ mod tests {
         // silently ignored.
         for flags in [
             vec!["merge", "a", "--out", "/t", "--threads", "2"],
-            vec!["merge", "a", "--out", "/t", "--batch", "8"],
             vec!["merge", "a", "--out", "/t", "--trials", "5"],
             vec!["merge", "a", "--out", "/t", "--full"],
             vec!["merge", "a", "--out", "/t", "--shard", "0/2"],
@@ -679,7 +690,6 @@ mod tests {
         assert!(
             Options::parse(&strs(&["serve", "fig5", "--out", "/t", "--threads", "2"])).is_err()
         );
-        assert!(Options::parse(&strs(&["serve", "fig5", "--out", "/t", "--batch", "8"])).is_err());
         assert!(Options::parse(&strs(&["serve", "fig5", "--out", "/t", "--checkpoint"])).is_err());
         // The serve knobs are rejected everywhere else.
         assert!(Options::parse(&strs(&["fig5", "--port", "7000"])).is_err());
@@ -710,8 +720,6 @@ mod tests {
             "127.0.0.1:7481",
             "--threads",
             "2",
-            "--batch",
-            "8",
         ]))
         .unwrap();
         assert_eq!(sub, "work");
@@ -731,11 +739,9 @@ mod tests {
 
     #[test]
     fn exec_policy_mirrors_flags() {
-        let (_, opts) =
-            Options::parse(&strs(&["fig3", "--threads", "4", "--batch", "16"])).unwrap();
+        let (_, opts) = Options::parse(&strs(&["fig3", "--threads", "4"])).unwrap();
         let exec = opts.exec();
         assert_eq!(exec.threads, Some(4));
-        assert_eq!(exec.batch, Some(16));
         assert!(!exec.progress);
         let (_, opts) = Options::parse(&strs(&["fig3", "--full"])).unwrap();
         assert!(opts.exec().progress);

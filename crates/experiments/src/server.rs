@@ -387,7 +387,7 @@ impl Server {
             &grid.cell_trial_costs(),
             opts.leases.unwrap_or(DEFAULT_LEASES),
         );
-        let remaining: usize = plan.iter().map(|(_, t)| t.len()).sum();
+        let remaining: usize = plan.iter().map(TrialRange::len).sum();
         let store = JobStore::new(
             leases,
             Duration::from_secs(opts.lease_secs.unwrap_or(DEFAULT_LEASE_SECS)),
@@ -849,10 +849,11 @@ mod tests {
         // Run trials {0} of every cell, twice over — the straggler +
         // re-issue shape. First POST is all fresh, identical second POST is
         // all duplicates, and the master state is unchanged by the replay.
-        let plan: Vec<(usize, Vec<u32>)> =
-            (0..grid.cell_count()).map(|c| (c, vec![0u32])).collect();
+        let plan: Vec<TrialRange> = (0..grid.cell_count())
+            .map(|cell| TrialRange { cell, lo: 0, hi: 1 })
+            .collect();
         let hooks = SweepHooks {
-            missing: Some(&plan),
+            plan: Some(&plan),
             ..SweepHooks::default()
         };
         let cells = (entry.cells)(&opts, &hooks);

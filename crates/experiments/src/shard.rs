@@ -11,7 +11,7 @@
 //! round-trip exact ([`crate::jsonout`] / [`crate::jsonin`]), the merged
 //! report is **byte-identical** to a single-process run — the property
 //! `tests/shard_equivalence.rs` pins across backends, shard counts and
-//! batch sizes.
+//! plan shapes.
 //!
 //! Artifact shape (`<experiment>.s<i>of<N>.shardstate.json`):
 //!
@@ -41,7 +41,7 @@ use crate::jsonin::Json;
 use crate::jsonout::{escape, num};
 use crate::summary::Metric;
 use contention_core::algorithm::AlgorithmKind;
-use contention_sim::sched::{CostModel, CostSpec};
+use contention_sim::sched::CostSpec;
 use contention_stats::stream::StreamingSample;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -84,20 +84,16 @@ impl GridMeta {
     pub fn cell_trial_costs(&self) -> Vec<f64> {
         self.algorithms
             .iter()
-            .flat_map(|&alg| self.ns.iter().map(move |&n| self.cost.trial_cost(alg, n)))
+            .flat_map(|_| self.ns.iter().map(|&n| self.cost.cost(n)))
             .collect()
     }
 
     /// Estimated *total* cost of every cell (`trials ×` per-trial), in grid
     /// order — what cost-balanced shard partitioning splits.
     pub fn cell_costs(&self) -> Vec<f64> {
-        self.algorithms
-            .iter()
-            .flat_map(|&alg| {
-                self.ns
-                    .iter()
-                    .map(move |&n| self.cost.cell_cost(alg, n, self.trials))
-            })
+        self.cell_trial_costs()
+            .into_iter()
+            .map(|c| c * f64::from(self.trials))
             .collect()
     }
 }
@@ -303,6 +299,11 @@ impl ShardState {
         let experiment = doc.field("experiment")?.as_str()?.to_string();
         let full = doc.field("full")?.as_bool()?;
         let trials = doc.field("trials")?.as_u32()?;
+        // No run records zero trials (`--trials 0` is rejected), and a
+        // zero-trial grid has nothing to report.
+        if trials == 0 {
+            return Err("trials must be at least 1".to_string());
+        }
         // Tolerant: artifacts written before cost metadata existed carry no
         // "cost" key and deserialize to the uniform estimate.
         let cost = match doc.field("cost") {
@@ -718,6 +719,11 @@ mod tests {
                 "bad shard coordinates",
             ),
             ("\"shard\": [0, 1]", "\"shard\": [0]", "shard must be"),
+            (
+                "\"trials\": 3",
+                "\"trials\": 0",
+                "trials must be at least 1",
+            ),
         ] {
             let bad = good.replace(needle, replacement);
             assert_ne!(bad, good, "replacement {needle:?} did not apply");

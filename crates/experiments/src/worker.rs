@@ -1,8 +1,8 @@
 //! `repro work` — the pull-based sweep worker.
 //!
 //! Connects to a `repro serve` coordinator, claims per-trial leases, runs
-//! exactly the leased trials through the same engine path every other mode
-//! uses (`ShardableEntry::cells` with a sparse `missing` plan — per-trial
+//! exactly the leased trial ranges through the same engine path every other
+//! mode uses (`ShardableEntry::cells` with the lease as its plan — per-trial
 //! RNG derivation makes the results bit-identical to any other execution),
 //! and POSTs the resulting `shard_state/v1` artifact back. Loops until the
 //! coordinator answers `done`.
@@ -12,12 +12,13 @@
 //! and a worker that double-runs trials is harmless (the coordinator's
 //! dedup fold discards bit-identical replays).
 
-use crate::figures::sharding::find_shardable;
+use crate::figures::sharding::{find_shardable, ShardableEntry};
 use crate::figures::shared::SweepHooks;
 use crate::jsonin::Json;
 use crate::options::Options;
 use crate::server::http_request;
 use crate::shard::ShardState;
+use contention_sim::engine::{validate_plan, TrialRange};
 use std::time::Duration;
 
 /// How many consecutive failed exchanges before a worker that has *never*
@@ -31,15 +32,15 @@ const RETRY_PAUSE: Duration = Duration::from_millis(200);
 /// running it — a window in which CI kills it mid-lease.
 const HOLD_ENV: &str = "REPRO_WORK_HOLD_MS";
 
-/// One claimed lease, decoded off the wire.
+/// One claimed lease, decoded off the wire and checked against this
+/// build's grid for its experiment.
 struct Lease {
     id: u64,
-    experiment: String,
+    entry: ShardableEntry,
     full: bool,
     trials: u32,
-    /// Coalesced sparse plan: one `(cell, sorted trials)` entry per cell —
-    /// the engine's `missing` seam requires each cell to appear once.
-    plan: Vec<(usize, Vec<u32>)>,
+    /// The leased `[cell, lo, hi]` ranges, as sent.
+    plan: Vec<TrialRange>,
 }
 
 /// A decoded `/lease` response: work, a pause, or the end of the run.
@@ -49,7 +50,9 @@ enum LeaseReply {
     Done,
 }
 
-/// Decodes a `/lease` response body.
+/// Decodes a `/lease` response body. A lease's ranges must form a valid
+/// plan of its experiment's grid (see [`validate_plan`]); anything else is
+/// an error, never a panic in the engine.
 fn decode_lease(body: &str) -> Result<LeaseReply, String> {
     let json = Json::parse(body)?;
     match json.field("status")?.as_str()? {
@@ -63,73 +66,63 @@ fn decode_lease(body: &str) -> Result<LeaseReply, String> {
         }
         "lease" => {
             let id = json.field("id")?.as_f64()? as u64;
-            let experiment = json.field("experiment")?.as_str()?.to_string();
+            let experiment = json.field("experiment")?.as_str()?;
             let full = json.field("full")?.as_bool()?;
             let trials = json.field("trials")?.as_u32()?;
-            let mut plan: Vec<(usize, Vec<u32>)> = Vec::new();
+            let entry = find_shardable(experiment)
+                .ok_or_else(|| format!("coordinator leased unknown experiment {experiment:?}"))?;
+            let mut plan = Vec::new();
             for range in json.field("work")?.as_array()? {
                 let triple = range.as_array()?;
                 if triple.len() != 3 {
                     return Err("work ranges must be [cell, lo, hi]".to_string());
                 }
-                let cell = triple[0].as_u32()? as usize;
-                let (lo, hi) = (triple[1].as_u32()?, triple[2].as_u32()?);
-                if lo >= hi || hi > trials {
-                    return Err(format!("bad trial range [{lo},{hi}) of {trials}"));
-                }
-                match plan.iter_mut().find(|(c, _)| *c == cell) {
-                    Some((_, ts)) => ts.extend(lo..hi),
-                    None => plan.push((cell, (lo..hi).collect())),
-                }
+                plan.push(TrialRange {
+                    cell: triple[0].as_u32()? as usize,
+                    lo: triple[1].as_u32()?,
+                    hi: triple[2].as_u32()?,
+                });
             }
-            for (_, ts) in &mut plan {
-                ts.sort_unstable();
-                ts.dedup();
-            }
-            plan.sort_by_key(|&(c, _)| c);
-            Ok(LeaseReply::Lease(Lease {
+            let lease = Lease {
                 id,
-                experiment,
+                entry,
                 full,
                 trials,
                 plan,
-            }))
+            };
+            let grid = (entry.grid)(&lease.options(&Options::default()));
+            validate_plan(&lease.plan, grid.cell_count(), grid.trials).map_err(|e| {
+                format!("{e} — coordinator and worker run different code, or a corrupt lease")
+            })?;
+            Ok(LeaseReply::Lease(lease))
         }
         other => Err(format!("unknown lease status {other:?}")),
     }
 }
 
-/// Runs one lease's trials and returns the artifact to POST back.
-fn run_lease(lease: &Lease, opts: &Options) -> Result<String, String> {
-    let entry = find_shardable(&lease.experiment).ok_or_else(|| {
-        format!(
-            "coordinator leased unknown experiment {:?}",
-            lease.experiment
-        )
-    })?;
-    let run_opts = Options {
-        full: lease.full,
-        trials: Some(lease.trials),
-        threads: opts.threads,
-        batch: opts.batch,
-        ..Options::default()
-    };
-    let grid = (entry.grid)(&run_opts);
-    for &(cell, _) in &lease.plan {
-        if cell >= grid.cell_count() {
-            return Err(format!(
-                "leased cell {cell} is outside this build's {}-cell grid — \
-                 coordinator and worker run different code",
-                grid.cell_count()
-            ));
+impl Lease {
+    /// The grid-shaping options of the coordinator's run, with this
+    /// worker's execution knobs.
+    fn options(&self, worker: &Options) -> Options {
+        Options {
+            full: self.full,
+            trials: Some(self.trials),
+            threads: worker.threads,
+            ..Options::default()
         }
     }
+}
+
+/// Runs one lease's trials and returns the artifact to POST back.
+fn run_lease(lease: &Lease, opts: &Options) -> String {
+    let run_opts = lease.options(opts);
+    let grid = (lease.entry.grid)(&run_opts);
     let hooks = SweepHooks {
-        missing: Some(&lease.plan),
+        plan: Some(&lease.plan),
         ..SweepHooks::default()
     };
-    let cells = (entry.cells)(&run_opts, &hooks);
-    Ok(ShardState::from_cells(&lease.experiment, lease.full, (0, 1), &grid, &cells).to_json())
+    let cells = (lease.entry.cells)(&run_opts, &hooks);
+    ShardState::from_cells(lease.entry.name, lease.full, (0, 1), &grid, &cells).to_json()
 }
 
 /// The worker loop: claim, run, report, repeat until `done`.
@@ -191,15 +184,20 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
             // mid-lease and watch the coordinator re-issue the work.
             std::thread::sleep(pause);
         }
-        let trials: usize = lease.plan.iter().map(|(_, t)| t.len()).sum();
+        let trials: usize = lease.plan.iter().map(TrialRange::len).sum();
+        let mut cells: Vec<usize> = lease.plan.iter().map(|r| r.cell).collect();
+        cells.sort_unstable();
+        cells.dedup();
+        // perfbench/run.py counts claimed and accepted leases from these
+        // two lines (` trials across `, ` accepted: `): keep their wording.
         println!(
             "[work] lease {}: {} trials across {} cells of {}",
             lease.id,
             trials,
-            lease.plan.len(),
-            lease.experiment
+            cells.len(),
+            lease.entry.name
         );
-        let artifact = run_lease(&lease, opts)?;
+        let artifact = run_lease(&lease, opts);
         let path = format!("/result/{}", lease.id);
         match http_request(&addr, "POST", &path, Some(&artifact)) {
             Ok((200, reply)) => {
@@ -230,22 +228,32 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn lease_decoding_coalesces_ranges_into_one_sorted_plan_entry_per_cell() {
-        let reply = decode_lease(
-            "{\"status\":\"lease\",\"id\":7,\"experiment\":\"fig5\",\"full\":false,\
-             \"trials\":8,\"work\":[[2,0,3],[2,3,5],[0,6,8],[0,2,4]]}",
+    /// A fig5 lease body (16-cell quick grid, 8 trials) with `work`.
+    fn fig5_lease(work: &str) -> String {
+        format!(
+            "{{\"status\":\"lease\",\"id\":7,\"experiment\":\"fig5\",\"full\":false,\
+             \"trials\":8,\"work\":{work}}}"
         )
-        .unwrap();
+    }
+
+    #[test]
+    fn lease_decoding_keeps_the_leased_ranges() {
+        let reply = decode_lease(&fig5_lease("[[2,0,3],[2,3,5],[0,6,8],[0,2,4]]")).unwrap();
         let LeaseReply::Lease(lease) = reply else {
             panic!("expected a lease");
         };
         assert_eq!(lease.id, 7);
-        assert_eq!(lease.experiment, "fig5");
+        assert_eq!(lease.entry.name, "fig5");
+        let range = |cell, lo, hi| TrialRange { cell, lo, hi };
         assert_eq!(
             lease.plan,
-            vec![(0, vec![2, 3, 6, 7]), (2, vec![0, 1, 2, 3, 4])],
-            "ranges of one cell must fuse into a single sorted plan entry"
+            vec![
+                range(2, 0, 3),
+                range(2, 3, 5),
+                range(0, 6, 8),
+                range(0, 2, 4)
+            ],
+            "ranges are run as leased, never expanded into trial lists"
         );
 
         assert!(matches!(
@@ -257,11 +265,28 @@ mod tests {
             Ok(LeaseReply::Done)
         ));
         assert!(decode_lease("not json").is_err());
-        // Degenerate and out-of-bounds ranges are rejected, not run.
-        assert!(decode_lease(
-            "{\"status\":\"lease\",\"id\":1,\"experiment\":\"fig5\",\"full\":false,\
-             \"trials\":4,\"work\":[[0,3,9]]}"
-        )
-        .is_err());
+    }
+
+    #[test]
+    fn bad_leases_are_clean_errors() {
+        for (work, expect) in [
+            ("[[16,0,1]]", "outside the 16-cell grid"),
+            ("[[0,3,3]]", "not a non-empty range"),
+            ("[[0,5,2]]", "not a non-empty range"),
+            ("[[0,3,9]]", "not a non-empty range"),
+            ("[[1,0,4],[1,3,6]]", "overlap"),
+            ("[[1,0,4],[1,0,4]]", "overlap"),
+            ("[[1,0]]", "[cell, lo, hi]"),
+        ] {
+            let Err(err) = decode_lease(&fig5_lease(work)) else {
+                panic!("{work} decoded");
+            };
+            assert!(err.contains(expect), "{work}: {err}");
+        }
+        let unknown = fig5_lease("[]").replace("fig5", "fig99");
+        let Err(err) = decode_lease(&unknown) else {
+            panic!("unknown experiment decoded");
+        };
+        assert!(err.contains("unknown experiment"), "{err}");
     }
 }

@@ -5,10 +5,9 @@
 //! the same spans and render them as ASCII art.
 
 use contention_core::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// What a span on a station's timeline represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// Data frame on air that was acknowledged.
     DataOk,
@@ -42,7 +41,7 @@ impl SpanKind {
 }
 
 /// One interval on one station's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     pub station: u32,
     pub kind: SpanKind,
@@ -51,7 +50,7 @@ pub struct Span {
 }
 
 /// A full execution trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     pub n: u32,
     pub spans: Vec<Span>,

@@ -1,4 +1,5 @@
-//! The generic sweep engine: one [`Simulator`] trait, one [`Sweep`].
+//! The generic sweep engine: one [`Simulator`] trait, one [`Sweep`], one
+//! runner.
 //!
 //! Before this module existed, every execution backend (the abstract
 //! windowed simulator, the 802.11g MAC simulator) carried its own
@@ -12,48 +13,42 @@
 //!   `(experiment tag, algorithm, n, trial)` RNG derivation. Every trial in
 //!   the repository — sweeps, figures, benches — goes through this
 //!   derivation, so any number anywhere is reproducible in isolation.
-//! * [`Sweep`] — the Cartesian `(algorithm × n × trial)` grid, executed on
-//!   the batched deterministic runner under an [`ExecPolicy`].
+//! * [`Sweep`] — the Cartesian `(algorithm × n × trial)` grid, and its one
+//!   runner, [`Sweep::run_fold_monitored`].
 //!
-//! The engine *streams*: work items are generated on the fly from a single
-//! cursor (never materialized as a grid `Vec`), workers claim trials in
-//! batches, and each trial's result is **folded into a per-cell
-//! [`Accumulator`] inside the worker**. A figure that only needs two metrics
-//! of a million-trial sweep retains two `f64`s per trial — not a
+//! Every run is a **plan**: a list of [`TrialRange`]s `(cell, lo, hi)`. A
+//! direct run is one full range per cell, a `repro shard` the full ranges of
+//! its cells, a resume the trials its checkpoint is missing, a work-server
+//! lease whatever ranges it was handed. The runner claims the plan's trials
+//! in tapered, heaviest-cell-first claims (see
+//! [`parallel`](crate::parallel)) and **folds each trial's result into a
+//! per-cell [`Accumulator`] inside the worker**. A figure that only needs
+//! two metrics of a million-trial sweep retains two `f64`s per trial — not a
 //! `TrialSummary` — which is what lets the abstract sweeps reach the paper's
-//! full n = 10⁵ grid (and 10⁶) in one process. The collect-style API
-//! ([`Sweep::run`], [`Sweep::run_mapped`]) still exists and is itself a fold
-//! into position-addressed slots, so both paths are bit-identical by
-//! construction across thread counts *and* batch sizes.
+//! full n = 10⁵ grid (and 10⁶) in one process. Per-trial RNG streams depend
+//! only on grid coordinates, so every plan, thread count and claim schedule
+//! yields bit-identical trials.
 //!
 //! A backend plugs in by implementing `Simulator`; nothing else in the
 //! experiment layer changes. This is the seam where additional channel
 //! models (e.g. the noisy/corrupted-slot model of arXiv:2408.11275) slot in.
 
 use crate::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
-use crate::parallel::{parallel_for_batches, parallel_for_tapered, TaperSchedule};
+use crate::parallel::{parallel_for_tapered, TaperSchedule};
+use crate::pool::lock;
 use crate::progress::Progress;
 use crate::summary::TrialSummary;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::rng::{experiment_tag, trial_rng};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long the snapshot thread sleeps between cadence checks. Snapshots
 /// themselves are taken at the requested cadence; this only bounds how stale
 /// the "is one due?" decision can be.
 const SNAPSHOT_POLL: Duration = Duration::from_millis(20);
-
-/// The internals a monitored run threads to its snapshot thread. The
-/// accumulator clone is a stored `fn` so the common (unmonitored) paths do
-/// not pick up an `A: Clone` bound.
-struct MonitorHook<'a, A> {
-    cadence: SnapshotCadence,
-    sink: &'a dyn SweepMonitor<A>,
-    clone_acc: fn(&A) -> A,
-}
 
 /// One execution backend: everything [`Sweep`] needs to run trials of it.
 ///
@@ -63,9 +58,8 @@ struct MonitorHook<'a, A> {
 pub trait Simulator {
     /// Full per-trial configuration, including the algorithm under test.
     type Config: Clone + Send + Sync;
-    /// Raw per-trial output. Backends with a [`TrialSummary`] conversion get
-    /// [`Sweep::run`] and [`Sweep::run_fold`]; the rest use
-    /// [`Sweep::run_raw`] / [`Sweep::run_fold_raw`].
+    /// Raw per-trial output. A [`Sweep`] folds it as a [`TrialSummary`], so
+    /// sweepable backends implement `From<Output> for TrialSummary`.
     type Output: Send;
     /// Reusable per-worker scratch arena: event queues, station tables,
     /// occupancy buffers — everything a trial needs that is not part of its
@@ -134,7 +128,7 @@ pub fn run_trial_with<S: Simulator>(
 ///
 /// Trials of a cell arrive **exactly once each but in arbitrary order**
 /// (workers race). For the sweep to stay bit-identical across thread counts
-/// and batch sizes, the final state must not depend on arrival order: either
+/// and plans, the final state must not depend on arrival order: either
 /// address by position (write trial `t` into slot `t` — what the built-in
 /// collectors do) or fold with an exactly order-independent operation
 /// (counts, integer sums, min/max). Order-*sensitive* floating-point folds
@@ -229,6 +223,18 @@ impl CellRange {
         }
     }
 
+    /// The plan that runs every trial of these cells: one full
+    /// `[0, trials)` range per cell.
+    pub fn plan(&self, trials: u32) -> Vec<TrialRange> {
+        (self.lo..self.hi)
+            .map(|cell| TrialRange {
+                cell,
+                lo: 0,
+                hi: trials,
+            })
+            .collect()
+    }
+
     pub fn len(&self) -> usize {
         self.hi - self.lo
     }
@@ -239,8 +245,7 @@ impl CellRange {
 }
 
 /// A contiguous run `[lo, hi)` of trial indices inside one grid cell — the
-/// unit of *trial*-granular work distribution (a work-server lease is a list
-/// of these).
+/// unit every sweep plan is made of.
 ///
 /// Where [`CellRange`] splits a grid between processes a whole cell at a
 /// time, a `TrialRange` splits *inside* a cell, so a single giant-`n` cell
@@ -268,13 +273,11 @@ impl TrialRange {
         self.lo == self.hi
     }
 
-    /// Partitions a sparse work plan — `(cell index, trial list)` pairs, the
-    /// same shape sweeps take as a missing-work plan — into at most `target`
-    /// leases of roughly equal estimated cost, each lease a list of trial
-    /// ranges.
+    /// Partitions a plan into at most `target` leases of roughly equal
+    /// estimated cost, each lease itself a plan.
     ///
     /// `trial_costs[cell]` is the estimated cost of one trial of that cell
-    /// (the [`CostSpec`](crate::cost::CostSpec) per-trial table); lease
+    /// (the [`CostSpec`](crate::sched::CostSpec) per-trial table); lease
     /// boundaries land where the cost prefix crosses `k/target` of the
     /// total, so a heavy cell splits across as many leases as its weight
     /// demands while light neighbours coalesce into one. Junk cost entries
@@ -285,7 +288,7 @@ impl TrialRange {
     /// into single ranges; empty leases are never emitted, so fewer than
     /// `target` leases come back when the plan is small.
     pub fn partition(
-        plan: &[(usize, Vec<u32>)],
+        plan: &[TrialRange],
         trial_costs: &[f64],
         target: usize,
     ) -> Vec<Vec<TrialRange>> {
@@ -298,10 +301,7 @@ impl TrialRange {
                 1.0
             }
         };
-        let total: f64 = plan
-            .iter()
-            .map(|(cell, trials)| sane(*cell) * trials.len() as f64)
-            .sum();
+        let total: f64 = plan.iter().map(|r| sane(r.cell) * r.len() as f64).sum();
         if total <= 0.0 {
             return Vec::new();
         }
@@ -322,10 +322,10 @@ impl TrialRange {
                 hi: trial + 1,
             });
         };
-        for (cell, trials) in plan {
-            let w = sane(*cell);
-            for &t in trials {
-                fuse(&mut current, *cell, t);
+        for range in plan {
+            let w = sane(range.cell);
+            for t in range.lo..range.hi {
+                fuse(&mut current, range.cell, t);
                 cum += w;
                 // Close the lease once the global prefix crosses its share
                 // of the total; the last lease absorbs whatever remains so
@@ -342,10 +342,46 @@ impl TrialRange {
     }
 }
 
-/// How a sweep executes: worker threads, trials per work-item claim, cell
-/// range, and whether to report progress. Orthogonal to *what* the sweep
-/// computes — results are identical for every policy (a cell range selects a
-/// subset of the cells; it never changes their contents).
+/// Checks a plan against a grid of `cells` cells with `trials` trials each:
+/// every range names a grid cell and covers `lo < hi ≤ trials`, and no two
+/// ranges share a trial (an overlap would record a trial twice).
+///
+/// Plans that enter from outside the process — a resumed checkpoint, a
+/// leased range list — go through this first, so a bad one is a clean
+/// `Err`; the engine re-checks every plan it runs and panics on a bad one,
+/// which is then a programming error.
+pub fn validate_plan(plan: &[TrialRange], cells: usize, trials: u32) -> Result<(), String> {
+    for r in plan {
+        if r.cell >= cells {
+            return Err(format!(
+                "plan cell {} is outside the {cells}-cell grid",
+                r.cell
+            ));
+        }
+        if r.lo >= r.hi || r.hi > trials {
+            return Err(format!(
+                "plan range [{}, {}) of cell {} is not a non-empty range of 0..{trials}",
+                r.lo, r.hi, r.cell
+            ));
+        }
+    }
+    let mut sorted = plan.to_vec();
+    sorted.sort_unstable_by_key(|r| (r.cell, r.lo));
+    for pair in sorted.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        if a.cell == b.cell && b.lo < a.hi {
+            return Err(format!(
+                "plan ranges [{}, {}) and [{}, {}) of cell {} overlap",
+                a.lo, a.hi, b.lo, b.hi, a.cell
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// How a sweep executes: worker threads and whether to report progress.
+/// Orthogonal to *what* the sweep computes — results are identical for
+/// every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
     /// Worker threads (`None` = all available, `Some(0|1)` = sequential).
@@ -353,18 +389,6 @@ pub struct ExecPolicy {
     /// parallelism — oversubscribed workers cost context switches without
     /// buying wall-clock, and results never depend on the worker count.
     pub threads: Option<usize>,
-    /// Trials claimed per scheduling step. `None` (the default) uses
-    /// tapered (guided self-scheduling) claims — sized off remaining
-    /// estimated work, shrinking toward one trial at the tail — with
-    /// heaviest cells claimed first when the run carries a cost table.
-    /// `Some(b)` pins fixed `b`-trial batches in grid order. Purely a
-    /// performance knob either way: results are bit-identical for every
-    /// setting.
-    pub batch: Option<usize>,
-    /// Run only the grid cells in `[lo, hi)` (`None` = the whole grid) —
-    /// the process-sharding seam: each shard folds its cell range, and the
-    /// per-cell accumulator states merge back losslessly.
-    pub cells: Option<CellRange>,
     /// Report trials-completed / ETA on stderr (only when stderr is a TTY).
     pub progress: bool,
 }
@@ -377,33 +401,10 @@ impl ExecPolicy {
             ..ExecPolicy::default()
         }
     }
-
-    /// Same policy with an explicit batch size.
-    pub fn with_batch(mut self, batch: usize) -> ExecPolicy {
-        self.batch = Some(batch);
-        self
-    }
-
-    /// Same policy restricted to the grid cells in `range`.
-    pub fn with_cells(mut self, range: CellRange) -> ExecPolicy {
-        self.cells = Some(range);
-        self
-    }
 }
 
-/// One aggregate cell: all trials of one `(algorithm, n)` pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cell<T> {
-    pub algorithm: AlgorithmKind,
-    pub n: u32,
-    pub trials: Vec<T>,
-}
-
-/// The summarized cell type every collect-style consumer uses.
-pub type SweepCell = Cell<TrialSummary>;
-
-/// One cell of a folded sweep: the accumulator state after every trial of
-/// one `(algorithm, n)` pair has been folded in.
+/// One cell of a folded sweep: the accumulator state after every planned
+/// trial of one `(algorithm, n)` pair has been folded in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FoldedCell<A> {
     pub algorithm: AlgorithmKind,
@@ -414,7 +415,7 @@ pub struct FoldedCell<A> {
 /// A Cartesian `(algorithm × n × trial)` sweep over one simulator.
 ///
 /// Every trial derives its RNG from `(experiment tag, algorithm, n, trial)`,
-/// so the sweep's numbers are independent of thread count, batch size and
+/// so the sweep's numbers are independent of thread count, plan shape and
 /// scheduling.
 pub struct Sweep<S: Simulator> {
     /// RNG namespace; also names the experiment in outputs.
@@ -424,7 +425,7 @@ pub struct Sweep<S: Simulator> {
     pub algorithms: Vec<AlgorithmKind>,
     pub ns: Vec<u32>,
     pub trials: u32,
-    /// Execution policy (threads / batch size / progress).
+    /// Execution policy (threads / progress).
     pub exec: ExecPolicy,
 }
 
@@ -475,154 +476,103 @@ impl<S: Simulator> Sweep<S> {
         }
     }
 
-    /// The streaming core: runs the grid with batched work claiming, maps
-    /// each raw output inside the worker, and folds it into its cell's
-    /// accumulator — still inside the worker. Nothing per-trial survives
-    /// beyond what the accumulator retains.
-    fn run_streamed<T, A, M, I>(&self, map: M, init: I) -> Vec<FoldedCell<A>>
-    where
-        A: Accumulator<T> + Send,
-        M: Fn(S::Output) -> T + Sync,
-        I: FnMut(AlgorithmKind, u32, u32) -> A,
-    {
-        self.run_streamed_core(map, init, None, None, None)
+    /// The `(algorithm, n)` coordinates of full-grid cell `cell`.
+    fn coords(&self, cell: usize) -> (AlgorithmKind, u32) {
+        let ns = self.ns.len();
+        (self.algorithms[cell / ns], self.ns[cell % ns])
     }
+}
 
-    /// [`run_streamed`](Self::run_streamed), generalized along the two
-    /// seams checkpoint/resume needs:
+impl<S: Simulator> Sweep<S>
+where
+    TrialSummary: From<S::Output>,
+{
+    /// Runs `plan` — the whole grid when `None` — folding each trial's
+    /// [`TrialSummary`] into a per-cell accumulator built by
+    /// `init(algorithm, n, trials)`. Returns one [`FoldedCell`] per cell the
+    /// plan touches, in grid order.
     ///
-    /// * `missing` — a sparse work plan: only the listed
-    ///   `(grid cell index, trials)` execute (the resume path). `None` runs
-    ///   the dense grid, restricted by `ExecPolicy::cells` as before.
-    ///   Per-trial RNG derivation is untouched either way, so a sparse run's
-    ///   values are bit-identical to the same trials of a full run.
-    /// * `monitor` — a snapshot thread that periodically clones the in-flight
-    ///   accumulators (each under its own cell lock — workers keep claiming
-    ///   batches) and hands them to the sink; one final snapshot is
-    ///   guaranteed after the workers join.
-    /// * `costs` — estimated per-*trial* cost of every cell of the **full**
-    ///   grid (`algorithms × ns`, same order). Feeds scheduling only: claim
-    ///   tapering and heaviest-cell-first ordering. Results are routed by
-    ///   grid position and trial RNG streams derive from grid coordinates,
-    ///   so any cost table — including a wrong one — leaves every output
-    ///   bit unchanged.
-    fn run_streamed_core<T, A, M, I>(
+    /// * `plan` — the [`TrialRange`]s to run; indices address the full
+    ///   `algorithms × ns` grid. One cell may appear in several ranges, but
+    ///   no trial twice ([`validate_plan`] holds, or this panics).
+    ///   Per-trial values are bit-identical to the same trials of any other
+    ///   plan.
+    /// * `monitor` — a snapshot sink called on `cadence` from a dedicated
+    ///   thread with clones of the in-flight accumulators (each under its
+    ///   own cell lock — workers keep claiming), plus once more (with
+    ///   `finished: true`) after the workers join. Snapshots are read-only:
+    ///   results are unaffected by the monitor's presence.
+    /// * `costs` — estimated per-trial cost of every full-grid cell (same
+    ///   order as `algorithms × ns`), from the experiment's
+    ///   [`CostSpec`](crate::sched::CostSpec). Scheduling-only: ranges of
+    ///   the heaviest cells are claimed first and claim sizes taper by
+    ///   remaining estimated work; any table (a wrong one, or `None` for
+    ///   uniform) yields bit-identical results.
+    pub fn run_fold_monitored<A, I>(
         &self,
-        map: M,
         mut init: I,
-        missing: Option<&[(usize, Vec<u32>)]>,
-        monitor: Option<MonitorHook<'_, A>>,
+        plan: Option<&[TrialRange]>,
+        monitor: Option<(SnapshotCadence, &dyn SweepMonitor<A>)>,
         costs: Option<&[f64]>,
     ) -> Vec<FoldedCell<A>>
     where
-        A: Accumulator<T> + Send,
-        M: Fn(S::Output) -> T + Sync,
+        A: Accumulator<TrialSummary> + Clone + Send,
         I: FnMut(AlgorithmKind, u32, u32) -> A,
     {
         self.validate_grid();
-        let tag = experiment_tag(self.experiment);
-        let trials = self.trials as usize;
-        let full_grid: Vec<(AlgorithmKind, u32)> = self
-            .algorithms
-            .iter()
-            .flat_map(|&alg| self.ns.iter().map(move |&n| (alg, n)))
-            .collect();
+        let cell_count = self.cell_count();
+        let whole_grid;
+        let plan = match plan {
+            Some(plan) => {
+                if let Err(e) = validate_plan(plan, cell_count, self.trials) {
+                    panic!("invalid sweep plan: {e}");
+                }
+                plan
+            }
+            None => {
+                whole_grid = CellRange {
+                    lo: 0,
+                    hi: cell_count,
+                }
+                .plan(self.trials);
+                &whole_grid[..]
+            }
+        };
         if let Some(costs) = costs {
             assert!(
-                costs.len() == full_grid.len(),
-                "cost table has {} entries for a {}-cell grid",
-                costs.len(),
-                full_grid.len()
+                costs.len() == cell_count,
+                "cost table has {} entries for a {cell_count}-cell grid",
+                costs.len()
             );
         }
         // Junk estimates (NaN, ±∞, negatives) count as zero weight so the
         // heaviest-first comparator below stays a total order.
-        let sane = |c: f64| if c.is_finite() && c > 0.0 { c } else { 0.0 };
-        // Resolve the work plan: which cells exist, how a claimed work index
-        // maps onto (cell, trial), and what each local cell's trials are
-        // estimated to cost.
-        type SparseItems = Option<Vec<(usize, u32)>>;
-        let (grid, mut sparse, cell_costs): (
-            Vec<(AlgorithmKind, u32)>,
-            SparseItems,
-            Option<Vec<f64>>,
-        ) = match missing {
-            None => {
-                let mut grid = full_grid;
-                let mut cell_costs =
-                    costs.map(|c| c.iter().map(|&c| sane(c)).collect::<Vec<f64>>());
-                if let Some(range) = self.exec.cells {
-                    assert!(
-                        range.lo <= range.hi && range.hi <= grid.len(),
-                        "cell range [{}, {}) outside the {}-cell grid",
-                        range.lo,
-                        range.hi,
-                        grid.len()
-                    );
-                    grid = grid[range.lo..range.hi].to_vec();
-                    cell_costs = cell_costs.map(|c| c[range.lo..range.hi].to_vec());
-                }
-                (grid, None, cell_costs)
-            }
-            Some(missing) => {
-                assert!(
-                    self.exec.cells.is_none(),
-                    "a sparse work plan already names its cells; drop ExecPolicy::cells"
-                );
-                let mut grid = Vec::with_capacity(missing.len());
-                let mut items = Vec::new();
-                for (local, (cell_index, cell_trials)) in missing.iter().enumerate() {
-                    assert!(
-                        *cell_index < full_grid.len(),
-                        "missing-work cell {cell_index} outside the {}-cell grid",
-                        full_grid.len()
-                    );
-                    grid.push(full_grid[*cell_index]);
-                    for &trial in cell_trials {
-                        assert!(
-                            (trial as usize) < trials,
-                            "missing-work trial {trial} outside 0..{trials}"
-                        );
-                        items.push((local, trial));
-                    }
-                }
-                let cell_costs = costs.map(|c| {
-                    missing
-                        .iter()
-                        .map(|(cell_index, _)| sane(c[*cell_index]))
-                        .collect()
-                });
-                (grid, Some(items), cell_costs)
-            }
+        let cost = |cell: usize| match costs {
+            None => 1.0,
+            Some(c) if c[cell].is_finite() && c[cell] > 0.0 => c[cell],
+            Some(_) => 0.0,
         };
-        // Execution order over local cells: identity under fixed batches
-        // (`exec.batch` pinned) or without estimates; heaviest cells first
-        // when tapering with a cost table, so the long-pole cells start
-        // while plenty of light work remains to backfill the tail. Results
-        // are index-routed, so the order is invisible in the output.
-        let taper = self.exec.batch.is_none();
-        let order: Vec<usize> = {
-            let mut order: Vec<usize> = (0..grid.len()).collect();
-            if taper {
-                if let Some(cost) = &cell_costs {
-                    let heaviest_first =
-                        |a: f64, b: f64| b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal);
-                    order.sort_by(|&a, &b| heaviest_first(cost[a], cost[b]));
-                    if let Some(items) = &mut sparse {
-                        items.sort_by(|a, b| heaviest_first(cost[a.0], cost[b.0]));
-                    }
-                }
-            }
-            order
-        };
+        // One accumulator per touched cell, in grid order.
+        let mut cells: Vec<usize> = plan.iter().map(|r| r.cell).collect();
+        cells.sort_unstable();
+        cells.dedup();
+        let grid: Vec<(AlgorithmKind, u32)> = cells.iter().map(|&c| self.coords(c)).collect();
         let accumulators: Vec<Mutex<A>> = grid
             .iter()
             .map(|&(alg, n)| Mutex::new(init(alg, n, self.trials)))
             .collect();
-        let total = match &sparse {
-            None => grid.len() * trials,
-            Some(items) => items.len(),
-        };
+        // Execution order: the plan's ranges, heaviest cells first (stable,
+        // so a uniform table keeps plan order). The long-pole cells start
+        // while plenty of light work remains to backfill the tail; results
+        // are routed by cell, so the order is invisible in the output.
+        let mut order: Vec<(usize, TrialRange)> = plan
+            .iter()
+            .map(|r| (cells.binary_search(&r.cell).expect("touched cell"), *r))
+            .collect();
+        order.sort_by(|a, b| cost(b.1.cell).total_cmp(&cost(a.1.cell)));
+        let runs: Vec<(usize, f64)> = order.iter().map(|(_, r)| (r.len(), cost(r.cell))).collect();
+        let schedule = TaperSchedule::new(&runs);
+        let total = schedule.len();
         if total > 0 {
             // Cap the worker count at the machine's parallelism: results are
             // schedule-invariant, so workers beyond physical cores can only
@@ -632,58 +582,36 @@ impl<S: Simulator> Sweep<S> {
                 .threads
                 .unwrap_or_else(default_threads)
                 .min(default_threads());
-            // Tapered claims need a per-work-item cost prefix in *execution*
-            // order; without estimates every item weighs the same and the
-            // taper degenerates to pure remaining/workers sizing.
-            let schedule: Option<TaperSchedule> = taper.then(|| match (&sparse, &cell_costs) {
-                (None, Some(cost)) => {
-                    let mut item_costs = Vec::with_capacity(total);
-                    for &cell in &order {
-                        item_costs.extend(std::iter::repeat_n(cost[cell], trials));
-                    }
-                    TaperSchedule::new(&item_costs)
-                }
-                (Some(items), Some(cost)) => {
-                    let item_costs: Vec<f64> = items.iter().map(|&(cell, _)| cost[cell]).collect();
-                    TaperSchedule::new(&item_costs)
-                }
-                (_, None) => TaperSchedule::uniform(total),
-            });
             let progress = Progress::new(total, self.exec.progress);
+            let tag = experiment_tag(self.experiment);
             let base = self.config.clone();
-            // The dense work item for global index g is (order[g / trials],
-            // trial g % trials) — computed, never stored; sparse plans look
-            // the pair up. Each worker owns one scratch arena for its whole
-            // share of the sweep.
-            let work_item = |range: std::ops::Range<usize>, scratch: &mut S::Scratch| {
-                for g in range {
-                    let (cell_index, trial) = match &sparse {
-                        None => (order[g / trials], (g % trials) as u32),
-                        Some(items) => items[g],
-                    };
-                    let (alg, n) = grid[cell_index];
+            // A claim is a contiguous run of work indices: one lookup finds
+            // the range and trial it starts at, then consecutive indices
+            // walk the ranges in order. Each worker owns one scratch arena
+            // for its whole share of the sweep.
+            let work = |claim: std::ops::Range<usize>, scratch: &mut S::Scratch| {
+                let (mut k, offset) = schedule.locate(claim.start);
+                let mut trial = order[k].1.lo + offset as u32;
+                for _ in claim {
+                    while trial == order[k].1.hi {
+                        k += 1;
+                        trial = order[k].1.lo;
+                    }
+                    let slot = order[k].0;
+                    let (alg, n) = grid[slot];
                     let config = S::with_algorithm(&base, alg);
                     let mut rng = trial_rng(tag, alg, n, trial);
-                    let value = map(S::run_with(&config, n, &mut rng, scratch));
-                    accumulators[cell_index].lock().record(trial, value);
+                    let value = TrialSummary::from(S::run_with(&config, n, &mut rng, scratch));
+                    lock(&accumulators[slot]).record(trial, value);
                     progress.tick();
+                    trial += 1;
                 }
             };
-            let run_workers = || match &schedule {
-                Some(sched) => parallel_for_tapered(sched, threads, S::Scratch::default, work_item),
-                None => parallel_for_batches(
-                    total,
-                    threads,
-                    self.exec
-                        .batch
-                        .expect("fixed-batch path requires exec.batch"),
-                    S::Scratch::default,
-                    work_item,
-                ),
-            };
-            match &monitor {
+            let run_workers =
+                || parallel_for_tapered(&schedule, threads, S::Scratch::default, work);
+            match monitor {
                 None => run_workers(),
-                Some(hook) => {
+                Some((cadence, sink)) => {
                     let stop = AtomicBool::new(false);
                     let started = Instant::now();
                     std::thread::scope(|scope| {
@@ -698,19 +626,17 @@ impl<S: Simulator> Sweep<S> {
                                 // finished snapshot.
                                 let stopping = stop.load(Ordering::Acquire);
                                 let done = progress.completed();
-                                if stopping
-                                    || hook.cadence.due(last_snap.elapsed(), done - last_done)
-                                {
+                                if stopping || cadence.due(last_snap.elapsed(), done - last_done) {
                                     let cells = grid
                                         .iter()
                                         .zip(&accumulators)
                                         .map(|(&(algorithm, n), acc)| FoldedCell {
                                             algorithm,
                                             n,
-                                            acc: (hook.clone_acc)(&acc.lock()),
+                                            acc: lock(acc).clone(),
                                         })
                                         .collect();
-                                    hook.sink.snapshot(SweepSnapshot {
+                                    sink.snapshot(SweepSnapshot {
                                         cells,
                                         completed_trials: done,
                                         total_trials: total,
@@ -739,151 +665,9 @@ impl<S: Simulator> Sweep<S> {
             .map(|((algorithm, n), acc)| FoldedCell {
                 algorithm,
                 n,
-                acc: acc.into_inner(),
+                acc: acc.into_inner().unwrap_or_else(PoisonError::into_inner),
             })
             .collect()
-    }
-
-    /// Runs the grid, folding each *raw* output into a per-cell accumulator
-    /// built by `init(algorithm, n, trials)`.
-    pub fn run_fold_raw<A, I>(&self, init: I) -> Vec<FoldedCell<A>>
-    where
-        A: Accumulator<S::Output> + Send,
-        I: FnMut(AlgorithmKind, u32, u32) -> A,
-    {
-        self.run_streamed(|output| output, init)
-    }
-
-    /// Runs the grid, mapping each raw output inside the worker thread
-    /// (large outputs are reduced before being collected).
-    pub fn run_mapped<T, F>(&self, map: F) -> Vec<Cell<T>>
-    where
-        T: Send,
-        F: Fn(S::Output) -> T + Sync,
-    {
-        self.run_streamed(map, |_, _, trials| Slots::new(trials))
-            .into_iter()
-            .map(|cell| Cell {
-                algorithm: cell.algorithm,
-                n: cell.n,
-                trials: cell.acc.into_vec(),
-            })
-            .collect()
-    }
-
-    /// Runs the grid, keeping each backend's raw output.
-    pub fn run_raw(&self) -> Vec<Cell<S::Output>> {
-        self.run_mapped(|output| output)
-    }
-}
-
-impl<S: Simulator> Sweep<S>
-where
-    TrialSummary: From<S::Output>,
-{
-    /// Runs the grid and summarizes every trial.
-    pub fn run(&self) -> Vec<SweepCell> {
-        self.run_mapped(TrialSummary::from)
-    }
-
-    /// Runs the grid, folding each trial's [`TrialSummary`] into a per-cell
-    /// accumulator built by `init(algorithm, n, trials)` — the streaming
-    /// path every figure-facing aggregate rides.
-    pub fn run_fold<A, I>(&self, init: I) -> Vec<FoldedCell<A>>
-    where
-        A: Accumulator<TrialSummary> + Send,
-        I: FnMut(AlgorithmKind, u32, u32) -> A,
-    {
-        self.run_streamed(TrialSummary::from, init)
-    }
-
-    /// [`run_fold`](Self::run_fold) with the crash-safety seams attached:
-    ///
-    /// * `missing` — run only the listed `(grid cell index, trials)` instead
-    ///   of the dense grid (the resume path; indices address the full
-    ///   `algorithms × ns` grid and must not be combined with
-    ///   `ExecPolicy::cells`). Returned cells are in plan order. Per-trial
-    ///   values are bit-identical to the same trials of a full run.
-    /// * `monitor` — a snapshot sink called on `cadence` from a dedicated
-    ///   thread with clones of the in-flight accumulators, plus once more
-    ///   (with `finished: true`) after the workers join. Snapshots are
-    ///   read-only: results are unaffected by the monitor's presence.
-    /// * `costs` — estimated per-trial cost of every full-grid cell (same
-    ///   order as `algorithms × ns`), from the experiment's
-    ///   [`CostModel`](crate::sched::CostModel). Scheduling-only: drives
-    ///   claim tapering and heaviest-cell-first ordering; any table yields
-    ///   bit-identical results.
-    pub fn run_fold_monitored<A, I>(
-        &self,
-        init: I,
-        missing: Option<&[(usize, Vec<u32>)]>,
-        monitor: Option<(SnapshotCadence, &dyn SweepMonitor<A>)>,
-        costs: Option<&[f64]>,
-    ) -> Vec<FoldedCell<A>>
-    where
-        A: Accumulator<TrialSummary> + Clone + Send,
-        I: FnMut(AlgorithmKind, u32, u32) -> A,
-    {
-        let hook = monitor.map(|(cadence, sink)| MonitorHook {
-            cadence,
-            sink,
-            clone_acc: A::clone,
-        });
-        self.run_streamed_core(TrialSummary::from, init, missing, hook, costs)
-    }
-}
-
-/// Position-addressed slots: the accumulator behind the collect-style API.
-/// Arrival order cannot matter because trial `t` lands in slot `t` — which
-/// also makes two disjoint partial fills mergeable without ambiguity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Slots<T> {
-    slots: Vec<Option<T>>,
-}
-
-impl<T> Slots<T> {
-    /// Slots awaiting `trials` recordings.
-    pub fn new(trials: u32) -> Slots<T> {
-        Slots {
-            slots: (0..trials).map(|_| None).collect(),
-        }
-    }
-
-    /// Number of recorded trials.
-    pub fn filled(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// The complete trial-ordered values; panics if any trial is missing.
-    pub fn into_vec(self) -> Vec<T> {
-        self.slots
-            .into_iter()
-            .map(|slot| slot.expect("missing trial"))
-            .collect()
-    }
-}
-
-impl<T> Accumulator<T> for Slots<T> {
-    fn record(&mut self, trial: u32, value: T) {
-        let slot = &mut self.slots[trial as usize];
-        assert!(slot.is_none(), "trial {trial} recorded twice");
-        *slot = Some(value);
-    }
-}
-
-impl<T> MergeableAccumulator for Slots<T> {
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.slots.len(),
-            other.slots.len(),
-            "cannot merge slots of different trial counts"
-        );
-        for (trial, (slot, value)) in self.slots.iter_mut().zip(other.slots).enumerate() {
-            if let Some(value) = value {
-                assert!(slot.is_none(), "trial {trial} recorded in both operands");
-                *slot = Some(value);
-            }
-        }
     }
 }
 
@@ -891,14 +675,6 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Looks up one cell in a collect-style sweep result.
-pub fn cell<T>(cells: &[Cell<T>], alg: AlgorithmKind, n: u32) -> &Cell<T> {
-    cells
-        .iter()
-        .find(|c| c.algorithm == alg && c.n == n)
-        .unwrap_or_else(|| panic!("no cell for {alg} at n={n}"))
 }
 
 /// Looks up one cell in a folded sweep result.
@@ -987,159 +763,149 @@ mod tests {
         }
     }
 
+    fn cw_sum(_: AlgorithmKind, _: u32, _: u32) -> CwSum {
+        CwSum::default()
+    }
+
+    /// Position-addressed capture of every trial's summary.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Trials(Vec<Option<TrialSummary>>);
+
+    impl Accumulator<TrialSummary> for Trials {
+        fn record(&mut self, trial: u32, value: TrialSummary) {
+            let slot = &mut self.0[trial as usize];
+            assert!(slot.is_none(), "trial {trial} recorded twice");
+            *slot = Some(value);
+        }
+    }
+
+    fn trials(_: AlgorithmKind, _: u32, trials: u32) -> Trials {
+        Trials(vec![None; trials as usize])
+    }
+
+    fn fold<A: Accumulator<TrialSummary> + Clone + Send>(
+        sweep: &Sweep<ToySim>,
+        init: fn(AlgorithmKind, u32, u32) -> A,
+        plan: Option<&[TrialRange]>,
+    ) -> Vec<FoldedCell<A>> {
+        sweep.run_fold_monitored(init, plan, None, None)
+    }
+
+    /// The plan shapes every schedule must agree on: the whole grid, cell
+    /// shards, and a sparse plan that splits one cell into two ranges.
+    fn plan_shapes() -> Vec<Vec<Vec<TrialRange>>> {
+        let r = |cell, lo, hi| TrialRange { cell, lo, hi };
+        let whole = vec![CellRange { lo: 0, hi: 6 }.plan(4)];
+        let shards = (0..3).map(|i| CellRange::shard(6, i, 3).plan(4)).collect();
+        let split = vec![
+            vec![r(2, 0, 1), r(0, 0, 4), r(2, 3, 4)],
+            vec![r(1, 0, 4), r(2, 1, 3), r(3, 0, 4), r(4, 0, 4), r(5, 0, 4)],
+        ];
+        vec![whole, shards, split]
+    }
+
+    /// Merges the per-plan results of one plan shape back into grid order.
+    fn reassemble(parts: Vec<Vec<FoldedCell<Trials>>>) -> Vec<FoldedCell<Trials>> {
+        let mut merged: Vec<FoldedCell<Trials>> = Vec::new();
+        for cell in parts.into_iter().flatten() {
+            match merged
+                .iter_mut()
+                .find(|m| (m.algorithm, m.n) == (cell.algorithm, cell.n))
+            {
+                Some(m) => {
+                    for (slot, value) in m.acc.0.iter_mut().zip(cell.acc.0) {
+                        if value.is_some() {
+                            assert!(slot.is_none(), "two plans recorded one trial");
+                            *slot = value;
+                        }
+                    }
+                }
+                None => merged.push(cell),
+            }
+        }
+        merged
+    }
+
     #[test]
     fn grid_is_complete_and_cell_lookup_works() {
-        let cells = toy_sweep(ExecPolicy::threads(2)).run();
+        let cells = fold(&toy_sweep(ExecPolicy::threads(2)), trials, None);
         assert_eq!(cells.len(), 6);
-        assert!(cells.iter().all(|c| c.trials.len() == 4));
-        assert_eq!(cell(&cells, AlgorithmKind::Sawtooth, 20).n, 20);
+        assert!(cells.iter().all(|c| c.acc.0.iter().all(Option::is_some)));
+        assert_eq!(folded(&cells, AlgorithmKind::Sawtooth, 20).n, 20);
     }
 
     #[test]
-    fn results_are_independent_of_thread_count_and_batch_size() {
-        let golden = toy_sweep(ExecPolicy::threads(1).with_batch(1)).run();
-        for threads in [1usize, 7] {
-            for batch in [1usize, 5, 1024] {
-                let got = toy_sweep(ExecPolicy::threads(threads).with_batch(batch)).run();
-                assert_eq!(
-                    golden, got,
-                    "threads={threads} batch={batch} changed results"
-                );
+    fn results_are_independent_of_thread_count_and_plan_shape() {
+        let golden = fold(&toy_sweep(ExecPolicy::threads(1)), trials, None);
+        for threads in [1usize, 2, 7] {
+            for shape in plan_shapes() {
+                let sweep = toy_sweep(ExecPolicy::threads(threads));
+                let parts = shape
+                    .iter()
+                    .map(|plan| fold(&sweep, trials, Some(plan)))
+                    .collect();
+                let mut got = reassemble(parts);
+                got.sort_by_key(|c| {
+                    let a = sweep.algorithms.iter().position(|&a| a == c.algorithm);
+                    (a, sweep.ns.iter().position(|&n| n == c.n))
+                });
+                assert_eq!(golden, got, "threads={threads} plan={shape:?}");
             }
         }
     }
 
     #[test]
-    fn run_fold_agrees_with_run() {
-        let cells = toy_sweep(ExecPolicy::threads(2)).run();
-        let folded_cells =
-            toy_sweep(ExecPolicy::threads(7).with_batch(3)).run_fold(|_, _, _| CwSum::default());
-        assert_eq!(cells.len(), folded_cells.len());
-        for (c, f) in cells.iter().zip(&folded_cells) {
-            assert_eq!((c.algorithm, c.n), (f.algorithm, f.n));
-            let expect = CwSum {
-                count: c.trials.len() as u32,
-                slots: c.trials.iter().map(|t| t.cw_slots as u64).sum(),
-            };
-            assert_eq!(f.acc, expect, "fold diverged at {}/{}", c.algorithm, c.n);
-        }
-        assert_eq!(folded(&folded_cells, AlgorithmKind::Beb, 10).n, 10);
-    }
-
-    #[test]
-    fn sparse_plan_reproduces_the_dense_trials() {
-        // Split the toy grid's work into two disjoint sparse plans; together
-        // they must reproduce the dense fold exactly (same per-trial RNG),
-        // and each plan alone only touches its listed cells/trials.
-        let dense = toy_sweep(ExecPolicy::threads(2)).run_fold(|_, _, _| CwSum::default());
-        let first: Vec<(usize, Vec<u32>)> = vec![(0, vec![0, 2]), (3, vec![1])];
-        let rest: Vec<(usize, Vec<u32>)> = (0..6)
-            .map(|cell| {
-                let done: &[u32] = match cell {
-                    0 => &[0, 2],
-                    3 => &[1],
-                    _ => &[],
-                };
-                (cell, (0..4).filter(|t| !done.contains(t)).collect())
-            })
+    fn plan_results_are_the_touched_cells_in_grid_order() {
+        let r = |cell, lo, hi| TrialRange { cell, lo, hi };
+        // Cells listed out of grid order, one split into two ranges.
+        let plan = [r(4, 2, 4), r(1, 0, 1), r(4, 0, 1), r(0, 3, 4)];
+        let dense = fold(&toy_sweep(ExecPolicy::threads(1)), trials, None);
+        let cells = fold(&toy_sweep(ExecPolicy::threads(3)), trials, Some(&plan));
+        let coords: Vec<_> = cells.iter().map(|c| (c.algorithm, c.n)).collect();
+        let expect: Vec<_> = [0usize, 1, 4]
+            .iter()
+            .map(|&i| (dense[i].algorithm, dense[i].n))
             .collect();
-        let mut merged = vec![CwSum::default(); 6];
-        for plan in [&first, &rest] {
-            let cells = toy_sweep(ExecPolicy::threads(3).with_batch(2)).run_fold_monitored(
-                |_, _, _| CwSum::default(),
-                Some(plan),
-                None,
-                None,
-            );
-            assert_eq!(cells.len(), plan.len());
-            for ((cell_index, trials), cell) in plan.iter().zip(&cells) {
-                assert_eq!(
-                    (cell.algorithm, cell.n),
-                    (dense[*cell_index].algorithm, dense[*cell_index].n)
-                );
-                assert_eq!(cell.acc.count as usize, trials.len());
-                merged[*cell_index].count += cell.acc.count;
-                merged[*cell_index].slots += cell.acc.slots;
-            }
+        assert_eq!(coords, expect);
+        // Exactly the planned trials ran, with the dense run's values.
+        let recorded = |c: &FoldedCell<Trials>| -> Vec<u32> {
+            (0..4).filter(|&t| c.acc.0[t as usize].is_some()).collect()
+        };
+        assert_eq!(recorded(&cells[0]), vec![3]);
+        assert_eq!(recorded(&cells[1]), vec![0]);
+        assert_eq!(recorded(&cells[2]), vec![0, 2, 3]);
+        for t in [0usize, 2, 3] {
+            assert_eq!(cells[2].acc.0[t], dense[4].acc.0[t]);
         }
-        assert_eq!(
-            merged,
-            dense.iter().map(|c| c.acc).collect::<Vec<_>>(),
-            "two disjoint sparse plans did not reassemble the dense fold"
-        );
     }
 
     #[test]
     fn cost_tables_reorder_claims_but_never_results() {
         // Skewed estimates with junk entries mixed in: heaviest-first order
         // and tapered claim sizes change, the fold must not — across thread
-        // counts, with and without the cost table.
-        let golden =
-            toy_sweep(ExecPolicy::threads(1).with_batch(1)).run_fold(|_, _, _| CwSum::default());
+        // counts and plan shapes, with and without the cost table.
+        let golden = fold(&toy_sweep(ExecPolicy::threads(1)), cw_sum, None);
         let costs = [f64::NAN, 0.0, 5.0, 1e9, 1.0, -2.0];
         for threads in [1usize, 2, 8] {
-            let costed = toy_sweep(ExecPolicy::threads(threads)).run_fold_monitored(
-                |_, _, _| CwSum::default(),
-                None,
-                None,
-                Some(&costs),
-            );
-            assert_eq!(golden, costed, "threads={threads} with costs");
-            let uncosted = toy_sweep(ExecPolicy::threads(threads)).run_fold_monitored(
-                |_, _, _| CwSum::default(),
-                None,
-                None,
-                None,
-            );
-            assert_eq!(golden, uncosted, "threads={threads} without costs");
+            let sweep = toy_sweep(ExecPolicy::threads(threads));
+            for table in [Some(&costs[..]), None] {
+                let got = sweep.run_fold_monitored(cw_sum, None, None, table);
+                assert_eq!(golden, got, "threads={threads} costs={table:?}");
+            }
+            // A sparse plan draws each range's weight from its full-grid
+            // cell; costs still only reorder.
+            let plan = CellRange { lo: 2, hi: 5 }.plan(4);
+            let ranged = sweep.run_fold_monitored(cw_sum, Some(&plan), None, Some(&costs));
+            assert_eq!(ranged[..], golden[2..5], "threads={threads} ranged");
         }
-    }
-
-    #[test]
-    fn cost_table_respects_cell_ranges_and_sparse_plans() {
-        let dense = toy_sweep(ExecPolicy::threads(1)).run_fold(|_, _, _| CwSum::default());
-        let costs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
-        // A cell-range run slices the full-grid cost table along with the
-        // grid.
-        let mut exec = ExecPolicy::threads(2);
-        exec.cells = Some(CellRange { lo: 2, hi: 5 });
-        let ranged = toy_sweep(exec).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            None,
-            None,
-            Some(&costs),
-        );
-        assert_eq!(ranged.len(), 3);
-        for (got, want) in ranged.iter().zip(&dense[2..5]) {
-            assert_eq!(got, want, "cell range + costs changed a cell");
-        }
-        // A sparse plan draws each item's weight from its full-grid cell.
-        let plan: Vec<(usize, Vec<u32>)> = vec![(1, vec![0, 3]), (5, vec![2]), (0, vec![1])];
-        let sparse = toy_sweep(ExecPolicy::threads(2)).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            Some(&plan),
-            None,
-            Some(&costs),
-        );
-        let plain = toy_sweep(ExecPolicy::threads(2)).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            Some(&plan),
-            None,
-            None,
-        );
-        assert_eq!(sparse, plain, "costs changed a sparse plan's results");
     }
 
     #[test]
     #[should_panic(expected = "cost table has 2 entries")]
     fn wrong_cost_table_length_panics() {
         let costs = [1.0, 2.0];
-        let _ = toy_sweep(ExecPolicy::threads(1)).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            None,
-            None,
-            Some(&costs),
-        );
+        let _ =
+            toy_sweep(ExecPolicy::threads(1)).run_fold_monitored(cw_sum, None, None, Some(&costs));
     }
 
     #[test]
@@ -1201,55 +967,36 @@ mod tests {
         }
     }
 
-    /// A partition must tile its plan exactly: same cells, same trials,
-    /// same order, no overlap. Flattens leases back into plan shape.
-    fn flatten(leases: &[Vec<TrialRange>]) -> Vec<(usize, u32)> {
-        leases
-            .iter()
-            .flatten()
-            .flat_map(|r| (r.lo..r.hi).map(move |t| (r.cell, t)))
-            .collect()
-    }
-
-    fn plan_trials(plan: &[(usize, Vec<u32>)]) -> Vec<(usize, u32)> {
+    /// Every `(cell, trial)` a plan covers, in plan order.
+    fn flatten(plan: &[TrialRange]) -> Vec<(usize, u32)> {
         plan.iter()
-            .flat_map(|(cell, ts)| ts.iter().map(move |&t| (*cell, t)))
+            .flat_map(|r| (r.lo..r.hi).map(move |t| (r.cell, t)))
             .collect()
     }
 
     #[test]
     fn trial_partition_tiles_the_plan_exactly() {
-        let plan = vec![(0usize, vec![0u32, 1, 2]), (2, vec![1, 3]), (5, vec![0])];
+        let r = |cell, lo, hi| TrialRange { cell, lo, hi };
+        let plan = vec![r(0, 0, 3), r(2, 1, 2), r(2, 3, 4), r(5, 0, 1)];
         let costs = [1.0, 1.0, 4.0, 1.0, 1.0, 2.0];
         for target in 1..=8 {
             let leases = TrialRange::partition(&plan, &costs, target);
             assert!(leases.len() <= target, "target {target}");
             assert!(leases.iter().all(|l| !l.is_empty()));
-            assert_eq!(flatten(&leases), plan_trials(&plan), "target {target}");
+            assert_eq!(flatten(&leases.concat()), flatten(&plan), "target {target}");
         }
         // target 1 is a single lease covering everything, with the
-        // consecutive trials of cell 0 fused into one range.
+        // consecutive trials of cell 0 kept as one range.
         let one = TrialRange::partition(&plan, &costs, 1);
-        assert_eq!(one.len(), 1);
-        assert_eq!(
-            one[0][0],
-            TrialRange {
-                cell: 0,
-                lo: 0,
-                hi: 3
-            }
-        );
+        assert_eq!(one, vec![plan.clone()]);
     }
 
     #[test]
     fn trial_partition_splits_heavy_cells_and_coalesces_light_ones() {
         // One cell carries ~94% of the work: it must spread over most of
         // the leases while the light cells share the remainder.
-        let plan = vec![
-            (0usize, (0..64).collect::<Vec<u32>>()),
-            (1, vec![0, 1]),
-            (2, vec![0, 1]),
-        ];
+        let r = |cell, lo, hi| TrialRange { cell, lo, hi };
+        let plan = vec![r(0, 0, 64), r(1, 0, 2), r(2, 0, 2)];
         let costs = [16.0, 1.0, 1.0];
         let leases = TrialRange::partition(&plan, &costs, 4);
         assert_eq!(leases.len(), 4);
@@ -1273,27 +1020,66 @@ mod tests {
                 cost_of(l)
             );
         }
-        assert_eq!(flatten(&leases), plan_trials(&plan));
+        assert_eq!(flatten(&leases.concat()), flatten(&plan));
     }
 
     #[test]
     fn trial_partition_degrades_safely_on_junk_costs_and_empty_plans() {
-        let plan = vec![(0usize, vec![0u32, 1]), (1, vec![0, 1])];
+        let r = |cell, lo, hi| TrialRange { cell, lo, hi };
+        let plan = vec![r(0, 0, 2), r(1, 0, 2)];
         // Junk costs count as one unit each: 4 trials over 2 leases = 2 + 2.
         for costs in [vec![f64::NAN, -1.0], vec![0.0, 0.0], vec![]] {
             let leases = TrialRange::partition(&plan, &costs, 2);
             assert_eq!(leases.len(), 2, "costs {costs:?}");
-            assert_eq!(flatten(&leases).len(), 4);
+            assert_eq!(flatten(&leases.concat()).len(), 4);
             assert_eq!(leases[0].iter().map(TrialRange::len).sum::<usize>(), 2);
         }
-        // An empty plan (or all-empty trial lists) yields no leases at all.
+        // An empty plan yields no leases at all.
         assert!(TrialRange::partition(&[], &[1.0], 3).is_empty());
-        assert!(TrialRange::partition(&[(0, vec![])], &[1.0], 3).is_empty());
         // More leases requested than trials available: every lease that
         // does come back holds at least one trial.
         let tiny = TrialRange::partition(&plan, &[1.0, 1.0], 16);
         assert!(tiny.len() <= 4);
-        assert_eq!(flatten(&tiny), plan_trials(&plan));
+        assert_eq!(flatten(&tiny.concat()), flatten(&plan));
+    }
+
+    #[test]
+    fn validate_plan_rejects_bad_ranges_cleanly() {
+        let r = |cell, lo, hi| TrialRange { cell, lo, hi };
+        assert_eq!(validate_plan(&[], 6, 4), Ok(()));
+        assert_eq!(
+            validate_plan(&[r(5, 0, 2), r(5, 2, 4), r(0, 1, 3)], 6, 4),
+            Ok(())
+        );
+        for (plan, expect) in [
+            (vec![r(6, 0, 1)], "outside the 6-cell grid"),
+            (vec![r(1, 2, 2)], "not a non-empty range"),
+            (vec![r(1, 3, 1)], "not a non-empty range"),
+            (vec![r(1, 0, 5)], "not a non-empty range"),
+            (vec![r(2, 2, 4), r(0, 0, 1), r(2, 0, 3)], "overlap"),
+            (vec![r(3, 1, 2), r(3, 1, 2)], "overlap"),
+        ] {
+            let err = validate_plan(&plan, 6, 4).unwrap_err();
+            assert!(err.contains(expect), "{plan:?}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid sweep plan")]
+    fn overlapping_plan_panics_in_the_engine() {
+        let plan = [TrialRange {
+            cell: 0,
+            lo: 0,
+            hi: 2,
+        }; 2];
+        let _ = fold(&toy_sweep(ExecPolicy::threads(1)), cw_sum, Some(&plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 6-cell grid")]
+    fn out_of_grid_plan_panics_in_the_engine() {
+        let plan = CellRange { lo: 0, hi: 99 }.plan(4);
+        let _ = fold(&toy_sweep(ExecPolicy::threads(1)), cw_sum, Some(&plan));
     }
 
     /// Counts snapshots and checks the final one is complete and flagged.
@@ -1309,24 +1095,22 @@ mod tests {
                 folded as usize <= snap.completed_trials,
                 "snapshot saw more folded trials than the counter reported"
             );
-            self.snaps
-                .lock()
-                .push((snap.completed_trials, snap.total_trials, snap.finished));
+            lock(&self.snaps).push((snap.completed_trials, snap.total_trials, snap.finished));
         }
     }
 
     #[test]
     fn monitored_run_takes_a_final_snapshot_and_leaves_results_unchanged() {
-        let plain = toy_sweep(ExecPolicy::threads(2)).run_fold(|_, _, _| CwSum::default());
+        let plain = fold(&toy_sweep(ExecPolicy::threads(2)), cw_sum, None);
         let monitor = RecordingMonitor::default();
         let monitored = toy_sweep(ExecPolicy::threads(2)).run_fold_monitored(
-            |_, _, _| CwSum::default(),
+            cw_sum,
             None,
             Some((SnapshotCadence::trials(1), &monitor)),
             None,
         );
         assert_eq!(plain, monitored, "attaching a monitor changed the fold");
-        let snaps = monitor.snaps.into_inner();
+        let snaps = monitor.snaps.into_inner().unwrap();
         assert!(!snaps.is_empty());
         let &(done, total, finished) = snaps.last().unwrap();
         assert!(finished, "last snapshot must be flagged finished");
@@ -1339,61 +1123,50 @@ mod tests {
 
     #[test]
     fn fold_init_sees_cell_coordinates() {
-        let folded_cells = toy_sweep(ExecPolicy::threads(1)).run_fold_raw(|alg, n, trials| {
-            assert_eq!(trials, 4);
-            assert!(n == 5 || n == 10 || n == 20);
-            assert!(alg == AlgorithmKind::Beb || alg == AlgorithmKind::Sawtooth);
-            CountRaw(0)
-        });
-        assert!(folded_cells.iter().all(|c| c.acc.0 == 4));
-    }
-
-    struct CountRaw(u32);
-    impl Accumulator<BatchMetrics> for CountRaw {
-        fn record(&mut self, _trial: u32, _value: BatchMetrics) {
-            self.0 += 1;
-        }
-    }
-
-    #[test]
-    fn run_raw_and_run_agree() {
-        let raw = toy_sweep(ExecPolicy::threads(2)).run_raw();
-        let summarized = toy_sweep(ExecPolicy::threads(2)).run();
-        for (r, s) in raw.iter().zip(&summarized) {
-            for (m, t) in r.trials.iter().zip(&s.trials) {
-                assert_eq!(TrialSummary::from_metrics(m), *t);
-            }
-        }
+        let cells = toy_sweep(ExecPolicy::threads(1)).run_fold_monitored(
+            |alg, n, trials| {
+                assert_eq!(trials, 4);
+                assert!(n == 5 || n == 10 || n == 20);
+                assert!(alg == AlgorithmKind::Beb || alg == AlgorithmKind::Sawtooth);
+                CwSum::default()
+            },
+            None,
+            None,
+            None,
+        );
+        assert!(cells.iter().all(|c| c.acc.count == 4));
     }
 
     #[test]
     fn run_trial_matches_the_sweep_stream() {
         // The single-trial entry point must hit the same RNG stream the
         // sweep derives, so bench trials and sweep trials are interchangeable.
-        let sweep = toy_sweep(ExecPolicy::threads(1));
-        let cells = sweep.run_raw();
+        let cells = fold(&toy_sweep(ExecPolicy::threads(1)), trials, None);
         let config = ToyConfig {
             algorithm: AlgorithmKind::Beb,
             scale: 3,
         };
         let lone = run_trial::<ToySim>("engine-test", &config, 10, 2);
-        assert_eq!(cell(&cells, AlgorithmKind::Beb, 10).trials[2], lone);
+        assert_eq!(
+            folded(&cells, AlgorithmKind::Beb, 10).acc.0[2],
+            Some(TrialSummary::from(lone))
+        );
     }
 
     #[test]
     fn zero_trials_yields_empty_cells() {
         let mut sweep = toy_sweep(ExecPolicy::threads(2));
         sweep.trials = 0;
-        let cells = sweep.run();
+        let cells = fold(&sweep, trials, None);
         assert_eq!(cells.len(), 6);
-        assert!(cells.iter().all(|c| c.trials.is_empty()));
+        assert!(cells.iter().all(|c| c.acc.0.is_empty()));
     }
 
     #[test]
     #[should_panic(expected = "no cell")]
     fn missing_cell_panics() {
-        let cells: Vec<SweepCell> = Vec::new();
-        let _ = cell(&cells, AlgorithmKind::Beb, 10);
+        let cells: Vec<FoldedCell<CwSum>> = Vec::new();
+        let _ = folded(&cells, AlgorithmKind::Beb, 10);
     }
 
     #[test]
@@ -1401,7 +1174,7 @@ mod tests {
     fn duplicate_grid_entries_are_rejected() {
         let mut sweep = toy_sweep(ExecPolicy::threads(1));
         sweep.ns = vec![10, 10];
-        let _ = sweep.run();
+        let _ = fold(&sweep, cw_sum, None);
     }
 
     #[test]
@@ -1409,7 +1182,7 @@ mod tests {
     fn duplicate_algorithms_are_rejected() {
         let mut sweep = toy_sweep(ExecPolicy::threads(1));
         sweep.algorithms = vec![AlgorithmKind::Beb, AlgorithmKind::Beb];
-        let _ = sweep.run();
+        let _ = fold(&sweep, cw_sum, None);
     }
 
     /// `Default` bumps a global counter, so a test can count how many
@@ -1467,7 +1240,7 @@ mod tests {
             exec: ExecPolicy::threads(1),
         };
         let before = SCRATCH_BUILDS.load(std::sync::atomic::Ordering::SeqCst);
-        let cells = sweep.run();
+        let cells = sweep.run_fold_monitored(cw_sum, None, None, None);
         let built = SCRATCH_BUILDS.load(std::sync::atomic::Ordering::SeqCst) - before;
         assert_eq!(cells.len(), 2);
         assert_eq!(built, 1, "32 sequential trials must share one arena");
@@ -1475,14 +1248,17 @@ mod tests {
 
     #[test]
     fn cell_range_runs_are_slices_of_the_full_grid() {
-        let full = toy_sweep(ExecPolicy::threads(2)).run();
+        let full = fold(&toy_sweep(ExecPolicy::threads(2)), trials, None);
         let cells = full.len();
         for of in [1usize, 2, 3, 7] {
-            let mut pieces: Vec<SweepCell> = Vec::new();
+            let mut pieces: Vec<FoldedCell<Trials>> = Vec::new();
             for index in 0..of {
                 let range = CellRange::shard(cells, index, of);
-                let exec = ExecPolicy::threads(2).with_batch(3).with_cells(range);
-                let part = toy_sweep(exec).run();
+                let part = fold(
+                    &toy_sweep(ExecPolicy::threads(2)),
+                    trials,
+                    Some(&range.plan(4)),
+                );
                 assert_eq!(part.len(), range.len());
                 pieces.extend(part);
             }
@@ -1506,46 +1282,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside the")]
-    fn out_of_bounds_cell_range_panics() {
-        let exec = ExecPolicy::threads(1).with_cells(CellRange { lo: 0, hi: 99 });
-        let _ = toy_sweep(exec).run();
-    }
-
-    #[test]
-    fn slots_merge_disjoint_partial_fills() {
-        let mut a: Slots<u32> = Slots::new(4);
-        let mut b: Slots<u32> = Slots::new(4);
-        a.record(0, 10);
-        a.record(2, 30);
-        b.record(1, 20);
-        b.record(3, 40);
-        assert_eq!(a.filled(), 2);
-        a.merge(b);
-        assert_eq!(a.filled(), 4);
-        assert_eq!(a.into_vec(), vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    #[should_panic(expected = "recorded in both")]
-    fn slots_merge_rejects_overlap() {
-        let mut a: Slots<u32> = Slots::new(2);
-        let mut b: Slots<u32> = Slots::new(2);
-        a.record(0, 1);
-        b.record(0, 2);
-        a.merge(b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different trial counts")]
-    fn slots_merge_rejects_shape_mismatch() {
-        let mut a: Slots<u32> = Slots::new(2);
-        a.merge(Slots::new(3));
-    }
-
-    #[test]
     fn zero_threads_is_clamped_to_sequential() {
-        let cells = toy_sweep(ExecPolicy::threads(0)).run();
-        assert_eq!(cells, toy_sweep(ExecPolicy::threads(1)).run());
+        let cells = fold(&toy_sweep(ExecPolicy::threads(0)), trials, None);
+        assert_eq!(
+            cells,
+            fold(&toy_sweep(ExecPolicy::threads(1)), trials, None)
+        );
     }
 }

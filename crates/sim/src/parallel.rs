@@ -1,34 +1,32 @@
 //! Deterministic parallel execution of independent work items.
 //!
 //! The paper ran its sweeps on four 16-core Xeon nodes; here the same
-//! embarrassing parallelism is captured with `std::thread::scope` (stable
-//! since Rust 1.63, so no crossbeam dependency). Work is claimed in
-//! *batches*: a single atomic cursor hands each worker a contiguous index
-//! range, so claiming costs one atomic op per `batch` items instead of one
-//! per item, and nothing about the work list is materialized up front — the
-//! caller maps indices to work on the fly (the engine derives the whole
-//! `(algorithm, n, trial)` work item from the index arithmetically). Small
-//! batches give near-perfect load balance when item costs vary by orders of
-//! magnitude across `n` — exactly the shape of these sweeps; large batches
-//! amortize scheduling for cheap items. Either way the caller routes results
-//! by *index*, so output placement (and, because every trial derives its own
-//! RNG from its index, every number) is independent of scheduling, thread
-//! count and batch size.
+//! embarrassing parallelism is captured with a persistent worker pool (and
+//! `std::thread::scope` as its fallback). Workers claim contiguous index
+//! ranges from a single atomic cursor — nothing about the work list is
+//! materialized up front; the caller maps indices to work on the fly — and
+//! claim sizes *taper* with the remaining estimated work (see
+//! [`TaperSchedule`]). The caller routes results by *index*, so output
+//! placement (and, because every trial derives its own RNG from its grid
+//! coordinates, every number) is independent of scheduling, thread count and
+//! claim sizing.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default fixed batch size for callers that pin one (`--batch N` pins it
-/// explicitly; `None` now means tapered claiming instead): aim for ~32
-/// claims per worker, which keeps the cursor cold while preserving load
-/// balance when per-item cost varies by orders of magnitude; capped so one
-/// straggler batch can never serialize a large sweep.
-pub fn auto_batch(total: usize, threads: usize) -> usize {
-    (total / (threads.max(1) * 32)).clamp(1, 1024)
+/// A run of consecutive work items of equal estimated cost.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    /// Index of the segment's first item.
+    start: usize,
+    /// Estimated cost of every item before `start`.
+    prefix: f64,
+    /// Estimated cost of each of the segment's items.
+    cost: f64,
 }
 
-/// A tapered (guided self-scheduling) claim plan over `total` work items
-/// with known (estimated) per-item costs.
+/// A tapered (guided self-scheduling) claim plan over work items with known
+/// (estimated) costs.
 ///
 /// Fixed-size batches are a compromise tuned blind: big batches amortize
 /// cursor traffic but let one straggler batch of expensive items serialize
@@ -41,46 +39,67 @@ pub fn auto_batch(total: usize, threads: usize) -> usize {
 /// estimates and only shape claim boundaries; which items run, and what
 /// they compute, is untouched — so results stay bit-identical to any other
 /// schedule as long as the caller routes results by index.
+///
+/// Items come in runs of equal cost (a sweep plan's trial ranges), so the
+/// schedule stores one entry per run, never one per item.
 #[derive(Debug, Clone)]
 pub struct TaperSchedule {
-    /// Prefix sums of sanitized per-item costs; `prefix[i]` is the cost of
-    /// items `[0, i)`, so `len = prefix.len() - 1`.
-    prefix: Vec<f64>,
+    /// The runs in execution order, closed by a zero-cost sentinel that
+    /// starts at [`len`](Self::len) and carries the total cost.
+    segments: Vec<Segment>,
 }
 
 impl TaperSchedule {
-    /// A plan over items with the given estimated costs, in execution
-    /// order. Non-finite or negative costs are treated as zero (they can
-    /// only mis-shape claim sizes, never break coverage: every claim takes
-    /// at least one item).
-    pub fn new(costs: &[f64]) -> TaperSchedule {
-        let mut prefix = Vec::with_capacity(costs.len() + 1);
-        let mut acc = 0.0f64;
-        prefix.push(0.0);
-        for &c in costs {
-            if c.is_finite() && c > 0.0 {
-                acc += c;
-            }
-            prefix.push(acc);
+    /// A plan over runs of `(items, per-item cost)`, in execution order.
+    /// Non-finite or negative costs are treated as zero (they can only
+    /// mis-shape claim sizes, never break coverage: every claim takes at
+    /// least one item).
+    pub fn new(runs: &[(usize, f64)]) -> TaperSchedule {
+        let mut segments = Vec::with_capacity(runs.len() + 1);
+        let (mut start, mut prefix) = (0usize, 0.0f64);
+        for &(items, cost) in runs {
+            let cost = if cost.is_finite() && cost > 0.0 {
+                cost
+            } else {
+                0.0
+            };
+            segments.push(Segment {
+                start,
+                prefix,
+                cost,
+            });
+            start += items;
+            prefix += items as f64 * cost;
         }
-        TaperSchedule { prefix }
-    }
-
-    /// A plan over `total` equal-cost items — what a sweep without a cost
-    /// model uses; tapering still beats fixed batches on the tail.
-    pub fn uniform(total: usize) -> TaperSchedule {
-        TaperSchedule {
-            prefix: (0..=total).map(|i| i as f64).collect(),
-        }
+        segments.push(Segment {
+            start,
+            prefix,
+            cost: 0.0,
+        });
+        TaperSchedule { segments }
     }
 
     /// Number of work items planned.
     pub fn len(&self) -> usize {
-        self.prefix.len() - 1
+        self.segments[self.segments.len() - 1].start
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The run holding item `index` (its position in the `runs` passed to
+    /// [`new`](Self::new)) and the item's offset within that run.
+    pub fn locate(&self, index: usize) -> (usize, usize) {
+        let run = self.segments.partition_point(|s| s.start <= index) - 1;
+        (run, index - self.segments[run].start)
+    }
+
+    /// Estimated cost of items `[0, index)`.
+    fn cost_before(&self, index: usize) -> f64 {
+        let (run, offset) = self.locate(index);
+        let s = &self.segments[run];
+        s.prefix + offset as f64 * s.cost
     }
 
     /// The exclusive end of a claim starting at `start`: enough items to
@@ -88,12 +107,25 @@ impl TaperSchedule {
     pub fn claim_end(&self, start: usize, threads: usize) -> usize {
         let total = self.len();
         debug_assert!(start < total);
-        let remaining = self.prefix[total] - self.prefix[start];
-        let goal = self.prefix[start] + remaining / (2 * threads.max(1)) as f64;
-        // First index whose prefix reaches the goal = one past the last
-        // item the claim needs. Zero-cost runs collapse to goal == start's
-        // prefix; the clamp keeps every claim non-empty and in range.
-        let end = self.prefix.partition_point(|&p| p < goal);
+        let (done, total_cost) = (self.cost_before(start), self.cost_before(total));
+        // Shaded by a hair of the total: a goal that lands on an item
+        // boundary, blurred by float rounding, must end the claim there
+        // rather than spill one more (heavy, tail) item into it.
+        let goal = done + (total_cost - done) / (2 * threads.max(1)) as f64 - total_cost * 1e-12;
+        // The first item index whose cost prefix reaches the goal lies in
+        // the last run starting below it. Zero-cost runs collapse to goal ==
+        // start's prefix; the clamp keeps every claim non-empty and in range.
+        let next = self.segments.partition_point(|s| s.prefix < goal);
+        let end = if next == 0 {
+            0
+        } else if next == self.segments.len() {
+            total
+        } else {
+            // prefix < goal ≤ the next run's prefix, so this run's cost > 0.
+            let s = &self.segments[next - 1];
+            let items = ((goal - s.prefix) / s.cost).ceil() as usize;
+            (s.start + items).min(self.segments[next].start)
+        };
         end.clamp(start + 1, total)
     }
 }
@@ -113,14 +145,18 @@ fn run_on_workers(threads: usize, body: &(dyn Fn() + Sync)) {
 }
 
 /// Runs `work` over every index of `0..sched.len()`, claimed in tapered
-/// (guided self-scheduling) contiguous ranges from an atomic cursor — the
-/// cost-aware counterpart of [`parallel_for_batches`], with the same
-/// routing contract: each index is visited exactly once, per-worker `state`
-/// is built once per worker, and the caller must route results by index.
+/// (guided self-scheduling) contiguous ranges from an atomic cursor. Each
+/// index is visited exactly once; the caller must route results by index.
+///
+/// Each worker owns a `state` built once by `init` and threaded through all
+/// of its claims — the engine parks per-trial scratch arenas there, so a
+/// million-trial sweep reuses `threads` arenas instead of allocating one per
+/// trial. Per-worker state cannot affect results: the engine routes outputs
+/// by index, and anything observable must be reset per item.
 ///
 /// With `threads <= 1` the claims execute inline in order (identical claim
 /// boundaries, no atomics), so the taper path itself is exercised on every
-/// machine.
+/// machine. A worker panic propagates after the join.
 pub fn parallel_for_tapered<W, I, F>(sched: &TaperSchedule, threads: usize, init: I, work: F)
 where
     I: Fn() -> W + Sync,
@@ -161,193 +197,11 @@ where
     run_on_workers(threads, &body);
 }
 
-/// Runs `work` over every contiguous batch of `0..total`, on up to
-/// `threads` workers claiming `batch`-sized ranges from an atomic cursor.
-///
-/// Each worker owns a `state` built once by `init` and threaded through all
-/// of its batches — the engine parks per-trial scratch arenas there, so a
-/// million-trial sweep reuses `threads` arenas instead of allocating one per
-/// trial. Per-worker state cannot affect results: the engine routes outputs
-/// by index, and anything observable must be reset per item.
-///
-/// Each index in `0..total` is visited exactly once; with `threads <= 1`
-/// the ranges are executed inline in order on a single state. A worker
-/// panic propagates when the scope joins.
-pub fn parallel_for_batches<W, I, F>(total: usize, threads: usize, batch: usize, init: I, work: F)
-where
-    I: Fn() -> W + Sync,
-    F: Fn(Range<usize>, &mut W) + Sync,
-{
-    if total == 0 {
-        return;
-    }
-    let threads = threads.max(1).min(total);
-    // Clamp to `total` so `start + batch` cannot overflow for any caller
-    // value (the CLI accepts arbitrary usize batches).
-    let batch = batch.clamp(1, total);
-    if threads == 1 {
-        let mut state = init();
-        let mut start = 0;
-        while start < total {
-            let end = (start + batch).min(total);
-            work(start..end, &mut state);
-            start = end;
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let body = || {
-        let mut state = init();
-        loop {
-            let start = next.fetch_add(batch, Ordering::Relaxed);
-            if start >= total {
-                break;
-            }
-            work(start..(start + batch).min(total), &mut state);
-        }
-    };
-    run_on_workers(threads, &body);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn batches_cover_every_index_exactly_once() {
-        for threads in [1usize, 2, 8] {
-            for batch in [1usize, 3, 16, 1024] {
-                let total = 1000;
-                let hits: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-                parallel_for_batches(
-                    total,
-                    threads,
-                    batch,
-                    || (),
-                    |range, _| {
-                        for i in range {
-                            hits[i].fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
-                );
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "threads={threads} batch={batch}: index visited != once"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn index_routed_results_are_schedule_independent() {
-        // The engine's usage pattern in miniature: derive work from the
-        // index, write the result at the index. Any schedule must produce
-        // the same output vector.
-        let compute = |i: usize| {
-            // Skewed cost to exercise load balancing.
-            let mut acc = i as u64;
-            for _ in 0..(i % 97) * 100 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            acc
-        };
-        let run = |threads: usize, batch: usize| -> Vec<u64> {
-            let out = Mutex::new(vec![0u64; 500]);
-            parallel_for_batches(
-                500,
-                threads,
-                batch,
-                || (),
-                |range, _| {
-                    let results: Vec<u64> = range.clone().map(compute).collect();
-                    let mut out = out.lock();
-                    for (i, r) in range.zip(results) {
-                        out[i] = r;
-                    }
-                },
-            );
-            out.into_inner()
-        };
-        let golden = run(1, 1);
-        for threads in [2usize, 8] {
-            for batch in [1usize, 7, 64] {
-                assert_eq!(
-                    golden,
-                    run(threads, batch),
-                    "threads={threads} batch={batch}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_path_runs_in_order() {
-        let seen = Mutex::new(Vec::new());
-        parallel_for_batches(10, 1, 3, || (), |range, _| seen.lock().extend(range));
-        assert_eq!(seen.into_inner(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_total_is_a_noop() {
-        parallel_for_batches(0, 4, 16, || (), |_, _| panic!("no work expected"));
-    }
-
-    #[test]
-    fn batch_zero_is_clamped() {
-        let count = AtomicUsize::new(0);
-        parallel_for_batches(
-            10,
-            2,
-            0,
-            || (),
-            |range, _| {
-                count.fetch_add(range.len(), Ordering::Relaxed);
-            },
-        );
-        assert_eq!(count.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn huge_batch_does_not_overflow() {
-        for threads in [1usize, 4] {
-            let count = AtomicUsize::new(0);
-            parallel_for_batches(
-                10,
-                threads,
-                usize::MAX,
-                || (),
-                |range, _| {
-                    count.fetch_add(range.len(), Ordering::Relaxed);
-                },
-            );
-            assert_eq!(count.load(Ordering::Relaxed), 10, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let count = AtomicUsize::new(0);
-        parallel_for_batches(
-            3,
-            64,
-            1,
-            || (),
-            |range, _| {
-                count.fetch_add(range.len(), Ordering::Relaxed);
-            },
-        );
-        assert_eq!(count.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn auto_batch_is_sane() {
-        assert_eq!(auto_batch(0, 8), 1);
-        assert_eq!(auto_batch(10, 8), 1);
-        assert_eq!(auto_batch(1 << 20, 8), 1024); // capped
-        assert!(auto_batch(10_000, 4) >= 1);
-    }
+    use std::sync::Mutex;
 
     /// Costs with heavy items up front, junk values mixed in — the shape
     /// the engine feeds after heaviest-first ordering.
@@ -362,11 +216,16 @@ mod tests {
             .collect()
     }
 
+    /// One single-item run per cost.
+    fn per_item(costs: &[f64]) -> TaperSchedule {
+        TaperSchedule::new(&costs.iter().map(|&c| (1, c)).collect::<Vec<_>>())
+    }
+
     #[test]
     fn tapered_claims_cover_every_index_exactly_once() {
         for threads in [1usize, 2, 8] {
             for costs in [skewed_costs(1000), vec![1.0; 1000], vec![0.0; 1000]] {
-                let sched = TaperSchedule::new(&costs);
+                let sched = per_item(&costs);
                 assert_eq!(sched.len(), 1000);
                 let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
                 parallel_for_tapered(
@@ -388,10 +247,12 @@ mod tests {
     }
 
     #[test]
-    fn tapered_results_match_fixed_batches() {
-        // Same index-routed contract, so the output vector must equal the
-        // fixed-batch runner's for any schedule.
+    fn index_routed_results_are_schedule_independent() {
+        // The engine's usage pattern in miniature: derive work from the
+        // index, write the result at the index. Any schedule must produce
+        // the same output vector.
         let compute = |i: usize| {
+            // Skewed cost to exercise load balancing.
             let mut acc = i as u64;
             for _ in 0..(i % 97) * 100 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -400,22 +261,53 @@ mod tests {
         };
         let golden: Vec<u64> = (0..500).map(compute).collect();
         for threads in [1usize, 2, 8] {
-            let out = Mutex::new(vec![0u64; 500]);
-            let sched = TaperSchedule::new(&skewed_costs(500));
-            parallel_for_tapered(
-                &sched,
-                threads,
-                || (),
-                |range, _| {
-                    let results: Vec<u64> = range.clone().map(compute).collect();
-                    let mut out = out.lock();
-                    for (i, r) in range.zip(results) {
-                        out[i] = r;
-                    }
-                },
-            );
-            assert_eq!(golden, out.into_inner(), "threads={threads}");
+            for sched in [
+                per_item(&skewed_costs(500)),
+                TaperSchedule::new(&[(500, 1.0)]),
+            ] {
+                let out = Mutex::new(vec![0u64; 500]);
+                parallel_for_tapered(
+                    &sched,
+                    threads,
+                    || (),
+                    |range, _| {
+                        let results: Vec<u64> = range.clone().map(compute).collect();
+                        let mut out = out.lock().unwrap();
+                        for (i, r) in range.zip(results) {
+                            out[i] = r;
+                        }
+                    },
+                );
+                assert_eq!(golden, out.into_inner().unwrap(), "threads={threads}");
+            }
         }
+    }
+
+    #[test]
+    fn sequential_path_runs_in_order() {
+        let seen = Mutex::new(Vec::new());
+        let sched = TaperSchedule::new(&[(4, 2.0), (6, 1.0)]);
+        parallel_for_tapered(
+            &sched,
+            1,
+            || (),
+            |range, _| seen.lock().unwrap().extend(range),
+        );
+        assert_eq!(seen.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn more_threads_than_items() {
+        let count = AtomicUsize::new(0);
+        parallel_for_tapered(
+            &TaperSchedule::new(&[(3, 1.0)]),
+            64,
+            || (),
+            |range, _| {
+                count.fetch_add(range.len(), Ordering::Relaxed);
+            },
+        );
+        assert_eq!(count.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -423,7 +315,7 @@ mod tests {
         // Uniform costs, 2 workers: first claim takes total/4, and the
         // claim sequence decays to single items at the tail instead of
         // ending in one big straggler batch.
-        let sched = TaperSchedule::uniform(1000);
+        let sched = TaperSchedule::new(&[(1000, 1.0)]);
         let mut sizes = Vec::new();
         let mut start = 0;
         while start < 1000 {
@@ -443,15 +335,58 @@ mod tests {
         // rather than dragging half the item count along.
         let mut costs = vec![1.0; 100];
         costs[0] = 1_000_000.0;
-        let sched = TaperSchedule::new(&costs);
+        let sched = per_item(&costs);
         assert_eq!(sched.claim_end(0, 2), 1);
         // Past the spike, claims behave like the uniform tail.
         assert!(sched.claim_end(1, 2) > 2);
+        // The same costs as runs claim the same boundaries.
+        let runs = TaperSchedule::new(&[(1, 1_000_000.0), (99, 1.0)]);
+        for start in 0..100 {
+            assert_eq!(runs.claim_end(start, 2), sched.claim_end(start, 2));
+        }
+    }
+
+    #[test]
+    fn runs_claim_like_their_expanded_items() {
+        // A run-length schedule and its item-by-item expansion must agree on
+        // every claim: with integer costs (exact prefixes), and with the
+        // equal-cost n·log n runs of a heaviest-first grid, whose tail
+        // goals land on item boundaries.
+        let integer = vec![(3, 2.0), (0, 5.0), (4, 1.0), (2, 0.0), (5, 3.0), (1, 7.0)];
+        let nlogn: Vec<(usize, f64)> = (1..=8u32)
+            .rev()
+            .flat_map(|i| [(5, crate::sched::CostSpec::NLogN.cost(i * 12_500)); 2])
+            .collect();
+        for runs in [integer, nlogn] {
+            let expanded: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(items, cost)| std::iter::repeat_n(cost, items))
+                .collect();
+            let (compact, items) = (TaperSchedule::new(&runs), per_item(&expanded));
+            assert_eq!(compact.len(), items.len());
+            for threads in [1usize, 2, 3, 8] {
+                for start in 0..compact.len() {
+                    assert_eq!(
+                        compact.claim_end(start, threads),
+                        items.claim_end(start, threads),
+                        "start={start} threads={threads} runs={runs:?}"
+                    );
+                }
+            }
+        }
+        let compact =
+            TaperSchedule::new(&[(3, 2.0), (0, 5.0), (4, 1.0), (2, 0.0), (5, 3.0), (1, 7.0)]);
+        // `locate` names the run and offset, skipping the empty run.
+        assert_eq!(compact.locate(0), (0, 0));
+        assert_eq!(compact.locate(2), (0, 2));
+        assert_eq!(compact.locate(3), (2, 0));
+        assert_eq!(compact.locate(9), (4, 0));
+        assert_eq!(compact.locate(14), (5, 0));
     }
 
     #[test]
     fn taper_zero_and_junk_costs_still_make_progress() {
-        let sched = TaperSchedule::new(&[f64::NAN, 0.0, -1.0, f64::INFINITY]);
+        let sched = per_item(&[f64::NAN, 0.0, -1.0, f64::INFINITY]);
         let mut start = 0;
         let mut steps = 0;
         while start < sched.len() {
@@ -465,8 +400,41 @@ mod tests {
 
     #[test]
     fn empty_taper_schedule_is_a_noop() {
-        let sched = TaperSchedule::new(&[]);
-        assert!(sched.is_empty());
-        parallel_for_tapered(&sched, 4, || (), |_, _| panic!("no work expected"));
+        for sched in [TaperSchedule::new(&[]), TaperSchedule::new(&[(0, 1.0)])] {
+            assert!(sched.is_empty());
+            parallel_for_tapered(&sched, 4, || (), |_, _| panic!("no work expected"));
+        }
+    }
+
+    #[test]
+    fn worker_panics_propagate_after_the_join() {
+        let sched = TaperSchedule::new(&[(64, 1.0)]);
+        for threads in [1usize, 4] {
+            let result = std::panic::catch_unwind(|| {
+                parallel_for_tapered(
+                    &sched,
+                    threads,
+                    || (),
+                    |range, _| {
+                        if range.contains(&17) {
+                            panic!("item 17 failed");
+                        }
+                    },
+                )
+            });
+            let payload = result.expect_err("the worker panic must surface");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("<non-str payload>");
+            // The pool re-raises the worker's own payload; when another
+            // test holds the pool, the scoped fallback raises std's
+            // "a scoped thread panicked" instead.
+            assert!(
+                msg.contains("item 17 failed") || msg.contains("a scoped thread panicked"),
+                "threads={threads}: {msg}"
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! A persistent worker pool for the sweep runners.
 //!
 //! A figure run is many short sub-sweeps (every cell range, every panel,
-//! every resumed plan runs its own `parallel_for_*` call). Spawning and
+//! every resumed plan runs its own `parallel_for_tapered` call). Spawning and
 //! joining a fresh `thread::scope` per sub-sweep costs tens of microseconds
 //! per thread — comparable to the sub-sweep itself on quick grids, and pure
 //! overhead on full ones. This module keeps one process-wide set of
@@ -101,8 +101,11 @@ fn pool() -> &'static Pool {
 
 /// Locks a mutex, shrugging off poisoning: the pool's own invariants never
 /// depend on a panicking lock holder (jobs run outside the locks), so a
-/// poisoned guard's state is still consistent.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// poisoned guard's state is still consistent. The engine locks its cell
+/// accumulators the same way, so one worker's panic never turns into
+/// poison panics in the others — the original panic is the one re-raised
+/// after the join.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 

@@ -63,12 +63,11 @@ use contention_sim::summary::TrialSummary;
 use contention_stats::histogram::LatencyHistogram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// How packets arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Independent packets at `rate` packets per wall slot (Poisson).
     PoissonSingles { rate: f64 },

@@ -7,10 +7,9 @@
 //! t statistic, and a two-sided p-value from the Student-t distribution.
 
 use crate::special::two_sided_p;
-use serde::{Deserialize, Serialize};
 
 /// Result of an OLS fit `y ≈ intercept + slope · x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     pub slope: f64,
     pub intercept: f64,

@@ -8,7 +8,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `contention-core` | backoff schedules, collision-cost model, channel models (fatal / softened / noisy), asymptotic bounds, 802.11g parameters, BEST-OF-k spec, metrics |
-//! | [`sim`] | `contention-sim` | event queue, parallel trial runner, generic `Simulator`/`Sweep` engine |
+//! | [`sim`] | `contention-sim` | event queue, parallel trial runner, generic `Simulator`/`Sweep` engine and its one runner over `TrialRange` plans |
 //! | [`slotted`] | `contention-slotted` | abstract A0–A2 simulator (windowed + residual) plus the noisy-channel variant (`NoisySim`) |
 //! | [`mac`] | `contention-mac` | event-driven IEEE 802.11g DCF simulator |
 //! | [`stats`] | `contention-stats` | medians, outlier rule, CIs, OLS regression |
@@ -48,14 +48,11 @@ pub mod prelude {
     pub use contention_core::time::Nanos;
     pub use contention_mac::{simulate, MacConfig, MacRun, MacSim, Trace};
     pub use contention_sim::engine::{
-        cell, folded, run_trial, run_trial_with, Accumulator, Cell, CellRange, ExecPolicy,
-        FoldedCell, MergeableAccumulator, Simulator, Slots, Sweep, SweepCell,
+        folded, run_trial, run_trial_with, validate_plan, Accumulator, CellRange, ExecPolicy,
+        FoldedCell, MergeableAccumulator, Simulator, Sweep, TrialRange,
     };
     pub use contention_sim::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
-    // The scheduling CostModel trait is NOT re-exported here: `CostModel`
-    // already names the collision-cost model above. Reach the trait via
-    // `contention_resolution::sim::sched::CostModel` when needed.
-    pub use contention_sim::sched::{CalibratedCost, CostSpec};
+    pub use contention_sim::sched::CostSpec;
     pub use contention_sim::summary::{Metric, TrialSummary};
     pub use contention_slotted::noisy::{NoisyConfig, NoisySim};
     pub use contention_slotted::residual::{ResidualConfig, ResidualSim};

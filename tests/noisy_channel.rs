@@ -15,26 +15,30 @@
 //! `crates/slotted/src/noisy.rs`, which forces the sampled path on an ideal
 //! channel and demands bit-equality.
 
+use contention_experiments::aggregate::MetricStats;
 use contention_resolution::prelude::*;
 use proptest::prelude::*;
 
-/// The bit-exact image of a `TrialSummary` (no `==` on floats: even a
-/// sign-of-zero drift between the two backends would fail).
-fn bits(t: &TrialSummary) -> Vec<u64> {
-    vec![
-        t.n as u64,
-        t.successes as u64,
-        t.cw_slots.to_bits(),
-        t.half_cw_slots.to_bits(),
-        t.total_time_us.to_bits(),
-        t.half_time_us.to_bits(),
-        t.collisions.to_bits(),
-        t.colliding_stations.to_bits(),
-        t.ack_timeouts.to_bits(),
-        t.max_ack_timeouts.to_bits(),
-        t.max_ack_timeout_time_us.to_bits(),
-        t.median_estimate.to_bits(),
-    ]
+/// The bit-exact image of every trial of a sweep: each cell's coordinates
+/// and, per metric of [`Metric::ALL`], its trial values as bit patterns (no
+/// `==` on floats: even a sign-of-zero drift between the two backends would
+/// fail).
+fn sweep_bits<S: Simulator>(sweep: Sweep<S>) -> Vec<(AlgorithmKind, u32, Vec<Vec<u64>>)>
+where
+    TrialSummary: From<S::Output>,
+{
+    sweep
+        .run_fold_monitored(MetricStats::collector(&Metric::ALL), None, None, None)
+        .into_iter()
+        .map(|c| {
+            let samples = c.acc.raw_samples();
+            let bits = samples
+                .iter()
+                .map(|s| s.raw().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (c.algorithm, c.n, bits)
+        })
+        .collect()
 }
 
 /// Acceptance criterion: the degenerate `NoisySim` sweep is bit-identical to
@@ -49,37 +53,29 @@ fn degenerate_noisy_sweep_matches_windowed_sweep_bit_for_bit() {
         AlgorithmKind::Sawtooth,
     ];
     let ns = vec![15, 60, 150];
-    let noisy = Sweep::<NoisySim> {
+    let noisy = sweep_bits(Sweep::<NoisySim> {
         experiment: "degenerate-regression",
         config: NoisyConfig::fatal(AlgorithmKind::Beb),
         algorithms: algorithms.clone(),
         ns: ns.clone(),
         trials: 6,
         exec: ExecPolicy::threads(4),
-    }
-    .run();
-    let windowed = Sweep::<WindowedSim> {
+    });
+    let windowed = sweep_bits(Sweep::<WindowedSim> {
         experiment: "degenerate-regression",
         config: WindowedConfig::abstract_model(AlgorithmKind::Beb),
         algorithms,
         ns,
         trials: 6,
         exec: ExecPolicy::threads(4),
-    }
-    .run();
-    assert_eq!(noisy.len(), windowed.len());
+    });
+    assert_eq!(noisy.len(), 12);
     for (nc, wc) in noisy.iter().zip(&windowed) {
-        assert_eq!(nc.algorithm, wc.algorithm);
-        assert_eq!(nc.n, wc.n);
-        for (trial, (nt, wt)) in nc.trials.iter().zip(&wc.trials).enumerate() {
-            assert_eq!(
-                bits(nt),
-                bits(wt),
-                "{} n={} trial {trial}: noisy p=0 diverged from windowed",
-                nc.algorithm,
-                nc.n
-            );
-        }
+        assert_eq!(
+            nc, wc,
+            "{} n={}: noisy p=0 diverged from windowed",
+            nc.0, nc.1
+        );
     }
 }
 

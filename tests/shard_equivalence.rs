@@ -1,7 +1,9 @@
-//! Shard-equivalence matrix: a sweep split into cell-range shards, each
-//! shard serialized to a `shard_state/v1` artifact, the artifacts shuffled
-//! and merged, must reproduce the single-process `run_fold` output
-//! **bit-for-bit** — for every backend, shard count and batch size.
+//! Shard-equivalence matrix: a sweep split into plans — count- or
+//! cost-balanced cell shards, or a plan that splits one cell into separate
+//! trial ranges — each plan's cells serialized to a `shard_state/v1`
+//! artifact, the artifacts shuffled and merged, must reproduce the
+//! single-process whole-grid fold **bit-for-bit** — for every backend, plan
+//! shape and thread count.
 //!
 //! This is the correctness contract of process-sharded sweeps: the merge
 //! seam may never change a number, so a cluster-run figure and a laptop-run
@@ -15,7 +17,7 @@ use contention_slotted::dynamic::{ArrivalProcess, DynAxis, DynamicConfig, Dynami
 use contention_slotted::noisy::NoisyConfig;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
-const BATCHES: [usize; 2] = [1, 16];
+const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Metrics for the batch backends (windowed / noisy / MAC).
 const BATCH_METRICS: [Metric; 3] = [Metric::CwSlots, Metric::TotalTimeUs, Metric::Collisions];
@@ -27,10 +29,6 @@ const DYNAMIC_METRICS: [Metric; 3] = [
     Metric::P95LatencySlots,
     Metric::Collisions,
 ];
-
-fn exec(batch: usize) -> ExecPolicy {
-    ExecPolicy::threads(2).with_batch(batch)
-}
 
 /// The bit image of every cell's every buffer, plus coordinates.
 fn bits(cells: &[StatsCell]) -> Vec<(String, u32, Vec<Vec<u64>>)> {
@@ -50,15 +48,48 @@ fn bits(cells: &[StatsCell]) -> Vec<(String, u32, Vec<Vec<u64>>)> {
         .collect()
 }
 
+/// The plan shapes of the matrix, each a list of plans tiling the grid:
+/// count-balanced shards at every [`SHARD_COUNTS`], three cost-balanced
+/// shards, and cell 0 split around its middle trial (two ranges of one cell
+/// in the first plan, the hole in the second).
+fn plan_shapes(grid: &GridMeta) -> Vec<(String, Vec<Vec<TrialRange>>)> {
+    let (cells, trials) = (grid.cell_count(), grid.trials);
+    let mut shapes: Vec<(String, Vec<Vec<TrialRange>>)> = SHARD_COUNTS
+        .iter()
+        .map(|&of| {
+            let plans = (0..of)
+                .map(|i| CellRange::shard(cells, i, of).plan(trials))
+                .collect();
+            (format!("{of} count-balanced shards"), plans)
+        })
+        .collect();
+    let weights = grid.cell_costs();
+    shapes.push((
+        "3 cost-balanced shards".to_string(),
+        (0..3)
+            .map(|i| CellRange::shard_weighted(&weights, i, 3).plan(trials))
+            .collect(),
+    ));
+    let mid = trials / 2;
+    let range = |cell, lo, hi| TrialRange { cell, lo, hi };
+    let mut split = vec![range(0, 0, mid), range(0, mid + 1, trials)];
+    split.extend(CellRange { lo: 1, hi: cells }.plan(trials));
+    shapes.push((
+        "split cell".to_string(),
+        vec![split, vec![range(0, mid, mid + 1)]],
+    ));
+    shapes
+}
+
 /// Runs the full matrix for one backend: golden single-process fold vs
-/// shuffled shard/serialize/parse/merge, across shard counts and batches.
+/// shuffled plan/serialize/parse/merge, across plan shapes and threads.
 fn assert_shard_equivalence<S: Simulator>(
     metrics: &[Metric],
     sweep_for: impl Fn(ExecPolicy) -> Sweep<S>,
 ) where
     contention_experiments::summary::TrialSummary: From<S::Output>,
 {
-    let golden_sweep = sweep_for(exec(16));
+    let golden_sweep = sweep_for(ExecPolicy::threads(1));
     let grid = GridMeta {
         algorithms: golden_sweep.algorithms.clone(),
         ns: golden_sweep.ns.clone(),
@@ -66,19 +97,25 @@ fn assert_shard_equivalence<S: Simulator>(
         metrics: metrics.to_vec(),
         cost: CostSpec::NLogN,
     };
-    let golden = golden_sweep.run_fold(MetricStats::collector(metrics));
+    let costs = grid.cell_trial_costs();
+    let golden =
+        golden_sweep.run_fold_monitored(MetricStats::collector(metrics), None, None, Some(&costs));
     let golden_bits = bits(&golden);
-    let cells = grid.cell_count();
 
-    for of in SHARD_COUNTS {
-        for batch in BATCHES {
-            // One process per shard: run the cell range, serialize.
-            let mut artifacts: Vec<String> = (0..of)
-                .map(|index| {
-                    let range = CellRange::shard(cells, index, of);
-                    let part = sweep_for(exec(batch).with_cells(range))
-                        .run_fold(MetricStats::collector(metrics));
-                    assert_eq!(part.len(), range.len(), "{}: shard size", S::NAME);
+    for threads in THREADS {
+        for (shape, plans) in plan_shapes(&grid) {
+            let of = plans.len();
+            // One process per plan: run it, serialize.
+            let mut artifacts: Vec<String> = plans
+                .iter()
+                .enumerate()
+                .map(|(index, plan)| {
+                    let part = sweep_for(ExecPolicy::threads(threads)).run_fold_monitored(
+                        MetricStats::collector(metrics),
+                        Some(plan),
+                        None,
+                        Some(&costs),
+                    );
                     ShardState::from_cells(
                         "shard-eq",
                         false,
@@ -101,8 +138,8 @@ fn assert_shard_equivalence<S: Simulator>(
             assert_eq!(
                 bits(&merged.into_cells()),
                 golden_bits,
-                "{}: merged shards diverged from the single-process fold \
-                 (shards={of}, batch={batch})",
+                "{}: merged plans diverged from the single-process fold \
+                 ({shape}, threads={threads})",
                 S::NAME
             );
         }
@@ -198,7 +235,8 @@ fn cost_balanced_shards_merge_bit_identically() {
         metrics: metrics.to_vec(),
         cost: CostSpec::NLogN,
     };
-    let golden = golden_sweep.run_fold(MetricStats::collector(&metrics));
+    let golden =
+        golden_sweep.run_fold_monitored(MetricStats::collector(&metrics), None, None, None);
     let golden_bits = bits(&golden);
     let weights = grid.cell_costs();
     assert_eq!(weights.len(), grid.cell_count());
@@ -213,8 +251,12 @@ fn cost_balanced_shards_merge_bit_identically() {
             .iter()
             .enumerate()
             .map(|(index, &range)| {
-                let part = sweep_for(ExecPolicy::threads(2).with_cells(range))
-                    .run_fold(MetricStats::collector(&metrics));
+                let part = sweep_for(ExecPolicy::threads(2)).run_fold_monitored(
+                    MetricStats::collector(&metrics),
+                    Some(&range.plan(grid.trials)),
+                    None,
+                    Some(&grid.cell_trial_costs()),
+                );
                 let text = ShardState::from_cells(
                     "shard-eq-weighted",
                     false,
@@ -271,9 +313,12 @@ fn duplicate_shard_artifacts_are_rejected() {
     };
     let shard = |index: usize| {
         let range = CellRange::shard(grid.cell_count(), index, 2);
-        let part = sweep
-            .clone()
-            .run_fold(MetricStats::collector(&[Metric::CwSlots]));
+        let part = sweep.clone().run_fold_monitored(
+            MetricStats::collector(&[Metric::CwSlots]),
+            None,
+            None,
+            None,
+        );
         let part: Vec<StatsCell> = part
             .into_iter()
             .enumerate()
@@ -310,14 +355,22 @@ fn empty_shards_are_harmless() {
         metrics: vec![Metric::CwSlots],
         cost: CostSpec::Uniform,
     };
-    let golden =
-        sweep_for(ExecPolicy::threads(1)).run_fold(MetricStats::collector(&[Metric::CwSlots]));
+    let golden = sweep_for(ExecPolicy::threads(1)).run_fold_monitored(
+        MetricStats::collector(&[Metric::CwSlots]),
+        None,
+        None,
+        None,
+    );
     // 5 shards over 2 cells: three shards are empty.
     let states: Vec<ShardState> = (0..5)
         .map(|i| {
-            let range = CellRange::shard(2, i, 5);
-            let part = sweep_for(ExecPolicy::threads(1).with_cells(range))
-                .run_fold(MetricStats::collector(&[Metric::CwSlots]));
+            let plan = CellRange::shard(2, i, 5).plan(grid.trials);
+            let part = sweep_for(ExecPolicy::threads(1)).run_fold_monitored(
+                MetricStats::collector(&[Metric::CwSlots]),
+                Some(&plan),
+                None,
+                None,
+            );
             let text = ShardState::from_cells("shard-eq-empty", false, (i as u32, 5), &grid, &part)
                 .to_json();
             ShardState::parse(&text).expect("round trip")

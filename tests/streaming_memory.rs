@@ -7,11 +7,17 @@
 //! the grids below the paper's n = 10⁵. A counting global allocator
 //! measures the peak heap growth during the sweep; one trial here is tiny
 //! (n = 1), so any per-trial retention would dominate the measurement.
+//!
+//! The counters are process-wide and the test harness runs tests on
+//! parallel threads, so every measurement holds [`measuring`]'s lock for
+//! its whole duration: no other test's allocations land inside it.
+//! (Thread-local counters would instead miss the engine's worker threads.)
 
 use contention_resolution::prelude::*;
 use contention_stats::stream::Extrema;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAllocator;
 
@@ -39,7 +45,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Serializes the measuring tests; hold the guard across a measurement. A
+/// failed (panicked) measurement must not fail the others, so poisoning is
+/// ignored.
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// O(1)-state accumulator: exact count/min/max of CW slots per cell.
+#[derive(Clone)]
 struct CwExtrema(Extrema);
 
 impl Accumulator<TrialSummary> for CwExtrema {
@@ -50,6 +66,7 @@ impl Accumulator<TrialSummary> for CwExtrema {
 
 #[test]
 fn folded_sweep_memory_does_not_scale_with_trials() {
+    let _guard = measuring();
     const TRIALS: u32 = 100_000;
     let sweep = Sweep::<WindowedSim> {
         experiment: "memory-sanity",
@@ -57,12 +74,12 @@ fn folded_sweep_memory_does_not_scale_with_trials() {
         algorithms: vec![AlgorithmKind::Beb],
         ns: vec![1],
         trials: TRIALS,
-        exec: ExecPolicy::threads(2).with_batch(256),
+        exec: ExecPolicy::threads(2),
     };
 
     let baseline = CURRENT.load(Ordering::SeqCst);
     PEAK.store(baseline, Ordering::SeqCst);
-    let cells = sweep.run_fold(|_, _, _| CwExtrema(Extrema::new()));
+    let cells = sweep.run_fold_monitored(|_, _, _| CwExtrema(Extrema::new()), None, None, None);
     let peak_growth = PEAK.load(Ordering::SeqCst).saturating_sub(baseline);
 
     // Every trial ran: a lone BEB station succeeds in its size-1 first
@@ -96,6 +113,7 @@ fn folded_sweep_memory_does_not_scale_with_trials() {
 /// even though the trial itself had to touch the full width.
 #[test]
 fn pathological_window_scratch_is_shed_after_the_trial() {
+    let _guard = measuring();
     const WIDTH: u32 = 1 << 23;
     let config = NoisyConfig::abstract_model(
         AlgorithmKind::Fixed { window: WIDTH },
@@ -140,6 +158,7 @@ fn pathological_window_scratch_is_shed_after_the_trial() {
 #[test]
 fn ten_million_arrivals_stream_in_bounded_memory() {
     use contention_slotted::dynamic::{ArrivalProcess, DynamicConfig, DynamicSim};
+    let _guard = measuring();
 
     // 5 % offered load on unit costs: comfortably stable for BEB, so the
     // backlog stays O(1) while E[offered] = 0.05 × 2×10⁸ = 10⁷ packets.
@@ -174,6 +193,7 @@ fn ten_million_arrivals_stream_in_bounded_memory() {
 }
 
 /// O(1)-state accumulator over total time (drops the summary, no alloc).
+#[derive(Clone)]
 struct TimeExtrema(Extrema);
 
 impl Accumulator<TrialSummary> for TimeExtrema {
@@ -193,6 +213,7 @@ impl Accumulator<TrialSummary> for TimeExtrema {
 /// noise cancel out.
 #[test]
 fn mac_trial_loop_allocates_only_its_output() {
+    let _guard = measuring();
     const N: u32 = 30;
     let sweep = |trials: u32| Sweep::<MacSim> {
         experiment: "mac-alloc-ceiling",
@@ -207,7 +228,12 @@ fn mac_trial_loop_allocates_only_its_output() {
 
     let allocs_for = |trials: u32| {
         let before = ALLOC_CALLS.load(Ordering::SeqCst);
-        let cells = sweep(trials).run_fold(|_, _, _| TimeExtrema(Extrema::new()));
+        let cells = sweep(trials).run_fold_monitored(
+            |_, _, _| TimeExtrema(Extrema::new()),
+            None,
+            None,
+            None,
+        );
         assert_eq!(cells[0].acc.0.count(), trials as u64);
         ALLOC_CALLS.load(Ordering::SeqCst) - before
     };

@@ -1,104 +1,115 @@
 //! Cross-engine golden determinism: the generic `Sweep<S>` must yield
 //! byte-identical results regardless of the worker-thread count *and* the
-//! claim schedule — the default cost-tapered, heaviest-first scheduler
-//! (`batch: None`) as well as every fixed batch size — for every simulator
-//! backend, on both the collect path (`run`) and the streaming fold path
-//! (`run_fold`).
+//! shape of the plan it runs — the whole grid, cost-balanced shard ranges,
+//! or a sparse plan that splits one cell into separate trial ranges — for
+//! every simulator backend.
 //!
-//! "Byte-identical" is checked literally: every `f64` is compared by its
-//! bit pattern, not by `==`, so even a sign-of-zero or NaN-payload drift
-//! between schedules would fail.
+//! "Byte-identical" is checked literally: every metric of every trial is
+//! compared by its `f64` bit pattern, not by `==`, so even a sign-of-zero or
+//! NaN-payload drift between schedules would fail.
 
-use contention_experiments::aggregate::MetricStats;
+use contention_experiments::aggregate::{MetricStats, StatsCell};
+use contention_experiments::checkpoint::merge_cells;
+use contention_experiments::shard::GridMeta;
 use contention_resolution::prelude::*;
 use contention_slotted::dynamic::{ArrivalProcess, DynamicConfig, DynamicSim};
 
 const THREADS: [usize; 3] = [1, 2, 8];
-/// `None` is the tapered + heaviest-first scheduler; `Some(b)` pins fixed
-/// grid-order claims of `b` trials.
-const BATCHES: [Option<usize>; 4] = [None, Some(1), Some(16), Some(1024)];
 
-fn exec(threads: usize, batch: Option<usize>) -> ExecPolicy {
-    let exec = ExecPolicy::threads(threads);
-    match batch {
-        Some(b) => exec.with_batch(b),
-        None => exec,
-    }
+/// The bit image of every cell: coordinates plus, per metric of
+/// [`Metric::ALL`], every trial's value bits.
+fn bits(cells: &[StatsCell]) -> Vec<(AlgorithmKind, u32, Vec<Vec<u64>>)> {
+    cells
+        .iter()
+        .map(|c| {
+            let samples = c.acc.raw_samples();
+            let bits = samples
+                .iter()
+                .map(|s| s.raw().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (c.algorithm, c.n, bits)
+        })
+        .collect()
 }
 
-/// The bit-exact image of a `TrialSummary`.
-fn bits(t: &TrialSummary) -> Vec<u64> {
+/// The plan shapes the matrix runs; each shape is a list of plans whose
+/// results reassemble into the whole grid.
+fn plan_shapes(grid: &GridMeta) -> Vec<(&'static str, Vec<Option<Vec<TrialRange>>>)> {
+    let (cells, trials) = (grid.cell_count(), grid.trials);
+    assert!(trials >= 3, "the split shape needs three trials per cell");
+    let weights = grid.cell_costs();
+    let shards = (0..3)
+        .map(|i| Some(CellRange::shard_weighted(&weights, i, 3).plan(trials)))
+        .collect();
+    // Cell 0 split around a hole at its middle trial, which a second plan
+    // fills: two ranges of one cell inside a single plan.
+    let mid = trials / 2;
+    let mut split = vec![
+        TrialRange {
+            cell: 0,
+            lo: 0,
+            hi: mid,
+        },
+        TrialRange {
+            cell: 0,
+            lo: mid + 1,
+            hi: trials,
+        },
+    ];
+    split.extend(CellRange { lo: 1, hi: cells }.plan(trials));
+    let hole = vec![TrialRange {
+        cell: 0,
+        lo: mid,
+        hi: mid + 1,
+    }];
     vec![
-        t.n as u64,
-        t.successes as u64,
-        t.cw_slots.to_bits(),
-        t.half_cw_slots.to_bits(),
-        t.total_time_us.to_bits(),
-        t.half_time_us.to_bits(),
-        t.collisions.to_bits(),
-        t.colliding_stations.to_bits(),
-        t.ack_timeouts.to_bits(),
-        t.max_ack_timeouts.to_bits(),
-        t.max_ack_timeout_time_us.to_bits(),
-        t.median_estimate.to_bits(),
+        ("whole grid", vec![None]),
+        ("cost-balanced shards", shards),
+        ("split cell", vec![Some(split), Some(hole)]),
     ]
 }
 
-/// `run` is invariant across the full threads × batch matrix, and
-/// `run_fold` through per-metric streaming buffers reproduces the same
-/// numbers bit-for-bit.
+/// Every plan shape × thread count reproduces the 1-thread whole-grid fold
+/// bit for bit once its plans' cells are merged back together.
 fn assert_engine_invariants<S: Simulator>(sweep_for: impl Fn(ExecPolicy) -> Sweep<S>)
 where
     TrialSummary: From<S::Output>,
 {
-    let golden_cells = sweep_for(exec(1, Some(1))).run();
-    let golden: Vec<Vec<Vec<u64>>> = golden_cells
-        .iter()
-        .map(|c| c.trials.iter().map(bits).collect())
-        .collect();
-    assert!(!golden.is_empty() && golden.iter().all(|c| !c.is_empty()));
+    let template = sweep_for(ExecPolicy::threads(1));
+    let grid = GridMeta {
+        algorithms: template.algorithms.clone(),
+        ns: template.ns.clone(),
+        trials: template.trials,
+        metrics: Metric::ALL.to_vec(),
+        cost: CostSpec::NLogN,
+    };
+    let costs = grid.cell_trial_costs();
+    let run = |threads: usize, plan: Option<&[TrialRange]>| {
+        sweep_for(ExecPolicy::threads(threads)).run_fold_monitored(
+            MetricStats::collector(&Metric::ALL),
+            plan,
+            None,
+            Some(&costs),
+        )
+    };
+    let golden = run(1, None);
+    assert_eq!(golden.len(), grid.cell_count());
+    assert!(golden.iter().all(|c| c.acc.is_complete()));
+    let golden = bits(&golden);
     for threads in THREADS {
-        for batch in BATCHES {
-            let cells = sweep_for(exec(threads, batch)).run();
-            let got: Vec<Vec<Vec<u64>>> = cells
-                .iter()
-                .map(|c| c.trials.iter().map(bits).collect())
-                .collect();
+        for (shape, plans) in plan_shapes(&grid) {
+            let mut merged: Vec<StatsCell> = Vec::new();
+            for plan in &plans {
+                let part = run(threads, plan.as_deref());
+                merged = merge_cells(&grid, &merged, &part)
+                    .unwrap_or_else(|e| panic!("{}: {shape} plans overlap: {e}", S::NAME));
+            }
             assert_eq!(
                 golden,
-                got,
-                "{}: run() changed at threads={threads} batch={batch:?}",
+                bits(&merged),
+                "{}: results changed at threads={threads} plan={shape}",
                 S::NAME
             );
-
-            let folded_cells =
-                sweep_for(exec(threads, batch)).run_fold(MetricStats::collector(&Metric::ALL));
-            assert_eq!(golden_cells.len(), folded_cells.len());
-            for (cell, fold) in golden_cells.iter().zip(&folded_cells) {
-                assert_eq!((cell.algorithm, cell.n), (fold.algorithm, fold.n));
-                for metric in Metric::ALL {
-                    let expect: Vec<u64> = cell
-                        .trials
-                        .iter()
-                        .map(|t| metric.extract(t).to_bits())
-                        .collect();
-                    let got: Vec<u64> = fold
-                        .acc
-                        .sample(metric)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    assert_eq!(
-                        expect,
-                        got,
-                        "{}: run_fold({metric:?}) diverged from run() at \
-                         threads={threads} batch={batch:?}, cell {}/{}",
-                        S::NAME,
-                        cell.algorithm,
-                        cell.n
-                    );
-                }
-            }
         }
     }
 }
@@ -163,12 +174,11 @@ fn noisy_sweep_is_schedule_invariant() {
     });
 }
 
-/// The dynamic-traffic simulator, checked on its raw output across the
-/// schedule matrix. (Its `TrialSummary` fold path is covered separately by
-/// the shard-equivalence matrix.)
+/// The dynamic-traffic simulator, through the same `TrialSummary` fold —
+/// its latency, throughput and completion metrics included.
 #[test]
 fn dynamic_sweep_is_schedule_invariant() {
-    let sweep_for = |exec: ExecPolicy| Sweep::<DynamicSim> {
+    assert_engine_invariants(|exec| Sweep::<DynamicSim> {
         experiment: "golden-dynamic",
         config: DynamicConfig::abstract_model(
             AlgorithmKind::Beb,
@@ -181,20 +191,7 @@ fn dynamic_sweep_is_schedule_invariant() {
         ns: vec![0],
         trials: 4,
         exec,
-    };
-    let golden = sweep_for(exec(1, Some(1))).run_raw();
-    for threads in THREADS {
-        for batch in BATCHES {
-            let got = sweep_for(exec(threads, batch)).run_raw();
-            for (g, r) in golden.iter().zip(&got) {
-                assert_eq!(g.algorithm, r.algorithm);
-                assert_eq!(
-                    g.trials, r.trials,
-                    "dynamic results changed at threads={threads} batch={batch:?}"
-                );
-            }
-        }
-    }
+    });
 }
 
 /// The same sweep re-run in the same process reproduces itself exactly —
@@ -209,15 +206,7 @@ fn sweeps_are_pure_functions_of_their_inputs() {
         trials: 4,
         exec: ExecPolicy::default(),
     };
-    let a: Vec<Vec<Vec<u64>>> = sweep
-        .run()
-        .iter()
-        .map(|c| c.trials.iter().map(bits).collect())
-        .collect();
-    let b: Vec<Vec<Vec<u64>>> = sweep
-        .run()
-        .iter()
-        .map(|c| c.trials.iter().map(bits).collect())
-        .collect();
-    assert_eq!(a, b);
+    let run =
+        || bits(&sweep.run_fold_monitored(MetricStats::collector(&Metric::ALL), None, None, None));
+    assert_eq!(run(), run());
 }

@@ -17,6 +17,7 @@ use contention_experiments::options::Options;
 use contention_experiments::server::{http_request, Server};
 use contention_experiments::shard::ShardState;
 use contention_experiments::worker::run_worker;
+use contention_sim::engine::TrialRange;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -123,16 +124,21 @@ fn two_workers_and_an_abandoned_lease_reproduce_the_direct_run_byte_for_byte() {
     // work is discarded, never folded twice.
     let lease = Json::parse(&claimed).unwrap();
     let id = lease.field("id").unwrap().as_u32().unwrap();
-    let mut plan: Vec<(usize, Vec<u32>)> = Vec::new();
-    for range in lease.field("work").unwrap().as_array().unwrap() {
-        let triple = range.as_array().unwrap();
-        let cell = triple[0].as_u32().unwrap() as usize;
-        let (lo, hi) = (triple[1].as_u32().unwrap(), triple[2].as_u32().unwrap());
-        match plan.iter_mut().find(|(c, _)| *c == cell) {
-            Some((_, ts)) => ts.extend(lo..hi),
-            None => plan.push((cell, (lo..hi).collect())),
-        }
-    }
+    let plan: Vec<TrialRange> = lease
+        .field("work")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|range| {
+            let triple = range.as_array().unwrap();
+            TrialRange {
+                cell: triple[0].as_u32().unwrap() as usize,
+                lo: triple[1].as_u32().unwrap(),
+                hi: triple[2].as_u32().unwrap(),
+            }
+        })
+        .collect();
     let entry = find_shardable("fig5").unwrap();
     let run_opts = Options {
         trials: Some(2),
@@ -141,7 +147,7 @@ fn two_workers_and_an_abandoned_lease_reproduce_the_direct_run_byte_for_byte() {
     };
     let grid = (entry.grid)(&run_opts);
     let hooks = SweepHooks {
-        missing: Some(&plan),
+        plan: Some(&plan),
         ..SweepHooks::default()
     };
     let cells = (entry.cells)(&run_opts, &hooks);
