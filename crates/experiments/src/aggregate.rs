@@ -83,15 +83,32 @@ impl MetricStats {
         move |_alg, _n, trials| MetricStats::new(metrics, trials)
     }
 
-    /// The per-trial values of one metric, in trial order. Panics if the
-    /// metric wasn't requested at construction.
-    pub fn sample(&self, metric: Metric) -> &[f64] {
+    /// The buffer of one metric. Panics if the metric wasn't requested at
+    /// construction.
+    fn buffer(&self, metric: Metric) -> &StreamingSample {
         let i = self
             .metrics
             .iter()
             .position(|&m| m == metric)
             .unwrap_or_else(|| panic!("metric {metric:?} was not collected"));
-        self.samples[i].values()
+        &self.samples[i]
+    }
+
+    /// The per-trial values of one metric, in trial order. Panics if the
+    /// metric wasn't requested at construction.
+    pub fn sample(&self, metric: Metric) -> &[f64] {
+        self.buffer(metric).values()
+    }
+
+    /// This collector narrowed to `metrics`, in that order, every buffer
+    /// copied bit for bit. Each metric has its own position-addressed
+    /// buffer, so the result equals what a fold of the same trials over
+    /// just `metrics` holds. Panics if a metric wasn't collected.
+    pub fn project(&self, metrics: &[Metric]) -> MetricStats {
+        MetricStats {
+            metrics: metrics.to_vec(),
+            samples: metrics.iter().map(|&m| self.buffer(m).clone()).collect(),
+        }
     }
 
     /// Outlier-filtered median + CI of one metric at a given x.

@@ -10,7 +10,10 @@
 //! Default grids are laptop-quick; `--full` switches to the paper's grids
 //! (and turns on the stderr progress meter when stderr is a TTY). With
 //! `--out DIR` each experiment also writes CSV series for plotting;
-//! `--json` adds JSON artifacts next to them.
+//! `--json` adds JSON artifacts next to them. `all` runs each sweep that
+//! several experiments fold from once for all of them
+//! ([`SharedSweeps`]), with the same output, byte for byte, as running
+//! the experiments one at a time.
 //!
 //! `shard`/`merge` split a sweep across processes: each `shard` invocation
 //! runs one contiguous cell range of the experiment's grid and writes a
@@ -23,7 +26,7 @@
 //! this module holds all of its logic so it stays unit-testable here.
 
 use crate::checkpoint::{self, CheckpointWriter};
-use crate::figures::sharding::{find_shardable, shardable_names};
+use crate::figures::sharding::{find_shardable, shardable_names, SharedSweeps};
 use crate::figures::shared::SweepHooks;
 use crate::figures::{registry, Report};
 use crate::options::Options;
@@ -124,9 +127,13 @@ pub fn run(args: &[String]) -> ExitCode {
         }
     };
 
-    for (name, _, runner) in selected {
+    // `all` runs each sweep several experiments fold from once; a single
+    // experiment shares nothing, so its own runner runs it.
+    let names: Vec<&str> = selected.iter().map(|(name, _, _)| *name).collect();
+    let mut shared = SharedSweeps::plan(&names, &opts);
+    for &(name, _, runner) in &selected {
         let started = std::time::Instant::now();
-        let report: Report = runner(&opts);
+        let report: Report = shared.report(name).unwrap_or_else(|| runner(&opts));
         report.print();
         if let Some(dir) = &opts.out_dir {
             if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
@@ -141,6 +148,14 @@ pub fn run(args: &[String]) -> ExitCode {
             );
         }
         println!("[{}] done in {:.1?}\n", name, started.elapsed());
+    }
+    if sub == "all" {
+        println!(
+            "[all] {} experiments run; {} shared sweeps run once each; {} sweep re-runs avoided",
+            selected.len(),
+            shared.sweeps_run(),
+            shared.reruns_avoided()
+        );
     }
     ExitCode::SUCCESS
 }

@@ -5,7 +5,9 @@
 //! Figures 15 and 16 share one large-n sweep, so they share its grid too.
 
 use crate::aggregate::{series_per_algorithm, Series, SeriesPoint, StatsCell};
-use crate::figures::shared::{fold_grid, paper_algorithms, report_from_series, SweepHooks};
+use crate::figures::shared::{
+    abstract_windowed, paper_algorithms, report_from_series, SweepDef, SweepHooks,
+};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
@@ -14,27 +16,26 @@ use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_sim::engine::folded;
 use contention_sim::sched::CostSpec;
-use contention_slotted::windowed::WindowedConfig;
-use contention_slotted::WindowedSim;
 
-pub fn fig5_grid(opts: &Options) -> GridMeta {
-    GridMeta {
+/// Figure 5's sweep: the abstract simulator over the MAC figures' n grid.
+pub static FIG5: SweepDef = SweepDef {
+    tag: "fig5",
+    shape: |opts, metrics| GridMeta {
         algorithms: paper_algorithms(),
         ns: opts.mac_ns(),
         trials: opts.trials_or(12, 50),
-        metrics: vec![Metric::CwSlots],
+        metrics: metrics.to_vec(),
         cost: CostSpec::NLogN,
-    }
+    },
+    run: abstract_windowed,
+};
+
+pub fn fig5_grid(opts: &Options) -> GridMeta {
+    FIG5.grid(opts, &[Metric::CwSlots])
 }
 
 pub fn fig5_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    fold_grid::<WindowedSim>(
-        "fig5",
-        WindowedConfig::abstract_model(AlgorithmKind::Beb),
-        &fig5_grid(opts),
-        opts,
-        hooks,
-    )
+    FIG5.fold(opts, &[Metric::CwSlots], hooks)
 }
 
 pub fn fig5_report(_opts: &Options, cells: &[StatsCell]) -> Report {
@@ -57,33 +58,35 @@ pub fn fig5(opts: &Options) -> Report {
     fig5_report(opts, &fig5_cells(opts, &SweepHooks::none()))
 }
 
-/// The large-n grid of §V-A, shared by Figures 15 and 16. The paper runs
+/// The large-n sweep of §V-A, shared by Figures 15 and 16. The paper runs
 /// n ≤ 10⁵ in increments of 400 with 200 trials on a cluster; `--full` uses
 /// increments of 8 000 with a couple dozen trials, quick mode stays below
 /// n = 2·10⁴.
-pub fn large_n_grid(opts: &Options) -> GridMeta {
-    let ns: Vec<u32> = if opts.full {
-        (1..=12).map(|i| i * 8_000).collect()
-    } else {
-        vec![2_000, 6_000, 12_000, 20_000]
-    };
-    GridMeta {
+pub static LARGE_N: SweepDef = SweepDef {
+    tag: "fig15-16",
+    shape: |opts, metrics| GridMeta {
         algorithms: paper_algorithms(),
-        ns,
+        ns: if opts.full {
+            (1..=12).map(|i| i * 8_000).collect()
+        } else {
+            vec![2_000, 6_000, 12_000, 20_000]
+        },
         trials: opts.trials_or(8, 24),
-        metrics: vec![Metric::CwSlots, Metric::Collisions],
+        metrics: metrics.to_vec(),
         cost: CostSpec::NLogN,
-    }
+    },
+    run: abstract_windowed,
+};
+
+/// The metrics Figures 15 and 16 fold out of the large-n sweep.
+const LARGE_N_METRICS: [Metric; 2] = [Metric::CwSlots, Metric::Collisions];
+
+pub fn large_n_grid(opts: &Options) -> GridMeta {
+    LARGE_N.grid(opts, &LARGE_N_METRICS)
 }
 
 pub fn large_n_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    fold_grid::<WindowedSim>(
-        "fig15-16",
-        WindowedConfig::abstract_model(AlgorithmKind::Beb),
-        &large_n_grid(opts),
-        opts,
-        hooks,
-    )
+    LARGE_N.fold(opts, &LARGE_N_METRICS, hooks)
 }
 
 pub fn fig15_report(_opts: &Options, cells: &[StatsCell]) -> Report {

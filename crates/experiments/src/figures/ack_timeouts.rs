@@ -5,20 +5,18 @@
 //! each one forces a costly retransmission.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{
-    mac_grid, mac_stats_range, standard_mac_figure_from_cells, SweepHooks,
-};
+use crate::figures::shared::{standard_mac_figure_from_cells, SweepHooks, MAC_64};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
 use crate::summary::Metric;
 
 pub fn fig11_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::MaxAckTimeouts])
+    MAC_64.grid(opts, &[Metric::MaxAckTimeouts])
 }
 
 pub fn fig11_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 64, &[Metric::MaxAckTimeouts], hooks)
+    MAC_64.fold(opts, &[Metric::MaxAckTimeouts], hooks)
 }
 
 pub fn fig11_report(_opts: &Options, cells: &[StatsCell]) -> Report {
@@ -37,11 +35,11 @@ pub fn fig11(opts: &Options) -> Report {
 }
 
 pub fn fig12_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::MaxAckTimeoutTimeUs])
+    MAC_64.grid(opts, &[Metric::MaxAckTimeoutTimeUs])
 }
 
 pub fn fig12_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 64, &[Metric::MaxAckTimeoutTimeUs], hooks)
+    MAC_64.fold(opts, &[Metric::MaxAckTimeoutTimeUs], hooks)
 }
 
 pub fn fig12_report(_opts: &Options, cells: &[StatsCell]) -> Report {
@@ -63,7 +61,7 @@ pub fn fig12(opts: &Options) -> Report {
 mod tests {
     use super::*;
     use crate::aggregate::series_per_algorithm;
-    use crate::figures::shared::{mac_stats, paper_algorithms};
+    use crate::figures::shared::paper_algorithms;
 
     #[test]
     fn beb_has_fewest_max_ack_timeouts() {
@@ -72,7 +70,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let cells = mac_stats(&opts, 64, &[Metric::MaxAckTimeouts]);
+        let cells = MAC_64.fold(&opts, &[Metric::MaxAckTimeouts], &SweepHooks::none());
         let series = series_per_algorithm(&cells, &paper_algorithms(), Metric::MaxAckTimeouts);
         let beb = series[0].final_median();
         for s in &series[1..] {
@@ -92,10 +90,10 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let cells = mac_stats(
+        let cells = MAC_64.fold(
             &opts,
-            64,
             &[Metric::MaxAckTimeouts, Metric::MaxAckTimeoutTimeUs],
+            &SweepHooks::none(),
         );
         for c in &cells {
             let counts = c.acc.sample(Metric::MaxAckTimeouts);

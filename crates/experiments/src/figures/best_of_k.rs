@@ -1,14 +1,18 @@
 //! Figures 18 and 19 — the BEST-OF-k size-estimation approach (§VI).
+//!
+//! Split like the other sweep figures: `*_cells` (the sweep) and `*_report`
+//! (a pure function of the folded cells), both over the one [`BEST_OF_K`]
+//! sweep.
 
 use crate::aggregate::{series_per_algorithm, Series, SeriesPoint, StatsCell};
-use crate::figures::shared::{fold_grid, uniform_grid, SweepHooks};
+use crate::figures::shared::{mac_paper, uniform_grid, SweepDef, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
+use crate::shard::GridMeta;
 use crate::summary::Metric;
 use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::util::percent_change;
-use contention_mac::{MacConfig, MacSim};
 
 fn algorithms() -> Vec<AlgorithmKind> {
     vec![
@@ -18,31 +22,27 @@ fn algorithms() -> Vec<AlgorithmKind> {
     ]
 }
 
-/// One shared sweep stream feeds both figures, mirroring the paper's
-/// 20-trial runs.
-fn sweep(opts: &Options) -> Vec<StatsCell> {
-    let grid = uniform_grid(
-        algorithms(),
-        opts.mac_ns(),
-        opts.trials_or(6, 20),
-        &[Metric::MedianEstimate, Metric::TotalTimeUs],
-    );
-    fold_grid::<MacSim>(
-        "fig18-19",
-        MacConfig::paper(AlgorithmKind::Beb, 64),
-        &grid,
-        opts,
-        &SweepHooks::none(),
-    )
+/// One shared sweep feeds both figures, mirroring the paper's 20-trial
+/// runs: the 64 B MAC sweep over BEB and the two BEST-OF-k estimators.
+pub static BEST_OF_K: SweepDef = SweepDef {
+    tag: "fig18-19",
+    shape: |opts, metrics| {
+        uniform_grid(algorithms(), opts.mac_ns(), opts.trials_or(6, 20), metrics)
+    },
+    run: mac_paper::<64>,
+};
+
+pub fn fig18_grid(opts: &Options) -> GridMeta {
+    BEST_OF_K.grid(opts, &[Metric::MedianEstimate])
 }
 
-/// Figure 18: the estimates of n. Best-of-3 is noisier than Best-of-5, and
-/// only overestimates occur — which is what keeps fixed backoff
-/// collision-frugal.
-pub fn fig18(opts: &Options) -> Report {
-    let cells = sweep(opts);
+pub fn fig18_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
+    BEST_OF_K.fold(opts, &[Metric::MedianEstimate], hooks)
+}
+
+pub fn fig18_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let estimators = &algorithms()[1..];
-    let mut series = series_per_algorithm(&cells, estimators, Metric::MedianEstimate);
+    let mut series = series_per_algorithm(cells, estimators, Metric::MedianEstimate);
     // The paper plots the true size alongside the estimates.
     let truth = Series {
         name: "True size".to_string(),
@@ -94,11 +94,23 @@ pub fn fig18(opts: &Options) -> Report {
     report
 }
 
-/// Figure 19: total time of BEB vs Best-of-3 vs Best-of-5 (64 B payload).
-/// The paper reports decreases of 26.0 % (k = 3) and 24.7 % (k = 5).
-pub fn fig19(opts: &Options) -> Report {
-    let cells = sweep(opts);
-    let series = series_per_algorithm(&cells, &algorithms(), Metric::TotalTimeUs);
+/// Figure 18: the estimates of n. Best-of-3 is noisier than Best-of-5, and
+/// only overestimates occur — which is what keeps fixed backoff
+/// collision-frugal.
+pub fn fig18(opts: &Options) -> Report {
+    fig18_report(opts, &fig18_cells(opts, &SweepHooks::none()))
+}
+
+pub fn fig19_grid(opts: &Options) -> GridMeta {
+    BEST_OF_K.grid(opts, &[Metric::TotalTimeUs])
+}
+
+pub fn fig19_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
+    BEST_OF_K.fold(opts, &[Metric::TotalTimeUs], hooks)
+}
+
+pub fn fig19_report(_opts: &Options, cells: &[StatsCell]) -> Report {
+    let series = series_per_algorithm(cells, &algorithms(), Metric::TotalTimeUs);
     let mut report = Report::new("Figure 19 — total time: BEB vs BEST-OF-k (64 B payload)");
     report.line(render_series("n", &series));
     let beb = series[0].final_median();
@@ -112,6 +124,12 @@ pub fn fig19(opts: &Options) -> Report {
     }
     report.series_csv("fig19_best_of_k_total_time", "n", &series);
     report
+}
+
+/// Figure 19: total time of BEB vs Best-of-3 vs Best-of-5 (64 B payload).
+/// The paper reports decreases of 26.0 % (k = 3) and 24.7 % (k = 5).
+pub fn fig19(opts: &Options) -> Report {
+    fig19_report(opts, &fig19_cells(opts, &SweepHooks::none()))
 }
 
 #[cfg(test)]

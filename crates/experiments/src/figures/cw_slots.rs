@@ -7,8 +7,8 @@
 
 use crate::aggregate::{series_per_algorithm, StatsCell};
 use crate::figures::shared::{
-    mac_grid, mac_stats_range, paper_algorithms, report_from_series,
-    standard_mac_figure_from_cells, SweepHooks,
+    paper_algorithms, report_from_series, standard_mac_figure_from_cells, SweepHooks, MAC_1024,
+    MAC_64,
 };
 use crate::figures::Report;
 use crate::options::Options;
@@ -16,11 +16,11 @@ use crate::shard::GridMeta;
 use crate::summary::Metric;
 
 pub fn fig3_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::CwSlots])
+    MAC_64.grid(opts, &[Metric::CwSlots])
 }
 
 pub fn fig3_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 64, &[Metric::CwSlots], hooks)
+    MAC_64.fold(opts, &[Metric::CwSlots], hooks)
 }
 
 pub fn fig3_report(_opts: &Options, cells: &[StatsCell]) -> Report {
@@ -40,11 +40,11 @@ pub fn fig3(opts: &Options) -> Report {
 }
 
 pub fn fig4_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::CwSlots])
+    MAC_1024.grid(opts, &[Metric::CwSlots])
 }
 
 pub fn fig4_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 1024, &[Metric::CwSlots], hooks)
+    MAC_1024.fold(opts, &[Metric::CwSlots], hooks)
 }
 
 pub fn fig4_report(_opts: &Options, cells: &[StatsCell]) -> Report {
@@ -65,11 +65,11 @@ pub fn fig4(opts: &Options) -> Report {
 const FIG6_METRICS: [Metric; 2] = [Metric::HalfCwSlots, Metric::CwSlots];
 
 pub fn fig6_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &FIG6_METRICS)
+    MAC_64.grid(opts, &FIG6_METRICS)
 }
 
 pub fn fig6_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 64, &FIG6_METRICS, hooks)
+    MAC_64.fold(opts, &FIG6_METRICS, hooks)
 }
 
 pub fn fig6_report(_opts: &Options, cells: &[StatsCell]) -> Report {

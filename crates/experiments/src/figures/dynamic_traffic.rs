@@ -15,7 +15,7 @@
 //! shardable, checkpointable, and resumable like the batch figures.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{fold_grid, paper_algorithms, SweepHooks};
+use crate::figures::shared::{fold_grid, paper_algorithms, SweepDef, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
@@ -42,20 +42,27 @@ fn config(opts: &Options) -> DynamicConfig {
     }
 }
 
-pub fn grid(opts: &Options) -> GridMeta {
-    GridMeta {
+/// Poisson bursts under both cost presets for every paper algorithm.
+pub static SWEEP: SweepDef = SweepDef {
+    tag: "dynamic",
+    shape: |opts, metrics| GridMeta {
         algorithms: paper_algorithms(),
         ns: vec![0, 1],
         trials: opts.trials_or(5, 15),
-        metrics: METRICS.to_vec(),
+        metrics: metrics.to_vec(),
         // The axis is a two-point cost-preset selector, not a size: both
         // cells simulate the same horizon.
         cost: CostSpec::Uniform,
-    }
+    },
+    run: |tag, grid, opts, hooks| fold_grid::<DynamicSim>(tag, config(opts), grid, opts, hooks),
+};
+
+pub fn grid(opts: &Options) -> GridMeta {
+    SWEEP.grid(opts, &METRICS)
 }
 
 pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    fold_grid::<DynamicSim>("dynamic", config(opts), &grid(opts), opts, hooks)
+    SWEEP.fold(opts, &METRICS, hooks)
 }
 
 pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {

@@ -5,18 +5,27 @@
 //! frame. The qualitative behaviour survives: the paper reports total-time
 //! increases of +6.6 % (LLB), +17.8 % (LB) and +20.6 % (STB) over BEB.
 
-use crate::figures::shared::standard_mac_figure;
+use crate::aggregate::StatsCell;
+use crate::figures::shared::{standard_mac_figure_from_cells, SweepHooks, MAC_12};
 use crate::figures::Report;
 use crate::options::Options;
+use crate::shard::GridMeta;
 use crate::summary::Metric;
 
-pub fn run(opts: &Options) -> Report {
-    let mut report = standard_mac_figure(
-        opts,
+pub fn grid(opts: &Options) -> GridMeta {
+    MAC_12.grid(opts, &[Metric::TotalTimeUs])
+}
+
+pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
+    MAC_12.fold(opts, &[Metric::TotalTimeUs], hooks)
+}
+
+pub fn report(_opts: &Options, cells: &[StatsCell]) -> Report {
+    let mut report = standard_mac_figure_from_cells(
         "§V-B — total time with minimum-size packets (12 B payload)",
         "minpkt_total_time_12",
-        12,
         Metric::TotalTimeUs,
+        cells,
         "LLB +6.6%, LB +17.8%, STB +20.6%",
     );
     report.line(
@@ -24,6 +33,10 @@ pub fn run(opts: &Options) -> Report {
          preamble and ACK timeout still dwarf a 9 µs slot.",
     );
     report
+}
+
+pub fn run(opts: &Options) -> Report {
+    report(opts, &cells(opts, &SweepHooks::none()))
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! saturation` / `repro merge` reproduce this report byte-for-byte.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{fold_grid, paper_algorithms, SweepHooks};
+use crate::figures::shared::{fold_grid, paper_algorithms, SweepDef, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
@@ -70,20 +70,27 @@ fn loads(opts: &Options) -> Vec<u32> {
     }
 }
 
-pub fn grid(opts: &Options) -> GridMeta {
-    GridMeta {
+/// The offered-load sweep for every paper algorithm on 802.11g costs.
+pub static SWEEP: SweepDef = SweepDef {
+    tag: "saturation",
+    shape: |opts, metrics| GridMeta {
         algorithms: paper_algorithms(),
         ns: loads(opts),
         trials: opts.trials_or(3, 10),
-        metrics: METRICS.to_vec(),
+        metrics: metrics.to_vec(),
         // The load axis is per-mille of capacity: arrivals (and so work per
         // trial) grow linearly along it.
         cost: CostSpec::LinearN,
-    }
+    },
+    run: |tag, grid, opts, hooks| fold_grid::<DynamicSim>(tag, config(opts), grid, opts, hooks),
+};
+
+pub fn grid(opts: &Options) -> GridMeta {
+    SWEEP.grid(opts, &METRICS)
 }
 
 pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    fold_grid::<DynamicSim>("saturation", config(opts), &grid(opts), opts, hooks)
+    SWEEP.fold(opts, &METRICS, hooks)
 }
 
 pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {

@@ -14,7 +14,7 @@
 //! (Table II), so the gap must widen with n.
 
 use crate::aggregate::{series_per_algorithm, StatsCell};
-use crate::figures::shared::{fold_grid, SweepHooks};
+use crate::figures::shared::{abstract_windowed, SweepDef, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
@@ -23,13 +23,18 @@ use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::util::percent_change;
 use contention_sim::sched::CostSpec;
-use contention_slotted::windowed::WindowedConfig;
-use contention_slotted::WindowedSim;
 
 /// The cw-slot metrics the figure folds out per trial.
 const METRICS: [Metric; 2] = [Metric::CwSlots, Metric::Collisions];
 
-pub fn grid(opts: &Options) -> GridMeta {
+/// The abstract-model sweep of BEB vs STB up to the paper's ceiling.
+pub static SWEEP: SweepDef = SweepDef {
+    tag: "scale",
+    shape,
+    run: abstract_windowed,
+};
+
+fn shape(opts: &Options, metrics: &[Metric]) -> GridMeta {
     // Default: the paper's ceiling, n = 12 500 … 10⁵. --full: n up to 10⁶.
     let ns: Vec<u32> = if opts.full {
         (1..=10).map(|i| i * 100_000).collect()
@@ -40,7 +45,7 @@ pub fn grid(opts: &Options) -> GridMeta {
         algorithms: vec![AlgorithmKind::Beb, AlgorithmKind::Sawtooth],
         ns,
         trials: opts.trials_or(5, 25),
-        metrics: METRICS.to_vec(),
+        metrics: metrics.to_vec(),
         // Windowed backoff runs Θ(log n) windows of Θ(n) slots; the 80×
         // spread across this grid's n axis is exactly what cost-balanced
         // sharding exists for.
@@ -48,14 +53,12 @@ pub fn grid(opts: &Options) -> GridMeta {
     }
 }
 
+pub fn grid(opts: &Options) -> GridMeta {
+    SWEEP.grid(opts, &METRICS)
+}
+
 pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    fold_grid::<WindowedSim>(
-        "scale",
-        WindowedConfig::abstract_model(AlgorithmKind::Beb),
-        &grid(opts),
-        opts,
-        hooks,
-    )
+    SWEEP.fold(opts, &METRICS, hooks)
 }
 
 pub fn run(opts: &Options) -> Report {

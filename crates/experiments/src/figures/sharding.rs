@@ -12,22 +12,32 @@
 //! and by `tests/shard_equivalence.rs` — is
 //! `report(opts, cells(opts, None)) == <registry runner>(opts)`, byte for
 //! byte, including the CSV/JSON artifacts.
+//!
+//! Each entry also names the [`SweepDef`] its cells fold from. `repro all`
+//! plans with it ([`SharedSweeps`]): experiments folding from one
+//! definition share one run of its sweep.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::SweepHooks;
+use crate::figures::shared::{SweepDef, SweepHooks, MAC_1024, MAC_12, MAC_64};
 use crate::figures::{
-    abstract_cw, ack_timeouts, cw_slots, dynamic_traffic, saturation, scale, total_time, Report,
+    abstract_cw, ack_timeouts, best_of_k, cw_slots, dynamic_traffic, min_packet, saturation, scale,
+    tables, total_time, Report,
 };
 use crate::options::Options;
 use crate::shard::GridMeta;
+use crate::summary::Metric;
 
 /// One shardable experiment: the sweep-grid description plus the two
-/// halves of its figure pipeline. `Copy` (it is three fn pointers and a
-/// static name) so the work-server can hold one across threads.
+/// halves of its figure pipeline. `Copy` (it is fn pointers, a static name
+/// and a static sweep definition) so the work-server can hold one across
+/// threads.
 #[derive(Clone, Copy)]
 pub struct ShardableEntry {
     /// Registry subcommand name (`fig5`, `scale`, …).
     pub name: &'static str,
+    /// The sweep the cells fold from: `grid` is its shape, folding the
+    /// metrics the report reads.
+    pub sweep: &'static SweepDef,
     /// The grid the experiment sweeps under these options.
     pub grid: fn(&Options) -> GridMeta,
     /// Runs the sweep — the hooks' plan (the whole grid by default), with
@@ -41,91 +51,141 @@ pub struct ShardableEntry {
 pub fn shardable_registry() -> Vec<ShardableEntry> {
     vec![
         ShardableEntry {
+            name: "table2",
+            sweep: &tables::GROWTH,
+            grid: tables::table2_grid,
+            cells: tables::table2_cells,
+            report: tables::table2_report,
+        },
+        ShardableEntry {
             name: "fig3",
+            sweep: &MAC_64,
             grid: cw_slots::fig3_grid,
             cells: cw_slots::fig3_cells,
             report: cw_slots::fig3_report,
         },
         ShardableEntry {
             name: "fig4",
+            sweep: &MAC_1024,
             grid: cw_slots::fig4_grid,
             cells: cw_slots::fig4_cells,
             report: cw_slots::fig4_report,
         },
         ShardableEntry {
             name: "fig5",
+            sweep: &abstract_cw::FIG5,
             grid: abstract_cw::fig5_grid,
             cells: abstract_cw::fig5_cells,
             report: abstract_cw::fig5_report,
         },
         ShardableEntry {
             name: "fig6",
+            sweep: &MAC_64,
             grid: cw_slots::fig6_grid,
             cells: cw_slots::fig6_cells,
             report: cw_slots::fig6_report,
         },
         ShardableEntry {
             name: "fig7",
+            sweep: &MAC_64,
             grid: total_time::fig7_grid,
             cells: total_time::fig7_cells,
             report: total_time::fig7_report,
         },
         ShardableEntry {
             name: "fig8",
+            sweep: &MAC_1024,
             grid: total_time::fig8_grid,
             cells: total_time::fig8_cells,
             report: total_time::fig8_report,
         },
         ShardableEntry {
             name: "fig9",
+            sweep: &MAC_64,
             grid: total_time::fig9_grid,
             cells: total_time::fig9_cells,
             report: total_time::fig9_report,
         },
         ShardableEntry {
             name: "fig10",
+            sweep: &MAC_1024,
             grid: total_time::fig10_grid,
             cells: total_time::fig10_cells,
             report: total_time::fig10_report,
         },
         ShardableEntry {
             name: "fig11",
+            sweep: &MAC_64,
             grid: ack_timeouts::fig11_grid,
             cells: ack_timeouts::fig11_cells,
             report: ack_timeouts::fig11_report,
         },
         ShardableEntry {
             name: "fig12",
+            sweep: &MAC_64,
             grid: ack_timeouts::fig12_grid,
             cells: ack_timeouts::fig12_cells,
             report: ack_timeouts::fig12_report,
         },
         ShardableEntry {
+            name: "table3",
+            sweep: &tables::GROWTH,
+            grid: tables::table3_grid,
+            cells: tables::table3_cells,
+            report: tables::table3_report,
+        },
+        ShardableEntry {
             name: "fig15",
+            sweep: &abstract_cw::LARGE_N,
             grid: abstract_cw::large_n_grid,
             cells: abstract_cw::large_n_cells,
             report: abstract_cw::fig15_report,
         },
         ShardableEntry {
             name: "fig16",
+            sweep: &abstract_cw::LARGE_N,
             grid: abstract_cw::large_n_grid,
             cells: abstract_cw::large_n_cells,
             report: abstract_cw::fig16_report,
         },
         ShardableEntry {
+            name: "fig18",
+            sweep: &best_of_k::BEST_OF_K,
+            grid: best_of_k::fig18_grid,
+            cells: best_of_k::fig18_cells,
+            report: best_of_k::fig18_report,
+        },
+        ShardableEntry {
+            name: "fig19",
+            sweep: &best_of_k::BEST_OF_K,
+            grid: best_of_k::fig19_grid,
+            cells: best_of_k::fig19_cells,
+            report: best_of_k::fig19_report,
+        },
+        ShardableEntry {
+            name: "minpkt",
+            sweep: &MAC_12,
+            grid: min_packet::grid,
+            cells: min_packet::cells,
+            report: min_packet::report,
+        },
+        ShardableEntry {
             name: "scale",
+            sweep: &scale::SWEEP,
             grid: scale::grid,
             cells: scale::cells,
             report: scale::report,
         },
         ShardableEntry {
             name: "dynamic",
+            sweep: &dynamic_traffic::SWEEP,
             grid: dynamic_traffic::grid,
             cells: dynamic_traffic::cells,
             report: dynamic_traffic::report,
         },
         ShardableEntry {
             name: "saturation",
+            sweep: &saturation::SWEEP,
             grid: saturation::grid,
             cells: saturation::cells,
             report: saturation::report,
@@ -143,12 +203,129 @@ pub fn shardable_names() -> Vec<&'static str> {
     shardable_registry().into_iter().map(|e| e.name).collect()
 }
 
+/// A multi-experiment run's sweeps: the experiments that fold from one
+/// [`SweepDef`] share one run of it. The sweep runs when its first member
+/// reports, over the union of the members' metrics; every member's report
+/// gets the cells projected onto its own metrics ([`MetricStats::project`]),
+/// so it sees exactly the cells `(entry.cells)(opts, &SweepHooks::none())`
+/// returns. The cells are dropped after the last member has reported.
+///
+/// [`MetricStats::project`]: crate::aggregate::MetricStats::project
+pub struct SharedSweeps {
+    opts: Options,
+    groups: Vec<SharedSweep>,
+    /// Sweeps run, and reports served from them.
+    runs: usize,
+    served: usize,
+}
+
+/// One sweep definition and the experiments folding from it.
+struct SharedSweep {
+    sweep: &'static SweepDef,
+    /// In run order; the first one runs the sweep.
+    members: Vec<ShardableEntry>,
+    /// Every member's metrics, in order of first use.
+    metrics: Vec<Metric>,
+    /// The folded cells, from the first member's report to the last's.
+    cells: Option<Vec<StatsCell>>,
+    /// Members that have not reported yet.
+    pending: usize,
+}
+
+impl SharedSweeps {
+    /// Groups the shardable experiments among `names` (in run order) by the
+    /// sweep definition they fold from — never by tag alone. A sweep only
+    /// one of them folds from is not shared: that experiment's own runner
+    /// runs it.
+    pub fn plan(names: &[&str], opts: &Options) -> SharedSweeps {
+        let mut groups: Vec<SharedSweep> = Vec::new();
+        for entry in names.iter().filter_map(|name| find_shardable(name)) {
+            let metrics = (entry.grid)(opts).metrics;
+            match groups.iter_mut().find(|g| g.sweep.is(entry.sweep)) {
+                Some(group) => {
+                    group.members.push(entry);
+                    group.pending += 1;
+                    for metric in metrics {
+                        if !group.metrics.contains(&metric) {
+                            group.metrics.push(metric);
+                        }
+                    }
+                }
+                None => groups.push(SharedSweep {
+                    sweep: entry.sweep,
+                    members: vec![entry],
+                    metrics,
+                    cells: None,
+                    pending: 1,
+                }),
+            }
+        }
+        groups.retain(|g| g.members.len() > 1);
+        SharedSweeps {
+            opts: opts.clone(),
+            groups,
+            runs: 0,
+            served: 0,
+        }
+    }
+
+    /// `name`'s report from its shared sweep (running the sweep on the
+    /// group's first report), or `None` if `name` shares no sweep.
+    pub fn report(&mut self, name: &str) -> Option<Report> {
+        let (entry, cells) = self.cells(name)?;
+        Some((entry.report)(&self.opts, &cells))
+    }
+
+    /// `name`'s entry and its cells: the shared sweep's cells projected
+    /// onto `name`'s metrics.
+    fn cells(&mut self, name: &str) -> Option<(ShardableEntry, Vec<StatsCell>)> {
+        let opts = &self.opts;
+        let group = self
+            .groups
+            .iter_mut()
+            .find(|g| g.members.iter().any(|m| m.name == name))?;
+        let entry = *group.members.iter().find(|m| m.name == name)?;
+        let runs = &mut self.runs;
+        let union = group.cells.get_or_insert_with(|| {
+            *runs += 1;
+            group.sweep.fold(opts, &group.metrics, &SweepHooks::none())
+        });
+        let own = (entry.grid)(opts).metrics;
+        let cells: Vec<StatsCell> = union
+            .iter()
+            .map(|cell| StatsCell {
+                algorithm: cell.algorithm,
+                n: cell.n,
+                acc: cell.acc.project(&own),
+            })
+            .collect();
+        group.pending = group.pending.saturating_sub(1);
+        if group.pending == 0 {
+            group.cells = None;
+        }
+        self.served += 1;
+        Some((entry, cells))
+    }
+
+    /// Shared sweeps run so far.
+    pub fn sweeps_run(&self) -> usize {
+        self.runs
+    }
+
+    /// Sweep runs the sharing has saved so far: one per report served from
+    /// a sweep an earlier report already ran.
+    pub fn reruns_avoided(&self) -> usize {
+        self.served - self.runs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::figures::{registry, CsvBlock};
     use crate::jsonout;
     use crate::shard::{merge_states, ShardState};
+    use contention_core::algorithm::AlgorithmKind;
     use contention_sim::engine::CellRange;
 
     fn tiny_opts() -> Options {
@@ -221,6 +398,14 @@ mod tests {
         let opts = tiny_opts();
         for entry in shardable_registry() {
             let grid = (entry.grid)(&opts);
+            // The grid is the named sweep's shape: what lets `repro all`
+            // share that sweep with the entry.
+            assert_eq!(
+                grid,
+                entry.sweep.grid(&opts, &grid.metrics),
+                "{}",
+                entry.name
+            );
             let cells = (entry.cells)(&opts, &SweepHooks::none());
             assert_eq!(cells.len(), grid.cell_count(), "{}", entry.name);
             let mut expected = Vec::new();
@@ -265,5 +450,125 @@ mod tests {
         let report = (entry.report)(&opts, &merged.into_cells());
         let direct = (entry.report)(&opts, &(entry.cells)(&opts, &SweepHooks::none()));
         assert_eq!(rendered(&report), rendered(&direct));
+    }
+
+    /// Two definitions with one tag would draw the same RNG streams while
+    /// the planner keeps them apart.
+    #[test]
+    fn no_two_sweep_definitions_share_a_tag() {
+        let mut sweeps: Vec<&SweepDef> = Vec::new();
+        for entry in shardable_registry() {
+            if !sweeps.iter().any(|s| s.is(entry.sweep)) {
+                sweeps.push(entry.sweep);
+            }
+        }
+        let mut tags: Vec<&str> = sweeps.iter().map(|s| s.tag).collect();
+        tags.sort_unstable();
+        let count = tags.len();
+        tags.dedup();
+        assert_eq!(tags.len(), count, "a tag names two sweep definitions");
+    }
+
+    fn all_plan(opts: &Options) -> SharedSweeps {
+        let names: Vec<&str> = registry().iter().map(|(n, _, _)| *n).collect();
+        SharedSweeps::plan(&names, opts)
+    }
+
+    #[test]
+    fn repro_all_shares_the_five_sweeps_figures_fold_from() {
+        use Metric::*;
+        let plan = all_plan(&tiny_opts());
+        let got: Vec<(&str, Vec<&str>, Vec<Metric>)> = plan
+            .groups
+            .iter()
+            .map(|g| {
+                let members = g.members.iter().map(|m| m.name).collect();
+                (g.sweep.tag, members, g.metrics.clone())
+            })
+            .collect();
+        let want: Vec<(&str, Vec<&str>, Vec<Metric>)> = vec![
+            (
+                "growth-tables",
+                vec!["table2", "table3"],
+                vec![CwSlots, Collisions],
+            ),
+            (
+                "mac-64",
+                vec!["fig3", "fig6", "fig7", "fig9", "fig11", "fig12"],
+                vec![
+                    CwSlots,
+                    HalfCwSlots,
+                    TotalTimeUs,
+                    HalfTimeUs,
+                    MaxAckTimeouts,
+                    MaxAckTimeoutTimeUs,
+                ],
+            ),
+            (
+                "mac-1024",
+                vec!["fig4", "fig8", "fig10"],
+                vec![CwSlots, TotalTimeUs, HalfTimeUs],
+            ),
+            (
+                "fig15-16",
+                vec!["fig15", "fig16"],
+                vec![CwSlots, Collisions],
+            ),
+            (
+                "fig18-19",
+                vec!["fig18", "fig19"],
+                vec![MedianEstimate, TotalTimeUs],
+            ),
+        ];
+        assert_eq!(got, want);
+        // A single experiment shares nothing.
+        assert!(SharedSweeps::plan(&["fig3"], &tiny_opts())
+            .groups
+            .is_empty());
+    }
+
+    /// The union fold projected onto a member's metrics is that member's
+    /// own fold, bit for bit.
+    #[test]
+    fn projected_union_fold_equals_each_members_own_cells() {
+        let opts = tiny_opts();
+        type Image = Vec<(AlgorithmKind, u32, Vec<Metric>, Vec<Vec<u64>>)>;
+        let image = |cells: &[StatsCell]| -> Image {
+            cells
+                .iter()
+                .map(|c| {
+                    let bits = c.acc.raw_samples().iter();
+                    let bits = bits.map(|s| s.raw().iter().map(|v| v.to_bits()).collect());
+                    (c.algorithm, c.n, c.acc.metrics().to_vec(), bits.collect())
+                })
+                .collect()
+        };
+        let mut shared = all_plan(&opts);
+        let mut served = 0;
+        for (name, _, _) in registry() {
+            if let Some((entry, cells)) = shared.cells(name) {
+                let own = (entry.cells)(&opts, &SweepHooks::none());
+                assert_eq!(image(&cells), image(&own), "{name}");
+                served += 1;
+            }
+        }
+        assert_eq!(served, 15);
+    }
+
+    /// `repro all`'s pipeline: every registered experiment's report equals
+    /// its registry runner's run alone, and each shared sweep ran once.
+    #[test]
+    fn shared_sweep_pipeline_matches_every_runner_run_alone() {
+        let opts = tiny_opts();
+        let mut shared = all_plan(&opts);
+        for (name, _, runner) in registry() {
+            let report = shared.report(name).unwrap_or_else(|| runner(&opts));
+            assert_eq!(rendered(&report), rendered(&runner(&opts)), "{name}");
+        }
+        assert_eq!((shared.sweeps_run(), shared.reruns_avoided()), (5, 10));
+        assert!(
+            shared.groups.iter().all(|g| g.cells.is_none()),
+            "cells outlived their last report"
+        );
     }
 }

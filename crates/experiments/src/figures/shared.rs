@@ -2,8 +2,8 @@
 //!
 //! The paper generates Figures 3, 6, 7, 9, 11 and 12 from the same 64 B NS3
 //! runs (and 4, 8, 10 from the 1024 B runs); we mirror that by deriving
-//! those figures from one shared sweep *stream* per payload (same experiment
-//! tag ⇒ same RNG streams ⇒ mutually consistent numbers within a `repro`
+//! those figures from one [`SweepDef`] per payload (same experiment tag ⇒
+//! same RNG streams ⇒ mutually consistent numbers within a `repro`
 //! invocation), with each figure folding out only the metrics it plots.
 
 use crate::aggregate::{
@@ -19,6 +19,8 @@ use contention_mac::{MacConfig, MacSim};
 use contention_sim::engine::{Simulator, Sweep, TrialRange};
 use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
 use contention_sim::sched::CostSpec;
+use contention_slotted::windowed::WindowedConfig;
+use contention_slotted::WindowedSim;
 
 /// The paper's four head-to-head algorithms.
 pub fn paper_algorithms() -> Vec<AlgorithmKind> {
@@ -80,6 +82,77 @@ where
     )
 }
 
+/// One distinct sweep: the RNG tag its trial streams derive from, the
+/// backend and config its trials run on, and its grid shape. Every figure
+/// folding from one definition sees the same trials, each keeping only the
+/// metrics it reads, so `repro all` runs a definition once for all of them
+/// ([`SharedSweeps`](crate::figures::sharding::SharedSweeps)).
+///
+/// Definitions are `static`s and are told apart by address ([`SweepDef::is`]),
+/// never by tag; a registry test keeps the tags unique, since two
+/// definitions with one tag would draw the same streams.
+pub struct SweepDef {
+    /// The experiment tag every trial's RNG stream derives from.
+    pub tag: &'static str,
+    /// The grid under the given options, folding the given metrics.
+    pub(crate) shape: fn(&Options, &[Metric]) -> GridMeta,
+    /// Runs (the hooks' part of) a grid of this shape on the definition's
+    /// backend and config under the given tag.
+    pub(crate) run: fn(&'static str, &GridMeta, &Options, &SweepHooks) -> Vec<StatsCell>,
+}
+
+impl SweepDef {
+    /// The grid this sweep covers under `opts`, folding `metrics`.
+    pub fn grid(&self, opts: &Options, metrics: &[Metric]) -> GridMeta {
+        (self.shape)(opts, metrics)
+    }
+
+    /// Runs the sweep folded down to `metrics`, with the CLI's execution
+    /// seams attached.
+    pub fn fold(&self, opts: &Options, metrics: &[Metric], hooks: &SweepHooks) -> Vec<StatsCell> {
+        (self.run)(self.tag, &self.grid(opts, metrics), opts, hooks)
+    }
+
+    /// True when `other` is this very definition.
+    pub fn is(&self, other: &SweepDef) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+/// The MAC sweep of one payload under the paper's 802.11g parameters: the
+/// `run` of [`MAC_12`], [`MAC_64`], [`MAC_1024`] and the BEST-OF-k sweep.
+pub(crate) fn mac_paper<const PAYLOAD: u32>(
+    tag: &'static str,
+    grid: &GridMeta,
+    opts: &Options,
+    hooks: &SweepHooks,
+) -> Vec<StatsCell> {
+    fold_grid::<MacSim>(
+        tag,
+        MacConfig::paper(AlgorithmKind::Beb, PAYLOAD),
+        grid,
+        opts,
+        hooks,
+    )
+}
+
+/// The abstract (A0–A2) windowed sweep: the `run` of every abstract-model
+/// figure sweep.
+pub(crate) fn abstract_windowed(
+    tag: &'static str,
+    grid: &GridMeta,
+    opts: &Options,
+    hooks: &SweepHooks,
+) -> Vec<StatsCell> {
+    fold_grid::<WindowedSim>(
+        tag,
+        WindowedConfig::abstract_model(AlgorithmKind::Beb),
+        grid,
+        opts,
+        hooks,
+    )
+}
+
 /// A grid without a cost estimate: every cell weighs the same, so claims
 /// run in grid order. What the single-panel figures and ablations sweep.
 pub fn uniform_grid(
@@ -109,33 +182,28 @@ pub fn mac_grid(opts: &Options, metrics: &[Metric]) -> GridMeta {
     }
 }
 
-/// The shared MAC sweep for one payload size, folded down to `metrics`,
-/// with the CLI's execution seams attached.
-pub fn mac_stats_range(
-    opts: &Options,
-    payload: u32,
-    metrics: &[Metric],
-    hooks: &SweepHooks,
-) -> Vec<StatsCell> {
-    let experiment: &'static str = match payload {
-        64 => "mac-64",
-        1024 => "mac-1024",
-        12 => "mac-12",
-        _ => "mac-other",
-    };
-    fold_grid::<MacSim>(
-        experiment,
-        MacConfig::paper(AlgorithmKind::Beb, payload),
-        &mac_grid(opts, metrics),
-        opts,
-        hooks,
-    )
-}
+/// The standard MAC sweep of the 12 B minimum payload (§V-B). Each payload
+/// is its own definition with its own tag, so no two payloads can ever
+/// draw the same streams.
+pub static MAC_12: SweepDef = SweepDef {
+    tag: "mac-12",
+    shape: mac_grid,
+    run: mac_paper::<12>,
+};
 
-/// The shared MAC sweep for one payload size, folded down to `metrics`.
-pub fn mac_stats(opts: &Options, payload: u32, metrics: &[Metric]) -> Vec<StatsCell> {
-    mac_stats_range(opts, payload, metrics, &SweepHooks::none())
-}
+/// The standard MAC sweep of the 64 B payload: Figures 3, 6, 7, 9, 11, 12.
+pub static MAC_64: SweepDef = SweepDef {
+    tag: "mac-64",
+    shape: mac_grid,
+    run: mac_paper::<64>,
+};
+
+/// The standard MAC sweep of the 1024 B payload: Figures 4, 8, 10.
+pub static MAC_1024: SweepDef = SweepDef {
+    tag: "mac-1024",
+    shape: mac_grid,
+    run: mac_paper::<1024>,
+};
 
 /// A one-cell sweep: all trials of a single `(config, n)` pair, streamed
 /// through [`fold_grid`] into the requested metric buffers. The ablations
@@ -168,20 +236,6 @@ pub fn standard_mac_figure_from_cells(
 ) -> Report {
     let series = series_per_algorithm(cells, &paper_algorithms(), metric);
     report_from_series(title, csv_name, metric, &series, paper_percents)
-}
-
-/// Builds the standard figure report: a per-algorithm series table over `n`
-/// plus the paper's percent-change-vs-BEB line at the largest `n`.
-pub fn standard_mac_figure(
-    opts: &Options,
-    title: &str,
-    csv_name: &str,
-    payload: u32,
-    metric: Metric,
-    paper_percents: &str,
-) -> Report {
-    let cells = mac_stats(opts, payload, &[metric]);
-    standard_mac_figure_from_cells(title, csv_name, metric, &cells, paper_percents)
 }
 
 /// Renders series + percent line into a [`Report`].
@@ -224,7 +278,7 @@ mod tests {
     #[test]
     fn shared_sweep_covers_grid() {
         let opts = tiny_opts();
-        let cells = mac_stats(&opts, 64, &[Metric::CwSlots]);
+        let cells = MAC_64.fold(&opts, &[Metric::CwSlots], &SweepHooks::none());
         assert_eq!(cells.len(), 4 * opts.mac_ns().len());
         assert!(cells
             .iter()
@@ -233,12 +287,12 @@ mod tests {
 
     #[test]
     fn standard_figure_produces_table_and_percents() {
-        let r = standard_mac_figure(
-            &tiny_opts(),
+        let opts = tiny_opts();
+        let r = standard_mac_figure_from_cells(
             "test figure",
             "test_fig",
-            64,
             Metric::CwSlots,
+            &MAC_64.fold(&opts, &[Metric::CwSlots], &SweepHooks::none()),
             "-49.4% / -68.2% / -83.0%",
         );
         assert!(r.body.contains("BEB"));

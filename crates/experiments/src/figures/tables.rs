@@ -1,17 +1,22 @@
 //! Tables I, II and III.
+//!
+//! Tables II and III are split like the figures: `*_cells` (the sweep) and
+//! `*_report` (a pure function of the folded cells), both over the one
+//! [`GROWTH`] sweep.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{fold_grid, paper_algorithms, uniform_grid, SweepHooks};
+use crate::figures::shared::{
+    abstract_windowed, paper_algorithms, uniform_grid, SweepDef, SweepHooks,
+};
 use crate::figures::Report;
 use crate::options::Options;
+use crate::shard::GridMeta;
 use crate::summary::Metric;
 use crate::table::render;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::bounds::{collisions_bound, cw_slots_bound};
 use contention_core::params::Phy80211g;
 use contention_sim::engine::folded;
-use contention_slotted::windowed::WindowedConfig;
-use contention_slotted::WindowedSim;
 
 /// Table I: the 802.11g parameter set plus the frame times derived from it.
 pub fn table1(_opts: &Options) -> Report {
@@ -56,30 +61,30 @@ pub fn table1(_opts: &Options) -> Report {
     report
 }
 
-/// Shared growth-check sweep for Tables II and III: abstract model over a
-/// geometric n grid so ratio flatness is meaningful. Only the table's metric
-/// is folded out of the stream.
-fn growth_sweep(opts: &Options, metric: Metric) -> (Vec<u32>, Vec<StatsCell>) {
-    let ns: Vec<u32> = if opts.full {
+/// The geometric n grid of the growth checks, so ratio flatness is
+/// meaningful.
+fn growth_ns(opts: &Options) -> Vec<u32> {
+    if opts.full {
         vec![100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800]
     } else {
         vec![100, 400, 1_600, 6_400]
-    };
-    let grid = uniform_grid(
-        paper_algorithms(),
-        ns.clone(),
-        opts.trials_or(8, 30),
-        &[metric],
-    );
-    let cells = fold_grid::<WindowedSim>(
-        "growth-tables",
-        WindowedConfig::abstract_model(AlgorithmKind::Beb),
-        &grid,
-        opts,
-        &SweepHooks::none(),
-    );
-    (ns, cells)
+    }
 }
+
+/// The growth-check sweep shared by Tables II and III: the abstract model
+/// over [`growth_ns`]; each table folds out only its own metric.
+pub static GROWTH: SweepDef = SweepDef {
+    tag: "growth-tables",
+    shape: |opts, metrics| {
+        uniform_grid(
+            paper_algorithms(),
+            growth_ns(opts),
+            opts.trials_or(8, 30),
+            metrics,
+        )
+    },
+    run: abstract_windowed,
+};
 
 /// The Θ-shape each algorithm is supposed to follow.
 fn formula(kind: AlgorithmKind, what: &str) -> String {
@@ -104,8 +109,9 @@ fn growth_table(
     metric: Metric,
     bound: fn(AlgorithmKind, u64) -> f64,
     opts: &Options,
+    cells: &[StatsCell],
 ) -> Report {
-    let (ns, cells) = growth_sweep(opts, metric);
+    let ns = growth_ns(opts);
     let mut report = Report::new(title);
     let mut header = vec!["algorithm".to_string(), "guarantee".to_string()];
     for &n in &ns {
@@ -118,7 +124,7 @@ fn growth_table(
         let ratios: Vec<f64> = ns
             .iter()
             .map(|&n| {
-                let measured = folded(&cells, alg, n).acc.point(n as f64, metric).median;
+                let measured = folded(cells, alg, n).acc.point(n as f64, metric).median;
                 measured / bound(alg, n as u64)
             })
             .collect();
@@ -144,8 +150,15 @@ fn growth_table(
     report
 }
 
-/// Table II: CW-slot guarantees vs measured growth (abstract model).
-pub fn table2(opts: &Options) -> Report {
+pub fn table2_grid(opts: &Options) -> GridMeta {
+    GROWTH.grid(opts, &[Metric::CwSlots])
+}
+
+pub fn table2_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
+    GROWTH.fold(opts, &[Metric::CwSlots], hooks)
+}
+
+pub fn table2_report(opts: &Options, cells: &[StatsCell]) -> Report {
     growth_table(
         "Table II — CW-slot guarantees vs measured growth (abstract simulator)",
         "table2_cw_growth",
@@ -153,11 +166,24 @@ pub fn table2(opts: &Options) -> Report {
         Metric::CwSlots,
         cw_slots_bound,
         opts,
+        cells,
     )
 }
 
-/// Table III: collision bounds vs measured growth (abstract model).
-pub fn table3(opts: &Options) -> Report {
+/// Table II: CW-slot guarantees vs measured growth (abstract model).
+pub fn table2(opts: &Options) -> Report {
+    table2_report(opts, &table2_cells(opts, &SweepHooks::none()))
+}
+
+pub fn table3_grid(opts: &Options) -> GridMeta {
+    GROWTH.grid(opts, &[Metric::Collisions])
+}
+
+pub fn table3_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
+    GROWTH.fold(opts, &[Metric::Collisions], hooks)
+}
+
+pub fn table3_report(opts: &Options, cells: &[StatsCell]) -> Report {
     let mut report = growth_table(
         "Table III — collision bounds vs measured growth (abstract simulator)",
         "table3_collision_growth",
@@ -165,12 +191,18 @@ pub fn table3(opts: &Options) -> Report {
         Metric::Collisions,
         collisions_bound,
         opts,
+        cells,
     );
     report.line(
         "total-time column of Table III: T_A = Θ(C_A·P + W_A); see `repro model` \
          for the packet-size threshold analysis",
     );
     report
+}
+
+/// Table III: collision bounds vs measured growth (abstract model).
+pub fn table3(opts: &Options) -> Report {
+    table3_report(opts, &table3_cells(opts, &SweepHooks::none()))
 }
 
 #[cfg(test)]

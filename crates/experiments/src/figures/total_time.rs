@@ -7,20 +7,18 @@
 //! process sharding) and `*_report` (pure function of the folded cells).
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{
-    mac_grid, mac_stats_range, standard_mac_figure_from_cells, SweepHooks,
-};
+use crate::figures::shared::{standard_mac_figure_from_cells, SweepHooks, MAC_1024, MAC_64};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
 use crate::summary::Metric;
 
 pub fn fig7_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::TotalTimeUs])
+    MAC_64.grid(opts, &[Metric::TotalTimeUs])
 }
 
 pub fn fig7_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 64, &[Metric::TotalTimeUs], hooks)
+    MAC_64.fold(opts, &[Metric::TotalTimeUs], hooks)
 }
 
 pub fn fig7_report(_opts: &Options, cells: &[StatsCell]) -> Report {
@@ -39,11 +37,11 @@ pub fn fig7(opts: &Options) -> Report {
 }
 
 pub fn fig8_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::TotalTimeUs])
+    MAC_1024.grid(opts, &[Metric::TotalTimeUs])
 }
 
 pub fn fig8_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 1024, &[Metric::TotalTimeUs], hooks)
+    MAC_1024.fold(opts, &[Metric::TotalTimeUs], hooks)
 }
 
 pub fn fig8_report(_opts: &Options, cells: &[StatsCell]) -> Report {
@@ -62,11 +60,11 @@ pub fn fig8(opts: &Options) -> Report {
 }
 
 pub fn fig9_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::HalfTimeUs])
+    MAC_64.grid(opts, &[Metric::HalfTimeUs])
 }
 
 pub fn fig9_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 64, &[Metric::HalfTimeUs], hooks)
+    MAC_64.fold(opts, &[Metric::HalfTimeUs], hooks)
 }
 
 pub fn fig9_report(_opts: &Options, cells: &[StatsCell]) -> Report {
@@ -86,11 +84,11 @@ pub fn fig9(opts: &Options) -> Report {
 }
 
 pub fn fig10_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::HalfTimeUs])
+    MAC_1024.grid(opts, &[Metric::HalfTimeUs])
 }
 
 pub fn fig10_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    mac_stats_range(opts, 1024, &[Metric::HalfTimeUs], hooks)
+    MAC_1024.fold(opts, &[Metric::HalfTimeUs], hooks)
 }
 
 pub fn fig10_report(_opts: &Options, cells: &[StatsCell]) -> Report {
