@@ -129,9 +129,9 @@ fn mac_trials(c: &mut Criterion) {
                 .cw_slots
         })
     });
-    // The sampled resolution path (softened channel): counting-sort
-    // group-by plus per-slot channel draws instead of the occupancy fast
-    // path.
+    // The per-station loop over a softened channel: counting-sort group-by
+    // plus per-slot channel draws, where the windowed rows above count
+    // occupancy only.
     let nconfig = NoisyConfig::abstract_model(AlgorithmKind::Beb, ChannelModel::softened(0.5));
     let mut nscratch = <NoisySim as Simulator>::Scratch::default();
     group.bench_function("noisy_soften_n10k_sampled", |b| {

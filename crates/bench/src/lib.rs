@@ -7,13 +7,15 @@
 //! of the reproduction. The `repro` binary is the tool that prints the
 //! paper's actual rows/series.
 //!
-//! All trials route through the generic engine's
-//! [`contention_sim::engine::run_trial`], so bench numbers use exactly the
-//! same `(experiment tag, algorithm, n, trial)` RNG derivation as the
-//! sweeps — a bench trial is bit-identical to the corresponding sweep trial.
+//! All trials use the sweeps' `(experiment tag, algorithm, n, trial)` RNG
+//! derivation — MAC trials through the generic engine's
+//! [`contention_sim::engine::run_trial`], abstract ones through
+//! `WindowedSim::run` for their per-station detail — so a bench trial is
+//! bit-identical to the corresponding sweep trial.
 
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::metrics::BatchMetrics;
+use contention_core::rng::{experiment_tag, trial_rng};
 use contention_mac::{MacConfig, MacRun, MacSim};
 use contention_sim::engine::run_trial;
 use contention_slotted::windowed::WindowedConfig;
@@ -39,14 +41,16 @@ pub fn mac_median(
     xs[xs.len() / 2]
 }
 
-/// One abstract-simulator trial through the engine.
+/// One abstract-simulator trial with per-station detail, on the engine's
+/// `(experiment tag, algorithm, n, trial)` RNG derivation.
 pub fn abstract_trial(
     experiment: &str,
     config: WindowedConfig,
     n: u32,
     trial: u32,
 ) -> BatchMetrics {
-    run_trial::<WindowedSim>(experiment, &config, n, trial)
+    let mut rng = trial_rng(experiment_tag(experiment), config.algorithm, n, trial);
+    WindowedSim::new(config).run(n, &mut rng)
 }
 
 /// Median of a metric over `trials` abstract runs.

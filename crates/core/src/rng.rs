@@ -120,12 +120,6 @@ impl DrawBuffer {
             }
         }
     }
-
-    /// Caps the retained capacity (sharded sweeps park workers for long
-    /// stretches; a pathological window should not pin its high-water mark).
-    pub fn shrink_to(&mut self, cap: usize) {
-        self.words.shrink_to(cap);
-    }
 }
 
 /// FNV-1a hash of an experiment name.

@@ -185,6 +185,8 @@ fn workloads() -> Vec<Workload> {
                 let mut scratch = <WindowedSim as Simulator>::Scratch::default();
                 let config = WindowedConfig::abstract_model(AlgorithmKind::Beb);
                 Box::new(move |i| {
+                    // A summary field is an `f64`; CW slots are whole and
+                    // far below 2⁵³, so the cast is exact.
                     run_trial_with::<WindowedSim>(
                         "bench-windowed",
                         &config,
@@ -192,7 +194,7 @@ fn workloads() -> Vec<Workload> {
                         (i % 8) as u32,
                         &mut scratch,
                     )
-                    .cw_slots
+                    .cw_slots as u64
                 })
             },
         },
@@ -205,6 +207,8 @@ fn workloads() -> Vec<Workload> {
                 let mut scratch = <WindowedSim as Simulator>::Scratch::default();
                 let config = WindowedConfig::abstract_model(AlgorithmKind::Beb);
                 Box::new(move |i| {
+                    // A summary field is an `f64`; CW slots are whole and
+                    // far below 2⁵³, so the cast is exact.
                     run_trial_with::<WindowedSim>(
                         "bench-windowed-scale",
                         &config,
@@ -212,7 +216,7 @@ fn workloads() -> Vec<Workload> {
                         (i % 4) as u32,
                         &mut scratch,
                     )
-                    .cw_slots
+                    .cw_slots as u64
                 })
             },
         },

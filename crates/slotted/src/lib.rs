@@ -14,7 +14,9 @@
 //!
 //! * [`windowed::WindowedSim`] — the theory's semantics (Figure 2): globally
 //!   aligned windows; a station picks one uniform slot per window and, on
-//!   failure, waits out the window before the next (larger) one.
+//!   failure, waits out the window before the next (larger) one. Its sweeps
+//!   run a count-only loop that tracks occupancy, not stations, and yield a
+//!   `TrialSummary`; its inherent `run` gives per-station detail.
 //! * [`residual::ResidualSim`] — 802.11-style residual timers in the same
 //!   collision model: after each failure a station draws a fresh timer from
 //!   its (grown) window and transmits when the countdown hits zero, with no
@@ -23,13 +25,14 @@
 //! * [`noisy::NoisySim`] — windowed semantics with assumption A1 replaced by
 //!   a [`contention_core::channel::ChannelModel`]: collisions of `k` senders
 //!   are recovered with probability `p_recover(k)` and slots can be erased
-//!   by noise (arXiv:2408.11275). With the ideal channel it replays
-//!   `WindowedSim` bit for bit.
+//!   by noise (arXiv:2408.11275). With the ideal channel it is
+//!   `WindowedSim`'s per-station loop, and its summary equals the
+//!   count-only loop's bit for bit.
 //!
-//! Both report [`contention_core::metrics::BatchMetrics`]; `total_time` is
-//! defined as `cw_slots × slot` — the total time the abstract model *thinks*
-//! an execution takes, which is exactly the quantity the paper shows to be
-//! misleading.
+//! Per-station output is [`contention_core::metrics::BatchMetrics`];
+//! `total_time` is defined as `cw_slots × slot` — the total time the
+//! abstract model *thinks* an execution takes, which is exactly the quantity
+//! the paper shows to be misleading.
 
 pub mod dynamic;
 pub mod noisy;

@@ -12,10 +12,12 @@
 //! alive order), then resolves occupied slots in ascending slot order
 //! through [`ChannelModel::sample_slot`]. Because the ideal channel samples
 //! without consuming randomness, the `p = 0` / zero-noise configuration *is*
-//! assumption A1 with the identical RNG stream — which is why
-//! [`crate::windowed::WindowedSim`] is implemented as a delegation to this
-//! loop over [`ChannelModel::ideal`], and why the workspace's
-//! degenerate-equality regression tests can demand bit-identity.
+//! assumption A1 with the identical RNG stream. That makes this loop the
+//! per-station reference for the paper model too:
+//! [`WindowedSim::run`](crate::windowed::WindowedSim::run) is this loop over
+//! [`ChannelModel::ideal`]. A `WindowedSim` *sweep* is not: it runs the
+//! count-only loop of [`crate::windowed`], which draws the same words and is
+//! tested to yield the same `TrialSummary` as this loop, bit for bit.
 
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::{ChannelModel, SlotFate};
@@ -65,105 +67,122 @@ impl NoisyConfig {
 }
 
 /// Slot-indexed buffers above this many entries are released at the end of
-/// a trial (see [`NoisyScratch`]): a sharded sweep parks its workers for
-/// long stretches, and one pathological (huge-window) trial must not pin
+/// a trial (see [`shed_pathological`]): a sharded sweep parks its workers
+/// for long stretches, and one pathological (huge-window) trial must not pin
 /// that window's high-water memory for the rest of the shard. 2²¹ entries
 /// keeps every window the paper's grids produce allocation-free while
 /// capping the retained slot state at 16 MB per worker.
 const MAX_RETAINED_SLOT_ENTRIES: usize = 1 << 21;
 
-/// Dense ideal windows track occupancy as plain `u32` counts up to this many
-/// slots (an 8 KB, L1-resident table) and as `seen`/`dup` bitmaps above it.
-/// Counts win at small widths, where the bitmaps' read-modify-write chains
-/// pile onto a handful of words and serialize on store forwarding; bitmaps
-/// win at large widths, where a count table would fall out of L1 but the
-/// `width/8`-byte bitmaps never do.
-const DENSE_COUNTS_MAX_SLOTS: usize = 2048;
+/// Releases a slot-indexed buffer beyond [`MAX_RETAINED_SLOT_ENTRIES`]; both
+/// windowed loops call it on every such buffer at the end of every trial (a
+/// no-op for ordinary widths).
+pub(crate) fn shed_pathological<T>(buf: &mut Vec<T>) {
+    if buf.capacity() > MAX_RETAINED_SLOT_ENTRIES {
+        buf.truncate(MAX_RETAINED_SLOT_ENTRIES);
+        buf.shrink_to(MAX_RETAINED_SLOT_ENTRIES);
+    }
+}
 
-/// Reusable per-worker buffers for the windowed loop: the epoch-stamped
-/// occupancy counters and the per-window draw lists all keep their
-/// high-water capacity from trial to trial (slot-indexed buffers up to
+/// Epoch-stamped per-slot draw counts: a slot drawn in the current window
+/// holds `stamp | count`, where `stamp = epoch << 32`. A stale stamp reads
+/// as count 0, so neither window turnover nor buffer growth ever has to
+/// reset slots. Shared by the sampled loop's counting-sort group-by and the
+/// count-only loop's sparse windows.
+#[derive(Default)]
+pub(crate) struct SlotCounts {
+    state: Vec<u64>,
+    /// The current window's stamp. Persistent across trials (resetting it
+    /// would alias stale stamps); on the 2³²-window wraparound the whole
+    /// buffer is cleared once instead.
+    stamp: u64,
+}
+
+impl SlotCounts {
+    /// Opens a window of `width` empty slots.
+    pub(crate) fn open(&mut self, width: usize) {
+        let mut epoch = ((self.stamp >> 32) as u32).wrapping_add(1);
+        if epoch == 0 {
+            // Stamp 0 is about to become live again.
+            self.state.iter_mut().for_each(|s| *s = 0);
+            epoch = 1;
+        }
+        self.stamp = (epoch as u64) << 32;
+        if self.state.len() < width {
+            // Fresh entries carry stamp 0 = stale, i.e. count 0: growth
+            // needs no re-zeroing of previously grown regions either.
+            self.state.resize(width, 0);
+        }
+    }
+
+    /// Counts one more draw of `slot` in the open window; returns its new
+    /// count.
+    #[inline]
+    pub(crate) fn bump(&mut self, slot: u64) -> u32 {
+        let entry = &mut self.state[slot as usize];
+        *entry = (*entry).max(self.stamp) + 1;
+        *entry as u32
+    }
+
+    /// The open window's count of `slot`.
+    #[inline]
+    pub(crate) fn count(&self, slot: u64) -> u32 {
+        let entry = self.state[slot as usize];
+        if entry >= self.stamp {
+            entry as u32
+        } else {
+            0
+        }
+    }
+
+    /// The open window's counts of its first `width` slots, in slot order.
+    pub(crate) fn counts(&self, width: usize) -> impl Iterator<Item = u32> + '_ {
+        let stamp = self.stamp;
+        self.state[..width]
+            .iter()
+            .map(move |&e| if e >= stamp { e as u32 } else { 0 })
+    }
+
+    pub(crate) fn shed(&mut self) {
+        shed_pathological(&mut self.state);
+    }
+}
+
+/// Reusable per-worker buffers for the per-station loop; all keep their
+/// high-water capacity from trial to trial (slot-indexed ones up to
 /// [`MAX_RETAINED_SLOT_ENTRIES`]). A fresh (`Default`) scratch behaves
 /// identically — reuse may only move memory, never results.
 #[derive(Default)]
 pub struct NoisyScratch {
-    /// Epoch-stamped per-slot state: `(epoch << 32) | first drawer`, or
-    /// `(epoch << 32) | u32::MAX` once the slot collided. A stale epoch
-    /// reads as empty, so neither window turnover nor buffer growth ever
-    /// has to reset slots — the per-window touched-slot reset loop and the
-    /// growth re-zeroing of the old `occupancy`/`counted` pair are gone.
-    slot_state: Vec<u64>,
-    /// The stamp of the current window. Persistent across trials (resetting
-    /// it would alias stale stamps); on the 2³²-window wraparound the whole
-    /// buffer is cleared once instead.
-    epoch: u32,
+    /// Per-slot draw counts for the counting-sort group-by.
+    slot_counts: SlotCounts,
     alive: Vec<u32>,
     /// Slot drawn by each alive station this window (alive order; the
-    /// drawer of entry `i` is `alive[i]`, which compaction reads first).
-    /// Power-of-two windows skip this buffer and re-derive slots from the
-    /// raw words directly.
+    /// drawer of entry `i` is `alive[i]`).
     slots: Vec<u32>,
     /// Per-station backoff-slot accumulators, station-indexed. The only
-    /// per-station state the hot loop touches: `attempts`/`ack_timeouts`
+    /// per-station state the window loop touches: `attempts`/`ack_timeouts`
     /// need no accumulator, because a station attempts every window until
     /// it exits by winning — both counts derive from its exit window.
     backoff: Vec<u64>,
-    /// Success slots of a window that may cross the half-`n` target
-    /// (unsorted; the crossing window selects its k-th smallest once).
-    window_successes: Vec<u32>,
-    /// Sampled path: `(slot << 32) | draw index`, grouped ascending — packed
-    /// so plain `u64` order is exactly (slot, draw order).
+    /// `(slot << 32) | draw index`, grouped ascending — packed so plain
+    /// `u64` order is exactly (slot, draw order).
     order: Vec<u64>,
-    /// Sampled path, counting-sort group-by: scatter cursor per slot.
+    /// Counting-sort group-by: scatter cursor per slot.
     slot_offsets: Vec<u32>,
-    /// Dense ideal windows: slot-occupancy bitmaps (`seen` = drawn at least
-    /// once, `dup` = drawn at least twice), `width/8` bytes each so they
-    /// stay L1-resident at any dense width. Every per-window aggregate is
-    /// a popcount over them: collided slots = |dup|, singleton slots =
-    /// |seen| − |dup|, colliding stations = alive − singletons.
-    seen: Vec<u64>,
-    dup: Vec<u64>,
-    /// Which draws won their slot, for the classify/compaction pass.
+    /// Which draws won their slot, for the compaction pass.
     won: Vec<bool>,
     /// Batched raw RNG words for the per-window draw pass.
     buf: DrawBuffer,
 }
 
-impl NoisyScratch {
-    /// Releases slot-indexed buffers beyond [`MAX_RETAINED_SLOT_ENTRIES`];
-    /// called at the end of every trial (a no-op for ordinary widths).
-    fn shed_pathological_buffers(&mut self) {
-        if self.slot_state.capacity() > MAX_RETAINED_SLOT_ENTRIES {
-            self.slot_state.truncate(MAX_RETAINED_SLOT_ENTRIES);
-            self.slot_state.shrink_to(MAX_RETAINED_SLOT_ENTRIES);
-        }
-        if self.slot_offsets.capacity() > MAX_RETAINED_SLOT_ENTRIES {
-            self.slot_offsets.truncate(MAX_RETAINED_SLOT_ENTRIES);
-            self.slot_offsets.shrink_to(MAX_RETAINED_SLOT_ENTRIES);
-        }
-        // The occupancy bitmaps hold width/64 entries, so the same entry cap
-        // translates to 64×-wider windows; still worth shedding — one
-        // 2³⁰-slot window would otherwise pin 2 × 16 MB of bitmap forever.
-        if self.seen.capacity() > MAX_RETAINED_SLOT_ENTRIES {
-            self.seen.truncate(MAX_RETAINED_SLOT_ENTRIES);
-            self.seen.shrink_to(MAX_RETAINED_SLOT_ENTRIES);
-        }
-        if self.dup.capacity() > MAX_RETAINED_SLOT_ENTRIES {
-            self.dup.truncate(MAX_RETAINED_SLOT_ENTRIES);
-            self.dup.shrink_to(MAX_RETAINED_SLOT_ENTRIES);
-        }
-    }
-}
-
-/// The noisy-channel aligned-window simulator.
+/// The noisy-channel aligned-window simulator, with per-station output.
 ///
-/// Two window-resolution paths share one loop: ideal channels (which sample
-/// without randomness) classify slots with O(alive) occupancy counters —
-/// the hot path every paper figure runs — while non-ideal channels group
-/// same-slot draws by sorting and resolve each group through
-/// [`ChannelModel::sample_slot`]. Both paths are outcome-identical for an
-/// ideal channel (a unit test forces the sampled path and checks
-/// bit-equality), so which one runs is purely a performance choice.
+/// Each window's draws are grouped by slot and every occupied slot is
+/// resolved through [`ChannelModel::sample_slot`]. Over the ideal channel
+/// this is the paper model's per-station reference: `WindowedSim::run`
+/// delegates here, and the count-only loop that `WindowedSim` sweeps run is
+/// tested to reproduce this loop's `TrialSummary` bit for bit.
 pub struct NoisySim {
     config: NoisyConfig,
     schedule: Schedule,
@@ -176,176 +195,56 @@ impl NoisySim {
     pub fn new(config: NoisyConfig) -> NoisySim {
         NoisySim {
             config,
-            schedule: noisy_schedule(&config),
+            schedule: window_schedule(config.algorithm, config.truncation),
             scratch: NoisyScratch::default(),
         }
     }
 
     /// Runs one single-batch trial of `n` stations.
     pub fn run<R: Rng>(&mut self, n: u32, rng: &mut R) -> BatchMetrics {
-        self.run_inner(n, rng, false)
-    }
-
-    /// Runs one trial forcing the sampled (channel-grouping) resolution path
-    /// even when the channel is ideal. Outcomes are bit-identical to
-    /// [`run`](Self::run) — the fast/sampled split is purely a performance
-    /// choice — which is exactly what the workspace's path-equality golden
-    /// and proptests use this seam to demand.
-    pub fn run_sampled<R: Rng>(&mut self, n: u32, rng: &mut R) -> BatchMetrics {
-        self.run_inner(n, rng, true)
-    }
-
-    fn run_inner<R: Rng>(&mut self, n: u32, rng: &mut R, force_sampled: bool) -> BatchMetrics {
         self.schedule.reset();
-        run_windows(
-            &self.config,
-            &mut self.schedule,
-            &mut self.scratch,
-            n,
-            rng,
-            force_sampled,
-        )
+        run_windows(&self.config, &mut self.schedule, &mut self.scratch, n, rng)
     }
 }
 
-/// The schedule a config prescribes; panics for algorithms without one.
-fn noisy_schedule(config: &NoisyConfig) -> Schedule {
-    config
-        .algorithm
-        .schedule(config.truncation)
-        .unwrap_or_else(|| {
-            panic!(
-                "{} has no static window schedule; use the MAC simulator",
-                config.algorithm
-            )
-        })
+/// The schedule an algorithm prescribes under `truncation`; panics for
+/// algorithms without one.
+pub(crate) fn window_schedule(algorithm: AlgorithmKind, truncation: Truncation) -> Schedule {
+    algorithm.schedule(truncation).unwrap_or_else(|| {
+        panic!("{algorithm} has no static window schedule; use the MAC simulator")
+    })
 }
 
-/// The shared windowed loop over caller-owned scratch buffers. `schedule`
-/// must be freshly built or reset.
+/// The per-station windowed loop over caller-owned scratch buffers.
+/// `schedule` must be freshly built or reset.
 ///
-/// Hot-path structure (every outcome bit-identical to the straightforward
-/// loop it replaced — the windowed golden fixture and the path-equality
-/// proptest pin this):
+/// Structure (every outcome bit-identical to the straightforward loop it
+/// replaced — the windowed golden fixture pins this):
 ///
 /// * **Batched RNG.** Each window prefetches exactly one raw word per alive
 ///   station into the scratch [`DrawBuffer`] and consumes them in alive
 ///   order, so the underlying word stream is unchanged (rejection
 ///   replacements continue the stream; width 1 consumes nothing).
-/// * **Epoch-stamped occupancy** (ideal path + counting-sort group-by).
-///   Slots carry `(epoch << 32) | count`; bumping the epoch retires a whole
-///   window in O(1) instead of re-zeroing touched slots.
-/// * **Sort-free success classification** (ideal path). Success ⟺ final
-///   slot count 1, which is order-independent — as are every aggregate
-///   except `half_cw_slots` (the k-th smallest success slot of the one
-///   window crossing ⌈n/2⌉, selected once per trial) and `cw_slots` (the
-///   max success slot of the final window). The per-window sort of
-///   successes is gone.
-/// * **Counting-sort group-by** (sampled path). When the window is at most
-///   4× the alive set, same-slot groups are formed by prefix-summed
-///   scatter in O(alive + width) instead of `sort_unstable`; wider windows
-///   sort packed `(slot << 32) | index` keys, whose plain `u64` order is
-///   exactly the old (slot, draw index) order.
-/// * **Fused compaction.** Failures are written back into `alive` in
-///   order during classification — no `done` table, no `retain` pass —
-///   and per-station metrics are touched in alive order throughout.
-/// * **Compact per-station accumulation.** The hot loop touches one `u64`
+/// * **Counting-sort group-by.** When the window is at most 4× the alive
+///   set, same-slot groups are formed by prefix-summed scatter over
+///   epoch-stamped [`SlotCounts`] in O(alive + width) instead of
+///   `sort_unstable`; wider windows sort packed `(slot << 32) | index`
+///   keys, whose plain `u64` order is exactly the (slot, draw index) order.
+/// * **Compaction.** Failures are written back into `alive` in order — no
+///   `done` table, no `retain` pass.
+/// * **Compact per-station accumulation.** The loop touches one `u64`
 ///   backoff accumulator per draw instead of the 40-byte
-///   [`StationMetrics`]; `attempts` and `ack_timeouts` are derived once
-///   per trial from each station's exit window (a station attempts every
-///   window until it exits by winning, and every attempt except a final
-///   winning one times out — true in both resolution paths).
-/// * **Width-1 windows resolve arithmetically** on the ideal path: a slot-1
-///   window consumes no RNG words and every alive station lands in slot 0,
-///   so its outcome (all collide, or a lone station succeeds) needs no
-///   draw, occupancy or classify work at all.
+///   [`StationMetrics`]; `attempts` and `ack_timeouts` are derived once per
+///   trial from each station's exit window (a station attempts every window
+///   until it exits by winning, and every attempt except a final winning
+///   one times out).
 fn run_windows<R: Rng>(
     config: &NoisyConfig,
     schedule: &mut Schedule,
     scratch: &mut NoisyScratch,
     n: u32,
     rng: &mut R,
-    force_sampled: bool,
 ) -> BatchMetrics {
-    /// Collision accounting over a dense window's occupancy state, returned
-    /// as `(collided slots, singleton slots)`: each slot with ≥ 2 drawers
-    /// is one disjoint collision, and no per-slot participant tally is
-    /// needed because participants across the window are simply
-    /// `alive − singletons`. A zero singleton count additionally lets the
-    /// caller skip classification outright (no winners means no metrics
-    /// changes and no compaction) — the common case for every window with
-    /// width ≪ alive. One sweep per occupancy representation:
-    #[inline]
-    fn count_sweep(counts: &[u32]) -> (u64, u64) {
-        let mut collided_slots = 0u64;
-        let mut singles = 0u64;
-        for &c in counts {
-            collided_slots += u64::from(c >= 2);
-            singles += u64::from(c == 1);
-        }
-        (collided_slots, singles)
-    }
-
-    /// …and the popcount version over the `seen`/`dup` bitmaps:
-    /// `(|dup|, |seen| − |dup|)`.
-    #[inline]
-    fn bitmap_sweep(seen: &[u64], dup: &[u64]) -> (u64, u64) {
-        let mut occupied = 0u64;
-        let mut collided_slots = 0u64;
-        for (&s, &d) in seen.iter().zip(dup.iter()) {
-            occupied += s.count_ones() as u64;
-            collided_slots += d.count_ones() as u64;
-        }
-        (collided_slots, occupied - collided_slots)
-    }
-
-    /// Classify + compact one ideal-channel window in alive order: the
-    /// drawer of entry `i` is `alive[i]`, still intact during the pass
-    /// because compaction writes trail reads. Winners get their success
-    /// time and attempt count (= this window's index — a station attempts
-    /// every window until it exits by winning) stamped directly; failures
-    /// are compacted back into `alive` and take their ACK timeout
-    /// implicitly, reconstructed by the end-of-trial fold. Returns the
-    /// window's maximum success slot (for the final window's `cw_slots`).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn classify_window(
-        alive_n: usize,
-        slot_of: impl Fn(usize) -> u32,
-        is_success: impl Fn(usize, u32) -> bool,
-        alive: &mut Vec<u32>,
-        stations: &mut [StationMetrics],
-        successes: &mut u32,
-        window_successes: &mut Vec<u32>,
-        crossing: bool,
-        slots_before_window: u64,
-        slot_len: Nanos,
-        windows_run: u32,
-    ) -> u32 {
-        let mut kept = 0usize;
-        let mut last_slot_max = 0u32;
-        for i in 0..alive_n {
-            let slot = slot_of(i);
-            if is_success(i, slot) {
-                *successes += 1;
-                let s = &mut stations[alive[i] as usize];
-                s.success_time = Some(slot_len * (slots_before_window + slot as u64 + 1));
-                s.attempts = windows_run;
-                last_slot_max = last_slot_max.max(slot);
-                if crossing {
-                    window_successes.push(slot);
-                }
-            } else {
-                // A1 failure; under A2 the station learns it in-slot at
-                // zero extra cost — the assumption under test.
-                alive[kept] = alive[i];
-                kept += 1;
-            }
-        }
-        alive.truncate(kept);
-        last_slot_max
-    }
-
     let mut metrics = BatchMetrics {
         n,
         stations: vec![StationMetrics::default(); n as usize],
@@ -355,19 +254,14 @@ fn run_windows<R: Rng>(
         return metrics;
     }
 
-    let fast_path = config.channel.is_ideal() && !force_sampled;
     let half_target = n.div_ceil(2);
     let NoisyScratch {
-        slot_state,
-        epoch,
+        slot_counts,
         alive,
         slots,
         backoff,
-        window_successes,
         order,
         slot_offsets,
-        seen,
-        dup,
         won,
         buf,
     } = scratch;
@@ -387,356 +281,104 @@ fn run_windows<R: Rng>(
         let span = width as u64;
         let wslots = width as usize;
         let alive_n = alive.len();
-        // Width-bounded O(width) sweeps (a count reset, a collision scan, a
-        // prefix sum) are worth buying while they stay within a small factor
-        // of the draw count; both paths switch strategy on that boundary.
-        let dense = wslots <= 4 * alive_n;
-        let counting = !fast_path && dense;
+        // Width-bounded O(width) sweeps (a prefix sum) are worth buying
+        // while they stay within a small factor of the draw count.
+        let counting = wslots <= 4 * alive_n;
+        if counting {
+            slot_counts.open(wslots);
+        }
 
-        if fast_path && width == 1 {
-            // Everyone is in slot 0 and no RNG word is consumed, so the
-            // window resolves in O(1): a lone station succeeds there, two
-            // or more all collide, add zero backoff and all stay alive —
-            // no per-station work at all.
-            if alive_n >= 2 {
+        // Draw pass: batched words, sequential station accumulators,
+        // occupancy counts when the counting-sort group-by applies…
+        slots.clear();
+        buf.prefill(rng, if width == 1 { 0 } else { alive_n });
+        for &station in alive.iter() {
+            let slot = buf.uniform_below(rng, span);
+            slots.push(slot as u32);
+            backoff[station as usize] += slot;
+            if counting {
+                slot_counts.bump(slot);
+            }
+        }
+
+        // …then group same-slot draws in (slot, draw order) order.
+        order.clear();
+        if counting {
+            // Prefix-summed scatter: O(alive + width), no comparisons.
+            slot_offsets.clear();
+            slot_offsets.reserve(wslots);
+            let mut running = 0u32;
+            for count in slot_counts.counts(wslots) {
+                slot_offsets.push(running);
+                running += count;
+            }
+            order.resize(alive_n, 0);
+            for (i, &slot) in slots.iter().enumerate() {
+                let cursor = &mut slot_offsets[slot as usize];
+                order[*cursor as usize] = ((slot as u64) << 32) | i as u64;
+                *cursor += 1;
+            }
+        } else {
+            order.extend(
+                slots
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &slot)| ((slot as u64) << 32) | i as u64),
+            );
+            order.sort_unstable();
+        }
+
+        // Resolve each occupied slot through the channel in ascending slot
+        // order (the RNG contract), recording winners; successes arrive in
+        // slot order, so the half/full targets are direct.
+        won.clear();
+        won.resize(alive_n, false);
+        let mut group_start = 0usize;
+        while group_start < order.len() {
+            let slot = (order[group_start] >> 32) as u32;
+            let mut group_end = group_start + 1;
+            while group_end < order.len() && (order[group_end] >> 32) as u32 == slot {
+                group_end += 1;
+            }
+            let k = (group_end - group_start) as u32;
+            let fate = config.channel.sample_slot(k, rng);
+            if k >= 2 {
                 metrics.collisions += 1;
-                metrics.colliding_stations += alive_n as u64;
-            } else {
-                let s = &mut metrics.stations[alive[0] as usize];
-                let at_slot = slots_before_window + 1;
+                metrics.colliding_stations += k as u64;
+            }
+            if let SlotFate::Delivered { winner } = fate {
+                let draw_idx = order[group_start + winner as usize] as u32 as usize;
+                won[draw_idx] = true;
+                let station = alive[draw_idx];
+                metrics.successes += 1;
+                let at_slot = slots_before_window + slot as u64 + 1;
+                let s = &mut metrics.stations[station as usize];
                 s.success_time = Some(config.slot * at_slot);
                 s.attempts = windows_run;
-                metrics.successes += 1;
                 if metrics.successes == half_target {
                     metrics.half_cw_slots = at_slot;
                 }
                 if metrics.successes == n {
                     metrics.cw_slots = at_slot;
                 }
-                alive.clear();
             }
-            slots_before_window += 1;
-            continue;
+            group_start = group_end;
         }
 
-        if (fast_path && !dense) || counting {
-            // One epoch per window; stale stamps read as count 0, so there
-            // is nothing to reset. On the (once per 2³² windows) wrap the
-            // buffer is cleared instead, because stamp 0 becomes live again.
-            *epoch = epoch.wrapping_add(1);
-            if *epoch == 0 {
-                slot_state.iter_mut().for_each(|s| *s = 0);
-                *epoch = 1;
-            }
-            if slot_state.len() < wslots {
-                // Fresh entries carry stamp 0 = stale, i.e. count 0: growth
-                // needs no re-zeroing of previously grown regions either.
-                slot_state.resize(wslots, 0);
+        // Compaction pass in alive order: losers (collision loss or noise
+        // erasure — the station learns it in-slot under A2 and waits out
+        // the window) stay alive; their ACK timeouts are reconstructed by
+        // the end-of-trial fold.
+        let mut kept = 0usize;
+        for i in 0..alive_n {
+            if !won[i] {
+                alive[kept] = alive[i];
+                kept += 1;
             }
         }
-        let stamp = (*epoch as u64) << 32;
+        alive.truncate(kept);
 
-        if fast_path {
-            let prior = metrics.successes;
-            let crossing = prior < half_target;
-            window_successes.clear();
-            let last_slot_max;
-
-            if dense {
-                // Dense windows — the collision-heavy early/mid windows that
-                // carry most of a trial's draws. Occupancy is width-bounded:
-                // plain `u32` counts reset by one memset while the table
-                // fits in L1, first-seen/duplicate bitmaps past that (see
-                // `DENSE_COUNTS_MAX_SLOTS`); either way every per-draw step
-                // is branch-free, which beats cleverer schemes exactly where
-                // slot occupancy makes branches unpredictable. Reuses
-                // `slot_offsets` (the sampled path's scatter cursors; the
-                // paths are exclusive).
-                let use_counts = wslots <= DENSE_COUNTS_MAX_SLOTS;
-                if use_counts {
-                    slot_offsets.clear();
-                    slot_offsets.resize(wslots, 0);
-                } else {
-                    let bm_words = wslots.div_ceil(64);
-                    seen.clear();
-                    seen.resize(bm_words, 0);
-                    dup.clear();
-                    dup.resize(bm_words, 0);
-                }
-                // Alive counts only ever shrink within a trial, so this
-                // resize is a truncation (no refill) after the first window.
-                slots.resize(alive_n, 0);
-                if span.is_power_of_two() {
-                    // Power-of-two spans reduce rejection-free
-                    // (`word & mask`), so generation, backoff accumulation
-                    // and occupancy fuse into one pass with no buffered
-                    // round trip through memory; words are consumed in
-                    // exactly generation order, so the stream is
-                    // bit-identical to the buffered form. The generator's
-                    // serial dependency chain leaves the ALU slack that
-                    // hides the fused bookkeeping. Each variant is its own
-                    // tight loop so no dead occupancy pointers stay live.
-                    let mask = span - 1;
-                    if alive_n == n as usize {
-                        // Identity regime: no station has exited yet, so
-                        // `alive[i] == i` and the indirection (with its
-                        // bounds check) drops out — every window before
-                        // the first success, i.e. most of a large batch's
-                        // draws.
-                        if use_counts {
-                            for (b, s) in backoff.iter_mut().zip(slots.iter_mut()) {
-                                let slot = (rng.next_u64() & mask) as u32;
-                                *b += slot as u64;
-                                *s = slot;
-                                slot_offsets[slot as usize] += 1;
-                            }
-                        } else {
-                            for (b, s) in backoff.iter_mut().zip(slots.iter_mut()) {
-                                let slot = (rng.next_u64() & mask) as u32;
-                                *b += slot as u64;
-                                *s = slot;
-                                let idx = (slot >> 6) as usize;
-                                let bit = 1u64 << (slot & 63);
-                                dup[idx] |= seen[idx] & bit;
-                                seen[idx] |= bit;
-                            }
-                        }
-                    } else if use_counts {
-                        for (&station, s) in alive.iter().zip(slots.iter_mut()) {
-                            let slot = (rng.next_u64() & mask) as u32;
-                            backoff[station as usize] += slot as u64;
-                            *s = slot;
-                            slot_offsets[slot as usize] += 1;
-                        }
-                    } else {
-                        for (&station, s) in alive.iter().zip(slots.iter_mut()) {
-                            let slot = (rng.next_u64() & mask) as u32;
-                            backoff[station as usize] += slot as u64;
-                            *s = slot;
-                            let idx = (slot >> 6) as usize;
-                            let bit = 1u64 << (slot & 63);
-                            dup[idx] |= seen[idx] & bit;
-                            seen[idx] |= bit;
-                        }
-                    }
-                } else {
-                    // Non-power-of-two spans go through the zone-rejection
-                    // reduction, batched through the draw buffer.
-                    buf.prefill(rng, alive_n);
-                    if use_counts {
-                        for (&station, s) in alive.iter().zip(slots.iter_mut()) {
-                            let slot = buf.uniform_below(rng, span) as u32;
-                            backoff[station as usize] += slot as u64;
-                            *s = slot;
-                            slot_offsets[slot as usize] += 1;
-                        }
-                    } else {
-                        for (&station, s) in alive.iter().zip(slots.iter_mut()) {
-                            let slot = buf.uniform_below(rng, span) as u32;
-                            backoff[station as usize] += slot as u64;
-                            *s = slot;
-                            let idx = (slot >> 6) as usize;
-                            let bit = 1u64 << (slot & 63);
-                            dup[idx] |= seen[idx] & bit;
-                            seen[idx] |= bit;
-                        }
-                    }
-                }
-                let (collided_slots, singles) = if use_counts {
-                    count_sweep(slot_offsets)
-                } else {
-                    bitmap_sweep(seen, dup)
-                };
-                metrics.collisions += collided_slots;
-                metrics.colliding_stations += alive_n as u64 - singles;
-                last_slot_max = if singles == 0 {
-                    0
-                } else if use_counts {
-                    classify_window(
-                        alive_n,
-                        |i| slots[i],
-                        |_, slot| slot_offsets[slot as usize] == 1,
-                        alive,
-                        &mut metrics.stations,
-                        &mut metrics.successes,
-                        window_successes,
-                        crossing,
-                        slots_before_window,
-                        config.slot,
-                        windows_run,
-                    )
-                } else {
-                    classify_window(
-                        alive_n,
-                        |i| slots[i],
-                        |_, slot| dup[(slot >> 6) as usize] & (1u64 << (slot & 63)) == 0,
-                        alive,
-                        &mut metrics.stations,
-                        &mut metrics.successes,
-                        window_successes,
-                        crossing,
-                        slots_before_window,
-                        config.slot,
-                        windows_run,
-                    )
-                };
-            } else {
-                // Sparse windows (width ≫ alive, the resolution tail):
-                // epoch-stamped first-drawer entries. A slot records its
-                // first drawer (`stamp | draw index`); the second arrival
-                // demotes that drawer in the `won` bitmap and marks the slot
-                // collided (`stamp | u32::MAX`) — one new disjoint collision
-                // with two participants, every further arrival adding one.
-                // The mostly-empty branch predicts well here, and no
-                // width-bounded sweep ever runs.
-                slots.clear();
-                buf.prefill(rng, alive_n);
-                won.clear();
-                won.resize(alive_n, false);
-                for (i, &station) in alive.iter().enumerate() {
-                    let slot = buf.uniform_below(rng, span) as u32;
-                    slots.push(slot);
-                    backoff[station as usize] += slot as u64;
-                    let entry = &mut slot_state[slot as usize];
-                    let e = *entry;
-                    if e < stamp {
-                        *entry = stamp | i as u64;
-                        won[i] = true;
-                    } else {
-                        let first = e as u32;
-                        if first != u32::MAX {
-                            won[first as usize] = false;
-                            *entry = stamp | u32::MAX as u64;
-                            metrics.collisions += 1;
-                            metrics.colliding_stations += 2;
-                        } else {
-                            metrics.colliding_stations += 1;
-                        }
-                    }
-                }
-                last_slot_max = classify_window(
-                    alive_n,
-                    |i| slots[i],
-                    |i, _| won[i],
-                    alive,
-                    &mut metrics.stations,
-                    &mut metrics.successes,
-                    window_successes,
-                    crossing,
-                    slots_before_window,
-                    config.slot,
-                    windows_run,
-                );
-            }
-
-            if crossing && metrics.successes >= half_target {
-                // The one window that crosses ⌈n/2⌉: the ⌈n/2⌉-th success
-                // overall is the (⌈n/2⌉ − prior)-th smallest success slot
-                // here (success slots are distinct singletons).
-                let rank = (half_target - prior - 1) as usize;
-                let (_, kth, _) = window_successes.select_nth_unstable(rank);
-                metrics.half_cw_slots = slots_before_window + *kth as u64 + 1;
-            }
-            if metrics.successes == n {
-                metrics.cw_slots = slots_before_window + last_slot_max as u64 + 1;
-            }
-        } else {
-            // Sampled path: draw pass (batched words, sequential station
-            // accumulators, occupancy counts when the counting-sort group-by
-            // applies)…
-            slots.clear();
-            buf.prefill(rng, if width == 1 { 0 } else { alive_n });
-            for &station in alive.iter() {
-                let slot = buf.uniform_below(rng, span) as u32;
-                slots.push(slot);
-                backoff[station as usize] += slot as u64;
-                if counting {
-                    let entry = &mut slot_state[slot as usize];
-                    *entry = if *entry >= stamp { *entry } else { stamp } + 1;
-                }
-            }
-
-            // …then group same-slot draws in (slot, draw order) order.
-            order.clear();
-            if counting {
-                // Prefix-summed scatter: O(alive + width), no comparisons.
-                slot_offsets.clear();
-                slot_offsets.reserve(wslots);
-                let mut running = 0u32;
-                for &entry in slot_state.iter().take(wslots) {
-                    slot_offsets.push(running);
-                    if entry >= stamp {
-                        running += entry as u32;
-                    }
-                }
-                order.resize(alive_n, 0);
-                for (i, &slot) in slots.iter().enumerate() {
-                    let cursor = &mut slot_offsets[slot as usize];
-                    order[*cursor as usize] = ((slot as u64) << 32) | i as u64;
-                    *cursor += 1;
-                }
-            } else {
-                order.extend(
-                    slots
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &slot)| ((slot as u64) << 32) | i as u64),
-                );
-                order.sort_unstable();
-            }
-
-            // Resolve each occupied slot through the channel in ascending
-            // slot order (the RNG contract), recording winners; successes
-            // arrive in slot order, so the half/full targets are direct.
-            won.clear();
-            won.resize(alive_n, false);
-            let mut group_start = 0usize;
-            while group_start < order.len() {
-                let slot = (order[group_start] >> 32) as u32;
-                let mut group_end = group_start + 1;
-                while group_end < order.len() && (order[group_end] >> 32) as u32 == slot {
-                    group_end += 1;
-                }
-                let k = (group_end - group_start) as u32;
-                let fate = config.channel.sample_slot(k, rng);
-                if k >= 2 {
-                    metrics.collisions += 1;
-                    metrics.colliding_stations += k as u64;
-                }
-                if let SlotFate::Delivered { winner } = fate {
-                    let draw_idx = order[group_start + winner as usize] as u32 as usize;
-                    won[draw_idx] = true;
-                    let station = alive[draw_idx];
-                    metrics.successes += 1;
-                    let at_slot = slots_before_window + slot as u64 + 1;
-                    let s = &mut metrics.stations[station as usize];
-                    s.success_time = Some(config.slot * at_slot);
-                    s.attempts = windows_run;
-                    if metrics.successes == half_target {
-                        metrics.half_cw_slots = at_slot;
-                    }
-                    if metrics.successes == n {
-                        metrics.cw_slots = at_slot;
-                    }
-                }
-                group_start = group_end;
-            }
-
-            // Compaction pass in alive order: losers (collision loss or
-            // noise erasure — the station learns it in-slot under A2 and
-            // waits out the window) stay alive; their ACK timeouts are
-            // reconstructed by the end-of-trial fold.
-            let mut kept = 0usize;
-            for i in 0..alive_n {
-                if !won[i] {
-                    alive[kept] = alive[i];
-                    kept += 1;
-                }
-            }
-            alive.truncate(kept);
-        }
-
-        slots_before_window += width as u64;
+        slots_before_window += span;
     }
 
     if alive.is_empty() {
@@ -750,10 +392,10 @@ fn run_windows<R: Rng>(
     metrics.half_time = config.slot * metrics.half_cw_slots;
 
     // Fold the backoff accumulators into the per-station table and derive
-    // the attempt counts: a station attempts every window until it exits
-    // by winning (winners had `attempts` stamped with their exit window at
-    // the success site; survivors attempted them all), and every attempt
-    // except a final winning one took an ACK timeout.
+    // the attempt counts: a station attempts every window until it exits by
+    // winning (winners had `attempts` stamped with their exit window at the
+    // success site; survivors attempted them all), and every attempt except
+    // a final winning one took an ACK timeout.
     for (station, &b) in backoff.iter().enumerate() {
         let s = &mut metrics.stations[station];
         s.backoff_slots = b;
@@ -764,7 +406,8 @@ fn run_windows<R: Rng>(
             s.ack_timeouts = windows_run;
         }
     }
-    scratch.shed_pathological_buffers();
+    slot_counts.shed();
+    shed_pathological(slot_offsets);
     metrics
 }
 
@@ -793,7 +436,8 @@ impl Simulator for NoisySim {
         rng: &mut SmallRng,
         scratch: &mut NoisyScratch,
     ) -> BatchMetrics {
-        run_windows(config, &mut noisy_schedule(config), scratch, n, rng, false)
+        let mut schedule = window_schedule(config.algorithm, config.truncation);
+        run_windows(config, &mut schedule, scratch, n, rng)
     }
 }
 
@@ -803,6 +447,7 @@ mod tests {
     use crate::windowed::{WindowedConfig, WindowedSim};
     use contention_core::channel::Recovery;
     use contention_core::rng::{experiment_tag, trial_rng};
+    use contention_sim::summary::{Metric, TrialSummary};
 
     fn run_once(config: NoisyConfig, n: u32, trial: u32) -> BatchMetrics {
         let mut sim = NoisySim::new(config);
@@ -842,20 +487,21 @@ mod tests {
     }
 
     #[test]
-    fn sampled_path_matches_fast_path_bit_for_bit() {
-        // The ideal channel draws nothing in either path, so forcing the
-        // sampled (grouping) path must reproduce the occupancy fast path
-        // exactly — same outcomes from the same RNG stream. This is what
-        // makes the fast/sampled split purely a performance choice.
+    fn count_only_loop_matches_the_sampled_loop_bit_for_bit() {
+        // The ideal channel draws nothing here, so the count-only loop that
+        // `WindowedSim` sweeps run must reproduce this loop's summary
+        // exactly — same outcomes from the same RNG stream.
         for kind in AlgorithmKind::PAPER_SET {
             for trial in 0..3 {
                 let n = 90;
-                let config = NoisyConfig::fatal(kind);
+                let config = WindowedConfig::abstract_model(kind);
                 let mut rng = trial_rng(experiment_tag("noisy-paths"), kind, n, trial);
-                let fast = NoisySim::new(config).run_inner(n, &mut rng, false);
+                let counts = <WindowedSim as Simulator>::run(&config, n, &mut rng);
                 let mut rng = trial_rng(experiment_tag("noisy-paths"), kind, n, trial);
-                let sampled = NoisySim::new(config).run_inner(n, &mut rng, true);
-                assert_eq!(fast, sampled, "{kind} trial {trial}");
+                let sampled = TrialSummary::from(NoisySim::new(config.as_noisy()).run(n, &mut rng));
+                let bits = |t: &TrialSummary| Metric::ALL.map(|m| m.extract(t).to_bits());
+                assert_eq!(counts.n, sampled.n, "{kind} trial {trial}");
+                assert_eq!(bits(&counts), bits(&sampled), "{kind} trial {trial}");
             }
         }
     }

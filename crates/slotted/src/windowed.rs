@@ -7,21 +7,33 @@
 //! uniformly; singleton slots succeed, multi-occupancy slots are disjoint
 //! collisions.
 //!
-//! Execution is shared with [`crate::noisy::NoisySim`]: `WindowedSim` *is*
-//! the noisy-channel simulator over [`ChannelModel::ideal`], which samples
-//! slot fates without consuming randomness. The paper-model semantics are
-//! therefore structurally identical to the softened model's `p = 0`
-//! degenerate case, not merely test-equivalent.
+//! Two loops run these semantics, on the same RNG word stream:
+//!
+//! * **Sweeps run a count-only loop** (the [`Simulator`] impl, whose output
+//!   is a [`TrialSummary`]). Under A0–A2 stations are exchangeable, so a
+//!   window's outcome depends only on the multiset of drawn slots: the loop
+//!   tracks how many stations are alive and how full each slot is, never
+//!   which station drew what. Every abstract-model figure plots only such
+//!   aggregates.
+//! * **[`WindowedSim::run`] returns per-station [`BatchMetrics`]** through
+//!   [`NoisySim`]'s loop over [`ChannelModel::ideal`], which samples slot
+//!   fates without consuming randomness.
+//!
+//! The count-only summary equals `TrialSummary::from` the per-station run,
+//! bit for bit; unit tests here and in `noisy.rs`, and the proptest and
+//! switch-point matrix in `tests/windowed_golden.rs`, pin this.
 
-use crate::noisy::{NoisyConfig, NoisyScratch, NoisySim};
+use crate::noisy::{shed_pathological, window_schedule, NoisyConfig, NoisySim, SlotCounts};
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::ChannelModel;
 use contention_core::metrics::BatchMetrics;
-use contention_core::schedule::Truncation;
+use contention_core::rng::DrawBuffer;
+use contention_core::schedule::{Truncation, WindowSchedule};
 use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
+use contention_sim::summary::TrialSummary;
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Configuration for one abstract windowed run.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +71,7 @@ impl WindowedConfig {
     }
 
     /// The same run expressed as a noisy-channel config over the ideal
-    /// channel — the execution engine `WindowedSim` delegates to.
+    /// channel — the per-station loop [`WindowedSim::run`] delegates to.
     pub fn as_noisy(&self) -> NoisyConfig {
         NoisyConfig {
             algorithm: self.algorithm,
@@ -71,8 +83,8 @@ impl WindowedConfig {
     }
 }
 
-/// The aligned-window simulator: the shared windowed engine over the ideal
-/// (fatal-collision, noiseless) channel.
+/// The aligned-window simulator. Sweeps run its count-only loop; the
+/// inherent [`run`](WindowedSim::run) returns per-station metrics.
 pub struct WindowedSim {
     inner: NoisySim,
 }
@@ -86,20 +98,294 @@ impl WindowedSim {
         }
     }
 
-    /// Runs one single-batch trial of `n` stations.
+    /// Runs one single-batch trial of `n` stations with per-station detail:
+    /// the noisy-channel loop over the ideal channel.
     pub fn run<R: Rng>(&mut self, n: u32, rng: &mut R) -> BatchMetrics {
         self.inner.run(n, rng)
     }
 }
 
-/// Plugs the windowed semantics into the generic sweep engine. Fresh
-/// per-trial state keeps `run` a pure function of `(config, n, rng)`.
+/// Dense windows track occupancy as plain `u32` counts up to this many
+/// slots (an 8 KB, L1-resident table) and as `seen`/`dup` bitmaps above it.
+/// Counts win at small widths, where the bitmaps' read-modify-write chains
+/// pile onto a handful of words and serialize on store forwarding; bitmaps
+/// win at large widths, where a count table would fall out of L1 but the
+/// `width/8`-byte bitmaps never do.
+const DENSE_COUNTS_MAX_SLOTS: usize = 2048;
+
+/// Reusable per-worker occupancy buffers of the count-only loop. All keep
+/// their high-water capacity from trial to trial (slot-indexed ones up to
+/// the retention cap in `noisy.rs`), so steady-state trials do not touch the
+/// allocator. A fresh (`Default`) scratch behaves identically — reuse may
+/// only move memory, never results.
+#[derive(Default)]
+pub struct WindowedScratch {
+    /// Dense windows up to [`DENSE_COUNTS_MAX_SLOTS`] slots: draws per slot.
+    counts: Vec<u32>,
+    /// Wider dense windows: slot-occupancy bitmaps (`seen` = drawn at least
+    /// once, `dup` = drawn at least twice), `width/8` bytes each so they
+    /// stay cache-resident. Collided slots = |dup|, singleton slots =
+    /// |seen| − |dup|.
+    seen: Vec<u64>,
+    dup: Vec<u64>,
+    /// Sparse windows (width > 4 × alive): epoch-stamped counts, so no
+    /// width-long reset or sweep ever runs.
+    sparse: SlotCounts,
+    /// Sparse windows: the slots drawn, so the one window that crosses
+    /// ⌈n/2⌉ and the final window can find their singletons.
+    drawn: Vec<u32>,
+    /// Batched raw RNG words for non-power-of-two widths.
+    buf: DrawBuffer,
+}
+
+/// Which table holds the last window's occupancy.
+#[derive(Clone, Copy)]
+enum Occupancy {
+    /// Width 1: every alive station is in slot 0.
+    Lone,
+    Counts,
+    Bitmaps,
+    Sparse,
+}
+
+/// Draws `alive` slots uniform in `[0, span)`, one word each in stream
+/// order, and hands each to `mark`. Power-of-two spans take the word's low
+/// bits straight from the generator; other spans go through the draw
+/// buffer's replay of the vendored `gen_range` zone rejection. Either way
+/// the values and the words consumed are exactly those of `alive` calls to
+/// `rng.gen_range(0..span)`, as in the per-station loop.
+#[inline]
+fn draw_slots(
+    rng: &mut SmallRng,
+    buf: &mut DrawBuffer,
+    span: u64,
+    alive: u64,
+    mut mark: impl FnMut(usize),
+) {
+    if span.is_power_of_two() {
+        let mask = span - 1;
+        for _ in 0..alive {
+            mark((rng.next_u64() & mask) as usize);
+        }
+    } else {
+        buf.prefill(rng, alive as usize);
+        for _ in 0..alive {
+            mark(buf.uniform_below(rng, span) as usize);
+        }
+    }
+}
+
+impl WindowedScratch {
+    /// Draws one window of `width` slots for `alive ≥ 1` stations and
+    /// returns `(collided slots, singleton slots, occupancy)`. Width 1
+    /// consumes no RNG word (everyone lands in slot 0, as `gen_range(0..1)`
+    /// does without drawing).
+    fn resolve(&mut self, rng: &mut SmallRng, width: u32, alive: u64) -> (u64, u64, Occupancy) {
+        let span = width as u64;
+        let wslots = width as usize;
+        if width == 1 {
+            return (
+                u64::from(alive >= 2),
+                u64::from(alive == 1),
+                Occupancy::Lone,
+            );
+        }
+        let WindowedScratch {
+            counts,
+            seen,
+            dup,
+            sparse,
+            drawn,
+            buf,
+        } = self;
+        if span > 4 * alive {
+            // Sparse windows (width ≫ alive, the resolution tail): the
+            // mostly-empty branch predicts well, and nothing width-bounded
+            // runs.
+            sparse.open(wslots);
+            drawn.clear();
+            let (mut occupied, mut collided) = (0u64, 0u64);
+            draw_slots(rng, buf, span, alive, |slot| {
+                drawn.push(slot as u32);
+                match sparse.bump(slot as u64) {
+                    1 => occupied += 1,
+                    2 => collided += 1,
+                    _ => {}
+                }
+            });
+            (collided, occupied - collided, Occupancy::Sparse)
+        } else if wslots <= DENSE_COUNTS_MAX_SLOTS {
+            // Dense windows — the collision-heavy early and middle windows
+            // that carry most of a trial's draws. Every per-draw step is
+            // branch-free, which wins exactly where slot occupancy makes
+            // branches unpredictable.
+            counts.clear();
+            counts.resize(wslots, 0);
+            draw_slots(rng, buf, span, alive, |slot| counts[slot] += 1);
+            let (mut collided, mut singles) = (0u64, 0u64);
+            for &c in counts.iter() {
+                collided += u64::from(c >= 2);
+                singles += u64::from(c == 1);
+            }
+            (collided, singles, Occupancy::Counts)
+        } else {
+            let words = wslots.div_ceil(64);
+            seen.clear();
+            seen.resize(words, 0);
+            dup.clear();
+            dup.resize(words, 0);
+            draw_slots(rng, buf, span, alive, |slot| {
+                let (idx, bit) = (slot >> 6, 1u64 << (slot & 63));
+                dup[idx] |= seen[idx] & bit;
+                seen[idx] |= bit;
+            });
+            let (mut occupied, mut collided) = (0u64, 0u64);
+            for (&s, &d) in seen.iter().zip(dup.iter()) {
+                occupied += u64::from(s.count_ones());
+                collided += u64::from(d.count_ones());
+            }
+            (collided, occupied - collided, Occupancy::Bitmaps)
+        }
+    }
+
+    /// The `rank`-th smallest (0-based) singleton slot of the last window.
+    fn nth_singleton(&mut self, occupancy: Occupancy, rank: u64) -> u64 {
+        match occupancy {
+            Occupancy::Lone => 0,
+            Occupancy::Counts => self
+                .counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c == 1)
+                .nth(rank as usize)
+                .map(|(slot, _)| slot as u64)
+                .expect("rank below the singleton count"),
+            Occupancy::Bitmaps => {
+                let mut rank = rank as u32;
+                for (idx, (&s, &d)) in self.seen.iter().zip(self.dup.iter()).enumerate() {
+                    let mut singles = s & !d;
+                    let here = singles.count_ones();
+                    if rank < here {
+                        for _ in 0..rank {
+                            singles &= singles - 1;
+                        }
+                        return idx as u64 * 64 + u64::from(singles.trailing_zeros());
+                    }
+                    rank -= here;
+                }
+                unreachable!("rank below the singleton count")
+            }
+            Occupancy::Sparse => {
+                let sparse = &self.sparse;
+                self.drawn.retain(|&slot| sparse.count(slot as u64) == 1);
+                *self.drawn.select_nth_unstable(rank as usize).1 as u64
+            }
+        }
+    }
+
+    /// The largest slot drawn in the last window — in the final window,
+    /// where every draw is a singleton, the last success.
+    fn max_drawn(&self, occupancy: Occupancy) -> u64 {
+        let last = match occupancy {
+            Occupancy::Lone => Some(0),
+            Occupancy::Counts => self.counts.iter().rposition(|&c| c != 0),
+            Occupancy::Bitmaps => self
+                .seen
+                .iter()
+                .rposition(|&w| w != 0)
+                .map(|idx| idx * 64 + 63 - self.seen[idx].leading_zeros() as usize),
+            Occupancy::Sparse => self.drawn.iter().max().map(|&slot| slot as usize),
+        };
+        last.expect("the window drew at least one slot") as u64
+    }
+}
+
+/// The count-only loop: one trial of `n` stations, tracking the alive count
+/// and the per-window occupancy only.
+///
+/// Every summary field follows from those counts:
+///
+/// * successes are the singleton slots, collisions the slots drawn twice or
+///   more, and colliding stations `alive − singletons` per window;
+/// * `cw_slots` ends at the final window's largest slot (every draw there is
+///   a singleton), and `half_cw_slots` at the `(⌈n/2⌉ − prior)`-th smallest
+///   singleton of the one window that crosses ⌈n/2⌉ successes;
+/// * on the ideal channel every failed attempt is a collision, so the ACK
+///   timeouts total the colliding stations;
+/// * a station attempts every window until it wins, so the most ACK
+///   timeouts any station took is `windows_run − 1` (a last-window winner),
+///   or `windows_run` for the survivors when the valve stopped the trial.
+fn run_counts(
+    config: &WindowedConfig,
+    n: u32,
+    rng: &mut SmallRng,
+    scratch: &mut WindowedScratch,
+) -> TrialSummary {
+    let mut schedule = window_schedule(config.algorithm, config.truncation);
+    let n64 = n as u64;
+    let half_target = n64.div_ceil(2);
+    let mut alive = n64;
+    let (mut collisions, mut colliding_stations) = (0u64, 0u64);
+    let (mut cw_slots, mut half_cw_slots) = (0u64, 0u64);
+    let mut slots_before_window = 0u64;
+    let mut windows_run = 0u32;
+
+    while alive > 0 {
+        if config.max_windows != 0 && windows_run >= config.max_windows {
+            break;
+        }
+        windows_run += 1;
+        let width = schedule.next_window();
+        let (collided, singles, occupancy) = scratch.resolve(rng, width, alive);
+        collisions += collided;
+        colliding_stations += alive - singles;
+        let prior = n64 - alive;
+        if prior < half_target && prior + singles >= half_target {
+            let rank = half_target - prior - 1;
+            half_cw_slots = slots_before_window + scratch.nth_singleton(occupancy, rank) + 1;
+        }
+        if singles == alive {
+            cw_slots = slots_before_window + scratch.max_drawn(occupancy) + 1;
+        }
+        alive -= singles;
+        slots_before_window += width as u64;
+    }
+    // The bitmaps hold width/64 entries, so the shared entry cap only sheds
+    // them past 64× wider windows; one 2³⁰-slot window would otherwise pin
+    // 2 × 16 MB for the rest of the shard.
+    shed_pathological(&mut scratch.seen);
+    shed_pathological(&mut scratch.dup);
+    scratch.sparse.shed();
+
+    let (elapsed, max_ack_timeouts) = if alive == 0 {
+        // `n = 0` runs no window at all.
+        (cw_slots, windows_run.saturating_sub(1))
+    } else {
+        // Valve-truncated: report the span of every window opened, as the
+        // per-station loop does.
+        (slots_before_window, windows_run)
+    };
+    TrialSummary {
+        n,
+        successes: (n64 - alive) as u32,
+        cw_slots: cw_slots as f64,
+        half_cw_slots: half_cw_slots as f64,
+        total_time_us: (config.slot * elapsed).as_micros_f64(),
+        half_time_us: (config.slot * half_cw_slots).as_micros_f64(),
+        collisions: collisions as f64,
+        colliding_stations: colliding_stations as f64,
+        ack_timeouts: colliding_stations as f64,
+        max_ack_timeouts: max_ack_timeouts as f64,
+        ..TrialSummary::default()
+    }
+}
+
+/// Plugs the windowed semantics into the generic sweep engine: every sweep,
+/// `run_trial` and bench of `WindowedSim` runs the count-only loop.
 impl Simulator for WindowedSim {
     type Config = WindowedConfig;
-    type Output = BatchMetrics;
-    /// Shares the noisy-channel engine's buffers (it *is* that engine over
-    /// the ideal channel).
-    type Scratch = NoisyScratch;
+    type Output = TrialSummary;
+    type Scratch = WindowedScratch;
     const NAME: &'static str = "windowed";
 
     fn algorithm(config: &WindowedConfig) -> AlgorithmKind {
@@ -117,9 +403,9 @@ impl Simulator for WindowedSim {
         config: &WindowedConfig,
         n: u32,
         rng: &mut SmallRng,
-        scratch: &mut NoisyScratch,
-    ) -> BatchMetrics {
-        NoisySim::run_with(&config.as_noisy(), n, rng, scratch)
+        scratch: &mut WindowedScratch,
+    ) -> TrialSummary {
+        run_counts(config, n, rng, scratch)
     }
 }
 
@@ -217,6 +503,14 @@ mod tests {
         // The delegated loop's valve exception rides along: one width-1
         // window elapsed, so `total_time` is one slot, not 0.
         assert_eq!(m.total_time, config.slot);
+        // The count-only loop reports the same: every station survived one
+        // window, taking one ACK timeout.
+        let mut rng = trial_rng(experiment_tag("valve"), AlgorithmKind::Beb, 50, 0);
+        let t = <WindowedSim as Simulator>::run(&config, 50, &mut rng);
+        assert_eq!(t.successes, 0);
+        assert_eq!(t.total_time_us, config.slot.as_micros_f64());
+        assert_eq!(t.max_ack_timeouts, 1.0);
+        assert_eq!(t.ack_timeouts, 50.0);
     }
 
     #[test]
@@ -225,6 +519,10 @@ mod tests {
         assert_eq!(m.successes, 0);
         assert_eq!(m.cw_slots, 0);
         assert_eq!(m.collisions, 0);
+        let config = WindowedConfig::abstract_model(AlgorithmKind::Beb);
+        let mut rng = trial_rng(experiment_tag("windowed-test"), AlgorithmKind::Beb, 0, 0);
+        let t = <WindowedSim as Simulator>::run(&config, 0, &mut rng);
+        assert_eq!(t, TrialSummary::default());
     }
 
     #[test]

@@ -104,8 +104,7 @@ fn generate() -> String {
     for kind in AlgorithmKind::PAPER_SET {
         let config = WindowedConfig::abstract_model(kind);
         for (n, trial) in [(1u32, 0u32), (100, 0), (100, 1), (2000, 0)] {
-            let t: TrialSummary =
-                run_trial::<WindowedSim>("hot-path-golden", &config, n, trial).into();
+            let t = run_trial::<WindowedSim>("hot-path-golden", &config, n, trial);
             push(render(&format!("windowed/{kind}"), n, trial, &t));
         }
     }

@@ -7,13 +7,11 @@
 //! is what lets every downstream comparison against "the paper's model" use
 //! `NoisySim` at `p = 0` as its baseline.
 //!
-//! Since `WindowedSim` is *implemented* as a delegation to the shared loop
-//! over the ideal channel, the assertions here pin the engine plumbing
-//! (experiment tags, config mapping, thread scheduling) rather than two
-//! independent executions; the guard against the two window-resolution code
-//! paths diverging is `sampled_path_matches_fast_path_bit_for_bit` in
-//! `crates/slotted/src/noisy.rs`, which forces the sampled path on an ideal
-//! channel and demands bit-equality.
+//! `WindowedSim`'s per-station `run` *is* the shared loop over the ideal
+//! channel, so the `BatchMetrics` assertions here pin config mapping and
+//! plumbing. Its sweeps run a separate count-only loop, so the sweep-level
+//! assertions compare two independent executions; the switch-point matrix
+//! and proptest in `tests/windowed_golden.rs` guard that split in depth.
 
 use contention_experiments::aggregate::MetricStats;
 use contention_resolution::prelude::*;
@@ -79,22 +77,29 @@ fn degenerate_noisy_sweep_matches_windowed_sweep_bit_for_bit() {
     }
 }
 
-/// `run_trial` — the single-trial entry point benches use — agrees too.
+/// Single trials agree too: `WindowedSim`'s per-station `run` with
+/// `NoisySim` on the same stream, and `run_trial`'s count-only summary — the
+/// single-trial entry point benches use — with the per-station summary.
 #[test]
 fn degenerate_single_trials_match() {
-    let lone_noisy = run_trial::<NoisySim>(
-        "degenerate-lone",
-        &NoisyConfig::fatal(AlgorithmKind::Sawtooth),
-        77,
-        3,
-    );
-    let lone_windowed = run_trial::<WindowedSim>(
-        "degenerate-lone",
-        &WindowedConfig::abstract_model(AlgorithmKind::Sawtooth),
-        77,
-        3,
-    );
+    let kind = AlgorithmKind::Sawtooth;
+    let (n, trial) = (77, 3);
+    let lone_noisy = run_trial::<NoisySim>("degenerate-lone", &NoisyConfig::fatal(kind), n, trial);
+    let config = WindowedConfig::abstract_model(kind);
+    let mut rng = trial_rng(experiment_tag("degenerate-lone"), kind, n, trial);
+    let lone_windowed = WindowedSim::new(config).run(n, &mut rng);
     assert_eq!(lone_noisy, lone_windowed);
+
+    let counts = run_trial::<WindowedSim>("degenerate-lone", &config, n, trial);
+    let per_station = TrialSummary::from(lone_windowed);
+    assert_eq!(counts.n, per_station.n);
+    for metric in Metric::ALL {
+        assert_eq!(
+            metric.extract(&counts).to_bits(),
+            metric.extract(&per_station).to_bits(),
+            "{metric:?}"
+        );
+    }
 }
 
 fn arb_algorithm() -> impl Strategy<Value = AlgorithmKind> {

@@ -106,20 +106,17 @@ fn folded_sweep_memory_does_not_scale_with_trials() {
 /// for the rest of a shard.
 ///
 /// A `Fixed { window: 2²³ }` schedule with four stations drives the
-/// windowed loop's sparse path, which sizes the epoch-stamped slot-state
-/// buffer to the window width (2²³ × 8 B = 64 MB). `NoisyScratch` sheds
-/// slot-indexed buffers beyond 2²¹ entries at the end of every trial, so
-/// the retained footprint after the trial must drop back to the 16 MB cap
-/// even though the trial itself had to touch the full width.
+/// count-only windowed loop's sparse path, which sizes the epoch-stamped
+/// slot-state buffer to the window width (2²³ × 8 B = 64 MB). The scratch
+/// sheds slot-indexed buffers beyond 2²¹ entries at the end of every trial,
+/// so the retained footprint after the trial must drop back to the 16 MB
+/// cap even though the trial itself had to touch the full width.
 #[test]
 fn pathological_window_scratch_is_shed_after_the_trial() {
     let _guard = measuring();
     const WIDTH: u32 = 1 << 23;
-    let config = NoisyConfig::abstract_model(
-        AlgorithmKind::Fixed { window: WIDTH },
-        ChannelModel::ideal(),
-    );
-    let mut scratch = <NoisySim as Simulator>::Scratch::default();
+    let config = WindowedConfig::abstract_model(AlgorithmKind::Fixed { window: WIDTH });
+    let mut scratch = <WindowedSim as Simulator>::Scratch::default();
 
     let before = CURRENT.load(Ordering::SeqCst);
     PEAK.store(before, Ordering::SeqCst);
@@ -127,7 +124,7 @@ fn pathological_window_scratch_is_shed_after_the_trial() {
     // pair, so (at this seed) everyone wins in the first window and the
     // trial ends immediately — the window width, not the trial length, is
     // what stresses the buffers.
-    let m = run_trial_with::<NoisySim>("alloc-shed", &config, 4, 0, &mut scratch);
+    let m = run_trial_with::<WindowedSim>("alloc-shed", &config, 4, 0, &mut scratch);
     assert_eq!(m.successes, 4, "trial unexpectedly needed a second window");
 
     let peak_growth = PEAK.load(Ordering::SeqCst).saturating_sub(before);
@@ -251,5 +248,47 @@ fn mac_trial_loop_allocates_only_its_output() {
         "steady-state MAC trial makes {per_trial:.2} allocations \
          (short sweep: {short}, long sweep: {long}); the arena is leaking \
          per-trial allocations back into the hot loop"
+    );
+}
+
+/// Steady-state allocation count for the windowed sweep at the paper's
+/// largest batch.
+///
+/// The count-only loop a `WindowedSim` sweep runs keeps only occupancy
+/// tables, and those live in the per-worker scratch arena, so once the
+/// arena has grown to its high-water mark a trial allocates nothing at all
+/// — not even an output, since a `TrialSummary` is plain data. Differencing
+/// two sweeps of different lengths cancels sweep setup and arena growth, as
+/// in the MAC check above. A per-station table (4 MB of `StationMetrics` at
+/// this n) would show up here as one allocation per trial.
+#[test]
+fn windowed_sweep_allocates_nothing_per_trial() {
+    let _guard = measuring();
+    const N: u32 = 100_000;
+    let sweep = |trials: u32| Sweep::<WindowedSim> {
+        experiment: "windowed-alloc-ceiling",
+        config: WindowedConfig::abstract_model(AlgorithmKind::Beb),
+        algorithms: vec![AlgorithmKind::Beb],
+        ns: vec![N],
+        trials,
+        // Sequential: the engine runs inline on one arena.
+        exec: ExecPolicy::threads(1),
+    };
+
+    let allocs_for = |trials: u32| {
+        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        let cells =
+            sweep(trials).run_fold_monitored(|_, _, _| CwExtrema(Extrema::new()), None, None, None);
+        assert_eq!(cells[0].acc.0.count(), trials as u64);
+        ALLOC_CALLS.load(Ordering::SeqCst) - before
+    };
+
+    let short = allocs_for(2);
+    let long = allocs_for(10);
+    let per_trial = long.saturating_sub(short) as f64 / 8.0;
+    assert_eq!(
+        per_trial, 0.0,
+        "steady-state windowed trial makes {per_trial:.2} allocations \
+         (short sweep: {short}, long sweep: {long})"
     );
 }

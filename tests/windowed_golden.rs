@@ -1,19 +1,27 @@
-//! Refactor-guard golden fixture for the windowed/noisy hot-path overhaul.
+//! Refactor-guard golden fixture for the windowed/noisy loops, and the
+//! equality of the two windowed loops.
 //!
-//! The epoch-stamped occupancy counters, the sort-free success
-//! classification, the counting-sort group-by and the batched RNG draws are
-//! all *performance* changes: none of them may move a single bit of any
-//! simulation result. This fixture pins that claim at full `BatchMetrics`
-//! resolution — every aggregate field as its exact bit pattern plus an
-//! FNV-1a digest of the complete per-station table — for a
+//! The epoch-stamped occupancy counters, the counting-sort group-by and the
+//! batched RNG draws are all *performance* changes: none of them may move a
+//! single bit of any simulation result. The fixture pins that claim at full
+//! `BatchMetrics` resolution — every aggregate field as its exact bit
+//! pattern plus an FNV-1a digest of the complete per-station table — for a
 //! `(algorithm × channel × n × trial)` matrix recorded on the pre-overhaul
-//! simulator, through both resolution paths (the natural one and the
-//! forced-sampled one).
+//! simulator. Every line comes from the one per-station loop (`NoisySim`,
+//! which `WindowedSim::run` delegates to over the ideal channel).
 //!
-//! Valve-truncated (`max_windows`) configurations are deliberately absent:
-//! their diagnostics are the one documented behavioral exception of the
-//! overhaul (see `valve_truncation_reports_elapsed_slots` in
-//! `crates/slotted/src/noisy.rs`), and they are pinned by unit tests there.
+//! `WindowedSim` sweeps run a second, count-only loop that never identifies
+//! a station. Its `TrialSummary` must equal the summary of the per-station
+//! run, every field by bit pattern: a proptest checks this over random
+//! schedules, and a fixed matrix checks it at each of the loop's switch
+//! points (count table ↔ bitmaps at 2048 slots, dense ↔ sparse at 4 × alive,
+//! width 1, the valve, non-power-of-two widths).
+//!
+//! Valve-truncated (`max_windows`) configurations are deliberately absent
+//! from the fixture: their diagnostics are the one documented behavioral
+//! exception of the overhaul (see `valve_truncation_reports_elapsed_slots`
+//! in `crates/slotted/src/noisy.rs`), and they are pinned by unit tests
+//! there.
 //!
 //! Regenerate (only when an *intentional* semantic change lands) with:
 //!
@@ -132,16 +140,16 @@ fn generate() -> String {
         }
     }
 
-    // The forced-sampled path over the ideal channel: these lines must be
-    // identical (apart from the label) to the natural-path `ideal` lines
-    // above — the fixture pins path equality, not just per-path stability.
+    // The ideal channel again, through the simulator's own `run` on a
+    // caller-built stream instead of `run_trial`: these lines must stay
+    // identical (apart from the label) to the `ideal` lines above.
     for (kind, ns) in algorithms() {
         let config = NoisyConfig::fatal(kind);
         for &n in ns {
             for trial in 0..2 {
                 let mut sim = NoisySim::new(config);
                 let mut rng = trial_rng(experiment_tag("windowed-golden"), kind, n, trial);
-                let m = sim.run_sampled(n, &mut rng);
+                let m = sim.run(n, &mut rng);
                 push(render(&format!("sampled/ideal/{kind}"), n, trial, &m));
             }
         }
@@ -160,12 +168,13 @@ fn generate() -> String {
         }
     }
 
-    // The windowed (paper-model) backend rides the same loop; a thin slice
-    // pins the delegation.
+    // The windowed (paper-model) backend's per-station output rides the
+    // same loop; a thin slice pins the delegation.
     for kind in AlgorithmKind::PAPER_SET {
-        let config = WindowedConfig::abstract_model(kind);
+        let mut sim = WindowedSim::new(WindowedConfig::abstract_model(kind));
         for (n, trial) in [(1u32, 0u32), (83, 1), (400, 0)] {
-            let m = run_trial::<WindowedSim>("windowed-golden", &config, n, trial);
+            let mut rng = trial_rng(experiment_tag("windowed-golden"), kind, n, trial);
+            let m = sim.run(n, &mut rng);
             push(render(&format!("windowed/{kind}"), n, trial, &m));
         }
     }
@@ -197,17 +206,20 @@ fn batch_metrics_are_bit_identical_to_the_pre_overhaul_fixture() {
     }
 }
 
-/// Any channel the workspace can express, biased toward the interesting
-/// corners (ideal, pure noise, certain recovery).
-fn arb_channel() -> impl Strategy<Value = ChannelModel> {
-    let recovery = prop_oneof![
-        Just(Recovery::None),
-        (0.0..=1.0f64).prop_map(|p| Recovery::Constant { p }),
-        (0.0..=1.0f64).prop_map(|base| Recovery::Geometric { base }),
-        ((2u32..=6), (0.0..=1.0f64)).prop_map(|(max_k, p)| Recovery::Capture { max_k, p }),
-    ];
-    (recovery, prop_oneof![Just(0.0f64), 0.0..=0.6f64])
-        .prop_map(|(recovery, noise)| ChannelModel { recovery, noise })
+/// Every field of a summary as a bit pattern: `n`, then each metric in
+/// field order (no `==` on floats, so even a sign-of-zero drift fails).
+fn summary_bits(t: &TrialSummary) -> (u32, [u64; 20]) {
+    (t.n, Metric::ALL.map(|m| m.extract(t).to_bits()))
+}
+
+/// One trial through both windowed loops: the count-only summary a sweep
+/// folds, and the summary of the per-station run on the same RNG stream.
+fn both_paths(config: WindowedConfig, n: u32, trial: u32) -> [(u32, [u64; 20]); 2] {
+    const TAG: &str = "windowed-path-prop";
+    let counts = run_trial::<WindowedSim>(TAG, &config, n, trial);
+    let mut rng = trial_rng(experiment_tag(TAG), config.algorithm, n, trial);
+    let per_station = TrialSummary::from(WindowedSim::new(config).run(n, &mut rng));
+    [summary_bits(&counts), summary_bits(&per_station)]
 }
 
 /// Any static window schedule, including truncations that force
@@ -226,33 +238,92 @@ fn arb_algorithm() -> impl Strategy<Value = AlgorithmKind> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The natural path (occupancy fast path for ideal channels, sampled
-    /// otherwise) and the forced-sampled path must agree bit for bit on the
-    /// full `BatchMetrics`, for any `(n, width schedule, channel)` config —
-    /// which is what makes the path split purely a performance choice.
+    /// The count-only loop and the per-station loop agree bit for bit on
+    /// every summary field, for any `(n, width schedule, valve)` config.
     #[test]
-    fn natural_and_forced_sampled_paths_agree(
-        n in 0u32..=150,
+    fn count_only_and_per_station_paths_agree(
+        n in prop_oneof![0u32..=150, 500u32..=1500],
         kind in arb_algorithm(),
-        channel in arb_channel(),
         cw_min in 1u32..=4,
         cw_pow in 4u32..=20,
+        max_windows in prop_oneof![Just(200u32), 1u32..=12],
         trial in 0u32..100,
     ) {
-        let config = NoisyConfig {
+        let config = WindowedConfig {
             truncation: Truncation {
                 cw_min,
                 cw_max: cw_min.max(2u32.saturating_pow(cw_pow)),
             },
-            // Cap pathological full-noise runs; both paths see the valve.
-            max_windows: 200,
-            ..NoisyConfig::abstract_model(kind, channel)
+            // Fixed windows far below n never finish without the valve.
+            max_windows,
+            ..WindowedConfig::abstract_model(kind)
         };
-        let tag = experiment_tag("windowed-path-prop");
-        let mut rng = trial_rng(tag, kind, n, trial);
-        let natural = NoisySim::new(config).run(n, &mut rng);
-        let mut rng = trial_rng(tag, kind, n, trial);
-        let sampled = NoisySim::new(config).run_sampled(n, &mut rng);
-        prop_assert_eq!(natural, sampled);
+        let [counts, per_station] = both_paths(config, n, trial);
+        prop_assert_eq!(counts, per_station);
+    }
+}
+
+/// The same equality at every switch point of the count-only loop, each hit
+/// exactly and from either side.
+#[test]
+fn count_only_and_per_station_paths_agree_at_the_switch_points() {
+    use AlgorithmKind::{LogBackoff, LogLogBackoff};
+    let fixed = |window| WindowedConfig::abstract_model(AlgorithmKind::Fixed { window });
+    let mut cases: Vec<(WindowedConfig, u32)> = Vec::new();
+    // Count table ↔ bitmaps at 2048 slots; at n = 512 the dense ↔ sparse
+    // switch (4 × alive) falls there too.
+    for window in [2047, 2048, 2049] {
+        for n in [400, 512, 600, 1000] {
+            cases.push((fixed(window), n));
+        }
+    }
+    // Dense ↔ sparse at 4 × alive, below and above the count-table limit.
+    for n in [50, 100, 700] {
+        for window in [4 * n - 1, 4 * n, 4 * n + 1] {
+            cases.push((fixed(window), n));
+        }
+    }
+    // Empty, lone and paired batches, including width-1 windows.
+    for kind in AlgorithmKind::PAPER_SET {
+        for n in [0, 1, 2] {
+            cases.push((WindowedConfig::abstract_model(kind), n));
+        }
+    }
+    // The valve: survivors, elapsed span and their ACK timeouts.
+    for kind in AlgorithmKind::PAPER_SET {
+        for max_windows in [3, 9] {
+            for n in [2, 40, 300] {
+                let config = WindowedConfig {
+                    max_windows,
+                    ..WindowedConfig::abstract_model(kind)
+                };
+                cases.push((config, n));
+            }
+        }
+    }
+    // CWmin/CWmax-clamped widths, and a small non-power-of-two window.
+    for kind in AlgorithmKind::PAPER_SET {
+        for n in [9, 83, 400] {
+            cases.push((WindowedConfig::truncated_model(kind), n));
+        }
+    }
+    for n in [0, 1, 2, 5] {
+        cases.push((fixed(7), n));
+    }
+    // LB and LLB draw non-power-of-two widths through zone rejection.
+    for kind in [LogBackoff, LogLogBackoff] {
+        for n in [9, 83, 400, 3000] {
+            cases.push((WindowedConfig::abstract_model(kind), n));
+        }
+    }
+    for (config, n) in cases {
+        for trial in 0..8 {
+            let [counts, per_station] = both_paths(config, n, trial);
+            assert_eq!(
+                counts, per_station,
+                "{} n={n} trial={trial} truncation={:?} max_windows={}",
+                config.algorithm, config.truncation, config.max_windows
+            );
+        }
     }
 }
