@@ -14,14 +14,19 @@
 //!   window's outcome depends only on the multiset of drawn slots: the loop
 //!   tracks how many stations are alive and how full each slot is, never
 //!   which station drew what. Every abstract-model figure plots only such
-//!   aggregates.
+//!   aggregates. Once every slot of a power-of-two window of at most 2048
+//!   slots holds two draws, the outcome is fixed (every slot collides), so
+//!   the loop skips the window's remaining draws with
+//!   [`SmallRng::advance`], which leaves the generator exactly where
+//!   drawing them would.
 //! * **[`WindowedSim::run`] returns per-station [`BatchMetrics`]** through
 //!   [`NoisySim`]'s loop over [`ChannelModel::ideal`], which samples slot
 //!   fates without consuming randomness.
 //!
 //! The count-only summary equals `TrialSummary::from` the per-station run,
-//! bit for bit; unit tests here and in `noisy.rs`, and the proptest and
-//! switch-point matrix in `tests/windowed_golden.rs`, pin this.
+//! bit for bit, and both loops leave the generator at the same word; unit
+//! tests here and in `noisy.rs`, and the proptest and switch-point matrix in
+//! `tests/windowed_golden.rs`, pin this.
 
 use crate::noisy::{shed_pathological, window_schedule, NoisyConfig, NoisySim, SlotCounts};
 use contention_core::algorithm::AlgorithmKind;
@@ -113,6 +118,11 @@ impl WindowedSim {
 /// `width/8`-byte bitmaps never do.
 const DENSE_COUNTS_MAX_SLOTS: usize = 2048;
 
+/// A saturating count-table window tests for saturation once per this many
+/// draws: a test per draw costs more than the few words a coarser test
+/// draws past the moment of saturation.
+const SATURATION_CHECK_DRAWS: u64 = 64;
+
 /// Reusable per-worker occupancy buffers of the count-only loop. All keep
 /// their high-water capacity from trial to trial (slot-indexed ones up to
 /// the retention cap in `noisy.rs`), so steady-state trials do not touch the
@@ -144,6 +154,9 @@ enum Occupancy {
     /// Width 1: every alive station is in slot 0.
     Lone,
     Counts,
+    /// Every slot holds two or more draws: no singleton to look up, and the
+    /// count table holds only the draws made before the skip.
+    Saturated,
     Bitmaps,
     Sparse,
 }
@@ -153,7 +166,8 @@ enum Occupancy {
 /// bits straight from the generator; other spans go through the draw
 /// buffer's replay of the vendored `gen_range` zone rejection. Either way
 /// the values and the words consumed are exactly those of `alive` calls to
-/// `rng.gen_range(0..span)`, as in the per-station loop.
+/// `rng.gen_range(0..span)`, as in the per-station loop. The count table's
+/// saturating windows draw through it in chunks and skip what is left.
 #[inline]
 fn draw_slots(
     rng: &mut SmallRng,
@@ -179,7 +193,11 @@ impl WindowedScratch {
     /// Draws one window of `width` slots for `alive ≥ 1` stations and
     /// returns `(collided slots, singleton slots, occupancy)`. Width 1
     /// consumes no RNG word (everyone lands in slot 0, as `gen_range(0..1)`
-    /// does without drawing).
+    /// does without drawing). A power-of-two window of at most
+    /// [`DENSE_COUNTS_MAX_SLOTS`] slots stops drawing once every slot holds
+    /// two draws and advances the generator past the rest, returning
+    /// `(width, 0, Saturated)`; every window leaves the generator where
+    /// `alive` draws would.
     fn resolve(&mut self, rng: &mut SmallRng, width: u32, alive: u64) -> (u64, u64, Occupancy) {
         let span = width as u64;
         let wslots = width as usize;
@@ -221,7 +239,30 @@ impl WindowedScratch {
             // branches unpredictable.
             counts.clear();
             counts.resize(wslots, 0);
-            draw_slots(rng, buf, span, alive, |slot| counts[slot] += 1);
+            if span.is_power_of_two() && alive >= 2 * span {
+                // Enough draws to put two in every slot. Once every slot
+                // holds two, the outcome is fixed — every slot collides,
+                // none succeeds — and the remaining draws only move the
+                // generator, so it jumps past them. Only power-of-two
+                // widths: elsewhere zone rejection makes the number of
+                // words left unknowable.
+                let mut full = 0u64;
+                let mut left = alive;
+                while left > 0 {
+                    let chunk = left.min(SATURATION_CHECK_DRAWS);
+                    draw_slots(rng, buf, span, chunk, |slot| {
+                        counts[slot] += 1;
+                        full += u64::from(counts[slot] == 2);
+                    });
+                    left -= chunk;
+                    if full == span {
+                        rng.advance(left);
+                        return (span, 0, Occupancy::Saturated);
+                    }
+                }
+            } else {
+                draw_slots(rng, buf, span, alive, |slot| counts[slot] += 1);
+            }
             let (mut collided, mut singles) = (0u64, 0u64);
             for &c in counts.iter() {
                 collided += u64::from(c >= 2);
@@ -260,6 +301,7 @@ impl WindowedScratch {
                 .nth(rank as usize)
                 .map(|(slot, _)| slot as u64)
                 .expect("rank below the singleton count"),
+            Occupancy::Saturated => unreachable!("a saturated window has no singletons"),
             Occupancy::Bitmaps => {
                 let mut rank = rank as u32;
                 for (idx, (&s, &d)) in self.seen.iter().zip(self.dup.iter()).enumerate() {
@@ -289,6 +331,7 @@ impl WindowedScratch {
         let last = match occupancy {
             Occupancy::Lone => Some(0),
             Occupancy::Counts => self.counts.iter().rposition(|&c| c != 0),
+            Occupancy::Saturated => unreachable!("a saturated window has no singletons"),
             Occupancy::Bitmaps => self
                 .seen
                 .iter()

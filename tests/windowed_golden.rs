@@ -12,10 +12,12 @@
 //!
 //! `WindowedSim` sweeps run a second, count-only loop that never identifies
 //! a station. Its `TrialSummary` must equal the summary of the per-station
-//! run, every field by bit pattern: a proptest checks this over random
-//! schedules, and a fixed matrix checks it at each of the loop's switch
-//! points (count table ↔ bitmaps at 2048 slots, dense ↔ sparse at 4 × alive,
-//! width 1, the valve, non-power-of-two widths).
+//! run, every field by bit pattern, and it must leave the generator at the
+//! same word, although it skips the draws of saturated windows: a proptest
+//! checks this over random schedules, and a fixed matrix checks it at each
+//! of the loop's switch points (count table ↔ bitmaps at 2048 slots, dense ↔
+//! sparse at 4 × alive, width 1, the valve, non-power-of-two widths,
+//! saturated count tables) and at n up to 10⁵.
 //!
 //! Valve-truncated (`max_windows`) configurations are deliberately absent
 //! from the fixture: their diagnostics are the one documented behavioral
@@ -31,6 +33,7 @@
 
 use contention_resolution::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -213,13 +216,21 @@ fn summary_bits(t: &TrialSummary) -> (u32, [u64; 20]) {
 }
 
 /// One trial through both windowed loops: the count-only summary a sweep
-/// folds, and the summary of the per-station run on the same RNG stream.
-fn both_paths(config: WindowedConfig, n: u32, trial: u32) -> [(u32, [u64; 20]); 2] {
+/// folds, and the summary of the per-station run on the same RNG stream,
+/// each with its generator after the trial. Equal generators mean the
+/// count-only loop's skips land on the per-station loop's word, even in a
+/// trial's last window.
+fn both_paths(config: WindowedConfig, n: u32, trial: u32) -> [((u32, [u64; 20]), SmallRng); 2] {
     const TAG: &str = "windowed-path-prop";
-    let counts = run_trial::<WindowedSim>(TAG, &config, n, trial);
-    let mut rng = trial_rng(experiment_tag(TAG), config.algorithm, n, trial);
-    let per_station = TrialSummary::from(WindowedSim::new(config).run(n, &mut rng));
-    [summary_bits(&counts), summary_bits(&per_station)]
+    let stream = || trial_rng(experiment_tag(TAG), config.algorithm, n, trial);
+    let mut counts_rng = stream();
+    let counts = <WindowedSim as Simulator>::run(&config, n, &mut counts_rng);
+    let mut station_rng = stream();
+    let per_station = TrialSummary::from(WindowedSim::new(config).run(n, &mut station_rng));
+    [
+        (summary_bits(&counts), counts_rng),
+        (summary_bits(&per_station), station_rng),
+    ]
 }
 
 /// Any static window schedule, including truncations that force
@@ -239,7 +250,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The count-only loop and the per-station loop agree bit for bit on
-    /// every summary field, for any `(n, width schedule, valve)` config.
+    /// every summary field and on the generator's final state, for any
+    /// `(n, width schedule, valve)` config.
     #[test]
     fn count_only_and_per_station_paths_agree(
         n in prop_oneof![0u32..=150, 500u32..=1500],
@@ -264,10 +276,10 @@ proptest! {
 }
 
 /// The same equality at every switch point of the count-only loop, each hit
-/// exactly and from either side.
+/// exactly and from either side, and for BEB and STB at n up to 10⁵.
 #[test]
 fn count_only_and_per_station_paths_agree_at_the_switch_points() {
-    use AlgorithmKind::{LogBackoff, LogLogBackoff};
+    use AlgorithmKind::{Beb, LogBackoff, LogLogBackoff, Sawtooth};
     let fixed = |window| WindowedConfig::abstract_model(AlgorithmKind::Fixed { window });
     let mut cases: Vec<(WindowedConfig, u32)> = Vec::new();
     // Count table ↔ bitmaps at 2048 slots; at n = 512 the dense ↔ sparse
@@ -316,14 +328,39 @@ fn count_only_and_per_station_paths_agree_at_the_switch_points() {
             cases.push((WindowedConfig::abstract_model(kind), n));
         }
     }
-    for (config, n) in cases {
-        for trial in 0..8 {
-            let [counts, per_station] = both_paths(config, n, trial);
-            assert_eq!(
-                counts, per_station,
-                "{} n={n} trial={trial} truncation={:?} max_windows={}",
-                config.algorithm, config.truncation, config.max_windows
-            );
+    // Count tables that saturate and skip the rest of their draws. Width 2
+    // saturates within its first 64-draw check, so n = 64 + 255…257 skips
+    // exactly `advance`'s stepping crossover − 1, crossover and crossover +
+    // 1 words, and n ≤ 64 skips none; the other cases skip thousands.
+    for (window, ns) in [
+        (2, &[4u32, 5, 64, 319, 320, 321, 3000] as &[u32]),
+        (64, &[3000]),
+        (2048, &[40_000]),
+    ] {
+        for &n in ns {
+            let config = WindowedConfig {
+                max_windows: 3,
+                ..fixed(window)
+            };
+            cases.push((config, n));
         }
+    }
+    let mut runs: Vec<(WindowedConfig, u32, u32)> = cases
+        .into_iter()
+        .flat_map(|(config, n)| (0..8).map(move |trial| (config, n, trial)))
+        .collect();
+    // Beyond the goldens' n = 3000: skips of up to ≈10⁵ words.
+    for kind in [Beb, Sawtooth] {
+        for n in [50_000, 100_000] {
+            runs.push((WindowedConfig::abstract_model(kind), n, 0));
+        }
+    }
+    for (config, n, trial) in runs {
+        let [counts, per_station] = both_paths(config, n, trial);
+        assert_eq!(
+            counts, per_station,
+            "{} n={n} trial={trial} truncation={:?} max_windows={}",
+            config.algorithm, config.truncation, config.max_windows
+        );
     }
 }
