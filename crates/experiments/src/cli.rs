@@ -54,10 +54,6 @@ pub fn run(args: &[String]) -> ExitCode {
         for (name, desc, _) in registry() {
             println!("{name:<12} {desc}");
         }
-        println!(
-            "{:<12} benchmark harness — MAC hot path (BENCH_mac.json)",
-            "bench"
-        );
         return ExitCode::SUCCESS;
     }
     // Fail fast on an unusable output directory — before hours of trials,
@@ -94,20 +90,6 @@ pub fn run(args: &[String]) -> ExitCode {
                 ExitCode::FAILURE
             }
         };
-    }
-    if sub == "bench" {
-        let started = std::time::Instant::now();
-        match crate::benchmark::run(&opts) {
-            Ok(report) => {
-                report.print();
-                println!("[bench] done in {:.1?}\n", started.elapsed());
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     if opts.checkpoint.is_some() {
@@ -444,8 +426,8 @@ pub fn main() -> ExitCode {
 
 fn print_usage() {
     println!(
-        "usage: repro <experiment|all|list|bench> [--full] [--quick] [--trials N] [--out DIR] \
-         [--json] [--threads N]"
+        "usage: repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json] \
+         [--threads N]"
     );
     println!("       repro shard <experiment> --shard i/N --out DIR   (partial-state artifact)");
     println!("       repro merge DIR... --out DIR [--json]            (recombine + report)");
@@ -457,7 +439,6 @@ fn print_usage() {
     println!();
     println!("  --full      use the paper's grids (minutes) instead of quick ones (seconds);");
     println!("              prints trials-completed progress + ETA to stderr when it is a TTY");
-    println!("  --quick     bench smoke mode: tiny iteration counts (schema checks only)");
     println!("  --trials N  override the trial count");
     println!("  --out DIR   also write CSV series to DIR");
     println!("  --json      also write JSON artifacts to DIR (needs --out)");

@@ -1,5 +1,5 @@
 //! Ablations beyond the paper's figures, probing the design choices the
-//! paper discusses in §V (and that DESIGN.md §6 commits to):
+//! paper discusses in §V:
 //!
 //! * [`ack_timeout`] — §V-B: "values below [the] threshold will lead a
 //!   station to consider its packet lost before the ACK can be received...

@@ -46,7 +46,6 @@
 //!   workspace root package so `cargo run --bin repro` needs no `-p` flag.
 
 pub mod aggregate;
-pub mod benchmark;
 pub mod checkpoint;
 pub mod cli;
 pub mod csvout;

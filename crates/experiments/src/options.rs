@@ -49,10 +49,8 @@ pub struct Options {
     /// Worker threads (`None` = all cores).
     pub threads: Option<usize>,
     /// Also write JSON series next to the CSVs (requires `--out`, except for
-    /// `bench`, where `--json` alone writes `./BENCH_mac.json`).
+    /// `resume`, which writes into its run directory).
     pub json: bool,
-    /// Bench smoke mode: tiny iteration counts, schema-only value.
-    pub quick: bool,
     /// `--shard i/N`: run only shard `i` of `N` (the `shard` subcommand).
     pub shard: Option<(u32, u32)>,
     /// `--checkpoint[-secs/-trials]`: periodically snapshot in-flight state
@@ -121,7 +119,6 @@ impl Options {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--full" => opts.full = true,
-                "--quick" => opts.quick = true,
                 "--json" => opts.json = true,
                 "--trials" => {
                     let v = it.next().ok_or("--trials needs a value")?;
@@ -241,19 +238,9 @@ impl Options {
     /// Flag-combination validation, run up front (at parse time) so a bad
     /// combination can never surface as an error *after* a long run.
     fn validate(&self, sub: &str) -> Result<(), String> {
-        if self.full && self.quick {
-            return Err("--full and --quick are mutually exclusive".to_string());
-        }
-        // `--quick` only means something to the bench harness; silently
-        // ignoring it elsewhere would turn an intended smoke run into a
-        // full one.
-        if self.quick && sub != "bench" {
-            return Err(format!("--quick only applies to `bench`, not {sub:?}"));
-        }
-        // `bench --json` writes ./BENCH_mac.json without needing --out;
         // `resume DIR` writes into DIR itself; every other figure needs a
         // directory to put its JSON series in.
-        if self.json && self.out_dir.is_none() && sub != "bench" && sub != "resume" {
+        if self.json && self.out_dir.is_none() && sub != "resume" {
             return Err("--json needs --out DIR to write into".to_string());
         }
         if self.shard.is_some() && sub != "shard" {
@@ -280,7 +267,7 @@ impl Options {
                 // Resume re-checkpoints into the run directory automatically;
                 // the flags only tune its cadence there.
                 "resume" => {}
-                "shard" | "merge" | "bench" | "all" => {
+                "shard" | "merge" | "all" => {
                     return Err(format!("--checkpoint does not apply to {sub:?}"));
                 }
                 _ => {
@@ -471,35 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_without_out_is_allowed() {
-        let (sub, opts) = Options::parse(&strs(&["bench", "--json"])).unwrap();
-        assert_eq!(sub, "bench");
-        assert!(opts.json);
-        assert!(opts.out_dir.is_none());
-    }
-
-    #[test]
-    fn quick_parses_and_conflicts_with_full() {
-        let (_, opts) = Options::parse(&strs(&["bench", "--quick"])).unwrap();
-        assert!(opts.quick && !opts.full);
-        assert!(Options::parse(&strs(&["bench", "--quick", "--full"])).is_err());
-    }
-
-    #[test]
-    fn quick_is_rejected_outside_bench() {
-        assert!(Options::parse(&strs(&["fig5", "--quick"])).is_err());
-        assert!(Options::parse(&strs(&["all", "--quick"])).is_err());
-    }
-
-    #[test]
     fn rejects_unknown_flag_and_missing_sub() {
         assert!(Options::parse(&strs(&["fig3", "--nope"])).is_err());
         assert!(Options::parse(&strs(&["--full"])).is_err());
         assert!(Options::parse(&strs(&["fig3", "fig4"])).is_err());
         assert!(Options::parse(&strs(&["fig3", "--trials", "abc"])).is_err());
-        // Claims are always tapered; there is no batch-size knob.
-        let err = Options::parse(&strs(&["fig5", "--batch", "8"])).unwrap_err();
-        assert_eq!(err, "unknown flag \"--batch\"");
+        // There is no batch-size knob (claims are always tapered) and no
+        // grid smaller than the default one.
+        for flag in ["--batch", "--quick"] {
+            let err = Options::parse(&strs(&["fig5", flag, "8"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag:?}"));
+        }
     }
 
     #[test]
@@ -618,7 +587,6 @@ mod tests {
         // Subcommands that run no single figure sweep reject it.
         for sub in [
             vec!["merge", "a", "--out", "/t", "--checkpoint"],
-            vec!["bench", "--checkpoint"],
             vec!["all", "--checkpoint", "--out", "/t"],
             vec![
                 "shard",

@@ -49,7 +49,7 @@ use contention_core::merge::MergeStats;
 use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -66,9 +66,14 @@ pub const DEFAULT_LINGER_SECS: u64 = 2;
 /// Poll interval the `wait` response suggests to workers.
 pub const WAIT_RETRY_MS: u64 = 200;
 
-/// Request bodies larger than this are rejected up front — a full-grid
-/// artifact is megabytes; hundreds of megabytes is an attack, not a result.
-const MAX_BODY_BYTES: usize = 64 << 20;
+/// Request bodies larger than this are refused with 413 up front — a
+/// full-grid artifact is megabytes; hundreds of megabytes is an attack, not
+/// a result.
+pub const MAX_BODY_BYTES: usize = 64 << 20;
+/// The request line and headers together are refused with 431 past this —
+/// a worker's head is under 200 bytes, and the bound stops a client that
+/// trickles bytes under the socket timeout from growing it without end.
+const MAX_HEAD_BYTES: usize = 16 << 10;
 /// Concurrent request-handler cap (the semaphore's permit count): enough
 /// for a busy fleet, bounded so a connection flood cannot spawn unbounded
 /// threads.
@@ -549,20 +554,17 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let response = match read_request(&mut stream) {
+    let (status, body) = match read_request(&mut stream) {
         Ok(req) => route(&req, shared),
-        Err(e) => (
-            400,
-            format!("{{\"status\":\"error\",\"error\":{}}}", json_str(&e)),
-        ),
+        Err((status, e)) => (status, error_body(&e)),
     };
-    let (status, body) = response;
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         409 => "Conflict",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let _ = stream.write_all(
@@ -579,24 +581,24 @@ fn json_str(s: &str) -> String {
     format!("\"{}\"", crate::jsonout::escape(s))
 }
 
-fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// Reads one request; an error carries the status to answer with.
+fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
+    let bad = |e: String| (400, e);
     let mut reader = BufReader::new(stream);
+    // The request line and headers draw on one `MAX_HEAD_BYTES` budget.
+    let mut head = (&mut reader).take(MAX_HEAD_BYTES as u64);
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("cannot read request line: {e}"))?;
+    read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let path = parts.next().unwrap_or_default().to_string();
     if method.is_empty() || path.is_empty() {
-        return Err("malformed request line".to_string());
+        return Err(bad("malformed request line".to_string()));
     }
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| format!("cannot read header: {e}"))?;
+        read_head_line(&mut head, &mut header)?;
         let header = header.trim();
         if header.is_empty() {
             break;
@@ -606,21 +608,36 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
                 content_length = value
                     .trim()
                     .parse()
-                    .map_err(|_| format!("bad content-length {value:?}"))?;
+                    .map_err(|_| bad(format!("bad content-length {value:?}")))?;
             }
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Err(format!(
-            "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
+        return Err((
+            413,
+            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"),
         ));
     }
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|e| format!("cannot read body: {e}"))?;
-    let body = String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        .map_err(|e| bad(format!("cannot read body: {e}")))?;
+    let body = String::from_utf8(body).map_err(|_| bad("body is not UTF-8".to_string()))?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one head line into `line`; a line still unterminated when the
+/// head's budget runs out is refused with 431.
+fn read_head_line<R: BufRead>(head: &mut Take<R>, line: &mut String) -> Result<(), (u16, String)> {
+    head.read_line(line)
+        .map_err(|e| (400, format!("cannot read request head: {e}")))?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err((
+            431,
+            format!("request head exceeds the {MAX_HEAD_BYTES}-byte cap"),
+        ));
+    }
+    Ok(())
 }
 
 fn route(req: &Request, shared: &Shared) -> (u16, String) {

@@ -11,7 +11,7 @@
 //!   `run(config, n, rng) -> Output` function.
 //! * [`run_trial`] — one trial with the canonical
 //!   `(experiment tag, algorithm, n, trial)` RNG derivation. Every trial in
-//!   the repository — sweeps, figures, benches — goes through this
+//!   the repository — sweeps, figures, tests — goes through this
 //!   derivation, so any number anywhere is reproducible in isolation.
 //! * [`Sweep`] — the Cartesian `(algorithm × n × trial)` grid, and its one
 //!   runner, [`Sweep::run_fold_monitored`].
@@ -98,7 +98,7 @@ pub trait Simulator {
 /// Runs a single trial with the canonical RNG derivation.
 ///
 /// This is the one place where `(experiment, algorithm, n, trial)` turns
-/// into a generator; figures, sweeps and benches all share it.
+/// into a generator; figures, sweeps and tests all share it.
 pub fn run_trial<S: Simulator>(
     experiment: &str,
     config: &S::Config,
@@ -1140,7 +1140,7 @@ mod tests {
     #[test]
     fn run_trial_matches_the_sweep_stream() {
         // The single-trial entry point must hit the same RNG stream the
-        // sweep derives, so bench trials and sweep trials are interchangeable.
+        // sweep derives, so lone trials and sweep trials are interchangeable.
         let cells = fold(&toy_sweep(ExecPolicy::threads(1)), trials, None);
         let config = ToyConfig {
             algorithm: AlgorithmKind::Beb,

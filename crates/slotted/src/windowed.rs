@@ -423,8 +423,8 @@ fn run_counts(
     }
 }
 
-/// Plugs the windowed semantics into the generic sweep engine: every sweep,
-/// `run_trial` and bench of `WindowedSim` runs the count-only loop.
+/// Plugs the windowed semantics into the generic sweep engine: every sweep
+/// and every `run_trial` of `WindowedSim` runs the count-only loop.
 impl Simulator for WindowedSim {
     type Config = WindowedConfig;
     type Output = TrialSummary;

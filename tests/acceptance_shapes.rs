@@ -1,4 +1,5 @@
-//! Acceptance tests for the headline shapes of the paper (DESIGN.md §5).
+//! Acceptance tests for the headline shapes of the paper's MAC figures
+//! (Figures 3–13 and 18–19, §III-B's decomposition).
 //!
 //! These use more trials than the unit tests so the medians are stable, and
 //! they encode exactly the claims the reproduction stands on: if any of
@@ -7,7 +8,10 @@
 use contention_resolution::prelude::*;
 use contention_stats::summary::median;
 
+/// Median of `f` over trials `0..trials` on the `(tag, kind, n, trial)`
+/// RNG streams.
 fn mac_median(
+    tag: &str,
     kind: AlgorithmKind,
     payload: u32,
     n: u32,
@@ -17,7 +21,7 @@ fn mac_median(
     let config = MacConfig::paper(kind, payload);
     let xs: Vec<f64> = (0..trials)
         .map(|t| {
-            let mut rng = trial_rng(experiment_tag("acceptance"), kind, n, t);
+            let mut rng = trial_rng(experiment_tag(tag), kind, n, t);
             f(&simulate(&config, n, &mut rng))
         })
         .collect();
@@ -29,7 +33,11 @@ fn mac_median(
 #[test]
 fn result1_cw_slot_ordering() {
     let trials = 11;
-    let cw = |kind| mac_median(kind, 64, 150, trials, &|r| r.metrics.cw_slots as f64);
+    let cw = |kind| {
+        mac_median("acceptance", kind, 64, 150, trials, &|r| {
+            r.metrics.cw_slots as f64
+        })
+    };
     let beb = cw(AlgorithmKind::Beb);
     let lb = cw(AlgorithmKind::LogBackoff);
     let llb = cw(AlgorithmKind::LogLogBackoff);
@@ -50,7 +58,7 @@ fn result1_cw_slot_ordering() {
 fn result2_total_time_reversal() {
     let trials = 11;
     let tt = |kind, payload| {
-        mac_median(kind, payload, 150, trials, &|r| {
+        mac_median("acceptance", kind, payload, 150, trials, &|r| {
             r.metrics.total_time.as_micros_f64()
         })
     };
@@ -74,13 +82,56 @@ fn result2_total_time_reversal() {
     );
 }
 
+/// Figure 4: the CW-slot ordering of Result 1 survives a 1024 B payload —
+/// STB still needs far fewer CW slots than BEB at n = 100.
+#[test]
+fn fig4_cw_slot_ordering_at_1024_bytes() {
+    let cw = |kind| {
+        mac_median("fig4-bench", kind, 1024, 100, 7, &|r| {
+            r.metrics.cw_slots as f64
+        })
+    };
+    let beb = cw(AlgorithmKind::Beb);
+    let stb = cw(AlgorithmKind::Sawtooth);
+    assert!(stb < beb, "STB {stb} < BEB {beb}");
+}
+
+/// Figure 6's stragglers: BEB finishes its first n/2 packets within less
+/// than half of its CW slots, so the last packets account for the bulk.
+#[test]
+fn fig6_stragglers_dominate_beb_cw_slots() {
+    let config = MacConfig::paper(AlgorithmKind::Beb, 64);
+    let mut rng = trial_rng(experiment_tag("fig6-bench"), AlgorithmKind::Beb, 100, 0);
+    let m = simulate(&config, 100, &mut rng).metrics;
+    assert!(
+        m.half_cw_slots * 2 < m.cw_slots,
+        "first n/2 took {} of {} CW slots",
+        m.half_cw_slots,
+        m.cw_slots
+    );
+}
+
+/// Figures 9–10: stragglers do not explain Result 2, because BEB also
+/// completes the first n/2 packets before STB does.
+#[test]
+fn fig9_beb_leads_on_the_first_half() {
+    let half = |kind| {
+        mac_median("fig9-bench", kind, 64, 100, 9, &|r| {
+            r.metrics.half_time.as_micros_f64()
+        })
+    };
+    let beb = half(AlgorithmKind::Beb);
+    let stb = half(AlgorithmKind::Sawtooth);
+    assert!(beb < stb, "BEB half time {beb} µs < STB {stb} µs");
+}
+
 /// Figure 11's shape: BEB suffers the fewest worst-station ACK timeouts
 /// (≈ 9–12 at n = 150), STB the most.
 #[test]
 fn fig11_ack_timeout_ordering() {
     let trials = 11;
     let to = |kind| {
-        mac_median(kind, 64, 150, trials, &|r| {
+        mac_median("acceptance", kind, 64, 150, trials, &|r| {
             r.metrics.max_ack_timeouts() as f64
         })
     };
@@ -105,7 +156,7 @@ fn result7_best_of_k() {
     let trials = 9;
     let n = 150;
     let tt = |kind| {
-        mac_median(kind, 64, n, trials, &|r| {
+        mac_median("acceptance", kind, 64, n, trials, &|r| {
             r.metrics.total_time.as_micros_f64()
         })
     };

@@ -88,7 +88,8 @@ fn total_time_exceeds_serial_floor() {
 }
 
 /// Traces are physically consistent across algorithms: no station does two
-/// things at once, and failed transmissions equal ACK timeouts.
+/// things at once, failed transmissions equal ACK timeouts, and with no
+/// BEST-OF-k probe on the air no lone frame is corrupted.
 #[test]
 fn traces_are_consistent() {
     for kind in AlgorithmKind::PAPER_SET {
@@ -108,6 +109,7 @@ fn traces_are_consistent() {
             .filter(|s| matches!(s.kind, contention_mac::SpanKind::DataFail))
             .count() as u64;
         assert_eq!(fails, run.metrics.total_ack_timeouts(), "{kind}");
+        assert_eq!(run.probe_corruptions, 0, "{kind}");
     }
 }
 

@@ -79,7 +79,7 @@ fn degenerate_noisy_sweep_matches_windowed_sweep_bit_for_bit() {
 
 /// Single trials agree too: `WindowedSim`'s per-station `run` with
 /// `NoisySim` on the same stream, and `run_trial`'s count-only summary — the
-/// single-trial entry point benches use — with the per-station summary.
+/// single-trial entry point — with the per-station summary.
 #[test]
 fn degenerate_single_trials_match() {
     let kind = AlgorithmKind::Sawtooth;

@@ -210,3 +210,97 @@ fn sweeps_are_pure_functions_of_their_inputs() {
         || bits(&sweep.run_fold_monitored(MetricStats::collector(&Metric::ALL), None, None, None));
     assert_eq!(run(), run());
 }
+
+/// Keeps every trial's summary of one cell, addressed by trial index.
+#[derive(Clone)]
+struct Trials(Vec<Option<TrialSummary>>);
+
+impl Accumulator<TrialSummary> for Trials {
+    fn record(&mut self, trial: u32, value: TrialSummary) {
+        self.0[trial as usize] = Some(value);
+    }
+}
+
+/// A summary's bit image: `n`, then every metric of [`Metric::ALL`].
+fn summary_bits(s: &TrialSummary) -> (u32, Vec<u64>) {
+    (
+        s.n,
+        Metric::ALL.iter().map(|m| m.extract(s).to_bits()).collect(),
+    )
+}
+
+/// The two identities under every fold, on each `(n, trial)` of `cells`: a
+/// lone `run_trial` is the trial a 2-thread sweep folds, and a scratch
+/// arena warmed by the trials before it yields a fresh arena's bits. List
+/// the largest `n` first, so later trials reuse a larger arena.
+fn assert_trial_identities<S: Simulator>(
+    experiment: &'static str,
+    config: S::Config,
+    cells: &[(u32, u32)],
+) where
+    TrialSummary: From<S::Output>,
+{
+    let mut ns: Vec<u32> = cells.iter().map(|&(n, _)| n).collect();
+    ns.sort_unstable();
+    ns.dedup();
+    let trials = 1 + cells.iter().map(|&(_, t)| t).max().expect("cells");
+    let swept = Sweep::<S> {
+        experiment,
+        config: config.clone(),
+        algorithms: vec![S::algorithm(&config)],
+        ns,
+        trials,
+        exec: ExecPolicy::threads(2),
+    }
+    .run_fold_monitored(
+        |_, _, trials| Trials(vec![None; trials as usize]),
+        None,
+        None,
+        None,
+    );
+    let mut warm = S::Scratch::default();
+    for &(n, trial) in cells {
+        let fresh = TrialSummary::from(run_trial::<S>(experiment, &config, n, trial));
+        let reused = TrialSummary::from(run_trial_with::<S>(
+            experiment, &config, n, trial, &mut warm,
+        ));
+        let folded = swept
+            .iter()
+            .find(|c| c.n == n)
+            .and_then(|c| c.acc.0[trial as usize])
+            .expect("the sweep ran every cell");
+        let name = S::NAME;
+        assert_eq!(
+            summary_bits(&fresh),
+            summary_bits(&reused),
+            "{name} n={n} trial={trial}: a warmed scratch changed the trial"
+        );
+        assert_eq!(
+            summary_bits(&fresh),
+            summary_bits(&folded),
+            "{name} n={n} trial={trial}: the sweep folded a different trial"
+        );
+    }
+}
+
+/// `run_trial` ≡ a warmed `run_trial_with` ≡ the swept trial, for the MAC,
+/// windowed and noisy backends. The dynamic and residual backends check
+/// scratch reuse in their own unit tests.
+#[test]
+fn lone_trials_match_warm_scratch_and_swept_trials() {
+    assert_trial_identities::<MacSim>(
+        "identity-mac",
+        MacConfig::paper(AlgorithmKind::LogBackoff, 64),
+        &[(100, 3), (15, 2), (40, 0)],
+    );
+    assert_trial_identities::<WindowedSim>(
+        "identity-windowed",
+        WindowedConfig::abstract_model(AlgorithmKind::Beb),
+        &[(10_000, 1), (150, 0), (2_000, 2)],
+    );
+    assert_trial_identities::<NoisySim>(
+        "identity-noisy",
+        NoisyConfig::abstract_model(AlgorithmKind::Beb, ChannelModel::softened(0.5)),
+        &[(3_000, 1), (100, 0), (600, 2)],
+    );
+}

@@ -14,11 +14,13 @@ use contention_experiments::figures::sharding::find_shardable;
 use contention_experiments::figures::shared::SweepHooks;
 use contention_experiments::jsonin::Json;
 use contention_experiments::options::Options;
-use contention_experiments::server::{http_request, Server};
+use contention_experiments::server::{http_request, Server, MAX_BODY_BYTES};
 use contention_experiments::shard::ShardState;
 use contention_experiments::worker::run_worker;
 use contention_sim::engine::TrialRange;
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -263,4 +265,78 @@ fn abandoned_leases_are_reissued_after_the_ttl() {
     run_worker(&worker_opts).expect("worker drains the sweep");
     handle.join().unwrap().expect("server finalizes");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `request` as raw bytes and returns the response's status code.
+/// A write error is ignored: a coordinator that refuses a request early
+/// closes the socket before the client has sent all of it.
+fn raw_status(addr: &str, request: &[u8]) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let _ = stream.write_all(request);
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    let text = String::from_utf8_lossy(&response);
+    text.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {text:?}"))
+}
+
+/// Starts a fig5 coordinator, has it answer `request` with `expected`, and
+/// then requires the same coordinator to hand out a lease and finish the
+/// sweep with one worker.
+fn refuses_then_keeps_leasing(tag: &str, request: &[u8], expected: u16) {
+    let dir = scratch(tag);
+    let opts = Options {
+        inputs: vec!["fig5".to_string()],
+        trials: Some(2),
+        out_dir: Some(dir.clone()),
+        port: Some(0),
+        lease_secs: Some(1),
+        leases: Some(2),
+        linger_secs: Some(0),
+        ..Options::default()
+    };
+    let server = Server::start(&opts).expect("server binds");
+    let addr = format!("127.0.0.1:{}", server.local_addr().port());
+    let handle = std::thread::spawn(move || server.run());
+
+    assert_eq!(raw_status(&addr, request), expected);
+    let (status, body) = http_request(&addr, "GET", "/lease", None).expect("claim");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"lease\""), "{body}");
+
+    // The claimed lease is abandoned; it re-issues after the 1 s TTL.
+    let worker_opts = Options {
+        connect: Some(addr),
+        threads: Some(2),
+        ..Options::default()
+    };
+    run_worker(&worker_opts).expect("worker drains the sweep");
+    handle.join().unwrap().expect("server finalizes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A body one byte over the cap is refused with 413 from its headers
+/// alone; the coordinator never waits for the body.
+#[test]
+fn over_cap_body_gets_413() {
+    let request = format!(
+        "POST /result/0 HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES + 1
+    );
+    refuses_then_keeps_leasing("body-cap", request.as_bytes(), 413);
+}
+
+/// A 1 MiB header line is refused with 431 once the head passes its cap,
+/// rather than buffered whole and served.
+#[test]
+fn oversized_request_head_gets_431() {
+    let mut request = b"GET /lease HTTP/1.1\r\nX-Pad: ".to_vec();
+    request.resize(request.len() + (1 << 20), b'a');
+    request.extend_from_slice(b"\r\n\r\n");
+    refuses_then_keeps_leasing("head-cap", &request, 431);
 }
