@@ -141,6 +141,15 @@ impl MetricStats {
         &self.samples
     }
 
+    /// Trials recorded: a trial counts once every metric buffer holds it.
+    pub(crate) fn recorded(&self) -> usize {
+        self.samples
+            .iter()
+            .map(StreamingSample::filled)
+            .min()
+            .unwrap_or(0)
+    }
+
     /// True once every (trial, metric) slot has been recorded.
     pub fn is_complete(&self) -> bool {
         self.samples.iter().all(|s| s.is_complete())

@@ -30,7 +30,7 @@ use crate::aggregate::{MetricStats, StatsCell};
 use crate::fsutil;
 use crate::jsonin::Json;
 use crate::jsonout::{escape, num};
-use crate::shard::{GridMeta, ShardState, SHARD_SUFFIX};
+use crate::shard::{merge_cells, GridMeta, ShardState, SHARD_SUFFIX};
 use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
 use std::fs;
@@ -78,8 +78,7 @@ pub struct CheckpointWriter {
     /// Already-recorded state a resume run starts from; merged into every
     /// checkpoint so a second crash loses nothing.
     base: Vec<StatsCell>,
-    /// Trials the base already holds (counted per cell as the minimum across
-    /// metric buffers, matching `ShardState::missing`).
+    /// Trials the base already holds.
     base_trials: usize,
     /// Cost-weighted work the base already holds — subtracted from the
     /// snapshot's work before computing the work *rate*, since the base's
@@ -131,8 +130,8 @@ impl CheckpointWriter {
     /// leaves a checkpoint holding everything recorded so far.
     pub fn with_base(mut self, base: ShardState) -> CheckpointWriter {
         assert_eq!(base.grid, self.grid, "base state must match the run grid");
-        self.base_trials = recorded_trials(&base);
         self.base = base.into_cells();
+        self.base_trials = self.base.iter().map(|c| c.acc.recorded()).sum();
         self.base_work = self.work_of(&self.base);
         self
     }
@@ -142,27 +141,23 @@ impl CheckpointWriter {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Cost-weighted work the given cells hold, in the grid's cost units: a
-    /// trial counts once every metric buffer records it (the
-    /// [`recorded_trials`] rule), weighted by its cell's per-trial cost.
+    /// `cells` folded over the base state: what each checkpoint holds, and
+    /// a checkpointed run's final cells.
+    pub(crate) fn fold(&self, cells: Vec<StatsCell>) -> Result<Vec<StatsCell>, String> {
+        merge_cells(&self.grid, self.base.clone(), cells, MetricStats::try_merge)
+    }
+
+    /// Cost-weighted work the given cells hold, in the grid's cost units:
+    /// each recorded trial weighted by its cell's per-trial cost.
     fn work_of(&self, cells: &[StatsCell]) -> f64 {
         cells
             .iter()
-            .map(|c| {
-                let done = c
-                    .acc
-                    .raw_samples()
-                    .iter()
-                    .map(|s| s.raw().iter().filter(|v| !v.is_nan()).count())
-                    .min()
-                    .unwrap_or(0);
-                done as f64 * self.grid.cost.cost(c.n)
-            })
+            .map(|c| c.acc.recorded() as f64 * self.grid.cost.cost(c.n))
             .sum()
     }
 
-    fn write_snapshot(&self, snap: &SweepSnapshot<MetricStats>) -> Result<(), String> {
-        let cells = merge_cells(&self.grid, &self.base, &snap.cells)?;
+    fn write_snapshot(&self, snap: SweepSnapshot<MetricStats>) -> Result<(), String> {
+        let cells = self.fold(snap.cells)?;
         let state = ShardState::from_cells(&self.experiment, self.full, (0, 1), &self.grid, &cells);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let name = checkpoint_file_name(&self.experiment, seq);
@@ -231,7 +226,7 @@ impl SweepMonitor<MetricStats> for CheckpointWriter {
     /// I/O failing must not take down the sweep it protects. The first
     /// failure warns on stderr; later snapshots keep retrying silently.
     fn snapshot(&self, snap: SweepSnapshot<MetricStats>) {
-        if let Err(e) = self.write_snapshot(&snap) {
+        if let Err(e) = self.write_snapshot(snap) {
             if !self.warned.swap(true, Ordering::Relaxed) {
                 eprintln!(
                     "warning: checkpoint write failed: {e} (run continues; \
@@ -264,61 +259,6 @@ fn guarded_rate(numer: f64, denom: f64) -> f64 {
     } else {
         f64::NAN
     }
-}
-
-/// Base ∪ fresh, cell-merged into canonical grid order — the reassembly
-/// step shared by checkpoint snapshots (base = the state a resume loaded,
-/// fresh = the in-flight ragged cut) and `repro resume`'s final fold
-/// (fresh = the executed missing-work plan). Cells present in neither are
-/// omitted — the artifact format tolerates missing cells.
-pub fn merge_cells(
-    grid: &GridMeta,
-    base: &[StatsCell],
-    fresh: &[StatsCell],
-) -> Result<Vec<StatsCell>, String> {
-    let mut merged = Vec::new();
-    for &alg in &grid.algorithms {
-        for &n in &grid.ns {
-            let find = |cells: &[StatsCell]| -> Option<MetricStats> {
-                cells
-                    .iter()
-                    .find(|c| c.algorithm == alg && c.n == n)
-                    .map(|c| c.acc.clone())
-            };
-            let acc = match (find(base), find(fresh)) {
-                (Some(mut b), Some(s)) => {
-                    b.try_merge(s)
-                        .map_err(|e| format!("cell ({alg}, n={n}): {e}"))?;
-                    Some(b)
-                }
-                (b, s) => b.or(s),
-            };
-            if let Some(acc) = acc {
-                merged.push(StatsCell {
-                    algorithm: alg,
-                    n,
-                    acc,
-                });
-            }
-        }
-    }
-    Ok(merged)
-}
-
-/// Trials a state has fully recorded, counted per cell as the minimum
-/// across metric buffers (a trial counts only when every metric holds it).
-fn recorded_trials(state: &ShardState) -> usize {
-    state
-        .cells
-        .iter()
-        .map(|cell| {
-            cell.samples
-                .iter()
-                .map(|s| s.iter().filter(|v| !v.is_nan()).count())
-                .min()
-                .unwrap_or(0)
-        })
-        .sum()
 }
 
 /// The resume work plan: the trials the state has not recorded, as

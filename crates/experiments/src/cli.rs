@@ -2,134 +2,141 @@
 //!
 //! ```text
 //! repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json]
-//!       [--threads N]
-//! repro shard <experiment> --shard i/N --out DIR   # partial-state artifact
-//! repro merge DIR... --out DIR [--json]            # recombine + report
+//!       [--threads N]                                   # direct run
+//! repro <experiment> --checkpoint[-secs N|-trials N] --out DIR [--json]
+//! repro resume DIR [--json]                             # continue a checkpointed run
+//! repro shard <experiment> --shard i/N --out DIR        # partial-state artifact
+//! repro merge DIR... --out DIR [--json]                 # recombine + report
+//! repro serve <experiment> --out DIR [--json] [--port P] [--leases N]
+//!       [--lease-secs S] [--linger-secs S]              # distributed coordinator
+//! repro work --connect HOST:PORT [--threads N]          # pull-based worker
 //! ```
 //!
 //! Default grids are laptop-quick; `--full` switches to the paper's grids
 //! (and turns on the stderr progress meter when stderr is a TTY). With
 //! `--out DIR` each experiment also writes CSV series for plotting;
-//! `--json` adds JSON artifacts next to them. `all` runs each sweep that
-//! several experiments fold from once for all of them
-//! ([`SharedSweeps`]), with the same output, byte for byte, as running
-//! the experiments one at a time.
+//! `--json` adds JSON artifacts next to them.
 //!
-//! `shard`/`merge` split a sweep across processes: each `shard` invocation
-//! runs one contiguous cell range of the experiment's grid and writes a
-//! `shard_state/v1` artifact; `merge` validates and merges any number of
-//! such artifacts and emits the **same reports, byte for byte,** as the
-//! single-process run (see `crate::shard`).
+//! Every mode is one pipeline, **plan → execute → fold → report**; the
+//! modes differ only in which steps run in this process:
+//!
+//! | mode | plan | execute | fold | report |
+//! |---|---|---|---|---|
+//! | direct / `all` | whole grid | here | in the engine | here |
+//! | `--checkpoint` | every trial | here, checkpointed | checkpoint ∪ run | here |
+//! | `resume` | the checkpoint's holes | here, checkpointed | checkpoint ∪ run | here |
+//! | `shard` | the shard's cells | here | — | writes `shard_state/v1` |
+//! | `merge` | — | — | the artifacts | here |
+//! | `serve` | the missing trials, cut into leases | by `work` processes | master ∪ each POST | here |
+//! | `work` | its lease | here | — | POSTs `shard_state/v1` |
+//!
+//! A checkpointed run is a resume from an empty state: per-trial RNG
+//! streams make a trial's bits independent of the plan it runs in, so
+//! every mode reports the direct run's bytes. `all` runs each sweep that
+//! several experiments fold from once for all of them ([`SharedSweeps`]),
+//! with the same output, byte for byte, as running the experiments one at
+//! a time.
+//!
+//! Each decision the modes share has one home: `Experiment` (which
+//! shardable sweep, under which options; whether an artifact belongs to
+//! it; a plan run into an artifact; folded cells into a report),
+//! [`merge_cells`](crate::shard::merge_cells) (the fold) and `publish`
+//! (the report step). Every mode returns `Result`, and [`run`] is the one
+//! place that turns an error into `error: …` and a failing exit code.
 //!
 //! The actual binary lives in the workspace root package (`src/bin/repro.rs`)
 //! so that a plain `cargo run --bin repro` works from the repository root;
 //! this module holds all of its logic so it stays unit-testable here.
 
+use crate::aggregate::{MetricStats, StatsCell};
 use crate::checkpoint::{self, CheckpointWriter};
-use crate::figures::sharding::{find_shardable, shardable_names, SharedSweeps};
+use crate::figures::sharding::{find_shardable, shardable_names, ShardableEntry, SharedSweeps};
 use crate::figures::shared::SweepHooks;
 use crate::figures::{registry, Report};
 use crate::options::Options;
-use crate::shard::{load_dir, merge_states, write_state, ShardState};
+use crate::server::Server;
+use crate::shard::{load_dir, merge_states, write_state, GridMeta, ShardCell, ShardState};
+use crate::worker::run_worker;
 use contention_sim::engine::{validate_plan, CellRange, TrialRange};
+use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// Entry point: parses `args` (without the program name) and runs the
-/// selected experiments.
+/// selected mode. The one place a failure becomes `error: …` on stderr and
+/// a failing exit code.
 pub fn run(args: &[String]) -> ExitCode {
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
         print_usage();
         return ExitCode::SUCCESS;
     }
-    let (sub, opts) = match Options::parse(args) {
-        Ok(parsed) => parsed,
+    match try_run(args) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            print_usage();
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+/// [`run`] without its error sink: parses `args` (printing the usage when
+/// they do not parse) and runs the selected mode.
+pub fn try_run(args: &[String]) -> Result<(), String> {
+    let (sub, opts) = Options::parse(args).inspect_err(|_| print_usage())?;
     if sub == "list" {
         for (name, desc, _) in registry() {
             println!("{name:<12} {desc}");
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     // Fail fast on an unusable output directory — before hours of trials,
     // not after them (the late-error pathology `--json` used to have).
     if let Some(dir) = &opts.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create --out {}: {e}", dir.display());
-            return ExitCode::FAILURE;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create --out {}: {e}", dir.display()))?;
+    }
+    match sub.as_str() {
+        "shard" => run_shard(&opts),
+        "merge" => run_merge(&opts),
+        "resume" => run_resume(&opts),
+        "serve" => Server::serve(&opts),
+        "work" => run_worker(&opts),
+        _ if opts.checkpoint.is_some() => {
+            let exp = Experiment::new(&sub, &opts)
+                .map_err(|e| format!("--checkpoint needs one sweep grid to snapshot: {e}"))?;
+            let dir = opts.out_dir.as_deref().expect("validated at parse time");
+            run_checkpointed(&exp, exp.state((0, 1), &[]), dir, &opts)
         }
+        _ => run_direct(&sub, &opts),
     }
-    if sub == "shard" {
-        return run_shard(&opts);
-    }
-    if sub == "merge" {
-        return run_merge(&opts);
-    }
-    if sub == "resume" {
-        return run_resume(&opts);
-    }
-    if sub == "serve" {
-        return match crate::server::Server::serve(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if sub == "work" {
-        return match crate::worker::run_worker(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
+}
 
-    if opts.checkpoint.is_some() {
-        return run_checkpointed(&sub, &opts);
-    }
-
+/// `repro <experiment>` and `repro all`: each experiment's registry runner —
+/// or, under `all`, its share of a sweep several experiments fold from —
+/// straight to its report, in registry order, each as soon as it is done.
+fn run_direct(sub: &str, opts: &Options) -> Result<(), String> {
     let entries = registry();
     let selected: Vec<_> = if sub == "all" {
         entries
     } else {
-        match entries.into_iter().find(|(name, _, _)| *name == sub) {
-            Some(entry) => vec![entry],
-            None => {
-                eprintln!("error: unknown experiment {sub:?} (try `repro list`)");
-                return ExitCode::FAILURE;
-            }
-        }
+        let entry = entries.into_iter().find(|(name, _, _)| *name == sub);
+        vec![entry.ok_or_else(|| format!("unknown experiment {sub:?} (try `repro list`)"))?]
     };
-
     // `all` runs each sweep several experiments fold from once; a single
     // experiment shares nothing, so its own runner runs it.
     let names: Vec<&str> = selected.iter().map(|(name, _, _)| *name).collect();
-    let mut shared = SharedSweeps::plan(&names, &opts);
+    let mut shared = SharedSweeps::plan(&names, opts);
     for &(name, _, runner) in &selected {
-        let started = std::time::Instant::now();
-        let report: Report = shared.report(name).unwrap_or_else(|| runner(&opts));
-        report.print();
-        if let Some(dir) = &opts.out_dir {
-            if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "[{}] {} written to {}",
-                name,
-                if opts.json { "CSVs + JSON" } else { "CSVs" },
-                dir.display()
-            );
-        }
-        println!("[{}] done in {:.1?}\n", name, started.elapsed());
+        let started = Instant::now();
+        let report = shared.report(name).unwrap_or_else(|| runner(opts));
+        publish(
+            &report,
+            &format!("[{name}]"),
+            opts.out_dir.as_deref(),
+            opts.json,
+        )?;
+        println!("[{name}] done in {:.1?}\n", started.elapsed());
     }
     if sub == "all" {
         println!(
@@ -139,283 +146,239 @@ pub fn run(args: &[String]) -> ExitCode {
             shared.reruns_avoided()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Writes a report's CSV (and optionally JSON) artifacts into `dir`.
-pub(crate) fn write_report_artifacts(
-    report: &Report,
-    dir: &Path,
-    json: bool,
-) -> Result<(), String> {
+/// The report step every mode ends in: prints `report` and, given a
+/// directory, writes its CSV (and with `json` its JSON) artifacts there,
+/// announced as `<prefix> CSVs[ + JSON] written to <dir>`.
+fn publish(report: &Report, prefix: &str, dir: Option<&Path>, json: bool) -> Result<(), String> {
+    report.print();
+    let Some(dir) = dir else {
+        return Ok(());
+    };
     report.write_csv(dir)?;
     if json {
         report.write_json(dir)?;
     }
+    println!(
+        "{prefix} {} written to {}",
+        if json { "CSVs + JSON" } else { "CSVs" },
+        dir.display()
+    );
     Ok(())
 }
 
-/// `repro <experiment> --checkpoint[-secs/-trials N] --out DIR`: the normal
-/// single-experiment run, with a [`CheckpointWriter`] attached to the
-/// engine's snapshot seam. Requires a shardable experiment — checkpoints
-/// ride the same split cells/report pipeline and `shard_state/v1` artifact
-/// as `repro shard`.
-fn run_checkpointed(sub: &str, opts: &Options) -> ExitCode {
-    let Some(entry) = find_shardable(sub) else {
-        eprintln!(
-            "error: --checkpoint needs a shardable experiment (one sweep grid to \
-             snapshot); {sub:?} is not (shardable: {})",
-            shardable_names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let dir = opts.out_dir.as_deref().expect("validated at parse time");
-    let cadence = opts.checkpoint.expect("checkpointed run").cadence();
-    let grid = (entry.grid)(opts);
-    let writer = match CheckpointWriter::new(dir, entry.name, opts.full, grid) {
-        Ok(writer) => writer,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let started = std::time::Instant::now();
-    let hooks = SweepHooks {
-        monitor: Some((cadence, &writer)),
-        ..SweepHooks::default()
-    };
-    let cells = (entry.cells)(opts, &hooks);
-    let report = (entry.report)(opts, &cells);
-    report.print();
-    if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "[{}] {} + checkpoints written to {}",
-        entry.name,
-        if opts.json { "CSVs + JSON" } else { "CSVs" },
-        dir.display()
-    );
-    println!("[{}] done in {:.1?}\n", entry.name, started.elapsed());
-    ExitCode::SUCCESS
+/// One shardable experiment's sweep under one set of grid options: what the
+/// checkpointed, `resume`, `shard`, `merge`, `serve` and `work` modes plan,
+/// execute, fold and report.
+pub(crate) struct Experiment {
+    pub(crate) entry: ShardableEntry,
+    /// `--full` and `--trials` shape the grid; `--threads` only runs it.
+    pub(crate) opts: Options,
+    pub(crate) grid: GridMeta,
 }
 
-/// `repro resume DIR [--json]`: loads the newest valid checkpoint under
-/// `DIR/checkpoints/`, runs only the trials it is missing (per-trial RNG is
-/// position-addressed, so those trials are bit-identical to what the
-/// interrupted run would have produced), merges, and emits the experiment's
-/// reports into `DIR` — byte-identical to an uninterrupted run.
-fn run_resume(opts: &Options) -> ExitCode {
-    let dir = Path::new(&opts.inputs[0]);
-    let loaded = match checkpoint::load_latest(dir) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+impl Experiment {
+    /// `name`'s sweep under `opts`; an error lists the shardable names.
+    pub(crate) fn new(name: &str, opts: &Options) -> Result<Experiment, String> {
+        let entry = find_shardable(name).ok_or_else(|| {
+            format!(
+                "{name:?} is not a shardable experiment (shardable: {})",
+                shardable_names().join(", ")
+            )
+        })?;
+        Ok(Experiment {
+            entry,
+            grid: (entry.grid)(opts),
+            opts: opts.clone(),
+        })
+    }
+
+    /// The sweep an artifact (a checkpoint, merged shards, a lease)
+    /// recorded — its experiment, `--full` and trial count — run with
+    /// `opts`' `--threads`, which no result depends on.
+    pub(crate) fn recorded(
+        name: &str,
+        full: bool,
+        trials: u32,
+        opts: &Options,
+    ) -> Result<Experiment, String> {
+        let grid_opts = Options {
+            full,
+            trials: Some(trials),
+            threads: opts.threads,
+            ..Options::default()
+        };
+        Experiment::new(name, &grid_opts)
+    }
+
+    /// `Ok` when `state` is (part of) this very sweep: the check between a
+    /// checkpoint and `resume` or `serve`, and between a POST and the
+    /// coordinator's fold.
+    pub(crate) fn check(&self, state: &ShardState) -> Result<(), String> {
+        if state.experiment == self.entry.name
+            && state.full == self.opts.full
+            && state.grid == self.grid
+        {
+            return Ok(());
         }
-    };
-    // Recovery that stepped over damage (a dangling `latest` pointer, torn
-    // artifacts) still works — but never silently.
+        Err(format!(
+            "artifact of {:?} does not match {:?}'s grid under these options (another \
+             build, or other --trials/--full?)",
+            state.experiment, self.entry.name
+        ))
+    }
+
+    /// `cells` as shard `shard` of this sweep's `shard_state/v1` artifact.
+    pub(crate) fn state(&self, shard: (u32, u32), cells: &[StatsCell]) -> ShardState {
+        ShardState::from_cells(self.entry.name, self.opts.full, shard, &self.grid, cells)
+    }
+
+    /// The execute step, in this process: runs `plan`, with `monitor` on
+    /// the engine's snapshot seam, into the folded cells it touched.
+    fn execute(
+        &self,
+        plan: &[TrialRange],
+        monitor: Option<(SnapshotCadence, &dyn SweepMonitor<MetricStats>)>,
+    ) -> Vec<StatsCell> {
+        let hooks = SweepHooks {
+            plan: Some(plan),
+            monitor,
+        };
+        (self.entry.cells)(&self.opts, &hooks)
+    }
+
+    /// `plan` run into shard `shard`'s artifact: what `repro shard` writes
+    /// and `repro work` posts.
+    pub(crate) fn run_plan(&self, plan: &[TrialRange], shard: (u32, u32)) -> ShardState {
+        self.state(shard, &self.execute(plan, None))
+    }
+
+    /// The report step for folded cells: refuses an incomplete fold, naming
+    /// what is missing, and otherwise [`publish`]es the report into `dir`.
+    pub(crate) fn report(
+        &self,
+        cells: &[StatsCell],
+        prefix: &str,
+        dir: &Path,
+        json: bool,
+    ) -> Result<(), String> {
+        let missing = self.state((0, 1), cells).missing();
+        if !missing.is_empty() {
+            return Err(format!(
+                "{} is incomplete in {} cells (a shard not merged? a corrupt checkpoint?):\n  {}",
+                self.entry.name,
+                missing.len(),
+                missing[..missing.len().min(8)].join("\n  ")
+            ));
+        }
+        publish(
+            &(self.entry.report)(&self.opts, cells),
+            prefix,
+            Some(dir),
+            json,
+        )
+    }
+}
+
+/// The newest checkpoint under `dir` and its sequence number — where
+/// `resume` and a restarted `serve` start. Recovery that stepped over
+/// damage (a dangling `latest` pointer, torn artifacts) still works, but
+/// never silently: each step is printed as a warning.
+pub(crate) fn load_checkpoint(dir: &Path) -> Result<(ShardState, u64), String> {
+    let loaded = checkpoint::load_latest(dir)?;
     for warning in &loaded.warnings {
         eprintln!("warning: {warning}");
     }
-    let (state, seq) = (loaded.state, loaded.seq);
-    let Some(entry) = find_shardable(&state.experiment) else {
-        eprintln!(
-            "error: checkpoint names unknown experiment {:?}",
-            state.experiment
-        );
-        return ExitCode::FAILURE;
-    };
-    // Rebuild the grid-shaping options of the original run; the execution
-    // knob (--threads) may differ freely — results are independent of it.
-    let run_opts = Options {
-        full: state.full,
-        trials: Some(state.grid.trials),
-        threads: opts.threads,
-        ..Options::default()
-    };
-    let grid = (entry.grid)(&run_opts);
-    if grid != state.grid {
-        eprintln!(
-            "error: checkpoint grid does not match {:?}'s current grid \
-             (artifact from a different build?)",
-            state.experiment
-        );
-        return ExitCode::FAILURE;
-    }
-    let plan = match checkpoint::missing_work(&state)
-        .and_then(|plan| validate_plan(&plan, grid.cell_count(), grid.trials).map(|()| plan))
-    {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let missing: usize = plan.iter().map(TrialRange::len).sum();
-    let total = grid.cell_count() * grid.trials as usize;
-    let name = state.experiment.clone();
+    Ok((loaded.state, loaded.seq))
+}
+
+/// `repro <experiment> --checkpoint… --out DIR` and `repro resume DIR`:
+/// runs what `state` has not recorded (everything, on a fresh run) with a
+/// [`CheckpointWriter`] on the snapshot seam, folds that over `state`, and
+/// reports into `dir` — byte-identical to an uninterrupted run, because
+/// per-trial RNG streams are position-addressed.
+fn run_checkpointed(
+    exp: &Experiment,
+    state: ShardState,
+    dir: &Path,
+    opts: &Options,
+) -> Result<(), String> {
+    let started = Instant::now();
+    let plan = checkpoint::missing_work(&state)?;
+    validate_plan(&plan, exp.grid.cell_count(), exp.grid.trials)?;
+    // The writer folds `state` into every checkpoint, so a second
+    // interruption still loses nothing.
+    let writer = CheckpointWriter::new(dir, exp.entry.name, exp.opts.full, exp.grid.clone())?
+        .with_base(state);
+    let cadence = opts.checkpoint.unwrap_or_default().cadence();
+    let cells = writer.fold(exp.execute(&plan, Some((cadence, &writer))))?;
+    let name = exp.entry.name;
+    exp.report(&cells, &format!("[{name}]"), dir, opts.json)?;
+    println!("[{name}] done in {:.1?}\n", started.elapsed());
+    Ok(())
+}
+
+/// `repro resume DIR [--json]`: continues the checkpointed run in `DIR`
+/// from its newest valid checkpoint, running only the missing trials.
+fn run_resume(opts: &Options) -> Result<(), String> {
+    let dir = Path::new(&opts.inputs[0]);
+    let (state, seq) = load_checkpoint(dir)?;
+    let exp = Experiment::recorded(&state.experiment, state.full, state.grid.trials, opts)?;
+    exp.check(&state)?;
+    let recorded: usize = state.cells.iter().map(ShardCell::recorded).sum();
+    let total = exp.grid.cell_count() * exp.grid.trials as usize;
     println!(
-        "[resume] {name} from checkpoint seq {seq}: {} of {total} trials recorded, \
-         {missing} to run",
-        total - missing
+        "[resume] {} from checkpoint seq {seq}: {recorded} of {total} trials recorded, {} to run",
+        exp.entry.name,
+        total - recorded
     );
-    let started = std::time::Instant::now();
-    let cells = if plan.is_empty() {
-        state.into_cells()
-    } else {
-        // Re-checkpoint as we go — with the loaded state folded in, so a
-        // second interruption still loses nothing.
-        let writer = match CheckpointWriter::new(dir, &name, run_opts.full, grid.clone()) {
-            Ok(writer) => writer.with_base(state.clone()),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let cadence = opts.checkpoint.unwrap_or_default().cadence();
-        let hooks = SweepHooks {
-            plan: Some(&plan),
-            monitor: Some((cadence, &writer)),
-        };
-        let fresh = (entry.cells)(&run_opts, &hooks);
-        match checkpoint::merge_cells(&grid, &state.into_cells(), &fresh) {
-            Ok(cells) => cells,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let reassembled = ShardState::from_cells(&name, run_opts.full, (0, 1), &grid, &cells);
-    if !reassembled.is_complete() {
-        eprintln!("error: resumed state is still incomplete — corrupt checkpoint?");
-        for missing in reassembled.missing().iter().take(8) {
-            eprintln!("  {missing}");
-        }
-        return ExitCode::FAILURE;
-    }
-    let report = (entry.report)(&run_opts, &cells);
-    report.print();
-    if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "[resume] {name} complete: {} written to {} in {:.1?}",
-        if opts.json { "CSVs + JSON" } else { "CSVs" },
-        dir.display(),
-        started.elapsed()
-    );
-    ExitCode::SUCCESS
+    run_checkpointed(&exp, state, dir, opts)
 }
 
 /// `repro shard <experiment> --shard i/N --out DIR`: runs shard `i`'s cell
 /// range of the experiment's grid and writes the partial-state artifact.
-fn run_shard(opts: &Options) -> ExitCode {
-    let name = &opts.inputs[0];
-    let Some(entry) = find_shardable(name) else {
-        eprintln!(
-            "error: {name:?} is not shardable (shardable experiments: {})",
-            shardable_names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
+fn run_shard(opts: &Options) -> Result<(), String> {
+    let exp = Experiment::new(&opts.inputs[0], opts)?;
     let (index, of) = opts.shard.expect("validated at parse time");
-    let grid = (entry.grid)(opts);
-    let total = grid.cell_count();
     // Cost-balanced: shard boundaries split the grid's *estimated work*
     // (cell cost × trials), so no shard is stuck with all the heavy cells.
     // Merge accepts any contiguous tiling, so mixed-version shard runs
     // still reassemble — as long as every index ran under the same binary.
-    let range = CellRange::shard_weighted(&grid.cell_costs(), index as usize, of as usize);
-    let started = std::time::Instant::now();
-    let plan = range.plan(grid.trials);
-    let hooks = SweepHooks {
-        plan: Some(&plan),
-        ..SweepHooks::default()
-    };
-    let cells = (entry.cells)(opts, &hooks);
-    let state = ShardState::from_cells(entry.name, opts.full, (index, of), &grid, &cells);
-    let dir = opts.out_dir.as_deref().expect("validated at parse time");
-    let path = match write_state(dir, &state) {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let range = CellRange::shard_weighted(&exp.grid.cell_costs(), index as usize, of as usize);
+    let started = Instant::now();
+    let state = exp.run_plan(&range.plan(exp.grid.trials), (index, of));
+    let path = write_state(
+        opts.out_dir.as_deref().expect("validated at parse time"),
+        &state,
+    )?;
     println!(
-        "[shard] {name} shard {index}/{of}: cells [{}, {}) of {total} → {} in {:.1?}",
+        "[shard] {} shard {index}/{of}: cells [{}, {}) of {} → {} in {:.1?}",
+        exp.entry.name,
         range.lo,
         range.hi,
+        exp.grid.cell_count(),
         path.display(),
         started.elapsed()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `repro merge DIR... --out DIR [--json]`: loads every shard artifact in
-/// the given directories, merges them, and emits the experiment's reports
-/// exactly as a single-process `repro <experiment> --out DIR` would.
-fn run_merge(opts: &Options) -> ExitCode {
+/// `repro merge DIR... --out DIR [--json]`: folds every shard artifact in
+/// the given directories and reports exactly as a single-process
+/// `repro <experiment> --out DIR` would.
+fn run_merge(opts: &Options) -> Result<(), String> {
     let mut states = Vec::new();
     for dir in &opts.inputs {
-        match load_dir(Path::new(dir)) {
-            Ok(found) => states.extend(found),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        states.extend(load_dir(Path::new(dir))?);
     }
     let count = states.len();
-    let denominator = states.first().map_or(1, |s| s.shard.1);
-    let merged = match merge_states(states) {
-        Ok(merged) => merged,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !merged.is_complete() {
-        eprintln!("error: merged state is incomplete — did you merge all {denominator} shards?");
-        for missing in merged.missing().iter().take(8) {
-            eprintln!("  {missing}");
-        }
-        return ExitCode::FAILURE;
-    }
-    let Some(entry) = find_shardable(&merged.experiment) else {
-        eprintln!(
-            "error: artifact names unknown experiment {:?}",
-            merged.experiment
-        );
-        return ExitCode::FAILURE;
-    };
-    // Rebuild the options the report half would have seen in-process; the
-    // artifact records everything execution-independent about the run.
-    let report_opts = Options {
-        full: merged.full,
-        trials: Some(merged.grid.trials),
-        ..Options::default()
-    };
-    let name = merged.experiment.clone();
-    let report = (entry.report)(&report_opts, &merged.into_cells());
-    report.print();
+    let merged = merge_states(states)?;
+    let exp = Experiment::recorded(&merged.experiment, merged.full, merged.grid.trials, opts)?;
     let dir = opts.out_dir.as_deref().expect("validated at parse time");
-    if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "[merge] {count} artifacts → {} {} written to {}",
-        name,
-        if opts.json { "CSVs + JSON" } else { "CSVs" },
-        dir.display()
-    );
-    ExitCode::SUCCESS
+    let prefix = format!("[merge] {count} artifacts → {}", exp.entry.name);
+    exp.report(&merged.into_cells(), &prefix, dir, opts.json)
 }
 
 /// Entry point over the process arguments.

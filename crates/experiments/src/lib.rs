@@ -42,7 +42,8 @@
 //!   leased trials through the shared engine path, POSTs artifacts back.
 //! * [`options`] — the `repro` CLI options (quick vs `--full` paper grids,
 //!   the `--threads` execution knob).
-//! * [`cli`] — the `repro` entry point; the binary itself lives in the
+//! * [`cli`] — the `repro` entry point and the plan → execute → fold →
+//!   report pipeline every mode shares; the binary itself lives in the
 //!   workspace root package so `cargo run --bin repro` needs no `-p` flag.
 
 pub mod aggregate;

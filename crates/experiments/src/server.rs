@@ -33,18 +33,20 @@
 //! [`MetricStats::try_merge_dedup`] makes the double execution harmless —
 //! honest re-execution reproduces the bits exactly, and anything *else*
 //! (conflicting values, a foreign grid, torn per-metric trials, deep JSON)
-//! is rejected with an error, never folded. Every accepted POST checkpoints
+//! is rejected with an error, never folded. A rejected POST folds nothing
+//! at all, not even its fresh trials: the fold runs on a copy of the master
+//! state that replaces it only on success. A POST under an unknown or
+//! expired lease id is folded and deduplicated like any other; the id is
+//! bookkeeping only. Every accepted POST checkpoints
 //! the fold state into `--out/checkpoints/`, so a killed coordinator
 //! resumes with `repro serve` pointed at the same `--out`, re-leasing only
 //! the missing trials.
 
 use crate::aggregate::StatsCell;
 use crate::checkpoint::{self, CheckpointWriter};
-use crate::cli::write_report_artifacts;
-use crate::figures::sharding::{find_shardable, shardable_names, ShardableEntry};
+use crate::cli::{load_checkpoint, Experiment};
 use crate::options::Options;
-use crate::shard::{GridMeta, ShardState};
-use contention_core::algorithm::AlgorithmKind;
+use crate::shard::{merge_cells, ShardState};
 use contention_core::merge::MergeStats;
 use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
@@ -227,9 +229,8 @@ impl Semaphore {
 // ---------------------------------------------------------------------------
 
 struct Fold {
-    experiment: String,
-    full: bool,
-    grid: GridMeta,
+    /// The sweep this coordinator serves.
+    exp: Experiment,
     /// Master cells, kept in canonical grid order (cells nothing has
     /// touched yet are absent, like any partial artifact).
     cells: Vec<StatsCell>,
@@ -240,72 +241,36 @@ struct Fold {
     complete: bool,
 }
 
-impl Fold {
-    /// Trials fully recorded (every metric buffer holds them).
-    fn recorded(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| {
-                c.acc
-                    .raw_samples()
-                    .iter()
-                    .map(|s| s.filled())
-                    .min()
-                    .unwrap_or(0)
-            })
-            .sum()
-    }
+/// Trials `cells` hold in full.
+fn recorded(cells: &[StatsCell]) -> usize {
+    cells.iter().map(|c| c.acc.recorded()).sum()
+}
 
-    /// Validates and folds one posted artifact; returns the merge tally in
-    /// *trial* units (a trial spans all metrics atomically, enforced by the
-    /// torn-trial check before any fold).
+impl Fold {
+    /// Validates and folds one posted artifact, all or nothing: the fold
+    /// runs on a copy of the master that replaces it only on success, so a
+    /// rejected POST leaves no trial behind. Returns the tally in *trial*
+    /// units.
     fn fold_post(&mut self, posted: ShardState) -> Result<MergeStats, String> {
-        if posted.experiment != self.experiment {
-            return Err(format!(
-                "artifact is for experiment {:?}, this server runs {:?}",
-                posted.experiment, self.experiment
-            ));
-        }
-        if posted.full != self.full || posted.grid != self.grid {
-            return Err(
-                "artifact grid does not match this server's sweep (different \
-                 build or options?)"
-                    .to_string(),
-            );
-        }
+        self.exp.check(&posted)?;
         // A trial recorded for only some metrics cannot have come from
         // this pipeline; folding it would corrupt the master state.
         checkpoint::missing_work(&posted)?;
-        let metrics = self.grid.metrics.len().max(1);
-        let mut slots = MergeStats::default();
-        for cell in posted.into_cells() {
-            match self
-                .cells
-                .iter_mut()
-                .find(|c| c.algorithm == cell.algorithm && c.n == cell.n)
-            {
-                Some(mine) => slots.absorb(
-                    mine.acc
-                        .try_merge_dedup(cell.acc)
-                        .map_err(|e| format!("cell ({}, n={}): {e}", cell.algorithm, cell.n))?,
-                ),
-                None => {
-                    slots.fresh += cell
-                        .acc
-                        .raw_samples()
-                        .iter()
-                        .map(|s| s.filled())
-                        .sum::<usize>();
-                    self.cells.push(cell);
-                }
-            }
-        }
-        let grid = self.grid.clone();
-        self.cells
-            .sort_by_key(|c| canonical_position(&grid, c.algorithm, c.n));
+        let posted = posted.into_cells();
+        let offered = recorded(&posted);
+        let before = recorded(&self.cells);
+        self.cells = merge_cells(
+            &self.exp.grid,
+            self.cells.clone(),
+            posted,
+            |mine, theirs| mine.try_merge_dedup(theirs).map(drop),
+        )?;
+        // Master and POST hold whole trials only, so the master grows by
+        // exactly the posted trials it did not hold yet.
+        let fresh = recorded(&self.cells) - before;
         Ok(MergeStats {
-            fresh: slots.fresh / metrics,
-            duplicates: slots.duplicates / metrics,
+            fresh,
+            duplicates: offered - fresh,
         })
     }
 }
@@ -330,7 +295,6 @@ struct Shared {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    entry: ShardableEntry,
     out_dir: PathBuf,
     json: bool,
     linger: Duration,
@@ -342,68 +306,52 @@ impl Server {
     /// exists, cuts the remaining work into cost-weighted leases, and
     /// binds the listen socket. No trials run here — workers do that.
     pub fn start(opts: &Options) -> Result<Server, String> {
-        let name = &opts.inputs[0];
-        let entry = find_shardable(name).ok_or_else(|| {
-            format!(
-                "{name:?} is not shardable (shardable experiments: {})",
-                shardable_names().join(", ")
-            )
-        })?;
+        let exp = Experiment::new(&opts.inputs[0], opts)?;
         let out_dir = opts.out_dir.clone().expect("validated at parse time");
-        let grid = (entry.grid)(opts);
-        let trials_total = grid.cell_count() * grid.trials as usize;
 
-        // Resume: fold the newest surviving checkpoint in as the starting
-        // master state, if it matches this sweep.
+        // Resume: the newest surviving checkpoint is the starting master
+        // state if it records this very sweep; anything else starts fresh.
         let mut cells: Vec<StatsCell> = Vec::new();
         if out_dir.join(checkpoint::CHECKPOINT_DIR).is_dir() {
-            match checkpoint::load_latest(&out_dir) {
-                Ok(loaded) => {
-                    for warning in &loaded.warnings {
-                        eprintln!("warning: {warning}");
-                    }
-                    if loaded.state.experiment == *name
-                        && loaded.state.full == opts.full
-                        && loaded.state.grid == grid
-                    {
-                        println!(
-                            "[serve] resuming from checkpoint seq {} ({} trials recorded)",
-                            loaded.seq,
-                            checkpoint_recorded(&loaded.state)
-                        );
-                        cells = loaded.state.into_cells();
-                    } else {
-                        eprintln!(
-                            "warning: checkpoint in {} is for a different sweep — starting fresh",
-                            out_dir.display()
-                        );
-                    }
+            match load_checkpoint(&out_dir)
+                .and_then(|(state, seq)| exp.check(&state).map(|()| (state, seq)))
+            {
+                Ok((state, seq)) => {
+                    cells = state.into_cells();
+                    println!(
+                        "[serve] resuming from checkpoint seq {seq} ({} trials recorded)",
+                        recorded(&cells)
+                    );
                 }
-                Err(e) => eprintln!("warning: cannot resume from {}: {e}", out_dir.display()),
+                Err(e) => eprintln!(
+                    "warning: cannot resume from {}: {e} — starting fresh",
+                    out_dir.display()
+                ),
             }
         }
 
         // Cut the *missing* work (everything, on a fresh start) into
         // cost-weighted per-trial leases.
-        let master = ShardState::from_cells(name, opts.full, (0, 1), &grid, &cells);
-        let plan = checkpoint::missing_work(&master)?;
+        let plan = checkpoint::missing_work(&exp.state((0, 1), &cells))?;
         let leases = TrialRange::partition(
             &plan,
-            &grid.cell_trial_costs(),
+            &exp.grid.cell_trial_costs(),
             opts.leases.unwrap_or(DEFAULT_LEASES),
         );
         let remaining: usize = plan.iter().map(TrialRange::len).sum();
+        let trials_total = exp.grid.cell_count() * exp.grid.trials as usize;
         let store = JobStore::new(
             leases,
             Duration::from_secs(opts.lease_secs.unwrap_or(DEFAULT_LEASE_SECS)),
         );
 
-        let writer = CheckpointWriter::new(&out_dir, name, opts.full, grid.clone())?;
+        let writer = CheckpointWriter::new(&out_dir, exp.entry.name, opts.full, exp.grid.clone())?;
         let port = opts.port.unwrap_or(DEFAULT_PORT);
         let listener = TcpListener::bind(("0.0.0.0", port))
             .map_err(|e| format!("cannot bind port {port}: {e}"))?;
         println!(
-            "[serve] {name} on {}: {} leases over {remaining} of {trials_total} trials",
+            "[serve] {} on {}: {} leases over {remaining} of {trials_total} trials",
+            exp.entry.name,
             listener.local_addr().map_err(|e| e.to_string())?,
             store.pending.len(),
         );
@@ -411,9 +359,7 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 fold: Mutex::new(Fold {
-                    experiment: name.clone(),
-                    full: opts.full,
-                    grid,
+                    exp,
                     cells,
                     store,
                     trials_total,
@@ -426,7 +372,6 @@ impl Server {
                 handlers: Semaphore::new(MAX_CONCURRENT),
                 started: Instant::now(),
             }),
-            entry,
             out_dir,
             json: opts.json,
             linger: Duration::from_secs(opts.linger_secs.unwrap_or(DEFAULT_LINGER_SECS)),
@@ -479,65 +424,19 @@ impl Server {
         Server::start(opts)?.run()
     }
 
-    /// The sweep is complete: flush the final checkpoint and write the
-    /// figure's reports, exactly as `repro merge` would.
+    /// The sweep is complete (the last accepted POST wrote the finished
+    /// checkpoint): write the figure's reports, exactly as `repro merge`
+    /// would.
     fn finalize(&self) -> Result<(), String> {
         let fold = self.shared.fold.lock().expect("fold poisoned");
-        let state =
-            ShardState::from_cells(&fold.experiment, fold.full, (0, 1), &fold.grid, &fold.cells);
-        if !state.is_complete() {
-            return Err("finalize called on an incomplete fold".to_string());
-        }
-        let report_opts = Options {
-            full: fold.full,
-            trials: Some(fold.grid.trials),
-            ..Options::default()
-        };
-        let report = (self.entry.report)(&report_opts, &fold.cells);
         println!(
             "[serve] {} complete: {} posts accepted, {} duplicate trials discarded, \
              {} leases re-issued",
-            fold.experiment, fold.accepted_posts, fold.duplicate_trials, fold.store.reissued
+            fold.exp.entry.name, fold.accepted_posts, fold.duplicate_trials, fold.store.reissued
         );
-        drop(fold);
-        report.print();
-        write_report_artifacts(&report, &self.out_dir, self.json)?;
-        println!(
-            "[serve] {} written to {}",
-            if self.json { "CSVs + JSON" } else { "CSVs" },
-            self.out_dir.display()
-        );
-        Ok(())
+        fold.exp
+            .report(&fold.cells, "[serve]", &self.out_dir, self.json)
     }
-}
-
-/// A cell's index in canonical grid order (algorithm-major, n-minor).
-fn canonical_position(grid: &GridMeta, alg: AlgorithmKind, n: u32) -> usize {
-    let a = grid
-        .algorithms
-        .iter()
-        .position(|&x| x == alg)
-        .expect("cell algorithm validated against the grid");
-    let i = grid
-        .ns
-        .iter()
-        .position(|&x| x == n)
-        .expect("cell n validated against the grid");
-    a * grid.ns.len() + i
-}
-
-fn checkpoint_recorded(state: &ShardState) -> usize {
-    state
-        .cells
-        .iter()
-        .map(|c| {
-            c.samples
-                .iter()
-                .map(|s| s.iter().filter(|v| !v.is_nan()).count())
-                .min()
-                .unwrap_or(0)
-        })
-        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -681,9 +580,9 @@ fn lease_response(shared: &Shared) -> (u16, String) {
                 format!(
                     "{{\"status\":\"lease\",\"id\":{id},\"experiment\":{},\"full\":{},\
                      \"trials\":{},\"work\":[{}]}}",
-                    json_str(&fold.experiment),
-                    fold.full,
-                    fold.grid.trials,
+                    json_str(fold.exp.entry.name),
+                    fold.exp.opts.full,
+                    fold.exp.grid.trials,
                     ranges.join(",")
                 ),
             )
@@ -721,7 +620,7 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
     fold.store.complete(id, Instant::now());
     fold.accepted_posts += 1;
     fold.duplicate_trials += stats.duplicates;
-    let recorded = fold.recorded();
+    let recorded = recorded(&fold.cells);
     let remaining = fold.trials_total - recorded;
     fold.complete = remaining == 0;
     // Checkpoint every accepted result: the fold is the only copy of the
@@ -852,9 +751,7 @@ mod tests {
         };
         let grid = (entry.grid)(&opts);
         let mut fold = Fold {
-            experiment: "fig5".into(),
-            full: false,
-            grid: grid.clone(),
+            exp: Experiment::new("fig5", &opts).unwrap(),
             cells: Vec::new(),
             store: JobStore::new(Vec::new(), Duration::from_secs(1)),
             trials_total: grid.cell_count() * grid.trials as usize,
@@ -888,27 +785,46 @@ mod tests {
         assert_eq!(before, after, "a replay must not change the master state");
 
         // A conflicting duplicate (same slot, different bits) is rejected.
-        let mut tampered = fold.cells.clone();
-        let mut raw: Vec<Vec<f64>> = tampered[0]
-            .acc
-            .raw_samples()
-            .iter()
-            .map(|s| s.raw().to_vec())
-            .collect();
-        for buf in &mut raw {
-            if !buf[0].is_nan() {
-                buf[0] += 1.0;
+        let tamper = |cell: &StatsCell| {
+            let raw = cell.acc.raw_samples().iter().map(|s| {
+                let mut buf = s.raw().to_vec();
+                if !buf[0].is_nan() {
+                    buf[0] += 1.0;
+                }
+                contention_stats::stream::StreamingSample::from_raw(buf)
+            });
+            StatsCell {
+                acc: MetricStats::from_parts(grid.metrics.clone(), raw.collect()),
+                ..cell.clone()
             }
-        }
-        tampered[0].acc = MetricStats::from_parts(
-            grid.metrics.clone(),
-            raw.into_iter()
-                .map(contention_stats::stream::StreamingSample::from_raw)
-                .collect(),
-        );
-        let conflicting = ShardState::from_cells("fig5", false, (0, 1), &grid, &tampered[..1]);
+        };
+        let conflicting =
+            ShardState::from_cells("fig5", false, (0, 1), &grid, &[tamper(&fold.cells[0])]);
         let err = fold.fold_post(conflicting).unwrap_err();
         assert!(err.contains("conflicting"), "{err}");
+
+        // A rejected POST folds nothing: trial 1 of cell 0 is fresh, but it
+        // rides ahead of a conflicting trial 0 of cell 1.
+        let plan = [TrialRange {
+            cell: 0,
+            lo: 1,
+            hi: 2,
+        }];
+        let hooks = SweepHooks {
+            plan: Some(&plan),
+            ..SweepHooks::default()
+        };
+        let mut mixed = (entry.cells)(&opts, &hooks);
+        mixed.push(tamper(&fold.cells[1]));
+        let err = fold
+            .fold_post(ShardState::from_cells("fig5", false, (0, 1), &grid, &mixed))
+            .unwrap_err();
+        assert!(err.contains("conflicting"), "{err}");
+        let rejected = ShardState::from_cells("fig5", false, (0, 1), &grid, &fold.cells).to_json();
+        assert_eq!(
+            after, rejected,
+            "a rejected POST must leave the master as it was"
+        );
 
         // A wrong-experiment artifact never folds.
         let foreign_entry = find_shardable("fig3").unwrap();

@@ -79,6 +79,16 @@ impl GridMeta {
         self.algorithms.len() * self.ns.len()
     }
 
+    /// The index of cell `(algorithm, n)` in canonical grid order
+    /// (algorithms outer, ns inner): the order a single-process sweep
+    /// returns cells in, which every reassembled state keeps so that its
+    /// report is byte-identical. `None` off the grid.
+    pub(crate) fn position(&self, algorithm: AlgorithmKind, n: u32) -> Option<usize> {
+        let a = self.algorithms.iter().position(|&x| x == algorithm)?;
+        let i = self.ns.iter().position(|&x| x == n)?;
+        Some(a * self.ns.len() + i)
+    }
+
     /// Estimated per-*trial* cost of every cell, in grid order (algorithms
     /// outer, ns inner) — the table the engine's tapered scheduler consumes.
     pub fn cell_trial_costs(&self) -> Vec<f64> {
@@ -105,6 +115,15 @@ pub struct ShardCell {
     pub n: u32,
     /// Per-metric raw trial buffers (NaN = not yet recorded).
     pub samples: Vec<Vec<f64>>,
+}
+
+impl ShardCell {
+    /// Trials this cell has recorded: a trial counts once every metric
+    /// buffer holds it.
+    pub(crate) fn recorded(&self) -> usize {
+        let filled = |s: &Vec<f64>| s.iter().filter(|v| !v.is_nan()).count();
+        self.samples.iter().map(filled).min().unwrap_or(0)
+    }
 }
 
 /// A partial (or, after merging, complete) sweep: the grid description plus
@@ -192,38 +211,23 @@ impl ShardState {
 
     /// True once every grid cell is present with every trial recorded.
     pub fn is_complete(&self) -> bool {
-        self.cells.len() == self.grid.cell_count()
-            && self
-                .cells
-                .iter()
-                .all(|c| c.samples.iter().all(|s| !s.iter().any(|v| v.is_nan())))
+        self.missing().is_empty()
     }
 
-    /// Human-readable descriptions of whatever is still missing — the
-    /// merge CLI's "did you merge all N shards?" diagnostics.
+    /// Human-readable descriptions of whatever is still missing — what an
+    /// incomplete fold's error lists.
     pub fn missing(&self) -> Vec<String> {
         let mut out = Vec::new();
         for &alg in &self.grid.algorithms {
             for &n in &self.grid.ns {
                 match self.cells.iter().find(|c| c.algorithm == alg && c.n == n) {
                     None => out.push(format!("cell ({alg}, n={n}) missing")),
-                    Some(cell) => {
-                        // A trial counts as recorded only if *every* metric
-                        // buffer holds it, so the count can never contradict
-                        // the hole that made the cell incomplete.
-                        let filled = cell
-                            .samples
-                            .iter()
-                            .map(|s| s.iter().filter(|v| !v.is_nan()).count())
-                            .min()
-                            .unwrap_or(0);
-                        if cell.samples.iter().any(|s| s.iter().any(|v| v.is_nan())) {
-                            out.push(format!(
-                                "cell ({alg}, n={n}): {filled} of {} trials recorded",
-                                self.grid.trials
-                            ));
-                        }
-                    }
+                    Some(cell) if cell.recorded() < self.grid.trials as usize => out.push(format!(
+                        "cell ({alg}, n={n}): {} of {} trials recorded",
+                        cell.recorded(),
+                        self.grid.trials
+                    )),
+                    Some(_) => {}
                 }
             }
         }
@@ -464,15 +468,12 @@ pub fn load_dir(dir: &Path) -> Result<Vec<ShardState>, String> {
 /// is *not* required to be complete (check [`ShardState::is_complete`]);
 /// its shard coordinates become `(0, 1)`.
 pub fn merge_states(states: Vec<ShardState>) -> Result<ShardState, String> {
-    let mut iter = states.into_iter();
-    let first = iter.next().ok_or("no shard states to merge")?;
-    let mut seen_shards = vec![first.shard];
-    // Accumulate cells as MetricStats so the merge runs through the same
-    // MergeableAccumulator seam the equivalence tests pin.
+    let first = states.first().ok_or("no shard states to merge")?;
     let grid = first.grid.clone();
     let (experiment, full, denominator) = (first.experiment.clone(), first.full, first.shard.1);
-    let mut merged: Vec<StatsCell> = first.into_cells();
-    for state in iter {
+    let mut seen_shards = Vec::new();
+    let mut merged = Vec::new();
+    for state in states {
         if state.experiment != experiment {
             return Err(format!(
                 "cannot merge artifacts from different experiments ({:?} vs {:?})",
@@ -502,36 +503,10 @@ pub fn merge_states(states: Vec<ShardState>) -> Result<ShardState, String> {
             ));
         }
         seen_shards.push(state.shard);
-        for cell in state.into_cells() {
-            match merged
-                .iter_mut()
-                .find(|c| c.algorithm == cell.algorithm && c.n == cell.n)
-            {
-                None => merged.push(cell),
-                Some(existing) => existing
-                    .acc
-                    .try_merge(cell.acc)
-                    .map_err(|e| format!("cell ({}, n={}): {e}", cell.algorithm, cell.n))?,
-            }
-        }
+        // Cells merge as `MetricStats`, through the same seam the
+        // equivalence tests pin.
+        merged = merge_cells(&grid, merged, state.into_cells(), MetricStats::try_merge)?;
     }
-    // Canonical grid order (algorithms outer, ns inner) — the order a
-    // single-process sweep returns cells in, which is what makes the merged
-    // report byte-identical.
-    let position = |cell: &StatsCell| {
-        let a = grid
-            .algorithms
-            .iter()
-            .position(|&alg| alg == cell.algorithm)
-            .expect("validated against grid");
-        let n = grid
-            .ns
-            .iter()
-            .position(|&n| n == cell.n)
-            .expect("validated against grid");
-        a * grid.ns.len() + n
-    };
-    merged.sort_by_key(position);
     Ok(ShardState::from_cells(
         &experiment,
         full,
@@ -539,6 +514,33 @@ pub fn merge_states(states: Vec<ShardState>) -> Result<ShardState, String> {
         &grid,
         &merged,
     ))
+}
+
+/// `base` with `fresh` folded in cell by cell — `merge` combines a cell
+/// both hold — in canonical grid order (`GridMeta::position`): the one
+/// fold behind a checkpoint (a resume's loaded state ∪ the in-flight cut),
+/// `repro merge` (artifact after artifact) and the coordinator (its master
+/// ∪ one POST). Cells neither holds stay absent, as in any partial
+/// artifact; every caller's cells lie on `grid`.
+pub fn merge_cells(
+    grid: &GridMeta,
+    base: Vec<StatsCell>,
+    fresh: Vec<StatsCell>,
+    merge: impl Fn(&mut MetricStats, MetricStats) -> Result<(), String>,
+) -> Result<Vec<StatsCell>, String> {
+    let mut merged = base;
+    for cell in fresh {
+        match merged
+            .iter_mut()
+            .find(|c| c.algorithm == cell.algorithm && c.n == cell.n)
+        {
+            Some(mine) => merge(&mut mine.acc, cell.acc)
+                .map_err(|e| format!("cell ({}, n={}): {e}", cell.algorithm, cell.n))?,
+            None => merged.push(cell),
+        }
+    }
+    merged.sort_by_key(|c| grid.position(c.algorithm, c.n));
+    Ok(merged)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! Connects to a `repro serve` coordinator, claims per-trial leases, runs
 //! exactly the leased trial ranges through the same engine path every other
-//! mode uses (`ShardableEntry::cells` with the lease as its plan — per-trial
+//! mode uses (`Experiment::run_plan` with the lease as its plan — per-trial
 //! RNG derivation makes the results bit-identical to any other execution),
 //! and POSTs the resulting `shard_state/v1` artifact back. Loops until the
 //! coordinator answers `done`.
@@ -12,12 +12,10 @@
 //! and a worker that double-runs trials is harmless (the coordinator's
 //! dedup fold discards bit-identical replays).
 
-use crate::figures::sharding::{find_shardable, ShardableEntry};
-use crate::figures::shared::SweepHooks;
+use crate::cli::Experiment;
 use crate::jsonin::Json;
 use crate::options::Options;
-use crate::server::http_request;
-use crate::shard::ShardState;
+use crate::server::{http_request, WAIT_RETRY_MS};
 use contention_sim::engine::{validate_plan, TrialRange};
 use std::time::Duration;
 
@@ -36,24 +34,24 @@ const HOLD_ENV: &str = "REPRO_WORK_HOLD_MS";
 /// build's grid for its experiment.
 struct Lease {
     id: u64,
-    entry: ShardableEntry,
-    full: bool,
-    trials: u32,
+    /// The coordinator's sweep, run with this worker's `--threads`.
+    exp: Experiment,
     /// The leased `[cell, lo, hi]` ranges, as sent.
     plan: Vec<TrialRange>,
 }
 
 /// A decoded `/lease` response: work, a pause, or the end of the run.
 enum LeaseReply {
-    Lease(Lease),
+    Lease(Box<Lease>),
     Wait(Duration),
     Done,
 }
 
-/// Decodes a `/lease` response body. A lease's ranges must form a valid
-/// plan of its experiment's grid (see [`validate_plan`]); anything else is
-/// an error, never a panic in the engine.
-fn decode_lease(body: &str) -> Result<LeaseReply, String> {
+/// Decodes a `/lease` response body for a worker run with `opts`. A
+/// lease's ranges must form a valid plan of its experiment's grid (see
+/// [`validate_plan`]); anything else is an error, never a panic in the
+/// engine.
+fn decode_lease(body: &str, opts: &Options) -> Result<LeaseReply, String> {
     let json = Json::parse(body)?;
     match json.field("status")?.as_str()? {
         "done" => Ok(LeaseReply::Done),
@@ -61,16 +59,17 @@ fn decode_lease(body: &str) -> Result<LeaseReply, String> {
             let ms = json
                 .field("retry_ms")
                 .and_then(Json::as_f64)
-                .unwrap_or(200.0);
+                .unwrap_or(WAIT_RETRY_MS as f64);
             Ok(LeaseReply::Wait(Duration::from_millis(ms.max(0.0) as u64)))
         }
         "lease" => {
             let id = json.field("id")?.as_f64()? as u64;
-            let experiment = json.field("experiment")?.as_str()?;
-            let full = json.field("full")?.as_bool()?;
-            let trials = json.field("trials")?.as_u32()?;
-            let entry = find_shardable(experiment)
-                .ok_or_else(|| format!("coordinator leased unknown experiment {experiment:?}"))?;
+            let exp = Experiment::recorded(
+                json.field("experiment")?.as_str()?,
+                json.field("full")?.as_bool()?,
+                json.field("trials")?.as_u32()?,
+                opts,
+            )?;
             let mut plan = Vec::new();
             for range in json.field("work")?.as_array()? {
                 let triple = range.as_array()?;
@@ -83,46 +82,13 @@ fn decode_lease(body: &str) -> Result<LeaseReply, String> {
                     hi: triple[2].as_u32()?,
                 });
             }
-            let lease = Lease {
-                id,
-                entry,
-                full,
-                trials,
-                plan,
-            };
-            let grid = (entry.grid)(&lease.options(&Options::default()));
-            validate_plan(&lease.plan, grid.cell_count(), grid.trials).map_err(|e| {
+            validate_plan(&plan, exp.grid.cell_count(), exp.grid.trials).map_err(|e| {
                 format!("{e} — coordinator and worker run different code, or a corrupt lease")
             })?;
-            Ok(LeaseReply::Lease(lease))
+            Ok(LeaseReply::Lease(Box::new(Lease { id, exp, plan })))
         }
         other => Err(format!("unknown lease status {other:?}")),
     }
-}
-
-impl Lease {
-    /// The grid-shaping options of the coordinator's run, with this
-    /// worker's execution knobs.
-    fn options(&self, worker: &Options) -> Options {
-        Options {
-            full: self.full,
-            trials: Some(self.trials),
-            threads: worker.threads,
-            ..Options::default()
-        }
-    }
-}
-
-/// Runs one lease's trials and returns the artifact to POST back.
-fn run_lease(lease: &Lease, opts: &Options) -> String {
-    let run_opts = lease.options(opts);
-    let grid = (lease.entry.grid)(&run_opts);
-    let hooks = SweepHooks {
-        plan: Some(&lease.plan),
-        ..SweepHooks::default()
-    };
-    let cells = (lease.entry.cells)(&run_opts, &hooks);
-    ShardState::from_cells(lease.entry.name, lease.full, (0, 1), &grid, &cells).to_json()
 }
 
 /// The worker loop: claim, run, report, repeat until `done`.
@@ -165,8 +131,8 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
                 "coordinator rejected lease claim ({status}): {body}"
             ));
         }
-        let lease = match decode_lease(&body) {
-            Ok(LeaseReply::Lease(lease)) => lease,
+        let lease = match decode_lease(&body, opts) {
+            Ok(LeaseReply::Lease(lease)) => *lease,
             Ok(LeaseReply::Wait(pause)) => {
                 std::thread::sleep(pause);
                 continue;
@@ -195,9 +161,9 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
             lease.id,
             trials,
             cells.len(),
-            lease.entry.name
+            lease.exp.entry.name
         );
-        let artifact = run_lease(&lease, opts);
+        let artifact = lease.exp.run_plan(&lease.plan, (0, 1)).to_json();
         let path = format!("/result/{}", lease.id);
         match http_request(&addr, "POST", &path, Some(&artifact)) {
             Ok((200, reply)) => {
@@ -238,12 +204,16 @@ mod tests {
 
     #[test]
     fn lease_decoding_keeps_the_leased_ranges() {
-        let reply = decode_lease(&fig5_lease("[[2,0,3],[2,3,5],[0,6,8],[0,2,4]]")).unwrap();
+        let reply = decode_lease(
+            &fig5_lease("[[2,0,3],[2,3,5],[0,6,8],[0,2,4]]"),
+            &Options::default(),
+        )
+        .unwrap();
         let LeaseReply::Lease(lease) = reply else {
             panic!("expected a lease");
         };
         assert_eq!(lease.id, 7);
-        assert_eq!(lease.entry.name, "fig5");
+        assert_eq!(lease.exp.entry.name, "fig5");
         let range = |cell, lo, hi| TrialRange { cell, lo, hi };
         assert_eq!(
             lease.plan,
@@ -257,14 +227,14 @@ mod tests {
         );
 
         assert!(matches!(
-            decode_lease("{\"status\":\"wait\",\"retry_ms\":50}"),
+            decode_lease("{\"status\":\"wait\",\"retry_ms\":50}", &Options::default()),
             Ok(LeaseReply::Wait(p)) if p == Duration::from_millis(50)
         ));
         assert!(matches!(
-            decode_lease("{\"status\":\"done\"}"),
+            decode_lease("{\"status\":\"done\"}", &Options::default()),
             Ok(LeaseReply::Done)
         ));
-        assert!(decode_lease("not json").is_err());
+        assert!(decode_lease("not json", &Options::default()).is_err());
     }
 
     #[test]
@@ -278,15 +248,18 @@ mod tests {
             ("[[1,0,4],[1,0,4]]", "overlap"),
             ("[[1,0]]", "[cell, lo, hi]"),
         ] {
-            let Err(err) = decode_lease(&fig5_lease(work)) else {
+            let Err(err) = decode_lease(&fig5_lease(work), &Options::default()) else {
                 panic!("{work} decoded");
             };
             assert!(err.contains(expect), "{work}: {err}");
         }
         let unknown = fig5_lease("[]").replace("fig5", "fig99");
-        let Err(err) = decode_lease(&unknown) else {
+        let Err(err) = decode_lease(&unknown, &Options::default()) else {
             panic!("unknown experiment decoded");
         };
-        assert!(err.contains("unknown experiment"), "{err}");
+        assert!(
+            err.contains("\"fig99\" is not a shardable experiment"),
+            "{err}"
+        );
     }
 }

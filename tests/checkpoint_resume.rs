@@ -17,7 +17,7 @@ use contention_experiments::checkpoint::{
 };
 use contention_experiments::cli;
 use contention_experiments::shard::SHARD_SUFFIX;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// The options the golden fixture was generated with (`tests/json_golden.rs`).
@@ -49,24 +49,28 @@ fn install_checkpoint(run_dir: &std::path::Path, experiment: &str, seq: u64, sta
     std::fs::write(ckpt_dir.join(LATEST_FILE), format!("{name}\n")).unwrap();
 }
 
+/// Half the fig5 grid, run for real as `repro shard 0/2` into `shards`: the
+/// state a mid-sweep checkpoint holds.
+fn half_state(shards: &Path) -> String {
+    let mut args = vec!["shard", "fig5"];
+    args.extend(GOLDEN_FLAGS);
+    args.extend(["--shard", "0/2", "--out", shards.to_str().unwrap()]);
+    assert_eq!(cli::run(&strs(&args)), ExitCode::SUCCESS, "half-run failed");
+    let artifact = std::fs::read_dir(shards)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_str().unwrap().ends_with(SHARD_SUFFIX))
+        .expect("shard artifact");
+    std::fs::read_to_string(&artifact).unwrap()
+}
+
 #[test]
 fn interrupted_fig5_resumes_to_the_golden_json_byte_for_byte() {
     let shards = temp_dir("half");
     let run_dir = temp_dir("run");
     std::fs::create_dir_all(&run_dir).unwrap();
 
-    // Half the grid, run for real: the state a mid-sweep checkpoint holds.
-    let mut args = vec!["shard", "fig5"];
-    args.extend(GOLDEN_FLAGS);
-    args.extend(["--shard", "0/2", "--out", shards.to_str().unwrap()]);
-    assert_eq!(cli::run(&strs(&args)), ExitCode::SUCCESS, "half-run failed");
-    let artifact = std::fs::read_dir(&shards)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.to_str().unwrap().ends_with(SHARD_SUFFIX))
-        .expect("shard artifact");
-    let half_state = std::fs::read_to_string(&artifact).unwrap();
-    install_checkpoint(&run_dir, "fig5", 0, &half_state);
+    install_checkpoint(&run_dir, "fig5", 0, &half_state(&shards));
 
     // Resume runs only the missing half and writes the reports in place.
     assert_eq!(
@@ -135,4 +139,38 @@ fn checkpointed_run_matches_the_golden_and_leaves_a_complete_latest() {
     .expect("latest checkpoint parses");
     assert!(state.is_complete(), "final checkpoint must be complete");
     let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+/// `resume` refuses a checkpoint this build cannot replay, and writes no
+/// report: one whose grid this build does not produce (`"full"` flipped to
+/// `true` over the quick grid's cells), and one that names an experiment
+/// this build does not have.
+#[test]
+fn resume_refuses_checkpoints_this_build_cannot_replay() {
+    let shards = temp_dir("foreign-half");
+    let half = half_state(&shards);
+    for (tag, state, error) in [
+        (
+            "flipped-full",
+            half.replace("\"full\": false", "\"full\": true"),
+            "does not match \"fig5\"'s grid",
+        ),
+        (
+            "unknown-experiment",
+            half.replace("\"experiment\": \"fig5\"", "\"experiment\": \"fig99\""),
+            "\"fig99\" is not a shardable experiment",
+        ),
+    ] {
+        assert_ne!(state, half, "{tag}: the edit did not apply");
+        let run_dir = temp_dir(tag);
+        install_checkpoint(&run_dir, "fig5", 0, &state);
+        let resume = strs(&["resume", run_dir.to_str().unwrap()]);
+        assert_eq!(cli::run(&resume), ExitCode::FAILURE, "{tag}");
+        let err = cli::try_run(&resume).unwrap_err();
+        assert!(err.contains(error), "{tag}: {err}");
+        let report = run_dir.join("fig5_cw_slots_abstract.csv");
+        assert!(!report.exists(), "{tag}");
+        let _ = std::fs::remove_dir_all(&run_dir);
+    }
+    let _ = std::fs::remove_dir_all(&shards);
 }

@@ -73,3 +73,37 @@ fn fig5_three_shards_merge_to_the_golden_json_byte_for_byte() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// `merge` refuses artifacts that name an experiment this build does not
+/// have, and writes no report.
+#[test]
+fn merge_refuses_an_unknown_experiment() {
+    let shards = temp_dir("unknown-artifacts");
+    let out = temp_dir("unknown-merged");
+    let mut args = vec!["shard", "fig5"];
+    args.extend(GOLDEN_FLAGS);
+    args.extend(["--shard", "0/1", "--out", shards.to_str().unwrap()]);
+    assert_eq!(cli::run(&strs(&args)), ExitCode::SUCCESS);
+    let artifact = shards.join(format!("fig5.s0of1{SHARD_SUFFIX}"));
+    let text = std::fs::read_to_string(&artifact).unwrap();
+    let foreign = text.replace("\"experiment\": \"fig5\"", "\"experiment\": \"fig99\"");
+    assert_ne!(foreign, text, "the edit did not apply");
+    std::fs::write(&artifact, foreign).unwrap();
+
+    let merge = strs(&[
+        "merge",
+        shards.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(cli::run(&merge), ExitCode::FAILURE);
+    let err = cli::try_run(&merge).unwrap_err();
+    assert!(
+        err.contains("\"fig99\" is not a shardable experiment"),
+        "{err}"
+    );
+    assert!(!out.join("fig5_cw_slots_abstract.csv").exists());
+    for dir in [shards, out] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

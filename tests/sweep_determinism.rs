@@ -9,8 +9,7 @@
 //! NaN-payload drift between schedules would fail.
 
 use contention_experiments::aggregate::{MetricStats, StatsCell};
-use contention_experiments::checkpoint::merge_cells;
-use contention_experiments::shard::GridMeta;
+use contention_experiments::shard::{merge_cells, GridMeta};
 use contention_resolution::prelude::*;
 use contention_slotted::dynamic::{ArrivalProcess, DynamicConfig, DynamicSim};
 
@@ -101,7 +100,7 @@ where
             let mut merged: Vec<StatsCell> = Vec::new();
             for plan in &plans {
                 let part = run(threads, plan.as_deref());
-                merged = merge_cells(&grid, &merged, &part)
+                merged = merge_cells(&grid, merged, part, MetricStats::try_merge)
                     .unwrap_or_else(|e| panic!("{}: {shape} plans overlap: {e}", S::NAME));
             }
             assert_eq!(

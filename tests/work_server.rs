@@ -20,9 +20,10 @@ use contention_experiments::worker::run_worker;
 use contention_sim::engine::TrialRange;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -267,15 +268,19 @@ fn abandoned_leases_are_reissued_after_the_ttl() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Sends `request` as raw bytes and returns the response's status code.
-/// A write error is ignored: a coordinator that refuses a request early
-/// closes the socket before the client has sent all of it.
+/// Sends `request` as raw bytes, shuts the write half, and returns the
+/// response's status code. Shutting the write half is what lets a request
+/// that ends early (a body shorter than its `Content-Length`) be answered
+/// at once instead of after the socket timeout. Write errors are ignored:
+/// a coordinator that refuses a request early closes the socket before the
+/// client has sent all of it.
 fn raw_status(addr: &str, request: &[u8]) -> u16 {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     let _ = stream.write_all(request);
+    let _ = stream.shutdown(Shutdown::Write);
     let mut response = Vec::new();
     let _ = stream.read_to_end(&mut response);
     let text = String::from_utf8_lossy(&response);
@@ -290,34 +295,35 @@ fn raw_status(addr: &str, request: &[u8]) -> u16 {
 /// sweep with one worker.
 fn refuses_then_keeps_leasing(tag: &str, request: &[u8], expected: u16) {
     let dir = scratch(tag);
-    let opts = Options {
-        inputs: vec!["fig5".to_string()],
-        trials: Some(2),
-        out_dir: Some(dir.clone()),
-        port: Some(0),
-        lease_secs: Some(1),
-        leases: Some(2),
-        linger_secs: Some(0),
-        ..Options::default()
-    };
-    let server = Server::start(&opts).expect("server binds");
-    let addr = format!("127.0.0.1:{}", server.local_addr().port());
-    let handle = std::thread::spawn(move || server.run());
+    let (addr, handle) = spawn_fig5_server(&dir);
 
-    assert_eq!(raw_status(&addr, request), expected);
+    assert_eq!(raw_status(&addr, request), expected, "{tag}");
     let (status, body) = http_request(&addr, "GET", "/lease", None).expect("claim");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"status\":\"lease\""), "{body}");
+    assert_eq!(status, 200, "{tag}");
+    assert!(body.contains("\"status\":\"lease\""), "{tag}: {body}");
 
     // The claimed lease is abandoned; it re-issues after the 1 s TTL.
+    drain(addr);
+    handle.join().unwrap().expect("server finalizes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Starts the `serve_fig5` coordinator over `dir` on its own thread; returns
+/// its address and the thread, which ends once the sweep is reported.
+fn spawn_fig5_server(dir: &Path) -> (String, JoinHandle<Result<(), String>>) {
+    let server = Server::start(&serve_fig5(dir)).expect("server binds");
+    let addr = format!("127.0.0.1:{}", server.local_addr().port());
+    (addr, std::thread::spawn(move || server.run()))
+}
+
+/// One honest worker pulls leases from `addr` until the sweep is done.
+fn drain(addr: String) {
     let worker_opts = Options {
         connect: Some(addr),
         threads: Some(2),
         ..Options::default()
     };
-    run_worker(&worker_opts).expect("worker drains the sweep");
-    handle.join().unwrap().expect("server finalizes");
-    let _ = std::fs::remove_dir_all(&dir);
+    run_worker(&worker_opts).expect("an honest worker drains the sweep");
 }
 
 /// A body one byte over the cap is refused with 413 from its headers
@@ -339,4 +345,142 @@ fn oversized_request_head_gets_431() {
     request.resize(request.len() + (1 << 20), b'a');
     request.extend_from_slice(b"\r\n\r\n");
     refuses_then_keeps_leasing("head-cap", &request, 431);
+}
+
+/// Malformed requests each get a clean status, and the coordinator that
+/// answered one still leases and finishes the sweep:
+///
+/// * a body shorter than its `Content-Length` → 400 (`cannot read body`);
+/// * the request line `GET` alone → 400 (`malformed request line`);
+/// * `GET /nope` → 404 (`no route`);
+/// * `POST /result/abc` → 400 (`bad lease id in path`);
+/// * an artifact body that does not parse → 400 (`unparseable artifact`).
+///
+/// A POST for an unknown or expired lease id is no error: it is folded and
+/// deduplicated like any result (`a_rejected_post_folds_nothing` posts
+/// under an id no lease has).
+#[test]
+fn malformed_requests_get_clean_statuses_and_the_coordinator_keeps_leasing() {
+    for (tag, request, expected) in [
+        (
+            "short-body",
+            &b"POST /result/0 HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"schema\""[..],
+            400,
+        ),
+        ("bare-method", b"GET\r\n", 400),
+        ("no-route", b"GET /nope HTTP/1.1\r\n\r\n", 404),
+        (
+            "bad-id",
+            b"POST /result/abc HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+            400,
+        ),
+        (
+            "bad-artifact",
+            b"POST /result/0 HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json",
+            400,
+        ),
+    ] {
+        refuses_then_keeps_leasing(tag, request, expected);
+    }
+}
+
+/// `repro <args> --out <out>` through the CLI entry point.
+fn repro_into(args: &[&str], out: &Path) -> ExitCode {
+    let mut args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    args.extend(["--out".to_string(), out.to_str().unwrap().to_string()]);
+    cli::run(&args)
+}
+
+/// A plain `repro fig5 --trials 2 --json` run into `dir`: the artifacts
+/// every served fig5 sweep below must reproduce.
+fn direct_fig5(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let status = repro_into(&["fig5", "--trials", "2", "--json"], dir);
+    assert_eq!(status, ExitCode::SUCCESS);
+    artifacts(dir)
+}
+
+/// A fig5 `--trials 2` coordinator into `dir` on an ephemeral port, with a
+/// 1 s lease TTL and no linger.
+fn serve_fig5(dir: &Path) -> Options {
+    Options {
+        inputs: vec!["fig5".to_string()],
+        trials: Some(2),
+        out_dir: Some(dir.to_path_buf()),
+        json: true,
+        port: Some(0),
+        lease_secs: Some(1),
+        leases: Some(2),
+        linger_secs: Some(0),
+        ..Options::default()
+    }
+}
+
+/// The honest artifact of `plan` over the fig5 `--trials 2` grid.
+fn fig5_state(plan: &[TrialRange]) -> ShardState {
+    let entry = find_shardable("fig5").unwrap();
+    let opts = Options {
+        trials: Some(2),
+        threads: Some(2),
+        ..Options::default()
+    };
+    let hooks = SweepHooks {
+        plan: Some(plan),
+        ..SweepHooks::default()
+    };
+    let cells = (entry.cells)(&opts, &hooks);
+    ShardState::from_cells("fig5", false, (0, 1), &(entry.grid)(&opts), &cells)
+}
+
+/// A POST the coordinator rejects folds nothing. The second artifact below
+/// holds a fresh but wrong trial of cell 0 ahead of a trial of cell 1 that
+/// conflicts with the one already folded: the coordinator answers 409, and
+/// the wrong trial must not stay in the master state, or it would refuse
+/// every honest worker that later delivers cell 0.
+#[test]
+fn a_rejected_post_folds_nothing() {
+    let direct_dir = scratch("reject-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("reject-serve");
+    let (addr, handle) = spawn_fig5_server(&dir);
+
+    let trial0 = |cell| TrialRange { cell, lo: 0, hi: 1 };
+    let honest = fig5_state(&[trial0(1)]).to_json();
+    let (status, reply) = http_request(&addr, "POST", "/result/99", Some(&honest)).expect("post");
+    assert_eq!(status, 200, "{reply}");
+
+    let mut wrong = fig5_state(&[trial0(0), trial0(1)]);
+    for cell in &mut wrong.cells {
+        cell.samples[0][0] += 1.0;
+    }
+    let (status, reply) =
+        http_request(&addr, "POST", "/result/99", Some(&wrong.to_json())).expect("post");
+    assert_eq!(status, 409, "{reply}");
+    assert!(reply.contains("conflicting"), "{reply}");
+
+    drain(addr);
+    handle.join().unwrap().expect("server finalizes");
+    assert_eq!(artifacts(&dir), direct, "the rejected POST left a trace");
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A coordinator whose out-dir holds a checkpoint of another grid (3
+/// trials a cell, where it serves 2) warns, starts fresh, and still writes
+/// the direct run's artifacts.
+#[test]
+fn serve_over_a_checkpoint_of_another_grid_starts_fresh() {
+    let direct_dir = scratch("stale-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("stale-serve");
+    let status = repro_into(&["fig5", "--trials", "3", "--checkpoint-trials", "1"], &dir);
+    assert_eq!(status, ExitCode::SUCCESS);
+
+    let (addr, handle) = spawn_fig5_server(&dir);
+    drain(addr);
+    handle.join().unwrap().expect("server finalizes");
+    assert_eq!(artifacts(&dir), direct);
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
