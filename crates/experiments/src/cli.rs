@@ -54,7 +54,7 @@ use crate::figures::sharding::{find_shardable, shardable_names, ShardableEntry, 
 use crate::figures::shared::SweepHooks;
 use crate::figures::{registry, Report};
 use crate::options::Options;
-use crate::server::Server;
+use crate::server::{Limits, Server};
 use crate::shard::{load_dir, merge_states, write_state, GridMeta, ShardCell, ShardState};
 use crate::worker::run_worker;
 use contention_sim::engine::{validate_plan, CellRange, TrialRange};
@@ -100,7 +100,7 @@ pub fn try_run(args: &[String]) -> Result<(), String> {
         "shard" => run_shard(&opts),
         "merge" => run_merge(&opts),
         "resume" => run_resume(&opts),
-        "serve" => Server::serve(&opts),
+        "serve" => Server::start(&opts)?.run(),
         "work" => run_worker(&opts),
         _ if opts.checkpoint.is_some() => {
             let exp = Experiment::new(&sub, &opts)
@@ -413,21 +413,22 @@ fn print_usage() {
     println!("  --checkpoint-secs N    snapshot every N seconds (implies --checkpoint)");
     println!("  --checkpoint-trials N  snapshot every N completed trials (implies it too;");
     println!("                         resumed reports are byte-identical to uninterrupted)");
+    let limits = Limits::of(&Options::default());
     println!(
         "  --port P        serve: listen port (default {}; 0 = ephemeral)",
-        crate::server::DEFAULT_PORT
+        limits.port
     );
     println!(
         "  --leases N      serve: cut the sweep into N cost-weighted leases (default {})",
-        crate::server::DEFAULT_LEASES
+        limits.leases
     );
     println!(
         "  --lease-secs S  serve: re-issue a lease not completed within S s (default {})",
-        crate::server::DEFAULT_LEASE_SECS
+        limits.lease_ttl.as_secs()
     );
     println!(
         "  --linger-secs S serve: answer `done` for S s after completion (default {})",
-        crate::server::DEFAULT_LINGER_SECS
+        limits.linger.as_secs()
     );
     println!("  --connect H:P   work: the coordinator to pull leases from");
     println!();

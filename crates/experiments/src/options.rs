@@ -64,13 +64,13 @@ pub struct Options {
     pub connect: Option<String>,
     /// `--lease-secs N`: how long `serve` waits for a claimed lease's
     /// results before re-issuing it to another worker.
-    pub lease_secs: Option<u64>,
+    pub lease_ttl: Option<Duration>,
     /// `--leases N`: how many leases `serve` cuts the sweep into (the
     /// fleet-size knob: a few per expected worker keeps everyone busy).
     pub leases: Option<usize>,
     /// `--linger-secs N`: how long a finished `serve` keeps answering
     /// `done` before exiting, so slow workers learn the run is over.
-    pub linger_secs: Option<u64>,
+    pub linger: Option<Duration>,
     /// Positional arguments after the subcommand: the experiment name for
     /// `shard`/`serve`, the artifact directories for `merge`. Empty
     /// elsewhere.
@@ -189,7 +189,7 @@ impl Options {
                     if secs == 0 {
                         return Err("--lease-secs must be at least 1".to_string());
                     }
-                    opts.lease_secs = Some(secs);
+                    opts.lease_ttl = Some(Duration::from_secs(secs));
                 }
                 "--leases" => {
                     let v = it.next().ok_or("--leases needs a value")?;
@@ -201,10 +201,10 @@ impl Options {
                 }
                 "--linger-secs" => {
                     let v = it.next().ok_or("--linger-secs needs a value")?;
-                    opts.linger_secs = Some(
-                        v.parse()
-                            .map_err(|_| format!("bad linger duration {v:?}"))?,
-                    );
+                    let secs = v
+                        .parse()
+                        .map_err(|_| format!("bad linger duration {v:?}"))?;
+                    opts.linger = Some(Duration::from_secs(secs));
                 }
                 flag if flag.starts_with("--") => {
                     return Err(format!("unknown flag {flag:?}"));
@@ -250,9 +250,9 @@ impl Options {
         if sub != "serve" {
             for (set, flag) in [
                 (self.port.is_some(), "--port"),
-                (self.lease_secs.is_some(), "--lease-secs"),
+                (self.lease_ttl.is_some(), "--lease-secs"),
                 (self.leases.is_some(), "--leases"),
-                (self.linger_secs.is_some(), "--linger-secs"),
+                (self.linger.is_some(), "--linger-secs"),
             ] {
                 if set {
                     return Err(format!("{flag} only applies to `serve`, not {sub:?}"));
@@ -647,9 +647,9 @@ mod tests {
         assert_eq!(sub, "serve");
         assert_eq!(opts.inputs, vec!["fig5"]);
         assert_eq!(opts.port, Some(0));
-        assert_eq!(opts.lease_secs, Some(5));
+        assert_eq!(opts.lease_ttl, Some(Duration::from_secs(5)));
         assert_eq!(opts.leases, Some(8));
-        assert_eq!(opts.linger_secs, Some(3));
+        assert_eq!(opts.linger, Some(Duration::from_secs(3)));
         // No experiment, no --out, execution knobs, and --checkpoint all
         // fail up front.
         assert!(Options::parse(&strs(&["serve", "--out", "/t"])).is_err());

@@ -40,7 +40,8 @@
 //! bookkeeping only. Every accepted POST checkpoints
 //! the fold state into `--out/checkpoints/`, so a killed coordinator
 //! resumes with `repro serve` pointed at the same `--out`, re-leasing only
-//! the missing trials.
+//! the missing trials. Every bound of `serve` and `work` is a field of
+//! [`Limits`]; a request that breaks one gets a 4xx and frees its handler.
 
 use crate::aggregate::StatsCell;
 use crate::checkpoint::{self, CheckpointWriter};
@@ -51,47 +52,80 @@ use contention_core::merge::MergeStats;
 use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Take, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default coordinator port (`--port` overrides; `0` = ephemeral).
-pub const DEFAULT_PORT: u16 = 7481;
-/// Default lease time-to-live before re-issue (`--lease-secs`).
-pub const DEFAULT_LEASE_SECS: u64 = 60;
 /// Default lease count the sweep is cut into (`--leases`).
 pub const DEFAULT_LEASES: usize = 16;
-/// Default post-completion linger window (`--linger-secs`).
-pub const DEFAULT_LINGER_SECS: u64 = 2;
-/// Poll interval the `wait` response suggests to workers.
-pub const WAIT_RETRY_MS: u64 = 200;
 
-/// Request bodies larger than this are refused with 413 up front — a
-/// full-grid artifact is megabytes; hundreds of megabytes is an attack, not
-/// a result.
-pub const MAX_BODY_BYTES: usize = 64 << 20;
-/// The request line and headers together are refused with 431 past this —
-/// a worker's head is under 200 bytes, and the bound stops a client that
-/// trickles bytes under the socket timeout from growing it without end.
-const MAX_HEAD_BYTES: usize = 16 << 10;
-/// Concurrent request-handler cap (the semaphore's permit count): enough
-/// for a busy fleet, bounded so a connection flood cannot spawn unbounded
-/// threads.
-const MAX_CONCURRENT: usize = 32;
-/// Completed-lease records are kept this long for diagnostics, then swept.
-const DONE_TTL: Duration = Duration::from_secs(600);
-/// ... and never more than this many, whatever their age.
-const DONE_CAP: usize = 1024;
-/// Per-connection socket read timeout: a worker that stops mid-request
-/// must not pin a handler (and its semaphore permit) forever.
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
-/// Accept-loop poll granularity while waiting for connections/completion.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Every bound of `serve` and `work`, in one place: the four values the
+/// CLI sets and the fixed caps, timeouts and polls. [`Limits::of`] builds
+/// it from the options, and nothing takes a `Limits` as input, so the four
+/// flags stay the only settable bounds. `serve` prints it when it starts.
+#[derive(Debug, Clone, Copy)]
+pub struct Limits {
+    /// Listen port (`--port`; `0` = ephemeral).
+    pub port: u16,
+    /// Lease count the sweep is cut into (`--leases`).
+    pub leases: usize,
+    /// Lease time-to-live before re-issue (`--lease-secs`).
+    pub lease_ttl: Duration,
+    /// Post-completion linger window (`--linger-secs`).
+    pub linger: Duration,
+    /// Poll interval the `wait` response suggests to workers.
+    pub wait_retry: Duration,
+    /// Request bodies larger than this are refused with 413 up front — a
+    /// full-grid artifact is megabytes; hundreds of megabytes is an attack,
+    /// not a result.
+    pub max_body_bytes: usize,
+    /// The request line and headers together are refused with 431 past this —
+    /// a worker's head is under 200 bytes, and the bound stops a client that
+    /// trickles bytes under the socket timeout from growing it without end.
+    pub max_head_bytes: usize,
+    /// Concurrent request-handler cap: enough for a busy fleet, bounded so a
+    /// connection flood cannot spawn unbounded threads. Connections past it
+    /// wait in the listen backlog.
+    pub max_handlers: usize,
+    /// Per-connection socket timeout: a peer that stops mid-request must not
+    /// pin a handler (and its slot) forever. At most the lease TTL — a peer
+    /// silent that long is written off, like a silent lease holder.
+    pub socket_timeout: Duration,
+    /// Accept-loop poll granularity while waiting for connections/completion.
+    pub accept_poll: Duration,
+    /// How many consecutive failed exchanges before a worker that has *never*
+    /// reached the coordinator gives up.
+    pub connect_retries: u32,
+    /// Pause between connection retries.
+    pub retry_pause: Duration,
+}
+
+impl Limits {
+    /// The limits `opts` sets, with everything it leaves unset at its default.
+    pub fn of(opts: &Options) -> Limits {
+        let lease_ttl = opts.lease_ttl.unwrap_or(Duration::from_secs(60));
+        Limits {
+            port: opts.port.unwrap_or(7481),
+            leases: opts.leases.unwrap_or(DEFAULT_LEASES),
+            lease_ttl,
+            linger: opts.linger.unwrap_or(Duration::from_secs(2)),
+            wait_retry: Duration::from_millis(200),
+            max_body_bytes: 64 << 20,
+            max_head_bytes: 16 << 10,
+            max_handlers: 32,
+            socket_timeout: lease_ttl.min(Duration::from_secs(30)),
+            accept_poll: Duration::from_millis(25),
+            connect_retries: 25,
+            retry_pause: Duration::from_millis(200),
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
-// Job store: pending/active/done leases with TTL-based re-issue.
+// Job store: pending/active leases with TTL-based re-issue.
 // ---------------------------------------------------------------------------
 
 struct ActiveLease {
@@ -100,16 +134,14 @@ struct ActiveLease {
     issued: Instant,
 }
 
-/// The lease lifecycle: `pending` → (claim) → `active` → (result) → `done`,
+/// The lease lifecycle: `pending` → (claim) → `active` → (result) → gone,
 /// with expiry sweeping `active` back to the front of `pending` under a
 /// fresh id. All time-dependent methods take an explicit `now` so tests
-/// drive the clock deterministically. Bounded on every axis: `pending` and
-/// `active` never exceed the initial lease count, `done` is capped and
-/// TTL-swept.
+/// drive the clock deterministically. `pending` and `active` never exceed
+/// the initial lease count.
 struct JobStore {
     pending: VecDeque<(u64, Vec<TrialRange>)>,
     active: Vec<ActiveLease>,
-    done: VecDeque<(u64, Instant)>,
     next_id: u64,
     ttl: Duration,
     /// Leases that expired and were re-issued — stragglers, for the log.
@@ -127,14 +159,13 @@ impl JobStore {
             next_id: pending.len() as u64,
             pending,
             active: Vec::new(),
-            done: VecDeque::new(),
             ttl,
             reissued: 0,
         }
     }
 
     /// Expires overdue actives back to the queue head (stragglers' work is
-    /// the oldest — it should go out again first) and sweeps `done`.
+    /// the oldest — it should go out again first).
     fn sweep(&mut self, now: Instant) {
         let mut i = 0;
         while i < self.active.len() {
@@ -146,16 +177,6 @@ impl JobStore {
                 self.pending.push_front((id, lease.work));
             } else {
                 i += 1;
-            }
-        }
-        while self.done.len() > DONE_CAP {
-            self.done.pop_front();
-        }
-        while let Some(&(_, at)) = self.done.front() {
-            if now.duration_since(at) >= DONE_TTL {
-                self.done.pop_front();
-            } else {
-                break;
             }
         }
     }
@@ -181,46 +202,10 @@ impl JobStore {
         match self.active.iter().position(|l| l.id == id) {
             Some(i) => {
                 self.active.swap_remove(i);
-                self.done.push_back((id, now));
                 true
             }
             None => false,
         }
-    }
-
-    fn active_count(&self) -> usize {
-        self.active.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Semaphore: the hand-rolled concurrency cap (no external deps).
-// ---------------------------------------------------------------------------
-
-struct Semaphore {
-    permits: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl Semaphore {
-    fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            permits: Mutex::new(permits),
-            freed: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
-        while *permits == 0 {
-            permits = self.freed.wait(permits).expect("semaphore poisoned");
-        }
-        *permits -= 1;
-    }
-
-    fn release(&self) {
-        *self.permits.lock().expect("semaphore poisoned") += 1;
-        self.freed.notify_one();
     }
 }
 
@@ -283,8 +268,21 @@ struct Shared {
     fold: Mutex<Fold>,
     writer: CheckpointWriter,
     metrics_path: PathBuf,
-    handlers: Semaphore,
+    limits: Limits,
+    /// Handlers running now. Only the accept loop raises it, and only below
+    /// `limits.max_handlers`; each handler's [`Slot`] lowers it again.
+    in_flight: AtomicUsize,
     started: Instant,
+}
+
+/// One handler's place in `Shared::in_flight`, freed on drop — also when
+/// the handler panics.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A bound-but-not-yet-running coordinator. [`Server::start`] binds the
@@ -297,7 +295,6 @@ pub struct Server {
     shared: Arc<Shared>,
     out_dir: PathBuf,
     json: bool,
-    linger: Duration,
 }
 
 impl Server {
@@ -306,6 +303,7 @@ impl Server {
     /// exists, cuts the remaining work into cost-weighted leases, and
     /// binds the listen socket. No trials run here — workers do that.
     pub fn start(opts: &Options) -> Result<Server, String> {
+        let limits = Limits::of(opts);
         let exp = Experiment::new(&opts.inputs[0], opts)?;
         let out_dir = opts.out_dir.clone().expect("validated at parse time");
 
@@ -333,28 +331,21 @@ impl Server {
         // Cut the *missing* work (everything, on a fresh start) into
         // cost-weighted per-trial leases.
         let plan = checkpoint::missing_work(&exp.state((0, 1), &cells))?;
-        let leases = TrialRange::partition(
-            &plan,
-            &exp.grid.cell_trial_costs(),
-            opts.leases.unwrap_or(DEFAULT_LEASES),
-        );
+        let leases = TrialRange::partition(&plan, &exp.grid.cell_trial_costs(), limits.leases);
         let remaining: usize = plan.iter().map(TrialRange::len).sum();
         let trials_total = exp.grid.cell_count() * exp.grid.trials as usize;
-        let store = JobStore::new(
-            leases,
-            Duration::from_secs(opts.lease_secs.unwrap_or(DEFAULT_LEASE_SECS)),
-        );
+        let store = JobStore::new(leases, limits.lease_ttl);
 
         let writer = CheckpointWriter::new(&out_dir, exp.entry.name, opts.full, exp.grid.clone())?;
-        let port = opts.port.unwrap_or(DEFAULT_PORT);
-        let listener = TcpListener::bind(("0.0.0.0", port))
-            .map_err(|e| format!("cannot bind port {port}: {e}"))?;
+        let listener = TcpListener::bind(("0.0.0.0", limits.port))
+            .map_err(|e| format!("cannot bind port {}: {e}", limits.port))?;
         println!(
             "[serve] {} on {}: {} leases over {remaining} of {trials_total} trials",
             exp.entry.name,
             listener.local_addr().map_err(|e| e.to_string())?,
             store.pending.len(),
         );
+        println!("[serve] limits: {limits:?}");
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -369,12 +360,12 @@ impl Server {
                 }),
                 writer,
                 metrics_path: out_dir.join(checkpoint::METRICS_FILE),
-                handlers: Semaphore::new(MAX_CONCURRENT),
+                limits,
+                in_flight: AtomicUsize::new(0),
                 started: Instant::now(),
             }),
             out_dir,
             json: opts.json,
-            linger: Duration::from_secs(opts.linger_secs.unwrap_or(DEFAULT_LINGER_SECS)),
         })
     }
 
@@ -391,37 +382,35 @@ impl Server {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| format!("cannot poll listener: {e}"))?;
+        let limits = &self.shared.limits;
         let mut finalized_at: Option<Instant> = None;
         loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    shared.handlers.acquire();
-                    std::thread::spawn(move || {
-                        handle_connection(stream, &shared);
-                        shared.handlers.release();
-                    });
+            // At the handler cap, new connections wait in the listen backlog
+            // while the loop keeps polling: completion and linger never wait
+            // on a slow client.
+            let below_cap = self.shared.in_flight.load(Ordering::SeqCst) < limits.max_handlers;
+            match below_cap.then(|| self.listener.accept()) {
+                Some(Ok((stream, _peer))) => {
+                    self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+                    // The thread owns the slot, so its exit frees it.
+                    let slot = Slot(Arc::clone(&self.shared));
+                    std::thread::spawn(move || handle_connection(stream, &slot.0));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                Some(Err(e)) if e.kind() != ErrorKind::WouldBlock => {
+                    return Err(format!("accept failed: {e}"));
                 }
-                Err(e) => return Err(format!("accept failed: {e}")),
+                _ => std::thread::sleep(limits.accept_poll),
             }
             if finalized_at.is_none() && self.shared.fold.lock().expect("fold poisoned").complete {
                 self.finalize()?;
                 finalized_at = Some(Instant::now());
             }
             if let Some(at) = finalized_at {
-                if at.elapsed() >= self.linger {
+                if at.elapsed() >= limits.linger {
                     return Ok(());
                 }
             }
         }
-    }
-
-    /// Convenience for the CLI: `start` + `run` in one call.
-    pub fn serve(opts: &Options) -> Result<(), String> {
-        Server::start(opts)?.run()
     }
 
     /// The sweep is complete (the last accepted POST wrote the finished
@@ -450,10 +439,10 @@ struct Request {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_read_timeout(Some(shared.limits.socket_timeout));
+    let _ = stream.set_write_timeout(Some(shared.limits.socket_timeout));
     let _ = stream.set_nodelay(true);
-    let (status, body) = match read_request(&mut stream) {
+    let (status, body) = match read_request(&mut stream, shared) {
         Ok(req) => route(&req, shared),
         Err((status, e)) => (status, error_body(&e)),
     };
@@ -481,62 +470,71 @@ fn json_str(s: &str) -> String {
 }
 
 /// Reads one request; an error carries the status to answer with.
-fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
+fn read_request(stream: &mut TcpStream, shared: &Shared) -> Result<Request, (u16, String)> {
+    let limits = &shared.limits;
     let bad = |e: String| (400, e);
+    // A read that outlasts the socket timeout is named as such.
+    let failed = |what: &str, e: std::io::Error| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => bad(format!(
+            "{what} stalled past the {:?} socket timeout",
+            limits.socket_timeout
+        )),
+        _ => bad(format!("cannot read {what}: {e}")),
+    };
     let mut reader = BufReader::new(stream);
-    // The request line and headers draw on one `MAX_HEAD_BYTES` budget.
-    let mut head = (&mut reader).take(MAX_HEAD_BYTES as u64);
-    let mut line = String::new();
-    read_head_line(&mut head, &mut line)?;
+    // The request line and headers draw on one `max_head_bytes` budget; a
+    // line still unterminated when it runs out is refused with 431.
+    let mut head = (&mut reader).take(limits.max_head_bytes as u64);
+    let mut head_line = || {
+        let mut line = String::new();
+        head.read_line(&mut line)
+            .map_err(|e| failed("request head", e))?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            let cap = limits.max_head_bytes;
+            return Err((431, format!("request head exceeds the {cap}-byte cap")));
+        }
+        Ok(line)
+    };
+    let line = head_line()?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let path = parts.next().unwrap_or_default().to_string();
     if method.is_empty() || path.is_empty() {
         return Err(bad("malformed request line".to_string()));
     }
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
-        let mut header = String::new();
-        read_head_line(&mut head, &mut header)?;
+        let header = head_line()?;
         let header = header.trim();
         if header.is_empty() {
             break;
         }
         if let Some((key, value)) = header.split_once(':') {
             if key.eq_ignore_ascii_case("content-length") {
-                content_length = value
+                let len: usize = value
                     .trim()
                     .parse()
                     .map_err(|_| bad(format!("bad content-length {value:?}")))?;
+                // Two lengths leave the body's end ambiguous (RFC 9112 §6.3).
+                if content_length.replace(len).is_some() {
+                    return Err(bad("repeated content-length".to_string()));
+                }
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    let (content_length, cap) = (content_length.unwrap_or(0), limits.max_body_bytes);
+    if content_length > cap {
         return Err((
             413,
-            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"),
+            format!("body of {content_length} bytes exceeds the {cap}-byte cap"),
         ));
     }
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|e| bad(format!("cannot read body: {e}")))?;
+        .map_err(|e| failed("body", e))?;
     let body = String::from_utf8(body).map_err(|_| bad("body is not UTF-8".to_string()))?;
     Ok(Request { method, path, body })
-}
-
-/// Reads one head line into `line`; a line still unterminated when the
-/// head's budget runs out is refused with 431.
-fn read_head_line<R: BufRead>(head: &mut Take<R>, line: &mut String) -> Result<(), (u16, String)> {
-    head.read_line(line)
-        .map_err(|e| (400, format!("cannot read request head: {e}")))?;
-    if head.limit() == 0 && !line.ends_with('\n') {
-        return Err((
-            431,
-            format!("request head exceeds the {MAX_HEAD_BYTES}-byte cap"),
-        ));
-    }
-    Ok(())
 }
 
 fn route(req: &Request, shared: &Shared) -> (u16, String) {
@@ -568,7 +566,10 @@ fn lease_response(shared: &Shared) -> (u16, String) {
     match fold.store.claim(Instant::now()) {
         None => (
             200,
-            format!("{{\"status\":\"wait\",\"retry_ms\":{WAIT_RETRY_MS}}}"),
+            format!(
+                "{{\"status\":\"wait\",\"retry_ms\":{}}}",
+                shared.limits.wait_retry.as_millis()
+            ),
         ),
         Some((id, work)) => {
             let ranges: Vec<String> = work
@@ -634,7 +635,7 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
         completed_trials: recorded,
         total_trials: fold.trials_total,
         elapsed: shared.started.elapsed(),
-        workers: fold.store.active_count().max(1),
+        workers: fold.store.active.len().max(1),
         finished: fold.complete,
     };
     shared.writer.snapshot(snapshot);
@@ -666,8 +667,10 @@ pub fn http_request(
     let mut stream =
         TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    // A client knows no lease TTL: the default limits' timeout applies.
+    let timeout = Limits::of(&Options::default()).socket_timeout;
+    let _ = stream.set_read_timeout(Some(timeout));
+    let _ = stream.set_write_timeout(Some(timeout));
     let body = body.unwrap_or("");
     stream
         .write_all(
@@ -720,7 +723,7 @@ mod tests {
             store.claim(t0 + Duration::from_secs(5)).is_none(),
             "nothing pending"
         );
-        assert_eq!(store.active_count(), 2);
+        assert_eq!(store.active.len(), 2);
 
         // Only lease A has aged past the TTL: the next claim re-issues its
         // work under a fresh id while B stays active.
@@ -735,11 +738,6 @@ mod tests {
         // bookkeeping entry), while the live id completes normally.
         assert!(!store.complete(id_a, late));
         assert!(store.complete(id_a2, late));
-        assert_eq!(store.done.len(), 1);
-
-        // Done records are TTL-swept.
-        store.sweep(late + DONE_TTL + Duration::from_secs(1));
-        assert!(store.done.is_empty());
     }
 
     #[test]

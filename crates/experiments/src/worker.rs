@@ -15,15 +15,9 @@
 use crate::cli::Experiment;
 use crate::jsonin::Json;
 use crate::options::Options;
-use crate::server::{http_request, WAIT_RETRY_MS};
+use crate::server::{http_request, Limits};
 use contention_sim::engine::{validate_plan, TrialRange};
 use std::time::Duration;
-
-/// How many consecutive failed exchanges before a worker that has *never*
-/// reached the coordinator gives up.
-const CONNECT_RETRIES: u32 = 25;
-/// Pause between connection retries.
-const RETRY_PAUSE: Duration = Duration::from_millis(200);
 
 /// Fault-injection hook for the lease-failure tests: if set, the worker
 /// sleeps this many milliseconds after claiming each lease and before
@@ -59,7 +53,7 @@ fn decode_lease(body: &str, opts: &Options) -> Result<LeaseReply, String> {
             let ms = json
                 .field("retry_ms")
                 .and_then(Json::as_f64)
-                .unwrap_or(WAIT_RETRY_MS as f64);
+                .unwrap_or(Limits::of(opts).wait_retry.as_millis() as f64);
             Ok(LeaseReply::Wait(Duration::from_millis(ms.max(0.0) as u64)))
         }
         "lease" => {
@@ -94,6 +88,7 @@ fn decode_lease(body: &str, opts: &Options) -> Result<LeaseReply, String> {
 /// The worker loop: claim, run, report, repeat until `done`.
 pub fn run_worker(opts: &Options) -> Result<(), String> {
     let addr = opts.connect.clone().expect("validated at parse time");
+    let limits = Limits::of(opts);
     let hold = std::env::var(HOLD_ENV)
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -107,7 +102,7 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
             Ok(r) => r,
             Err(e) => {
                 failures += 1;
-                if !ever_connected && failures >= CONNECT_RETRIES {
+                if !ever_connected && failures >= limits.connect_retries {
                     return Err(format!("cannot reach coordinator at {addr}: {e}"));
                 }
                 if ever_connected {
@@ -120,7 +115,7 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
                     );
                     return Ok(());
                 }
-                std::thread::sleep(RETRY_PAUSE);
+                std::thread::sleep(limits.retry_pause);
                 continue;
             }
         };

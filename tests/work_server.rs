@@ -8,23 +8,32 @@
 //! `(experiment, algorithm, n, trial)`, so no amount of lease re-issue,
 //! duplicate execution or worker loss may change a single byte of the
 //! merged report.
+//!
+//! The coordinators here run with a lease TTL of `TTL` — and so a socket
+//! timeout of `TTL` — so that a re-issue or a stalled request costs a
+//! fraction of a second.
 
+use contention_experiments::checkpoint::{checkpoint_file_name, CHECKPOINT_DIR, LATEST_FILE};
 use contention_experiments::cli;
 use contention_experiments::figures::sharding::find_shardable;
 use contention_experiments::figures::shared::SweepHooks;
 use contention_experiments::jsonin::Json;
 use contention_experiments::options::Options;
-use contention_experiments::server::{http_request, Server, MAX_BODY_BYTES};
+use contention_experiments::server::{http_request, Limits, Server};
 use contention_experiments::shard::ShardState;
 use contention_experiments::worker::run_worker;
 use contention_sim::engine::TrialRange;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Lines, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Child, ChildStdout, Command, ExitCode, Stdio};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The lease TTL of the coordinators below: ample for a loopback exchange,
+/// short enough that waiting one out is cheap.
+const TTL: Duration = Duration::from_millis(300);
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("repro-workserver-{tag}-{}", std::process::id()));
@@ -54,38 +63,22 @@ fn two_workers_and_an_abandoned_lease_reproduce_the_direct_run_byte_for_byte() {
     let serve_dir = scratch("serve");
 
     // The reference: a plain single-process run writing CSV + JSON.
-    let direct_args: Vec<String> = [
-        "fig5",
-        "--trials",
-        "2",
-        "--out",
-        direct_dir.to_str().unwrap(),
-        "--json",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    assert_eq!(cli::run(&direct_args), ExitCode::SUCCESS);
-    let direct = artifacts(&direct_dir);
+    let direct = direct_fig5(&direct_dir);
     assert!(!direct.is_empty(), "direct run wrote no artifacts");
 
-    // The coordinator: ephemeral port, 1 s lease TTL so the abandoned
-    // lease re-issues within the test's patience, a few-second linger so
-    // the straggler's late requests still get answered.
+    // The coordinator: ephemeral port, a lease TTL short enough that the
+    // abandoned lease re-issues within the test's patience, a linger long
+    // enough that the straggler's late requests still get answered. The
+    // TTL, and so the socket timeout, outlasts the linger: the flood below
+    // holds its handler slots until after the linger has run out.
     let serve_opts = Options {
-        inputs: vec!["fig5".to_string()],
-        trials: Some(2),
-        out_dir: Some(serve_dir.clone()),
-        json: true,
-        port: Some(0),
-        lease_secs: Some(1),
+        lease_ttl: Some(Duration::from_millis(1500)),
         leases: Some(4),
-        linger_secs: Some(5),
-        ..Options::default()
+        linger: Some(Duration::from_secs(1)),
+        ..serve_fig5(&serve_dir)
     };
-    let server = Server::start(&serve_opts).expect("server binds");
-    let addr = format!("127.0.0.1:{}", server.local_addr().port());
-    let server_thread = std::thread::spawn(move || server.run());
+    let limits = Limits::of(&serve_opts);
+    let (addr, server_thread) = spawn_server(&serve_opts);
 
     // The straggler: claims a lease and sits on it. The coordinator must
     // re-issue it after the TTL, and the run must complete without this
@@ -100,16 +93,12 @@ fn two_workers_and_an_abandoned_lease_reproduce_the_direct_run_byte_for_byte() {
     // Two honest workers drain the sweep (including the re-issued lease).
     let worker_threads: Vec<_> = (0..2)
         .map(|_| {
-            let opts = Options {
-                connect: Some(addr.clone()),
-                threads: Some(2),
-                ..Options::default()
-            };
-            std::thread::spawn(move || run_worker(&opts))
+            let addr = addr.clone();
+            std::thread::spawn(move || drain(addr))
         })
         .collect();
     for t in worker_threads {
-        t.join().unwrap().expect("worker completes cleanly");
+        t.join().unwrap();
     }
 
     // Live metrics survive completion and report the sweep finished.
@@ -125,36 +114,8 @@ fn two_workers_and_an_abandoned_lease_reproduce_the_direct_run_byte_for_byte() {
     // The straggler finally runs its stale lease and posts the result after
     // the sweep completed: the coordinator just says `done` — duplicate
     // work is discarded, never folded twice.
-    let lease = Json::parse(&claimed).unwrap();
-    let id = lease.field("id").unwrap().as_u32().unwrap();
-    let plan: Vec<TrialRange> = lease
-        .field("work")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|range| {
-            let triple = range.as_array().unwrap();
-            TrialRange {
-                cell: triple[0].as_u32().unwrap() as usize,
-                lo: triple[1].as_u32().unwrap(),
-                hi: triple[2].as_u32().unwrap(),
-            }
-        })
-        .collect();
-    let entry = find_shardable("fig5").unwrap();
-    let run_opts = Options {
-        trials: Some(2),
-        threads: Some(2),
-        ..Options::default()
-    };
-    let grid = (entry.grid)(&run_opts);
-    let hooks = SweepHooks {
-        plan: Some(&plan),
-        ..SweepHooks::default()
-    };
-    let cells = (entry.cells)(&run_opts, &hooks);
-    let artifact = ShardState::from_cells("fig5", false, (0, 1), &grid, &cells).to_json();
+    let (id, plan) = lease_of(&claimed);
+    let artifact = fig5_state(&plan).to_json();
     let (status, reply) =
         http_request(&addr, "POST", &format!("/result/{id}"), Some(&artifact)).expect("late post");
     assert_eq!(status, 200);
@@ -163,10 +124,22 @@ fn two_workers_and_an_abandoned_lease_reproduce_the_direct_run_byte_for_byte() {
         "late duplicate must be a no-op: {reply}"
     );
 
+    // The linger clock runs while a flood holds every handler slot: the
+    // coordinator exits on schedule, before any flooded connection has
+    // been answered.
+    let flood: Vec<TcpStream> = (0..limits.max_handlers + 8)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
     server_thread
         .join()
         .unwrap()
         .expect("server finalizes cleanly");
+    flood[0].set_nonblocking(true).unwrap();
+    let unanswered = flood[0].peek(&mut [0]);
+    assert!(
+        matches!(&unanswered, Err(e) if e.kind() == ErrorKind::WouldBlock),
+        "the linger waited for a flooded connection: {unanswered:?}"
+    );
 
     // The contract: byte-identical artifacts, whatever the execution shape.
     let served = artifacts(&serve_dir);
@@ -185,7 +158,7 @@ fn two_workers_and_an_abandoned_lease_reproduce_the_direct_run_byte_for_byte() {
     // A resume of the completed out-dir is a clean no-op serve: everything
     // is recorded, so the server starts complete.
     let resume_opts = Options {
-        linger_secs: Some(0),
+        linger: Some(Duration::ZERO),
         ..serve_opts.clone()
     };
     let server = Server::start(&resume_opts).expect("re-serve binds");
@@ -215,103 +188,63 @@ fn worker_without_a_coordinator_reports_the_address() {
 #[test]
 fn abandoned_leases_are_reissued_after_the_ttl() {
     let dir = scratch("reissue");
-    let opts = Options {
-        inputs: vec!["fig5".to_string()],
-        trials: Some(2),
-        out_dir: Some(dir.clone()),
-        port: Some(0),
-        lease_secs: Some(1),
-        leases: Some(2),
-        linger_secs: Some(0),
-        ..Options::default()
-    };
-    let server = Server::start(&opts).expect("server binds");
-    let addr = format!("127.0.0.1:{}", server.local_addr().port());
-    let handle = std::thread::spawn(move || server.run());
+    let (addr, handle) = spawn_server(&serve_fig5(&dir));
 
     // Drain both leases and abandon them.
-    let mut abandoned = Vec::new();
-    for _ in 0..2 {
-        let (_, body) = http_request(&addr, "GET", "/lease", None).expect("claim");
-        assert!(body.contains("\"status\":\"lease\""), "{body}");
-        abandoned.push(body);
-    }
+    let abandoned: Vec<String> = (0..2).map(|_| claim(&addr)).collect();
     let (_, body) = http_request(&addr, "GET", "/lease", None).expect("drained");
     assert!(body.contains("\"status\":\"wait\""), "{body}");
 
-    // After the TTL the same work comes back under a fresh id.
-    std::thread::sleep(Duration::from_millis(1500));
-    let (_, body) = http_request(&addr, "GET", "/lease", None).expect("reissue");
-    assert!(body.contains("\"status\":\"lease\""), "{body}");
-    let old_id = Json::parse(&abandoned[0])
-        .unwrap()
-        .field("id")
-        .unwrap()
-        .as_u32()
-        .unwrap();
-    let new_id = Json::parse(&body)
-        .unwrap()
-        .field("id")
-        .unwrap()
-        .as_u32()
-        .unwrap();
+    // Both were issued before the `wait` above, so a TTL from now both have
+    // expired, and the same work comes back under a fresh id.
+    std::thread::sleep(TTL);
+    let body = claim(&addr);
+    let (old_id, _) = lease_of(&abandoned[0]);
+    let (new_id, _) = lease_of(&body);
     assert!(new_id > old_id, "re-issue must mint a fresh id");
 
-    // One honest worker finishes the whole sweep regardless.
-    let worker_opts = Options {
-        connect: Some(addr.clone()),
-        threads: Some(2),
-        ..Options::default()
-    };
-    run_worker(&worker_opts).expect("worker drains the sweep");
-    handle.join().unwrap().expect("server finalizes");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Sends `request` as raw bytes, shuts the write half, and returns the
-/// response's status code. Shutting the write half is what lets a request
-/// that ends early (a body shorter than its `Content-Length`) be answered
-/// at once instead of after the socket timeout. Write errors are ignored:
-/// a coordinator that refuses a request early closes the socket before the
-/// client has sent all of it.
-fn raw_status(addr: &str, request: &[u8]) -> u16 {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let _ = stream.write_all(request);
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut response = Vec::new();
-    let _ = stream.read_to_end(&mut response);
-    let text = String::from_utf8_lossy(&response);
-    text.split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {text:?}"))
-}
-
-/// Starts a fig5 coordinator, has it answer `request` with `expected`, and
-/// then requires the same coordinator to hand out a lease and finish the
-/// sweep with one worker.
-fn refuses_then_keeps_leasing(tag: &str, request: &[u8], expected: u16) {
-    let dir = scratch(tag);
-    let (addr, handle) = spawn_fig5_server(&dir);
-
-    assert_eq!(raw_status(&addr, request), expected, "{tag}");
-    let (status, body) = http_request(&addr, "GET", "/lease", None).expect("claim");
-    assert_eq!(status, 200, "{tag}");
-    assert!(body.contains("\"status\":\"lease\""), "{tag}: {body}");
-
-    // The claimed lease is abandoned; it re-issues after the 1 s TTL.
+    // The re-issued lease is delivered, and one honest worker finishes the
+    // whole sweep regardless.
+    deliver(&addr, &body);
     drain(addr);
     handle.join().unwrap().expect("server finalizes");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Starts the `serve_fig5` coordinator over `dir` on its own thread; returns
-/// its address and the thread, which ends once the sweep is reported.
-fn spawn_fig5_server(dir: &Path) -> (String, JoinHandle<Result<(), String>>) {
-    let server = Server::start(&serve_fig5(dir)).expect("server binds");
+/// Sends `request` as raw bytes, shuts the write half, and returns the
+/// response's status and text. Shutting the write half is what lets a
+/// request that ends early (a body shorter than its `Content-Length`) be
+/// answered at once instead of after the socket timeout. Write errors are
+/// ignored: a coordinator that refuses a request early closes the socket
+/// before the client has sent all of it.
+fn raw_request(addr: &str, request: &[u8]) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let _ = stream.write_all(request);
+    let _ = stream.shutdown(Shutdown::Write);
+    response_of(stream)
+}
+
+/// Reads the coordinator's answer on `stream` to its end: the status and
+/// the whole response text.
+fn response_of(mut stream: TcpStream) -> (u16, String) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    let text = String::from_utf8_lossy(&response).into_owned();
+    let status = text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {text:?}"));
+    (status, text)
+}
+
+/// Starts a coordinator with `opts` on its own thread; returns its address
+/// and the thread, which ends once the sweep is reported.
+fn spawn_server(opts: &Options) -> (String, JoinHandle<Result<(), String>>) {
+    let server = Server::start(opts).expect("server binds");
     let addr = format!("127.0.0.1:{}", server.local_addr().port());
     (addr, std::thread::spawn(move || server.run()))
 }
@@ -326,61 +259,221 @@ fn drain(addr: String) {
     run_worker(&worker_opts).expect("an honest worker drains the sweep");
 }
 
-/// A body one byte over the cap is refused with 413 from its headers
-/// alone; the coordinator never waits for the body.
-#[test]
-fn over_cap_body_gets_413() {
-    let request = format!(
-        "POST /result/0 HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-        MAX_BODY_BYTES + 1
-    );
-    refuses_then_keeps_leasing("body-cap", request.as_bytes(), 413);
+/// Claims a lease from `addr`; returns the response body.
+fn claim(addr: &str) -> String {
+    let (status, body) = http_request(addr, "GET", "/lease", None).expect("claim");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"lease\""), "{body}");
+    body
 }
 
-/// A 1 MiB header line is refused with 431 once the head passes its cap,
+/// The id and ranges of a `/lease` response body.
+fn lease_of(body: &str) -> (u32, Vec<TrialRange>) {
+    let lease = Json::parse(body).unwrap();
+    let plan = lease
+        .field("work")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|range| {
+            let triple = range.as_array().unwrap();
+            TrialRange {
+                cell: triple[0].as_u32().unwrap() as usize,
+                lo: triple[1].as_u32().unwrap(),
+                hi: triple[2].as_u32().unwrap(),
+            }
+        })
+        .collect();
+    (lease.field("id").unwrap().as_u32().unwrap(), plan)
+}
+
+/// POSTs the honest results of the lease in `body` to `addr`.
+fn deliver(addr: &str, body: &str) {
+    let (id, plan) = lease_of(body);
+    let artifact = fig5_state(&plan).to_json();
+    let (status, reply) =
+        http_request(addr, "POST", &format!("/result/{id}"), Some(&artifact)).expect("post");
+    assert_eq!(status, 200, "{reply}");
+}
+
+/// A raw request, the status a coordinator under `Limits` must answer it
+/// with, and a message the answer must contain.
+type Fault = (Vec<u8>, u16, String);
+
+/// A body one byte over the cap: refused with 413 from its headers alone,
+/// so the coordinator never waits for the body.
+fn over_cap_body(limits: &Limits) -> Fault {
+    let request = format!(
+        "POST /result/0 HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        limits.max_body_bytes + 1
+    );
+    let message = format!("exceeds the {}-byte cap", limits.max_body_bytes);
+    (request.into_bytes(), 413, message)
+}
+
+/// A 1 MiB header line: refused with 431 once the head passes its cap,
 /// rather than buffered whole and served.
-#[test]
-fn oversized_request_head_gets_431() {
+fn oversized_head(limits: &Limits) -> Fault {
     let mut request = b"GET /lease HTTP/1.1\r\nX-Pad: ".to_vec();
     request.resize(request.len() + (1 << 20), b'a');
     request.extend_from_slice(b"\r\n\r\n");
-    refuses_then_keeps_leasing("head-cap", &request, 431);
+    let message = format!(
+        "request head exceeds the {}-byte cap",
+        limits.max_head_bytes
+    );
+    (request, 431, message)
 }
 
-/// Malformed requests each get a clean status, and the coordinator that
-/// answered one still leases and finishes the sweep:
+/// Starts a fig5 coordinator of its own, has it answer `fault`, and then
+/// requires the same coordinator to lease and finish the sweep.
+fn refuses_then_keeps_leasing(tag: &str, fault: fn(&Limits) -> Fault) {
+    let dir = scratch(tag);
+    let opts = serve_fig5(&dir);
+    let (request, expected, message) = fault(&Limits::of(&opts));
+    let (addr, handle) = spawn_server(&opts);
+
+    let (status, text) = raw_request(&addr, &request);
+    assert_eq!(status, expected, "{message}: {text}");
+    assert!(text.contains(&message), "{message}: {text}");
+    deliver(&addr, &claim(&addr));
+
+    drain(addr);
+    handle.join().unwrap().expect("server finalizes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn over_cap_body_gets_413() {
+    refuses_then_keeps_leasing("body-cap", over_cap_body);
+}
+
+#[test]
+fn oversized_request_head_gets_431() {
+    refuses_then_keeps_leasing("head-cap", oversized_head);
+}
+
+/// One fig5 coordinator meets every request-level fault. Each gets a clean
+/// status, and a claim after each one still wins a lease:
 ///
 /// * a body shorter than its `Content-Length` → 400 (`cannot read body`);
 /// * the request line `GET` alone → 400 (`malformed request line`);
 /// * `GET /nope` → 404 (`no route`);
 /// * `POST /result/abc` → 400 (`bad lease id in path`);
-/// * an artifact body that does not parse → 400 (`unparseable artifact`).
+/// * an artifact body that does not parse → 400 (`unparseable artifact`);
+/// * a `Content-Length` that is not a number → 400 (`bad content-length`);
+/// * two `Content-Length` headers → 400 (`repeated content-length`);
+/// * a body one byte over the cap → 413, from its headers alone;
+/// * a 1 MiB header line → 431 once the head passes its cap;
+/// * a body that stalls past the socket timeout → 400 naming the timeout;
+/// * more open connections than the handler cap → the excess waits in the
+///   listen backlog, and a claim behind it is served within about one
+///   socket timeout.
 ///
-/// A POST for an unknown or expired lease id is no error: it is folded and
-/// deduplicated like any result (`a_rejected_post_folds_nothing` posts
-/// under an id no lease has).
+/// No answered case holds its handler slot, and the coordinator then
+/// drains to the direct run's artifacts. A POST for an unknown or expired
+/// lease id is no error: it is folded and deduplicated like any result
+/// (`a_rejected_post_folds_nothing` posts under an id no lease has).
 #[test]
 fn malformed_requests_get_clean_statuses_and_the_coordinator_keeps_leasing() {
-    for (tag, request, expected) in [
+    let direct_dir = scratch("faults-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("faults-serve");
+    // One lease per claim below, and one for the final drain.
+    let opts = Options {
+        leases: Some(12),
+        ..serve_fig5(&dir)
+    };
+    let limits = Limits::of(&opts);
+    let (addr, handle) = spawn_server(&opts);
+
+    let (over_cap, body_status, body_cap) = over_cap_body(&limits);
+    let (huge_head, head_status, head_cap) = oversized_head(&limits);
+    let cases: [(&[u8], u16, &str); 9] = [
         (
-            "short-body",
-            &b"POST /result/0 HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"schema\""[..],
+            b"POST /result/0 HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"schema\"",
             400,
+            "cannot read body",
         ),
-        ("bare-method", b"GET\r\n", 400),
-        ("no-route", b"GET /nope HTTP/1.1\r\n\r\n", 404),
+        (b"GET\r\n", 400, "malformed request line"),
+        (b"GET /nope HTTP/1.1\r\n\r\n", 404, "no route"),
         (
-            "bad-id",
             b"POST /result/abc HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
             400,
+            "bad lease id in path",
         ),
         (
-            "bad-artifact",
             b"POST /result/0 HTTP/1.1\r\nContent-Length: 8\r\n\r\nnot json",
             400,
+            "unparseable artifact",
         ),
-    ] {
-        refuses_then_keeps_leasing(tag, request, expected);
+        (
+            b"GET /lease HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+            400,
+            "bad content-length",
+        ),
+        (
+            b"GET /lease HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\n",
+            400,
+            "repeated content-length",
+        ),
+        (&over_cap, body_status, &body_cap),
+        (&huge_head, head_status, &head_cap),
+    ];
+    // The cases run side by side, each followed by a claim of its own.
+    std::thread::scope(|s| {
+        for (request, expected, message) in cases {
+            let addr = &addr;
+            s.spawn(move || {
+                let (status, text) = raw_request(addr, request);
+                assert_eq!(status, expected, "{message}: {text}");
+                assert!(text.contains(message), "{message}: {text}");
+                deliver(addr, &claim(addr));
+            });
+        }
+    });
+
+    // Hold all but one handler slot: a body that stops after 10 of its 100
+    // bytes, and idle connections. The free slot serves a claim before any
+    // held connection times out, so no case above kept its slot.
+    let held_since = Instant::now();
+    let mut stalled = TcpStream::connect(&addr).unwrap();
+    stalled
+        .write_all(b"POST /result/0 HTTP/1.1\r\nContent-Length: 100\r\n\r\n0123456789")
+        .unwrap();
+    let mut held: Vec<TcpStream> = (2..limits.max_handlers)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    let lease = claim(&addr);
+    assert!(
+        held_since.elapsed() < limits.socket_timeout,
+        "a claim with a slot free waited for a held connection to time out"
+    );
+    deliver(&addr, &lease);
+
+    // Past the cap, connections wait in the listen backlog: a claim behind
+    // them is served once the held connections time out, and not before.
+    held.extend((0..8).map(|_| TcpStream::connect(&addr).unwrap()));
+    let lease = claim(&addr);
+    let waited = held_since.elapsed();
+    assert!(waited >= limits.socket_timeout, "{waited:?}");
+    assert!(
+        waited < limits.socket_timeout + Duration::from_secs(1),
+        "{waited:?}"
+    );
+    let (status, text) = response_of(stalled);
+    assert_eq!(status, 400, "{text}");
+    // Below 30 s, the lease TTL is the socket timeout.
+    let timeout = format!("body stalled past the {TTL:?} socket timeout");
+    assert!(text.contains(&timeout), "{text}");
+    drop(held);
+    deliver(&addr, &lease);
+
+    drain(addr);
+    handle.join().unwrap().expect("server finalizes");
+    assert_eq!(artifacts(&dir), direct);
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -400,7 +493,7 @@ fn direct_fig5(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 /// A fig5 `--trials 2` coordinator into `dir` on an ephemeral port, with a
-/// 1 s lease TTL and no linger.
+/// `TTL` lease TTL and no linger.
 fn serve_fig5(dir: &Path) -> Options {
     Options {
         inputs: vec!["fig5".to_string()],
@@ -408,9 +501,9 @@ fn serve_fig5(dir: &Path) -> Options {
         out_dir: Some(dir.to_path_buf()),
         json: true,
         port: Some(0),
-        lease_secs: Some(1),
+        lease_ttl: Some(TTL),
         leases: Some(2),
-        linger_secs: Some(0),
+        linger: Some(Duration::ZERO),
         ..Options::default()
     }
 }
@@ -441,7 +534,7 @@ fn a_rejected_post_folds_nothing() {
     let direct_dir = scratch("reject-direct");
     let direct = direct_fig5(&direct_dir);
     let dir = scratch("reject-serve");
-    let (addr, handle) = spawn_fig5_server(&dir);
+    let (addr, handle) = spawn_server(&serve_fig5(&dir));
 
     let trial0 = |cell| TrialRange { cell, lo: 0, hi: 1 };
     let honest = fig5_state(&[trial0(1)]).to_json();
@@ -476,10 +569,98 @@ fn serve_over_a_checkpoint_of_another_grid_starts_fresh() {
     let status = repro_into(&["fig5", "--trials", "3", "--checkpoint-trials", "1"], &dir);
     assert_eq!(status, ExitCode::SUCCESS);
 
-    let (addr, handle) = spawn_fig5_server(&dir);
+    let (addr, handle) = spawn_server(&serve_fig5(&dir));
     drain(addr);
     handle.join().unwrap().expect("server finalizes");
     assert_eq!(artifacts(&dir), direct);
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A `repro serve fig5 --trials 2` process, killed when dropped (a no-op
+/// once it has exited).
+struct ServeProcess {
+    child: Child,
+    stdout: Lines<BufReader<ChildStdout>>,
+}
+
+impl ServeProcess {
+    /// Starts the process over `dir`; returns it, the address it listens
+    /// on, and its stdout up to its `[serve] limits:` line.
+    fn start(dir: &Path) -> (ServeProcess, String, Vec<String>) {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["serve", "fig5", "--trials", "2", "--leases", "2"])
+            .args(["--port", "0", "--linger-secs", "0", "--json", "--out"])
+            .arg(dir)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn repro serve");
+        let stdout = BufReader::new(child.stdout.take().unwrap()).lines();
+        let mut serve = ServeProcess { child, stdout };
+        let mut head: Vec<String> = Vec::new();
+        while !head.iter().any(|l| l.starts_with("[serve] limits: ")) {
+            head.push(serve.stdout.next().expect("serve exited").unwrap());
+        }
+        let port = head
+            .iter()
+            .find_map(|l| l.strip_prefix("[serve] fig5 on "))
+            .and_then(|rest| rest.split(':').nth(1))
+            .expect("the coordinator announces its address");
+        let addr = format!("127.0.0.1:{port}");
+        (serve, addr, head)
+    }
+}
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A coordinator killed between a checkpoint's `*.tmp` write and its
+/// rename, then restarted on the same out-dir, resumes from the last
+/// renamed checkpoint (seq 0): the staged seq 1 artifact and `latest`
+/// pointer are invisible to it, and its own writes replace them. It then
+/// drains to the direct run's artifacts.
+#[test]
+fn a_coordinator_killed_between_a_checkpoint_write_and_its_rename_resumes_from_the_last_one() {
+    let direct_dir = scratch("killed-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("killed-serve");
+
+    // First life: one folded trial, so checkpoint seq 0 exists; then death
+    // mid-way through writing seq 1.
+    let (first, addr, _) = ServeProcess::start(&dir);
+    let trial = fig5_state(&[TrialRange {
+        cell: 0,
+        lo: 0,
+        hi: 1,
+    }]);
+    let (status, reply) =
+        http_request(&addr, "POST", "/result/0", Some(&trial.to_json())).expect("post");
+    assert_eq!(status, 200, "{reply}");
+    drop(first);
+    let ckpt = dir.join(CHECKPOINT_DIR);
+    let seq0 = std::fs::read(ckpt.join(checkpoint_file_name("fig5", 0))).unwrap();
+    let staged = ckpt.join(format!("{}.tmp", checkpoint_file_name("fig5", 1)));
+    std::fs::write(staged, &seq0[..seq0.len() / 2]).unwrap();
+    let pointer = format!("{}\n", checkpoint_file_name("fig5", 1));
+    std::fs::write(ckpt.join(format!("{LATEST_FILE}.tmp")), pointer).unwrap();
+
+    // Second life: resumes from seq 0 and finishes the sweep.
+    let (mut second, addr, head) = ServeProcess::start(&dir);
+    let resumed = "[serve] resuming from checkpoint seq 0 (1 trials recorded)";
+    assert!(head.iter().any(|l| l == resumed), "{head:?}");
+    drain(addr);
+    let rest: Vec<String> = second.stdout.by_ref().map(Result::unwrap).collect();
+    assert!(second.child.wait().unwrap().success(), "{rest:?}");
+    assert_eq!(artifacts(&dir), direct);
+    for entry in std::fs::read_dir(&ckpt).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(!name.ends_with(".tmp"), "{name} was left behind");
+    }
     for dir in [dir, direct_dir] {
         let _ = std::fs::remove_dir_all(&dir);
     }
