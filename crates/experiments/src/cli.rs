@@ -53,7 +53,7 @@ use crate::checkpoint::{self, CheckpointWriter};
 use crate::figures::sharding::{find_shardable, shardable_names, ShardableEntry, SharedSweeps};
 use crate::figures::shared::SweepHooks;
 use crate::figures::{registry, Report};
-use crate::options::Options;
+use crate::options::{Options, MAX_TRIALS};
 use crate::server::{Limits, Server};
 use crate::shard::{load_dir, merge_states, write_state, GridMeta, ShardCell, ShardState};
 use crate::worker::run_worker;
@@ -204,6 +204,11 @@ impl Experiment {
         trials: u32,
         opts: &Options,
     ) -> Result<Experiment, String> {
+        if !(1..=MAX_TRIALS).contains(&trials) {
+            return Err(format!(
+                "recorded trial count {trials} is outside 1..={MAX_TRIALS}"
+            ));
+        }
         let grid_opts = Options {
             full,
             trials: Some(trials),
@@ -402,7 +407,7 @@ fn print_usage() {
     println!();
     println!("  --full      use the paper's grids (minutes) instead of quick ones (seconds);");
     println!("              prints trials-completed progress + ETA to stderr when it is a TTY");
-    println!("  --trials N  override the trial count");
+    println!("  --trials N  override the trial count (1 to {MAX_TRIALS})");
     println!("  --out DIR   also write CSV series to DIR");
     println!("  --json      also write JSON artifacts to DIR (needs --out)");
     println!("  --threads N worker threads (default: all cores; results never depend on it)");

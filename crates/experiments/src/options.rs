@@ -33,6 +33,12 @@ impl CheckpointOpts {
     }
 }
 
+/// The most trials a sweep may run per cell, from `--trials` or from a
+/// lease, checkpoint or shard artifact. Every (cell, metric) buffer is
+/// sized to the trial count up front, so a larger count is refused before
+/// anything is allocated; the paper uses at most 30.
+pub const MAX_TRIALS: u32 = 1_000_000;
+
 /// Harness options.
 ///
 /// The default grids are laptop-quick; `--full` switches to the paper's
@@ -125,6 +131,9 @@ impl Options {
                     let trials: u32 = v.parse().map_err(|_| format!("bad trial count {v:?}"))?;
                     if trials == 0 {
                         return Err("--trials must be at least 1".to_string());
+                    }
+                    if trials > MAX_TRIALS {
+                        return Err(format!("--trials must be at most {MAX_TRIALS}"));
                     }
                     opts.trials = Some(trials);
                 }
@@ -477,6 +486,10 @@ mod tests {
         // silently mean one: both fail before any work starts.
         for (args, expect) in [
             (vec!["fig5", "--trials", "0"], "--trials must be at least 1"),
+            (
+                vec!["fig5", "--trials", "4294967295"],
+                "--trials must be at most 1000000",
+            ),
             (
                 vec!["fig5", "--threads", "0"],
                 "--threads must be at least 1",

@@ -248,6 +248,14 @@ mod tests {
             };
             assert!(err.contains(expect), "{work}: {err}");
         }
+        let huge = fig5_lease("[[0,0,1]]").replace("\"trials\":8", "\"trials\":4294967295");
+        let Err(err) = decode_lease(&huge, &Options::default()) else {
+            panic!("a 2^32 - 1 trial lease decoded");
+        };
+        assert!(
+            err.contains("recorded trial count 4294967295 is outside 1..=1000000"),
+            "{err}"
+        );
         let unknown = fig5_lease("[]").replace("fig5", "fig99");
         let Err(err) = decode_lease(&unknown, &Options::default()) else {
             panic!("unknown experiment decoded");

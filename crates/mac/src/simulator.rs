@@ -26,6 +26,8 @@ use contention_core::schedule::{Schedule, WindowSchedule};
 use contention_core::time::Nanos;
 use contention_sim::event::{EventQueue, EventToken};
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of one MAC trial.
 #[derive(Debug, Clone)]
@@ -43,12 +45,16 @@ pub struct MacRun {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// The medium has been idle for a DIFS: resume every waiting station.
+    /// The medium has been idle for a DIFS: every waiting station joins the
+    /// cohort, and the cohort's slot clock runs.
     GlobalDifs { gen: u32 },
     /// One station's personal DIFS completed (post-ACK-timeout rejoin).
     PersonalDifs { station: u32, gen: u32 },
-    /// A station's backoff countdown expired: transmit.
+    /// A joiner's backoff countdown expired: transmit.
     BackoffExpire { station: u32, gen: u32 },
+    /// The slot clock reached the cohort's smallest deadline: every member
+    /// due at it transmits.
+    CohortExpire,
     /// A frame left the air.
     TxEnd { id: u32 },
     /// The AP starts an ACK (SIFS after a clean data frame). `tag` is the
@@ -71,7 +77,7 @@ enum State {
     Estimating,
     /// Waiting for a DIFS of idle (frozen backoff or fresh arrival).
     WaitDifs,
-    /// Counting down; `expiry_at` is live.
+    /// Counting down: a cohort member, or a joiner with `expiry_at` live.
     Backoff,
     /// Own frame on air.
     Transmitting,
@@ -89,15 +95,20 @@ struct Station {
     state: State,
     /// Window schedule; `None` only while estimating.
     schedule: Option<Schedule>,
-    /// Backoff slots left to count.
+    /// Backoff slots left to count. A cohort member keeps the count it
+    /// entered with; its countdown is its deadline on the slot clock.
     remaining: u64,
-    /// When the current countdown expires (valid in `Backoff`).
+    /// When a joiner's countdown expires (valid for a joiner in `Backoff`).
     expiry_at: Nanos,
-    /// When the current countdown (re)started (valid in `Backoff`).
+    /// When a joiner's countdown started (valid for a joiner in `Backoff`).
     resume_at: Nanos,
-    /// Invalidates this station's scheduled events. `u32` keeps queue
-    /// entries at 32 bytes; a station cannot make 2^32 attempts in one
-    /// trial (each consumes ≥ one 9 µs slot, far beyond any `max_sim_time`).
+    /// Invalidates this station's own scheduled events (a joiner's expiry,
+    /// a personal DIFS, an ACK/CTS timeout) and tags its frames, so a late
+    /// ACK or CTS for an abandoned attempt is stale. A cohort member holds
+    /// no event of its own and does not bump it. `u32` keeps queue entries
+    /// at 32 bytes; a station bumps it a bounded number of times per attempt
+    /// and cannot make 2^32 attempts in one trial (each consumes ≥ one 9 µs
+    /// slot, far beyond any `max_sim_time`).
     gen: u32,
     /// Token of this station's single pending self-event (backoff expiry,
     /// personal DIFS, or ACK/CTS timeout), for O(log n) cancellation when
@@ -116,24 +127,29 @@ struct Station {
 /// their output. Resetting is O(previous trial's live state); a fresh
 /// (`Default`) arena behaves identically — reuse may only move memory,
 /// never results (`tests/hot_path_golden.rs` pins this bit-for-bit).
+///
+/// Backoff freezes on one idle-slot clock. Stations that a global DIFS
+/// resumes share its slot phase and count down together, so each is stored
+/// once in the cohort, as `(deadline, station)` on the clock; a busy period
+/// advances the clock instead of freezing and resuming every member.
 #[derive(Default)]
 pub struct MacScratch {
     queue: EventQueue<Event>,
     medium: Medium,
     stations: Vec<Station>,
-    /// Stations currently counting down (`State::Backoff`), in resume
-    /// order; drained (frozen) when the medium turns busy. Replaces an
-    /// every-station state scan per busy period.
-    backoff_list: Vec<u32>,
-    /// Stations in `State::WaitDifs` awaiting the next global DIFS, plus
-    /// (possibly stale) entries for personal-DIFS waiters; sorted before
-    /// each resume pass so stations resume in station order, exactly like
-    /// the `0..n` scan it replaces.
-    resume_list: Vec<u32>,
-    /// Stations that *may* hold a pending personal-DIFS event, so a busy
-    /// start can cancel just those instead of scanning everyone. Entries
-    /// go stale when the station resumes first; the state guard skips them.
-    pdifs_list: Vec<u32>,
+    /// The cohort, smallest `(deadline, station)` first: members due at the
+    /// same deadline transmit in station order, as if each global DIFS
+    /// restarted their countdowns in station order.
+    cohort: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Joiners: stations that resumed mid-interval at their own slot phase
+    /// (after a retry or a personal DIFS), each behind a real
+    /// `BackoffExpire`. The next busy start freezes them into `entrants`.
+    joiners: Vec<u32>,
+    /// Entrants: stations that became `WaitDifs` since the last global DIFS
+    /// (retries, frozen joiners, personal-DIFS waiters); that DIFS moves
+    /// them into the cohort. An entry goes stale when its station resumes
+    /// on its own first; the state guard skips it.
+    entrants: Vec<u32>,
 }
 
 impl MacScratch {
@@ -141,12 +157,17 @@ impl MacScratch {
         self.queue.reset();
         self.medium.reset();
         self.stations.clear();
-        self.backoff_list.clear();
-        self.resume_list.clear();
-        self.pdifs_list.clear();
+        self.cohort.clear();
+        self.joiners.clear();
+        self.entrants.clear();
     }
 }
 
+/// One trial in flight: the arena's buffers, the slot clock, and the
+/// tallies. A counting station is either a cohort member, with no event of
+/// its own and `deadline - clock` slots left, or a joiner behind a real
+/// `BackoffExpire`. A busy period touches only the entrants and the
+/// joiners, never every alive station.
 struct Sim<'a, R: Rng> {
     config: &'a MacConfig,
     rng: &'a mut R,
@@ -154,13 +175,12 @@ struct Sim<'a, R: Rng> {
     queue: &'a mut EventQueue<Event>,
     medium: &'a mut Medium,
     stations: &'a mut Vec<Station>,
-    backoff_list: &'a mut Vec<u32>,
-    resume_list: &'a mut Vec<u32>,
-    pdifs_list: &'a mut Vec<u32>,
+    cohort: &'a mut BinaryHeap<Reverse<(u64, u32)>>,
+    joiners: &'a mut Vec<u32>,
+    entrants: &'a mut Vec<u32>,
     next_tx_id: u32,
-    /// Stations currently in `Backoff`.
-    counting: u32,
-    /// Open global CW interval start, if any.
+    /// Open global CW interval start, if any: opened by the first countdown
+    /// of an idle interval, closed by the busy start that ends it.
     cw_open_at: Option<Nanos>,
     /// Accumulated global CW time.
     cw_time: Nanos,
@@ -169,21 +189,16 @@ struct Sim<'a, R: Rng> {
     /// Token of the pending GlobalDifs, cancelled when the medium turns
     /// busy instead of left to pop stale.
     global_difs: Option<EventToken>,
-    /// Instant of the most recent global-DIFS resume pass. Every station
-    /// resumed by that pass shares it as `resume_at`, so the slots it
-    /// consumed before a freeze — `(busy_start - resume_at) / slot` — are
-    /// identical across the batch and the division is done once per busy
-    /// period instead of once per frozen station.
-    interval_start: Nanos,
-    /// Smallest backoff expiry holding a *real* queue event in the current
-    /// idle interval. A station resuming with a later expiry provably
-    /// cannot transmit this interval (the earlier expiry starts a busy
-    /// period first, freezing it), so its timer stays *virtual* — state
-    /// fields only, no heap entry. Only prefix minima (and exact ties, so
-    /// simultaneous transmissions still collide) get queue events; omitting
-    /// the others cannot reorder the surviving schedule calls, so FIFO
-    /// tie-breaking — and therefore every outcome — is unchanged.
-    interval_min: Nanos,
+    /// Idle slots the cohort has counted. Each busy start adds the whole
+    /// slots of the idle interval it ends, so a member's slots left are
+    /// `deadline - clock`.
+    clock: u64,
+    /// Start of the running idle interval, the cohort's slot phase; `None`
+    /// while the cohort is frozen.
+    interval_start: Option<Nanos>,
+    /// The pending `CohortExpire`, due when the clock reaches the cohort's
+    /// smallest deadline.
+    cohort_event: Option<EventToken>,
     /// Softened-collision state for the current busy period. The collision
     /// is resolved *once per period*, at the first corrupted data frame to
     /// end, mirroring `ChannelModel::sample_slot`: one noise draw, one
@@ -280,9 +295,9 @@ impl<'a, R: Rng> Sim<'a, R> {
             queue,
             medium,
             stations,
-            backoff_list,
-            resume_list,
-            pdifs_list,
+            cohort,
+            joiners,
+            entrants,
         } = scratch;
         Sim {
             config,
@@ -291,17 +306,17 @@ impl<'a, R: Rng> Sim<'a, R> {
             queue,
             medium,
             stations,
-            backoff_list,
-            resume_list,
-            pdifs_list,
+            cohort,
+            joiners,
+            entrants,
             next_tx_id: 0,
-            counting: 0,
             cw_open_at: None,
             cw_time: Nanos::ZERO,
             difs_gen: 0,
             global_difs: None,
-            interval_start: Nanos::MAX,
-            interval_min: Nanos::MAX,
+            clock: 0,
+            interval_start: None,
+            cohort_event: None,
             capture_winner: None,
             period_corrupted_data: 0,
             successes: 0,
@@ -347,7 +362,7 @@ impl<'a, R: Rng> Sim<'a, R> {
                 station.estim = Some(EstimState::new(spec));
                 self.estimating += 1;
             } else {
-                self.resume_list.push(self.stations.len() as u32);
+                self.entrants.push(self.stations.len() as u32);
                 let mut schedule = self
                     .config
                     .algorithm
@@ -381,6 +396,7 @@ impl<'a, R: Rng> Sim<'a, R> {
                 Event::GlobalDifs { gen } => self.on_global_difs(gen),
                 Event::PersonalDifs { station, gen } => self.on_personal_difs(station, gen),
                 Event::BackoffExpire { station, gen } => self.on_backoff_expire(station, gen),
+                Event::CohortExpire => self.on_cohort_expire(),
                 Event::TxEnd { id } => self.on_tx_end(id),
                 Event::AckStart { station, tag } => self.on_ack_start(station, tag),
                 Event::CtsStart { station, tag } => self.on_cts_start(station, tag),
@@ -405,6 +421,12 @@ impl<'a, R: Rng> Sim<'a, R> {
             self.cw_slots_now(now)
         };
         let total_time = if self.done { self.total_time } else { now };
+        // Members still waiting (valve-truncated runs only) are credited
+        // the slots the clock counted up to the last busy start.
+        for &Reverse((deadline, station)) in self.cohort.iter() {
+            let s = &mut self.stations[station as usize];
+            s.metrics.backoff_slots += self.clock - (deadline - s.remaining);
+        }
         MacRun {
             metrics: BatchMetrics {
                 n: self.n,
@@ -453,77 +475,49 @@ impl<'a, R: Rng> Sim<'a, R> {
     // Backoff state transitions
     // ------------------------------------------------------------------
 
-    fn resume_countdown(&mut self, station: u32, now: Nanos) {
+    /// Start a joiner's countdown at its own slot phase, behind a real
+    /// `BackoffExpire`.
+    fn resume_joiner(&mut self, station: u32, now: Nanos) {
         let slot = self.config.phy.slot;
         let s = &mut self.stations[station as usize];
         debug_assert_eq!(s.state, State::WaitDifs);
+        debug_assert!(s.timer.is_none(), "joiner resuming with a live timer");
         s.state = State::Backoff;
         s.resume_at = now;
         s.expiry_at = now + slot * s.remaining;
         s.gen += 1;
         let gen = s.gen;
-        let at = s.expiry_at;
-        // A pending personal DIFS dies here (the global DIFS beat it).
-        if let Some(t) = s.timer.take() {
-            self.queue.cancel(t);
-        }
-        if at <= self.interval_min {
-            // A (co-)minimum so far: this expiry can actually fire.
-            self.interval_min = at;
-            let token = self
-                .queue
-                .schedule(at, Event::BackoffExpire { station, gen });
-            self.stations[station as usize].timer = Some(token);
-        }
-        self.backoff_list.push(station);
-        self.counting += 1;
-        if self.counting == 1 {
-            debug_assert!(self.cw_open_at.is_none());
-            self.cw_open_at = Some(now);
-        }
-    }
-
-    fn leave_backoff(&mut self, station: u32, now: Nanos) {
-        let s = &mut self.stations[station as usize];
-        debug_assert_eq!(s.state, State::Backoff);
-        s.metrics.backoff_slots += s.remaining;
-        s.remaining = 0;
-        self.counting -= 1;
-        if self.counting == 0 {
-            self.close_cw_interval(now);
-        }
+        let expire = Event::BackoffExpire { station, gen };
+        s.timer = Some(self.queue.schedule(s.expiry_at, expire));
+        self.joiners.push(station);
+        self.cw_open_at.get_or_insert(now);
     }
 
     /// The medium just became busy: close the CW interval, kill the pending
-    /// global DIFS, and freeze every station still counting (a station whose
-    /// expiry is exactly `now` is *not* frozen — it could not have sensed a
-    /// transmission that starts in the same instant, which is precisely how
-    /// collisions happen).
+    /// global and personal DIFS, stop the cohort's clock, and freeze the
+    /// joiners. A station due at exactly `now` is *not* frozen — it could not
+    /// have sensed a transmission that starts in the same instant (its event
+    /// fires during this busy period and it transmits into the pileup), which
+    /// is precisely how collisions happen. The firing station itself is
+    /// already `Transmitting`.
     fn handle_busy_start(&mut self, now: Nanos) {
         self.close_cw_interval(now);
         self.difs_gen += 1;
         if let Some(t) = self.global_difs.take() {
             self.queue.cancel(t);
         }
-        // Any backoff event still pending either fires at exactly `now`
-        // (not frozen below) or belongs to a frozen station and is
-        // cancelled below; the next idle interval starts fresh.
-        self.interval_min = Nanos::MAX;
         self.round_had_busy = true;
         let slot = self.config.phy.slot;
-        // Shared by every station the last global DIFS resumed.
-        let batch_consumed = if self.interval_start <= now {
-            (now - self.interval_start).div_floor(slot)
-        } else {
-            0
-        };
-        let mut frozen = 0u32;
-        // Kill pending personal DIFS events (rare); the global DIFS after
-        // this busy period resumes those stations instead. Entries whose
-        // station already resumed are stale — the state guard skips them
-        // (their `timer` now belongs to the countdown, not a DIFS).
-        for i in 0..self.pdifs_list.len() {
-            let station = self.pdifs_list[i];
+        if let Some(start) = self.interval_start.take() {
+            self.clock += (now - start).div_floor(slot);
+            let due_now = matches!(self.cohort.peek(), Some(&Reverse((d, _))) if d == self.clock);
+            if let Some(t) = self.cohort_event.take_if(|_| !due_now) {
+                self.queue.cancel(t);
+            }
+        }
+        // Personal-DIFS waiters are entrants: the global DIFS after this
+        // busy period resumes them with the cohort instead.
+        for &station in self.entrants.iter() {
             let s = &mut self.stations[station as usize];
             if s.state == State::WaitDifs {
                 if let Some(t) = s.timer.take() {
@@ -531,64 +525,42 @@ impl<'a, R: Rng> Sim<'a, R> {
                 }
             }
         }
-        self.pdifs_list.clear();
-        // Freeze the countdown set: only stations in `backoff_list` can be
-        // in `State::Backoff`, so nobody else needs to be touched. A
-        // station whose expiry is exactly `now` is *not* frozen — it could
-        // not have sensed a transmission that starts in the same instant
-        // (its pending event fires during this busy period and it
-        // transmits into the pileup), which is precisely how collisions
-        // happen. The firing station itself is already `Transmitting`.
-        for i in 0..self.backoff_list.len() {
-            let station = self.backoff_list[i];
+        for &station in self.joiners.iter() {
             let s = &mut self.stations[station as usize];
             if s.state != State::Backoff || s.expiry_at <= now {
                 continue;
             }
-            let consumed = if s.resume_at == self.interval_start {
-                batch_consumed
-            } else {
-                // Mid-interval joiner with its own slot phase.
-                (now - s.resume_at).div_floor(slot)
-            };
-            debug_assert_eq!(consumed, (now - s.resume_at).div_floor(slot));
-            debug_assert!(consumed < s.remaining || s.remaining == 0);
-            s.remaining -= consumed.min(s.remaining);
+            let consumed = (now - s.resume_at).div_floor(slot);
+            debug_assert!(consumed < s.remaining);
+            s.remaining -= consumed;
             s.metrics.backoff_slots += consumed;
             s.gen += 1;
             s.state = State::WaitDifs;
-            // The expiry is dead: remove it instead of letting it pop
-            // stale (80 % of all queue traffic before this). Most frozen
-            // stations hold only a *virtual* timer (no heap entry at all).
             if let Some(t) = s.timer.take() {
                 self.queue.cancel(t);
             }
-            self.resume_list.push(station);
-            frozen += 1;
+            self.entrants.push(station);
         }
-        self.backoff_list.clear();
-        self.counting -= frozen;
+        self.joiners.clear();
     }
 
     /// Route a station with a drawn timer back into contention at `now`.
     fn enter_difs_path(&mut self, station: u32, now: Nanos) {
         let difs = self.config.phy.difs;
+        self.stations[station as usize].state = State::WaitDifs;
         if self.medium.is_busy() {
-            self.stations[station as usize].state = State::WaitDifs;
-            self.resume_list.push(station);
+            self.entrants.push(station);
             return;
         }
         let ready = Nanos::max(now, self.medium.idle_since() + difs);
-        self.stations[station as usize].state = State::WaitDifs;
         if ready == now {
-            self.resume_countdown(station, now);
+            self.resume_joiner(station, now);
         } else {
-            // Waiting out a personal DIFS. The station is also listed for
-            // the next global DIFS: whichever fires first resumes it (a
+            // Waiting out a personal DIFS. The station is also an entrant
+            // for the next global DIFS: whichever fires first resumes it (a
             // global DIFS implies at least DIFS of idle, so it can only
             // coincide with or precede `ready`, never skip ahead of it).
-            self.resume_list.push(station);
-            self.pdifs_list.push(station);
+            self.entrants.push(station);
             let s = &mut self.stations[station as usize];
             s.gen += 1;
             let gen = s.gen;
@@ -667,27 +639,39 @@ impl<'a, R: Rng> Sim<'a, R> {
     // Event handlers
     // ------------------------------------------------------------------
 
+    /// Entrants join the cohort and its clock runs, behind one event at the
+    /// smallest deadline. Scheduled here, that event holds the FIFO place of
+    /// expiries this DIFS would restart: a joiner that resumed before it
+    /// fires ahead of a tied member, one that resumes after it fires behind.
     fn on_global_difs(&mut self, gen: u32) {
         self.global_difs = None;
         if gen != self.difs_gen {
             return;
         }
         debug_assert!(!self.medium.is_busy(), "GlobalDifs fired while busy");
+        debug_assert!(self.interval_start.is_none() && self.cohort_event.is_none());
         let now = self.queue.now();
-        // Stations must resume in station order — tied backoff expiries pop
-        // FIFO, so resume order decides who transmits first in a pileup.
-        // The list is mostly sorted already (frozen in station order);
-        // out-of-order entries come only from mid-period retries.
-        let mut list = std::mem::take(self.resume_list);
-        list.sort_unstable();
-        self.interval_start = now;
-        for &station in &list {
-            if self.stations[station as usize].state == State::WaitDifs {
-                self.resume_countdown(station, now);
+        for &station in self.entrants.iter() {
+            let s = &mut self.stations[station as usize];
+            if s.state != State::WaitDifs {
+                continue;
             }
+            // A pending personal DIFS dies here (the global DIFS beat it).
+            if let Some(t) = s.timer.take() {
+                self.queue.cancel(t);
+            }
+            s.state = State::Backoff;
+            self.cohort
+                .push(Reverse((self.clock + s.remaining, station)));
         }
-        list.clear();
-        *self.resume_list = list;
+        self.entrants.clear();
+        let Some(&Reverse((first, _))) = self.cohort.peek() else {
+            return;
+        };
+        self.interval_start = Some(now);
+        self.cw_open_at.get_or_insert(now);
+        let at = now + self.config.phy.slot * (first - self.clock);
+        self.cohort_event = Some(self.queue.schedule(at, Event::CohortExpire));
     }
 
     fn on_personal_difs(&mut self, station: u32, gen: u32) {
@@ -696,11 +680,25 @@ impl<'a, R: Rng> Sim<'a, R> {
         }
         self.stations[station as usize].timer = None;
         debug_assert!(!self.medium.is_busy(), "PersonalDifs fired while busy");
-        // Resuming here, not via the global DIFS: drop the list entry so
-        // the next resume pass cannot resume this station twice.
-        self.resume_list.retain(|&st| st != station);
         let now = self.queue.now();
-        self.resume_countdown(station, now);
+        self.resume_joiner(station, now);
+    }
+
+    /// Every member due at the smallest deadline transmits, in station
+    /// order. Their expiries would sit back to back in the FIFO order, so no
+    /// other event can fire between them.
+    fn on_cohort_expire(&mut self) {
+        self.cohort_event = None;
+        let Some(&Reverse((due, _))) = self.cohort.peek() else {
+            return;
+        };
+        while let Some(&Reverse((deadline, station))) = self.cohort.peek() {
+            if deadline != due {
+                break;
+            }
+            self.cohort.pop();
+            self.transmit(station);
+        }
     }
 
     fn on_backoff_expire(&mut self, station: u32, gen: u32) {
@@ -708,11 +706,16 @@ impl<'a, R: Rng> Sim<'a, R> {
             return;
         }
         self.stations[station as usize].timer = None;
-        let now = self.queue.now();
-        debug_assert_eq!(self.stations[station as usize].state, State::Backoff);
-        debug_assert_eq!(self.stations[station as usize].expiry_at, now);
-        self.leave_backoff(station, now);
+        debug_assert_eq!(self.stations[station as usize].expiry_at, self.queue.now());
+        self.transmit(station);
+    }
+
+    /// A countdown reached zero: send the RTS or the data frame.
+    fn transmit(&mut self, station: u32) {
         let s = &mut self.stations[station as usize];
+        debug_assert_eq!(s.state, State::Backoff);
+        s.metrics.backoff_slots += s.remaining;
+        s.remaining = 0;
         s.state = State::Transmitting;
         s.metrics.attempts += 1;
         let (kind, duration) = if self.config.rts_cts {

@@ -7,12 +7,21 @@
 //! seeds, recorded with the pre-refactor simulator, rendered with every
 //! `f64` as its exact bit pattern so float formatting cannot hide drift.
 //!
+//! The rows after the windowed block pin the MAC kernel where its
+//! per-busy-period work dominates (n = 150 and 300), the EIFS, RTS/CTS,
+//! softened, BEST-OF-k and valve paths at n = 150, and a 300 µs ACK timeout
+//! whose retries rejoin during an EIFS deferral and tie with the stations the
+//! global DIFS resumes. They were recorded with the freeze-and-resume kernel
+//! the idle-slot clock replaced, on one reused arena, and they also fold every
+//! [`StationMetrics`] field, which no `TrialSummary` field reads.
+//!
 //! Regenerate (only when an *intentional* semantic change lands) with:
 //!
 //! ```text
 //! REGEN_GOLDEN=1 cargo test --test hot_path_golden
 //! ```
 
+use contention_resolution::mac::MacScratch;
 use contention_resolution::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -41,6 +50,29 @@ fn render(label: &str, n: u32, trial: u32, t: &TrialSummary) -> String {
     field("est", t.median_estimate);
     let _ = write!(line, " succ={}", t.successes);
     line
+}
+
+/// Per-field sums over the stations, plus an order-sensitive FNV-1a fold of
+/// every field of every station (an unfinished station's `success_time`
+/// folds as `u64::MAX`).
+fn render_stations(stations: &[StationMetrics]) -> String {
+    let mut sums = [0u64; 5];
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    for s in stations {
+        let fields = [
+            s.attempts as u64,
+            s.ack_timeouts as u64,
+            s.ack_timeout_time.as_nanos(),
+            s.success_time.map_or(u64::MAX, Nanos::as_nanos),
+            s.backoff_slots,
+        ];
+        for (sum, x) in sums.iter_mut().zip(fields) {
+            *sum = sum.wrapping_add(x);
+            fold = (fold ^ x).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    let [att, ato, atot, succt, bo] = sums;
+    format!(" att={att} ato={ato} atot={atot} succt={succt} bo={bo} fold={fold:016x}")
 }
 
 /// The seed matrix: every MAC code path the refactor touches (plain DCF,
@@ -106,6 +138,39 @@ fn generate() -> String {
         for (n, trial) in [(1u32, 0u32), (100, 0), (100, 1), (2000, 0)] {
             let t = run_trial::<WindowedSim>("hot-path-golden", &config, n, trial);
             push(render(&format!("windowed/{kind}"), n, trial, &t));
+        }
+    }
+
+    let mut scratch = MacScratch::default();
+    let mut mac_stations = |label: &str, config: &MacConfig, n: u32, trial: u32| {
+        let run = run_trial_with::<MacSim>("hot-path-golden", config, n, trial, &mut scratch);
+        let stations = render_stations(&run.metrics.stations);
+        let t: TrialSummary = run.into();
+        push(render(&format!("mac/{label}"), n, trial, &t) + &stations);
+    };
+    for kind in AlgorithmKind::PAPER_SET {
+        let config = MacConfig::paper(kind, 64);
+        for (n, trial) in [(150u32, 0u32), (150, 1), (300, 0)] {
+            mac_stations(&format!("paper64/{kind}"), &config, n, trial);
+        }
+    }
+    mac_stations("rtscts/LB", &rts, 150, 0);
+    mac_stations("noeifs/BEB", &no_eifs, 150, 0);
+    mac_stations("soft0.7/BEB", &soft, 150, 0);
+    mac_stations("bestof3", &bok, 150, 0);
+    mac_stations("valve2ms/BEB", &valve, 150, 0);
+    // Each trial has a retry that resumed before an EIFS-delayed global DIFS
+    // and then expired in the same instant as a station that DIFS resumed.
+    for (kind, trials) in [
+        (AlgorithmKind::Beb, [3u32, 4]),
+        (AlgorithmKind::LogBackoff, [3, 10]),
+        (AlgorithmKind::LogLogBackoff, [2, 10]),
+        (AlgorithmKind::Sawtooth, [4, 6]),
+    ] {
+        let mut config = MacConfig::paper(kind, 64);
+        config.phy.ack_timeout = Nanos::from_micros(300);
+        for trial in trials {
+            mac_stations(&format!("ackto300/{kind}"), &config, 60, trial);
         }
     }
     out

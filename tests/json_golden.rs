@@ -104,7 +104,12 @@ fn fig13_json_matches_golden_fixture() {
 /// check in garbage).
 #[test]
 fn golden_fixtures_are_well_formed() {
-    for file in ["fig5_cw_slots_abstract.json", "fig13_trace_spans.json"] {
+    for file in [
+        "fig5_cw_slots_abstract.json",
+        "fig13_trace_spans.json",
+        "fig7_full_total_time_64.json",
+        "fig8_full_total_time_1024.json",
+    ] {
         let path = golden_dir().join(file);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));

@@ -7,6 +7,10 @@ fn all_configs() -> Vec<(String, MacConfig)> {
     for kind in AlgorithmKind::PAPER_SET {
         configs.push((format!("{kind}/64"), MacConfig::paper(kind, 64)));
         configs.push((format!("{kind}/1024"), MacConfig::paper(kind, 1024)));
+        // Retries rejoin while an EIFS deferral is still running.
+        let mut long_timeout = MacConfig::paper(kind, 64);
+        long_timeout.phy.ack_timeout = Nanos::from_micros(300);
+        configs.push((format!("{kind}/64/ackto300"), long_timeout));
     }
     let mut rts = MacConfig::paper(AlgorithmKind::Beb, 256);
     rts.rts_cts = true;
@@ -25,7 +29,7 @@ fn all_configs() -> Vec<(String, MacConfig)> {
 #[test]
 fn conservation_laws() {
     for (name, config) in all_configs() {
-        for (n, trial) in [(1u32, 0u32), (7, 1), (40, 2), (90, 3)] {
+        for (n, trial) in [(1u32, 0u32), (7, 1), (40, 2), (90, 3), (150, 4)] {
             let mut rng = trial_rng(experiment_tag("mac-inv"), config.algorithm, n, trial);
             let run = simulate(&config, n, &mut rng);
             let m = &run.metrics;
@@ -36,7 +40,7 @@ fn conservation_laws() {
             );
             assert_eq!(
                 m.colliding_stations + run.probe_corruptions,
-                m.total_ack_timeouts() + lost_acks(m, &run),
+                m.total_ack_timeouts(),
                 "{name} n={n}: collision participants must equal ACK timeouts"
             );
             assert!(m.half_time <= m.total_time, "{name} n={n}");
@@ -59,12 +63,6 @@ fn conservation_laws() {
             }
         }
     }
-}
-
-// With ack_loss_prob = 0 no extra timeouts exist; this hook keeps the
-// conservation equation honest if a lossy config is ever added above.
-fn lost_acks(_m: &BatchMetrics, _run: &MacRun) -> u64 {
-    0
 }
 
 /// The batch's total time always exceeds the physical floor: every packet
