@@ -30,11 +30,12 @@
 //! `contention-mac` (a from-scratch event-driven 802.11g DCF simulator that
 //! plays the role NS3 plays in the paper).
 
+#![forbid(unsafe_code)]
+
 pub mod algorithm;
 pub mod bounds;
 pub mod channel;
 pub mod estimate;
-pub mod merge;
 pub mod metrics;
 pub mod model;
 pub mod params;

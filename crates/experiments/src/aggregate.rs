@@ -11,9 +11,8 @@
 
 use crate::summary::{Metric, TrialSummary};
 use contention_core::algorithm::AlgorithmKind;
-use contention_core::merge::{DedupMergeableAccumulator, MergeStats};
 use contention_core::util::percent_change;
-use contention_sim::engine::{Accumulator, FoldedCell, MergeableAccumulator};
+use contention_sim::engine::{Accumulator, FoldedCell};
 use contention_stats::ci::median_ci95;
 use contention_stats::outliers::without_outliers;
 use contention_stats::stream::StreamingSample;
@@ -193,43 +192,26 @@ impl MetricStats {
     }
 
     /// Duplicate-tolerant merge for the work-distribution seam (at-least-
-    /// once delivery): metric-wise [`StreamingSample::try_merge_dedup`],
-    /// summing the per-metric fresh/duplicate tallies. Bit-identical
-    /// re-deliveries of a trial are discarded; conflicting ones error.
-    pub fn try_merge_dedup(&mut self, other: MetricStats) -> Result<MergeStats, String> {
+    /// once delivery): metric-wise [`StreamingSample::try_merge_dedup`].
+    /// Bit-identical re-deliveries of a trial are discarded; conflicting
+    /// ones error.
+    pub fn try_merge_dedup(&mut self, other: MetricStats) -> Result<(), String> {
         if self.metrics != other.metrics {
             return Err(format!(
                 "cannot merge cells collecting different metrics ({:?} vs {:?})",
                 self.metrics, other.metrics
             ));
         }
-        let mut stats = MergeStats::default();
         for ((metric, mine), theirs) in self
             .metrics
             .iter()
             .zip(&mut self.samples)
             .zip(other.samples)
         {
-            stats.absorb(
-                mine.try_merge_dedup(theirs)
-                    .map_err(|e| format!("metric {}: {e}", metric.key()))?,
-            );
+            mine.try_merge_dedup(theirs)
+                .map_err(|e| format!("metric {}: {e}", metric.key()))?;
         }
-        Ok(stats)
-    }
-}
-
-impl DedupMergeableAccumulator for MetricStats {
-    fn try_merge_dedup(&mut self, other: Self) -> Result<MergeStats, String> {
-        MetricStats::try_merge_dedup(self, other)
-    }
-}
-
-impl MergeableAccumulator for MetricStats {
-    /// Metric-wise [`StreamingSample`] union; inherits its associativity
-    /// and exactly-once guarantees.
-    fn merge(&mut self, other: Self) {
-        self.try_merge(other).expect("mergeable cells");
+        Ok(())
     }
 }
 
@@ -384,7 +366,7 @@ mod tests {
             shard.record(t as u32, summary(9, v));
         }
         assert!(!lo.is_complete());
-        lo.merge(hi);
+        lo.try_merge(hi).unwrap();
         assert!(lo.is_complete());
         assert_eq!(lo, sequential);
     }

@@ -46,6 +46,8 @@
 //!   report pipeline every mode shares; the binary itself lives in the
 //!   workspace root package so `cargo run --bin repro` needs no `-p` flag.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod checkpoint;
 pub mod cli;

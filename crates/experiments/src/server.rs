@@ -48,7 +48,6 @@ use crate::checkpoint::{self, CheckpointWriter};
 use crate::cli::{load_checkpoint, Experiment};
 use crate::options::Options;
 use crate::shard::{merge_cells, ShardState};
-use contention_core::merge::MergeStats;
 use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
 use std::collections::VecDeque;
@@ -226,6 +225,14 @@ struct Fold {
     complete: bool,
 }
 
+/// What one accepted POST added, in trials: those the master did not hold
+/// yet, and bit-identical re-deliveries it discarded.
+#[derive(Debug)]
+struct MergeStats {
+    fresh: usize,
+    duplicates: usize,
+}
+
 /// Trials `cells` hold in full.
 fn recorded(cells: &[StatsCell]) -> usize {
     cells.iter().map(|c| c.acc.recorded()).sum()
@@ -248,7 +255,7 @@ impl Fold {
             &self.exp.grid,
             self.cells.clone(),
             posted,
-            |mine, theirs| mine.try_merge_dedup(theirs).map(drop),
+            |mine, theirs| mine.try_merge_dedup(theirs),
         )?;
         // Master and POST hold whole trials only, so the master grows by
         // exactly the posted trials it did not hold yet.

@@ -5,8 +5,8 @@
 //! serializes the resulting per-cell [`MetricStats`] — raw per-trial,
 //! per-metric buffers — to a JSON artifact. `repro merge` reads any set of
 //! such artifacts, validates that they describe the same sweep, merges the
-//! per-cell accumulator state through the `MergeableAccumulator` seam, and
-//! hands the reassembled cells to the figure's report builder. Because the
+//! per-cell accumulator state with [`MetricStats::try_merge`], and hands
+//! the reassembled cells to the figure's report builder. Because the
 //! buffers are position-addressed and the JSON writer/reader pair is
 //! round-trip exact ([`crate::jsonout`] / [`crate::jsonin`]), the merged
 //! report is **byte-identical** to a single-process run — the property

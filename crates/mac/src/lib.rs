@@ -30,6 +30,8 @@
 //!
 //! Entry point: [`simulate`] with a [`MacConfig`].
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod estimation;
 pub mod medium;

@@ -35,14 +35,13 @@
 
 use crate::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
 use crate::parallel::{parallel_for_tapered, TaperSchedule};
-use crate::pool::lock;
 use crate::progress::Progress;
 use crate::summary::TrialSummary;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::rng::{experiment_tag, trial_rng};
 use rand::rngs::SmallRng;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long the snapshot thread sleeps between cadence checks. Snapshots
@@ -138,11 +137,6 @@ pub trait Accumulator<T> {
     /// Folds the result of trial `trial` (0-based within the cell) in.
     fn record(&mut self, trial: u32, value: T);
 }
-
-/// The merge side of the process-sharding seam, re-exported next to
-/// [`Accumulator`]. Defined in `contention-core` so collector crates can
-/// implement it without depending on the engine.
-pub use contention_core::merge::MergeableAccumulator;
 
 /// A half-open range `[lo, hi)` of grid-cell indices — the unit of
 /// process-level sharding.
@@ -501,7 +495,10 @@ where
     ///   thread with clones of the in-flight accumulators (each under its
     ///   own cell lock — workers keep claiming), plus once more (with
     ///   `finished: true`) after the workers join. Snapshots are read-only:
-    ///   results are unaffected by the monitor's presence.
+    ///   results are unaffected by the monitor's presence. If a trial
+    ///   panics, the snapshot thread stops without a finished snapshot (the
+    ///   last periodic one stays the resume point) and the panic
+    ///   propagates.
     /// * `costs` — estimated per-trial cost of every full-grid cell (same
     ///   order as `algorithms × ns`), from the experiment's
     ///   [`CostSpec`](crate::sched::CostSpec). Scheduling-only: ranges of
@@ -612,19 +609,27 @@ where
             match monitor {
                 None => run_workers(),
                 Some((cadence, sink)) => {
-                    let stop = AtomicBool::new(false);
+                    // Set once the workers return: whether every trial ran.
+                    let ended = OnceLock::new();
                     let started = Instant::now();
                     std::thread::scope(|scope| {
                         scope.spawn(|| {
                             let mut last_snap = Instant::now();
                             let mut last_done = 0usize;
                             loop {
-                                // Read the stop flag *before* the counter:
+                                // Read the end state *before* the counter:
                                 // if workers finish in between, the final
                                 // pass still runs with stopping == false and
                                 // the next iteration takes the guaranteed
                                 // finished snapshot.
-                                let stopping = stop.load(Ordering::Acquire);
+                                let stopping = match ended.get() {
+                                    None => false,
+                                    Some(&true) => true,
+                                    // A panicked run takes no final
+                                    // snapshot: it is never reported
+                                    // finished.
+                                    Some(&false) => break,
+                                };
                                 let done = progress.completed();
                                 if stopping || cadence.due(last_snap.elapsed(), done - last_done) {
                                     let cells = grid
@@ -653,8 +658,14 @@ where
                                 std::thread::sleep(SNAPSHOT_POLL);
                             }
                         });
-                        run_workers();
-                        stop.store(true, Ordering::Release);
+                        // Without this catch a trial panic would leave
+                        // the snapshot thread polling, and the scope would
+                        // wait for it forever.
+                        let run = catch_unwind(AssertUnwindSafe(run_workers));
+                        let _ = ended.set(run.is_ok());
+                        if let Err(payload) = run {
+                            resume_unwind(payload);
+                        }
                     });
                 }
             }
@@ -669,6 +680,14 @@ where
             })
             .collect()
     }
+}
+
+/// Locks a mutex, shrugging off poisoning. A worker's panic is re-raised
+/// after the join and ends the sweep, so the other workers and the snapshot
+/// thread must not turn it into poison panics of their own: the original
+/// panic is the one that reaches the caller.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn default_threads() -> usize {
@@ -1119,6 +1138,72 @@ mod tests {
             snaps[..snaps.len() - 1].iter().all(|&(_, _, f)| !f),
             "only the last snapshot may be flagged finished"
         );
+    }
+
+    /// [`ToySim`], except that every trial at n = 20 panics.
+    struct PanickySim;
+
+    impl Simulator for PanickySim {
+        type Config = ToyConfig;
+        type Output = BatchMetrics;
+        type Scratch = u64;
+        const NAME: &'static str = "panicky";
+
+        fn algorithm(config: &ToyConfig) -> AlgorithmKind {
+            config.algorithm
+        }
+
+        fn with_algorithm(config: &ToyConfig, algorithm: AlgorithmKind) -> ToyConfig {
+            ToySim::with_algorithm(config, algorithm)
+        }
+
+        fn run_with(
+            config: &ToyConfig,
+            n: u32,
+            rng: &mut SmallRng,
+            scratch: &mut u64,
+        ) -> BatchMetrics {
+            if n == 20 {
+                panic!("trial at n=20 failed");
+            }
+            ToySim::run_with(config, n, rng, scratch)
+        }
+    }
+
+    #[test]
+    fn a_panicking_trial_ends_a_monitored_run_unfinished() {
+        for threads in [1usize, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            // The run gets its own thread, so a hang fails this test after
+            // the timeout instead of stalling the suite.
+            std::thread::spawn(move || {
+                let sweep = Sweep::<PanickySim> {
+                    experiment: "engine-test",
+                    config: ToyConfig {
+                        algorithm: AlgorithmKind::Beb,
+                        scale: 3,
+                    },
+                    algorithms: vec![AlgorithmKind::Beb, AlgorithmKind::Sawtooth],
+                    ns: vec![5, 10, 20],
+                    trials: 4,
+                    exec: ExecPolicy::threads(threads),
+                };
+                let monitor = RecordingMonitor::default();
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    let cadence = SnapshotCadence::secs(3600);
+                    sweep.run_fold_monitored(cw_sum, None, Some((cadence, &monitor)), None)
+                }));
+                let message = run.err().and_then(|p| p.downcast_ref::<&str>().copied());
+                let _ = tx.send((message, monitor.snaps.into_inner().unwrap()));
+            });
+            let (message, snaps) = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("threads={threads}: a trial panic hung the run"));
+            assert_eq!(message, Some("trial at n=20 failed"), "threads={threads}");
+            // No periodic snapshot was due, and a panicked run takes no
+            // final one: nothing may report it finished.
+            assert_eq!(snaps, vec![], "threads={threads}");
+        }
     }
 
     #[test]

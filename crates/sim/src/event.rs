@@ -1,8 +1,8 @@
 //! Time-ordered pending-event queue with indexed O(log n) cancellation.
 //!
 //! The MAC simulator schedules events (backoff expiry, transmission end, ACK
-//! timeout, …) and must be able to *cancel* or *reschedule* them. The queue
-//! is an **indexed 4-ary heap**: entries live in a flat array heap-ordered
+//! timeout, …) and must be able to *cancel* them. The queue is an
+//! **indexed 4-ary heap**: entries live in a flat array heap-ordered
 //! by `(time, seq)`, and a generation-tagged slot slab maps every
 //! [`EventToken`] to its current heap position. Cancellation removes the
 //! entry in place (swap with the last entry, sift) — no tombstones
@@ -12,8 +12,8 @@
 //! this queue is the MAC simulator's innermost structure.
 //!
 //! Determinism: events at equal timestamps pop in scheduling (FIFO) order
-//! (`seq` breaks ties, and rescheduling assigns a fresh `seq`), so a
-//! simulation's behaviour is a pure function of its inputs and RNG stream.
+//! (`seq` breaks ties), so a simulation's behaviour is a pure function of
+//! its inputs and RNG stream.
 //!
 //! Allocation discipline: the heap array, the slot slab and the free list
 //! are the only allocations, they grow to the high-water mark and stay
@@ -22,7 +22,7 @@
 
 use contention_core::time::Nanos;
 
-/// Handle to a scheduled event; used to cancel or reschedule it. Tokens are
+/// Handle to a scheduled event; used to cancel it. Tokens are
 /// generation-tagged: a token for an event that already fired (or was
 /// cancelled) is detected as stale even after its slot is reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,11 +151,6 @@ impl<E> EventQueue<E> {
         EventToken { slot, gen }
     }
 
-    /// Schedule `payload` after a delay from the current time.
-    pub fn schedule_after(&mut self, delay: Nanos, payload: E) -> EventToken {
-        self.schedule(self.now + delay, payload)
-    }
-
     /// Cancel a previously scheduled event, removing it from the heap in
     /// place (O(log n), no tombstone). Cancelling an already-fired or
     /// already-cancelled event is a no-op (returns `false`).
@@ -168,32 +163,6 @@ impl<E> EventQueue<E> {
             }
             None => false,
         }
-    }
-
-    /// Move a pending event to a new time (`at` must not precede the
-    /// current time). Equivalent to cancel + re-schedule — the event goes to
-    /// the back of the FIFO order within its new timestamp — but reuses the
-    /// heap entry and the token stays valid. Returns `false` (and does
-    /// nothing) when the token is stale.
-    pub fn reschedule(&mut self, token: EventToken, at: Nanos) -> bool {
-        let Some(pos) = self.live_pos(token) else {
-            return false;
-        };
-        assert!(
-            at >= self.now,
-            "rescheduling into the past: {} < {}",
-            at,
-            self.now
-        );
-        let pos = pos as usize;
-        self.heap[pos].at = at;
-        self.heap[pos].seq = self.next_seq;
-        self.next_seq += 1;
-        // The key can only have grown within its timestamp class (fresh
-        // seq), but `at` may move either way: restore order both ways.
-        self.sift_down(pos);
-        self.sift_up(pos);
-        true
     }
 
     /// Pop the earliest live event, advancing the clock to its timestamp.
@@ -325,7 +294,7 @@ mod tests {
         assert_eq!(q.now(), Nanos::ZERO);
         q.pop();
         assert_eq!(q.now(), us(10));
-        q.schedule_after(us(5), ());
+        q.schedule(q.now() + us(5), ());
         assert_eq!(q.pop().unwrap().0, us(15));
     }
 
@@ -383,25 +352,6 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn reschedule_moves_and_refreshes_fifo_order() {
-        let mut q = EventQueue::new();
-        let early = q.schedule(us(10), "moved");
-        q.schedule(us(20), "stays");
-        // Move the early event later: it must pop after "stays".
-        assert!(q.reschedule(early, us(20)));
-        assert_eq!(q.pop().unwrap().1, "stays");
-        assert_eq!(q.pop().unwrap().1, "moved");
-        // Stale token: reschedule refuses.
-        assert!(!q.reschedule(early, us(30)));
-        // Moving earlier works too.
-        let a = q.schedule(us(50), "a");
-        q.schedule(us(40), "b");
-        assert!(q.reschedule(a, us(30)));
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
     }
 
     #[test]
@@ -474,15 +424,6 @@ mod proptests {
             }
         }
 
-        fn reschedule(&mut self, id: usize, at: u64) -> bool {
-            if self.cancel(id) {
-                self.schedule(at, id);
-                true
-            } else {
-                false
-            }
-        }
-
         fn pop(&mut self) -> Option<(u64, usize)> {
             let best = self.pending.iter().enumerate().min_by_key(|(_, e)| **e)?;
             let (at, _, id) = *best.1;
@@ -498,7 +439,6 @@ mod proptests {
     enum Op {
         Schedule { delay: u64 },
         Cancel { pick: usize },
-        Reschedule { pick: usize, delay: u64 },
         Pop,
     }
 
@@ -506,7 +446,6 @@ mod proptests {
         prop_oneof![
             (1u64..500).prop_map(|delay| Op::Schedule { delay }),
             (0usize..64).prop_map(|pick| Op::Cancel { pick }),
-            ((0usize..64), (1u64..500)).prop_map(|(pick, delay)| Op::Reschedule { pick, delay }),
             Just(Op::Pop),
         ]
     }
@@ -515,7 +454,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The indexed heap agrees with the naive sorted-Vec model under
-        /// arbitrary interleavings of schedule / cancel / reschedule / pop —
+        /// arbitrary interleavings of schedule / cancel / pop —
         /// same pop sequence, same cancel outcomes, same clock, same len.
         #[test]
         fn matches_naive_reference_model(
@@ -543,15 +482,6 @@ mod proptests {
                         // Cancelling again must be a no-op on both.
                         prop_assert!(!q.cancel(token));
                         prop_assert!(!model.cancel(id));
-                    }
-                    Op::Reschedule { pick, delay } => {
-                        if live.is_empty() { continue; }
-                        let (id, token) = live[pick % live.len()];
-                        let at = model.now + delay;
-                        prop_assert_eq!(
-                            q.reschedule(token, Nanos(at)),
-                            model.reschedule(id, at)
-                        );
                     }
                     Op::Pop => {
                         let got = q.pop().map(|(at, id)| (at.as_nanos(), id));
@@ -582,7 +512,7 @@ mod proptests {
             let mut q = EventQueue::new();
             let mut last = Nanos::ZERO;
             for (i, &d) in delays.iter().enumerate() {
-                q.schedule_after(Nanos(d), i);
+                q.schedule(q.now() + Nanos(d), i);
                 let (at, _) = q.pop().expect("just scheduled");
                 prop_assert!(at >= last);
                 prop_assert_eq!(q.now(), at);

@@ -3,17 +3,15 @@
 //! Execution substrate for the contention-resolution reproduction:
 //!
 //! * [`event`] — a time-ordered pending-event queue with O(log n) scheduling,
-//!   stable FIFO tie-breaking at equal timestamps, and token-based lazy
+//!   stable FIFO tie-breaking at equal timestamps, and token-based in-place
 //!   cancellation (needed for backoff timers that freeze when the medium
 //!   goes busy).
-//! * [`parallel`] — a deterministic parallel executor; workers claim
-//!   contiguous index ranges from one atomic cursor in cost-tapered (guided
-//!   self-scheduling) claims via [`parallel::TaperSchedule`], and results
-//!   are routed by index, so every number is independent of thread
-//!   scheduling and claim sizing.
-//! * [`pool`] — the persistent worker pool the executor borrows threads
-//!   from, eliminating per-sub-sweep spawn/join overhead across the many
-//!   sweeps of one figure run (with a scoped-thread fallback).
+//! * [`parallel`] — a deterministic parallel executor; each sweep spawns
+//!   its own scoped worker threads and joins them before it returns.
+//!   Workers claim contiguous index ranges from one atomic cursor in
+//!   cost-tapered (guided self-scheduling) claims via
+//!   [`parallel::TaperSchedule`], and results are routed by index, so every
+//!   number is independent of thread scheduling and claim sizing.
 //! * [`sched`] — the analytic [`sched::CostSpec`] per-trial cost shapes
 //!   experiment grids declare for scheduling.
 //! * [`engine`] — the generic sweep engine: the [`engine::Simulator`] trait
@@ -31,18 +29,19 @@
 //!   every backend's output reduces to, and the [`summary::Metric`]
 //!   selectors figures plot.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod event;
 pub mod monitor;
 pub mod parallel;
-pub mod pool;
 pub mod progress;
 pub mod sched;
 pub mod summary;
 
 pub use engine::{
-    folded, run_trial, validate_plan, Accumulator, CellRange, ExecPolicy, FoldedCell,
-    MergeableAccumulator, Simulator, Sweep, TrialRange,
+    folded, run_trial, validate_plan, Accumulator, CellRange, ExecPolicy, FoldedCell, Simulator,
+    Sweep, TrialRange,
 };
 pub use event::{EventQueue, EventToken};
 pub use monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};

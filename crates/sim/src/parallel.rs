@@ -1,8 +1,8 @@
 //! Deterministic parallel execution of independent work items.
 //!
 //! The paper ran its sweeps on four 16-core Xeon nodes; here the same
-//! embarrassing parallelism is captured with a persistent worker pool (and
-//! `std::thread::scope` as its fallback). Workers claim contiguous index
+//! embarrassing parallelism is captured with scoped threads, spawned for
+//! each sweep and joined before it returns. Workers claim contiguous index
 //! ranges from a single atomic cursor — nothing about the work list is
 //! materialized up front; the caller maps indices to work on the fly — and
 //! claim sizes *taper* with the remaining estimated work (see
@@ -130,18 +130,31 @@ impl TaperSchedule {
     }
 }
 
-/// Runs `body` once on each of `threads` workers — on the persistent pool
-/// when it is free, on freshly scoped threads otherwise. Both paths return
-/// after every worker finishes and re-raise worker panics.
+/// Runs `body` once on each of `threads` scoped workers and returns after
+/// every one has finished. Every handle is joined, so a worker panic is
+/// re-raised here with its own payload, not as std's generic "a scoped
+/// thread panicked".
 fn run_on_workers(threads: usize, body: &(dyn Fn() + Sync)) {
-    if crate::pool::run(threads, body) {
-        return;
-    }
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(body);
+    let panic = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|i| {
+                std::thread::Builder::new()
+                    .name(format!("sweep-worker-{i}"))
+                    .spawn_scoped(scope, body)
+                    .expect("failed to spawn a sweep worker")
+            })
+            .collect();
+        let mut first = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first.get_or_insert(payload);
+            }
         }
+        first
     });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 /// Runs `work` over every index of `0..sched.len()`, claimed in tapered
@@ -428,13 +441,39 @@ mod tests {
                 .copied()
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("<non-str payload>");
-            // The pool re-raises the worker's own payload; when another
-            // test holds the pool, the scoped fallback raises std's
-            // "a scoped thread panicked" instead.
-            assert!(
-                msg.contains("item 17 failed") || msg.contains("a scoped thread panicked"),
-                "threads={threads}: {msg}"
-            );
+            assert!(msg.contains("item 17 failed"), "threads={threads}: {msg}");
         }
+    }
+
+    #[test]
+    fn a_sweep_nested_in_a_worker_visits_every_index_once() {
+        // A work closure may itself start a parallel sweep: the inner sweep
+        // spawns its own scoped workers, never waits on the outer ones, and
+        // must cover its indices exactly once for every outer item.
+        let (outer, inner) = (
+            TaperSchedule::new(&[(8, 1.0)]),
+            TaperSchedule::new(&[(50, 1.0)]),
+        );
+        let hits: Vec<AtomicU32> = (0..8 * 50).map(|_| AtomicU32::new(0)).collect();
+        parallel_for_tapered(
+            &outer,
+            2,
+            || (),
+            |range, _| {
+                for o in range {
+                    parallel_for_tapered(
+                        &inner,
+                        2,
+                        || (),
+                        |range, _| {
+                            for i in range {
+                                hits[o * 50 + i].fetch_add(1, Ordering::Relaxed);
+                            }
+                        },
+                    );
+                }
+            },
+        );
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

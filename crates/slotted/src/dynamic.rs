@@ -56,7 +56,6 @@
 //! allocate nothing but their output.
 
 use contention_core::algorithm::AlgorithmKind;
-use contention_core::merge::MergeableAccumulator;
 use contention_core::rng::DrawBuffer;
 use contention_core::schedule::{Truncation, WindowSchedule};
 use contention_sim::summary::TrialSummary;
@@ -332,12 +331,7 @@ fn mac_cost_slots(payload_bytes: u32) -> (u64, u64) {
 ///
 /// Latency statistics come from a log-bucketed [`LatencyHistogram`]: the
 /// mean and max are exact, percentiles are nearest-rank with `< 1/64`
-/// relative error (exact below 128 slots). Two metrics [`merge`] by
-/// concatenation — counts and wall time add, histograms add bucket-wise —
-/// so per-shard accumulations combine into exactly the single-process
-/// result.
-///
-/// [`merge`]: MergeableAccumulator::merge
+/// relative error (exact below 128 slots).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicMetrics {
     /// Packets that arrived during the horizon.
@@ -394,21 +388,6 @@ impl DynamicMetrics {
     /// Largest observed latency (exact).
     pub fn max_latency(&self) -> u64 {
         self.latency.max()
-    }
-
-    /// The underlying latency histogram.
-    pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.latency
-    }
-}
-
-impl MergeableAccumulator for DynamicMetrics {
-    fn merge(&mut self, other: Self) {
-        self.offered += other.offered;
-        self.completed += other.completed;
-        self.wall_slots += other.wall_slots;
-        self.collisions += other.collisions;
-        self.latency.merge(&other.latency);
     }
 }
 
@@ -1405,33 +1384,6 @@ mod tests {
         let mut rng = trial_rng(experiment_tag("dyn-scratch"), other.algorithm, 0, 7);
         let b = DynamicSim::new(other).run(&mut rng);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn metrics_merge_like_concatenated_runs() {
-        let config = DynamicConfig::abstract_model(
-            AlgorithmKind::Beb,
-            ArrivalProcess::PoissonBursts {
-                rate: 0.0008,
-                size: 30,
-            },
-        );
-        let a = run(config, 0);
-        let b = run(config, 1);
-        let mut merged = a.clone();
-        merged.merge(b.clone());
-        assert_eq!(merged.offered, a.offered + b.offered);
-        assert_eq!(merged.completed, a.completed + b.completed);
-        assert_eq!(merged.wall_slots, a.wall_slots + b.wall_slots);
-        assert_eq!(merged.collisions, a.collisions + b.collisions);
-        assert_eq!(
-            merged.latency_histogram().count(),
-            a.latency_histogram().count() + b.latency_histogram().count()
-        );
-        // Pooled mean is the weighted mean of the parts (exact sums).
-        let want = (a.mean_latency() * a.completed as f64 + b.mean_latency() * b.completed as f64)
-            / (a.completed + b.completed) as f64;
-        assert!((merged.mean_latency() - want).abs() < 1e-9);
     }
 
     #[test]

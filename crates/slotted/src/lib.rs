@@ -34,6 +34,8 @@
 //! abstract model *thinks* an execution takes, which is exactly the quantity
 //! the paper shows to be misleading.
 
+#![forbid(unsafe_code)]
+
 pub mod dynamic;
 pub mod noisy;
 pub mod residual;

@@ -18,12 +18,6 @@
 //! `≤ v` (reported as the lower bound of `v`'s bucket). This is the
 //! *corrected* rank — the pre-histogram implementation truncated
 //! `(n · q) as usize`, biasing small-sample percentiles one rank high.
-//!
-//! Histograms merge by bucket-wise addition, so per-shard histograms combine
-//! into exactly the histogram a single process would have produced — the
-//! property [`contention_core::merge::MergeableAccumulator`] demands of
-//! everything on the shard seam (the impl lives with `DynamicMetrics` in
-//! `contention-slotted`; this crate stays dependency-light).
 
 /// Sub-bucket resolution: 2^6 = 64 linear sub-buckets per power of two.
 const SUB_BITS: u32 = 6;
@@ -139,17 +133,6 @@ impl LatencyHistogram {
         self.sum = 0;
         self.max = 0;
     }
-
-    /// Bucket-wise merge: `self` afterwards equals the histogram of the
-    /// concatenated sample streams.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -217,24 +200,6 @@ mod tests {
         assert!((v - p) as f64 / (v as f64) < 1.0 / 64.0, "p={p}");
         assert_eq!(h.max(), v);
         assert_eq!(h.percentile(1.0), v);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
-        for v in [3u64, 7, 900, 12_345, 2, 2, 64] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [1u64, 1 << 30, 17, 500] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        assert_eq!(a.mean(), all.mean());
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!   Student-t CDF backing the p-values.
 //! * [`histogram`] — a fixed-footprint log-bucketed latency histogram
 //!   ([`histogram::LatencyHistogram`]) for streaming percentile queries
-//!   over millions of samples (exact mean/max, nearest-rank percentiles,
-//!   bucket-wise merge).
-//! * [`stream`] — order-independent streaming collectors
-//!   ([`stream::StreamingSample`], [`stream::Extrema`]) that feed the
-//!   pipeline above from the sweep engine's fold seam without retaining
-//!   full per-trial records.
+//!   over millions of samples (exact mean/max, nearest-rank percentiles).
+//! * [`stream`] — the order-independent streaming collector
+//!   ([`stream::StreamingSample`]) that feeds the pipeline above from the
+//!   sweep engine's fold seam without retaining full per-trial records.
+
+#![forbid(unsafe_code)]
 
 pub mod ci;
 pub mod histogram;
@@ -33,5 +33,5 @@ pub use ci::{bootstrap_median_ci, median_ci95};
 pub use histogram::LatencyHistogram;
 pub use outliers::filter_outliers;
 pub use regression::{linear_fit, LinearFit};
-pub use stream::{Extrema, StreamingSample};
+pub use stream::StreamingSample;
 pub use summary::Summary;

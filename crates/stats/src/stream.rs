@@ -1,19 +1,12 @@
-//! Streaming per-metric collectors for the sweep engine's fold seam.
+//! The streaming per-metric collector for the sweep engine's fold seam.
 //!
 //! The engine delivers each trial's result to its cell exactly once, but in
-//! whatever order the workers finish. Both collectors here are immune to
-//! that order by construction:
-//!
-//! * [`StreamingSample`] — a position-addressed flat `f64` buffer: trial `t`
-//!   writes slot `t`, so the final buffer is in trial order bit-for-bit
-//!   regardless of scheduling. This is what feeds the paper's
-//!   outlier → median → CI pipeline, at 8 bytes per (trial, metric) instead
-//!   of a full per-trial summary.
-//! * [`Extrema`] — count / min / max in O(1) memory; min and max are exact
-//!   and commutative, so this stays deterministic too. For sweeps that only
-//!   need bounds or a completion count.
-
-use contention_core::merge::{DedupMergeableAccumulator, MergeStats, MergeableAccumulator};
+//! whatever order the workers finish. [`StreamingSample`] is immune to that
+//! order by construction: a position-addressed flat `f64` buffer, where
+//! trial `t` writes slot `t`, so the final buffer is in trial order
+//! bit-for-bit regardless of scheduling. This is what feeds the paper's
+//! outlier → median → CI pipeline, at 8 bytes per (trial, metric) instead
+//! of a full per-trial summary.
 
 /// A flat per-trial sample buffer addressed by trial index.
 ///
@@ -90,7 +83,9 @@ impl StreamingSample {
 
     /// Fallible merge: unions the filled slots of `other` into `self`,
     /// erroring (instead of panicking) on a shape mismatch or a slot both
-    /// operands filled — for merging untrusted on-disk shard state.
+    /// operands filled — for merging untrusted on-disk shard state. Each
+    /// slot is written by exactly one operand, and the write is a plain
+    /// copy, so merges in any grouping and order give bit-identical state.
     pub fn try_merge(&mut self, other: StreamingSample) -> Result<(), String> {
         if self.values.len() != other.values.len() {
             return Err(format!(
@@ -119,7 +114,7 @@ impl StreamingSample {
     /// re-execution reproduce the bits exactly), and is an error otherwise
     /// — a conflicting duplicate means the operands did not run the same
     /// code on the same trial coordinates.
-    pub fn try_merge_dedup(&mut self, other: StreamingSample) -> Result<MergeStats, String> {
+    pub fn try_merge_dedup(&mut self, other: StreamingSample) -> Result<(), String> {
         if self.values.len() != other.values.len() {
             return Err(format!(
                 "cannot merge samples of {} and {} trials",
@@ -127,112 +122,24 @@ impl StreamingSample {
                 other.values.len()
             ));
         }
-        let mut stats = MergeStats::default();
         for (trial, (slot, value)) in self.values.iter_mut().zip(&other.values).enumerate() {
             if value.is_nan() {
                 continue;
             }
             if slot.is_nan() {
                 *slot = *value;
-                stats.fresh += 1;
-            } else if slot.to_bits() == value.to_bits() {
-                stats.duplicates += 1;
-            } else {
+            } else if slot.to_bits() != value.to_bits() {
                 return Err(format!(
                     "trial {trial} recorded conflicting values ({slot} vs {value}) — \
                      operands did not run identical code"
                 ));
             }
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// Bytes this collector retains per trial: one `f64`.
     pub const BYTES_PER_TRIAL: usize = std::mem::size_of::<f64>();
-}
-
-impl DedupMergeableAccumulator for StreamingSample {
-    fn try_merge_dedup(&mut self, other: Self) -> Result<MergeStats, String> {
-        StreamingSample::try_merge_dedup(self, other)
-    }
-}
-
-impl MergeableAccumulator for StreamingSample {
-    /// Slot-wise union of two disjoint partial fills. Associative and
-    /// commutative because each slot is written by exactly one operand and
-    /// the write is a plain copy — no arithmetic, so no rounding that could
-    /// depend on merge order.
-    fn merge(&mut self, other: Self) {
-        self.try_merge(other).expect("mergeable samples");
-    }
-}
-
-/// Exact count / min / max in constant memory.
-///
-/// Every operation is commutative and exact (no floating-point rounding
-/// depends on order), so a sweep folded through `Extrema` is bit-identical
-/// across thread counts and batch sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Extrema {
-    count: u64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Extrema {
-    fn default() -> Extrema {
-        Extrema {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl Extrema {
-    pub fn new() -> Extrema {
-        Extrema::default()
-    }
-
-    pub fn record(&mut self, value: f64) {
-        assert!(!value.is_nan(), "metric values must not be NaN");
-        self.count += 1;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest recorded value (+∞ before any recording).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest recorded value (−∞ before any recording).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Rebuilds the state from its three fields — the deserialization side
-    /// of a partial-state artifact.
-    pub fn from_parts(count: u64, min: f64, max: f64) -> Extrema {
-        Extrema { count, min, max }
-    }
-}
-
-impl MergeableAccumulator for Extrema {
-    /// Exact component-wise combine: counts add, bounds take min/max. All
-    /// three operations are associative and commutative with no rounding,
-    /// so shard merges in any grouping reproduce the sequential fold
-    /// bit-for-bit. (The ±∞ identities of a fresh accumulator make the
-    /// empty shard a no-op.)
-    fn merge(&mut self, other: Self) {
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -296,35 +203,18 @@ mod tests {
     }
 
     #[test]
-    fn extrema_tracks_bounds_in_any_order() {
-        let mut a = Extrema::new();
-        let mut b = Extrema::new();
-        let values = [3.0, -1.0, 7.5, 0.0];
-        for v in values {
-            a.record(v);
-        }
-        for v in values.iter().rev() {
-            b.record(*v);
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.min(), -1.0);
-        assert_eq!(a.max(), 7.5);
-    }
-
-    #[test]
     fn dedup_merge_discards_identical_duplicates_and_rejects_conflicts() {
         // Overlapping fills with bit-identical values: the overlap is
-        // counted as duplicates, the rest folds in as fresh.
+        // discarded, the rest folds in.
         let mut a = StreamingSample::new(4);
         a.record(0, 1.0);
         a.record(1, 2.0);
         let mut b = StreamingSample::new(4);
         b.record(1, 2.0);
         b.record(2, 3.0);
-        let stats = a.try_merge_dedup(b).unwrap();
-        assert_eq!((stats.fresh, stats.duplicates), (1, 1));
+        a.try_merge_dedup(b).unwrap();
         assert_eq!(a.raw()[..3], [1.0, 2.0, 3.0]);
+        assert_eq!(a.filled(), 3);
         // A conflicting duplicate is an error naming the trial.
         let mut c = StreamingSample::new(4);
         c.record(1, 9.0);
@@ -347,7 +237,7 @@ mod tests {
         odds.record(1, 2.0);
         odds.record(3, 4.0);
         assert_eq!(evens.filled(), 2);
-        evens.merge(odds);
+        evens.try_merge(odds).unwrap();
         assert!(evens.is_complete());
         assert_eq!(evens.values(), &[1.0, 2.0, 3.0, 4.0]);
     }
@@ -365,16 +255,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more than one operand")]
-    fn sample_merge_panics_on_double_delivery() {
-        let mut a = StreamingSample::new(1);
-        let mut b = StreamingSample::new(1);
-        a.record(0, 1.0);
-        b.record(0, 1.0);
-        a.merge(b);
-    }
-
-    #[test]
     fn raw_round_trips_partial_buffers() {
         // NaN sentinels defeat PartialEq, so compare the bit images.
         let mut s = StreamingSample::new(3);
@@ -383,43 +263,5 @@ mod tests {
         let bits = |x: &StreamingSample| x.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&rebuilt), bits(&s));
         assert_eq!(rebuilt.filled(), 1);
-    }
-
-    #[test]
-    fn extrema_merge_matches_sequential_fold() {
-        let values = [3.0, -1.0, 7.5, 0.0, 2.5];
-        let mut sequential = Extrema::new();
-        for v in values {
-            sequential.record(v);
-        }
-        let mut left = Extrema::new();
-        let mut right = Extrema::new();
-        for v in &values[..2] {
-            left.record(*v);
-        }
-        for v in &values[2..] {
-            right.record(*v);
-        }
-        left.merge(right);
-        assert_eq!(left, sequential);
-        // Merging an empty accumulator is a no-op (±∞ identities).
-        left.merge(Extrema::new());
-        assert_eq!(left, sequential);
-    }
-
-    #[test]
-    fn extrema_from_parts_round_trips() {
-        let mut e = Extrema::new();
-        e.record(4.0);
-        e.record(-2.0);
-        assert_eq!(Extrema::from_parts(e.count(), e.min(), e.max()), e);
-    }
-
-    #[test]
-    fn extrema_starts_empty() {
-        let e = Extrema::new();
-        assert_eq!(e.count(), 0);
-        assert!(e.min().is_infinite() && e.min() > 0.0);
-        assert!(e.max().is_infinite() && e.max() < 0.0);
     }
 }

@@ -1,11 +1,10 @@
-//! Property tests for the `MergeableAccumulator` seam: merging sharded
-//! partial state must be associative and must agree — bit-for-bit — with
-//! folding every trial sequentially into one accumulator, because the
-//! process-sharded sweep pipeline reports merged state as if it came from a
-//! single run.
+//! Property tests for the sample merges behind sharding and the work
+//! server: merging sharded partial state must be associative and must agree
+//! — bit-for-bit — with folding every trial sequentially into one sample,
+//! because the process-sharded sweep pipeline reports merged state as if it
+//! came from a single run.
 
-use contention_core::merge::MergeableAccumulator;
-use contention_stats::stream::{Extrema, StreamingSample};
+use contention_stats::stream::StreamingSample;
 use proptest::prelude::*;
 
 const MAX_SHARDS: u32 = 4;
@@ -28,6 +27,15 @@ fn sharded_samples(trials: &[(f64, u32)]) -> Vec<StreamingSample> {
     shards
 }
 
+/// The sample every trial recorded in order into one buffer.
+fn sequential(trials: &[(f64, u32)]) -> StreamingSample {
+    let mut sample = StreamingSample::new(trials.len());
+    for (t, &(value, _)) in trials.iter().enumerate() {
+        sample.record(t, value);
+    }
+    sample
+}
+
 /// The bit image of a sample's raw buffer (NaN sentinels included).
 fn bits(s: &StreamingSample) -> Vec<u64> {
     s.raw().iter().map(|v| v.to_bits()).collect()
@@ -40,16 +48,13 @@ proptest! {
     /// sequential fold bit-for-bit.
     #[test]
     fn sample_merge_agrees_with_sequential_fold(trials in trials_strategy()) {
-        let mut sequential = StreamingSample::new(trials.len());
-        for (t, &(value, _)) in trials.iter().enumerate() {
-            sequential.record(t, value);
-        }
+        let sequential = sequential(&trials);
 
         // Left fold: ((s0 + s1) + s2) + s3.
         let mut shards = sharded_samples(&trials).into_iter();
         let mut left = shards.next().expect("shards");
         for shard in shards {
-            left.merge(shard);
+            prop_assert_eq!(left.try_merge(shard), Ok(()));
         }
         prop_assert_eq!(bits(&left), bits(&sequential));
 
@@ -58,7 +63,7 @@ proptest! {
         for shard in sharded_samples(&trials).into_iter().rev() {
             let mut acc = shard;
             if let Some(prev) = right.take() {
-                acc.merge(prev);
+                prop_assert_eq!(acc.try_merge(prev), Ok(()));
             }
             right = Some(acc);
         }
@@ -74,7 +79,7 @@ proptest! {
         let mut expected = 0;
         for (i, shard) in shards.into_iter().enumerate() {
             expected += trials.iter().filter(|&&(_, s)| s as usize == i).count();
-            acc.merge(shard);
+            prop_assert_eq!(acc.try_merge(shard), Ok(()));
             prop_assert_eq!(acc.filled(), expected, "after shard {}", i);
         }
         prop_assert!(acc.is_complete());
@@ -94,32 +99,20 @@ proptest! {
         prop_assert!(err.contains("more than one operand"), "{}", err);
     }
 
-    /// Extrema: merging per-shard state in either association equals the
-    /// sequential fold, bit-for-bit (count, min, max).
+    /// At-least-once delivery: with some shards delivered twice, in any
+    /// order, the duplicate-tolerant merge still reproduces the sequential
+    /// fold bit-for-bit.
     #[test]
-    fn extrema_merge_agrees_with_sequential_fold(trials in trials_strategy()) {
-        let mut sequential = Extrema::new();
-        for &(value, _) in &trials {
-            sequential.record(value);
+    fn dedup_merge_of_redelivered_shards_agrees_with_sequential_fold(
+        trials in trials_strategy(),
+        redeliver in prop::collection::vec(0u32..MAX_SHARDS, 0..6),
+    ) {
+        let shards = sharded_samples(&trials);
+        let deliveries = (0..MAX_SHARDS).chain(redeliver).rev();
+        let mut acc = StreamingSample::new(trials.len());
+        for shard in deliveries {
+            prop_assert_eq!(acc.try_merge_dedup(shards[shard as usize].clone()), Ok(()));
         }
-
-        let mut shards: Vec<Extrema> = (0..MAX_SHARDS).map(|_| Extrema::new()).collect();
-        for &(value, shard) in &trials {
-            shards[shard as usize].record(value);
-        }
-
-        let mut left = Extrema::new();
-        for shard in &shards {
-            left.merge(*shard);
-        }
-        let mut right = Extrema::new();
-        for shard in shards.iter().rev() {
-            right.merge(*shard);
-        }
-        for merged in [left, right] {
-            prop_assert_eq!(merged.count(), sequential.count());
-            prop_assert_eq!(merged.min().to_bits(), sequential.min().to_bits());
-            prop_assert_eq!(merged.max().to_bits(), sequential.max().to_bits());
-        }
+        prop_assert_eq!(bits(&acc), bits(&sequential(&trials)));
     }
 }

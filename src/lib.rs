@@ -27,6 +27,8 @@
 //! assert!(run.metrics.collisions > 0); // CWmin = 1 guarantees early pileups
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use contention_core as core;
 pub use contention_experiments as experiments;
 pub use contention_mac as mac;
@@ -49,7 +51,7 @@ pub mod prelude {
     pub use contention_mac::{simulate, MacConfig, MacRun, MacSim, Trace};
     pub use contention_sim::engine::{
         folded, run_trial, run_trial_with, validate_plan, Accumulator, CellRange, ExecPolicy,
-        FoldedCell, MergeableAccumulator, Simulator, Sweep, TrialRange,
+        FoldedCell, Simulator, Sweep, TrialRange,
     };
     pub use contention_sim::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
     pub use contention_sim::sched::CostSpec;

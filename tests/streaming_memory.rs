@@ -14,7 +14,6 @@
 //! (Thread-local counters would instead miss the engine's worker threads.)
 
 use contention_resolution::prelude::*;
-use contention_stats::stream::Extrema;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -25,6 +24,8 @@ static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// `GlobalAlloc`'s contract; the counters only observe layout sizes.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
@@ -54,13 +55,28 @@ fn measuring() -> MutexGuard<'static, ()> {
     MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// O(1)-state accumulator: exact count/min/max of CW slots per cell.
+/// O(1)-state accumulator: the count and maximum of one metric per cell.
 #[derive(Clone)]
-struct CwExtrema(Extrema);
+struct CountMax {
+    metric: Metric,
+    count: u64,
+    max: f64,
+}
 
-impl Accumulator<TrialSummary> for CwExtrema {
+impl CountMax {
+    fn new(metric: Metric) -> CountMax {
+        CountMax {
+            metric,
+            count: 0,
+            max: f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl Accumulator<TrialSummary> for CountMax {
     fn record(&mut self, _trial: u32, value: TrialSummary) {
-        self.0.record(value.cw_slots);
+        self.count += 1;
+        self.max = self.max.max(self.metric.extract(&value));
     }
 }
 
@@ -79,15 +95,15 @@ fn folded_sweep_memory_does_not_scale_with_trials() {
 
     let baseline = CURRENT.load(Ordering::SeqCst);
     PEAK.store(baseline, Ordering::SeqCst);
-    let cells = sweep.run_fold_monitored(|_, _, _| CwExtrema(Extrema::new()), None, None, None);
+    let cells =
+        sweep.run_fold_monitored(|_, _, _| CountMax::new(Metric::CwSlots), None, None, None);
     let peak_growth = PEAK.load(Ordering::SeqCst).saturating_sub(baseline);
 
     // Every trial ran: a lone BEB station succeeds in its size-1 first
-    // window, so every trial contributes exactly one CW slot.
+    // window, so no trial takes more than one CW slot.
     assert_eq!(cells.len(), 1);
-    assert_eq!(cells[0].acc.0.count(), TRIALS as u64);
-    assert_eq!(cells[0].acc.0.min(), 1.0);
-    assert_eq!(cells[0].acc.0.max(), 1.0);
+    assert_eq!(cells[0].acc.count, TRIALS as u64);
+    assert_eq!(cells[0].acc.max, 1.0);
 
     // The old pipeline retained ≥ trials × size_of::<TrialSummary>() just
     // for this cell; the fold path's peak must stay far below that. The
@@ -189,16 +205,6 @@ fn ten_million_arrivals_stream_in_bounded_memory() {
     );
 }
 
-/// O(1)-state accumulator over total time (drops the summary, no alloc).
-#[derive(Clone)]
-struct TimeExtrema(Extrema);
-
-impl Accumulator<TrialSummary> for TimeExtrema {
-    fn record(&mut self, _trial: u32, value: TrialSummary) {
-        self.0.record(value.total_time_us);
-    }
-}
-
 /// Steady-state allocation ceiling for the MAC simulator's trial loop.
 ///
 /// With the per-worker scratch arena (event-queue slab, medium buffers,
@@ -226,12 +232,12 @@ fn mac_trial_loop_allocates_only_its_output() {
     let allocs_for = |trials: u32| {
         let before = ALLOC_CALLS.load(Ordering::SeqCst);
         let cells = sweep(trials).run_fold_monitored(
-            |_, _, _| TimeExtrema(Extrema::new()),
+            |_, _, _| CountMax::new(Metric::TotalTimeUs),
             None,
             None,
             None,
         );
-        assert_eq!(cells[0].acc.0.count(), trials as u64);
+        assert_eq!(cells[0].acc.count, trials as u64);
         ALLOC_CALLS.load(Ordering::SeqCst) - before
     };
 
@@ -277,9 +283,13 @@ fn windowed_sweep_allocates_nothing_per_trial() {
 
     let allocs_for = |trials: u32| {
         let before = ALLOC_CALLS.load(Ordering::SeqCst);
-        let cells =
-            sweep(trials).run_fold_monitored(|_, _, _| CwExtrema(Extrema::new()), None, None, None);
-        assert_eq!(cells[0].acc.0.count(), trials as u64);
+        let cells = sweep(trials).run_fold_monitored(
+            |_, _, _| CountMax::new(Metric::CwSlots),
+            None,
+            None,
+            None,
+        );
+        assert_eq!(cells[0].acc.count, trials as u64);
         ALLOC_CALLS.load(Ordering::SeqCst) - before
     };
 
