@@ -4,6 +4,11 @@
 //! `(experiment tag, algorithm, n, trial index)` via SplitMix64 mixing, so
 //! results are bit-reproducible regardless of how trials are scheduled across
 //! threads, and different experiments never share streams.
+//!
+//! Every slotted kernel draws its slots and timers through one reduction,
+//! [`UniformBelow`]. It is built once per window width (or backoff stage)
+//! and returns exactly what `gen_range(0..span)` returns, from the same
+//! words, without a division per draw.
 
 use crate::algorithm::AlgorithmKind;
 use rand::rngs::SmallRng;
@@ -49,76 +54,69 @@ pub fn trial_rng(experiment: u64, kind: AlgorithmKind, n: u32, trial: u32) -> Sm
     SmallRng::seed_from_u64(seed)
 }
 
-/// A reusable buffer of raw RNG output for hot loops that draw many values
-/// per step (e.g. one backoff slot per alive station per window).
+/// Uniform draws in `[0, span)` for one `span`, built once and reused: each
+/// [`sample`](UniformBelow::sample) returns the value, and consumes the
+/// words, of one `rng.gen_range(0..span)`.
 ///
-/// Prefetching `next_u64` words in a tight loop and consuming them through
-/// [`DrawBuffer::uniform_below`] keeps the generator state out of the
-/// draw-consuming loop's dependency chain, while producing **bit-identical
-/// values in bit-identical order** to calling `rng.gen_range(0..span)` once
-/// per draw: `uniform_below` replicates the vendored `rand`'s zone-based
-/// rejection exactly, and a rejected word's replacement is pulled straight
-/// from the generator (the buffer merely *relocates* where words are
-/// produced, never reorders them). The caller contract that makes this true:
-/// [`prefill`](DrawBuffer::prefill) exactly the number of draws about to be
-/// consumed, then consume them all — the buffer never holds words across
-/// prefills, so interleaved direct use of the same generator (noise flips,
-/// slot resolution) sees exactly the stream it would have unbatched.
-#[derive(Default)]
-pub struct DrawBuffer {
-    words: Vec<u64>,
-    cursor: usize,
+/// The vendored `gen_range` is the reference. It rejects a word above the
+/// zone `2⁶⁴ − 1 − (2⁶⁴ mod span)`, replaces it with the next word, and
+/// reduces an accepted word `v` to `v % span`. Here the zone is computed
+/// once, and `v % span` by the "direct remainder" of Lemire, Kaser and Kurz
+/// ("Faster Remainder by Direct Computation", *Software: Practice and
+/// Experience*, 2019): with `magic = ⌈2¹²⁸ / span⌉`, the remainder is the
+/// high 64 bits of `(magic · v mod 2¹²⁸) · span`, exact for every 64-bit `v`
+/// and `span`. That is four multiplies where `gen_range` divides twice.
+/// Powers of two take the word's low bits (their zone rejects nothing), and
+/// span 1 draws no word.
+#[derive(Debug, Clone, Copy)]
+pub struct UniformBelow {
+    span: u64,
+    zone: u64,
+    magic: u128,
 }
 
-impl DrawBuffer {
-    /// Discards any unconsumed words and refills with exactly `count` fresh
-    /// words of `rng` output.
-    #[inline]
-    pub fn prefill<R: RngCore>(&mut self, rng: &mut R, count: usize) {
-        debug_assert_eq!(self.cursor, self.words.len(), "unconsumed draws");
-        self.words.clear();
-        self.words.resize(count, 0);
-        for w in self.words.iter_mut() {
-            *w = rng.next_u64();
-        }
-        self.cursor = 0;
-    }
-
-    /// The next raw word: buffered if available, fresh from `rng` otherwise
-    /// (rejection replacements after the prefetched budget is spent).
-    #[inline]
-    fn next_word<R: RngCore>(&mut self, rng: &mut R) -> u64 {
-        if self.cursor < self.words.len() {
-            let w = self.words[self.cursor];
-            self.cursor += 1;
-            w
-        } else {
-            rng.next_u64()
+impl UniformBelow {
+    /// The draw for a non-empty `span`.
+    pub fn new(span: u64) -> UniformBelow {
+        assert!(span > 0, "UniformBelow::new(0): empty range");
+        UniformBelow {
+            span,
+            zone: u64::MAX - (u64::MAX - span + 1) % span,
+            // Wraps to 0 at span 1, where every remainder is 0 as well.
+            magic: (u128::MAX / u128::from(span)).wrapping_add(1),
         }
     }
 
-    /// Uniform draw in `[0, span)` — bit-identical to the vendored
-    /// `rng.gen_range(0..span)` (same zone-based rejection), consuming zero
-    /// words when `span == 1` and otherwise one word per accepted draw plus
-    /// one per (astronomically rare) rejection.
+    /// The number of values drawn from.
+    pub fn span(&self) -> u64 {
+        self.span
+    }
+
+    /// One draw: exactly `rng.gen_range(0..span)`, in value and in words.
     #[inline]
-    pub fn uniform_below<R: RngCore>(&mut self, rng: &mut R, span: u64) -> u64 {
-        debug_assert!(span > 0);
-        if span == 1 {
-            return 0;
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        if self.span.is_power_of_two() {
+            return if self.span == 1 {
+                0
+            } else {
+                rng.next_u64() & (self.span - 1)
+            };
         }
-        if span.is_power_of_two() {
-            // The zone is then u64::MAX (no rejection possible) and the
-            // modulo reduces to a mask; same value, cheaper arithmetic.
-            return self.next_word(rng) & (span - 1);
-        }
-        let zone = u64::MAX - (u64::MAX - span + 1) % span;
         loop {
-            let v = self.next_word(rng);
-            if v <= zone {
-                return v % span;
+            let v = rng.next_u64();
+            if v <= self.zone {
+                return self.reduce(v);
             }
         }
+    }
+
+    /// `v % span`: the high 64 bits of the 192-bit `(magic · v mod 2¹²⁸) · span`.
+    #[inline]
+    fn reduce(&self, v: u64) -> u64 {
+        let low = self.magic.wrapping_mul(u128::from(v));
+        let span = u128::from(self.span);
+        let carry = (u128::from(low as u64) * span) >> 64;
+        (((low >> 64) * span + carry) >> 64) as u64
     }
 }
 
@@ -195,60 +193,135 @@ mod tests {
         assert_ne!(experiment_tag("fig7"), experiment_tag("fig8"));
     }
 
+    /// Spans at the edges of the reduction: the smallest, both sides of
+    /// 2³² and of 2⁶³, and the largest.
+    const EDGE_SPANS: [u64; 10] = [
+        1,
+        2,
+        3,
+        (1 << 32) - 1,
+        1 << 32,
+        (1 << 32) + 1,
+        (1 << 63) - 1,
+        (1 << 63) + 1,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
     #[test]
-    fn draw_buffer_matches_gen_range_bit_for_bit() {
-        // Batched draws must replay the exact unbatched stream, across
-        // power-of-two spans (mask path), non-power-of-two spans (zone
-        // rejection) and span 1 (no word consumed).
-        for span in [1u64, 2, 3, 7, 8, 1024, 1 << 17, (1 << 17) - 5, u64::MAX] {
-            let mut direct = trial_rng(experiment_tag("buf"), AlgorithmKind::Beb, 9, 0);
-            let mut batched = direct.clone();
-            let mut buf = DrawBuffer::default();
-            for round in 0..32usize {
-                let count = round % 5;
-                buf.prefill(&mut batched, if span == 1 { 0 } else { count });
-                for _ in 0..count {
-                    assert_eq!(
-                        buf.uniform_below(&mut batched, span),
-                        direct.gen_range(0..span),
-                        "span {span} round {round}"
-                    );
-                }
-                // Interleaved direct use between prefills (the sampled
-                // path's channel draws) must see the same stream too.
-                assert_eq!(batched.gen::<f64>(), direct.gen::<f64>());
+    fn uniform_below_reduces_exactly_at_the_zone_edge() {
+        let spans = EDGE_SPANS
+            .iter()
+            .copied()
+            .chain([5, 7, 1000, 1023, 1025, 1 << 40]);
+        for span in spans {
+            let draw = UniformBelow::new(span);
+            let zone = draw.zone;
+            assert_eq!(
+                zone % span,
+                span - 1,
+                "span {span}: the zone ends a full cycle"
+            );
+            let multiple = zone - (span - 1);
+            let words = [
+                0,
+                1,
+                span - 1,
+                span,
+                span.saturating_add(1),
+                multiple.saturating_sub(1),
+                multiple,
+                multiple.saturating_add(1),
+                zone - 1,
+                zone,
+                zone.saturating_add(1),
+                u64::MAX,
+            ];
+            for v in words {
+                assert_eq!(draw.reduce(v), v % span, "span {span}, word {v}");
             }
         }
     }
 
-    #[test]
-    fn draw_buffer_overflow_draws_continue_the_stream() {
-        // Rejection replacements past the prefetched budget fall through to
-        // the generator; the merged sequence is position-for-position the
-        // raw word stream.
-        let mut a = trial_rng(experiment_tag("buf-ovf"), AlgorithmKind::Beb, 1, 1);
-        let raw: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let mut b = trial_rng(experiment_tag("buf-ovf"), AlgorithmKind::Beb, 1, 1);
-        let mut buf = DrawBuffer::default();
-        buf.prefill(&mut b, 16);
-        let spans = [8u64, 1 << 20, 3, 9, 1 << 33];
-        let mut got = Vec::new();
-        for i in 0..40usize {
-            let span = spans[i % spans.len()];
-            got.push(buf.uniform_below(&mut b, span));
+    /// A generator that plays back chosen words: no real seed draws a word
+    /// above the zone of a span below 2³², so only a script can.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("script exhausted")
         }
-        // Replay by hand over the raw words (zone rejection inlined).
-        let mut it = raw.iter().copied();
-        for (i, &g) in got.iter().enumerate() {
-            let span = spans[i % spans.len()];
-            let zone = u64::MAX - (u64::MAX - span + 1) % span;
-            let v = loop {
-                let v = it.next().expect("enough raw words");
-                if v <= zone {
-                    break v;
+    }
+
+    #[test]
+    fn uniform_below_replaces_words_above_the_zone_like_gen_range() {
+        for span in EDGE_SPANS.iter().copied().chain([1000, 1025]) {
+            let draw = UniformBelow::new(span);
+            let zone = draw.zone;
+            let above = zone.saturating_add(1);
+            let words = vec![
+                u64::MAX,
+                above,
+                zone,
+                above,
+                0,
+                u64::MAX,
+                span,
+                zone - 1,
+                1,
+                2,
+                3,
+            ];
+            let mut fast = Script(words.clone().into_iter());
+            let mut reference = Script(words.into_iter());
+            let mut got = Vec::new();
+            for _ in 0..5 {
+                let value = draw.sample(&mut fast);
+                assert_eq!(value, reference.gen_range(0..span), "span {span}");
+                got.push(value);
+            }
+            assert_eq!(
+                fast.0.len(),
+                reference.0.len(),
+                "span {span}: words consumed"
+            );
+            if span == 1 {
+                assert_eq!(fast.0.len(), 11, "span 1 draws no word");
+            } else if zone < u64::MAX {
+                // The first draw skips every word above the zone.
+                assert_eq!(got[0], span - 1, "span {span}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Over random seeds and spans of every magnitude, `UniformBelow`
+        /// returns `gen_range`'s values and leaves the generator where it
+        /// does. Spans above 2⁶³ reject up to half their words, so real
+        /// seeds exercise the replacement path there.
+        #[test]
+        fn uniform_below_replays_gen_range(
+            seed in proptest::arbitrary::any::<u64>(),
+            raw in proptest::arbitrary::any::<u64>(),
+            bits in 1u32..=64,
+            draws in 0usize..48,
+        ) {
+            let random_span = (raw >> (64 - bits)).max(1);
+            for span in EDGE_SPANS.iter().copied().chain([random_span]) {
+                let draw = UniformBelow::new(span);
+                let mut fast = SmallRng::seed_from_u64(seed);
+                let mut reference = fast.clone();
+                for i in 0..draws {
+                    proptest::prop_assert_eq!(
+                        draw.sample(&mut fast),
+                        reference.gen_range(0..span),
+                        "span {} draw {}", span, i
+                    );
                 }
-            };
-            assert_eq!(g, v % span, "draw {i}");
+                proptest::prop_assert_eq!(fast, reference, "span {}", span);
+            }
         }
     }
 }

@@ -157,6 +157,22 @@ fn run_on_workers(threads: usize, body: &(dyn Fn() + Sync)) {
     }
 }
 
+/// Moves the claim cursor to the end when its worker unwinds, so the other
+/// workers stop after the claim they hold instead of running the rest of a
+/// sweep whose panic will discard it.
+struct StopOnUnwind<'a> {
+    cursor: &'a AtomicUsize,
+    end: usize,
+}
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.cursor.store(self.end, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Runs `work` over every index of `0..sched.len()`, claimed in tapered
 /// (guided self-scheduling) contiguous ranges from an atomic cursor. Each
 /// index is visited exactly once; the caller must route results by index.
@@ -169,7 +185,8 @@ fn run_on_workers(threads: usize, body: &(dyn Fn() + Sync)) {
 ///
 /// With `threads <= 1` the claims execute inline in order (identical claim
 /// boundaries, no atomics), so the taper path itself is exercised on every
-/// machine. A worker panic propagates after the join.
+/// machine. A worker panic stops the other workers after their current
+/// claim and propagates after the join.
 pub fn parallel_for_tapered<W, I, F>(sched: &TaperSchedule, threads: usize, init: I, work: F)
 where
     I: Fn() -> W + Sync,
@@ -192,6 +209,10 @@ where
     }
     let next = AtomicUsize::new(0);
     let body = || {
+        let _stop = StopOnUnwind {
+            cursor: &next,
+            end: total,
+        };
         let mut state = init();
         let mut start = next.load(Ordering::Relaxed);
         while start < total {
@@ -443,6 +464,40 @@ mod tests {
                 .unwrap_or("<non-str payload>");
             assert!(msg.contains("item 17 failed"), "threads={threads}: {msg}");
         }
+    }
+
+    #[test]
+    fn a_worker_panic_stops_the_other_workers_claiming() {
+        // 200 items of 1 ms on 2 workers; the first item panics. The other
+        // worker finishes the claim it holds and stops: it must not run the
+        // rest of the plan, whose results the panic throws away.
+        let sched = TaperSchedule::new(&[(200, 1.0)]);
+        let ran = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(|| {
+            parallel_for_tapered(
+                &sched,
+                2,
+                || (),
+                |range, _| {
+                    for i in range {
+                        if i == 0 {
+                            panic!("item 0 failed");
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    }
+                },
+            )
+        });
+        let payload = result.expect_err("the worker panic must surface");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-str payload>");
+        assert!(msg.contains("item 0 failed"), "{msg}");
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(ran < 199 / 2, "{ran} of the 199 items after the panic ran");
     }
 
     #[test]

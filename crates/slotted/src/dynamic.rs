@@ -42,8 +42,9 @@
 //!   which is why collision-fragile schedules (SAWTOOTH in particular) now
 //!   collapse under loads the old engine sailed through.
 //! * Per-packet state is a slab entry of `{arrival_wall, backoff stage}`;
-//!   window sizes come from a per-config [`WindowLookup`] table instead of a
-//!   per-packet [`contention_core::schedule::Schedule`] value.
+//!   timers are drawn through a per-config [`WindowLookup`] table (one
+//!   [`UniformBelow`] per stage) instead of a per-packet
+//!   [`contention_core::schedule::Schedule`] value.
 //! * Timers live in a calendar [`BucketQueue`] (2048 near-future buckets +
 //!   an overflow heap), making push/pop O(1) amortized instead of the old
 //!   global `BinaryHeap`'s O(log backlog).
@@ -56,7 +57,7 @@
 //! allocate nothing but their output.
 
 use contention_core::algorithm::AlgorithmKind;
-use contention_core::rng::DrawBuffer;
+use contention_core::rng::UniformBelow;
 use contention_core::schedule::{Truncation, WindowSchedule};
 use contention_sim::summary::TrialSummary;
 use contention_stats::histogram::LatencyHistogram;
@@ -412,41 +413,56 @@ impl From<DynamicMetrics> for TrialSummary {
 }
 
 // ---------------------------------------------------------------------------
-// Window lookup: AlgorithmKind → stage ↦ window size, without per-packet
+// Window lookup: AlgorithmKind → stage ↦ timer draw, without per-packet
 // Schedule state.
 // ---------------------------------------------------------------------------
 
-/// Precomputed `stage ↦ window` map for one `(algorithm, truncation)`.
+/// Precomputed `stage ↦ timer draw` map for one `(algorithm, truncation)`,
+/// shared with the residual-timer batch engine ([`crate::residual`]).
 ///
 /// Every truncated schedule except POLYNOMIAL becomes eventually periodic:
 /// the monotone schedules (BEB, LB, LLB, FIXED) end in a constant tail, and
 /// SAWTOOTH cycles its saturated descent `CWmax, CWmax/2, …`. Those are
-/// stored as a finite prefix plus repeating cycle, generated from the *real*
-/// [`contention_core::schedule::Schedule`] so the emitted values are
-/// bit-identical to walking a per-packet schedule. POLYNOMIAL grows without
-/// a short period, but is a closed form — evaluated directly.
+/// stored as a finite prefix plus repeating cycle of [`UniformBelow`] draws,
+/// one per window, generated from the *real*
+/// [`contention_core::schedule::Schedule`] so the windows are bit-identical
+/// to walking a per-packet schedule, and no timer draw builds a reduction.
+/// POLYNOMIAL grows without a short period, but is a closed form: evaluated
+/// directly and drawn with `gen_range`.
 #[derive(Debug, Clone)]
-enum WindowLookup {
+pub(crate) enum WindowLookup {
     Poly {
         degree: u32,
         trunc: Truncation,
     },
     Table {
-        prefix: Box<[u32]>,
-        cycle: Box<[u32]>,
+        prefix: Box<[UniformBelow]>,
+        cycle: Box<[UniformBelow]>,
     },
 }
 
+/// POLYNOMIAL's window for `stage`: `(stage + 1)^degree`, clamped.
+fn poly_window(degree: u32, trunc: Truncation, stage: u32) -> u32 {
+    let base = (u64::from(stage) + 1).saturating_pow(degree.max(1));
+    trunc.clamp(base.min(u64::from(u32::MAX)) as u32)
+}
+
 impl WindowLookup {
-    fn build(kind: AlgorithmKind, trunc: Truncation) -> WindowLookup {
+    pub(crate) fn build(kind: AlgorithmKind, trunc: Truncation) -> WindowLookup {
         assert!(trunc.cw_min <= trunc.cw_max);
+        let draws = |windows: &[u32]| -> Box<[UniformBelow]> {
+            windows
+                .iter()
+                .map(|&w| UniformBelow::new(w.into()))
+                .collect()
+        };
         match kind {
             AlgorithmKind::Polynomial { degree } => WindowLookup::Poly { degree, trunc },
             AlgorithmKind::Fixed { .. } => {
                 let mut s = kind.schedule(trunc).expect("fixed has a schedule");
                 WindowLookup::Table {
                     prefix: Box::new([]),
-                    cycle: vec![s.next_window()].into_boxed_slice(),
+                    cycle: draws(&[s.next_window()]),
                 }
             }
             AlgorithmKind::Beb
@@ -464,10 +480,9 @@ impl WindowLookup {
                     let w = s.next_window();
                     if w == top {
                         if let Some(i0) = first_top {
-                            let cycle = emitted.split_off(i0);
                             return WindowLookup::Table {
-                                prefix: emitted.into_boxed_slice(),
-                                cycle: cycle.into_boxed_slice(),
+                                prefix: draws(&emitted[..i0]),
+                                cycle: draws(&emitted[i0..]),
                             };
                         }
                         first_top = Some(emitted.len());
@@ -480,26 +495,25 @@ impl WindowLookup {
                 }
             }
             AlgorithmKind::BestOfK { .. } => {
-                unreachable!("rejected by DynamicConfig::validate")
+                unreachable!("rejected by the simulators' config checks")
             }
         }
     }
 
-    /// Window size for the `stage`-th transmission attempt (stage 0 = the
-    /// arrival draw). Matches `Schedule::next_window()` call `stage + 1`.
+    /// A timer for the `stage`-th transmission attempt (stage 0 = the first
+    /// draw): uniform below the window of `Schedule::next_window()` call
+    /// `stage + 1`, with the values and words of `gen_range(0..window)`.
     #[inline]
-    fn window(&self, stage: u32) -> u32 {
+    pub(crate) fn timer<R: Rng>(&self, stage: u32, rng: &mut R) -> u64 {
         match self {
             WindowLookup::Poly { degree, trunc } => {
-                let base = (stage as u64 + 1).saturating_pow((*degree).max(1));
-                trunc.clamp(base.min(u32::MAX as u64) as u32)
+                rng.gen_range(0..u64::from(poly_window(*degree, *trunc, stage)))
             }
             WindowLookup::Table { prefix, cycle } => {
                 let i = stage as usize;
-                if i < prefix.len() {
-                    prefix[i]
-                } else {
-                    cycle[(i - prefix.len()) % cycle.len()]
+                match prefix.get(i) {
+                    Some(draw) => draw.sample(rng),
+                    None => cycle[(i - prefix.len()) % cycle.len()].sample(rng),
                 }
             }
         }
@@ -768,7 +782,7 @@ const NO_SLOT: u32 = u32::MAX;
 struct PacketSlot {
     arrival_wall: u64,
     /// Backoff stage: how many windows this packet has drawn so far minus
-    /// one (stage s draws from `WindowLookup::window(s)`).
+    /// one (stage s draws through `WindowLookup::timer(s, _)`).
     stage: u32,
     /// Free-list link when the slot is vacant.
     next_free: u32,
@@ -790,7 +804,6 @@ struct DynState {
     queue: BucketQueue,
     group: Vec<u32>,
     hist: LatencyHistogram,
-    draws: DrawBuffer,
 }
 
 /// Validation + window-table construction, done once per `(config, n)` cell
@@ -841,7 +854,6 @@ fn run_streaming<R: Rng>(
         queue,
         group,
         hist,
-        draws,
     } = state;
     slab.clear();
     *free_head = None;
@@ -863,7 +875,6 @@ fn run_streaming<R: Rng>(
     let mut wall_now: u64 = 0;
     let mut offered: u64 = 0;
     let mut collisions: u64 = 0;
-    let w0 = lookup.window(0) as u64;
 
     loop {
         // Ingest every arrival batch due before the next transmission event
@@ -884,7 +895,7 @@ fn run_streaming<R: Rng>(
             let idle_coord = wall.saturating_sub(busy_total).max(last_idle);
             for _ in 0..count {
                 let id = alloc_slot(slab, free_head, wall);
-                let timer = draws.uniform_below(rng, w0);
+                let timer = lookup.timer(0, rng);
                 queue.push(idle_coord + timer, id);
             }
         }
@@ -912,8 +923,7 @@ fn run_streaming<R: Rng>(
             for &id in group.iter() {
                 let slot = &mut slab[id as usize];
                 slot.stage = slot.stage.saturating_add(1);
-                let w = lookup.window(slot.stage) as u64;
-                let timer = draws.uniform_below(rng, w);
+                let timer = lookup.timer(slot.stage, rng);
                 queue.push(x + 1 + timer, id);
             }
         }
@@ -1152,6 +1162,19 @@ mod tests {
         ));
     }
 
+    /// The window `lookup` draws below at `stage`.
+    fn lookup_window(lookup: &WindowLookup, stage: u32) -> u64 {
+        match lookup {
+            WindowLookup::Poly { degree, trunc } => poly_window(*degree, *trunc, stage).into(),
+            WindowLookup::Table { prefix, cycle } => {
+                let i = stage as usize;
+                let draw = prefix.get(i);
+                draw.unwrap_or_else(|| &cycle[(i - prefix.len()) % cycle.len()])
+                    .span()
+            }
+        }
+    }
+
     #[test]
     fn window_lookup_matches_schedule_everywhere() {
         let truncations = [
@@ -1189,13 +1212,22 @@ mod tests {
             for kind in kinds {
                 let lookup = WindowLookup::build(kind, trunc);
                 let mut sched = kind.schedule(trunc).expect("windowed");
+                let mut rng = trial_rng(experiment_tag("lookup"), kind, 0, 0);
+                let mut reference = rng.clone();
                 for stage in 0..3000u32 {
+                    let window = sched.next_window();
                     assert_eq!(
-                        lookup.window(stage),
-                        sched.next_window(),
+                        lookup_window(&lookup, stage),
+                        u64::from(window),
+                        "{kind:?} {trunc:?} stage {stage}"
+                    );
+                    assert_eq!(
+                        lookup.timer(stage, &mut rng),
+                        reference.gen_range(0..u64::from(window)),
                         "{kind:?} {trunc:?} stage {stage}"
                     );
                 }
+                assert_eq!(rng, reference, "{kind:?} {trunc:?}");
             }
         }
     }

@@ -22,7 +22,7 @@
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::{ChannelModel, SlotFate};
 use contention_core::metrics::{BatchMetrics, StationMetrics};
-use contention_core::rng::DrawBuffer;
+use contention_core::rng::UniformBelow;
 use contention_core::schedule::{Schedule, Truncation, WindowSchedule};
 use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
@@ -172,8 +172,6 @@ pub struct NoisyScratch {
     slot_offsets: Vec<u32>,
     /// Which draws won their slot, for the compaction pass.
     won: Vec<bool>,
-    /// Batched raw RNG words for the per-window draw pass.
-    buf: DrawBuffer,
 }
 
 /// The noisy-channel aligned-window simulator, with per-station output.
@@ -221,10 +219,11 @@ pub(crate) fn window_schedule(algorithm: AlgorithmKind, truncation: Truncation) 
 /// Structure (every outcome bit-identical to the straightforward loop it
 /// replaced — the windowed golden fixture pins this):
 ///
-/// * **Batched RNG.** Each window prefetches exactly one raw word per alive
-///   station into the scratch [`DrawBuffer`] and consumes them in alive
-///   order, so the underlying word stream is unchanged (rejection
-///   replacements continue the stream; width 1 consumes nothing).
+/// * **One reduction per window.** Each window builds one [`UniformBelow`]
+///   for its width and draws every alive station's slot through it, in
+///   alive order: the values and words of per-draw `gen_range` calls
+///   (a rejected word is replaced by the next; width 1 consumes nothing),
+///   without a division per draw.
 /// * **Counting-sort group-by.** When the window is at most 4× the alive
 ///   set, same-slot groups are formed by prefix-summed scatter over
 ///   epoch-stamped [`SlotCounts`] in O(alive + width) instead of
@@ -263,7 +262,6 @@ fn run_windows<R: Rng>(
         order,
         slot_offsets,
         won,
-        buf,
     } = scratch;
     alive.clear();
     alive.extend(0..n);
@@ -288,12 +286,12 @@ fn run_windows<R: Rng>(
             slot_counts.open(wslots);
         }
 
-        // Draw pass: batched words, sequential station accumulators,
-        // occupancy counts when the counting-sort group-by applies…
+        // Draw pass: sequential station accumulators, occupancy counts when
+        // the counting-sort group-by applies…
         slots.clear();
-        buf.prefill(rng, if width == 1 { 0 } else { alive_n });
+        let draw = UniformBelow::new(span);
         for &station in alive.iter() {
-            let slot = buf.uniform_below(rng, span);
+            let slot = draw.sample(rng);
             slots.push(slot as u32);
             backoff[station as usize] += slot;
             if counting {

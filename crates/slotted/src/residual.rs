@@ -12,10 +12,10 @@
 //! popped at the same slot form the transmission set; singletons succeed,
 //! larger sets collide and redraw.
 
+use crate::dynamic::WindowLookup;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::metrics::{BatchMetrics, StationMetrics};
-use contention_core::rng::DrawBuffer;
-use contention_core::schedule::{Schedule, Truncation, WindowSchedule};
+use contention_core::schedule::Truncation;
 use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
 use rand::rngs::SmallRng;
@@ -48,31 +48,26 @@ impl ResidualConfig {
     }
 }
 
-/// Reusable per-worker buffers for the residual-timer loop: the event heap,
-/// the per-station schedule table, the per-event transmission set and the
-/// batched draw words all keep their high-water capacity from trial to
-/// trial. A fresh (`Default`) scratch behaves identically — reuse may only
-/// move memory, never results.
+/// Reusable per-worker state for the residual-timer loop: the event heap and
+/// the per-event transmission set keep their high-water capacity from trial
+/// to trial, and the timer draws are built once per configuration. A fresh
+/// (`Default`) scratch behaves identically — reuse may only move memory,
+/// never results.
 #[derive(Default)]
 pub struct ResidualScratch {
-    /// Per-station schedule state; rebuilt (cheaply, in place) every trial
-    /// because the algorithm may differ between trials sharing a scratch.
-    schedules: Vec<Schedule>,
     /// Pending transmissions as `(absolute slot, station)`, earliest first.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// The equal-slot transmission set of the current event.
     group: Vec<u32>,
-    /// The redraw CWs of the current event's stations, collected before any
-    /// word is drawn (`next_window` consumes no randomness), so the draw
-    /// count is known up front.
-    widths: Vec<u32>,
-    /// Batched raw RNG words for the timer draws.
-    buf: DrawBuffer,
+    /// Every backoff stage's timer draw for the `(algorithm, truncation)`
+    /// last run on this scratch.
+    timers: Option<(AlgorithmKind, Truncation, WindowLookup)>,
 }
 
 /// The residual-timer simulator.
 pub struct ResidualSim {
     config: ResidualConfig,
+    scratch: ResidualScratch,
 }
 
 impl ResidualSim {
@@ -82,23 +77,26 @@ impl ResidualSim {
             "{} has no static window schedule; use the MAC simulator",
             config.algorithm
         );
-        ResidualSim { config }
+        ResidualSim {
+            config,
+            scratch: ResidualScratch::default(),
+        }
     }
 
     /// Runs one single-batch trial of `n` stations.
     pub fn run<R: Rng>(&mut self, n: u32, rng: &mut R) -> BatchMetrics {
-        run_residual(&self.config, &mut ResidualScratch::default(), n, rng)
+        run_residual(&self.config, &mut self.scratch, n, rng)
     }
 }
 
 /// The residual-timer trial loop over a caller-owned scratch arena.
 ///
 /// RNG discipline: timers are drawn in station order (initially) and in
-/// group order (after a collision), through [`DrawBuffer::uniform_below`] —
-/// bit-identical to per-draw `gen_range(0..cw)` calls. Because a `cw` of 1
-/// consumes no randomness, each batch first collects its CWs (schedule
-/// stepping is RNG-free) and prefills exactly the words the `cw > 1` draws
-/// will consume.
+/// group order (after a collision). Every station walks the same schedule,
+/// so its backoff stage is the ACK timeouts it has taken, and its timer is
+/// drawn through that stage's entry of one [`WindowLookup`]: the values and
+/// words of a per-draw `gen_range(0..cw)` on a per-station schedule (a `cw`
+/// of 1 consumes no randomness).
 fn run_residual<R: Rng>(
     config: &ResidualConfig,
     scratch: &mut ResidualScratch,
@@ -115,30 +113,22 @@ fn run_residual<R: Rng>(
     }
     let half_target = n.div_ceil(2);
     let ResidualScratch {
-        schedules,
         heap,
         group,
-        widths,
-        buf,
+        timers,
     } = scratch;
-
-    schedules.clear();
-    schedules.extend((0..n).map(|_| {
-        config
-            .algorithm
-            .schedule(config.truncation)
-            .expect("checked in new()")
-    }));
+    let (kind, trunc) = (config.algorithm, config.truncation);
+    if !matches!(timers, Some((k, t, _)) if *k == kind && *t == trunc) {
+        *timers = Some((kind, trunc, WindowLookup::build(kind, trunc)));
+    }
+    let (_, _, timers) = timers.as_ref().expect("built above");
 
     // Heap of (transmission slot, station), earliest first. Stations are
     // pushed in index order, so equal-slot groups are deterministic.
     heap.clear();
-    widths.clear();
-    widths.extend(schedules.iter_mut().map(|s| s.next_window()));
-    buf.prefill(rng, widths.iter().filter(|&&cw| cw > 1).count());
-    for (station, &cw) in widths.iter().enumerate() {
-        let timer = buf.uniform_below(rng, cw as u64);
-        metrics.stations[station].backoff_slots += timer;
+    for (station, s) in metrics.stations.iter_mut().enumerate() {
+        let timer = timers.timer(0, rng);
+        s.backoff_slots += timer;
         heap.push(Reverse((timer, station as u32)));
     }
 
@@ -173,18 +163,11 @@ fn run_residual<R: Rng>(
         } else {
             metrics.collisions += 1;
             metrics.colliding_stations += group.len() as u64;
-            widths.clear();
-            widths.extend(
-                group
-                    .iter()
-                    .map(|&station| schedules[station as usize].next_window()),
-            );
-            buf.prefill(rng, widths.iter().filter(|&&cw| cw > 1).count());
-            for (&station, &cw) in group.iter().zip(widths.iter()) {
+            for &station in group.iter() {
                 let s = &mut metrics.stations[station as usize];
                 s.attempts += 1;
                 s.ack_timeouts += 1;
-                let timer = buf.uniform_below(rng, cw as u64);
+                let timer = timers.timer(s.ack_timeouts, rng);
                 s.backoff_slots += timer;
                 // Redraw counts from the slot after the collision.
                 heap.push(Reverse((slot + 1 + timer, station)));
@@ -296,7 +279,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical() {
-        // Heap/schedule/draw-buffer reuse may move memory, never results —
+        // Heap, group and timer-table reuse may move memory, never results —
         // including across trials of different algorithms on one scratch.
         let mut scratch = ResidualScratch::default();
         for kind in [AlgorithmKind::LogBackoff, AlgorithmKind::Beb] {

@@ -32,7 +32,7 @@ use crate::noisy::{shed_pathological, window_schedule, NoisyConfig, NoisySim, Sl
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::ChannelModel;
 use contention_core::metrics::BatchMetrics;
-use contention_core::rng::DrawBuffer;
+use contention_core::rng::UniformBelow;
 use contention_core::schedule::{Truncation, WindowSchedule};
 use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
@@ -144,8 +144,6 @@ pub struct WindowedScratch {
     /// Sparse windows: the slots drawn, so the one window that crosses
     /// ⌈n/2⌉ and the final window can find their singletons.
     drawn: Vec<u32>,
-    /// Batched raw RNG words for non-power-of-two widths.
-    buf: DrawBuffer,
 }
 
 /// Which table holds the last window's occupancy.
@@ -163,28 +161,22 @@ enum Occupancy {
 
 /// Draws `alive` slots uniform in `[0, span)`, one word each in stream
 /// order, and hands each to `mark`. Power-of-two spans take the word's low
-/// bits straight from the generator; other spans go through the draw
-/// buffer's replay of the vendored `gen_range` zone rejection. Either way
-/// the values and the words consumed are exactly those of `alive` calls to
+/// bits straight from the generator; other spans reduce through one
+/// [`UniformBelow`] built for the window. Either way the values and the
+/// words consumed are exactly those of `alive` calls to
 /// `rng.gen_range(0..span)`, as in the per-station loop. The count table's
 /// saturating windows draw through it in chunks and skip what is left.
 #[inline]
-fn draw_slots(
-    rng: &mut SmallRng,
-    buf: &mut DrawBuffer,
-    span: u64,
-    alive: u64,
-    mut mark: impl FnMut(usize),
-) {
+fn draw_slots(rng: &mut SmallRng, span: u64, alive: u64, mut mark: impl FnMut(usize)) {
     if span.is_power_of_two() {
         let mask = span - 1;
         for _ in 0..alive {
             mark((rng.next_u64() & mask) as usize);
         }
     } else {
-        buf.prefill(rng, alive as usize);
+        let draw = UniformBelow::new(span);
         for _ in 0..alive {
-            mark(buf.uniform_below(rng, span) as usize);
+            mark(draw.sample(rng) as usize);
         }
     }
 }
@@ -214,7 +206,6 @@ impl WindowedScratch {
             dup,
             sparse,
             drawn,
-            buf,
         } = self;
         if span > 4 * alive {
             // Sparse windows (width ≫ alive, the resolution tail): the
@@ -223,7 +214,7 @@ impl WindowedScratch {
             sparse.open(wslots);
             drawn.clear();
             let (mut occupied, mut collided) = (0u64, 0u64);
-            draw_slots(rng, buf, span, alive, |slot| {
+            draw_slots(rng, span, alive, |slot| {
                 drawn.push(slot as u32);
                 match sparse.bump(slot as u64) {
                     1 => occupied += 1,
@@ -250,7 +241,7 @@ impl WindowedScratch {
                 let mut left = alive;
                 while left > 0 {
                     let chunk = left.min(SATURATION_CHECK_DRAWS);
-                    draw_slots(rng, buf, span, chunk, |slot| {
+                    draw_slots(rng, span, chunk, |slot| {
                         counts[slot] += 1;
                         full += u64::from(counts[slot] == 2);
                     });
@@ -261,7 +252,7 @@ impl WindowedScratch {
                     }
                 }
             } else {
-                draw_slots(rng, buf, span, alive, |slot| counts[slot] += 1);
+                draw_slots(rng, span, alive, |slot| counts[slot] += 1);
             }
             let (mut collided, mut singles) = (0u64, 0u64);
             for &c in counts.iter() {
@@ -275,7 +266,7 @@ impl WindowedScratch {
             seen.resize(words, 0);
             dup.clear();
             dup.resize(words, 0);
-            draw_slots(rng, buf, span, alive, |slot| {
+            draw_slots(rng, span, alive, |slot| {
                 let (idx, bit) = (slot >> 6, 1u64 << (slot & 63));
                 dup[idx] |= seen[idx] & bit;
                 seen[idx] |= bit;

@@ -109,6 +109,8 @@ fn golden_fixtures_are_well_formed() {
         "fig13_trace_spans.json",
         "fig7_full_total_time_64.json",
         "fig8_full_total_time_1024.json",
+        "fig15_full_large_n_cw_slots.json",
+        "fig16_full_collision_ratios.json",
     ] {
         let path = golden_dir().join(file);
         let text = std::fs::read_to_string(&path)

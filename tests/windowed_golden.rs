@@ -2,7 +2,7 @@
 //! equality of the two windowed loops.
 //!
 //! The epoch-stamped occupancy counters, the counting-sort group-by and the
-//! batched RNG draws are all *performance* changes: none of them may move a
+//! `UniformBelow` draws are all *performance* changes: none of them may move a
 //! single bit of any simulation result. The fixture pins that claim at full
 //! `BatchMetrics` resolution — every aggregate field as its exact bit
 //! pattern plus an FNV-1a digest of the complete per-station table — for a
