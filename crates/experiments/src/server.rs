@@ -1,12 +1,13 @@
 //! `repro serve` — the pull-based sweep coordinator.
 //!
 //! A long-running process that cuts one experiment's sweep into cost-
-//! weighted per-trial leases ([`TrialRange::partition`]), hands them to
-//! `repro work` processes over a minimal HTTP/TCP protocol, folds the
-//! results they POST back, and writes the same artifacts a single-process
-//! run would — byte-identical, because trial results are position-addressed
-//! functions of `(experiment, algorithm, n, trial)` alone and the fold
-//! seam is associative.
+//! weighted per-trial leases, heaviest cells first
+//! ([`TrialRange::partition`]), hands them to `repro work` processes over
+//! a minimal HTTP/TCP protocol, folds the results they POST back, and
+//! writes the same artifacts a single-process run would — byte-identical,
+//! because trial results are position-addressed functions of
+//! `(experiment, algorithm, n, trial)` alone and the fold seam is
+//! associative.
 //!
 //! ## Wire protocol
 //!
@@ -52,17 +53,16 @@ use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default lease count the sweep is cut into (`--leases`).
 pub const DEFAULT_LEASES: usize = 16;
 
 /// Every bound of `serve` and `work`, in one place: the four values the
-/// CLI sets and the fixed caps, timeouts and polls. [`Limits::of`] builds
+/// CLI sets and the fixed caps, timeouts and pauses. [`Limits::of`] builds
 /// it from the options, and nothing takes a `Limits` as input, so the four
 /// flags stay the only settable bounds. `serve` prints it when it starts.
 #[derive(Debug, Clone, Copy)]
@@ -93,8 +93,6 @@ pub struct Limits {
     /// pin a handler (and its slot) forever. At most the lease TTL — a peer
     /// silent that long is written off, like a silent lease holder.
     pub socket_timeout: Duration,
-    /// Accept-loop poll granularity while waiting for connections/completion.
-    pub accept_poll: Duration,
     /// How many consecutive failed exchanges before a worker that has *never*
     /// reached the coordinator gives up.
     pub connect_retries: u32,
@@ -116,7 +114,6 @@ impl Limits {
             max_head_bytes: 16 << 10,
             max_handlers: 32,
             socket_timeout: lease_ttl.min(Duration::from_secs(30)),
-            accept_poll: Duration::from_millis(25),
             connect_retries: 25,
             retry_pause: Duration::from_millis(200),
         }
@@ -222,7 +219,6 @@ struct Fold {
     trials_total: usize,
     accepted_posts: usize,
     duplicate_trials: usize,
-    complete: bool,
 }
 
 /// What one accepted POST added, in trials: those the master did not hold
@@ -276,19 +272,76 @@ struct Shared {
     writer: CheckpointWriter,
     metrics_path: PathBuf,
     limits: Limits,
-    /// Handlers running now. Only the accept loop raises it, and only below
-    /// `limits.max_handlers`; each handler's [`Slot`] lowers it again.
-    in_flight: AtomicUsize,
+    gate: Mutex<Gate>,
+    /// Signalled on every change to `gate` that a waiter may be waiting for.
+    gate_changed: Condvar,
     started: Instant,
 }
 
-/// One handler's place in `Shared::in_flight`, freed on drop — also when
-/// the handler panics.
-struct Slot(Arc<Shared>);
+/// What `run`, the acceptor and the handlers tell each other. Each update
+/// is a counter or flag store, so a gate poisoned by a panicking thread is
+/// still consistent and is used as it stands.
+#[derive(Default)]
+struct Gate {
+    /// Handlers running now. Only the acceptor raises it, and only below
+    /// `limits.max_handlers`; each handler's [`Slot`] lowers it again.
+    handlers: usize,
+    /// Handlers that have read a request and not yet answered it.
+    answering: usize,
+    /// The sweep is complete: set at start when nothing is missing, and
+    /// otherwise, under the fold lock, by the POST that completes it.
+    complete: bool,
+    /// Why the acceptor stopped, if it failed.
+    accept_failed: Option<String>,
+    /// `run` is leaving: the acceptor accepts nothing more, and a request
+    /// read from now on is dropped unanswered, as if it came after exit.
+    leaving: bool,
+}
+
+impl Shared {
+    fn gate(&self) -> MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies `change` to the gate and wakes everything waiting on it.
+    fn signal(&self, change: impl FnOnce(&mut Gate)) {
+        change(&mut self.gate());
+        self.gate_changed.notify_all();
+    }
+
+    /// Blocks while `pending` holds; returns the gate, locked.
+    fn wait_while(&self, pending: impl FnMut(&mut Gate) -> bool) -> MutexGuard<'_, Gate> {
+        let gate = self.gate_changed.wait_while(self.gate(), pending);
+        gate.unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One handler's place in `Gate::handlers`, and once it has read its
+/// request, in `Gate::answering`: both freed on drop, also when the handler
+/// panics.
+struct Slot {
+    shared: Arc<Shared>,
+    answering: bool,
+}
+
+impl Slot {
+    /// Registers the request just read for an answer. `false` once `run` is
+    /// leaving: the request is then dropped unanswered.
+    fn answer(&mut self) -> bool {
+        let mut gate = self.shared.gate();
+        self.answering = !gate.leaving;
+        gate.answering += usize::from(self.answering);
+        self.answering
+    }
+}
 
 impl Drop for Slot {
     fn drop(&mut self) {
-        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
+        let answering = usize::from(self.answering);
+        self.shared.signal(|gate| {
+            gate.handlers -= 1;
+            gate.answering -= answering;
+        });
     }
 }
 
@@ -296,7 +349,7 @@ impl Drop for Slot {
 /// socket and loads/cuts the work; [`Server::run`] serves until the sweep
 /// completes (plus the linger window) and writes the final artifacts.
 /// Split so tests can read [`Server::local_addr`] (port 0 = ephemeral)
-/// before the accept loop takes the thread.
+/// before `run` takes the thread.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -335,11 +388,8 @@ impl Server {
             }
         }
 
-        // Cut the *missing* work (everything, on a fresh start) into
-        // cost-weighted per-trial leases.
-        let plan = checkpoint::missing_work(&exp.state((0, 1), &cells))?;
-        let leases = TrialRange::partition(&plan, &exp.grid.cell_trial_costs(), limits.leases);
-        let remaining: usize = plan.iter().map(TrialRange::len).sum();
+        let leases = cut_leases(&exp, &cells, limits.leases)?;
+        let remaining: usize = leases.iter().flatten().map(TrialRange::len).sum();
         let trials_total = exp.grid.cell_count() * exp.grid.trials as usize;
         let store = JobStore::new(leases, limits.lease_ttl);
 
@@ -363,12 +413,15 @@ impl Server {
                     trials_total,
                     accepted_posts: 0,
                     duplicate_trials: 0,
-                    complete: remaining == 0,
                 }),
                 writer,
                 metrics_path: out_dir.join(checkpoint::METRICS_FILE),
                 limits,
-                in_flight: AtomicUsize::new(0),
+                gate: Mutex::new(Gate {
+                    complete: remaining == 0,
+                    ..Gate::default()
+                }),
+                gate_changed: Condvar::new(),
                 started: Instant::now(),
             }),
             out_dir,
@@ -384,40 +437,38 @@ impl Server {
     /// Serves until the sweep completes, then writes the experiment's
     /// reports into `--out` (byte-identical to a single-process run),
     /// answers `done` for the linger window so slow workers learn the run
-    /// is over, and returns.
+    /// is over, and returns once every request it has read is answered.
+    ///
+    /// Nothing on the request path sleeps: a scoped acceptor thread blocks
+    /// in `accept` and starts one handler thread per connection, while this
+    /// thread waits on the gate for the POST that completes the sweep.
     pub fn run(self) -> Result<(), String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot poll listener: {e}"))?;
-        let limits = &self.shared.limits;
-        let mut finalized_at: Option<Instant> = None;
-        loop {
-            // At the handler cap, new connections wait in the listen backlog
-            // while the loop keeps polling: completion and linger never wait
-            // on a slow client.
-            let below_cap = self.shared.in_flight.load(Ordering::SeqCst) < limits.max_handlers;
-            match below_cap.then(|| self.listener.accept()) {
-                Some(Ok((stream, _peer))) => {
-                    self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                    // The thread owns the slot, so its exit frees it.
-                    let slot = Slot(Arc::clone(&self.shared));
-                    std::thread::spawn(move || handle_connection(stream, &slot.0));
-                }
-                Some(Err(e)) if e.kind() != ErrorKind::WouldBlock => {
-                    return Err(format!("accept failed: {e}"));
-                }
-                _ => std::thread::sleep(limits.accept_poll),
-            }
-            if finalized_at.is_none() && self.shared.fold.lock().expect("fold poisoned").complete {
-                self.finalize()?;
-                finalized_at = Some(Instant::now());
-            }
-            if let Some(at) = finalized_at {
-                if at.elapsed() >= limits.linger {
-                    return Ok(());
-                }
-            }
+        std::thread::scope(|s| {
+            s.spawn(|| accept_loop(&self.listener, &self.shared));
+            // Every way out, a panic included, stops the acceptor, which the
+            // scope joins.
+            let _leaving = Leaving(&self);
+            self.serve()
+        })
+    }
+
+    /// Waits for the sweep to complete, reports it, and lingers.
+    fn serve(&self) -> Result<(), String> {
+        let shared = &self.shared;
+        let mut gate = shared.wait_while(|g| !g.complete && g.accept_failed.is_none());
+        if let Some(e) = gate.accept_failed.take() {
+            return Err(e);
         }
+        drop(gate);
+        self.finalize()?;
+        // A wait for a duration, not until an instant: no `--linger-secs`
+        // can overflow a deadline.
+        let linger = shared.limits.linger;
+        let lingered = shared
+            .gate_changed
+            .wait_timeout_while(shared.gate(), linger, |g| g.accept_failed.is_none());
+        let (mut gate, _) = lingered.unwrap_or_else(PoisonError::into_inner);
+        gate.accept_failed.take().map_or(Ok(()), Err)
     }
 
     /// The sweep is complete (the last accepted POST wrote the finished
@@ -435,6 +486,76 @@ impl Server {
     }
 }
 
+/// The trials `cells` lack (everything, on a fresh start), cut into at most
+/// `target` cost-weighted leases. The plan is sorted heaviest cell first,
+/// stably, as the sweep engine orders its claims: the last leases out hold
+/// the lightest cells, so no heavy lease runs alone at the end of the run.
+fn cut_leases(
+    exp: &Experiment,
+    cells: &[StatsCell],
+    target: usize,
+) -> Result<Vec<Vec<TrialRange>>, String> {
+    let costs = exp.grid.cell_trial_costs();
+    let mut plan = checkpoint::missing_work(&exp.state((0, 1), cells))?;
+    plan.sort_by(|a, b| costs[b.cell].total_cmp(&costs[a.cell]));
+    Ok(TrialRange::partition(&plan, &costs, target))
+}
+
+/// `run` leaving: stops the acceptor and waits until every request read so
+/// far is answered. A connection a handler is still reading does not hold
+/// it.
+struct Leaving<'a>(&'a Server);
+
+impl Drop for Leaving<'_> {
+    fn drop(&mut self) {
+        let shared = &self.0.shared;
+        shared.signal(|gate| gate.leaving = true);
+        // One loopback connection wakes an acceptor blocked in `accept`; it
+        // drops that connection unread.
+        if let Ok(addr) = self.0.listener.local_addr() {
+            let wake = SocketAddr::from((Ipv4Addr::LOCALHOST, addr.port()));
+            let _ = TcpStream::connect_timeout(&wake, shared.limits.socket_timeout);
+        }
+        drop(shared.wait_while(|gate| gate.answering > 0));
+    }
+}
+
+/// The acceptor: blocks in `accept` and hands each connection to a handler
+/// thread of its own. At the handler cap it waits for a slot, so excess
+/// connections wait in the listen backlog. It ends when `run` leaves, or
+/// on an error, which it reports to `run`.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let cap = shared.limits.max_handlers;
+    let fail = |e: String| shared.signal(|gate| gate.accept_failed = Some(e));
+    loop {
+        if shared
+            .wait_while(|g| g.handlers >= cap && !g.leaving)
+            .leaving
+        {
+            return;
+        }
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) => return fail(format!("accept failed: {e}")),
+        };
+        let mut gate = shared.gate();
+        if gate.leaving {
+            return;
+        }
+        gate.handlers += 1;
+        drop(gate);
+        // The thread owns the slot, so its exit frees it.
+        let slot = Slot {
+            shared: Arc::clone(shared),
+            answering: false,
+        };
+        let handler = std::thread::Builder::new().spawn(move || handle_connection(stream, slot));
+        if let Err(e) = handler {
+            return fail(format!("cannot start a request handler: {e}"));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Request handling.
 // ---------------------------------------------------------------------------
@@ -445,11 +566,17 @@ struct Request {
     body: String,
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(shared.limits.socket_timeout));
-    let _ = stream.set_write_timeout(Some(shared.limits.socket_timeout));
+fn handle_connection(mut stream: TcpStream, mut slot: Slot) {
+    let timeout = Some(slot.shared.limits.socket_timeout);
+    let _ = stream.set_read_timeout(timeout);
+    let _ = stream.set_write_timeout(timeout);
     let _ = stream.set_nodelay(true);
-    let (status, body) = match read_request(&mut stream, shared) {
+    let request = read_request(&mut stream, &slot.shared);
+    if !slot.answer() {
+        return;
+    }
+    let shared = &slot.shared;
+    let (status, body) = match request {
         Ok(req) => route(&req, shared),
         Err((status, e)) => (status, error_body(&e)),
     };
@@ -567,7 +694,7 @@ fn error_body(message: &str) -> String {
 
 fn lease_response(shared: &Shared) -> (u16, String) {
     let mut fold = shared.fold.lock().expect("fold poisoned");
-    if fold.complete {
+    if shared.gate().complete {
         return (200, "{\"status\":\"done\"}".to_string());
     }
     match fold.store.claim(Instant::now()) {
@@ -616,7 +743,7 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
         Err(e) => return (400, error_body(&format!("unparseable artifact: {e}"))),
     };
     let mut fold = shared.fold.lock().expect("fold poisoned");
-    if fold.complete {
+    if shared.gate().complete {
         // A straggler finishing after the sweep completed: its trials are
         // all duplicates by construction. Nothing to fold.
         return (200, "{\"status\":\"done\"}".to_string());
@@ -630,7 +757,6 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
     fold.duplicate_trials += stats.duplicates;
     let recorded = recorded(&fold.cells);
     let remaining = fold.trials_total - recorded;
-    fold.complete = remaining == 0;
     // Checkpoint every accepted result: the fold is the only copy of the
     // fleet's work, and the final (finished) snapshot doubles as the clean-
     // shutdown flush. Written *under* the fold lock — the writer stages
@@ -643,9 +769,12 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
         total_trials: fold.trials_total,
         elapsed: shared.started.elapsed(),
         workers: fold.store.active.len().max(1),
-        finished: fold.complete,
+        finished: remaining == 0,
     };
     shared.writer.snapshot(snapshot);
+    if remaining == 0 {
+        shared.signal(|gate| gate.complete = true);
+    }
     drop(fold);
     (
         200,
@@ -747,6 +876,41 @@ mod tests {
         assert!(store.complete(id_a2, late));
     }
 
+    /// Over the quick `saturation` grid (`LinearN`, loads 100–1000), the
+    /// first lease out holds only load-1000 cells and the last holds every
+    /// load-100 trial; together the leases tile the missing-work plan.
+    #[test]
+    fn leases_are_cut_heaviest_cell_first() {
+        let exp = Experiment::new("saturation", &Options::default()).unwrap();
+        let grid = &exp.grid;
+        assert_eq!((grid.ns[0], grid.ns[grid.ns.len() - 1]), (100, 1000));
+        let load = |cell: usize| grid.ns[cell % grid.ns.len()];
+        let leases = cut_leases(&exp, &[], DEFAULT_LEASES).unwrap();
+        assert_eq!(leases.len(), DEFAULT_LEASES);
+
+        let first = &leases[0];
+        assert!(first.iter().all(|r| load(r.cell) == 1000), "{first:?}");
+        let last = &leases[DEFAULT_LEASES - 1];
+        let lightest: usize = last
+            .iter()
+            .filter(|r| load(r.cell) == 100)
+            .map(TrialRange::len)
+            .sum();
+        let lightest_cells = grid.algorithms.len();
+        assert_eq!(lightest, lightest_cells * grid.trials as usize, "{last:?}");
+
+        let trials = |ranges: &[TrialRange]| -> Vec<(usize, u32)> {
+            let mut trials: Vec<_> = ranges
+                .iter()
+                .flat_map(|r| (r.lo..r.hi).map(move |t| (r.cell, t)))
+                .collect();
+            trials.sort_unstable();
+            trials
+        };
+        let plan = checkpoint::missing_work(&exp.state((0, 1), &[])).unwrap();
+        assert_eq!(trials(&leases.concat()), trials(&plan));
+    }
+
     #[test]
     fn fold_post_rejects_foreign_grids_and_conflicting_duplicates() {
         let entry = find_shardable("fig5").unwrap();
@@ -762,7 +926,6 @@ mod tests {
             trials_total: grid.cell_count() * grid.trials as usize,
             accepted_posts: 0,
             duplicate_trials: 0,
-            complete: false,
         };
 
         // Run trials {0} of every cell, twice over — the straggler +

@@ -211,6 +211,39 @@ fn abandoned_leases_are_reissued_after_the_ttl() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A coordinator answers a request as soon as it arrives: with every lease
+/// claimed, 40 back-to-back claims are each answered `wait` in well under
+/// the time 40 turns of a 10 ms accept poll would take. The lease TTL is
+/// long enough that no claimed lease expires meanwhile.
+#[test]
+fn an_exchange_pays_no_poll() {
+    let dir = scratch("no-poll");
+    let opts = Options {
+        lease_ttl: Some(Duration::from_secs(60)),
+        ..serve_fig5(&dir)
+    };
+    let (addr, handle) = spawn_server(&opts);
+    let leases = [claim(&addr), claim(&addr)];
+
+    let started = Instant::now();
+    for _ in 0..40 {
+        let (status, body) = http_request(&addr, "GET", "/lease", None).expect("claim");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"status\":\"wait\""), "{body}");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(400),
+        "40 exchanges took {took:?}"
+    );
+
+    for lease in &leases {
+        deliver(&addr, lease);
+    }
+    handle.join().unwrap().expect("server finalizes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Sends `request` as raw bytes, shuts the write half, and returns the
 /// response's status and text. Shutting the write half is what lets a
 /// request that ends early (a body shorter than its `Content-Length`) be
@@ -288,13 +321,15 @@ fn lease_of(body: &str) -> (u32, Vec<TrialRange>) {
     (lease.field("id").unwrap().as_u32().unwrap(), plan)
 }
 
-/// POSTs the honest results of the lease in `body` to `addr`.
-fn deliver(addr: &str, body: &str) {
+/// POSTs the honest results of the lease in `body` to `addr`; returns the
+/// coordinator's reply.
+fn deliver(addr: &str, body: &str) -> String {
     let (id, plan) = lease_of(body);
     let artifact = fig5_state(&plan).to_json();
     let (status, reply) =
         http_request(addr, "POST", &format!("/result/{id}"), Some(&artifact)).expect("post");
     assert_eq!(status, 200, "{reply}");
+    reply
 }
 
 /// A raw request, the status a coordinator under `Limits` must answer it
@@ -664,4 +699,24 @@ fn a_coordinator_killed_between_a_checkpoint_write_and_its_rename_resumes_from_t
     for dir in [dir, direct_dir] {
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A `repro serve --linger-secs 0` process leaves as soon as the sweep is
+/// reported, but answers the POST that completed it first. Leaving before
+/// that reply is written is a race, so 20 rounds pin the contract rather
+/// than reliably catch a coordinator that breaks it.
+#[test]
+fn a_coordinator_that_leaves_at_once_answers_the_post_that_completed_the_sweep() {
+    let dir = scratch("leave");
+    for round in 0..20 {
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut serve, addr, _) = ServeProcess::start(&dir);
+        let leases = [claim(&addr), claim(&addr)];
+        deliver(&addr, &leases[0]);
+        let reply = deliver(&addr, &leases[1]);
+        assert!(reply.contains("\"remaining\":0"), "round {round}: {reply}");
+        let rest: Vec<String> = serve.stdout.by_ref().map(Result::unwrap).collect();
+        assert!(serve.child.wait().unwrap().success(), "{rest:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
