@@ -74,10 +74,10 @@ impl NoisyConfig {
 /// capping the retained slot state at 16 MB per worker.
 const MAX_RETAINED_SLOT_ENTRIES: usize = 1 << 21;
 
-/// Releases a slot-indexed buffer beyond [`MAX_RETAINED_SLOT_ENTRIES`]; both
-/// windowed loops call it on every such buffer at the end of every trial (a
-/// no-op for ordinary widths).
-pub(crate) fn shed_pathological<T>(buf: &mut Vec<T>) {
+/// Releases a slot-indexed buffer beyond [`MAX_RETAINED_SLOT_ENTRIES`]; the
+/// loop calls it on every such buffer at the end of every trial (a no-op
+/// for ordinary widths).
+fn shed_pathological<T>(buf: &mut Vec<T>) {
     if buf.capacity() > MAX_RETAINED_SLOT_ENTRIES {
         buf.truncate(MAX_RETAINED_SLOT_ENTRIES);
         buf.shrink_to(MAX_RETAINED_SLOT_ENTRIES);
@@ -87,10 +87,9 @@ pub(crate) fn shed_pathological<T>(buf: &mut Vec<T>) {
 /// Epoch-stamped per-slot draw counts: a slot drawn in the current window
 /// holds `stamp | count`, where `stamp = epoch << 32`. A stale stamp reads
 /// as count 0, so neither window turnover nor buffer growth ever has to
-/// reset slots. Shared by the sampled loop's counting-sort group-by and the
-/// count-only loop's sparse windows.
+/// reset slots. The counting-sort group-by's occupancy table.
 #[derive(Default)]
-pub(crate) struct SlotCounts {
+struct SlotCounts {
     state: Vec<u64>,
     /// The current window's stamp. Persistent across trials (resetting it
     /// would alias stale stamps); on the 2³²-window wraparound the whole
@@ -100,7 +99,7 @@ pub(crate) struct SlotCounts {
 
 impl SlotCounts {
     /// Opens a window of `width` empty slots.
-    pub(crate) fn open(&mut self, width: usize) {
+    fn open(&mut self, width: usize) {
         let mut epoch = ((self.stamp >> 32) as u32).wrapping_add(1);
         if epoch == 0 {
             // Stamp 0 is about to become live again.
@@ -115,35 +114,22 @@ impl SlotCounts {
         }
     }
 
-    /// Counts one more draw of `slot` in the open window; returns its new
-    /// count.
+    /// Counts one more draw of `slot` in the open window.
     #[inline]
-    pub(crate) fn bump(&mut self, slot: u64) -> u32 {
+    fn bump(&mut self, slot: u64) {
         let entry = &mut self.state[slot as usize];
         *entry = (*entry).max(self.stamp) + 1;
-        *entry as u32
-    }
-
-    /// The open window's count of `slot`.
-    #[inline]
-    pub(crate) fn count(&self, slot: u64) -> u32 {
-        let entry = self.state[slot as usize];
-        if entry >= self.stamp {
-            entry as u32
-        } else {
-            0
-        }
     }
 
     /// The open window's counts of its first `width` slots, in slot order.
-    pub(crate) fn counts(&self, width: usize) -> impl Iterator<Item = u32> + '_ {
+    fn counts(&self, width: usize) -> impl Iterator<Item = u32> + '_ {
         let stamp = self.stamp;
         self.state[..width]
             .iter()
             .map(move |&e| if e >= stamp { e as u32 } else { 0 })
     }
 
-    pub(crate) fn shed(&mut self) {
+    fn shed(&mut self) {
         shed_pathological(&mut self.state);
     }
 }

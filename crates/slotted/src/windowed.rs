@@ -14,9 +14,14 @@
 //!   window's outcome depends only on the multiset of drawn slots: the loop
 //!   tracks how many stations are alive and how full each slot is, never
 //!   which station drew what. Every abstract-model figure plots only such
-//!   aggregates. Once every slot of a power-of-two window of at most 2048
-//!   slots holds two draws, the outcome is fixed (every slot collides), so
-//!   the loop skips the window's remaining draws with
+//!   aggregates. The window's density picks where the draws are counted: a
+//!   window of at most [`DENSE_SLOTS_PER_STATION`] slots per alive station
+//!   counts into a slot table (a count table up to 2048 slots, occupancy
+//!   bitmaps above), and a sparser one sorts its draws and reads the
+//!   outcome from their runs. So the loop's memory follows the alive count,
+//!   never the window's width. Once every slot of a power-of-two window of
+//!   at most 2048 slots holds two draws, the outcome is fixed (every slot
+//!   collides), so the loop skips the window's remaining draws with
 //!   [`SmallRng::advance`], which leaves the generator exactly where
 //!   drawing them would.
 //! * **[`WindowedSim::run`] returns per-station [`BatchMetrics`]** through
@@ -28,7 +33,7 @@
 //! tests here and in `noisy.rs`, and the proptest and switch-point matrix in
 //! `tests/windowed_golden.rs`, pin this.
 
-use crate::noisy::{shed_pathological, window_schedule, NoisyConfig, NoisySim, SlotCounts};
+use crate::noisy::{window_schedule, NoisyConfig, NoisySim};
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::ChannelModel;
 use contention_core::metrics::BatchMetrics;
@@ -110,6 +115,17 @@ impl WindowedSim {
     }
 }
 
+/// A window of at most this many slots per alive station is dense: it
+/// counts its draws into a slot-indexed table, whose set-up and final sweep
+/// cost O(width) = O(alive) here, and whose bitmaps take at most 16 B per
+/// alive station. A sparser window sorts its draws instead, in
+/// O(alive log alive) and with no slot-indexed state at all. Sorting costs
+/// several times more per draw than a bitmap does, so the split sits at
+/// the top of the 16–64 range: on a 2-vCPU Xeon VM, quick `repro scale`
+/// spent ≈3 % of its kernel cycles sorting at 16, ≈1.3 % at 32 and under
+/// 1 % at 64.
+const DENSE_SLOTS_PER_STATION: u64 = 64;
+
 /// Dense windows track occupancy as plain `u32` counts up to this many
 /// slots (an 8 KB, L1-resident table) and as `seen`/`dup` bitmaps above it.
 /// Counts win at small widths, where the bitmaps' read-modify-write chains
@@ -123,11 +139,13 @@ const DENSE_COUNTS_MAX_SLOTS: usize = 2048;
 /// draws past the moment of saturation.
 const SATURATION_CHECK_DRAWS: u64 = 64;
 
-/// Reusable per-worker occupancy buffers of the count-only loop. All keep
-/// their high-water capacity from trial to trial (slot-indexed ones up to
-/// the retention cap in `noisy.rs`), so steady-state trials do not touch the
-/// allocator. A fresh (`Default`) scratch behaves identically — reuse may
-/// only move memory, never results.
+/// Reusable per-worker occupancy buffers of the count-only loop. Every
+/// buffer is sized by the alive count, never by the window alone: the count
+/// table holds at most [`DENSE_COUNTS_MAX_SLOTS`] entries, the bitmaps at
+/// most 16 B per alive station and the sorted draws 4 B. All keep their
+/// high-water capacity from trial to trial, so steady-state trials do not
+/// touch the allocator. A fresh (`Default`) scratch behaves identically —
+/// reuse may only move memory, never results.
 #[derive(Default)]
 pub struct WindowedScratch {
     /// Dense windows up to [`DENSE_COUNTS_MAX_SLOTS`] slots: draws per slot.
@@ -138,11 +156,9 @@ pub struct WindowedScratch {
     /// |seen| − |dup|.
     seen: Vec<u64>,
     dup: Vec<u64>,
-    /// Sparse windows (width > 4 × alive): epoch-stamped counts, so no
-    /// width-long reset or sweep ever runs.
-    sparse: SlotCounts,
-    /// Sparse windows: the slots drawn, so the one window that crosses
-    /// ⌈n/2⌉ and the final window can find their singletons.
+    /// Sparse windows (over [`DENSE_SLOTS_PER_STATION`] slots per alive
+    /// station): the slots drawn, sorted. A run of one is a singleton, a
+    /// longer run a collided slot.
     drawn: Vec<u32>,
 }
 
@@ -156,7 +172,8 @@ enum Occupancy {
     /// count table holds only the draws made before the skip.
     Saturated,
     Bitmaps,
-    Sparse,
+    /// The sorted draws of a sparse window.
+    Sorted,
 }
 
 /// Draws `alive` slots uniform in `[0, span)`, one word each in stream
@@ -204,25 +221,20 @@ impl WindowedScratch {
             counts,
             seen,
             dup,
-            sparse,
             drawn,
         } = self;
-        if span > 4 * alive {
-            // Sparse windows (width ≫ alive, the resolution tail): the
-            // mostly-empty branch predicts well, and nothing width-bounded
-            // runs.
-            sparse.open(wslots);
+        if span > DENSE_SLOTS_PER_STATION * alive {
+            // Sparse windows (width ≫ alive, the resolution tail): sorting
+            // the draws touches only them, however wide the window.
             drawn.clear();
-            let (mut occupied, mut collided) = (0u64, 0u64);
-            draw_slots(rng, span, alive, |slot| {
-                drawn.push(slot as u32);
-                match sparse.bump(slot as u64) {
-                    1 => occupied += 1,
-                    2 => collided += 1,
-                    _ => {}
-                }
-            });
-            (collided, occupied - collided, Occupancy::Sparse)
+            draw_slots(rng, span, alive, |slot| drawn.push(slot as u32));
+            drawn.sort_unstable();
+            let (mut collided, mut singles) = (0u64, 0u64);
+            for run in drawn.chunk_by(|a, b| a == b) {
+                collided += u64::from(run.len() >= 2);
+                singles += u64::from(run.len() == 1);
+            }
+            (collided, singles, Occupancy::Sorted)
         } else if wslots <= DENSE_COUNTS_MAX_SLOTS {
             // Dense windows — the collision-heavy early and middle windows
             // that carry most of a trial's draws. Every per-draw step is
@@ -281,7 +293,7 @@ impl WindowedScratch {
     }
 
     /// The `rank`-th smallest (0-based) singleton slot of the last window.
-    fn nth_singleton(&mut self, occupancy: Occupancy, rank: u64) -> u64 {
+    fn nth_singleton(&self, occupancy: Occupancy, rank: u64) -> u64 {
         match occupancy {
             Occupancy::Lone => 0,
             Occupancy::Counts => self
@@ -308,11 +320,13 @@ impl WindowedScratch {
                 }
                 unreachable!("rank below the singleton count")
             }
-            Occupancy::Sparse => {
-                let sparse = &self.sparse;
-                self.drawn.retain(|&slot| sparse.count(slot as u64) == 1);
-                *self.drawn.select_nth_unstable(rank as usize).1 as u64
-            }
+            Occupancy::Sorted => self
+                .drawn
+                .chunk_by(|a, b| a == b)
+                .filter(|run| run.len() == 1)
+                .nth(rank as usize)
+                .map(|run| u64::from(run[0]))
+                .expect("rank below the singleton count"),
         }
     }
 
@@ -328,7 +342,7 @@ impl WindowedScratch {
                 .iter()
                 .rposition(|&w| w != 0)
                 .map(|idx| idx * 64 + 63 - self.seen[idx].leading_zeros() as usize),
-            Occupancy::Sparse => self.drawn.iter().max().map(|&slot| slot as usize),
+            Occupancy::Sorted => self.drawn.last().map(|&slot| slot as usize),
         };
         last.expect("the window drew at least one slot") as u64
     }
@@ -384,12 +398,6 @@ fn run_counts(
         alive -= singles;
         slots_before_window += width as u64;
     }
-    // The bitmaps hold width/64 entries, so the shared entry cap only sheds
-    // them past 64× wider windows; one 2³⁰-slot window would otherwise pin
-    // 2 × 16 MB for the rest of the shard.
-    shed_pathological(&mut scratch.seen);
-    shed_pathological(&mut scratch.dup);
-    scratch.sparse.shed();
 
     let (elapsed, max_ack_timeouts) = if alive == 0 {
         // `n = 0` runs no window at all.

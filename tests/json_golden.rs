@@ -107,6 +107,9 @@ fn golden_fixtures_are_well_formed() {
     for file in [
         "fig5_cw_slots_abstract.json",
         "fig13_trace_spans.json",
+        "fig5_full_cw_slots_abstract.json",
+        "table2_full_cw_growth.json",
+        "table3_full_collision_growth.json",
         "fig7_full_total_time_64.json",
         "fig8_full_total_time_1024.json",
         "fig15_full_large_n_cw_slots.json",

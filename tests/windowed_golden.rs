@@ -15,9 +15,10 @@
 //! run, every field by bit pattern, and it must leave the generator at the
 //! same word, although it skips the draws of saturated windows: a proptest
 //! checks this over random schedules, and a fixed matrix checks it at each
-//! of the loop's switch points (count table ↔ bitmaps at 2048 slots, dense ↔
-//! sparse at 4 × alive, width 1, the valve, non-power-of-two widths,
-//! saturated count tables) and at n up to 10⁵.
+//! of the loop's switch points (count table ↔ bitmaps at 2048 slots, count
+//! table ↔ sorted draws and bitmaps ↔ sorted draws at 64 × alive, width 1,
+//! the valve, non-power-of-two widths, saturated count tables, sorted
+//! windows over 2²¹ slots) and at n up to 10⁵.
 //!
 //! Valve-truncated (`max_windows`) configurations are deliberately absent
 //! from the fixture: their diagnostics are the one documented behavioral
@@ -282,18 +283,31 @@ fn count_only_and_per_station_paths_agree_at_the_switch_points() {
     use AlgorithmKind::{Beb, LogBackoff, LogLogBackoff, Sawtooth};
     let fixed = |window| WindowedConfig::abstract_model(AlgorithmKind::Fixed { window });
     let mut cases: Vec<(WindowedConfig, u32)> = Vec::new();
-    // Count table ↔ bitmaps at 2048 slots; at n = 512 the dense ↔ sparse
-    // switch (4 × alive) falls there too.
+    // Count table ↔ bitmaps at 2048 slots; at n = 32 the dense ↔ sparse
+    // switch (64 × alive) falls there too, so 2049 slots sort their draws.
     for window in [2047, 2048, 2049] {
-        for n in [400, 512, 600, 1000] {
+        for n in [32, 400, 512, 600, 1000] {
             cases.push((fixed(window), n));
         }
     }
-    // Dense ↔ sparse at 4 × alive, below and above the count-table limit.
+    // Dense ↔ sparse at 64 × alive (the kernel's `DENSE_SLOTS_PER_STATION`):
+    // count table ↔ sorted draws below the count-table limit (n = 20 at
+    // 1280 slots), bitmaps ↔ sorted draws above it.
+    for n in [20, 100, 700] {
+        for window in [64 * n - 1, 64 * n, 64 * n + 1] {
+            cases.push((fixed(window), n));
+        }
+    }
+    // Dense windows at 4 × alive, in the count table and in the bitmaps.
     for n in [50, 100, 700] {
         for window in [4 * n - 1, 4 * n, 4 * n + 1] {
             cases.push((fixed(window), n));
         }
+    }
+    // Sorted windows far wider than any slot-indexed table: 2²² slots and a
+    // non-power-of-two width above 2²¹.
+    for window in [1 << 22, 3 << 20] {
+        cases.push((fixed(window), 1000));
     }
     // Empty, lone and paired batches, including width-1 windows.
     for kind in AlgorithmKind::PAPER_SET {
