@@ -11,7 +11,7 @@ use std::fmt;
 /// (§VI). `BestOfK` is the full §VI algorithm — estimation *then* fixed
 /// backoff — and therefore has no pure window schedule of its own.
 /// `Polynomial` is an extra baseline motivated by the related work on
-/// polynomial backoff (paper's reference [53]).
+/// polynomial backoff (paper's reference \[53\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// Binary exponential backoff: `W ← 2W`.

@@ -19,10 +19,11 @@
 //!   can only hurt.
 //!
 //! The ideal (paper) channel is [`ChannelModel::ideal`]: zero noise, zero
-//! recovery. In that configuration [`ChannelModel::sample_slot`] draws
+//! recovery. In that configuration, and in every other spelling for which
+//! [`ChannelModel::is_ideal`] holds, [`ChannelModel::sample_slot`] draws
 //! **nothing** from the RNG, so a simulator threading its slots through this
-//! model is bit-identical to one hard-coding A1 — the degenerate-equality
-//! regression tests rely on exactly this.
+//! model is bit-identical to one hard-coding A1. The windowed simulator
+//! picks its occupancy path on exactly this.
 
 use rand::Rng;
 
@@ -323,8 +324,61 @@ mod proptests {
         ]
     }
 
+    /// Every spelling of the ideal channel: fatal recovery (none, zero or
+    /// negative odds, capture of at most one sender) and zero or negative
+    /// noise.
+    fn arb_ideal_channel() -> impl Strategy<Value = ChannelModel> {
+        let recovery = prop_oneof![
+            Just(Recovery::None),
+            Just(Recovery::Constant { p: 0.0 }),
+            Just(Recovery::Geometric { base: 0.0 }),
+            (-1.0..=0.0f64).prop_map(|p| Recovery::Constant { p }),
+            (-1.0..=0.0f64).prop_map(|base| Recovery::Geometric { base }),
+            ((0u32..=1), (0.0..=1.0f64)).prop_map(|(max_k, p)| Recovery::Capture { max_k, p }),
+            ((2u32..=64), (-1.0..=0.0f64)).prop_map(|(max_k, p)| Recovery::Capture { max_k, p }),
+        ];
+        let noise = prop_oneof![Just(0.0), -1.0..=0.0f64];
+        (recovery, noise).prop_map(|(recovery, noise)| ChannelModel { recovery, noise })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The windowed simulator takes its occupancy path whenever
+        /// `is_ideal` holds, which is sound only if sampling then draws no
+        /// word and a slot delivers exactly when it holds one sender. Every
+        /// ideal spelling must say so, and any other channel that claims to
+        /// be ideal must keep the contract too.
+        #[test]
+        fn ideal_spellings_draw_nothing(
+            ideal in arb_ideal_channel(),
+            recovery in arb_recovery(),
+            noise in prop_oneof![Just(0.0), -0.5..=1.0f64],
+            trial in 0u32..1000,
+        ) {
+            prop_assert!(ideal.is_ideal(), "{ideal:?}");
+            for channel in [ideal, ChannelModel { recovery, noise }] {
+                if !channel.is_ideal() {
+                    continue;
+                }
+                let mut rng = crate::rng::trial_rng(
+                    crate::rng::experiment_tag("channel-ideal"),
+                    crate::AlgorithmKind::Beb,
+                    1,
+                    trial,
+                );
+                let untouched = rng.clone();
+                for k in 0u32..=64 {
+                    let want = if k == 1 {
+                        SlotFate::Delivered { winner: 0 }
+                    } else {
+                        SlotFate::Lost
+                    };
+                    prop_assert_eq!(channel.sample_slot(k, &mut rng), want, "{:?} k={}", channel, k);
+                }
+                prop_assert_eq!(rng, untouched, "{:?}", channel);
+            }
+        }
 
         /// A lone sender is never lost to the recovery rule.
         #[test]

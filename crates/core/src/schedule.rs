@@ -252,7 +252,7 @@ impl WindowSchedule for FixedWindow {
 /// Polynomial backoff ablation: window `(attempt + 1)^degree`, clamped.
 ///
 /// Not in the paper's evaluation; included because the related work the paper
-/// cites ([53], Sun & Dai) argues quadratic backoff is a strong candidate
+/// cites (\[53\], Sun & Dai) argues quadratic backoff is a strong candidate
 /// under non-bursty traffic, making it a natural extra baseline for the
 /// single-batch experiments.
 #[derive(Debug, Clone)]

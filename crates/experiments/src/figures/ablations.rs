@@ -1,7 +1,7 @@
 //! Ablations beyond the paper's figures, probing the design choices the
 //! paper discusses in §V:
 //!
-//! * [`ack_timeout`] — §V-B: "values below [the] threshold will lead a
+//! * [`ack_timeout`] — §V-B: "values below \[the\] threshold will lead a
 //!   station to consider its packet lost before the ACK can be received...
 //!   unnecessary retransmissions and, ultimately, poor throughput."
 //! * [`eifs`] — the 802.11 EIFS rule's contribution to collision cost.
@@ -12,7 +12,7 @@
 //! * [`ack_loss`] — §III-B: "an ACK might be lost due to wireless effects
 //!   ... the same costs hold": failure injection.
 //! * [`polynomial`] — the quadratic-backoff baseline from the related work
-//!   ([53]) dropped into the single-batch setting.
+//!   (\[53\]) dropped into the single-batch setting.
 //!
 //! Every ablation streams its trials through the generic sweep engine
 //! ([`single_stats`]), varying only the config fields under study and

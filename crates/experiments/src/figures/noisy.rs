@@ -4,11 +4,12 @@
 //! *Softening the Impact of Collisions in Contention Resolution* asks the
 //! complementary question: what if a collision of `k` senders still delivers
 //! one frame with probability `p_recover(k)`? This experiment sweeps that
-//! recovery probability through the [`NoisySim`] backend (the abstract
-//! windowed semantics over a [`ChannelModel`]) and, separately, through the
+//! recovery probability through the abstract windowed semantics
+//! ([`WindowedSim`] over a [`ChannelModel`]) and, separately, through the
 //! softened 802.11g MAC path — always against the collision-is-fatal
-//! baseline at `p = 0`, which is bit-identical to `WindowedSim`
-//! (`tests/noisy_channel.rs` enforces the equivalence).
+//! baseline at `p = 0`, which is the paper's channel: `softened(0.0)` is
+//! [`ChannelModel::is_ideal`], so it runs the same path as every other
+//! abstract figure.
 //!
 //! All three panels run through the generic sweep engine; the recovery
 //! probability and noise rate live in the *config*, so the trial RNG streams
@@ -25,8 +26,8 @@ use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::ChannelModel;
 use contention_core::util::percent_change;
 use contention_mac::{MacConfig, MacSim};
-use contention_slotted::noisy::NoisyConfig;
-use contention_slotted::NoisySim;
+use contention_slotted::windowed::WindowedConfig;
+use contention_slotted::WindowedSim;
 
 /// The recovery-probability x-axis shared by the abstract and MAC panels.
 const P_GRID: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 0.95];
@@ -49,9 +50,12 @@ pub fn run(opts: &Options) -> Report {
             points: P_GRID
                 .iter()
                 .map(|&p| {
-                    let stats = single_stats::<NoisySim>(
+                    let stats = single_stats::<WindowedSim>(
                         "soften-abs",
-                        NoisyConfig::abstract_model(alg, ChannelModel::softened(p)),
+                        WindowedConfig {
+                            channel: ChannelModel::softened(p),
+                            ..WindowedConfig::abstract_model(alg)
+                        },
                         n,
                         trials,
                         opts,
@@ -86,9 +90,12 @@ pub fn run(opts: &Options) -> Report {
         points: Vec::new(),
     };
     for &noise in &NOISE_GRID {
-        let stats = single_stats::<NoisySim>(
+        let stats = single_stats::<WindowedSim>(
             "soften-noise",
-            NoisyConfig::abstract_model(AlgorithmKind::Beb, ChannelModel::noisy(noise)),
+            WindowedConfig {
+                channel: ChannelModel::noisy(noise),
+                ..WindowedConfig::abstract_model(AlgorithmKind::Beb)
+            },
             n,
             noise_trials,
             opts,

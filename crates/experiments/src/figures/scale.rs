@@ -10,6 +10,8 @@
 //! `--full` extends it to 10⁶ — a regime the collect-everything pipeline
 //! was never asked to survive.
 //!
+//! [`MetricStats`]: crate::aggregate::MetricStats
+//!
 //! BEB vs STB is the headline pair out here: Θ(n lg n) vs Θ(n) CW slots
 //! (Table II), so the gap must widen with n.
 

@@ -72,7 +72,7 @@ fn growth_ns(opts: &Options) -> Vec<u32> {
 }
 
 /// The growth-check sweep shared by Tables II and III: the abstract model
-/// over [`growth_ns`]; each table folds out only its own metric.
+/// over `growth_ns`; each table folds out only its own metric.
 pub static GROWTH: SweepDef = SweepDef {
     tag: "growth-tables",
     shape: |opts, metrics| {

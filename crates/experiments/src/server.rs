@@ -43,6 +43,8 @@
 //! resumes with `repro serve` pointed at the same `--out`, re-leasing only
 //! the missing trials. Every bound of `serve` and `work` is a field of
 //! [`Limits`]; a request that breaks one gets a 4xx and frees its handler.
+//!
+//! [`MetricStats::try_merge_dedup`]: crate::aggregate::MetricStats::try_merge_dedup
 
 use crate::aggregate::StatsCell;
 use crate::checkpoint::{self, CheckpointWriter};

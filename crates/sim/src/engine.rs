@@ -176,8 +176,8 @@ impl CellRange {
     /// partition: shard boundaries land where the weight prefix crosses
     /// `i/of` of the total, so every shard gets (as nearly as contiguity
     /// allows) the same estimated *work*, not the same cell count. The `of`
-    /// ranges tile `[0, weights.len())` exactly, like [`shard`]; with
-    /// uniform weights the two partitions coincide. Non-finite,
+    /// ranges tile `[0, weights.len())` exactly, like [`Self::shard`];
+    /// with uniform weights the two partitions coincide. Non-finite,
     /// non-positive or all-zero weights degrade safely (junk entries count
     /// as zero; a zero total falls back to the count-balanced partition).
     pub fn shard_weighted(weights: &[f64], index: usize, of: usize) -> CellRange {

@@ -42,10 +42,10 @@
 //!   which is why collision-fragile schedules (SAWTOOTH in particular) now
 //!   collapse under loads the old engine sailed through.
 //! * Per-packet state is a slab entry of `{arrival_wall, backoff stage}`;
-//!   timers are drawn through a per-config [`WindowLookup`] table (one
+//!   timers are drawn through a per-config `WindowLookup` table (one
 //!   [`UniformBelow`] per stage) instead of a per-packet
 //!   [`contention_core::schedule::Schedule`] value.
-//! * Timers live in a calendar [`BucketQueue`] (2048 near-future buckets +
+//! * Timers live in a calendar `BucketQueue` (2048 near-future buckets +
 //!   an overflow heap), making push/pop O(1) amortized instead of the old
 //!   global `BinaryHeap`'s O(log backlog).
 //! * Latencies stream into a fixed-footprint

@@ -17,15 +17,16 @@ fn main() {
         "alg", "CW slots", "collisions", "attempts"
     );
     for kind in AlgorithmKind::PAPER_SET {
-        let mut sim = WindowedSim::new(WindowedConfig::abstract_model(kind));
-        let mut rng = trial_rng(experiment_tag("quickstart-abs"), kind, n, 0);
-        let m = sim.run(n, &mut rng);
+        let config = WindowedConfig::abstract_model(kind);
+        let t = run_trial::<WindowedSim>("quickstart-abs", &config, n, 0);
+        // Every attempt either succeeded or timed out.
+        let attempts = t.successes as f64 + t.ack_timeouts;
         println!(
             "{:>5} {:>12} {:>14} {:>10}",
             kind.label(),
-            m.cw_slots,
-            m.collisions,
-            m.total_attempts()
+            t.cw_slots,
+            t.collisions,
+            attempts
         );
     }
     println!("→ in the abstract model the newer algorithms clearly beat BEB on CW slots.\n");

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`core`] | `contention-core` | backoff schedules, collision-cost model, channel models (fatal / softened / noisy), asymptotic bounds, 802.11g parameters, BEST-OF-k spec, metrics |
 //! | [`sim`] | `contention-sim` | event queue, parallel trial runner, generic `Simulator`/`Sweep` engine and its one runner over `TrialRange` plans |
-//! | [`slotted`] | `contention-slotted` | abstract A0–A2 simulator (windowed + residual) plus the noisy-channel variant (`NoisySim`) |
+//! | [`slotted`] | `contention-slotted` | abstract slotted simulators: aligned windows over any channel model (`WindowedSim`), residual timers (`ResidualSim`), long-lived traffic (`DynamicSim`) |
 //! | [`mac`] | `contention-mac` | event-driven IEEE 802.11g DCF simulator |
 //! | [`stats`] | `contention-stats` | medians, outlier rule, CIs, OLS regression |
 //! | [`experiments`] | `contention-experiments` | per-figure experiment harness (`repro` binary) |
@@ -56,7 +56,6 @@ pub mod prelude {
     pub use contention_sim::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
     pub use contention_sim::sched::CostSpec;
     pub use contention_sim::summary::{Metric, TrialSummary};
-    pub use contention_slotted::noisy::{NoisyConfig, NoisySim};
     pub use contention_slotted::residual::{ResidualConfig, ResidualSim};
     pub use contention_slotted::windowed::{WindowedConfig, WindowedSim};
     pub use contention_stats::regression::linear_fit;

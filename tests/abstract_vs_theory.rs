@@ -7,14 +7,11 @@ fn abstract_median(
     kind: AlgorithmKind,
     n: u32,
     trials: u32,
-    f: &dyn Fn(&BatchMetrics) -> f64,
+    f: &dyn Fn(&TrialSummary) -> f64,
 ) -> f64 {
+    let config = WindowedConfig::abstract_model(kind);
     let xs: Vec<f64> = (0..trials)
-        .map(|t| {
-            let mut sim = WindowedSim::new(WindowedConfig::abstract_model(kind));
-            let mut rng = trial_rng(experiment_tag("abs-theory"), kind, n, t);
-            f(&sim.run(n, &mut rng))
-        })
+        .map(|t| f(&run_trial::<WindowedSim>("abs-theory", &config, n, t)))
         .collect();
     median(&xs)
 }
@@ -25,7 +22,7 @@ fn abstract_median(
 fn table2_large_n_ordering() {
     let n = 30_000;
     let trials = 5;
-    let cw = |kind| abstract_median(kind, n, trials, &|m| m.cw_slots as f64);
+    let cw = |kind| abstract_median(kind, n, trials, &|m| m.cw_slots);
     let beb = cw(AlgorithmKind::Beb);
     let lb = cw(AlgorithmKind::LogBackoff);
     let llb = cw(AlgorithmKind::LogLogBackoff);
@@ -41,7 +38,7 @@ fn table2_large_n_ordering() {
 #[test]
 fn table3_collision_ratios() {
     let trials = 5;
-    let col = |kind, n| abstract_median(kind, n, trials, &|m| m.collisions as f64);
+    let col = |kind, n| abstract_median(kind, n, trials, &|m| m.collisions);
     let mut beb_ratios = Vec::new();
     for n in [3_000u32, 10_000, 30_000] {
         let stb = col(AlgorithmKind::Sawtooth, n);
@@ -81,9 +78,9 @@ fn linear_algorithms_grow_linearly() {
             .map(|&n| {
                 let measured = abstract_median(kind, n, trials, &|m| {
                     if metric == "cw" {
-                        m.cw_slots as f64
+                        m.cw_slots
                     } else {
-                        m.collisions as f64
+                        m.collisions
                     }
                 });
                 measured / n as f64
@@ -104,9 +101,7 @@ fn linear_algorithms_grow_linearly() {
 fn lb_collisions_are_superlinear() {
     let trials = 5;
     let per_n = |n: u32| {
-        abstract_median(AlgorithmKind::LogBackoff, n, trials, &|m| {
-            m.collisions as f64
-        }) / n as f64
+        abstract_median(AlgorithmKind::LogBackoff, n, trials, &|m| m.collisions) / n as f64
     };
     let small = per_n(1_000);
     let large = per_n(16_000);
@@ -134,7 +129,7 @@ fn residual_semantics_ablation() {
             .collect();
         median(&xs)
     };
-    let windowed = |kind| abstract_median(kind, n, trials, &|m| m.cw_slots as f64);
+    let windowed = |kind| abstract_median(kind, n, trials, &|m| m.cw_slots);
     assert!(residual(AlgorithmKind::Sawtooth) < residual(AlgorithmKind::Beb));
     assert!(windowed(AlgorithmKind::Sawtooth) < windowed(AlgorithmKind::Beb));
 }

@@ -114,6 +114,8 @@ fn golden_fixtures_are_well_formed() {
         "fig8_full_total_time_1024.json",
         "fig15_full_large_n_cw_slots.json",
         "fig16_full_collision_ratios.json",
+        "soften_full_abstract_cw_slots.json",
+        "soften_full_noise_cw_slots.json",
     ] {
         let path = golden_dir().join(file);
         let text = std::fs::read_to_string(&path)

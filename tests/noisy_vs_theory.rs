@@ -1,5 +1,6 @@
-//! The noisy-channel simulator against closed-form expectations at small
-//! fixed `n` (`tests/abstract_vs_theory.rs` style, for the softened model).
+//! The windowed simulator over lossy channels against closed-form
+//! expectations at small fixed `n` (`tests/abstract_vs_theory.rs` style, for
+//! the softened model).
 //!
 //! With `n` and the window size `W` fixed, slot outcomes are simple enough
 //! to integrate by hand; the simulator's sample means must land on the
@@ -14,18 +15,24 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 fn run_trials(
-    config: NoisyConfig,
+    config: WindowedConfig,
     n: u32,
     trials: u32,
-    f: impl Fn(&BatchMetrics) -> f64,
+    f: impl Fn(&TrialSummary) -> f64,
 ) -> Vec<f64> {
     (0..trials)
-        .map(|t| {
-            let mut sim = NoisySim::new(config);
-            let mut rng = trial_rng(experiment_tag("noisy-theory"), config.algorithm, n, t);
-            f(&sim.run(n, &mut rng))
-        })
+        .map(|t| f(&run_trial::<WindowedSim>("noisy-theory", &config, n, t)))
         .collect()
+}
+
+/// One window size `w` over `channel`, stopped after `max_windows` windows
+/// (0 = run to completion).
+fn fixed(w: u32, channel: ChannelModel, max_windows: u32) -> WindowedConfig {
+    WindowedConfig {
+        channel,
+        max_windows,
+        ..WindowedConfig::abstract_model(AlgorithmKind::Fixed { window: w })
+    }
 }
 
 /// A lone station on a noisy channel: each window is an independent
@@ -34,9 +41,9 @@ fn run_trials(
 #[test]
 fn lone_station_attempts_are_geometric_in_the_noise() {
     let noise = 0.3;
-    let kind = AlgorithmKind::Fixed { window: 16 };
-    let config = NoisyConfig::abstract_model(kind, ChannelModel::noisy(noise));
-    let attempts = run_trials(config, 1, 2_000, |m| m.stations[0].attempts as f64);
+    let config = fixed(16, ChannelModel::noisy(noise), 0);
+    // A lone station's attempts are its one success plus its ACK timeouts.
+    let attempts = run_trials(config, 1, 2_000, |t| t.ack_timeouts + 1.0);
     let expected = 1.0 / (1.0 - noise); // ≈ 1.4286
     let got = mean(&attempts);
     assert!(
@@ -58,16 +65,12 @@ fn lone_station_attempts_are_geometric_in_the_noise() {
 #[test]
 fn first_window_throughput_matches_closed_form() {
     let (w, p, f) = (4u32, 0.6, 0.2);
-    let kind = AlgorithmKind::Fixed { window: w };
-    let mut config = NoisyConfig::abstract_model(
-        kind,
-        ChannelModel {
-            recovery: Recovery::Constant { p },
-            noise: f,
-        },
-    );
-    config.max_windows = 1;
-    let successes = run_trials(config, 2, 4_000, |m| m.successes as f64);
+    let channel = ChannelModel {
+        recovery: Recovery::Constant { p },
+        noise: f,
+    };
+    let config = fixed(w, channel, 1);
+    let successes = run_trials(config, 2, 4_000, |t| t.successes as f64);
     let expected = (1.0 - f) * (2.0 * (1.0 - 1.0 / w as f64) + p / w as f64); // = 1.32
     let got = mean(&successes);
     assert!(
@@ -82,10 +85,8 @@ fn first_window_throughput_matches_closed_form() {
 #[test]
 fn certain_recovery_first_window_is_two_minus_one_over_w() {
     let w = 4u32;
-    let kind = AlgorithmKind::Fixed { window: w };
-    let mut config = NoisyConfig::abstract_model(kind, ChannelModel::softened(1.0));
-    config.max_windows = 1;
-    let successes = run_trials(config, 2, 4_000, |m| m.successes as f64);
+    let config = fixed(w, ChannelModel::softened(1.0), 1);
+    let successes = run_trials(config, 2, 4_000, |t| t.successes as f64);
     assert!(successes.iter().all(|&s| s >= 1.0), "p = 1 lost a window");
     let expected = 2.0 - 1.0 / w as f64; // = 1.75
     let got = mean(&successes);
@@ -100,10 +101,8 @@ fn certain_recovery_first_window_is_two_minus_one_over_w() {
 #[test]
 fn collision_rate_is_one_over_w() {
     let w = 8u32;
-    let kind = AlgorithmKind::Fixed { window: w };
-    let mut config = NoisyConfig::abstract_model(kind, ChannelModel::ideal());
-    config.max_windows = 1;
-    let collisions = run_trials(config, 2, 4_000, |m| m.collisions as f64);
+    let config = fixed(w, ChannelModel::ideal(), 1);
+    let collisions = run_trials(config, 2, 4_000, |t| t.collisions);
     let got = mean(&collisions);
     let expected = 1.0 / w as f64; // = 0.125
     assert!(

@@ -67,21 +67,20 @@ proptest! {
     }
 
     /// Abstract windowed runs conserve packets and collision accounting for
-    /// arbitrary (algorithm, n, seed).
+    /// arbitrary (algorithm, n, seed). The per-station attempt balance is
+    /// checked on the reference loop of `tests/windowed_golden.rs`.
     #[test]
     fn windowed_runs_conserve(
         kind in arb_algorithm(),
         n in 1u32..=120,
         trial in 0u32..1000,
     ) {
-        let mut sim = WindowedSim::new(WindowedConfig::abstract_model(kind));
-        let mut rng = trial_rng(experiment_tag("prop-windowed"), kind, n, trial);
-        let m = sim.run(n, &mut rng);
-        prop_assert_eq!(m.successes, n);
-        prop_assert!(m.attempts_balance());
-        prop_assert!(m.colliding_stations >= 2 * m.collisions);
-        prop_assert!(m.half_cw_slots <= m.cw_slots);
-        prop_assert!(m.cw_slots >= n as u64, "all n packets need ≥ n slots");
+        let config = WindowedConfig::abstract_model(kind);
+        let t = run_trial::<WindowedSim>("prop-windowed", &config, n, trial);
+        prop_assert_eq!(t.successes, n);
+        prop_assert!(t.colliding_stations >= 2.0 * t.collisions);
+        prop_assert!(t.half_cw_slots <= t.cw_slots);
+        prop_assert!(t.cw_slots >= n as f64, "all n packets need ≥ n slots");
     }
 
     /// Residual-timer runs conserve too.

@@ -14,12 +14,11 @@ use contention_experiments::shard::{merge_states, GridMeta, ShardState};
 use contention_experiments::summary::Metric;
 use contention_resolution::prelude::*;
 use contention_slotted::dynamic::{ArrivalProcess, DynAxis, DynamicConfig, DynamicSim};
-use contention_slotted::noisy::NoisyConfig;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// Metrics for the batch backends (windowed / noisy / MAC).
+/// Metrics for the batch backends (windowed over both channels / MAC).
 const BATCH_METRICS: [Metric; 3] = [Metric::CwSlots, Metric::TotalTimeUs, Metric::Collisions];
 
 /// Metrics for the dynamic-traffic backend, which reports latency and
@@ -159,12 +158,15 @@ fn windowed_shards_merge_bit_identically() {
     });
 }
 
-/// The noisy-channel (softened collisions) simulator.
+/// The windowed simulator over a softened (lossy) channel.
 #[test]
 fn noisy_shards_merge_bit_identically() {
-    assert_shard_equivalence(&BATCH_METRICS, |exec| Sweep::<NoisySim> {
+    assert_shard_equivalence(&BATCH_METRICS, |exec| Sweep::<WindowedSim> {
         experiment: "shard-eq-noisy",
-        config: NoisyConfig::abstract_model(AlgorithmKind::Beb, ChannelModel::softened(0.3)),
+        config: WindowedConfig {
+            channel: ChannelModel::softened(0.3),
+            ..WindowedConfig::abstract_model(AlgorithmKind::Beb)
+        },
         algorithms: vec![AlgorithmKind::Beb, AlgorithmKind::LogBackoff],
         ns: vec![25, 60, 110],
         trials: 4,

@@ -152,20 +152,20 @@ fn residual_sweep_is_schedule_invariant() {
     });
 }
 
-/// The noisy-channel (softened collisions) simulator through the generic
-/// engine. A non-trivial channel, so the recovery and noise draws themselves
-/// are exercised across schedules.
+/// The windowed simulator over a lossy channel through the generic engine.
+/// A non-trivial channel, so the recovery and noise draws themselves are
+/// exercised across schedules.
 #[test]
 fn noisy_sweep_is_schedule_invariant() {
-    assert_engine_invariants(|exec| Sweep::<NoisySim> {
+    assert_engine_invariants(|exec| Sweep::<WindowedSim> {
         experiment: "golden-noisy",
-        config: NoisyConfig::abstract_model(
-            AlgorithmKind::Beb,
-            ChannelModel {
+        config: WindowedConfig {
+            channel: ChannelModel {
                 recovery: Recovery::Geometric { base: 0.6 },
                 noise: 0.15,
             },
-        ),
+            ..WindowedConfig::abstract_model(AlgorithmKind::Beb)
+        },
         algorithms: vec![AlgorithmKind::Beb, AlgorithmKind::Sawtooth],
         ns: vec![40, 120],
         trials: 5,
@@ -282,8 +282,8 @@ fn assert_trial_identities<S: Simulator>(
     }
 }
 
-/// `run_trial` ≡ a warmed `run_trial_with` ≡ the swept trial, for the MAC,
-/// windowed and noisy backends. The dynamic and residual backends check
+/// `run_trial` ≡ a warmed `run_trial_with` ≡ the swept trial, for the MAC
+/// backend and the windowed one over the ideal and a lossy channel. The dynamic and residual backends check
 /// scratch reuse in their own unit tests.
 #[test]
 fn lone_trials_match_warm_scratch_and_swept_trials() {
@@ -297,9 +297,12 @@ fn lone_trials_match_warm_scratch_and_swept_trials() {
         WindowedConfig::abstract_model(AlgorithmKind::Beb),
         &[(10_000, 1), (150, 0), (2_000, 2)],
     );
-    assert_trial_identities::<NoisySim>(
+    assert_trial_identities::<WindowedSim>(
         "identity-noisy",
-        NoisyConfig::abstract_model(AlgorithmKind::Beb, ChannelModel::softened(0.5)),
+        WindowedConfig {
+            channel: ChannelModel::softened(0.5),
+            ..WindowedConfig::abstract_model(AlgorithmKind::Beb)
+        },
         &[(3_000, 1), (100, 0), (600, 2)],
     );
 }

@@ -1,30 +1,33 @@
-//! Refactor-guard golden fixture for the windowed/noisy loops, and the
-//! equality of the two windowed loops.
+//! The windowed simulator against a plain per-station reference loop, and
+//! that loop against a fixture recorded on the pre-overhaul simulator.
 //!
-//! The epoch-stamped occupancy counters, the counting-sort group-by and the
-//! `UniformBelow` draws are all *performance* changes: none of them may move a
-//! single bit of any simulation result. The fixture pins that claim at full
-//! `BatchMetrics` resolution — every aggregate field as its exact bit
-//! pattern plus an FNV-1a digest of the complete per-station table — for a
-//! `(algorithm × channel × n × trial)` matrix recorded on the pre-overhaul
-//! simulator. Every line comes from the one per-station loop (`NoisySim`,
-//! which `WindowedSim::run` delegates to over the ideal channel).
+//! [`reference`] runs the windowed semantics one station at a time, with no
+//! optimisation at all. It must reproduce the fixture at full
+//! `BatchMetrics` resolution: every aggregate field as its exact bit pattern
+//! plus an FNV-1a digest of the complete per-station table, for an
+//! `(algorithm × channel × n × trial)` matrix.
 //!
-//! `WindowedSim` sweeps run a second, count-only loop that never identifies
-//! a station. Its `TrialSummary` must equal the summary of the per-station
-//! run, every field by bit pattern, and it must leave the generator at the
-//! same word, although it skips the draws of saturated windows: a proptest
-//! checks this over random schedules, and a fixed matrix checks it at each
-//! of the loop's switch points (count table ↔ bitmaps at 2048 slots, count
-//! table ↔ sorted draws and bitmaps ↔ sorted draws at 64 × alive, width 1,
-//! the valve, non-power-of-two widths, saturated count tables, sorted
-//! windows over 2²¹ slots) and at n up to 10⁵.
+//! `WindowedSim` runs one count-only loop that never identifies a station,
+//! on an occupancy path for the ideal channel and a sorted path for lossy
+//! ones. Its `TrialSummary` must equal the summary of the reference run on
+//! the same stream, every field by bit pattern, and it must leave the
+//! generator at the same word, although the occupancy path skips the draws
+//! of saturated windows. Three tests check this:
+//!
+//! * a proptest over random schedules and valves on the ideal channel, and
+//!   one over random channels;
+//! * a fixed matrix at each of the occupancy path's switch points (count
+//!   table ↔ bitmaps at 2048 slots, count table ↔ sorted draws and
+//!   bitmaps ↔ sorted draws at 64 × alive, width 1, the valve,
+//!   non-power-of-two widths, saturated count tables, sorted windows over
+//!   2²¹ slots) and at n up to 10⁵;
+//! * a fixed matrix of 3024 trials over the fixture's channels and a heavy
+//!   noise rate, every schedule shape, truncation and the valve.
 //!
 //! Valve-truncated (`max_windows`) configurations are deliberately absent
 //! from the fixture: their diagnostics are the one documented behavioral
 //! exception of the overhaul (see `valve_truncation_reports_elapsed_slots`
-//! in `crates/slotted/src/noisy.rs`), and they are pinned by unit tests
-//! there.
+//! in `crates/slotted/src/windowed.rs`). The matrices compare them.
 //!
 //! Regenerate (only when an *intentional* semantic change lands) with:
 //!
@@ -35,6 +38,7 @@
 use contention_resolution::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
+use rand::Rng;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -86,6 +90,72 @@ fn render(label: &str, n: u32, trial: u32, m: &BatchMetrics) -> String {
     line
 }
 
+/// The per-station reference. Each window draws every alive station's slot
+/// with `gen_range`, in station order, stable-sorts the draws by slot, and
+/// lets the channel decide each occupied slot in ascending slot order; a
+/// delivered slot's winner is its `winner`-th draw. Every attempt that does
+/// not win times out.
+fn reference(config: &WindowedConfig, n: u32, rng: &mut SmallRng) -> BatchMetrics {
+    let mut schedule = config
+        .algorithm
+        .schedule(config.truncation)
+        .expect("a static window schedule");
+    let mut m = BatchMetrics {
+        n,
+        stations: vec![StationMetrics::default(); n as usize],
+        ..BatchMetrics::default()
+    };
+    let mut alive: Vec<u32> = (0..n).collect();
+    let mut won = vec![false; n as usize];
+    let (mut elapsed, mut windows) = (0u64, 0u32);
+    while !alive.is_empty() && (config.max_windows == 0 || windows < config.max_windows) {
+        windows += 1;
+        let width = schedule.next_window();
+        let mut draws: Vec<(u32, u32)> = alive
+            .iter()
+            .map(|&station| (rng.gen_range(0..width), station))
+            .collect();
+        draws.sort_by_key(|&(slot, _)| slot);
+        for group in draws.chunk_by(|a, b| a.0 == b.0) {
+            let k = group.len() as u32;
+            if k >= 2 {
+                m.collisions += 1;
+                m.colliding_stations += u64::from(k);
+            }
+            if let SlotFate::Delivered { winner } = config.channel.sample_slot(k, rng) {
+                let (slot, station) = group[winner as usize];
+                won[station as usize] = true;
+                m.successes += 1;
+                let at_slot = elapsed + u64::from(slot) + 1;
+                m.stations[station as usize].success_time = Some(config.slot * at_slot);
+                if m.successes == n.div_ceil(2) {
+                    m.half_cw_slots = at_slot;
+                }
+                if m.successes == n {
+                    m.cw_slots = at_slot;
+                }
+            }
+        }
+        for &(slot, station) in &draws {
+            let s = &mut m.stations[station as usize];
+            s.attempts += 1;
+            s.ack_timeouts += u32::from(!won[station as usize]);
+            s.backoff_slots += u64::from(slot);
+        }
+        alive.retain(|&station| !won[station as usize]);
+        elapsed += u64::from(width);
+    }
+    // A valve-truncated run reports the span of every window it opened.
+    let span = if alive.is_empty() {
+        m.cw_slots
+    } else {
+        elapsed
+    };
+    m.total_time = config.slot * span;
+    m.half_time = config.slot * m.half_cw_slots;
+    m
+}
+
 /// The channel matrix: the ideal (paper) channel, every recovery family and
 /// an independent noise rate — each one drives a different draw shape
 /// through `sample_slot`.
@@ -125,61 +195,66 @@ fn algorithms() -> Vec<(AlgorithmKind, &'static [u32])> {
     algs
 }
 
+fn over(kind: AlgorithmKind, channel: ChannelModel) -> WindowedConfig {
+    WindowedConfig {
+        channel,
+        ..WindowedConfig::abstract_model(kind)
+    }
+}
+
 fn generate() -> String {
     let mut out = String::new();
-    let mut push = |line: String| {
-        out.push_str(&line);
+    let mut push = |label: String, config: &WindowedConfig, n: u32, trial: u32| {
+        let mut rng = trial_rng(
+            experiment_tag("windowed-golden"),
+            config.algorithm,
+            n,
+            trial,
+        );
+        out.push_str(&render(&label, n, trial, &reference(config, n, &mut rng)));
         out.push('\n');
     };
 
     for (chan_label, channel) in channels() {
         for (kind, ns) in algorithms() {
-            let config = NoisyConfig::abstract_model(kind, channel);
             for &n in ns {
                 for trial in 0..2 {
-                    let m = run_trial::<NoisySim>("windowed-golden", &config, n, trial);
-                    push(render(&format!("noisy/{chan_label}/{kind}"), n, trial, &m));
+                    let label = format!("noisy/{chan_label}/{kind}");
+                    push(label, &over(kind, channel), n, trial);
                 }
             }
         }
     }
 
-    // The ideal channel again, through the simulator's own `run` on a
-    // caller-built stream instead of `run_trial`: these lines must stay
-    // identical (apart from the label) to the `ideal` lines above.
+    // The ideal channel again. The simulator's former per-station entry
+    // point recorded these lines on a caller-built stream; they repeat the
+    // `ideal` lines above apart from the label.
     for (kind, ns) in algorithms() {
-        let config = NoisyConfig::fatal(kind);
         for &n in ns {
             for trial in 0..2 {
-                let mut sim = NoisySim::new(config);
-                let mut rng = trial_rng(experiment_tag("windowed-golden"), kind, n, trial);
-                let m = sim.run(n, &mut rng);
-                push(render(&format!("sampled/ideal/{kind}"), n, trial, &m));
+                let config = WindowedConfig::abstract_model(kind);
+                push(format!("sampled/ideal/{kind}"), &config, n, trial);
             }
         }
     }
 
-    // Truncated (CWmin/CWmax-clamped) windows keep widths small forever —
-    // the regime where the sampled path's counting-sort group-by applies.
+    // Truncated (CWmin/CWmax-clamped) windows keep widths small forever.
     for kind in AlgorithmKind::PAPER_SET {
-        let config = NoisyConfig {
+        let config = WindowedConfig {
             truncation: Truncation::paper(),
-            ..NoisyConfig::abstract_model(kind, ChannelModel::softened(0.3))
+            ..over(kind, ChannelModel::softened(0.3))
         };
         for trial in 0..2 {
-            let m = run_trial::<NoisySim>("windowed-golden", &config, 120, trial);
-            push(render(&format!("trunc/soft0.3/{kind}"), 120, trial, &m));
+            push(format!("trunc/soft0.3/{kind}"), &config, 120, trial);
         }
     }
 
-    // The windowed (paper-model) backend's per-station output rides the
-    // same loop; a thin slice pins the delegation.
+    // A thin slice through the paper model's former per-station entry point;
+    // these lines repeat `ideal` lines too.
     for kind in AlgorithmKind::PAPER_SET {
-        let mut sim = WindowedSim::new(WindowedConfig::abstract_model(kind));
+        let config = WindowedConfig::abstract_model(kind);
         for (n, trial) in [(1u32, 0u32), (83, 1), (400, 0)] {
-            let mut rng = trial_rng(experiment_tag("windowed-golden"), kind, n, trial);
-            let m = sim.run(n, &mut rng);
-            push(render(&format!("windowed/{kind}"), n, trial, &m));
+            push(format!("windowed/{kind}"), &config, n, trial);
         }
     }
 
@@ -216,21 +291,25 @@ fn summary_bits(t: &TrialSummary) -> (u32, [u64; 20]) {
     (t.n, Metric::ALL.map(|m| m.extract(t).to_bits()))
 }
 
-/// One trial through both windowed loops: the count-only summary a sweep
-/// folds, and the summary of the per-station run on the same RNG stream,
-/// each with its generator after the trial. Equal generators mean the
-/// count-only loop's skips land on the per-station loop's word, even in a
-/// trial's last window.
+/// One trial through the simulator and through the reference on the same
+/// RNG stream: each summary with its generator after the trial. Equal
+/// generators mean the count-only loop's skips land on the reference's
+/// word, even in a trial's last window. Every reference run must balance
+/// its attempts: each one either succeeded or timed out.
 fn both_paths(config: WindowedConfig, n: u32, trial: u32) -> [((u32, [u64; 20]), SmallRng); 2] {
     const TAG: &str = "windowed-path-prop";
     let stream = || trial_rng(experiment_tag(TAG), config.algorithm, n, trial);
     let mut counts_rng = stream();
     let counts = <WindowedSim as Simulator>::run(&config, n, &mut counts_rng);
     let mut station_rng = stream();
-    let per_station = TrialSummary::from(WindowedSim::new(config).run(n, &mut station_rng));
+    let per_station = reference(&config, n, &mut station_rng);
+    assert!(
+        per_station.attempts_balance(),
+        "{config:?} n={n} trial={trial}"
+    );
     [
         (summary_bits(&counts), counts_rng),
-        (summary_bits(&per_station), station_rng),
+        (summary_bits(&TrialSummary::from(per_station)), station_rng),
     ]
 }
 
@@ -247,12 +326,44 @@ fn arb_algorithm() -> impl Strategy<Value = AlgorithmKind> {
     ]
 }
 
+/// Any channel the model can express, noise up to certain erasure: the
+/// valve bounds every run.
+fn arb_channel() -> impl Strategy<Value = ChannelModel> {
+    let recovery = prop_oneof![
+        Just(Recovery::None),
+        (0.0..=1.0f64).prop_map(|p| Recovery::Constant { p }),
+        (0.0..=1.0f64).prop_map(|base| Recovery::Geometric { base }),
+        ((1u32..=6), (0.0..=1.0f64)).prop_map(|(max_k, p)| Recovery::Capture { max_k, p }),
+    ];
+    let noise = prop_oneof![Just(0.0), 0.0..=1.0f64];
+    (recovery, noise).prop_map(|(recovery, noise)| ChannelModel { recovery, noise })
+}
+
+/// A config whose CWmin/CWmax truncation and valve come from the proptest.
+fn truncated(
+    kind: AlgorithmKind,
+    channel: ChannelModel,
+    cw_min: u32,
+    cw_pow: u32,
+    max_windows: u32,
+) -> WindowedConfig {
+    WindowedConfig {
+        truncation: Truncation {
+            cw_min,
+            cw_max: cw_min.max(2u32.saturating_pow(cw_pow)),
+        },
+        // Fixed windows far below n never finish without the valve.
+        max_windows,
+        ..over(kind, channel)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The count-only loop and the per-station loop agree bit for bit on
-    /// every summary field and on the generator's final state, for any
-    /// `(n, width schedule, valve)` config.
+    /// The count-only loop and the per-station reference agree bit for bit
+    /// on every summary field and on the generator's final state, for any
+    /// `(n, width schedule, valve)` config on the ideal channel.
     #[test]
     fn count_only_and_per_station_paths_agree(
         n in prop_oneof![0u32..=150, 500u32..=1500],
@@ -262,18 +373,75 @@ proptest! {
         max_windows in prop_oneof![Just(200u32), 1u32..=12],
         trial in 0u32..100,
     ) {
-        let config = WindowedConfig {
-            truncation: Truncation {
-                cw_min,
-                cw_max: cw_min.max(2u32.saturating_pow(cw_pow)),
-            },
-            // Fixed windows far below n never finish without the valve.
-            max_windows,
-            ..WindowedConfig::abstract_model(kind)
-        };
+        let config = truncated(kind, ChannelModel::ideal(), cw_min, cw_pow, max_windows);
         let [counts, per_station] = both_paths(config, n, trial);
         prop_assert_eq!(counts, per_station);
     }
+
+    /// The same over any channel.
+    #[test]
+    fn count_only_and_per_station_paths_agree_on_any_channel(
+        n in prop_oneof![0u32..=150, 500u32..=1500],
+        kind in arb_algorithm(),
+        channel in arb_channel(),
+        cw_min in 1u32..=4,
+        cw_pow in 4u32..=20,
+        max_windows in prop_oneof![Just(200u32), 1u32..=12],
+        trial in 0u32..100,
+    ) {
+        let config = truncated(kind, channel, cw_min, cw_pow, max_windows);
+        let [counts, per_station] = both_paths(config, n, trial);
+        prop_assert_eq!(counts, per_station);
+    }
+}
+
+/// The same equality over lossy channels: the fixture's five channels and a
+/// heavy noise rate, on power-of-two, zone-rejection and polynomial widths,
+/// width-1 windows, CWmin/CWmax truncation and the valve, at n up to 2000.
+#[test]
+fn count_only_and_per_station_paths_agree_on_every_channel() {
+    use AlgorithmKind::{Beb, Fixed, LogBackoff, LogLogBackoff, Polynomial, Sawtooth};
+    let mut channels = channels();
+    channels.push(("noise0.4", ChannelModel::noisy(0.4)));
+    let algorithms = [
+        Beb,
+        LogBackoff,
+        LogLogBackoff,
+        Sawtooth,
+        Polynomial { degree: 2 },
+        Fixed { window: 7 },
+        Fixed { window: 1 },
+    ];
+    let mut trials = 0;
+    for (label, channel) in channels {
+        for kind in algorithms {
+            // A fixed window far below n never drains without the valve.
+            let valve = if matches!(kind, Fixed { .. }) { 40 } else { 0 };
+            for (truncation, max_windows) in [
+                (Truncation::unbounded(), valve),
+                (Truncation::paper(), valve),
+                (Truncation::unbounded(), 4),
+            ] {
+                let config = WindowedConfig {
+                    truncation,
+                    max_windows,
+                    ..over(kind, channel)
+                };
+                for n in [1, 2, 9, 83, 400, 2000] {
+                    for trial in 0..4 {
+                        let [counts, per_station] = both_paths(config, n, trial);
+                        assert_eq!(
+                            counts, per_station,
+                            "{label} {kind} n={n} trial={trial} truncation={truncation:?} \
+                             max_windows={max_windows}"
+                        );
+                        trials += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(trials, 3024);
 }
 
 /// The same equality at every switch point of the count-only loop, each hit
