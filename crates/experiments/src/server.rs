@@ -38,15 +38,26 @@
 //! at all, not even its fresh trials: the fold runs on a copy of the master
 //! state that replaces it only on success. A POST under an unknown or
 //! expired lease id is folded and deduplicated like any other; the id is
-//! bookkeeping only. Every accepted POST checkpoints
-//! the fold state into `--out/checkpoints/`, so a killed coordinator
-//! resumes with `repro serve` pointed at the same `--out`, re-leasing only
-//! the missing trials. Every bound of `serve` and `work` is a field of
+//! bookkeeping only. Every bound of `serve` and `work` is a field of
 //! [`Limits`]; a request that breaks one gets a 4xx and frees its handler.
+//!
+//! ## Checkpoints
+//!
+//! A 200 reply to a POST means a durable checkpoint in
+//! `--out/checkpoints/` holds the posted trials, so a killed coordinator
+//! resumes with `repro serve` pointed at the same `--out`, re-leasing only
+//! the missing trials. (A write that fails does not hold the reply back:
+//! [`CheckpointWriter`] warns once on stderr and the next write retries.)
+//! Checkpoints are group-committed: a POST's handler folds and clones the
+//! fold state under the fold lock, queues the clone, and then, outside the
+//! lock, waits until a checkpoint holding its fold is durable. Checkpoints
+//! are written one at a time and in fold order, each from the newest queued
+//! clone, so POSTs that arrive during one write share the next. Lease
+//! claims never wait on the disk.
 //!
 //! [`MetricStats::try_merge_dedup`]: crate::aggregate::MetricStats::try_merge_dedup
 
-use crate::aggregate::StatsCell;
+use crate::aggregate::{MetricStats, StatsCell};
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::cli::{load_checkpoint, Experiment};
 use crate::options::Options;
@@ -212,8 +223,6 @@ impl JobStore {
 // ---------------------------------------------------------------------------
 
 struct Fold {
-    /// The sweep this coordinator serves.
-    exp: Experiment,
     /// Master cells, kept in canonical grid order (cells nothing has
     /// touched yet are absent, like any partial artifact).
     cells: Vec<StatsCell>,
@@ -241,20 +250,17 @@ impl Fold {
     /// runs on a copy of the master that replaces it only on success, so a
     /// rejected POST leaves no trial behind. Returns the tally in *trial*
     /// units.
-    fn fold_post(&mut self, posted: ShardState) -> Result<MergeStats, String> {
-        self.exp.check(&posted)?;
+    fn fold_post(&mut self, exp: &Experiment, posted: ShardState) -> Result<MergeStats, String> {
+        exp.check(&posted)?;
         // A trial recorded for only some metrics cannot have come from
         // this pipeline; folding it would corrupt the master state.
         checkpoint::missing_work(&posted)?;
         let posted = posted.into_cells();
         let offered = recorded(&posted);
         let before = recorded(&self.cells);
-        self.cells = merge_cells(
-            &self.exp.grid,
-            self.cells.clone(),
-            posted,
-            |mine, theirs| mine.try_merge_dedup(theirs),
-        )?;
+        self.cells = merge_cells(&exp.grid, self.cells.clone(), posted, |mine, theirs| {
+            mine.try_merge_dedup(theirs)
+        })?;
         // Master and POST hold whole trials only, so the master grows by
         // exactly the posted trials it did not hold yet.
         let fresh = recorded(&self.cells) - before;
@@ -269,7 +275,13 @@ impl Fold {
 // The server.
 // ---------------------------------------------------------------------------
 
+/// What `run`, the acceptor and the handlers share. The fold lock covers
+/// the fold, the claim and the snapshot clone, never a file write:
+/// checkpoints are written outside it (see `commit`), and `finalize` writes
+/// the reports from a clone.
 struct Shared {
+    /// The sweep this coordinator serves.
+    exp: Experiment,
     fold: Mutex<Fold>,
     writer: CheckpointWriter,
     metrics_path: PathBuf,
@@ -281,8 +293,8 @@ struct Shared {
 }
 
 /// What `run`, the acceptor and the handlers tell each other. Each update
-/// is a counter or flag store, so a gate poisoned by a panicking thread is
-/// still consistent and is used as it stands.
+/// stores a counter, a flag or the queued snapshot, so a gate poisoned by a
+/// panicking thread is still consistent and is used as it stands.
 #[derive(Default)]
 struct Gate {
     /// Handlers running now. Only the acceptor raises it, and only below
@@ -298,6 +310,15 @@ struct Gate {
     /// `run` is leaving: the acceptor accepts nothing more, and a request
     /// read from now on is dropped unanswered, as if it came after exit.
     leaving: bool,
+    /// The newest fold state no checkpoint holds yet, with its ticket: the
+    /// accepted POSTs it holds. A newer fold replaces it, because fold
+    /// state only grows.
+    queued: Option<(usize, SweepSnapshot<MetricStats>)>,
+    /// A durable checkpoint holds every accepted POST up to this ticket.
+    durable: usize,
+    /// A checkpoint write is running. Only one may: the writer stages fixed
+    /// temp names, and checkpoint order must stay fold order.
+    writing: bool,
 }
 
 impl Shared {
@@ -408,8 +429,8 @@ impl Server {
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
+                exp,
                 fold: Mutex::new(Fold {
-                    exp,
                     cells,
                     store,
                     trials_total,
@@ -473,18 +494,27 @@ impl Server {
         gate.accept_failed.take().map_or(Ok(()), Err)
     }
 
-    /// The sweep is complete (the last accepted POST wrote the finished
-    /// checkpoint): write the figure's reports, exactly as `repro merge`
-    /// would.
+    /// The sweep is complete: waits until the final (finished) checkpoint
+    /// is durable, then writes the figure's reports, exactly as `repro
+    /// merge` would. Nothing folds once `complete` is set, so the counters
+    /// and the cells read under the fold lock are final, and the reports
+    /// are written from a clone, outside it.
     fn finalize(&self) -> Result<(), String> {
-        let fold = self.shared.fold.lock().expect("fold poisoned");
+        let shared = &self.shared;
+        let fold = shared.fold.lock().expect("fold poisoned");
+        let (posts, duplicates) = (fold.accepted_posts, fold.duplicate_trials);
+        let reissued = fold.store.reissued;
+        let cells = fold.cells.clone();
+        drop(fold);
+        commit(shared, posts);
         println!(
-            "[serve] {} complete: {} posts accepted, {} duplicate trials discarded, \
-             {} leases re-issued",
-            fold.exp.entry.name, fold.accepted_posts, fold.duplicate_trials, fold.store.reissued
+            "[serve] {} complete: {posts} posts accepted, {duplicates} duplicate trials \
+             discarded, {reissued} leases re-issued",
+            shared.exp.entry.name
         );
-        fold.exp
-            .report(&fold.cells, "[serve]", &self.out_dir, self.json)
+        shared
+            .exp
+            .report(&cells, "[serve]", &self.out_dir, self.json)
     }
 }
 
@@ -699,7 +729,10 @@ fn lease_response(shared: &Shared) -> (u16, String) {
     if shared.gate().complete {
         return (200, "{\"status\":\"done\"}".to_string());
     }
-    match fold.store.claim(Instant::now()) {
+    let claimed = fold.store.claim(Instant::now());
+    drop(fold);
+    let exp = &shared.exp;
+    match claimed {
         None => (
             200,
             format!(
@@ -717,9 +750,9 @@ fn lease_response(shared: &Shared) -> (u16, String) {
                 format!(
                     "{{\"status\":\"lease\",\"id\":{id},\"experiment\":{},\"full\":{},\
                      \"trials\":{},\"work\":[{}]}}",
-                    json_str(fold.exp.entry.name),
-                    fold.exp.opts.full,
-                    fold.exp.grid.trials,
+                    json_str(exp.entry.name),
+                    exp.opts.full,
+                    exp.grid.trials,
                     ranges.join(",")
                 ),
             )
@@ -750,7 +783,7 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
         // all duplicates by construction. Nothing to fold.
         return (200, "{\"status\":\"done\"}".to_string());
     }
-    let stats = match fold.fold_post(posted) {
+    let stats = match fold.fold_post(&shared.exp, posted) {
         Ok(stats) => stats,
         Err(e) => return (409, error_body(&e)),
     };
@@ -759,12 +792,13 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
     fold.duplicate_trials += stats.duplicates;
     let recorded = recorded(&fold.cells);
     let remaining = fold.trials_total - recorded;
-    // Checkpoint every accepted result: the fold is the only copy of the
-    // fleet's work, and the final (finished) snapshot doubles as the clean-
-    // shutdown flush. Written *under* the fold lock — the writer stages
-    // fixed temp-file names, so concurrent snapshots would race each
-    // other's renames, and serializing here also keeps checkpoint seq
-    // order identical to fold order.
+    // The fold is the only copy of the fleet's work, so the reply waits
+    // until a checkpoint holds it; the final (finished) one doubles as the
+    // clean-shutdown flush. Only the clone is taken under the fold lock.
+    // Queuing it here, under the fold count as its ticket, keeps checkpoint
+    // order the fold order. The POST that completes the sweep sets
+    // `complete` here too, so a claim made after its fold answers `done`.
+    let ticket = fold.accepted_posts;
     let snapshot = SweepSnapshot {
         cells: fold.cells.clone(),
         completed_trials: recorded,
@@ -773,11 +807,12 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
         workers: fold.store.active.len().max(1),
         finished: remaining == 0,
     };
-    shared.writer.snapshot(snapshot);
-    if remaining == 0 {
-        shared.signal(|gate| gate.complete = true);
-    }
+    shared.signal(|gate| {
+        gate.queued = Some((ticket, snapshot));
+        gate.complete = remaining == 0;
+    });
     drop(fold);
+    commit(shared, ticket);
     (
         200,
         format!(
@@ -785,6 +820,51 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
             stats.fresh, stats.duplicates
         ),
     )
+}
+
+/// Returns once a durable checkpoint holds the fold of accepted POST
+/// `ticket`. A caller that finds no write running writes the newest queued
+/// snapshot itself; the others wait for it on the gate. A write that panics
+/// still wakes them, and whoever waits on its snapshot returns without a
+/// checkpoint rather than hang.
+fn commit(shared: &Shared, ticket: usize) {
+    let mut gate = shared.wait_while(|g| g.writing && g.durable < ticket);
+    if gate.durable >= ticket {
+        return;
+    }
+    // No write runs, so this fold's snapshot or a newer one is queued,
+    // unless a write that took it panicked.
+    let Some((newest, snapshot)) = gate.queued.take() else {
+        return;
+    };
+    gate.writing = true;
+    drop(gate);
+    let mut write = Writing {
+        shared,
+        durable: None,
+    };
+    shared.writer.snapshot(snapshot);
+    write.durable = Some(newest);
+}
+
+/// The checkpoint write in progress. Its end, a panic included, clears
+/// `Gate::writing` and wakes every waiter.
+struct Writing<'a> {
+    shared: &'a Shared,
+    /// The ticket the write made durable, once it has.
+    durable: Option<usize>,
+}
+
+impl Drop for Writing<'_> {
+    fn drop(&mut self) {
+        let durable = self.durable;
+        self.shared.signal(|gate| {
+            gate.writing = false;
+            if let Some(ticket) = durable {
+                gate.durable = ticket;
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -839,7 +919,6 @@ pub fn http_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::MetricStats;
     use crate::figures::sharding::find_shardable;
     use crate::figures::shared::SweepHooks;
 
@@ -876,6 +955,68 @@ mod tests {
         // bookkeeping entry), while the live id completes normally.
         assert!(!store.complete(id_a, late));
         assert!(store.complete(id_a2, late));
+    }
+
+    /// A checkpoint write that panics strands no waiter: its guard clears
+    /// `writing` and wakes them. A waiter whose snapshot went down with the
+    /// write returns without a checkpoint; one whose fold a newer queued
+    /// snapshot holds writes that one itself.
+    #[test]
+    fn a_failed_checkpoint_write_strands_no_waiter() {
+        let dir = std::env::temp_dir().join(format!("serve-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = Options {
+            inputs: vec!["fig5".to_string()],
+            trials: Some(2),
+            out_dir: Some(dir.clone()),
+            port: Some(0),
+            ..Options::default()
+        };
+        let server = Server::start(&opts).unwrap();
+        let shared = &*server.shared;
+        // What a panicking write leaves: its guard dropped unfinished.
+        let panicked = || {
+            drop(Writing {
+                shared,
+                durable: None,
+            })
+        };
+
+        shared.signal(|gate| gate.writing = true);
+        std::thread::scope(|s| {
+            let lost = s.spawn(|| commit(shared, 1));
+            panicked();
+            lost.join().unwrap();
+        });
+        assert_eq!(shared.gate().durable, 0);
+
+        let snapshot = SweepSnapshot {
+            cells: Vec::new(),
+            completed_trials: 0,
+            total_trials: 32,
+            elapsed: Duration::ZERO,
+            workers: 1,
+            finished: false,
+        };
+        shared.signal(|gate| {
+            gate.writing = true;
+            gate.queued = Some((2, snapshot));
+        });
+        std::thread::scope(|s| {
+            let queued = s.spawn(|| commit(shared, 2));
+            panicked();
+            queued.join().unwrap();
+        });
+        let gate = shared.gate();
+        assert!(!gate.writing && gate.queued.is_none());
+        assert_eq!(gate.durable, 2);
+        drop(gate);
+        assert_eq!(
+            load_checkpoint(&dir).unwrap().1,
+            0,
+            "the waiter wrote seq 0"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Over the quick `saturation` grid (`LinearN`, loads 100–1000), the
@@ -921,8 +1062,8 @@ mod tests {
             ..Options::default()
         };
         let grid = (entry.grid)(&opts);
+        let exp = Experiment::new("fig5", &opts).unwrap();
         let mut fold = Fold {
-            exp: Experiment::new("fig5", &opts).unwrap(),
             cells: Vec::new(),
             store: JobStore::new(Vec::new(), Duration::from_secs(1)),
             trials_total: grid.cell_count() * grid.trials as usize,
@@ -944,11 +1085,11 @@ mod tests {
         let posted = ShardState::from_cells("fig5", false, (0, 1), &grid, &cells);
         let replay = ShardState::parse(&posted.to_json()).unwrap();
 
-        let first = fold.fold_post(posted).unwrap();
+        let first = fold.fold_post(&exp, posted).unwrap();
         assert_eq!(first.fresh, grid.cell_count());
         assert_eq!(first.duplicates, 0);
         let before = ShardState::from_cells("fig5", false, (0, 1), &grid, &fold.cells).to_json();
-        let second = fold.fold_post(replay).unwrap();
+        let second = fold.fold_post(&exp, replay).unwrap();
         assert_eq!(second.fresh, 0);
         assert_eq!(second.duplicates, grid.cell_count());
         let after = ShardState::from_cells("fig5", false, (0, 1), &grid, &fold.cells).to_json();
@@ -970,7 +1111,7 @@ mod tests {
         };
         let conflicting =
             ShardState::from_cells("fig5", false, (0, 1), &grid, &[tamper(&fold.cells[0])]);
-        let err = fold.fold_post(conflicting).unwrap_err();
+        let err = fold.fold_post(&exp, conflicting).unwrap_err();
         assert!(err.contains("conflicting"), "{err}");
 
         // A rejected POST folds nothing: trial 1 of cell 0 is fresh, but it
@@ -987,7 +1128,10 @@ mod tests {
         let mut mixed = (entry.cells)(&opts, &hooks);
         mixed.push(tamper(&fold.cells[1]));
         let err = fold
-            .fold_post(ShardState::from_cells("fig5", false, (0, 1), &grid, &mixed))
+            .fold_post(
+                &exp,
+                ShardState::from_cells("fig5", false, (0, 1), &grid, &mixed),
+            )
             .unwrap_err();
         assert!(err.contains("conflicting"), "{err}");
         let rejected = ShardState::from_cells("fig5", false, (0, 1), &grid, &fold.cells).to_json();
@@ -1001,7 +1145,7 @@ mod tests {
         let foreign_grid = (foreign_entry.grid)(&opts);
         let foreign = ShardState::from_cells("fig3", false, (0, 1), &foreign_grid, &[]);
         let err = fold
-            .fold_post(ShardState::parse(&foreign.to_json()).unwrap())
+            .fold_post(&exp, ShardState::parse(&foreign.to_json()).unwrap())
             .unwrap_err();
         assert!(err.contains("fig3"), "{err}");
     }

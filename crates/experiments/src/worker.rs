@@ -7,6 +7,16 @@
 //! and POSTs the resulting `shard_state/v1` artifact back. Loops until the
 //! coordinator answers `done`.
 //!
+//! A worker keeps one POST in flight, so its compute never waits on the
+//! coordinator's checkpoint: it sends lease k's result on a thread of its
+//! own, claims and runs lease k+1, and collects lease k's reply just before
+//! it sends lease k+1's. It also collects it when a claim answers `wait`
+//! (and then asks again at once), and before it exits for any reason. All
+//! printing stays on the main thread, so a lease's ` accepted: ` line may
+//! follow the next lease's ` trials across ` line. A rejected POST (409) or
+//! an unexpected status ends the worker with an error once the lease it is
+//! running ends; the coordinator re-issues that lease after its TTL.
+//!
 //! The worker holds no durable state: killing one mid-lease loses nothing
 //! but time (the coordinator re-issues the lease after `--lease-secs`),
 //! and a worker that double-runs trials is harmless (the coordinator's
@@ -17,6 +27,7 @@ use crate::jsonin::Json;
 use crate::options::Options;
 use crate::server::{http_request, Limits};
 use contention_sim::engine::{validate_plan, TrialRange};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Fault-injection hook for the lease-failure tests: if set, the worker
@@ -85,7 +96,63 @@ fn decode_lease(body: &str, opts: &Options) -> Result<LeaseReply, String> {
     }
 }
 
-/// The worker loop: claim, run, report, repeat until `done`.
+/// A result POST's outcome: the reply's status and body, or why it failed.
+type Reply = Result<(u16, String), String>;
+
+/// The worker's result POSTs, at most one in flight.
+struct Outbox<'a> {
+    addr: &'a str,
+    /// The lease whose result is on its way, and the thread sending it.
+    in_flight: Option<(u64, JoinHandle<Reply>)>,
+    /// Leases whose results the coordinator accepted.
+    accepted: usize,
+}
+
+impl Outbox<'_> {
+    /// Sends lease `id`'s artifact on a thread of its own, once the POST
+    /// before it is collected.
+    fn send(&mut self, id: u64, artifact: String) -> Result<(), String> {
+        self.collect()?;
+        let addr = self.addr.to_string();
+        let post = std::thread::Builder::new()
+            .name(format!("post-{id}"))
+            .spawn(move || http_request(&addr, "POST", &format!("/result/{id}"), Some(&artifact)))
+            .map_err(|e| format!("cannot start the POST of lease {id}: {e}"))?;
+        self.in_flight = Some((id, post));
+        Ok(())
+    }
+
+    /// Waits for the POST in flight, if any, and prints its outcome. A
+    /// reply other than 200 is an error; a failed delivery only warns.
+    fn collect(&mut self) -> Result<(), String> {
+        let Some((id, post)) = self.in_flight.take() else {
+            return Ok(());
+        };
+        let reply = post
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        match reply {
+            Ok((200, reply)) => {
+                self.accepted += 1;
+                println!("[work] lease {id} accepted: {reply}");
+                Ok(())
+            }
+            // The fold rejected our results: wrong build, conflicting bits.
+            // Running more leases would produce more rejections.
+            Ok((409, reply)) => Err(format!("coordinator rejected lease {id}: {reply}")),
+            Ok((status, reply)) => Err(format!("unexpected reply {status} to lease {id}: {reply}")),
+            Err(e) => {
+                // Delivery failed — the lease will expire and be re-issued;
+                // the next claim decides whether the server is gone.
+                eprintln!("warning: could not deliver lease {id}: {e}");
+                Ok(())
+            }
+        }
+    }
+}
+
+/// The worker loop: claim, run, report, repeat until `done`, with the
+/// previous lease's POST in flight meanwhile.
 pub fn run_worker(opts: &Options) -> Result<(), String> {
     let addr = opts.connect.clone().expect("validated at parse time");
     let limits = Limits::of(opts);
@@ -95,7 +162,11 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
         .map(Duration::from_millis);
     let mut failures = 0u32;
     let mut ever_connected = false;
-    let mut leases_done = 0usize;
+    let mut outbox = Outbox {
+        addr: &addr,
+        in_flight: None,
+        accepted: 0,
+    };
     loop {
         let response = http_request(&addr, "GET", "/lease", None);
         let (status, body) = match response {
@@ -109,9 +180,11 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
                     // The coordinator lingers only briefly after completion;
                     // a vanished coordinator after successful exchanges
                     // almost certainly means the run finished without us.
+                    outbox.collect()?;
                     println!(
-                        "[work] coordinator at {addr} gone after {leases_done} leases — \
-                         assuming the sweep completed"
+                        "[work] coordinator at {addr} gone after {} leases — \
+                         assuming the sweep completed",
+                        outbox.accepted
                     );
                     return Ok(());
                 }
@@ -122,21 +195,31 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
         ever_connected = true;
         failures = 0;
         if status != 200 {
+            outbox.collect()?;
             return Err(format!(
                 "coordinator rejected lease claim ({status}): {body}"
             ));
         }
         let lease = match decode_lease(&body, opts) {
             Ok(LeaseReply::Lease(lease)) => *lease,
+            // Everything is leased out, our own last lease included while
+            // its POST is in flight: its reply may free or finish the sweep,
+            // so ask again as soon as it is in.
+            Ok(LeaseReply::Wait(_)) if outbox.in_flight.is_some() => {
+                outbox.collect()?;
+                continue;
+            }
             Ok(LeaseReply::Wait(pause)) => {
                 std::thread::sleep(pause);
                 continue;
             }
             Ok(LeaseReply::Done) => {
-                println!("[work] sweep complete after {leases_done} leases");
+                outbox.collect()?;
+                println!("[work] sweep complete after {} leases", outbox.accepted);
                 return Ok(());
             }
             Err(e) => {
+                outbox.collect()?;
                 return Err(format!("malformed lease response ({e}): {body}"));
             }
         };
@@ -149,8 +232,9 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
         let mut cells: Vec<usize> = lease.plan.iter().map(|r| r.cell).collect();
         cells.sort_unstable();
         cells.dedup();
-        // perfbench/run.py counts claimed and accepted leases from these
-        // two lines (` trials across `, ` accepted: `): keep their wording.
+        // perfbench/run.py counts claimed and accepted leases from this line
+        // and `Outbox::collect`'s (` trials across `, ` accepted: `): keep
+        // their wording.
         println!(
             "[work] lease {}: {} trials across {} cells of {}",
             lease.id,
@@ -159,29 +243,7 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
             lease.exp.entry.name
         );
         let artifact = lease.exp.run_plan(&lease.plan, (0, 1)).to_json();
-        let path = format!("/result/{}", lease.id);
-        match http_request(&addr, "POST", &path, Some(&artifact)) {
-            Ok((200, reply)) => {
-                leases_done += 1;
-                println!("[work] lease {} accepted: {reply}", lease.id);
-            }
-            Ok((409, reply)) => {
-                // The fold rejected our results: wrong build, conflicting
-                // bits. Running more leases would produce more rejections.
-                return Err(format!("coordinator rejected lease {}: {reply}", lease.id));
-            }
-            Ok((status, reply)) => {
-                return Err(format!(
-                    "unexpected reply {status} to lease {}: {reply}",
-                    lease.id
-                ));
-            }
-            Err(e) => {
-                // Delivery failed — the lease will expire and be re-issued;
-                // our next claim round decides whether the server is gone.
-                eprintln!("warning: could not deliver lease {}: {e}", lease.id);
-            }
-        }
+        outbox.send(lease.id, artifact)?;
     }
 }
 

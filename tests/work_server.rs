@@ -13,7 +13,9 @@
 //! timeout of `TTL` — so that a re-issue or a stalled request costs a
 //! fraction of a second.
 
-use contention_experiments::checkpoint::{checkpoint_file_name, CHECKPOINT_DIR, LATEST_FILE};
+use contention_experiments::checkpoint::{
+    checkpoint_file_name, load_latest, missing_work, CHECKPOINT_DIR, LATEST_FILE,
+};
 use contention_experiments::cli;
 use contention_experiments::figures::sharding::find_shardable;
 use contention_experiments::figures::shared::SweepHooks;
@@ -25,7 +27,7 @@ use contention_experiments::worker::run_worker;
 use contention_sim::engine::TrialRange;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Lines, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, ExitCode, Stdio};
 use std::thread::JoinHandle;
@@ -719,4 +721,253 @@ fn a_coordinator_that_leaves_at_once_answers_the_post_that_completed_the_sweep()
         assert!(serve.child.wait().unwrap().success(), "{rest:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every 200 reply to a POST means a durable checkpoint holds its trials,
+/// also while two clients post at once and their folds share checkpoints.
+/// After each reply the newest checkpoint records every trial that client
+/// has had accepted, and its seq never goes backwards. The coordinator
+/// writes no more checkpoints than it accepts POSTs, and the artifacts
+/// equal the direct run's. The lease TTL is long enough that no lease is
+/// re-issued.
+#[test]
+fn every_200_reply_is_durable_under_concurrent_posts() {
+    let direct_dir = scratch("durable-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("durable-serve");
+    let opts = Options {
+        leases: Some(8),
+        lease_ttl: Some(Duration::from_secs(60)),
+        ..serve_fig5(&dir)
+    };
+    let (addr, handle) = spawn_server(&opts);
+    let posts: u64 = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| post_and_check_durability(&addr, &dir)))
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    handle.join().unwrap().expect("server finalizes");
+    assert_eq!(posts, 8, "one POST per lease");
+    let last = load_latest(&dir).unwrap();
+    assert!(missing_work(&last.state).unwrap().is_empty());
+    assert!(
+        last.seq < posts,
+        "{} checkpoints for {posts} POSTs",
+        last.seq + 1
+    );
+    assert_eq!(artifacts(&dir), direct);
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Claims and delivers leases until the sweep is done, and after each
+/// accepted POST requires the newest checkpoint under `dir` to hold every
+/// trial delivered so far, at a seq no lower than the last one read.
+/// Returns the number of POSTs.
+fn post_and_check_durability(addr: &str, dir: &Path) -> u64 {
+    let (mut delivered, mut posts, mut seq) = (Vec::<TrialRange>::new(), 0, 0);
+    loop {
+        let (status, body) = http_request(addr, "GET", "/lease", None).expect("claim");
+        assert_eq!(status, 200, "{body}");
+        if body.contains("\"status\":\"done\"") {
+            return posts;
+        }
+        if body.contains("\"status\":\"wait\"") {
+            std::thread::sleep(Duration::from_millis(5));
+            continue;
+        }
+        deliver(addr, &body);
+        posts += 1;
+        delivered.extend(lease_of(&body).1);
+        let newest = load_latest(dir).expect("a checkpoint after a 200 reply");
+        assert!(newest.seq >= seq, "seq {} after seq {seq}", newest.seq);
+        seq = newest.seq;
+        let missing = missing_work(&newest.state).unwrap();
+        for r in &delivered {
+            let lost = missing
+                .iter()
+                .any(|m| m.cell == r.cell && m.lo < r.hi && r.lo < m.hi);
+            assert!(!lost, "checkpoint seq {seq} lacks accepted trials {r:?}");
+        }
+    }
+}
+
+/// A stand-in coordinator for one `repro work` process: the test reads its
+/// requests one by one and answers each by hand.
+struct Stub {
+    listener: TcpListener,
+    worker: Child,
+}
+
+impl Stub {
+    /// Binds an ephemeral port and starts `repro work` against it.
+    fn start() -> Stub {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+        let worker = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["work", "--connect", &addr, "--threads", "1"])
+            .env_remove("REPRO_WORK_HOLD_MS")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn repro work");
+        Stub { listener, worker }
+    }
+
+    /// The worker's next request: its connection and its request line. The
+    /// body is read to its end, so that closing the connection resets
+    /// nothing.
+    fn next(&self) -> (TcpStream, String) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let stream = loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock && Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => panic!("no request from the worker in 20 s: {e}"),
+            }
+        };
+        stream.set_nonblocking(false).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let mut length = 0;
+        loop {
+            let mut header = String::new();
+            reader.read_line(&mut header).unwrap();
+            if header.trim().is_empty() {
+                break;
+            }
+            if let Some(value) = header.strip_prefix("Content-Length:") {
+                length = value.trim().parse().unwrap();
+            }
+        }
+        reader.read_exact(&mut vec![0; length]).unwrap();
+        (stream, line.trim_end().to_string())
+    }
+
+    /// The worker's exit status, stdout and stderr, once it has exited.
+    fn finish(mut self) -> (bool, String, String) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = self.worker.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = self.worker.kill();
+                panic!("the worker did not exit");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let (mut stdout, mut stderr) = (String::new(), String::new());
+        let (out, err) = (self.worker.stdout.take(), self.worker.stderr.take());
+        out.unwrap().read_to_string(&mut stdout).unwrap();
+        err.unwrap().read_to_string(&mut stderr).unwrap();
+        // Any connection the worker made is in the backlog by now.
+        let late = self.listener.accept().map(|_| ());
+        assert!(
+            matches!(&late, Err(e) if e.kind() == ErrorKind::WouldBlock),
+            "the worker sent a request the stub never read"
+        );
+        (status.success(), stdout, stderr)
+    }
+}
+
+impl Drop for Stub {
+    fn drop(&mut self) {
+        let _ = self.worker.kill();
+        let _ = self.worker.wait();
+    }
+}
+
+/// Answers `stream` with `status` and `body`, and closes it.
+fn answer(mut stream: TcpStream, status: u16, body: &str) {
+    let response = format!(
+        "HTTP/1.1 {status} Stub\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(response.as_bytes()).unwrap();
+}
+
+/// A fig5 `--trials 2` lease `id` of trial 0 of cell `cell`.
+fn stub_lease(id: u32, cell: usize) -> String {
+    format!(
+        "{{\"status\":\"lease\",\"id\":{id},\"experiment\":\"fig5\",\"full\":false,\
+         \"trials\":2,\"work\":[[{cell},0,1]]}}"
+    )
+}
+
+/// A worker keeps lease 0's POST in flight while it claims and runs lease
+/// 1, and collects its reply before it sends lease 1's. A 409 for lease 0
+/// then ends the worker with exit 1 and the coordinator's reason, and
+/// lease 1's result is never sent.
+#[test]
+fn a_rejected_post_stops_the_worker_before_its_next_post() {
+    let stub = Stub::start();
+    let (claim, line) = stub.next();
+    assert_eq!(line, "GET /lease HTTP/1.1");
+    answer(claim, 200, &stub_lease(0, 0));
+    // POST 0 and the next claim come in either order.
+    for _ in 0..2 {
+        let (stream, line) = stub.next();
+        if line.starts_with("POST ") {
+            assert_eq!(line, "POST /result/0 HTTP/1.1");
+            answer(
+                stream,
+                409,
+                "{\"status\":\"error\",\"error\":\"conflicting\"}",
+            );
+        } else {
+            assert_eq!(line, "GET /lease HTTP/1.1");
+            answer(stream, 200, &stub_lease(1, 1));
+        }
+    }
+    let (success, stdout, stderr) = stub.finish();
+    assert!(!success, "{stdout}");
+    assert!(
+        stderr.contains("error: coordinator rejected lease 0: "),
+        "{stderr}"
+    );
+    assert!(
+        stdout.contains("[work] lease 1: 1 trials across"),
+        "{stdout}"
+    );
+}
+
+/// A claim answered `wait` while the worker's last POST is in flight is
+/// asked again as soon as that POST is answered, not after the minute the
+/// `wait` suggests: a worker that slept would fail `Stub::next`.
+#[test]
+fn a_worker_with_a_post_in_flight_asks_again_once_it_is_answered() {
+    let stub = Stub::start();
+    let (claim, _) = stub.next();
+    answer(claim, 200, &stub_lease(0, 0));
+    // POST 0 and the claim made while it is in flight, in either order: the
+    // claim is answered first.
+    let mut post = None;
+    for _ in 0..2 {
+        let (stream, line) = stub.next();
+        if line.starts_with("POST ") {
+            post = Some(stream);
+        } else {
+            answer(stream, 200, "{\"status\":\"wait\",\"retry_ms\":60000}");
+        }
+    }
+    let reply = "{\"status\":\"ok\",\"fresh\":1,\"duplicate\":0,\"remaining\":31}";
+    answer(post.expect("POST 0"), 200, reply);
+    let (claim, line) = stub.next();
+    assert_eq!(line, "GET /lease HTTP/1.1");
+    answer(claim, 200, "{\"status\":\"done\"}");
+    let (success, stdout, stderr) = stub.finish();
+    assert!(success, "{stderr}");
+    let accepted = format!("[work] lease 0 accepted: {reply}");
+    assert!(stdout.contains(&accepted), "{stdout}");
+    assert!(
+        stdout.contains("[work] sweep complete after 1 leases"),
+        "{stdout}"
+    );
 }
