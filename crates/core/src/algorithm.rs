@@ -1,6 +1,5 @@
 //! Identification of the contention-resolution algorithms under study.
 
-use crate::schedule::{Schedule, Truncation};
 use std::fmt;
 
 /// Every algorithm evaluated by the paper, plus the ablation baselines this
@@ -9,7 +8,8 @@ use std::fmt;
 /// The first four are the windowed backoff algorithms of §III (Figure 2 and
 /// Table II). `Fixed` is the backoff stage of the size-estimation approach
 /// (§VI). `BestOfK` is the full §VI algorithm — estimation *then* fixed
-/// backoff — and therefore has no pure window schedule of its own.
+/// backoff — and therefore has no pure window schedule of its own: its
+/// [`Backoff`](crate::schedule::Backoff) table is `None`.
 /// `Polynomial` is an extra baseline motivated by the related work on
 /// polynomial backoff (paper's reference \[53\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,21 +88,6 @@ impl AlgorithmKind {
         }
     }
 
-    /// Builds the window schedule for this algorithm, or `None` for
-    /// `BestOfK`, whose window size is only known after the estimation phase
-    /// has run (the MAC simulator handles it specially).
-    pub fn schedule(&self, trunc: Truncation) -> Option<Schedule> {
-        Some(match self {
-            AlgorithmKind::Beb => Schedule::beb(trunc),
-            AlgorithmKind::LogBackoff => Schedule::log_backoff(trunc),
-            AlgorithmKind::LogLogBackoff => Schedule::loglog_backoff(trunc),
-            AlgorithmKind::Sawtooth => Schedule::sawtooth(trunc),
-            AlgorithmKind::Fixed { window } => Schedule::fixed(*window, trunc),
-            AlgorithmKind::Polynomial { degree } => Schedule::polynomial(*degree, trunc),
-            AlgorithmKind::BestOfK { .. } => return None,
-        })
-    }
-
     /// True for the algorithms whose window sizes never shrink.
     ///
     /// The paper contrasts the monotone algorithms (BEB, LB, LLB) with STB's
@@ -121,6 +106,7 @@ impl fmt::Display for AlgorithmKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::{Backoff, Truncation};
 
     #[test]
     fn labels_match_paper() {
@@ -153,15 +139,14 @@ mod tests {
     #[test]
     fn paper_set_has_schedules() {
         for kind in AlgorithmKind::PAPER_SET {
-            assert!(kind.schedule(Truncation::paper()).is_some(), "{kind}");
+            assert!(Backoff::new(kind, Truncation::paper()).is_some(), "{kind}");
         }
     }
 
     #[test]
     fn best_of_k_has_no_static_schedule() {
-        assert!(AlgorithmKind::BestOfK { k: 5 }
-            .schedule(Truncation::paper())
-            .is_none());
+        let kind = AlgorithmKind::BestOfK { k: 5 };
+        assert!(Backoff::new(kind, Truncation::paper()).is_none());
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! Wrong? Confronting the Cost of Collisions"* (Anderton & Young, SPAA 2017),
 //! as a library:
 //!
-//! * [`schedule`] — the contention-window growth schedules under study:
-//!   binary exponential backoff ([`schedule::Beb`]), LOG-BACKOFF
-//!   ([`schedule::LogBackoff`]), LOGLOG-BACKOFF ([`schedule::LogLogBackoff`]),
-//!   SAWTOOTH-BACKOFF ([`schedule::Sawtooth`]), fixed backoff
-//!   ([`schedule::FixedWindow`]) and a polynomial ablation
-//!   ([`schedule::Polynomial`]).
+//! * [`schedule`] — the contention-window growth schedules under study,
+//!   binary exponential backoff, LOG-BACKOFF, LOGLOG-BACKOFF and
+//!   SAWTOOTH-BACKOFF, plus fixed backoff and a polynomial ablation: one
+//!   stage-indexed [`schedule::Backoff`] table per algorithm and
+//!   [`schedule::Truncation`], through which every simulator draws its
+//!   backoffs.
 //! * [`model`] — the paper's collision-cost model
 //!   `T_A = C_A · (P + ρ) + W_A · s` (§III-B) and the total-time
 //!   decomposition used in the back-of-the-envelope argument.
@@ -50,5 +50,5 @@ pub use estimate::BestOfKSpec;
 pub use metrics::{BatchMetrics, StationMetrics};
 pub use model::{CostModel, Decomposition};
 pub use params::Phy80211g;
-pub use schedule::{Schedule, Truncation, WindowSchedule};
+pub use schedule::{Backoff, Truncation};
 pub use time::Nanos;

@@ -5,10 +5,11 @@
 //! results are bit-reproducible regardless of how trials are scheduled across
 //! threads, and different experiments never share streams.
 //!
-//! Every slotted kernel draws its slots and timers through one reduction,
-//! [`UniformBelow`]. It is built once per window width (or backoff stage)
-//! and returns exactly what `gen_range(0..span)` returns, from the same
-//! words, without a division per draw.
+//! Every kernel draws its slots, timers and backoffs through one reduction,
+//! [`UniformBelow`]. It is built once per backoff stage (in a
+//! [`Backoff`](crate::schedule::Backoff) table) and returns exactly what
+//! `gen_range(0..span)` returns, from the same words, without a division
+//! per draw.
 
 use crate::algorithm::AlgorithmKind;
 use rand::rngs::SmallRng;

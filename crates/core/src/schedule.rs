@@ -4,22 +4,32 @@
 //! algorithm: the sequence `W_0, W_1, W_2, …` of contention-window sizes a
 //! station walks through as its transmissions keep failing. The random part —
 //! picking a slot (or residual timer) uniformly inside each window — belongs
-//! to the simulators.
+//! to the simulators, and every one of them draws it through a [`Backoff`]
+//! table: the window of each backoff *stage* (failures so far), held as a
+//! precomputed [`UniformBelow`] draw.
 //!
 //! All schedules honour a [`Truncation`] (CWmin/CWmax); the paper's Table I
 //! uses `CWmin = 1`, `CWmax = 1024`, the values IEEE 802.11g runs with in the
 //! authors' NS3 setup.
 //!
 //! ```
-//! use contention_core::schedule::{Schedule, Truncation, WindowSchedule};
+//! use contention_core::algorithm::AlgorithmKind;
+//! use contention_core::schedule::{Backoff, Truncation};
 //!
-//! let mut beb = Schedule::beb(Truncation::paper());
-//! assert_eq!(beb.take_windows(5), vec![1, 2, 4, 8, 16]);
+//! let windows = |kind, count| {
+//!     let table = Backoff::new(kind, Truncation::paper()).unwrap();
+//!     (0..count).map(|stage| table.window(stage)).collect::<Vec<_>>()
+//! };
+//! assert_eq!(windows(AlgorithmKind::Beb, 5), [1, 2, 4, 8, 16]);
 //!
 //! // SAWTOOTH's "backon" runs each doubled window back down to 2:
-//! let mut stb = Schedule::sawtooth(Truncation::paper());
-//! assert_eq!(stb.take_windows(6), vec![2, 4, 2, 8, 4, 2]);
+//! assert_eq!(windows(AlgorithmKind::Sawtooth, 6), [2, 4, 2, 8, 4, 2]);
 //! ```
+
+use crate::algorithm::AlgorithmKind;
+use crate::rng::UniformBelow;
+use crate::util;
+use rand::RngCore;
 
 /// CWmin/CWmax clamping applied to every schedule (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,285 +78,223 @@ impl Default for Truncation {
     }
 }
 
-/// A (re)playable sequence of contention-window sizes.
+/// One algorithm's backoff schedule under one truncation, indexed by stage:
+/// stage `s` is a station's `s + 1`-th window, the one it draws from after
+/// `s` failures.
 ///
-/// Implementations are cheap to clone; every simulated station owns one.
-pub trait WindowSchedule {
-    /// The size, in slots, of the next contention window. Never returns 0.
-    fn next_window(&mut self) -> u32;
-
-    /// Rewind to the first window.
-    fn reset(&mut self);
-
-    /// Convenience: the next `count` windows (consumes schedule state).
-    fn take_windows(&mut self, count: usize) -> Vec<u32> {
-        (0..count).map(|_| self.next_window()).collect()
-    }
-}
-
-/// Binary exponential backoff: `1, 2, 4, 8, …` up to CWmax (then flat).
+/// Every truncated schedule except POLYNOMIAL is eventually periodic. BEB,
+/// LB, LLB and FIXED end in a constant tail, and SAWTOOTH cycles its
+/// saturated descent `CWmax, CWmax/2, …`. So the table holds one
+/// [`UniformBelow`] per window of a finite prefix plus one period of the
+/// cycle, and a draw returns the values, and consumes the words, of
+/// `gen_range(0..window)` without a division. POLYNOMIAL grows without a
+/// short period; its window is a closed form, evaluated per draw.
 #[derive(Debug, Clone)]
-pub struct Beb {
+pub struct Backoff {
+    kind: AlgorithmKind,
     trunc: Truncation,
-    current: u32,
+    /// The draws of stages `0..prefix`, then one period of the cycle that
+    /// repeats from stage `prefix` on. Empty for POLYNOMIAL.
+    draws: Box<[UniformBelow]>,
+    prefix: usize,
 }
 
-impl Beb {
-    pub fn new(trunc: Truncation) -> Beb {
-        Beb {
+impl Backoff {
+    /// The table of `kind` under `trunc`, or `None` for BEST-OF-k, whose
+    /// window is only known once its estimation phase has run (the MAC
+    /// simulator draws it from the estimate).
+    pub fn new(kind: AlgorithmKind, trunc: Truncation) -> Option<Backoff> {
+        assert!(
+            trunc.cw_min <= trunc.cw_max,
+            "truncation must satisfy cw_min ≤ cw_max"
+        );
+        let mut next = recurrence(kind, trunc)?;
+        let (windows, prefix) = match kind {
+            AlgorithmKind::Polynomial { .. } => (Vec::new(), 0),
+            AlgorithmKind::Fixed { .. } => (vec![next()], 0),
+            _ => until_cycle(trunc.cw_max, next),
+        };
+        let draws = windows
+            .into_iter()
+            .map(|w| UniformBelow::new(w.into()))
+            .collect();
+        Some(Backoff {
+            kind,
             trunc,
-            current: trunc.cw_min,
+            draws,
+            prefix,
+        })
+    }
+
+    /// The table of `(kind, trunc)` in `tables`, built and added there on
+    /// first use; `None` for BEST-OF-k. A kernel's per-worker scratch keeps
+    /// one such list, so a worker builds each table it meets once per
+    /// sweep, however its claims interleave algorithms.
+    pub fn cached(
+        tables: &mut Vec<Backoff>,
+        kind: AlgorithmKind,
+        trunc: Truncation,
+    ) -> Option<&Backoff> {
+        let at = match tables
+            .iter()
+            .position(|t| t.kind == kind && t.trunc == trunc)
+        {
+            Some(at) => at,
+            None => {
+                tables.push(Backoff::new(kind, trunc)?);
+                tables.len() - 1
+            }
+        };
+        Some(&tables[at])
+    }
+
+    /// The draw of `stage`: uniform below that stage's window.
+    #[inline]
+    pub fn draw(&self, stage: u32) -> UniformBelow {
+        let i = stage as usize;
+        if let Some(&draw) = self.draws.get(i) {
+            return draw;
+        }
+        match self.kind {
+            AlgorithmKind::Polynomial { degree } => {
+                UniformBelow::new(poly_window(degree, self.trunc, stage).into())
+            }
+            _ => {
+                let period = self.draws.len() - self.prefix;
+                self.draws[self.prefix + (i - self.prefix) % period]
+            }
         }
     }
+
+    /// The window, in slots, of `stage`. Never 0.
+    pub fn window(&self, stage: u32) -> u32 {
+        self.draw(stage).span() as u32
+    }
+
+    /// A backoff for `stage`: exactly `rng.gen_range(0..window(stage))`,
+    /// in value and in words.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, stage: u32, rng: &mut R) -> u64 {
+        self.draw(stage).sample(rng)
+    }
 }
 
-impl WindowSchedule for Beb {
-    fn next_window(&mut self) -> u32 {
-        let w = self.trunc.clamp(self.current);
-        self.current = self.current.saturating_mul(2).min(self.trunc.cw_max);
+/// The recurrences of Figure 2 and the ablation schedules, one window per
+/// call from stage 0 on, each in its own arithmetic; `None` for BEST-OF-k.
+fn recurrence(kind: AlgorithmKind, trunc: Truncation) -> Option<Box<dyn FnMut() -> u32>> {
+    let top = trunc.cw_max;
+    Some(match kind {
+        // Binary exponential backoff: `1, 2, 4, 8, …` up to CWmax, then flat.
+        AlgorithmKind::Beb => {
+            let mut current = trunc.cw_min;
+            Box::new(move || {
+                let w = trunc.clamp(current);
+                current = current.saturating_mul(2).min(top);
+                w
+            })
+        }
+        // LOG-BACKOFF, `W ← (1 + 1/lg W) W`.
+        AlgorithmKind::LogBackoff => grow(trunc, util::lg),
+        // LOGLOG-BACKOFF, `W ← (1 + 1/lg lg W) W`: backs off *faster* than
+        // LOG-BACKOFF but slower than BEB — the paper's §III-B1 calls it
+        // the "closest competitor" to BEB for exactly this reason.
+        AlgorithmKind::LogLogBackoff => grow(trunc, util::lglg),
+        // SAWTOOTH-BACKOFF (Geréb-Graus & Tsantilas; Greenberg & Leiserson):
+        // the outer loop doubles `W`, and for each outer `W` the inner
+        // "backon" loop runs windows of `W, W/2, W/4, …, 2`. Once the outer
+        // window saturates at CWmax the sawtooth keeps cycling `CWmax,
+        // CWmax/2, …, 2`, the truncated analogue of the unbounded algorithm.
+        AlgorithmKind::Sawtooth => {
+            // The first outer window is the first power of two > CWmin, so
+            // the backon run (down to 2) is non-empty; with the paper's
+            // CWmin = 1 the windows are 2, 4, 2, 8, 4, 2, 16, 8, 4, 2, …
+            let mut outer = trunc.cw_min.next_power_of_two().max(2).min(top);
+            let mut inner = outer;
+            Box::new(move || {
+                let w = trunc.clamp(inner);
+                if inner > 2 {
+                    inner /= 2;
+                } else {
+                    outer = outer.saturating_mul(2).min(top);
+                    inner = outer;
+                }
+                w
+            })
+        }
+        // Fixed backoff, the transmission stage of the §VI size-estimation
+        // approach: the same window every time.
+        AlgorithmKind::Fixed { window } => {
+            let w = trunc.clamp(window.max(1));
+            Box::new(move || w)
+        }
+        AlgorithmKind::Polynomial { degree } => {
+            let mut stage = 0u32;
+            Box::new(move || {
+                let w = poly_window(degree, trunc, stage);
+                stage = stage.saturating_add(1);
+                w
+            })
+        }
+        AlgorithmKind::BestOfK { .. } => return None,
+    })
+}
+
+/// `W ← (1 + 1/log(W)) W` for LB and LLB. The width is tracked as a real
+/// number so the sub-doubling growth rate is not destroyed by repeated
+/// rounding; the emitted window is the ceiling. Where `log(W) ≤ 1` the rate
+/// clamps to `r = 1`, i.e. the schedule doubles exactly like BEB until the
+/// logarithm is meaningful.
+fn grow(trunc: Truncation, log: fn(f64) -> f64) -> Box<dyn FnMut() -> u32> {
+    let mut width = trunc.cw_min as f64;
+    Box::new(move || {
+        let w = trunc.clamp_f64(width);
+        let r = 1.0 / log(width);
+        width = (width * (1.0 + r)).min(trunc.cw_max as f64 * 2.0);
         w
-    }
-
-    fn reset(&mut self) {
-        self.current = self.trunc.cw_min;
-    }
+    })
 }
 
-/// LOG-BACKOFF: `W ← (1 + 1/lg W) W` (Figure 2 with `r = 1/lg W`).
-///
-/// The width is tracked as a real number so the sub-doubling growth rate is
-/// not destroyed by repeated rounding; the emitted window is the ceiling.
-/// For `W ≤ 2` (where `lg W ≤ 1`) the rate clamps to `r = 1`, i.e. the
-/// schedule doubles exactly like BEB until the logarithm is meaningful.
-#[derive(Debug, Clone)]
-pub struct LogBackoff {
-    trunc: Truncation,
-    width: f64,
+/// POLYNOMIAL's window for `stage`, `(stage + 1)^degree`, clamped. Not in the
+/// paper's evaluation: the related work it cites (\[53\], Sun & Dai) argues
+/// quadratic backoff is a strong candidate under non-bursty traffic, which
+/// makes it a natural extra baseline.
+fn poly_window(degree: u32, trunc: Truncation, stage: u32) -> u32 {
+    let base = (u64::from(stage) + 1).saturating_pow(degree.max(1));
+    trunc.clamp(base.min(u64::from(u32::MAX)) as u32)
 }
 
-impl LogBackoff {
-    pub fn new(trunc: Truncation) -> LogBackoff {
-        LogBackoff {
-            trunc,
-            width: trunc.cw_min as f64,
+/// Walks `next` until its windows repeat: returns them up to its second
+/// window of `top` (CWmax), and the stage of its first. Each schedule walked
+/// here cycles from its first CWmax window on: BEB, LB and LLB stay there,
+/// and SAWTOOTH's outer window stays CWmax from then on.
+fn until_cycle(top: u32, mut next: impl FnMut() -> u32) -> (Vec<u32>, usize) {
+    let mut windows = Vec::new();
+    let mut first_top = None;
+    loop {
+        let w = next();
+        if w == top {
+            if let Some(at) = first_top {
+                return (windows, at);
+            }
+            first_top = Some(windows.len());
         }
-    }
-}
-
-impl WindowSchedule for LogBackoff {
-    fn next_window(&mut self) -> u32 {
-        let w = self.trunc.clamp_f64(self.width);
-        let r = 1.0 / crate::util::lg(self.width);
-        self.width = (self.width * (1.0 + r)).min(self.trunc.cw_max as f64 * 2.0);
-        w
-    }
-
-    fn reset(&mut self) {
-        self.width = self.trunc.cw_min as f64;
-    }
-}
-
-/// LOGLOG-BACKOFF: `W ← (1 + 1/lg lg W) W` (Figure 2 with `r = 1/lg lg W`).
-///
-/// Backs off *faster* than LOG-BACKOFF but slower than BEB — the paper's
-/// §III-B1 calls it the "closest competitor" to BEB for exactly this reason.
-#[derive(Debug, Clone)]
-pub struct LogLogBackoff {
-    trunc: Truncation,
-    width: f64,
-}
-
-impl LogLogBackoff {
-    pub fn new(trunc: Truncation) -> LogLogBackoff {
-        LogLogBackoff {
-            trunc,
-            width: trunc.cw_min as f64,
-        }
-    }
-}
-
-impl WindowSchedule for LogLogBackoff {
-    fn next_window(&mut self) -> u32 {
-        let w = self.trunc.clamp_f64(self.width);
-        let r = 1.0 / crate::util::lglg(self.width);
-        self.width = (self.width * (1.0 + r)).min(self.trunc.cw_max as f64 * 2.0);
-        w
-    }
-
-    fn reset(&mut self) {
-        self.width = self.trunc.cw_min as f64;
-    }
-}
-
-/// SAWTOOTH-BACKOFF (Geréb-Graus & Tsantilas; Greenberg & Leiserson).
-///
-/// Doubly-nested loop: the outer loop doubles `W`; for each outer `W` the
-/// inner "backon" loop runs windows of size `W, W/2, W/4, …, 2`. Once the
-/// outer window saturates at CWmax the sawtooth keeps cycling
-/// `CWmax, CWmax/2, …, 2` — the truncated analogue of the unbounded
-/// algorithm.
-#[derive(Debug, Clone)]
-pub struct Sawtooth {
-    trunc: Truncation,
-    outer: u32,
-    inner: u32,
-}
-
-impl Sawtooth {
-    pub fn new(trunc: Truncation) -> Sawtooth {
-        // The first outer window is the first power of two > CWmin so the
-        // backon run (down to 2) is non-empty; with the paper's CWmin = 1
-        // this makes the window sequence 2, 4, 2, 8, 4, 2, 16, 8, 4, 2, …
-        let outer = trunc.cw_min.next_power_of_two().max(2).min(trunc.cw_max);
-        Sawtooth {
-            trunc,
-            outer,
-            inner: outer,
-        }
-    }
-}
-
-impl WindowSchedule for Sawtooth {
-    fn next_window(&mut self) -> u32 {
-        let w = self.trunc.clamp(self.inner);
-        if self.inner > 2 {
-            self.inner /= 2;
-        } else {
-            self.outer = self.outer.saturating_mul(2).min(self.trunc.cw_max);
-            self.inner = self.outer;
-        }
-        w
-    }
-
-    fn reset(&mut self) {
-        *self = Sawtooth::new(self.trunc);
-    }
-}
-
-/// Fixed backoff: the same window every time.
-///
-/// This is the transmission stage of the §VI size-estimation approach: once a
-/// station has a (one-time) estimate `Ŵ ≈ n`, it repeats windows of size `Ŵ`
-/// until it succeeds.
-#[derive(Debug, Clone)]
-pub struct FixedWindow {
-    window: u32,
-}
-
-impl FixedWindow {
-    pub fn new(window: u32, trunc: Truncation) -> FixedWindow {
-        FixedWindow {
-            window: trunc.clamp(window.max(1)),
-        }
-    }
-}
-
-impl WindowSchedule for FixedWindow {
-    fn next_window(&mut self) -> u32 {
-        self.window
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// Polynomial backoff ablation: window `(attempt + 1)^degree`, clamped.
-///
-/// Not in the paper's evaluation; included because the related work the paper
-/// cites (\[53\], Sun & Dai) argues quadratic backoff is a strong candidate
-/// under non-bursty traffic, making it a natural extra baseline for the
-/// single-batch experiments.
-#[derive(Debug, Clone)]
-pub struct Polynomial {
-    trunc: Truncation,
-    degree: u32,
-    attempt: u32,
-}
-
-impl Polynomial {
-    pub fn new(degree: u32, trunc: Truncation) -> Polynomial {
-        Polynomial {
-            trunc,
-            degree: degree.max(1),
-            attempt: 0,
-        }
-    }
-}
-
-impl WindowSchedule for Polynomial {
-    fn next_window(&mut self) -> u32 {
-        let base = (self.attempt as u64 + 1).saturating_pow(self.degree);
-        self.attempt = self.attempt.saturating_add(1);
-        self.trunc.clamp(base.min(u32::MAX as u64) as u32)
-    }
-
-    fn reset(&mut self) {
-        self.attempt = 0;
-    }
-}
-
-/// Enum dispatch over every schedule, so simulators can hold stations of
-/// mixed algorithms without boxing.
-#[derive(Debug, Clone)]
-pub enum Schedule {
-    Beb(Beb),
-    Log(LogBackoff),
-    LogLog(LogLogBackoff),
-    Sawtooth(Sawtooth),
-    Fixed(FixedWindow),
-    Polynomial(Polynomial),
-}
-
-impl Schedule {
-    pub fn beb(trunc: Truncation) -> Schedule {
-        Schedule::Beb(Beb::new(trunc))
-    }
-    pub fn log_backoff(trunc: Truncation) -> Schedule {
-        Schedule::Log(LogBackoff::new(trunc))
-    }
-    pub fn loglog_backoff(trunc: Truncation) -> Schedule {
-        Schedule::LogLog(LogLogBackoff::new(trunc))
-    }
-    pub fn sawtooth(trunc: Truncation) -> Schedule {
-        Schedule::Sawtooth(Sawtooth::new(trunc))
-    }
-    pub fn fixed(window: u32, trunc: Truncation) -> Schedule {
-        Schedule::Fixed(FixedWindow::new(window, trunc))
-    }
-    pub fn polynomial(degree: u32, trunc: Truncation) -> Schedule {
-        Schedule::Polynomial(Polynomial::new(degree, trunc))
-    }
-}
-
-impl WindowSchedule for Schedule {
-    fn next_window(&mut self) -> u32 {
-        match self {
-            Schedule::Beb(s) => s.next_window(),
-            Schedule::Log(s) => s.next_window(),
-            Schedule::LogLog(s) => s.next_window(),
-            Schedule::Sawtooth(s) => s.next_window(),
-            Schedule::Fixed(s) => s.next_window(),
-            Schedule::Polynomial(s) => s.next_window(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Schedule::Beb(s) => s.reset(),
-            Schedule::Log(s) => s.reset(),
-            Schedule::LogLog(s) => s.reset(),
-            Schedule::Sawtooth(s) => s.reset(),
-            Schedule::Fixed(s) => s.reset(),
-            Schedule::Polynomial(s) => s.reset(),
-        }
+        windows.push(w);
+        assert!(
+            windows.len() <= 100_000,
+            "the schedule did not saturate within 100k windows"
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{experiment_tag, trial_rng};
+    use rand::Rng;
 
-    fn windows(mut s: Schedule, count: usize) -> Vec<u32> {
-        s.take_windows(count)
+    fn windows(kind: AlgorithmKind, trunc: Truncation, count: u32) -> Vec<u32> {
+        let table = Backoff::new(kind, trunc).expect("a static schedule");
+        (0..count).map(|stage| table.window(stage)).collect()
     }
 
     #[test]
@@ -355,20 +303,22 @@ mod tests {
             cw_min: 1,
             cw_max: 16,
         };
-        assert_eq!(windows(Schedule::beb(t), 7), vec![1, 2, 4, 8, 16, 16, 16]);
+        assert_eq!(
+            windows(AlgorithmKind::Beb, t, 7),
+            vec![1, 2, 4, 8, 16, 16, 16]
+        );
     }
 
     #[test]
     fn beb_paper_truncation() {
-        let w = windows(Schedule::beb(Truncation::paper()), 12);
+        let w = windows(AlgorithmKind::Beb, Truncation::paper(), 12);
         assert_eq!(w[..11], [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
         assert_eq!(w[11], 1024);
     }
 
     #[test]
     fn log_backoff_grows_slower_than_beb_but_monotonically() {
-        let mut s = Schedule::log_backoff(Truncation::unbounded());
-        let w = s.take_windows(40);
+        let w = windows(AlgorithmKind::LogBackoff, Truncation::unbounded(), 40);
         for pair in w.windows(2) {
             assert!(pair[1] >= pair[0], "monotone: {w:?}");
         }
@@ -388,8 +338,8 @@ mod tests {
     fn loglog_backs_off_faster_than_log() {
         // Result 4 discussion (§III-B1): LLB backs off faster than LB, i.e.
         // after the same number of failures its window is at least as large.
-        let lb = windows(Schedule::log_backoff(Truncation::unbounded()), 30);
-        let llb = windows(Schedule::loglog_backoff(Truncation::unbounded()), 30);
+        let lb = windows(AlgorithmKind::LogBackoff, Truncation::unbounded(), 30);
+        let llb = windows(AlgorithmKind::LogLogBackoff, Truncation::unbounded(), 30);
         for (i, (l, ll)) in lb.iter().zip(llb.iter()).enumerate() {
             assert!(ll >= l, "window {i}: LLB {ll} < LB {l}");
         }
@@ -399,9 +349,10 @@ mod tests {
 
     #[test]
     fn beb_dominates_both_log_variants() {
-        let beb = windows(Schedule::beb(Truncation::unbounded()), 25);
-        let lb = windows(Schedule::log_backoff(Truncation::unbounded()), 25);
-        let llb = windows(Schedule::loglog_backoff(Truncation::unbounded()), 25);
+        let t = Truncation::unbounded();
+        let beb = windows(AlgorithmKind::Beb, t, 25);
+        let lb = windows(AlgorithmKind::LogBackoff, t, 25);
+        let llb = windows(AlgorithmKind::LogLogBackoff, t, 25);
         for i in 0..25 {
             assert!(beb[i] >= lb[i]);
             assert!(beb[i] >= llb[i]);
@@ -414,7 +365,7 @@ mod tests {
             cw_min: 1,
             cw_max: 64,
         };
-        let w = windows(Schedule::sawtooth(t), 10);
+        let w = windows(AlgorithmKind::Sawtooth, t, 10);
         assert_eq!(w, vec![2, 4, 2, 8, 4, 2, 16, 8, 4, 2]);
     }
 
@@ -424,7 +375,7 @@ mod tests {
             cw_min: 1,
             cw_max: 8,
         };
-        let w = windows(Schedule::sawtooth(t), 12);
+        let w = windows(AlgorithmKind::Sawtooth, t, 12);
         // 2 | 4,2 | 8,4,2 | then cycles 8,4,2 forever.
         assert_eq!(w, vec![2, 4, 2, 8, 4, 2, 8, 4, 2, 8, 4, 2]);
     }
@@ -435,50 +386,137 @@ mod tests {
             cw_min: 2,
             cw_max: 100,
         };
-        assert_eq!(windows(Schedule::fixed(37, t), 3), vec![37, 37, 37]);
-        assert_eq!(windows(Schedule::fixed(1000, t), 2), vec![100, 100]);
-        assert_eq!(windows(Schedule::fixed(0, t), 1), vec![2]);
+        let fixed = |window| AlgorithmKind::Fixed { window };
+        assert_eq!(windows(fixed(37), t, 3), vec![37, 37, 37]);
+        assert_eq!(windows(fixed(1000), t, 2), vec![100, 100]);
+        assert_eq!(windows(fixed(0), t, 1), vec![2]);
     }
 
     #[test]
     fn polynomial_quadratic() {
-        let w = windows(Schedule::polynomial(2, Truncation::unbounded()), 6);
+        let w = windows(
+            AlgorithmKind::Polynomial { degree: 2 },
+            Truncation::unbounded(),
+            6,
+        );
         assert_eq!(w, vec![1, 4, 9, 16, 25, 36]);
-    }
-
-    #[test]
-    fn reset_replays_identically() {
-        for kind in [
-            Schedule::beb(Truncation::paper()),
-            Schedule::log_backoff(Truncation::paper()),
-            Schedule::loglog_backoff(Truncation::paper()),
-            Schedule::sawtooth(Truncation::paper()),
-            Schedule::polynomial(3, Truncation::paper()),
-        ] {
-            let mut s = kind;
-            let first = s.take_windows(20);
-            s.reset();
-            let second = s.take_windows(20);
-            assert_eq!(first, second);
-        }
     }
 
     #[test]
     fn no_schedule_emits_zero_or_exceeds_cap() {
         let t = Truncation::paper();
-        for sched in [
-            Schedule::beb(t),
-            Schedule::log_backoff(t),
-            Schedule::loglog_backoff(t),
-            Schedule::sawtooth(t),
-            Schedule::fixed(64, t),
-            Schedule::polynomial(2, t),
+        for kind in [
+            AlgorithmKind::Beb,
+            AlgorithmKind::LogBackoff,
+            AlgorithmKind::LogLogBackoff,
+            AlgorithmKind::Sawtooth,
+            AlgorithmKind::Fixed { window: 64 },
+            AlgorithmKind::Polynomial { degree: 2 },
         ] {
-            let mut s = sched;
-            for (i, w) in s.take_windows(200).into_iter().enumerate() {
-                assert!(w >= 1, "window {i} is zero");
-                assert!(w <= t.cw_max, "window {i} = {w} exceeds CWmax");
+            for (i, w) in windows(kind, t, 200).into_iter().enumerate() {
+                assert!(w >= 1, "{kind} window {i} is zero");
+                assert!(w <= t.cw_max, "{kind} window {i} = {w} exceeds CWmax");
             }
         }
+    }
+
+    #[test]
+    fn best_of_k_has_no_table() {
+        let kind = AlgorithmKind::BestOfK { k: 5 };
+        assert!(Backoff::new(kind, Truncation::paper()).is_none());
+        assert!(Backoff::cached(&mut Vec::new(), kind, Truncation::paper()).is_none());
+    }
+
+    #[test]
+    fn the_cache_builds_each_table_once() {
+        let mut tables = Vec::new();
+        let (paper, unbounded) = (Truncation::paper(), Truncation::unbounded());
+        for (kind, trunc) in [
+            (AlgorithmKind::Beb, paper),
+            (AlgorithmKind::LogBackoff, paper),
+            (AlgorithmKind::Beb, unbounded),
+            (AlgorithmKind::Beb, paper),
+            (AlgorithmKind::LogBackoff, paper),
+        ] {
+            let table = Backoff::cached(&mut tables, kind, trunc).expect("a table");
+            assert_eq!((table.kind, table.trunc), (kind, trunc));
+        }
+        assert_eq!(tables.len(), 3);
+    }
+
+    /// The table against its recurrence walked stage by stage, with no
+    /// prefix/cycle compression: the same window at every stage, and the
+    /// draw of `gen_range(0..window)` from the same words.
+    #[test]
+    fn the_table_replays_the_raw_recurrences() {
+        let truncations = [
+            Truncation::paper(),
+            Truncation {
+                cw_min: 1,
+                cw_max: 8,
+            },
+            Truncation {
+                cw_min: 2,
+                cw_max: 100,
+            },
+            Truncation {
+                cw_min: 16,
+                cw_max: 1000, // non-power-of-two CWmax: the gnarly sawtooth
+            },
+            Truncation {
+                cw_min: 64,
+                cw_max: 64,
+            },
+            Truncation::unbounded(),
+        ];
+        let kinds = [
+            AlgorithmKind::Beb,
+            AlgorithmKind::LogBackoff,
+            AlgorithmKind::LogLogBackoff,
+            AlgorithmKind::Sawtooth,
+            AlgorithmKind::Fixed { window: 37 },
+            AlgorithmKind::Fixed { window: 100_000 },
+            AlgorithmKind::Polynomial { degree: 1 },
+            AlgorithmKind::Polynomial { degree: 2 },
+            AlgorithmKind::Polynomial { degree: 3 },
+        ];
+        for trunc in truncations {
+            for kind in kinds {
+                let table = Backoff::new(kind, trunc).expect("a static schedule");
+                let mut raw = recurrence(kind, trunc).expect("a static schedule");
+                let mut rng = trial_rng(experiment_tag("lookup"), kind, 0, 0);
+                let mut reference = rng.clone();
+                for stage in 0..3000u32 {
+                    let window = raw();
+                    assert_eq!(
+                        table.window(stage),
+                        window,
+                        "{kind:?} {trunc:?} stage {stage}"
+                    );
+                    assert_eq!(
+                        table.sample(stage, &mut rng),
+                        reference.gen_range(0..u64::from(window)),
+                        "{kind:?} {trunc:?} stage {stage}"
+                    );
+                }
+                assert_eq!(rng, reference, "{kind:?} {trunc:?}");
+            }
+        }
+    }
+
+    /// The table sizes the builder settles on, which the cycle detection
+    /// decides: a prefix up to the first CWmax window plus one period.
+    #[test]
+    fn tables_hold_a_prefix_and_one_period() {
+        let paper = Truncation::paper();
+        let size = |kind| {
+            let table = Backoff::new(kind, paper).expect("a static schedule");
+            (table.prefix, table.draws.len())
+        };
+        assert_eq!(size(AlgorithmKind::Beb), (10, 11));
+        // 2 | 4,2 | … | 512,…,2 is 45 windows, then 1024, 512, …, 2 repeats.
+        assert_eq!(size(AlgorithmKind::Sawtooth), (45, 55));
+        assert_eq!(size(AlgorithmKind::Fixed { window: 37 }), (0, 1));
+        assert_eq!(size(AlgorithmKind::Polynomial { degree: 2 }), (0, 0));
     }
 }

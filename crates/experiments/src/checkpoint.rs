@@ -156,7 +156,9 @@ impl CheckpointWriter {
             .sum()
     }
 
-    fn write_snapshot(&self, snap: SweepSnapshot<MetricStats>) -> Result<(), String> {
+    /// Writes one snapshot as the next checkpoint and its sidecar. The
+    /// sequence number advances also when the write fails.
+    pub(crate) fn write_snapshot(&self, snap: SweepSnapshot<MetricStats>) -> Result<(), String> {
         let cells = self.fold(snap.cells)?;
         let state = ShardState::from_cells(&self.experiment, self.full, (0, 1), &self.grid, &cells);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);

@@ -151,10 +151,11 @@ fn run_direct(sub: &str, opts: &Options) -> Result<(), String> {
 
 /// The report step every mode ends in: prints `report` and, given a
 /// directory, writes its CSV (and with `json` its JSON) artifacts there,
-/// announced as `<prefix> CSVs[ + JSON] written to <dir>`.
+/// announced as `<prefix> CSVs[ + JSON] written to <dir>`. A report without
+/// artifacts announces nothing.
 fn publish(report: &Report, prefix: &str, dir: Option<&Path>, json: bool) -> Result<(), String> {
     report.print();
-    let Some(dir) = dir else {
+    let Some(dir) = dir.filter(|_| !report.csv.is_empty()) else {
         return Ok(());
     };
     report.write_csv(dir)?;

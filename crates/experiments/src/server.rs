@@ -46,9 +46,12 @@
 //! A 200 reply to a POST means a durable checkpoint in
 //! `--out/checkpoints/` holds the posted trials, so a killed coordinator
 //! resumes with `repro serve` pointed at the same `--out`, re-leasing only
-//! the missing trials. (A write that fails does not hold the reply back:
-//! [`CheckpointWriter`] warns once on stderr and the next write retries.)
-//! Checkpoints are group-committed: a POST's handler folds and clones the
+//! the missing trials. A POST whose checkpoint write fails gets a 503
+//! instead: its trials are folded and its lease is complete, so the next
+//! checkpoint that is written holds them. Every failed write is logged on
+//! stderr, and if the final checkpoint cannot be written, `serve` still
+//! writes the reports but exits with an error. Checkpoints are
+//! group-committed: a POST's handler folds and clones the
 //! fold state under the fold lock, queues the clone, and then, outside the
 //! lock, waits until a checkpoint holding its fold is durable. Checkpoints
 //! are written one at a time and in fold order, each from the newest queued
@@ -63,7 +66,7 @@ use crate::cli::{load_checkpoint, Experiment};
 use crate::options::Options;
 use crate::shard::{merge_cells, ShardState};
 use contention_sim::engine::TrialRange;
-use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
+use contention_sim::monitor::SweepSnapshot;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -316,6 +319,9 @@ struct Gate {
     queued: Option<(usize, SweepSnapshot<MetricStats>)>,
     /// A durable checkpoint holds every accepted POST up to this ticket.
     durable: usize,
+    /// The newest ticket a failed checkpoint write covered, and its error.
+    /// A POST no later write made durable is answered with that error.
+    failed: Option<(usize, String)>,
     /// A checkpoint write is running. Only one may: the writer stages fixed
     /// temp names, and checkpoint order must stay fold order.
     writing: bool,
@@ -498,7 +504,8 @@ impl Server {
     /// is durable, then writes the figure's reports, exactly as `repro
     /// merge` would. Nothing folds once `complete` is set, so the counters
     /// and the cells read under the fold lock are final, and the reports
-    /// are written from a clone, outside it.
+    /// are written from a clone, outside it. A final checkpoint that could
+    /// not be written fails the run, after the reports are written.
     fn finalize(&self) -> Result<(), String> {
         let shared = &self.shared;
         let fold = shared.fold.lock().expect("fold poisoned");
@@ -506,7 +513,7 @@ impl Server {
         let reissued = fold.store.reissued;
         let cells = fold.cells.clone();
         drop(fold);
-        commit(shared, posts);
+        let durable = commit(shared, posts);
         println!(
             "[serve] {} complete: {posts} posts accepted, {duplicates} duplicate trials \
              discarded, {reissued} leases re-issued",
@@ -514,7 +521,8 @@ impl Server {
         );
         shared
             .exp
-            .report(&cells, "[serve]", &self.out_dir, self.json)
+            .report(&cells, "[serve]", &self.out_dir, self.json)?;
+        durable.map_err(|e| format!("the final checkpoint could not be written: {e}"))
     }
 }
 
@@ -812,7 +820,12 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
         gate.complete = remaining == 0;
     });
     drop(fold);
-    commit(shared, ticket);
+    if let Err(e) = commit(shared, ticket) {
+        return (
+            503,
+            error_body(&format!("folded, but not yet durable: {e}")),
+        );
+    }
     (
         200,
         format!(
@@ -823,45 +836,60 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
 }
 
 /// Returns once a durable checkpoint holds the fold of accepted POST
-/// `ticket`. A caller that finds no write running writes the newest queued
-/// snapshot itself; the others wait for it on the gate. A write that panics
-/// still wakes them, and whoever waits on its snapshot returns without a
-/// checkpoint rather than hang.
-fn commit(shared: &Shared, ticket: usize) {
+/// `ticket`, or with the error of the failed write that covered it. A
+/// caller that finds no write running writes the newest queued snapshot
+/// itself; the others wait for it on the gate. A write that fails or panics
+/// still wakes them, and every waiter whose fold it covered gets its error
+/// rather than hang.
+fn commit(shared: &Shared, ticket: usize) -> Result<(), String> {
     let mut gate = shared.wait_while(|g| g.writing && g.durable < ticket);
     if gate.durable >= ticket {
-        return;
+        return Ok(());
     }
-    // No write runs, so this fold's snapshot or a newer one is queued,
-    // unless a write that took it panicked.
+    if let Some((covered, e)) = &gate.failed {
+        if *covered >= ticket {
+            return Err(e.clone());
+        }
+    }
+    // No write runs, and none covered this fold, so its snapshot or a newer
+    // one is queued.
     let Some((newest, snapshot)) = gate.queued.take() else {
-        return;
+        return Err("no checkpoint write holds this fold".to_string());
     };
     gate.writing = true;
     drop(gate);
     let mut write = Writing {
         shared,
-        durable: None,
+        ticket: newest,
+        result: Err("the checkpoint write panicked".to_string()),
     };
-    shared.writer.snapshot(snapshot);
-    write.durable = Some(newest);
+    write.result = shared.writer.write_snapshot(snapshot);
+    if let Err(e) = &write.result {
+        eprintln!(
+            "warning: checkpoint write failed: {e} (its POSTs get 503; the next write retries)"
+        );
+    }
+    write.result.clone()
 }
 
 /// The checkpoint write in progress. Its end, a panic included, clears
-/// `Gate::writing` and wakes every waiter.
+/// `Gate::writing`, records its outcome and wakes every waiter.
 struct Writing<'a> {
     shared: &'a Shared,
-    /// The ticket the write made durable, once it has.
-    durable: Option<usize>,
+    /// The newest accepted POST the write covers.
+    ticket: usize,
+    /// What the write came to; a panic leaves the initial error.
+    result: Result<(), String>,
 }
 
 impl Drop for Writing<'_> {
     fn drop(&mut self) {
-        let durable = self.durable;
+        let (ticket, result) = (self.ticket, &self.result);
         self.shared.signal(|gate| {
             gate.writing = false;
-            if let Some(ticket) = durable {
-                gate.durable = ticket;
+            match result {
+                Ok(()) => gate.durable = ticket,
+                Err(e) => gate.failed = Some((ticket, e.clone())),
             }
         });
     }
@@ -959,8 +987,8 @@ mod tests {
 
     /// A checkpoint write that panics strands no waiter: its guard clears
     /// `writing` and wakes them. A waiter whose snapshot went down with the
-    /// write returns without a checkpoint; one whose fold a newer queued
-    /// snapshot holds writes that one itself.
+    /// write gets its error; one whose fold a newer queued snapshot holds
+    /// writes that one itself.
     #[test]
     fn a_failed_checkpoint_write_strands_no_waiter() {
         let dir = std::env::temp_dir().join(format!("serve-commit-{}", std::process::id()));
@@ -974,19 +1002,24 @@ mod tests {
         };
         let server = Server::start(&opts).unwrap();
         let shared = &*server.shared;
-        // What a panicking write leaves: its guard dropped unfinished.
-        let panicked = || {
+        // What a panicking write of the folds up to `ticket` leaves: its
+        // guard dropped unfinished.
+        let panicked = |ticket| {
             drop(Writing {
                 shared,
-                durable: None,
+                ticket,
+                result: Err("the checkpoint write panicked".to_string()),
             })
         };
 
         shared.signal(|gate| gate.writing = true);
         std::thread::scope(|s| {
             let lost = s.spawn(|| commit(shared, 1));
-            panicked();
-            lost.join().unwrap();
+            panicked(1);
+            assert_eq!(
+                lost.join().unwrap(),
+                Err("the checkpoint write panicked".to_string())
+            );
         });
         assert_eq!(shared.gate().durable, 0);
 
@@ -1004,8 +1037,8 @@ mod tests {
         });
         std::thread::scope(|s| {
             let queued = s.spawn(|| commit(shared, 2));
-            panicked();
-            queued.join().unwrap();
+            panicked(1);
+            assert_eq!(queued.join().unwrap(), Ok(()));
         });
         let gate = shared.gate();
         assert!(!gate.writing && gate.queued.is_none());

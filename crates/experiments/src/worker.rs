@@ -15,7 +15,9 @@
 //! printing stays on the main thread, so a lease's ` accepted: ` line may
 //! follow the next lease's ` trials across ` line. A rejected POST (409) or
 //! an unexpected status ends the worker with an error once the lease it is
-//! running ends; the coordinator re-issues that lease after its TTL.
+//! running ends; the coordinator re-issues that lease after its TTL. A 503
+//! only warns: the coordinator folded the results, but no checkpoint holds
+//! them yet, and its next one will.
 //!
 //! The worker holds no durable state: killing one mid-lease loses nothing
 //! but time (the coordinator re-issues the lease after `--lease-secs`),
@@ -123,7 +125,8 @@ impl Outbox<'_> {
     }
 
     /// Waits for the POST in flight, if any, and prints its outcome. A
-    /// reply other than 200 is an error; a failed delivery only warns.
+    /// reply other than 200 or 503 is an error; a 503 and a failed delivery
+    /// only warn.
     fn collect(&mut self) -> Result<(), String> {
         let Some((id, post)) = self.in_flight.take() else {
             return Ok(());
@@ -140,6 +143,11 @@ impl Outbox<'_> {
             // The fold rejected our results: wrong build, conflicting bits.
             // Running more leases would produce more rejections.
             Ok((409, reply)) => Err(format!("coordinator rejected lease {id}: {reply}")),
+            // Folded and completed, but not checkpointed yet: nothing to redo.
+            Ok((503, reply)) => {
+                eprintln!("warning: coordinator could not checkpoint lease {id}: {reply}");
+                Ok(())
+            }
             Ok((status, reply)) => Err(format!("unexpected reply {status} to lease {id}: {reply}")),
             Err(e) => {
                 // Delivery failed — the lease will expire and be re-issued;

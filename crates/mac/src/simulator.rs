@@ -22,7 +22,8 @@ use crate::medium::{ActiveTx, Medium, TxKind, TxSource};
 use crate::trace::{Span, SpanKind, Trace};
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::metrics::{BatchMetrics, StationMetrics};
-use contention_core::schedule::{Schedule, WindowSchedule};
+use contention_core::rng::UniformBelow;
+use contention_core::schedule::Backoff;
 use contention_core::time::Nanos;
 use contention_sim::event::{EventQueue, EventToken};
 use rand::Rng;
@@ -93,8 +94,9 @@ enum State {
 
 struct Station {
     state: State,
-    /// Window schedule; `None` only while estimating.
-    schedule: Option<Schedule>,
+    /// Backoff stage: the retries so far, which index the algorithm's
+    /// window table.
+    stage: u32,
     /// Backoff slots left to count. A cohort member keeps the count it
     /// entered with; its countdown is its deadline on the slot clock.
     remaining: u64,
@@ -123,7 +125,8 @@ struct Station {
 
 /// Reusable per-worker arena for [`simulate_with`]: the event queue slab,
 /// the medium buffers and the station table survive from trial to trial at
-/// their high-water capacity, so steady-state trials allocate nothing but
+/// their high-water capacity, and the [`Backoff`] table of each algorithm
+/// and truncation is built once, so steady-state trials allocate nothing but
 /// their output. Resetting is O(previous trial's live state); a fresh
 /// (`Default`) arena behaves identically — reuse may only move memory,
 /// never results (`tests/hot_path_golden.rs` pins this bit-for-bit).
@@ -150,6 +153,8 @@ pub struct MacScratch {
     /// them into the cohort. An entry goes stale when its station resumes
     /// on its own first; the state guard skips it.
     entrants: Vec<u32>,
+    /// The table of every `(algorithm, truncation)` run on this arena.
+    tables: Vec<Backoff>,
 }
 
 impl MacScratch {
@@ -170,6 +175,9 @@ impl MacScratch {
 /// joiners, never every alive station.
 struct Sim<'a, R: Rng> {
     config: &'a MacConfig,
+    /// The algorithm's window table; `None` for BEST-OF-k, whose stations
+    /// draw from their estimates.
+    backoff: Option<&'a Backoff>,
     rng: &'a mut R,
     n: u32,
     queue: &'a mut EventQueue<Event>,
@@ -298,9 +306,11 @@ impl<'a, R: Rng> Sim<'a, R> {
             cohort,
             joiners,
             entrants,
+            tables,
         } = scratch;
         Sim {
             config,
+            backoff: Backoff::cached(tables, config.algorithm, config.truncation()),
             rng,
             n,
             queue,
@@ -342,12 +352,11 @@ impl<'a, R: Rng> Sim<'a, R> {
     }
 
     fn init(&mut self) {
-        let trunc = self.config.truncation();
         let best_of_k = self.config.best_of_k();
         for _ in 0..self.n {
             let mut station = Station {
                 state: State::WaitDifs,
-                schedule: None,
+                stage: 0,
                 remaining: 0,
                 expiry_at: Nanos::MAX,
                 resume_at: Nanos::ZERO,
@@ -363,14 +372,10 @@ impl<'a, R: Rng> Sim<'a, R> {
                 self.estimating += 1;
             } else {
                 self.entrants.push(self.stations.len() as u32);
-                let mut schedule = self
-                    .config
-                    .algorithm
-                    .schedule(trunc)
-                    .expect("non-estimating algorithms have schedules");
-                let cw = schedule.next_window() as u64;
-                station.remaining = self.rng.gen_range(0..cw);
-                station.schedule = Some(schedule);
+                station.remaining = self
+                    .backoff
+                    .expect("non-estimating algorithms have schedules")
+                    .sample(0, self.rng);
             }
             self.stations.push(station);
         }
@@ -581,12 +586,16 @@ impl<'a, R: Rng> Sim<'a, R> {
         // New attempt: invalidate anything addressed to the old one (a late
         // ACK for the abandoned attempt must not complete the new one).
         s.gen += 1;
-        let cw = s
-            .schedule
-            .as_mut()
-            .expect("retrying station has a schedule")
-            .next_window() as u64;
-        s.remaining = self.rng.gen_range(0..cw);
+        s.stage += 1;
+        s.remaining = match self.backoff {
+            Some(table) => table.sample(s.stage, self.rng),
+            None => {
+                let estimate = s
+                    .estimate
+                    .expect("a BEST-OF-k station retries once estimated");
+                estimate_draw(self.config, estimate).sample(self.rng)
+            }
+        };
         self.enter_difs_path(station, now);
     }
 
@@ -1044,17 +1053,19 @@ impl<'a, R: Rng> Sim<'a, R> {
     }
 
     fn finish_estimation(&mut self, station: u32, window: u32, now: Nanos) {
-        let trunc = self.config.truncation();
         let s = &mut self.stations[station as usize];
         s.estimate = Some(window);
         s.estim = None;
-        let mut schedule = Schedule::fixed(window, trunc);
-        let cw = schedule.next_window() as u64;
-        s.remaining = self.rng.gen_range(0..cw);
-        s.schedule = Some(schedule);
+        s.remaining = estimate_draw(self.config, window).sample(self.rng);
         self.estimating -= 1;
         self.enter_difs_path(station, now);
     }
+}
+
+/// A BEST-OF-k station's backoff draw: fixed backoff at its estimate, every
+/// window the estimate clamped into CWmin/CWmax.
+fn estimate_draw(config: &MacConfig, estimate: u32) -> UniformBelow {
+    UniformBelow::new(config.truncation().clamp(estimate.max(1)).into())
 }
 
 #[cfg(test)]

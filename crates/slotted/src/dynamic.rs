@@ -42,9 +42,8 @@
 //!   which is why collision-fragile schedules (SAWTOOTH in particular) now
 //!   collapse under loads the old engine sailed through.
 //! * Per-packet state is a slab entry of `{arrival_wall, backoff stage}`;
-//!   timers are drawn through a per-config `WindowLookup` table (one
-//!   [`UniformBelow`] per stage) instead of a per-packet
-//!   [`contention_core::schedule::Schedule`] value.
+//!   timers are drawn through the algorithm's [`Backoff`] table, indexed by
+//!   that stage.
 //! * Timers live in a calendar `BucketQueue` (2048 near-future buckets +
 //!   an overflow heap), making push/pop O(1) amortized instead of the old
 //!   global `BinaryHeap`'s O(log backlog).
@@ -57,8 +56,7 @@
 //! allocate nothing but their output.
 
 use contention_core::algorithm::AlgorithmKind;
-use contention_core::rng::UniformBelow;
-use contention_core::schedule::{Truncation, WindowSchedule};
+use contention_core::schedule::{Backoff, Truncation};
 use contention_sim::summary::TrialSummary;
 use contention_stats::histogram::LatencyHistogram;
 use rand::rngs::SmallRng;
@@ -413,114 +411,6 @@ impl From<DynamicMetrics> for TrialSummary {
 }
 
 // ---------------------------------------------------------------------------
-// Window lookup: AlgorithmKind → stage ↦ timer draw, without per-packet
-// Schedule state.
-// ---------------------------------------------------------------------------
-
-/// Precomputed `stage ↦ timer draw` map for one `(algorithm, truncation)`,
-/// shared with the residual-timer batch engine ([`crate::residual`]).
-///
-/// Every truncated schedule except POLYNOMIAL becomes eventually periodic:
-/// the monotone schedules (BEB, LB, LLB, FIXED) end in a constant tail, and
-/// SAWTOOTH cycles its saturated descent `CWmax, CWmax/2, …`. Those are
-/// stored as a finite prefix plus repeating cycle of [`UniformBelow`] draws,
-/// one per window, generated from the *real*
-/// [`contention_core::schedule::Schedule`] so the windows are bit-identical
-/// to walking a per-packet schedule, and no timer draw builds a reduction.
-/// POLYNOMIAL grows without a short period, but is a closed form: evaluated
-/// directly and drawn with `gen_range`.
-#[derive(Debug, Clone)]
-pub(crate) enum WindowLookup {
-    Poly {
-        degree: u32,
-        trunc: Truncation,
-    },
-    Table {
-        prefix: Box<[UniformBelow]>,
-        cycle: Box<[UniformBelow]>,
-    },
-}
-
-/// POLYNOMIAL's window for `stage`: `(stage + 1)^degree`, clamped.
-fn poly_window(degree: u32, trunc: Truncation, stage: u32) -> u32 {
-    let base = (u64::from(stage) + 1).saturating_pow(degree.max(1));
-    trunc.clamp(base.min(u64::from(u32::MAX)) as u32)
-}
-
-impl WindowLookup {
-    pub(crate) fn build(kind: AlgorithmKind, trunc: Truncation) -> WindowLookup {
-        assert!(trunc.cw_min <= trunc.cw_max);
-        let draws = |windows: &[u32]| -> Box<[UniformBelow]> {
-            windows
-                .iter()
-                .map(|&w| UniformBelow::new(w.into()))
-                .collect()
-        };
-        match kind {
-            AlgorithmKind::Polynomial { degree } => WindowLookup::Poly { degree, trunc },
-            AlgorithmKind::Fixed { .. } => {
-                let mut s = kind.schedule(trunc).expect("fixed has a schedule");
-                WindowLookup::Table {
-                    prefix: Box::new([]),
-                    cycle: draws(&[s.next_window()]),
-                }
-            }
-            AlgorithmKind::Beb
-            | AlgorithmKind::LogBackoff
-            | AlgorithmKind::LogLogBackoff
-            | AlgorithmKind::Sawtooth => {
-                let mut s = kind.schedule(trunc).expect("windowed schedule");
-                // The clamped emission once growth saturates; every one of
-                // these schedules reaches it (BEB/LB/LLB grow strictly until
-                // the clamp, SAWTOOTH's outer window doubles to CWmax).
-                let top = trunc.cw_max;
-                let mut emitted: Vec<u32> = Vec::new();
-                let mut first_top: Option<usize> = None;
-                loop {
-                    let w = s.next_window();
-                    if w == top {
-                        if let Some(i0) = first_top {
-                            return WindowLookup::Table {
-                                prefix: draws(&emitted[..i0]),
-                                cycle: draws(&emitted[i0..]),
-                            };
-                        }
-                        first_top = Some(emitted.len());
-                    }
-                    emitted.push(w);
-                    assert!(
-                        emitted.len() <= 100_000,
-                        "{kind:?} did not saturate within 100k windows"
-                    );
-                }
-            }
-            AlgorithmKind::BestOfK { .. } => {
-                unreachable!("rejected by the simulators' config checks")
-            }
-        }
-    }
-
-    /// A timer for the `stage`-th transmission attempt (stage 0 = the first
-    /// draw): uniform below the window of `Schedule::next_window()` call
-    /// `stage + 1`, with the values and words of `gen_range(0..window)`.
-    #[inline]
-    pub(crate) fn timer<R: Rng>(&self, stage: u32, rng: &mut R) -> u64 {
-        match self {
-            WindowLookup::Poly { degree, trunc } => {
-                rng.gen_range(0..u64::from(poly_window(*degree, *trunc, stage)))
-            }
-            WindowLookup::Table { prefix, cycle } => {
-                let i = stage as usize;
-                match prefix.get(i) {
-                    Some(draw) => draw.sample(rng),
-                    None => cycle[(i - prefix.len()) % cycle.len()].sample(rng),
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Calendar bucket queue over idle-slot coordinates.
 // ---------------------------------------------------------------------------
 
@@ -782,7 +672,7 @@ const NO_SLOT: u32 = u32::MAX;
 struct PacketSlot {
     arrival_wall: u64,
     /// Backoff stage: how many windows this packet has drawn so far minus
-    /// one (stage s draws through `WindowLookup::timer(s, _)`).
+    /// one (stage s draws through `Backoff::sample(s, _)`).
     stage: u32,
     /// Free-list link when the slot is vacant.
     next_free: u32,
@@ -790,11 +680,12 @@ struct PacketSlot {
 
 /// Reusable per-worker state for dynamic trials: the packet slab (bounded by
 /// the instantaneous backlog, not by total arrivals), the calendar queue,
-/// the latency histogram, and the cached per-config window table.
+/// the latency histogram, and the [`Backoff`] table of every
+/// `(algorithm, truncation)` the worker has run.
 #[derive(Default)]
 pub struct DynamicScratch {
     state: DynState,
-    plan: Option<CachedPlan>,
+    tables: Vec<Backoff>,
 }
 
 #[derive(Default)]
@@ -806,45 +697,15 @@ struct DynState {
     hist: LatencyHistogram,
 }
 
-/// Validation + window-table construction, done once per `(config, n)` cell
-/// instead of once per trial (the old `DynamicSim::new(*config)`-per-trial
-/// hot-path cost).
-struct CachedPlan {
-    config: DynamicConfig,
-    n: u32,
-    resolved: DynamicConfig,
-    lookup: WindowLookup,
-}
-
-/// The dynamic-traffic simulator (direct API).
-///
-/// Runs the config exactly as given — the [`DynAxis`] interpretation of `n`
-/// only applies when driven through the sweep engine.
-pub struct DynamicSim {
-    config: DynamicConfig,
-    lookup: WindowLookup,
-    state: DynState,
-}
-
-impl DynamicSim {
-    pub fn new(config: DynamicConfig) -> DynamicSim {
-        config.validate();
-        DynamicSim {
-            config,
-            lookup: WindowLookup::build(config.algorithm, config.truncation),
-            state: DynState::default(),
-        }
-    }
-
-    /// Runs one trial.
-    pub fn run<R: Rng>(&mut self, rng: &mut R) -> DynamicMetrics {
-        run_streaming(&self.config, &self.lookup, &mut self.state, rng)
-    }
-}
+/// The dynamic-traffic backend of the generic sweep engine. A trial runs
+/// through [`Simulator::run`](contention_sim::engine::Simulator::run) or a
+/// sweep; either applies the [`DynAxis`] interpretation of `n`, which
+/// leaves a [`DynAxis::Ignored`] config exactly as given.
+pub struct DynamicSim;
 
 fn run_streaming<R: Rng>(
     cfg: &DynamicConfig,
-    lookup: &WindowLookup,
+    backoff: &Backoff,
     state: &mut DynState,
     rng: &mut R,
 ) -> DynamicMetrics {
@@ -895,7 +756,7 @@ fn run_streaming<R: Rng>(
             let idle_coord = wall.saturating_sub(busy_total).max(last_idle);
             for _ in 0..count {
                 let id = alloc_slot(slab, free_head, wall);
-                let timer = lookup.timer(0, rng);
+                let timer = backoff.sample(0, rng);
                 queue.push(idle_coord + timer, id);
             }
         }
@@ -923,7 +784,7 @@ fn run_streaming<R: Rng>(
             for &id in group.iter() {
                 let slot = &mut slab[id as usize];
                 slot.stage = slot.stage.saturating_add(1);
-                let timer = lookup.timer(slot.stage, rng);
+                let timer = backoff.sample(slot.stage, rng);
                 queue.push(x + 1 + timer, id);
             }
         }
@@ -1002,23 +863,12 @@ impl contention_sim::engine::Simulator for DynamicSim {
         rng: &mut SmallRng,
         scratch: &mut DynamicScratch,
     ) -> DynamicMetrics {
-        let stale = match &scratch.plan {
-            Some(plan) => plan.config != *config || plan.n != n,
-            None => true,
-        };
-        if stale {
-            config.validate();
-            let resolved = config.resolve(n);
-            resolved.validate();
-            scratch.plan = Some(CachedPlan {
-                config: *config,
-                n,
-                lookup: WindowLookup::build(resolved.algorithm, resolved.truncation),
-                resolved,
-            });
-        }
-        let plan = scratch.plan.as_ref().expect("plan just cached");
-        run_streaming(&plan.resolved, &plan.lookup, &mut scratch.state, rng)
+        config.validate();
+        let resolved = config.resolve(n);
+        resolved.validate();
+        let backoff = Backoff::cached(&mut scratch.tables, resolved.algorithm, resolved.truncation)
+            .expect("validated: the algorithm has a window schedule");
+        run_streaming(&resolved, backoff, &mut scratch.state, rng)
     }
 }
 
@@ -1030,9 +880,8 @@ mod tests {
     use rand::RngCore;
 
     fn run(config: DynamicConfig, trial: u32) -> DynamicMetrics {
-        let mut sim = DynamicSim::new(config);
         let mut rng = trial_rng(experiment_tag("dynamic-test"), config.algorithm, 0, trial);
-        sim.run(&mut rng)
+        DynamicSim::run(&config, 0, &mut rng)
     }
 
     #[test]
@@ -1147,89 +996,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "no static window schedule")]
     fn best_of_k_rejected() {
-        let _ = DynamicSim::new(DynamicConfig::abstract_model(
-            AlgorithmKind::BestOfK { k: 3 },
-            ArrivalProcess::PoissonSingles { rate: 0.1 },
-        ));
+        let _ = run(
+            DynamicConfig::abstract_model(
+                AlgorithmKind::BestOfK { k: 3 },
+                ArrivalProcess::PoissonSingles { rate: 0.1 },
+            ),
+            0,
+        );
     }
 
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
-        let _ = DynamicSim::new(DynamicConfig::abstract_model(
-            AlgorithmKind::Beb,
-            ArrivalProcess::PoissonSingles { rate: 0.0 },
-        ));
-    }
-
-    /// The window `lookup` draws below at `stage`.
-    fn lookup_window(lookup: &WindowLookup, stage: u32) -> u64 {
-        match lookup {
-            WindowLookup::Poly { degree, trunc } => poly_window(*degree, *trunc, stage).into(),
-            WindowLookup::Table { prefix, cycle } => {
-                let i = stage as usize;
-                let draw = prefix.get(i);
-                draw.unwrap_or_else(|| &cycle[(i - prefix.len()) % cycle.len()])
-                    .span()
-            }
-        }
-    }
-
-    #[test]
-    fn window_lookup_matches_schedule_everywhere() {
-        let truncations = [
-            Truncation::paper(),
-            Truncation {
-                cw_min: 1,
-                cw_max: 8,
-            },
-            Truncation {
-                cw_min: 2,
-                cw_max: 100,
-            },
-            Truncation {
-                cw_min: 16,
-                cw_max: 1000, // non-power-of-two CWmax: the gnarly sawtooth
-            },
-            Truncation {
-                cw_min: 64,
-                cw_max: 64,
-            },
-            Truncation::unbounded(),
-        ];
-        let kinds = [
-            AlgorithmKind::Beb,
-            AlgorithmKind::LogBackoff,
-            AlgorithmKind::LogLogBackoff,
-            AlgorithmKind::Sawtooth,
-            AlgorithmKind::Fixed { window: 37 },
-            AlgorithmKind::Fixed { window: 100_000 },
-            AlgorithmKind::Polynomial { degree: 1 },
-            AlgorithmKind::Polynomial { degree: 2 },
-            AlgorithmKind::Polynomial { degree: 3 },
-        ];
-        for trunc in truncations {
-            for kind in kinds {
-                let lookup = WindowLookup::build(kind, trunc);
-                let mut sched = kind.schedule(trunc).expect("windowed");
-                let mut rng = trial_rng(experiment_tag("lookup"), kind, 0, 0);
-                let mut reference = rng.clone();
-                for stage in 0..3000u32 {
-                    let window = sched.next_window();
-                    assert_eq!(
-                        lookup_window(&lookup, stage),
-                        u64::from(window),
-                        "{kind:?} {trunc:?} stage {stage}"
-                    );
-                    assert_eq!(
-                        lookup.timer(stage, &mut rng),
-                        reference.gen_range(0..u64::from(window)),
-                        "{kind:?} {trunc:?} stage {stage}"
-                    );
-                }
-                assert_eq!(rng, reference, "{kind:?} {trunc:?}");
-            }
-        }
+        let _ = run(
+            DynamicConfig::abstract_model(
+                AlgorithmKind::Beb,
+                ArrivalProcess::PoissonSingles { rate: 0.0 },
+            ),
+            0,
+        );
     }
 
     #[test]
@@ -1388,7 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn run_with_matches_direct_api_and_reuses_scratch() {
+    fn a_reused_scratch_matches_a_fresh_one() {
         let config = DynamicConfig::abstract_model(
             AlgorithmKind::LogBackoff,
             ArrivalProcess::PoissonBursts {
@@ -1396,26 +1181,19 @@ mod tests {
                 size: 25,
             },
         );
-        let mut scratch = DynamicScratch::default();
-        let fresh = |trial: u32| {
-            let mut rng = trial_rng(experiment_tag("dyn-scratch"), config.algorithm, 0, trial);
-            DynamicSim::new(config).run(&mut rng)
-        };
-        for trial in [0u32, 1, 2, 0] {
-            let mut rng = trial_rng(experiment_tag("dyn-scratch"), config.algorithm, 0, trial);
-            let via_engine = DynamicSim::run_with(&config, 0, &mut rng, &mut scratch);
-            assert_eq!(via_engine, fresh(trial), "trial {trial}");
-        }
-        // Changing the cell invalidates the cached plan, not the results.
         let other = DynamicConfig {
             algorithm: AlgorithmKind::Sawtooth,
             ..config
         };
-        let mut rng = trial_rng(experiment_tag("dyn-scratch"), other.algorithm, 0, 7);
-        let a = DynamicSim::run_with(&other, 0, &mut rng, &mut scratch);
-        let mut rng = trial_rng(experiment_tag("dyn-scratch"), other.algorithm, 0, 7);
-        let b = DynamicSim::new(other).run(&mut rng);
-        assert_eq!(a, b);
+        let mut scratch = DynamicScratch::default();
+        // The scratch meets a second algorithm, then the first again.
+        for (config, trial) in [(config, 0u32), (config, 1), (other, 7), (config, 0)] {
+            let rng = || trial_rng(experiment_tag("dyn-scratch"), config.algorithm, 0, trial);
+            let reused = DynamicSim::run_with(&config, 0, &mut rng(), &mut scratch);
+            let fresh = DynamicSim::run(&config, 0, &mut rng());
+            assert_eq!(reused, fresh, "{} trial {trial}", config.algorithm);
+        }
+        assert_eq!(scratch.tables.len(), 2, "one table per algorithm");
     }
 
     #[test]

@@ -31,6 +31,12 @@
 //!   configurable number of slots. Its output is latency and throughput,
 //!   not batch completion.
 //!
+//! All three are unit structs behind
+//! [`contention_sim::engine::Simulator`]: a lone trial is
+//! `Simulator::run(&config, n, &mut rng)`, and each worker's scratch keeps
+//! one [`contention_core::schedule::Backoff`] table per algorithm it meets,
+//! through which every window, timer and slot is drawn.
+//!
 //! `ResidualSim`'s per-station output is
 //! [`contention_core::metrics::BatchMetrics`]; in every batch simulator
 //! `total_time` is `cw_slots × slot` — the total time the abstract model

@@ -12,14 +12,12 @@
 //! popped at the same slot form the transmission set; singletons succeed,
 //! larger sets collide and redraw.
 
-use crate::dynamic::WindowLookup;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::metrics::{BatchMetrics, StationMetrics};
-use contention_core::schedule::Truncation;
+use contention_core::schedule::{Backoff, Truncation};
 use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
 use rand::rngs::SmallRng;
-use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -50,59 +48,49 @@ impl ResidualConfig {
 
 /// Reusable per-worker state for the residual-timer loop: the event heap and
 /// the per-event transmission set keep their high-water capacity from trial
-/// to trial, and the timer draws are built once per configuration. A fresh
-/// (`Default`) scratch behaves identically — reuse may only move memory,
-/// never results.
+/// to trial, and the [`Backoff`] table of each `(algorithm, truncation)` is
+/// built once per worker. A fresh (`Default`) scratch behaves identically —
+/// reuse may only move memory, never results.
 #[derive(Default)]
 pub struct ResidualScratch {
     /// Pending transmissions as `(absolute slot, station)`, earliest first.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// The equal-slot transmission set of the current event.
     group: Vec<u32>,
-    /// Every backoff stage's timer draw for the `(algorithm, truncation)`
-    /// last run on this scratch.
-    timers: Option<(AlgorithmKind, Truncation, WindowLookup)>,
+    /// The table of every `(algorithm, truncation)` run on this scratch.
+    tables: Vec<Backoff>,
 }
 
-/// The residual-timer simulator.
-pub struct ResidualSim {
-    config: ResidualConfig,
-    scratch: ResidualScratch,
-}
-
-impl ResidualSim {
-    pub fn new(config: ResidualConfig) -> ResidualSim {
-        assert!(
-            !matches!(config.algorithm, AlgorithmKind::BestOfK { .. }),
-            "{} has no static window schedule; use the MAC simulator",
-            config.algorithm
-        );
-        ResidualSim {
-            config,
-            scratch: ResidualScratch::default(),
-        }
-    }
-
-    /// Runs one single-batch trial of `n` stations.
-    pub fn run<R: Rng>(&mut self, n: u32, rng: &mut R) -> BatchMetrics {
-        run_residual(&self.config, &mut self.scratch, n, rng)
-    }
-}
+/// The residual-timer backend of the generic sweep engine; a lone trial
+/// runs through [`Simulator::run`].
+pub struct ResidualSim;
 
 /// The residual-timer trial loop over a caller-owned scratch arena.
 ///
 /// RNG discipline: timers are drawn in station order (initially) and in
 /// group order (after a collision). Every station walks the same schedule,
 /// so its backoff stage is the ACK timeouts it has taken, and its timer is
-/// drawn through that stage's entry of one [`WindowLookup`]: the values and
-/// words of a per-draw `gen_range(0..cw)` on a per-station schedule (a `cw`
-/// of 1 consumes no randomness).
-fn run_residual<R: Rng>(
+/// drawn through that stage's entry of the algorithm's [`Backoff`] table:
+/// the values and words of a `gen_range(0..cw)` (a `cw` of 1 consumes no
+/// randomness).
+fn run_residual(
     config: &ResidualConfig,
     scratch: &mut ResidualScratch,
     n: u32,
-    rng: &mut R,
+    rng: &mut SmallRng,
 ) -> BatchMetrics {
+    let ResidualScratch {
+        heap,
+        group,
+        tables,
+    } = scratch;
+    let timers =
+        Backoff::cached(tables, config.algorithm, config.truncation).unwrap_or_else(|| {
+            panic!(
+                "{} has no static window schedule; use the MAC simulator",
+                config.algorithm
+            )
+        });
     let mut metrics = BatchMetrics {
         n,
         stations: vec![StationMetrics::default(); n as usize],
@@ -112,22 +100,12 @@ fn run_residual<R: Rng>(
         return metrics;
     }
     let half_target = n.div_ceil(2);
-    let ResidualScratch {
-        heap,
-        group,
-        timers,
-    } = scratch;
-    let (kind, trunc) = (config.algorithm, config.truncation);
-    if !matches!(timers, Some((k, t, _)) if *k == kind && *t == trunc) {
-        *timers = Some((kind, trunc, WindowLookup::build(kind, trunc)));
-    }
-    let (_, _, timers) = timers.as_ref().expect("built above");
 
     // Heap of (transmission slot, station), earliest first. Stations are
     // pushed in index order, so equal-slot groups are deterministic.
     heap.clear();
     for (station, s) in metrics.stations.iter_mut().enumerate() {
-        let timer = timers.timer(0, rng);
+        let timer = timers.sample(0, rng);
         s.backoff_slots += timer;
         heap.push(Reverse((timer, station as u32)));
     }
@@ -167,7 +145,7 @@ fn run_residual<R: Rng>(
                 let s = &mut metrics.stations[station as usize];
                 s.attempts += 1;
                 s.ack_timeouts += 1;
-                let timer = timers.timer(s.ack_timeouts, rng);
+                let timer = timers.sample(s.ack_timeouts, rng);
                 s.backoff_slots += timer;
                 // Redraw counts from the slot after the collision.
                 heap.push(Reverse((slot + 1 + timer, station)));
@@ -204,8 +182,6 @@ impl Simulator for ResidualSim {
         rng: &mut SmallRng,
         scratch: &mut ResidualScratch,
     ) -> BatchMetrics {
-        // The constructor's algorithm check, without discarding the scratch.
-        let _ = ResidualSim::new(*config);
         run_residual(config, scratch, n, rng)
     }
 }
@@ -216,9 +192,8 @@ mod tests {
     use contention_core::rng::{experiment_tag, trial_rng};
 
     fn run_once(kind: AlgorithmKind, n: u32, trial: u32) -> BatchMetrics {
-        let mut sim = ResidualSim::new(ResidualConfig::paper(kind));
         let mut rng = trial_rng(experiment_tag("residual-test"), kind, n, trial);
-        sim.run(n, &mut rng)
+        ResidualSim::run(&ResidualConfig::paper(kind), n, &mut rng)
     }
 
     #[test]
@@ -266,9 +241,8 @@ mod tests {
                 .map(|t| {
                     let mut config = ResidualConfig::paper(kind);
                     config.truncation = Truncation::unbounded();
-                    let mut sim = ResidualSim::new(config);
                     let mut rng = trial_rng(experiment_tag("residual-test"), kind, 800, t);
-                    sim.run(800, &mut rng).cw_slots
+                    ResidualSim::run(&config, 800, &mut rng).cw_slots
                 })
                 .collect();
             xs.sort_unstable();
@@ -299,15 +273,14 @@ mod tests {
     fn max_events_valve() {
         let mut config = ResidualConfig::paper(AlgorithmKind::Beb);
         config.max_events = 3;
-        let mut sim = ResidualSim::new(config);
         let mut rng = trial_rng(experiment_tag("valve"), AlgorithmKind::Beb, 200, 0);
-        let m = sim.run(200, &mut rng);
+        let m = ResidualSim::run(&config, 200, &mut rng);
         assert!(m.successes < 200);
     }
 
     #[test]
     #[should_panic(expected = "no static window schedule")]
     fn best_of_k_is_rejected() {
-        let _ = ResidualSim::new(ResidualConfig::paper(AlgorithmKind::BestOfK { k: 5 }));
+        let _ = run_once(AlgorithmKind::BestOfK { k: 5 }, 10, 0);
     }
 }

@@ -15,7 +15,9 @@
 //! RNG discipline: each window first draws every alive station's slot, one
 //! `gen_range(0..width)` each (a width-1 window draws nothing), then
 //! resolves the occupied slots in ascending slot order through
-//! [`ChannelModel::sample_slot`].
+//! [`ChannelModel::sample_slot`]. The windows, and a precomputed
+//! [`UniformBelow`] for each, come from the algorithm's [`Backoff`] table,
+//! indexed by the window's stage.
 //!
 //! One count-only loop runs these semantics: the [`Simulator`] impl, whose
 //! output is a [`TrialSummary`]. The stations are exchangeable, so a
@@ -48,7 +50,7 @@
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::{ChannelModel, SlotFate};
 use contention_core::rng::UniformBelow;
-use contention_core::schedule::{Schedule, Truncation, WindowSchedule};
+use contention_core::schedule::{Backoff, Truncation};
 use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
 use contention_sim::summary::TrialSummary;
@@ -100,14 +102,6 @@ impl WindowedConfig {
 /// every `run_trial` of `WindowedSim` runs the count-only loop.
 pub struct WindowedSim;
 
-/// The schedule an algorithm prescribes under `truncation`; panics for
-/// algorithms without one (BEST-OF-k belongs to the MAC simulator).
-fn window_schedule(algorithm: AlgorithmKind, truncation: Truncation) -> Schedule {
-    algorithm.schedule(truncation).unwrap_or_else(|| {
-        panic!("{algorithm} has no static window schedule; use the MAC simulator")
-    })
-}
-
 /// A window of at most this many slots per alive station is dense: it
 /// counts its draws into a slot-indexed table, whose set-up and final sweep
 /// cost O(width) = O(alive) here, and whose bitmaps take at most 16 B per
@@ -132,15 +126,22 @@ const DENSE_COUNTS_MAX_SLOTS: usize = 2048;
 /// draws past the moment of saturation.
 const SATURATION_CHECK_DRAWS: u64 = 64;
 
-/// Reusable per-worker occupancy buffers of the count-only loop. Every
-/// buffer is sized by the alive count, never by the window alone: the count
-/// table holds at most 2048 entries, the bitmaps at most 16 B per alive
-/// station and the sorted draws 4 B. All keep their high-water capacity
-/// from trial to trial, so steady-state trials do not touch the allocator.
-/// A fresh (`Default`) scratch behaves identically — reuse may only move
-/// memory, never results.
+/// Reusable per-worker state of the count-only loop: the [`Backoff`] table
+/// of every `(algorithm, truncation)` the worker has run, and the occupancy
+/// buffers. Both keep what they hold from trial to trial, so steady-state
+/// trials do not touch the allocator. A fresh (`Default`) scratch behaves
+/// identically — reuse may only move memory, never results.
 #[derive(Default)]
 pub struct WindowedScratch {
+    tables: Vec<Backoff>,
+    slots: Slots,
+}
+
+/// The occupancy buffers. Every buffer is sized by the alive count, never
+/// by the window alone: the count table holds at most 2048 entries, the
+/// bitmaps at most 16 B per alive station and the sorted draws 4 B.
+#[derive(Default)]
+struct Slots {
     /// Dense windows up to [`DENSE_COUNTS_MAX_SLOTS`] slots: draws per slot.
     counts: Vec<u32>,
     /// Wider dense windows: slot-occupancy bitmaps (`seen` = drawn at least
@@ -169,43 +170,41 @@ enum Occupancy {
     Sorted,
 }
 
-/// Draws `alive` slots uniform in `[0, span)` for `span ≥ 2`, in stream
-/// order, and hands each to `mark`. Power-of-two spans take the word's low
-/// bits straight from the generator; other spans reduce through one
-/// [`UniformBelow`] built for the window. Either way the values and the
-/// words consumed are exactly those of `alive` calls to
-/// `rng.gen_range(0..span)`. The count table's saturating windows draw
-/// through it in chunks and skip what is left.
+/// Draws `alive` slots through the window's `draw`, for a span of at least
+/// 2, in stream order, and hands each to `mark`: exactly the values and the
+/// words of `alive` calls to `rng.gen_range(0..span)`. Power-of-two spans
+/// take the word's low bits straight from the generator. The count table's
+/// saturating windows draw through it in chunks and skip what is left.
 #[inline]
-fn draw_slots(rng: &mut SmallRng, span: u64, alive: u64, mut mark: impl FnMut(usize)) {
+fn draw_slots(rng: &mut SmallRng, draw: UniformBelow, alive: u64, mut mark: impl FnMut(usize)) {
+    let span = draw.span();
     if span.is_power_of_two() {
         let mask = span - 1;
         for _ in 0..alive {
             mark((rng.next_u64() & mask) as usize);
         }
     } else {
-        let draw = UniformBelow::new(span);
         for _ in 0..alive {
             mark(draw.sample(rng) as usize);
         }
     }
 }
 
-/// Draws one window of `width` slots for `alive` stations into `drawn`,
-/// sorted, so that the draws of each occupied slot form one run. Width 1
-/// consumes no RNG word: every station is in slot 0.
-fn draw_sorted(drawn: &mut Vec<u32>, rng: &mut SmallRng, width: u32, alive: u64) {
+/// Draws one window for `alive` stations into `drawn`, sorted, so that the
+/// draws of each occupied slot form one run. Width 1 consumes no RNG word:
+/// every station is in slot 0.
+fn draw_sorted(drawn: &mut Vec<u32>, rng: &mut SmallRng, draw: UniformBelow, alive: u64) {
     drawn.clear();
-    if width == 1 {
+    if draw.span() == 1 {
         drawn.resize(alive as usize, 0);
     } else {
-        draw_slots(rng, u64::from(width), alive, |slot| drawn.push(slot as u32));
+        draw_slots(rng, draw, alive, |slot| drawn.push(slot as u32));
         drawn.sort_unstable();
     }
 }
 
-impl WindowedScratch {
-    /// Draws one window of `width` slots for `alive ≥ 1` stations and
+impl Slots {
+    /// Draws one window for `alive ≥ 1` stations through its `draw` and
     /// returns `(collided slots, singleton slots, occupancy)`. Width 1
     /// consumes no RNG word (everyone lands in slot 0, as `gen_range(0..1)`
     /// does without drawing). A power-of-two window of at most
@@ -213,17 +212,22 @@ impl WindowedScratch {
     /// two draws and advances the generator past the rest, returning
     /// `(width, 0, Saturated)`; every window leaves the generator where
     /// `alive` draws would.
-    fn resolve(&mut self, rng: &mut SmallRng, width: u32, alive: u64) -> (u64, u64, Occupancy) {
-        let span = width as u64;
-        let wslots = width as usize;
-        if width == 1 {
+    fn resolve(
+        &mut self,
+        rng: &mut SmallRng,
+        draw: UniformBelow,
+        alive: u64,
+    ) -> (u64, u64, Occupancy) {
+        let span = draw.span();
+        let wslots = span as usize;
+        if span == 1 {
             return (
                 u64::from(alive >= 2),
                 u64::from(alive == 1),
                 Occupancy::Lone,
             );
         }
-        let WindowedScratch {
+        let Slots {
             counts,
             seen,
             dup,
@@ -232,7 +236,7 @@ impl WindowedScratch {
         if span > DENSE_SLOTS_PER_STATION * alive {
             // Sparse windows (width ≫ alive, the resolution tail): sorting
             // the draws touches only them, however wide the window.
-            draw_sorted(drawn, rng, width, alive);
+            draw_sorted(drawn, rng, draw, alive);
             let (mut collided, mut singles) = (0u64, 0u64);
             for run in drawn.chunk_by(|a, b| a == b) {
                 collided += u64::from(run.len() >= 2);
@@ -257,7 +261,7 @@ impl WindowedScratch {
                 let mut left = alive;
                 while left > 0 {
                     let chunk = left.min(SATURATION_CHECK_DRAWS);
-                    draw_slots(rng, span, chunk, |slot| {
+                    draw_slots(rng, draw, chunk, |slot| {
                         counts[slot] += 1;
                         full += u64::from(counts[slot] == 2);
                     });
@@ -268,7 +272,7 @@ impl WindowedScratch {
                     }
                 }
             } else {
-                draw_slots(rng, span, alive, |slot| counts[slot] += 1);
+                draw_slots(rng, draw, alive, |slot| counts[slot] += 1);
             }
             let (mut collided, mut singles) = (0u64, 0u64);
             for &c in counts.iter() {
@@ -282,7 +286,7 @@ impl WindowedScratch {
             seen.resize(words, 0);
             dup.clear();
             dup.resize(words, 0);
-            draw_slots(rng, span, alive, |slot| {
+            draw_slots(rng, draw, alive, |slot| {
                 let (idx, bit) = (slot >> 6, 1u64 << (slot & 63));
                 dup[idx] |= seen[idx] & bit;
                 seen[idx] |= bit;
@@ -377,7 +381,14 @@ fn run_counts(
     rng: &mut SmallRng,
     scratch: &mut WindowedScratch,
 ) -> TrialSummary {
-    let mut schedule = window_schedule(config.algorithm, config.truncation);
+    let WindowedScratch { tables, slots } = scratch;
+    let backoff =
+        Backoff::cached(tables, config.algorithm, config.truncation).unwrap_or_else(|| {
+            panic!(
+                "{} has no static window schedule; use the MAC simulator",
+                config.algorithm
+            )
+        });
     let ideal = config.channel.is_ideal();
     let n64 = n as u64;
     let half_target = n64.div_ceil(2);
@@ -391,25 +402,25 @@ fn run_counts(
         if config.max_windows != 0 && windows_run >= config.max_windows {
             break;
         }
+        let draw = backoff.draw(windows_run);
         windows_run += 1;
-        let width = schedule.next_window();
         let prior = n64 - alive;
         let delivered = if ideal {
-            let (collided, singles, occupancy) = scratch.resolve(rng, width, alive);
+            let (collided, singles, occupancy) = slots.resolve(rng, draw, alive);
             collisions += collided;
             colliding_stations += alive - singles;
             if prior < half_target && prior + singles >= half_target {
                 let rank = half_target - prior - 1;
-                half_cw_slots = slots_before_window + scratch.nth_singleton(occupancy, rank) + 1;
+                half_cw_slots = slots_before_window + slots.nth_singleton(occupancy, rank) + 1;
             }
             if singles == alive {
-                cw_slots = slots_before_window + scratch.max_drawn(occupancy) + 1;
+                cw_slots = slots_before_window + slots.max_drawn(occupancy) + 1;
             }
             singles
         } else {
-            draw_sorted(&mut scratch.drawn, rng, width, alive);
+            draw_sorted(&mut slots.drawn, rng, draw, alive);
             let mut delivered = 0u64;
-            for run in scratch.drawn.chunk_by(|a, b| a == b) {
+            for run in slots.drawn.chunk_by(|a, b| a == b) {
                 let k = run.len() as u64;
                 if k >= 2 {
                     collisions += 1;
@@ -430,7 +441,7 @@ fn run_counts(
         };
         ack_timeouts += alive - delivered;
         alive -= delivered;
-        slots_before_window += width as u64;
+        slots_before_window += draw.span();
     }
 
     let (elapsed, max_ack_timeouts) = if alive == 0 {

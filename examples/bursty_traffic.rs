@@ -32,9 +32,8 @@ fn main() {
             DynamicConfig::abstract_model(kind, arrivals),
             DynamicConfig::mac_costs(kind, arrivals, 64),
         ] {
-            let mut sim = DynamicSim::new(config);
             let mut rng = trial_rng(experiment_tag("bursty-example"), kind, 0, 0);
-            let m = sim.run(&mut rng);
+            let m = DynamicSim::run(&config, 0, &mut rng);
             row.push_str(&format!("{:>16.0} {:>12}", m.mean_latency(), m.collisions));
         }
         println!("{row}");

@@ -46,7 +46,7 @@ pub mod prelude {
     pub use contention_core::model::{CostModel, Decomposition};
     pub use contention_core::params::Phy80211g;
     pub use contention_core::rng::{experiment_tag, trial_rng};
-    pub use contention_core::schedule::{Schedule, Truncation, WindowSchedule};
+    pub use contention_core::schedule::{Backoff, Truncation};
     pub use contention_core::time::Nanos;
     pub use contention_mac::{simulate, MacConfig, MacRun, MacSim, Trace};
     pub use contention_sim::engine::{

@@ -122,9 +122,8 @@ fn residual_semantics_ablation() {
             .map(|t| {
                 let mut config = ResidualConfig::paper(kind);
                 config.truncation = Truncation::unbounded();
-                let mut sim = ResidualSim::new(config);
                 let mut rng = trial_rng(experiment_tag("abs-residual"), kind, n, t);
-                sim.run(n, &mut rng).cw_slots as f64
+                ResidualSim::run(&config, n, &mut rng).cw_slots as f64
             })
             .collect();
         median(&xs)

@@ -127,3 +127,30 @@ fn the_lines_the_benchmark_parses_keep_their_shape() {
     assert_eq!(accepted, counts[0] as usize, "one accepted POST per lease");
     let _ = std::fs::remove_dir_all(&out);
 }
+
+/// `[<name>] CSVs + JSON written to <dir>` announces only artifacts that
+/// exist: a report without any (`ablate-sem`) prints no such line and
+/// leaves the directory empty, and one with some (`fig5`) prints it.
+#[test]
+fn only_written_artifacts_are_announced() {
+    for (name, has_artifacts) in [("ablate-sem", false), ("fig5", true)] {
+        let out = scratch(name);
+        let run = Command::new(REPRO)
+            .args([name, "--trials", "2", "--json", "--out"])
+            .arg(&out)
+            .output()
+            .expect("spawn repro");
+        assert!(run.status.success());
+        let stdout = String::from_utf8(run.stdout).unwrap();
+        let line = format!("[{name}] CSVs + JSON written to {}", out.display());
+        assert_eq!(stdout.lines().any(|l| l == line), has_artifacts, "{stdout}");
+        let files = std::fs::read_dir(&out).map_or(0, |dir| dir.count());
+        assert_eq!(
+            files > 0,
+            has_artifacts,
+            "{files} files in {}",
+            out.display()
+        );
+        let _ = std::fs::remove_dir_all(&out);
+    }
+}

@@ -8,9 +8,8 @@ fn run_median(config: DynamicConfig, trials: u32) -> DynamicMetrics {
     // Median-of-trials on the latency; other fields from the median trial.
     let mut runs: Vec<DynamicMetrics> = (0..trials)
         .map(|t| {
-            let mut sim = DynamicSim::new(config);
             let mut rng = trial_rng(experiment_tag("dyn-int"), config.algorithm, 0, t);
-            sim.run(&mut rng)
+            DynamicSim::run(&config, 0, &mut rng)
         })
         .collect();
     runs.sort_by(|a, b| {
@@ -52,16 +51,14 @@ fn collision_cost_amplifies_deficits_on_streams() {
         };
         let lats: Vec<f64> = (0..trials)
             .map(|t| {
-                let mut sim = DynamicSim::new(config);
                 let mut rng = trial_rng(experiment_tag("dyn-amp"), kind, 0, t);
-                sim.run(&mut rng).mean_latency()
+                DynamicSim::run(&config, 0, &mut rng).mean_latency()
             })
             .collect();
         let comps: Vec<f64> = (0..trials)
             .map(|t| {
-                let mut sim = DynamicSim::new(config);
                 let mut rng = trial_rng(experiment_tag("dyn-amp"), kind, 0, t);
-                sim.run(&mut rng).completion_rate()
+                DynamicSim::run(&config, 0, &mut rng).completion_rate()
             })
             .collect();
         (median(&lats), median(&comps))

@@ -8,6 +8,10 @@
 //! * `fig13` — the execution trace (a `Rows` artifact: per-span timings of
 //!   one deterministic MAC trial).
 //!
+//! The reports that write no artifact at all (Table I, the cost model and
+//! five ablations) are pinned by their rendered text instead:
+//! `report_bodies.txt` holds every one of their quick-grid bodies.
+//!
 //! Every trial derives its RNG from `(experiment, algorithm, n, trial)` and
 //! the JSON writer prints shortest-round-trip floats, so these bytes are
 //! stable across thread counts, batch sizes and re-runs; a diff means the
@@ -30,12 +34,12 @@ fn golden_options() -> Options {
     }
 }
 
-fn run_experiment(name: &str) -> Report {
+fn run_experiment(name: &str, opts: &Options) -> Report {
     let (_, _, runner) = registry()
         .into_iter()
         .find(|(n, _, _)| *n == name)
         .unwrap_or_else(|| panic!("{name} not registered"));
-    runner(&golden_options())
+    runner(opts)
 }
 
 /// Renders every artifact of a report to `(file name, JSON text)` pairs.
@@ -63,29 +67,34 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
+/// Compares `text` with the fixture `file`, or with `REGEN_GOLDEN` set,
+/// writes it there.
+fn check_fixture(file: &str, text: &str) {
+    let path = golden_dir().join(file);
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::create_dir_all(golden_dir()).expect("create golden dir");
+        std::fs::write(&path, text).expect("write fixture");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run REGEN_GOLDEN=1 cargo test --test json_golden",
+            path.display()
+        )
+    });
+    assert_eq!(
+        expected, text,
+        "{file}: output drifted from the checked-in fixture — either a \
+         regression, or an intentional change that needs REGEN_GOLDEN=1"
+    );
+}
+
 fn check_against_golden(experiment: &str) {
-    let report = run_experiment(experiment);
+    let report = run_experiment(experiment, &golden_options());
     let blocks = rendered_blocks(&report);
     assert!(!blocks.is_empty(), "{experiment} produced no artifacts");
-    let regen = std::env::var_os("REGEN_GOLDEN").is_some();
     for (file, text) in blocks {
-        let path = golden_dir().join(&file);
-        if regen {
-            std::fs::create_dir_all(golden_dir()).expect("create golden dir");
-            std::fs::write(&path, &text).expect("write fixture");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing fixture {} ({e}); run REGEN_GOLDEN=1 cargo test --test json_golden",
-                path.display()
-            )
-        });
-        assert_eq!(
-            expected, text,
-            "{file}: JSON output drifted from the checked-in fixture — either a \
-             regression, or an intentional change that needs REGEN_GOLDEN=1"
-        );
+        check_fixture(&file, &text);
     }
 }
 
@@ -97,6 +106,41 @@ fn fig5_json_matches_golden_fixture() {
 #[test]
 fn fig13_json_matches_golden_fixture() {
     check_against_golden("fig13");
+}
+
+/// The reports whose only output is their printed body. Between them they
+/// run the residual kernel (`ablate-sem`), POLYNOMIAL on the MAC
+/// (`ablate-poly`), the truncated windowed model (`ablate-trunc`) and the
+/// MAC's EIFS and ACK-loss paths, none of which another fixture reads.
+const BODY_ONLY_REPORTS: [&str; 7] = [
+    "table1",
+    "model",
+    "ablate-eifs",
+    "ablate-trunc",
+    "ablate-sem",
+    "ablate-loss",
+    "ablate-poly",
+];
+
+#[test]
+fn reports_without_artifacts_match_their_golden_bodies() {
+    let opts = Options {
+        threads: Some(2),
+        ..Options::default()
+    };
+    let mut text = String::new();
+    for name in BODY_ONLY_REPORTS {
+        let report = run_experiment(name, &opts);
+        assert!(
+            report.csv.is_empty(),
+            "{name} writes artifacts now: pin them as JSON instead"
+        );
+        text.push_str(&format!(
+            "=== {name}: {} ===\n{}",
+            report.title, report.body
+        ));
+    }
+    check_fixture("report_bodies.txt", &text);
 }
 
 /// The fixtures themselves parse as JSON-shaped text: balanced braces and
@@ -112,6 +156,8 @@ fn golden_fixtures_are_well_formed() {
         "table3_full_collision_growth.json",
         "fig7_full_total_time_64.json",
         "fig8_full_total_time_1024.json",
+        "fig18_full_estimates.json",
+        "fig19_full_best_of_k_total_time.json",
         "fig15_full_large_n_cw_slots.json",
         "fig16_full_collision_ratios.json",
         "soften_full_abstract_cw_slots.json",

@@ -28,20 +28,21 @@ fn arb_mac_algorithm() -> impl Strategy<Value = AlgorithmKind> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every schedule is positive, capped, and replays identically after
-    /// reset.
+    /// Every schedule is positive and capped, and a table built again from
+    /// the same inputs replays the same windows.
     #[test]
     fn schedules_are_capped_and_replayable(
         kind in arb_algorithm(),
         cw_max in 8u32..=4096,
-        len in 1usize..=64,
+        len in 1u32..=64,
     ) {
         let trunc = Truncation { cw_min: 1, cw_max };
-        let Some(mut schedule) = kind.schedule(trunc) else { return Ok(()); };
-        let first = schedule.take_windows(len);
-        schedule.reset();
-        let second = schedule.take_windows(len);
-        prop_assert_eq!(&first, &second);
+        let windows = || {
+            let table = Backoff::new(kind, trunc).expect("a static schedule");
+            (0..len).map(|stage| table.window(stage)).collect::<Vec<_>>()
+        };
+        let first = windows();
+        prop_assert_eq!(&first, &windows());
         for (i, w) in first.iter().enumerate() {
             prop_assert!(*w >= 1, "{kind:?} window {i} is zero");
             prop_assert!(*w <= cw_max, "{kind:?} window {i} = {w} over cap");
@@ -57,10 +58,10 @@ proptest! {
             Just(AlgorithmKind::LogLogBackoff),
             (1u32..=3).prop_map(|degree| AlgorithmKind::Polynomial { degree }),
         ],
-        len in 2usize..=64,
+        len in 2u32..=64,
     ) {
-        let mut schedule = kind.schedule(Truncation::unbounded()).expect("schedule");
-        let windows = schedule.take_windows(len);
+        let table = Backoff::new(kind, Truncation::unbounded()).expect("schedule");
+        let windows: Vec<u32> = (0..len).map(|stage| table.window(stage)).collect();
         for pair in windows.windows(2) {
             prop_assert!(pair[1] >= pair[0], "{kind:?}: {windows:?}");
         }
@@ -92,9 +93,8 @@ proptest! {
     ) {
         let mut config = ResidualConfig::paper(kind);
         config.truncation = Truncation::unbounded();
-        let mut sim = ResidualSim::new(config);
         let mut rng = trial_rng(experiment_tag("prop-residual"), kind, n, trial);
-        let m = sim.run(n, &mut rng);
+        let m = ResidualSim::run(&config, n, &mut rng);
         prop_assert_eq!(m.successes, n);
         prop_assert!(m.attempts_balance());
         prop_assert!(m.half_cw_slots <= m.cw_slots);

@@ -90,16 +90,15 @@ fn render(label: &str, n: u32, trial: u32, m: &BatchMetrics) -> String {
     line
 }
 
-/// The per-station reference. Each window draws every alive station's slot
-/// with `gen_range`, in station order, stable-sorts the draws by slot, and
-/// lets the channel decide each occupied slot in ascending slot order; a
-/// delivered slot's winner is its `winner`-th draw. Every attempt that does
-/// not win times out.
+/// The per-station reference. Each window, read off the algorithm's
+/// [`Backoff`] table, draws every alive station's slot with `gen_range`
+/// (not through the table's draws), in station order, stable-sorts the
+/// draws by slot, and lets the channel decide each occupied slot in
+/// ascending slot order; a delivered slot's winner is its `winner`-th draw.
+/// Every attempt that does not win times out.
 fn reference(config: &WindowedConfig, n: u32, rng: &mut SmallRng) -> BatchMetrics {
-    let mut schedule = config
-        .algorithm
-        .schedule(config.truncation)
-        .expect("a static window schedule");
+    let schedule =
+        Backoff::new(config.algorithm, config.truncation).expect("a static window schedule");
     let mut m = BatchMetrics {
         n,
         stations: vec![StationMetrics::default(); n as usize],
@@ -109,8 +108,8 @@ fn reference(config: &WindowedConfig, n: u32, rng: &mut SmallRng) -> BatchMetric
     let mut won = vec![false; n as usize];
     let (mut elapsed, mut windows) = (0u64, 0u32);
     while !alive.is_empty() && (config.max_windows == 0 || windows < config.max_windows) {
+        let width = schedule.window(windows);
         windows += 1;
-        let width = schedule.next_window();
         let mut draws: Vec<(u32, u32)> = alive
             .iter()
             .map(|&station| (rng.gen_range(0..width), station))

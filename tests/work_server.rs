@@ -794,6 +794,74 @@ fn post_and_check_durability(addr: &str, dir: &Path) -> u64 {
     }
 }
 
+/// Serves fig5 `--trials 2` into `dir` in two leases with the checkpoint
+/// writes of `failing` sequence numbers failing (a directory takes each
+/// one's temp name), posts both leases' honest results in order, and
+/// returns the replies and what `Server::run` returned.
+fn serve_fig5_failing(dir: &Path, failing: &[u64]) -> ([(u16, String); 2], Result<(), String>) {
+    for &seq in failing {
+        let blocker = format!("{}.tmp", checkpoint_file_name("fig5", seq));
+        std::fs::create_dir_all(dir.join(CHECKPOINT_DIR).join(blocker)).unwrap();
+    }
+    let (addr, handle) = spawn_server(&serve_fig5(dir));
+    let leases = [claim(&addr), claim(&addr)];
+    let replies = leases.map(|lease| {
+        let (id, plan) = lease_of(&lease);
+        let artifact = fig5_state(&plan).to_json();
+        http_request(&addr, "POST", &format!("/result/{id}"), Some(&artifact)).expect("post")
+    });
+    (replies, handle.join().unwrap())
+}
+
+/// A POST whose checkpoint write fails gets a 503, not a 200: no checkpoint
+/// holds its trials. The coordinator has folded them and completed the
+/// lease, so the next checkpoint it writes holds them. Here the write for
+/// POST 0 fails and the one for POST 1 succeeds: the final checkpoint and
+/// the artifacts hold every trial.
+#[test]
+fn a_post_no_checkpoint_holds_gets_503() {
+    let direct_dir = scratch("unwritable-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("unwritable-serve");
+    let ([(status0, reply0), (status1, reply1)], served) = serve_fig5_failing(&dir, &[0]);
+    assert_eq!(status0, 503, "{reply0}");
+    assert!(reply0.contains("not yet durable"), "{reply0}");
+    assert_eq!(status1, 200, "{reply1}");
+    assert!(reply1.contains("\"remaining\":0"), "{reply1}");
+    served.expect("server finalizes");
+    let last = load_latest(&dir).unwrap();
+    assert_eq!(last.seq, 1, "seq 0 was never written");
+    assert!(missing_work(&last.state).unwrap().is_empty());
+    assert_eq!(artifacts(&dir), direct);
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// When the final checkpoint cannot be written either, every POST gets a
+/// 503 and the coordinator still writes the reports from memory, but its
+/// run fails.
+#[test]
+fn a_final_checkpoint_that_cannot_be_written_fails_the_run() {
+    let direct_dir = scratch("final-unwritable-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("final-unwritable-serve");
+    let (replies, served) = serve_fig5_failing(&dir, &[0, 1]);
+    for (status, reply) in &replies {
+        assert_eq!(*status, 503, "{reply}");
+    }
+    let err = served.expect_err("the run fails");
+    assert!(
+        err.contains("final checkpoint could not be written"),
+        "{err}"
+    );
+    assert!(load_latest(&dir).is_err(), "no checkpoint was written");
+    assert_eq!(artifacts(&dir), direct);
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A stand-in coordinator for one `repro work` process: the test reads its
 /// requests one by one and answers each by hand.
 struct Stub {
@@ -968,6 +1036,44 @@ fn a_worker_with_a_post_in_flight_asks_again_once_it_is_answered() {
     assert!(stdout.contains(&accepted), "{stdout}");
     assert!(
         stdout.contains("[work] sweep complete after 1 leases"),
+        "{stdout}"
+    );
+}
+
+/// A 503 to a POST means the coordinator folded the results but could not
+/// checkpoint them yet: the worker warns and goes on to its next lease.
+#[test]
+fn a_503_reply_warns_and_the_worker_goes_on() {
+    let stub = Stub::start();
+    let (claim, _) = stub.next();
+    answer(claim, 200, &stub_lease(0, 0));
+    // POST 0 and the next claim, in either order.
+    let unwritten = "{\"status\":\"error\",\"error\":\"folded, but not yet durable\"}";
+    for _ in 0..2 {
+        let (stream, line) = stub.next();
+        if line.starts_with("POST ") {
+            answer(stream, 503, unwritten);
+        } else {
+            answer(stream, 200, &stub_lease(1, 1));
+        }
+    }
+    let reply = "{\"status\":\"ok\",\"fresh\":1,\"duplicate\":0,\"remaining\":0}";
+    for _ in 0..2 {
+        let (stream, line) = stub.next();
+        if line.starts_with("POST ") {
+            assert_eq!(line, "POST /result/1 HTTP/1.1");
+            answer(stream, 200, reply);
+        } else {
+            answer(stream, 200, "{\"status\":\"done\"}");
+        }
+    }
+    let (success, stdout, stderr) = stub.finish();
+    assert!(success, "{stderr}");
+    let warning = format!("warning: coordinator could not checkpoint lease 0: {unwritten}");
+    assert!(stderr.contains(&warning), "{stderr}");
+    assert!(!stdout.contains("[work] lease 0 accepted"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("[work] lease 1 accepted: {reply}")),
         "{stdout}"
     );
 }
