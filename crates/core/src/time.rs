@@ -67,11 +67,6 @@ impl Nanos {
     pub fn times(self, factor: u64) -> Nanos {
         Nanos(self.0 * factor)
     }
-
-    /// Midpoint between two instants (used by trace rendering).
-    pub fn midpoint(self, other: Nanos) -> Nanos {
-        Nanos(self.0 / 2 + other.0 / 2 + (self.0 & other.0 & 1))
-    }
 }
 
 impl Add for Nanos {

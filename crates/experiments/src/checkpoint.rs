@@ -178,7 +178,13 @@ impl CheckpointWriter {
         // base was recorded in an earlier process; its work contributes no
         // rate information): remaining heavy cells weigh in as heavy.
         let work_done = self.work_of(&cells);
-        let work_total: f64 = self.grid.cell_costs().iter().sum();
+        let trials = f64::from(self.grid.trials);
+        let work_total: f64 = self
+            .grid
+            .cell_trial_costs()
+            .iter()
+            .map(|c| c * trials)
+            .sum();
         let work_rate = guarded_rate((work_done - self.base_work).max(0.0), elapsed_secs);
         // Remaining work of zero — finished, or a degenerate zero-cost grid
         // — is an ETA of zero regardless of the (possibly unknowable) rate.

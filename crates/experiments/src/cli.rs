@@ -25,7 +25,7 @@
 //! | direct / `all` | whole grid | here | in the engine | here |
 //! | `--checkpoint` | every trial | here, checkpointed | checkpoint ∪ run | here |
 //! | `resume` | the checkpoint's holes | here, checkpointed | checkpoint ∪ run | here |
-//! | `shard` | the shard's cells | here | — | writes `shard_state/v1` |
+//! | `shard` | one lease of `serve`'s cut | here | — | writes `shard_state/v1` |
 //! | `merge` | — | — | the artifacts | here |
 //! | `serve` | the missing trials, cut into leases | by `work` processes | master ∪ each POST | here |
 //! | `work` | its lease | here | — | POSTs `shard_state/v1` |
@@ -57,7 +57,7 @@ use crate::options::{Options, MAX_TRIALS};
 use crate::server::{Limits, Server};
 use crate::shard::{load_dir, merge_states, write_state, GridMeta, ShardCell, ShardState};
 use crate::worker::run_worker;
-use contention_sim::engine::{validate_plan, CellRange, TrialRange};
+use contention_sim::engine::{validate_plan, TrialRange};
 use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
 use std::path::Path;
 use std::process::ExitCode;
@@ -255,6 +255,20 @@ impl Experiment {
         (self.entry.cells)(&self.opts, &hooks)
     }
 
+    /// The trials `cells` lack (everything, on a fresh start), cut into at
+    /// most `target` cost-weighted leases, heaviest cell first: the leases
+    /// `repro serve` hands out, and from no cells the shards `repro shard`
+    /// runs.
+    pub(crate) fn leases(
+        &self,
+        cells: &[StatsCell],
+        target: usize,
+    ) -> Result<Vec<Vec<TrialRange>>, String> {
+        let plan = checkpoint::missing_work(&self.state((0, 1), cells))?;
+        let costs = self.grid.cell_trial_costs();
+        Ok(TrialRange::partition(&plan, &costs, target))
+    }
+
     /// `plan` run into shard `shard`'s artifact: what `repro shard` writes
     /// and `repro work` posts.
     pub(crate) fn run_plan(&self, plan: &[TrialRange], shard: (u32, u32)) -> ShardState {
@@ -343,28 +357,27 @@ fn run_resume(opts: &Options) -> Result<(), String> {
     run_checkpointed(&exp, state, dir, opts)
 }
 
-/// `repro shard <experiment> --shard i/N --out DIR`: runs shard `i`'s cell
-/// range of the experiment's grid and writes the partial-state artifact.
+/// `repro shard <experiment> --shard i/N --out DIR`: runs lease `i` of the
+/// `N`-way cut `repro serve --leases N` makes and writes the partial-state
+/// artifact. A cut of fewer trials than `N` leaves the last shards empty.
+/// Every shard of one run must come from one build: another build may cut
+/// other leases, and `merge` refuses the overlap or reports the hole.
 fn run_shard(opts: &Options) -> Result<(), String> {
     let exp = Experiment::new(&opts.inputs[0], opts)?;
     let (index, of) = opts.shard.expect("validated at parse time");
-    // Cost-balanced: shard boundaries split the grid's *estimated work*
-    // (cell cost × trials), so no shard is stuck with all the heavy cells.
-    // Merge accepts any contiguous tiling, so mixed-version shard runs
-    // still reassemble — as long as every index ran under the same binary.
-    let range = CellRange::shard_weighted(&exp.grid.cell_costs(), index as usize, of as usize);
+    let leases = exp.leases(&[], of as usize)?;
+    let plan = leases.into_iter().nth(index as usize).unwrap_or_default();
     let started = Instant::now();
-    let state = exp.run_plan(&range.plan(exp.grid.trials), (index, of));
+    let state = exp.run_plan(&plan, (index, of));
     let path = write_state(
         opts.out_dir.as_deref().expect("validated at parse time"),
         &state,
     )?;
     println!(
-        "[shard] {} shard {index}/{of}: cells [{}, {}) of {} → {} in {:.1?}",
+        "[shard] {} shard {index}/{of}: {} trials across {} cells → {} in {:.1?}",
         exp.entry.name,
-        range.lo,
-        range.hi,
-        exp.grid.cell_count(),
+        plan.iter().map(TrialRange::len).sum::<usize>(),
+        state.cells.len(),
         path.display(),
         started.elapsed()
     );
@@ -382,6 +395,7 @@ fn run_merge(opts: &Options) -> Result<(), String> {
     let count = states.len();
     let merged = merge_states(states)?;
     let exp = Experiment::recorded(&merged.experiment, merged.full, merged.grid.trials, opts)?;
+    exp.check(&merged)?;
     let dir = opts.out_dir.as_deref().expect("validated at parse time");
     let prefix = format!("[merge] {count} artifacts → {}", exp.entry.name);
     exp.report(&merged.into_cells(), &prefix, dir, opts.json)
@@ -412,8 +426,9 @@ fn print_usage() {
     println!("  --out DIR   also write CSV series to DIR");
     println!("  --json      also write JSON artifacts to DIR (needs --out)");
     println!("  --threads N worker threads (default: all cores; results never depend on it)");
-    println!("  --shard i/N run only cell shard i of N, split by estimated work (shard");
-    println!("              subcommand; merged output is byte-identical to one process)");
+    println!("  --shard i/N run only lease i of the N that `serve --leases N` cuts (shard");
+    println!("              subcommand; run every shard with one build; merged output");
+    println!("              is byte-identical to one process)");
     println!("  --checkpoint           snapshot in-flight state into DIR/checkpoints/ and");
     println!("                         refresh DIR/metrics.json (default: every 30 s)");
     println!("  --checkpoint-secs N    snapshot every N seconds (implies --checkpoint)");
@@ -549,56 +564,50 @@ mod tests {
         }
     }
 
+    /// `repro shard i/N` runs lease `i` of the cut `serve --leases N`
+    /// makes; the merged shards reproduce the direct run. With more shards
+    /// than trials the cut has fewer leases, and the shards past them write
+    /// empty artifacts that still merge.
     #[test]
     fn shard_then_merge_reproduces_the_direct_csv() {
         let direct = temp_dir("direct");
-        let merged = temp_dir("merged");
-        let shards = temp_dir("shards");
-        assert_eq!(
-            run(&strs(&[
-                "fig5",
-                "--trials",
-                "2",
-                "--threads",
-                "2",
-                "--out",
-                direct.to_str().unwrap()
-            ])),
-            ExitCode::SUCCESS
-        );
-        for i in 0..2 {
-            assert_eq!(
-                run(&strs(&[
-                    "shard",
-                    "fig5",
-                    "--trials",
-                    "2",
-                    "--threads",
-                    "2",
-                    "--shard",
-                    &format!("{i}/2"),
-                    "--out",
-                    shards.to_str().unwrap()
-                ])),
-                ExitCode::SUCCESS
-            );
-        }
-        assert_eq!(
-            run(&strs(&[
-                "merge",
-                shards.to_str().unwrap(),
-                "--out",
-                merged.to_str().unwrap()
-            ])),
-            ExitCode::SUCCESS
-        );
+        let flags = ["fig5", "--trials", "2", "--threads", "2"];
+        let mut args = flags.to_vec();
+        args.extend(["--out", direct.to_str().unwrap()]);
+        assert_eq!(run(&strs(&args)), ExitCode::SUCCESS);
         let read = |d: &std::path::Path| {
             std::fs::read_to_string(d.join("fig5_cw_slots_abstract.csv")).unwrap()
         };
-        assert_eq!(read(&direct), read(&merged), "merged CSV diverged");
-        for dir in [direct, merged, shards] {
-            let _ = std::fs::remove_dir_all(&dir);
+        let exp = Experiment::new("fig5", &Options::parse(&strs(&flags)).unwrap().1).unwrap();
+        let trials = exp.grid.cell_count() * 2;
+        for of in [2, trials + 3] {
+            let (merged, shards) = (temp_dir("merged"), temp_dir("shards"));
+            for i in 0..of {
+                let spec = format!("{i}/{of}");
+                let mut args = vec!["shard"];
+                args.extend(flags);
+                args.extend(["--shard", &spec, "--out", shards.to_str().unwrap()]);
+                assert_eq!(run(&strs(&args)), ExitCode::SUCCESS, "shard {spec}");
+            }
+            let states = load_dir(&shards).unwrap();
+            assert_eq!(states.len(), of);
+            let empty = states.iter().filter(|s| s.cells.is_empty()).count();
+            assert_eq!(empty, of.saturating_sub(trials), "{of} shards");
+            assert_eq!(
+                run(&strs(&[
+                    "merge",
+                    shards.to_str().unwrap(),
+                    "--out",
+                    merged.to_str().unwrap()
+                ])),
+                ExitCode::SUCCESS
+            );
+            assert_eq!(read(&direct), read(&merged), "{of} shards diverged");
+            for dir in [merged, shards] {
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
+        let _ = std::fs::remove_dir_all(&direct);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Figures 3, 4 and 6 — contention-window slots in the MAC simulator.
 //!
 //! Each figure is split into a `*_cells` half (the sweep, optionally
-//! restricted to a cell range for process sharding) and a `*_report` half
-//! (pure function of the folded cells) — `repro merge` re-runs only the
-//! report half on reassembled shard state.
+//! restricted to a plan of trial ranges for process sharding) and a
+//! `*_report` half (pure function of the folded cells) — `repro merge`
+//! re-runs only the report half on reassembled shard state.
 
 use crate::aggregate::{series_per_algorithm, StatsCell};
 use crate::figures::shared::{

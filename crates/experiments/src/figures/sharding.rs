@@ -2,10 +2,10 @@
 //! `repro merge` can split across processes.
 //!
 //! A figure is shardable when it factors into a *cells* half (one engine
-//! sweep, restrictable to a cell range) and a *report* half (a pure
-//! function of the folded cells). Each entry wires those halves together
-//! with the [`GridMeta`] describing the sweep, so the CLI can partition the
-//! grid, run one cell range per process, and rebuild the exact
+//! sweep, restrictable to a plan of trial ranges) and a *report* half (a
+//! pure function of the folded cells). Each entry wires those halves
+//! together with the [`GridMeta`] describing the sweep, so the CLI can cut
+//! the grid into leases, run one lease per process, and rebuild the exact
 //! single-process report from merged `shard_state/v1` artifacts.
 //!
 //! The invariant every entry must satisfy — pinned by this module's tests
@@ -326,7 +326,6 @@ mod tests {
     use crate::jsonout;
     use crate::shard::{merge_states, ShardState};
     use contention_core::algorithm::AlgorithmKind;
-    use contention_sim::engine::CellRange;
 
     fn tiny_opts() -> Options {
         Options {
@@ -429,22 +428,16 @@ mod tests {
     #[test]
     fn fig5_two_shards_merge_back_to_the_unsharded_report() {
         let opts = tiny_opts();
-        let entry = find_shardable("fig5").expect("fig5 is shardable");
-        let grid = (entry.grid)(&opts);
+        let exp = crate::cli::Experiment::new("fig5", &opts).expect("fig5 is shardable");
+        let leases = exp.leases(&[], 2).expect("a fresh plan");
+        assert_eq!(leases.len(), 2);
         let states: Vec<ShardState> = (0..2)
             .map(|i| {
-                let plan = CellRange::shard(grid.cell_count(), i, 2).plan(grid.trials);
-                let hooks = SweepHooks {
-                    plan: Some(&plan),
-                    ..SweepHooks::default()
-                };
-                let cells = (entry.cells)(&opts, &hooks);
-                let text =
-                    ShardState::from_cells(entry.name, opts.full, (i as u32, 2), &grid, &cells)
-                        .to_json();
+                let text = exp.run_plan(&leases[i], (i as u32, 2)).to_json();
                 ShardState::parse(&text).expect("round trip")
             })
             .collect();
+        let entry = exp.entry;
         let merged = merge_states(states).expect("compatible shards");
         assert!(merged.is_complete());
         let report = (entry.report)(&opts, &merged.into_cells());

@@ -49,10 +49,11 @@ impl SweepHooks<'_> {
 
 /// Runs (part of) one grid on any backend, folded down to the grid's
 /// metrics — the single engine-facing entry point every production sweep
-/// rides, so the grid description (what `repro shard` partitions and what
-/// the artifact records) and the sweep that executes can never disagree.
-/// `hooks` carries the execution seams: the plan (shard cells, resume
-/// holes, lease ranges) and the checkpoint monitor.
+/// rides, so the grid description (what `repro shard` and `repro serve`
+/// cut into leases and what the artifact records) and the sweep that
+/// executes can never disagree. `hooks` carries the execution seams: the
+/// plan (resume holes, a shard's or a work lease's ranges) and the
+/// checkpoint monitor.
 pub fn fold_grid<S: Simulator>(
     experiment: &'static str,
     config: S::Config,
@@ -63,8 +64,8 @@ pub fn fold_grid<S: Simulator>(
 where
     TrialSummary: From<S::Output>,
 {
-    // The grid's cost table rides along so the engine can taper claims and
-    // start heavy cells first; it cannot affect any result bit.
+    // The grid's cost table rides along so the engine can start heavy cells
+    // first; it cannot affect any result bit.
     let costs = grid.cell_trial_costs();
     Sweep::<S> {
         experiment,

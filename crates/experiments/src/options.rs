@@ -472,7 +472,7 @@ mod tests {
         assert!(Options::parse(&strs(&["--full"])).is_err());
         assert!(Options::parse(&strs(&["fig3", "fig4"])).is_err());
         assert!(Options::parse(&strs(&["fig3", "--trials", "abc"])).is_err());
-        // There is no batch-size knob (claims are always tapered) and no
+        // There is no batch-size knob (workers claim one trial at a time) and no
         // grid smaller than the default one.
         for flag in ["--batch", "--quick"] {
             let err = Options::parse(&strs(&["fig5", flag, "8"])).unwrap_err();

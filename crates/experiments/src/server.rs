@@ -417,7 +417,7 @@ impl Server {
             }
         }
 
-        let leases = cut_leases(&exp, &cells, limits.leases)?;
+        let leases = exp.leases(&cells, limits.leases)?;
         let remaining: usize = leases.iter().flatten().map(TrialRange::len).sum();
         let trials_total = exp.grid.cell_count() * exp.grid.trials as usize;
         let store = JobStore::new(leases, limits.lease_ttl);
@@ -524,21 +524,6 @@ impl Server {
             .report(&cells, "[serve]", &self.out_dir, self.json)?;
         durable.map_err(|e| format!("the final checkpoint could not be written: {e}"))
     }
-}
-
-/// The trials `cells` lack (everything, on a fresh start), cut into at most
-/// `target` cost-weighted leases. The plan is sorted heaviest cell first,
-/// stably, as the sweep engine orders its claims: the last leases out hold
-/// the lightest cells, so no heavy lease runs alone at the end of the run.
-fn cut_leases(
-    exp: &Experiment,
-    cells: &[StatsCell],
-    target: usize,
-) -> Result<Vec<Vec<TrialRange>>, String> {
-    let costs = exp.grid.cell_trial_costs();
-    let mut plan = checkpoint::missing_work(&exp.state((0, 1), cells))?;
-    plan.sort_by(|a, b| costs[b.cell].total_cmp(&costs[a.cell]));
-    Ok(TrialRange::partition(&plan, &costs, target))
 }
 
 /// `run` leaving: stops the acceptor and waits until every request read so
@@ -1061,7 +1046,7 @@ mod tests {
         let grid = &exp.grid;
         assert_eq!((grid.ns[0], grid.ns[grid.ns.len() - 1]), (100, 1000));
         let load = |cell: usize| grid.ns[cell % grid.ns.len()];
-        let leases = cut_leases(&exp, &[], DEFAULT_LEASES).unwrap();
+        let leases = exp.leases(&[], DEFAULT_LEASES).unwrap();
         assert_eq!(leases.len(), DEFAULT_LEASES);
 
         let first = &leases[0];

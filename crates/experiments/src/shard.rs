@@ -1,17 +1,21 @@
 //! Process-sharded sweep state: the `shard_state/v1` artifact.
 //!
-//! A sharded run executes one [`CellRange`](contention_sim::engine::CellRange)
-//! of a figure's sweep grid (`repro shard <experiment> --shard i/N`) and
+//! A sharded run (`repro shard <experiment> --shard i/N`) executes lease
+//! `i` of the `N` leases [`TrialRange::partition`] cuts from a figure's
+//! sweep grid — the lease `repro serve --leases N` hands out as `i` — and
 //! serializes the resulting per-cell [`MetricStats`] — raw per-trial,
-//! per-metric buffers — to a JSON artifact. `repro merge` reads any set of
-//! such artifacts, validates that they describe the same sweep, merges the
-//! per-cell accumulator state with [`MetricStats::try_merge`], and hands
-//! the reassembled cells to the figure's report builder. Because the
+//! per-metric buffers, with holes where a lease holds only part of a cell —
+//! to a JSON artifact. `repro merge` reads any set of such artifacts,
+//! validates that they describe the same sweep, merges the per-cell
+//! accumulator state with [`MetricStats::try_merge`], and hands the
+//! reassembled cells to the figure's report builder. Because the
 //! buffers are position-addressed and the JSON writer/reader pair is
 //! round-trip exact ([`crate::jsonout`] / [`crate::jsonin`]), the merged
 //! report is **byte-identical** to a single-process run — the property
 //! `tests/shard_equivalence.rs` pins across backends, shard counts and
 //! plan shapes.
+//!
+//! [`TrialRange::partition`]: contention_sim::engine::TrialRange::partition
 //!
 //! Artifact shape (`<experiment>.s<i>of<N>.shardstate.json`):
 //!
@@ -53,8 +57,8 @@ pub const SHARD_SCHEMA: &str = "shard_state/v1";
 pub const SHARD_SUFFIX: &str = ".shardstate.json";
 
 /// The sweep-grid coordinates a shardable experiment runs over — enough to
-/// partition the grid into cell ranges and to validate artifact
-/// compatibility at merge time.
+/// cut the grid into leases and to validate artifact compatibility at merge
+/// time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridMeta {
     /// Algorithms, in grid (outer) order.
@@ -66,10 +70,11 @@ pub struct GridMeta {
     /// Metrics each cell folds out, in buffer order.
     pub metrics: Vec<Metric>,
     /// The analytic per-trial cost shape of this grid's backend — what the
-    /// scheduler tapers claims by and `repro shard` balances shards with.
-    /// Serialized into artifacts so resumed/merged runs plan work with the
-    /// same estimates; artifacts written before cost metadata existed read
-    /// back as [`CostSpec::Uniform`].
+    /// engine orders its claims by and the lease cut that `repro shard` and
+    /// `repro serve` share weighs trials with. Serialized into artifacts so
+    /// resumed/merged runs plan work with the same estimates; artifacts
+    /// written before cost metadata existed read back as
+    /// [`CostSpec::Uniform`].
     pub cost: CostSpec,
 }
 
@@ -90,20 +95,14 @@ impl GridMeta {
     }
 
     /// Estimated per-*trial* cost of every cell, in grid order (algorithms
-    /// outer, ns inner) — the table the engine's tapered scheduler consumes.
+    /// outer, ns inner) — the table the engine orders its claims by and
+    /// [`TrialRange::partition`] cuts leases with.
+    ///
+    /// [`TrialRange::partition`]: contention_sim::engine::TrialRange::partition
     pub fn cell_trial_costs(&self) -> Vec<f64> {
         self.algorithms
             .iter()
             .flat_map(|_| self.ns.iter().map(|&n| self.cost.cost(n)))
-            .collect()
-    }
-
-    /// Estimated *total* cost of every cell (`trials ×` per-trial), in grid
-    /// order — what cost-balanced shard partitioning splits.
-    pub fn cell_costs(&self) -> Vec<f64> {
-        self.cell_trial_costs()
-            .into_iter()
-            .map(|c| c * f64::from(self.trials))
             .collect()
     }
 }
@@ -135,12 +134,12 @@ pub struct ShardState {
     pub experiment: String,
     /// Whether the run used the paper's `--full` grids.
     pub full: bool,
-    /// `(index, of)`: which contiguous shard of the grid this is. A
+    /// `(index, of)`: which lease of the grid's `of`-way cut this is. A
     /// complete state is `(0, 1)`.
     pub shard: (u32, u32),
     /// The grid the shard belongs to.
     pub grid: GridMeta,
-    /// Cell state, in grid order within the shard's range.
+    /// State of the cells the shard touched, in grid order.
     pub cells: Vec<ShardCell>,
 }
 
@@ -756,18 +755,14 @@ mod tests {
     }
 
     #[test]
-    fn grid_cost_tables_follow_grid_order_and_trials() {
+    fn grid_cost_tables_follow_grid_order() {
         let g = grid();
         let per_trial = g.cell_trial_costs();
-        let per_cell = g.cell_costs();
         assert_eq!(per_trial.len(), g.cell_count());
         // Grid order is algorithms outer, ns inner: [B10, B20, S10, S20].
         assert_eq!(per_trial[0], CostSpec::NLogN.cost(10));
         assert_eq!(per_trial[1], CostSpec::NLogN.cost(20));
         assert_eq!(per_trial[0], per_trial[2], "cost is algorithm-blind");
-        for (cell, trial) in per_cell.iter().zip(&per_trial) {
-            assert_eq!(*cell, trial * f64::from(g.trials));
-        }
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl Medium {
             (tx, None)
         }
     }
-
-    /// Number of frames currently on air (diagnostics).
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
 }
 
 impl Default for Medium {

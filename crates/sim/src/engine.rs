@@ -17,24 +17,25 @@
 //!   runner, [`Sweep::run_fold_monitored`].
 //!
 //! Every run is a **plan**: a list of [`TrialRange`]s `(cell, lo, hi)`. A
-//! direct run is one full range per cell, a `repro shard` the full ranges of
-//! its cells, a resume the trials its checkpoint is missing, a work-server
-//! lease whatever ranges it was handed. The runner claims the plan's trials
-//! in tapered, heaviest-cell-first claims (see
-//! [`parallel`](crate::parallel)) and **folds each trial's result into a
-//! per-cell [`Accumulator`] inside the worker**. A figure that only needs
-//! two metrics of a million-trial sweep retains two `f64`s per trial — not a
-//! `TrialSummary` — which is what lets the abstract sweeps reach the paper's
-//! full n = 10⁵ grid (and 10⁶) in one process. Per-trial RNG streams depend
-//! only on grid coordinates, so every plan, thread count and claim schedule
-//! yields bit-identical trials.
+//! direct run is one full range per cell, a resume the trials its
+//! checkpoint is missing, and a `repro shard` or work-server lease one of
+//! the leases [`TrialRange::partition`] cuts. One private helper,
+//! `heaviest_first`, orders work for both the runner and the cut: the
+//! plan's ranges, heaviest cell first. Workers take the trials in that
+//! order one at a time (see [`parallel`](crate::parallel)) and **fold each
+//! trial's result into a per-cell [`Accumulator`] inside the worker**. A
+//! figure that only needs two metrics of a million-trial sweep retains two
+//! `f64`s per trial — not a `TrialSummary` — which is what lets the abstract
+//! sweeps reach the paper's full n = 10⁵ grid (and 10⁶) in one process.
+//! Per-trial RNG streams depend only on grid coordinates, so every plan,
+//! thread count and claim order yields bit-identical trials.
 //!
 //! A backend plugs in by implementing `Simulator`; nothing else in the
 //! experiment layer changes. This is the seam where additional channel
 //! models (e.g. the noisy/corrupted-slot model of arXiv:2408.11275) slot in.
 
 use crate::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
-use crate::parallel::{parallel_for_tapered, TaperSchedule};
+use crate::parallel::parallel_for;
 use crate::progress::Progress;
 use crate::summary::TrialSummary;
 use contention_core::algorithm::AlgorithmKind;
@@ -138,113 +139,12 @@ pub trait Accumulator<T> {
     fn record(&mut self, trial: u32, value: T);
 }
 
-/// A half-open range `[lo, hi)` of grid-cell indices — the unit of
-/// process-level sharding.
-///
-/// Cells are indexed in grid order (algorithms outer, `ns` inner), the same
-/// order [`Sweep`] returns them in. Restricting a sweep to a cell range
-/// changes *which* cells run, never what any cell computes: per-trial RNG
-/// streams depend only on `(experiment, algorithm, n, trial)`, so the cells
-/// of a ranged run are bit-identical to the same cells of a full run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellRange {
-    /// First cell index covered.
-    pub lo: usize,
-    /// One past the last cell index covered.
-    pub hi: usize,
-}
-
-impl CellRange {
-    /// The contiguous range shard `index` of `of` covers in a grid of
-    /// `cells` cells — the balanced partition `[i·C/N, (i+1)·C/N)`. Every
-    /// shard is within one cell of the same size, and the `of` ranges tile
-    /// `[0, cells)` exactly.
-    pub fn shard(cells: usize, index: usize, of: usize) -> CellRange {
-        assert!(of >= 1, "shard count must be at least 1");
-        assert!(
-            index < of,
-            "shard index {index} out of range for {of} shards"
-        );
-        CellRange {
-            lo: index * cells / of,
-            hi: (index + 1) * cells / of,
-        }
-    }
-
-    /// The contiguous range shard `index` of `of` covers in a grid whose
-    /// cells carry the given estimated `weights` — the cost-balanced
-    /// partition: shard boundaries land where the weight prefix crosses
-    /// `i/of` of the total, so every shard gets (as nearly as contiguity
-    /// allows) the same estimated *work*, not the same cell count. The `of`
-    /// ranges tile `[0, weights.len())` exactly, like [`Self::shard`];
-    /// with uniform weights the two partitions coincide. Non-finite,
-    /// non-positive or all-zero weights degrade safely (junk entries count
-    /// as zero; a zero total falls back to the count-balanced partition).
-    pub fn shard_weighted(weights: &[f64], index: usize, of: usize) -> CellRange {
-        assert!(of >= 1, "shard count must be at least 1");
-        assert!(
-            index < of,
-            "shard index {index} out of range for {of} shards"
-        );
-        let cells = weights.len();
-        let mut prefix = Vec::with_capacity(cells + 1);
-        let mut acc = 0.0f64;
-        prefix.push(0.0);
-        for &w in weights {
-            if w.is_finite() && w > 0.0 {
-                acc += w;
-            }
-            prefix.push(acc);
-        }
-        let total = prefix[cells];
-        if total <= 0.0 {
-            return CellRange::shard(cells, index, of);
-        }
-        // Boundary i sits at the first prefix ≥ total·i/of; boundaries are
-        // monotone because the goals are, and the final one is pinned to
-        // `cells` so trailing zero-weight cells (and float slop) always
-        // land in the last shard.
-        let bound = |i: usize| -> usize {
-            if i == of {
-                return cells;
-            }
-            let goal = total * i as f64 / of as f64;
-            prefix.partition_point(|&p| p < goal).min(cells)
-        };
-        CellRange {
-            lo: bound(index),
-            hi: bound(index + 1),
-        }
-    }
-
-    /// The plan that runs every trial of these cells: one full
-    /// `[0, trials)` range per cell.
-    pub fn plan(&self, trials: u32) -> Vec<TrialRange> {
-        (self.lo..self.hi)
-            .map(|cell| TrialRange {
-                cell,
-                lo: 0,
-                hi: trials,
-            })
-            .collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lo == self.hi
-    }
-}
-
 /// A contiguous run `[lo, hi)` of trial indices inside one grid cell — the
 /// unit every sweep plan is made of.
 ///
-/// Where [`CellRange`] splits a grid between processes a whole cell at a
-/// time, a `TrialRange` splits *inside* a cell, so a single giant-`n` cell
-/// can be spread across a fleet of workers. Like cell ranges, trial ranges
-/// change only *which* trials run: per-trial RNG streams depend on
+/// A plan of trial ranges can split a grid anywhere, inside a cell too, so
+/// a single giant-`n` cell can be spread across a fleet of workers. Trial
+/// ranges change only *which* trials run: per-trial RNG streams depend on
 /// `(experiment, algorithm, n, trial)` alone, so the trials of any tiling
 /// are bit-identical to the same trials of a full run — which is what lets
 /// partial cells merge back losslessly through the accumulator seam.
@@ -268,18 +168,20 @@ impl TrialRange {
     }
 
     /// Partitions a plan into at most `target` leases of roughly equal
-    /// estimated cost, each lease itself a plan.
+    /// estimated cost, each lease itself a plan: what `repro serve` hands
+    /// out and `repro shard` runs one of.
     ///
     /// `trial_costs[cell]` is the estimated cost of one trial of that cell
-    /// (the [`CostSpec`](crate::sched::CostSpec) per-trial table); lease
-    /// boundaries land where the cost prefix crosses `k/target` of the
-    /// total, so a heavy cell splits across as many leases as its weight
-    /// demands while light neighbours coalesce into one. Junk cost entries
-    /// (non-finite or non-positive, or a missing table entry) count as one
-    /// unit, so a degenerate table degrades to trial-count balancing rather
-    /// than collapsing the partition. The returned leases tile the plan
-    /// exactly, in plan order, with consecutive trials of one cell fused
-    /// into single ranges; empty leases are never emitted, so fewer than
+    /// (the [`CostSpec`](crate::sched::CostSpec) per-trial table). The plan
+    /// is first put heaviest cell first, as the engine orders its claims,
+    /// so the first leases hold the heaviest cells and the last ones the
+    /// lightest. Lease boundaries land where the cost prefix crosses
+    /// `k/target` of the total, so a heavy cell splits across as many
+    /// leases as its weight demands while light neighbours coalesce into
+    /// one. A junk or missing cost counts as one unit, so a degenerate
+    /// table degrades to trial-count balancing. The returned leases tile
+    /// the plan exactly, with consecutive trials of one cell fused into
+    /// single ranges; empty leases are never emitted, so fewer than
     /// `target` leases come back when the plan is small.
     pub fn partition(
         plan: &[TrialRange],
@@ -287,15 +189,11 @@ impl TrialRange {
         target: usize,
     ) -> Vec<Vec<TrialRange>> {
         assert!(target >= 1, "lease target must be at least 1");
-        let sane = |cell: usize| -> f64 {
-            let c = trial_costs.get(cell).copied().unwrap_or(1.0);
-            if c.is_finite() && c > 0.0 {
-                c
-            } else {
-                1.0
-            }
-        };
-        let total: f64 = plan.iter().map(|r| sane(r.cell) * r.len() as f64).sum();
+        let plan = heaviest_first(plan, trial_costs);
+        let total: f64 = plan
+            .iter()
+            .map(|r| trial_cost(trial_costs, r.cell) * r.len() as f64)
+            .sum();
         if total <= 0.0 {
             return Vec::new();
         }
@@ -316,8 +214,8 @@ impl TrialRange {
                 hi: trial + 1,
             });
         };
-        for range in plan {
-            let w = sane(range.cell);
+        for range in &plan {
+            let w = trial_cost(trial_costs, range.cell);
             for t in range.lo..range.hi {
                 fuse(&mut current, range.cell, t);
                 cum += w;
@@ -334,6 +232,28 @@ impl TrialRange {
         }
         leases
     }
+}
+
+/// The estimated cost of one trial of `cell`; a cost that is missing, not
+/// finite or not positive counts as one unit.
+fn trial_cost(trial_costs: &[f64], cell: usize) -> f64 {
+    match trial_costs.get(cell) {
+        Some(&c) if c.is_finite() && c > 0.0 => c,
+        _ => 1.0,
+    }
+}
+
+/// The one place that orders work: `plan`'s ranges, heaviest cell first by
+/// [`trial_cost`]. The sort is stable, so equal costs (or no table at all)
+/// keep plan order. The engine claims trials in this order and
+/// [`TrialRange::partition`] cuts leases from it; results are routed by
+/// position, so the order is invisible in the output.
+fn heaviest_first(plan: &[TrialRange], trial_costs: &[f64]) -> Vec<TrialRange> {
+    let mut order = plan.to_vec();
+    order.sort_by(|a, b| {
+        trial_cost(trial_costs, b.cell).total_cmp(&trial_cost(trial_costs, a.cell))
+    });
+    order
 }
 
 /// Checks a plan against a grid of `cells` cells with `trials` trials each:
@@ -450,8 +370,7 @@ impl<S: Simulator> std::fmt::Debug for Sweep<S> {
 }
 
 impl<S: Simulator> Sweep<S> {
-    /// Number of `(algorithm, n)` cells in the full grid — what
-    /// [`CellRange::shard`] partitions.
+    /// Number of `(algorithm, n)` cells in the full grid.
     pub fn cell_count(&self) -> usize {
         self.algorithms.len() * self.ns.len()
     }
@@ -501,10 +420,10 @@ where
     ///   propagates.
     /// * `costs` — estimated per-trial cost of every full-grid cell (same
     ///   order as `algorithms × ns`), from the experiment's
-    ///   [`CostSpec`](crate::sched::CostSpec). Scheduling-only: ranges of
-    ///   the heaviest cells are claimed first and claim sizes taper by
-    ///   remaining estimated work; any table (a wrong one, or `None` for
-    ///   uniform) yields bit-identical results.
+    ///   [`CostSpec`](crate::sched::CostSpec). Scheduling-only: workers
+    ///   take one trial at a time, the heaviest cells' ranges first; any
+    ///   table (a wrong one, or `None` for uniform) yields bit-identical
+    ///   results.
     pub fn run_fold_monitored<A, I>(
         &self,
         mut init: I,
@@ -518,7 +437,7 @@ where
     {
         self.validate_grid();
         let cell_count = self.cell_count();
-        let whole_grid;
+        let whole_grid: Vec<TrialRange>;
         let plan = match plan {
             Some(plan) => {
                 if let Err(e) = validate_plan(plan, cell_count, self.trials) {
@@ -527,11 +446,13 @@ where
                 plan
             }
             None => {
-                whole_grid = CellRange {
-                    lo: 0,
-                    hi: cell_count,
-                }
-                .plan(self.trials);
+                whole_grid = (0..cell_count)
+                    .map(|cell| TrialRange {
+                        cell,
+                        lo: 0,
+                        hi: self.trials,
+                    })
+                    .collect();
                 &whole_grid[..]
             }
         };
@@ -542,13 +463,6 @@ where
                 costs.len()
             );
         }
-        // Junk estimates (NaN, ±∞, negatives) count as zero weight so the
-        // heaviest-first comparator below stays a total order.
-        let cost = |cell: usize| match costs {
-            None => 1.0,
-            Some(c) if c[cell].is_finite() && c[cell] > 0.0 => c[cell],
-            Some(_) => 0.0,
-        };
         // One accumulator per touched cell, in grid order.
         let mut cells: Vec<usize> = plan.iter().map(|r| r.cell).collect();
         cells.sort_unstable();
@@ -558,18 +472,20 @@ where
             .iter()
             .map(|&(alg, n)| Mutex::new(init(alg, n, self.trials)))
             .collect();
-        // Execution order: the plan's ranges, heaviest cells first (stable,
-        // so a uniform table keeps plan order). The long-pole cells start
-        // while plenty of light work remains to backfill the tail; results
-        // are routed by cell, so the order is invisible in the output.
-        let mut order: Vec<(usize, TrialRange)> = plan
+        // Execution order: the plan's ranges, heaviest cells first. The
+        // long-pole cells start while plenty of light work remains to
+        // backfill the tail. Work index `i` is trial `i - start` of the last
+        // range whose `start` is at most `i`, folded into accumulator `slot`.
+        let order = heaviest_first(plan, costs.unwrap_or_default());
+        let mut total = 0;
+        let runs: Vec<(usize, usize)> = order
             .iter()
-            .map(|r| (cells.binary_search(&r.cell).expect("touched cell"), *r))
+            .map(|r| {
+                let run = (total, cells.binary_search(&r.cell).expect("touched cell"));
+                total += r.len();
+                run
+            })
             .collect();
-        order.sort_by(|a, b| cost(b.1.cell).total_cmp(&cost(a.1.cell)));
-        let runs: Vec<(usize, f64)> = order.iter().map(|(_, r)| (r.len(), cost(r.cell))).collect();
-        let schedule = TaperSchedule::new(&runs);
-        let total = schedule.len();
         if total > 0 {
             // Cap the worker count at the machine's parallelism: results are
             // schedule-invariant, so workers beyond physical cores can only
@@ -582,30 +498,20 @@ where
             let progress = Progress::new(total, self.exec.progress);
             let tag = experiment_tag(self.experiment);
             let base = self.config.clone();
-            // A claim is a contiguous run of work indices: one lookup finds
-            // the range and trial it starts at, then consecutive indices
-            // walk the ranges in order. Each worker owns one scratch arena
-            // for its whole share of the sweep.
-            let work = |claim: std::ops::Range<usize>, scratch: &mut S::Scratch| {
-                let (mut k, offset) = schedule.locate(claim.start);
-                let mut trial = order[k].1.lo + offset as u32;
-                for _ in claim {
-                    while trial == order[k].1.hi {
-                        k += 1;
-                        trial = order[k].1.lo;
-                    }
-                    let slot = order[k].0;
-                    let (alg, n) = grid[slot];
-                    let config = S::with_algorithm(&base, alg);
-                    let mut rng = trial_rng(tag, alg, n, trial);
-                    let value = TrialSummary::from(S::run_with(&config, n, &mut rng, scratch));
-                    lock(&accumulators[slot]).record(trial, value);
-                    progress.tick();
-                    trial += 1;
-                }
+            // Each worker owns one scratch arena for its whole share of the
+            // sweep.
+            let work = |index: usize, scratch: &mut S::Scratch| {
+                let k = runs.partition_point(|&(start, _)| start <= index) - 1;
+                let (start, slot) = runs[k];
+                let trial = order[k].lo + (index - start) as u32;
+                let (alg, n) = grid[slot];
+                let config = S::with_algorithm(&base, alg);
+                let mut rng = trial_rng(tag, alg, n, trial);
+                let value = TrialSummary::from(S::run_with(&config, n, &mut rng, scratch));
+                lock(&accumulators[slot]).record(trial, value);
+                progress.tick();
             };
-            let run_workers =
-                || parallel_for_tapered(&schedule, threads, S::Scratch::default, work);
+            let run_workers = || parallel_for(total, threads, S::Scratch::default, work);
             match monitor {
                 None => run_workers(),
                 Some((cadence, sink)) => {
@@ -810,17 +716,33 @@ mod tests {
         sweep.run_fold_monitored(init, plan, None, None)
     }
 
-    /// The plan shapes every schedule must agree on: the whole grid, cell
-    /// shards, and a sparse plan that splits one cell into two ranges.
+    /// Every trial of `cells`, one full `[0, trials)` range per cell.
+    fn full_ranges(cells: std::ops::Range<usize>, trials: u32) -> Vec<TrialRange> {
+        cells
+            .map(|cell| TrialRange {
+                cell,
+                lo: 0,
+                hi: trials,
+            })
+            .collect()
+    }
+
+    /// The plan shapes every schedule must agree on: the whole grid, the
+    /// cost-weighted leases of 1, 2, 3 and 7 shards, and a sparse plan that
+    /// splits one cell into two ranges.
     fn plan_shapes() -> Vec<Vec<Vec<TrialRange>>> {
         let r = |cell, lo, hi| TrialRange { cell, lo, hi };
-        let whole = vec![CellRange { lo: 0, hi: 6 }.plan(4)];
-        let shards = (0..3).map(|i| CellRange::shard(6, i, 3).plan(4)).collect();
-        let split = vec![
+        let whole = full_ranges(0..6, 4);
+        let costs = [1.0, 2.0, 9.0, 1.0, 3.0, 3.0];
+        let mut shapes: Vec<_> = [1, 2, 3, 7]
+            .map(|of| TrialRange::partition(&whole, &costs, of))
+            .into();
+        shapes.push(vec![
             vec![r(2, 0, 1), r(0, 0, 4), r(2, 3, 4)],
             vec![r(1, 0, 4), r(2, 1, 3), r(3, 0, 4), r(4, 0, 4), r(5, 0, 4)],
-        ];
-        vec![whole, shards, split]
+        ]);
+        shapes.push(vec![whole]);
+        shapes
     }
 
     /// Merges the per-plan results of one plan shape back into grid order.
@@ -900,9 +822,9 @@ mod tests {
 
     #[test]
     fn cost_tables_reorder_claims_but_never_results() {
-        // Skewed estimates with junk entries mixed in: heaviest-first order
-        // and tapered claim sizes change, the fold must not — across thread
-        // counts and plan shapes, with and without the cost table.
+        // Skewed estimates with junk entries mixed in: the heaviest-first
+        // claim order changes, the fold must not — across thread counts and
+        // plan shapes, with and without the cost table.
         let golden = fold(&toy_sweep(ExecPolicy::threads(1)), cw_sum, None);
         let costs = [f64::NAN, 0.0, 5.0, 1e9, 1.0, -2.0];
         for threads in [1usize, 2, 8] {
@@ -913,7 +835,7 @@ mod tests {
             }
             // A sparse plan draws each range's weight from its full-grid
             // cell; costs still only reorder.
-            let plan = CellRange { lo: 2, hi: 5 }.plan(4);
+            let plan = full_ranges(2..5, 4);
             let ranged = sweep.run_fold_monitored(cw_sum, Some(&plan), None, Some(&costs));
             assert_eq!(ranged[..], golden[2..5], "threads={threads} ranged");
         }
@@ -927,65 +849,6 @@ mod tests {
             toy_sweep(ExecPolicy::threads(1)).run_fold_monitored(cw_sum, None, None, Some(&costs));
     }
 
-    #[test]
-    fn weighted_shards_tile_the_grid() {
-        let weights = [3.0, 0.5, f64::NAN, 8.0, 1.0, 0.0, 2.5, 4.0, -1.0, 6.0];
-        for of in [1usize, 2, 3, 4, 7, 10, 13] {
-            let mut next = 0;
-            for index in 0..of {
-                let shard = CellRange::shard_weighted(&weights, index, of);
-                assert_eq!(shard.lo, next, "shard {index}/{of} left a gap");
-                assert!(shard.hi >= shard.lo);
-                next = shard.hi;
-            }
-            assert_eq!(next, weights.len(), "shards {of} did not cover the grid");
-        }
-    }
-
-    #[test]
-    fn weighted_shards_balance_work_better_than_counts() {
-        // One heavy head cell: the count split hands shard 0 the head plus
-        // half the light cells; the weighted split cuts right after it.
-        let weights = [8.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-        let cost = |r: CellRange| weights[r.lo..r.hi].iter().sum::<f64>();
-        let weighted_max = (0..2)
-            .map(|i| cost(CellRange::shard_weighted(&weights, i, 2)))
-            .fold(0.0f64, f64::max);
-        let count_max = (0..2)
-            .map(|i| cost(CellRange::shard(weights.len(), i, 2)))
-            .fold(0.0f64, f64::max);
-        assert!(
-            weighted_max < count_max,
-            "weighted split ({weighted_max}) should beat count split ({count_max})"
-        );
-        // Trailing zero-weight cells still land in the last shard.
-        let tail_zeros = [5.0, 5.0, 0.0, 0.0];
-        let last = CellRange::shard_weighted(&tail_zeros, 1, 2);
-        assert_eq!((last.lo, last.hi), (1, 4));
-    }
-
-    #[test]
-    fn degenerate_weights_fall_back_to_count_shards() {
-        for weights in [vec![0.0; 5], vec![f64::NAN; 5], vec![-3.0; 5], vec![]] {
-            for of in [1usize, 2, 3] {
-                for index in 0..of {
-                    assert_eq!(
-                        CellRange::shard_weighted(&weights, index, of),
-                        CellRange::shard(weights.len(), index, of),
-                        "weights {weights:?} shard {index}/{of}"
-                    );
-                }
-            }
-        }
-        // Uniform weights coincide with the count-balanced partition too.
-        for index in 0..3 {
-            assert_eq!(
-                CellRange::shard_weighted(&[2.0; 9], index, 3),
-                CellRange::shard(9, index, 3)
-            );
-        }
-    }
-
     /// Every `(cell, trial)` a plan covers, in plan order.
     fn flatten(plan: &[TrialRange]) -> Vec<(usize, u32)> {
         plan.iter()
@@ -994,20 +857,82 @@ mod tests {
     }
 
     #[test]
-    fn trial_partition_tiles_the_plan_exactly() {
+    fn leases_come_heaviest_cell_first_and_tile_the_plan() {
+        // A grid-order plan whose heaviest cell (2) comes third and whose
+        // junk-cost cells (3 and 4) count as one unit, like cell 0.
         let r = |cell, lo, hi| TrialRange { cell, lo, hi };
-        let plan = vec![r(0, 0, 3), r(2, 1, 2), r(2, 3, 4), r(5, 0, 1)];
-        let costs = [1.0, 1.0, 4.0, 1.0, 1.0, 2.0];
-        for target in 1..=8 {
+        let plan = vec![
+            r(0, 0, 3),
+            r(1, 0, 2),
+            r(2, 1, 2),
+            r(2, 3, 4),
+            r(3, 0, 1),
+            r(4, 0, 2),
+        ];
+        let costs = [1.0, 2.0, 4.0, f64::NAN, -1.0];
+        let order = heaviest_first(&plan, &costs);
+        let cells: Vec<usize> = order.iter().map(|r| r.cell).collect();
+        assert_eq!(cells, [2, 2, 1, 0, 3, 4], "stable, heaviest first");
+        let mut sorted = flatten(&plan);
+        sorted.sort_unstable();
+        for target in 1..=12 {
             let leases = TrialRange::partition(&plan, &costs, target);
             assert!(leases.len() <= target, "target {target}");
             assert!(leases.iter().all(|l| !l.is_empty()));
-            assert_eq!(flatten(&leases.concat()), flatten(&plan), "target {target}");
+            // The leases tile the heaviest-first order, so together they
+            // hold every planned trial exactly once.
+            assert_eq!(
+                flatten(&leases.concat()),
+                flatten(&order),
+                "target {target}"
+            );
+            let mut got = flatten(&leases.concat());
+            got.sort_unstable();
+            assert_eq!(got, sorted, "target {target}");
+            assert_eq!(leases[0][0].cell, 2, "target {target}");
         }
-        // target 1 is a single lease covering everything, with the
-        // consecutive trials of cell 0 kept as one range.
+        // target 1 is a single lease covering everything, with the two
+        // ranges of cell 2 left apart (trial 2 is not planned).
         let one = TrialRange::partition(&plan, &costs, 1);
-        assert_eq!(one, vec![plan.clone()]);
+        assert_eq!(one, vec![order.clone()]);
+        // Cutting the ordered plan again changes nothing.
+        for target in 1..=12 {
+            assert_eq!(
+                TrialRange::partition(&order, &costs, target),
+                TrialRange::partition(&plan, &costs, target)
+            );
+        }
+    }
+
+    #[test]
+    fn a_heaviest_first_plan_cuts_as_before() {
+        // A plan already sorted heaviest cell first (as `repro serve` sorted
+        // it before cutting) is cut in its own order. Total cost 30, goal
+        // 10: cell 3's four trials of cost 5 fill the first two leases, and
+        // the last lease takes everything else.
+        let r = |cell, lo, hi| TrialRange { cell, lo, hi };
+        let plan = vec![r(3, 0, 4), r(1, 0, 3), r(0, 0, 2), r(2, 1, 3)];
+        let costs = [1.0, 2.0, 1.0, 5.0];
+        assert_eq!(heaviest_first(&plan, &costs), plan);
+        assert_eq!(
+            TrialRange::partition(&plan, &costs, 3),
+            vec![
+                vec![r(3, 0, 2)],
+                vec![r(3, 2, 4)],
+                vec![r(1, 0, 3), r(0, 0, 2), r(2, 1, 3)],
+            ]
+        );
+        // Without a cost table every trial weighs one unit and plan order
+        // stands: 11 trials over 4 leases close at 3, 6 and 9 trials.
+        assert_eq!(
+            TrialRange::partition(&plan, &[], 4),
+            vec![
+                vec![r(3, 0, 3)],
+                vec![r(3, 3, 4), r(1, 0, 2)],
+                vec![r(1, 2, 3), r(0, 0, 2)],
+                vec![r(2, 1, 3)],
+            ]
+        );
     }
 
     #[test]
@@ -1097,7 +1022,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the 6-cell grid")]
     fn out_of_grid_plan_panics_in_the_engine() {
-        let plan = CellRange { lo: 0, hi: 99 }.plan(4);
+        let plan = full_ranges(0..99, 4);
         let _ = fold(&toy_sweep(ExecPolicy::threads(1)), cw_sum, Some(&plan));
     }
 
@@ -1329,41 +1254,6 @@ mod tests {
         let built = SCRATCH_BUILDS.load(std::sync::atomic::Ordering::SeqCst) - before;
         assert_eq!(cells.len(), 2);
         assert_eq!(built, 1, "32 sequential trials must share one arena");
-    }
-
-    #[test]
-    fn cell_range_runs_are_slices_of_the_full_grid() {
-        let full = fold(&toy_sweep(ExecPolicy::threads(2)), trials, None);
-        let cells = full.len();
-        for of in [1usize, 2, 3, 7] {
-            let mut pieces: Vec<FoldedCell<Trials>> = Vec::new();
-            for index in 0..of {
-                let range = CellRange::shard(cells, index, of);
-                let part = fold(
-                    &toy_sweep(ExecPolicy::threads(2)),
-                    trials,
-                    Some(&range.plan(4)),
-                );
-                assert_eq!(part.len(), range.len());
-                pieces.extend(part);
-            }
-            assert_eq!(pieces, full, "sharding {of} ways changed results");
-        }
-    }
-
-    #[test]
-    fn shard_ranges_tile_the_grid_exactly() {
-        for cells in [0usize, 1, 5, 6, 7, 100] {
-            for of in [1usize, 2, 3, 7, 13] {
-                let mut covered = 0;
-                for index in 0..of {
-                    let range = CellRange::shard(cells, index, of);
-                    assert_eq!(range.lo, covered, "gap or overlap at shard {index}/{of}");
-                    covered = range.hi;
-                }
-                assert_eq!(covered, cells, "shards of {cells} cells do not tile");
-            }
-        }
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!   goes busy).
 //! * [`parallel`] — a deterministic parallel executor; each sweep spawns
 //!   its own scoped worker threads and joins them before it returns.
-//!   Workers claim contiguous index ranges from one atomic cursor in
-//!   cost-tapered (guided self-scheduling) claims via
-//!   [`parallel::TaperSchedule`], and results are routed by index, so every
-//!   number is independent of thread scheduling and claim sizing.
+//!   Workers take one index at a time from one atomic cursor
+//!   ([`parallel::parallel_for`]), and results are routed by index, so
+//!   every number is independent of thread scheduling.
 //! * [`sched`] — the analytic [`sched::CostSpec`] per-trial cost shapes
 //!   experiment grids declare for scheduling.
 //! * [`engine`] — the generic sweep engine: the [`engine::Simulator`] trait
@@ -40,11 +39,10 @@ pub mod sched;
 pub mod summary;
 
 pub use engine::{
-    folded, run_trial, validate_plan, Accumulator, CellRange, ExecPolicy, FoldedCell, Simulator,
-    Sweep, TrialRange,
+    folded, run_trial, validate_plan, Accumulator, ExecPolicy, FoldedCell, Simulator, Sweep,
+    TrialRange,
 };
 pub use event::{EventQueue, EventToken};
 pub use monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
-pub use parallel::{parallel_for_tapered, TaperSchedule};
 pub use sched::CostSpec;
 pub use summary::{Metric, TrialSummary};

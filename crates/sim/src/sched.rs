@@ -11,9 +11,9 @@
 //! `linear-n`, `n-log-n`) each experiment's grid description declares for
 //! its backend. Cost is a function of `n` alone — the paper's algorithms
 //! differ by small constant factors, the grid axes by orders of magnitude.
-//! The absolute scale is irrelevant everywhere it is used — claim tapering,
-//! claim ordering, lease cutting and shard partitioning only compare costs
-//! against each other — so an analytic shape is enough.
+//! The absolute scale is irrelevant everywhere it is used — claim ordering
+//! and lease cutting (which `repro shard` and `repro serve` share) only
+//! compare costs against each other — so an analytic shape is enough.
 //!
 //! Estimates feed scheduling only. A wrong cost estimate can slow a sweep
 //! down; it can never change a bit of its output, because results are

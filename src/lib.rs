@@ -50,8 +50,8 @@ pub mod prelude {
     pub use contention_core::time::Nanos;
     pub use contention_mac::{simulate, MacConfig, MacRun, MacSim, Trace};
     pub use contention_sim::engine::{
-        folded, run_trial, run_trial_with, validate_plan, Accumulator, CellRange, ExecPolicy,
-        FoldedCell, Simulator, Sweep, TrialRange,
+        folded, run_trial, run_trial_with, validate_plan, Accumulator, ExecPolicy, FoldedCell,
+        Simulator, Sweep, TrialRange,
     };
     pub use contention_sim::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
     pub use contention_sim::sched::CostSpec;

@@ -107,3 +107,41 @@ fn merge_refuses_an_unknown_experiment() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// `merge` refuses artifacts of a known experiment whose grid this build
+/// does not run under those options — here metrics edited to `collisions`
+/// — with a clean error and no report, where it used to abort on an
+/// assertion while building the report.
+#[test]
+fn merge_refuses_a_foreign_grid() {
+    let shards = temp_dir("foreign-artifacts");
+    let out = temp_dir("foreign-merged");
+    let mut args = vec!["shard", "fig5", "--trials", "2"];
+    args.extend(["--shard", "0/1", "--out", shards.to_str().unwrap()]);
+    assert_eq!(cli::run(&strs(&args)), ExitCode::SUCCESS);
+    let artifact = shards.join(format!("fig5.s0of1{SHARD_SUFFIX}"));
+    let text = std::fs::read_to_string(&artifact).unwrap();
+    let foreign = text.replace(
+        "\"metrics\": [\"cw_slots\"]",
+        "\"metrics\": [\"collisions\"]",
+    );
+    assert_ne!(foreign, text, "the edit did not apply");
+    std::fs::write(&artifact, foreign).unwrap();
+
+    let merge = strs(&[
+        "merge",
+        shards.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(cli::run(&merge), ExitCode::FAILURE);
+    let err = cli::try_run(&merge).unwrap_err();
+    assert!(
+        err.contains("does not match \"fig5\"'s grid under these options"),
+        "{err}"
+    );
+    assert!(!out.join("fig5_cw_slots_abstract.csv").exists());
+    for dir in [shards, out] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -1,9 +1,9 @@
-//! Shard-equivalence matrix: a sweep split into plans — count- or
-//! cost-balanced cell shards, or a plan that splits one cell into separate
-//! trial ranges — each plan's cells serialized to a `shard_state/v1`
-//! artifact, the artifacts shuffled and merged, must reproduce the
-//! single-process whole-grid fold **bit-for-bit** — for every backend, plan
-//! shape and thread count.
+//! Shard-equivalence matrix: a sweep split into plans — the cost-weighted
+//! leases `TrialRange::partition` cuts (what `repro shard` and `repro serve`
+//! run), or a plan that splits one cell into separate trial ranges — each
+//! plan's cells serialized to a `shard_state/v1` artifact, the artifacts
+//! shuffled and merged, must reproduce the single-process whole-grid fold
+//! **bit-for-bit** — for every backend, plan shape and thread count.
 //!
 //! This is the correctness contract of process-sharded sweeps: the merge
 //! seam may never change a number, so a cluster-run figure and a laptop-run
@@ -47,32 +47,44 @@ fn bits(cells: &[StatsCell]) -> Vec<(String, u32, Vec<Vec<u64>>)> {
         .collect()
 }
 
+/// Every trial of `grid`'s cells `cells`, one full range per cell.
+fn full_ranges(grid: &GridMeta, cells: std::ops::Range<usize>) -> Vec<TrialRange> {
+    cells
+        .map(|cell| TrialRange {
+            cell,
+            lo: 0,
+            hi: grid.trials,
+        })
+        .collect()
+}
+
+/// `grid`'s whole plan cut into `of` leases with `trial_costs`, as
+/// `repro shard` and `repro serve --leases` cut it; a cut of fewer trials
+/// than `of` leaves the last shards empty.
+fn leases(grid: &GridMeta, trial_costs: &[f64], of: usize) -> Vec<Vec<TrialRange>> {
+    let mut leases =
+        TrialRange::partition(&full_ranges(grid, 0..grid.cell_count()), trial_costs, of);
+    leases.resize(of, Vec::new());
+    leases
+}
+
 /// The plan shapes of the matrix, each a list of plans tiling the grid:
-/// count-balanced shards at every [`SHARD_COUNTS`], three cost-balanced
-/// shards, and cell 0 split around its middle trial (two ranges of one cell
-/// in the first plan, the hole in the second).
+/// the cost-weighted leases of every [`SHARD_COUNTS`], and cell 0 split
+/// around its middle trial (two ranges of one cell in the first plan, the
+/// hole in the second).
 fn plan_shapes(grid: &GridMeta) -> Vec<(String, Vec<Vec<TrialRange>>)> {
     let (cells, trials) = (grid.cell_count(), grid.trials);
     let mut shapes: Vec<(String, Vec<Vec<TrialRange>>)> = SHARD_COUNTS
         .iter()
         .map(|&of| {
-            let plans = (0..of)
-                .map(|i| CellRange::shard(cells, i, of).plan(trials))
-                .collect();
-            (format!("{of} count-balanced shards"), plans)
+            let plans = leases(grid, &grid.cell_trial_costs(), of);
+            (format!("{of} leases"), plans)
         })
         .collect();
-    let weights = grid.cell_costs();
-    shapes.push((
-        "3 cost-balanced shards".to_string(),
-        (0..3)
-            .map(|i| CellRange::shard_weighted(&weights, i, 3).plan(trials))
-            .collect(),
-    ));
     let mid = trials / 2;
     let range = |cell, lo, hi| TrialRange { cell, lo, hi };
     let mut split = vec![range(0, 0, mid), range(0, mid + 1, trials)];
-    split.extend(CellRange { lo: 1, hi: cells }.plan(trials));
+    split.extend(full_ranges(grid, 1..cells));
     shapes.push((
         "split cell".to_string(),
         vec![split, vec![range(0, mid, mid + 1)]],
@@ -212,12 +224,13 @@ fn dynamic_shards_merge_bit_identically() {
     });
 }
 
-/// Cost-balanced shards — cell ranges cut by `CellRange::shard_weighted`
-/// over the grid's estimated per-cell work — merge byte-identical to the
-/// count-balanced golden. The partition genuinely differs (the n·log n cost
-/// table is far from uniform over an 11×–80× n spread), yet the merge seam
-/// still reproduces the single-process fold bit-for-bit: balancing is pure
-/// scheduling, never arithmetic.
+/// Cost-weighted leases — the cut `repro shard` and `repro serve` share,
+/// over the grid's estimated per-trial work — merge byte-identical to the
+/// single-process fold, and so do the leases of a cut that weighs every
+/// trial alike. The two cuts genuinely differ (the n·log n cost table is far
+/// from uniform over an 80× n spread, and its leases split the heavy cells
+/// across shards), yet the merge seam reproduces the fold bit-for-bit:
+/// balancing is pure scheduling, never arithmetic.
 #[test]
 fn cost_balanced_shards_merge_bit_identically() {
     let metrics = [Metric::CwSlots, Metric::Collisions];
@@ -240,58 +253,62 @@ fn cost_balanced_shards_merge_bit_identically() {
     let golden =
         golden_sweep.run_fold_monitored(MetricStats::collector(&metrics), None, None, None);
     let golden_bits = bits(&golden);
-    let weights = grid.cell_costs();
-    assert_eq!(weights.len(), grid.cell_count());
+    let weights = grid.cell_trial_costs();
 
     for of in SHARD_COUNTS {
-        // The weighted partition must differ from the count partition for at
-        // least one shard count, or this test proves nothing.
-        let weighted: Vec<CellRange> = (0..of)
-            .map(|i| CellRange::shard_weighted(&weights, i, of))
-            .collect();
-        let states: Vec<ShardState> = weighted
-            .iter()
-            .enumerate()
-            .map(|(index, &range)| {
-                let part = sweep_for(ExecPolicy::threads(2)).run_fold_monitored(
-                    MetricStats::collector(&metrics),
-                    Some(&range.plan(grid.trials)),
-                    None,
-                    Some(&grid.cell_trial_costs()),
-                );
-                let text = ShardState::from_cells(
-                    "shard-eq-weighted",
-                    false,
-                    (index as u32, of as u32),
-                    &grid,
-                    &part,
-                )
-                .to_json();
-                ShardState::parse(&text).expect("artifact parses")
-            })
-            .collect();
-        let merged = merge_states(states).expect("weighted shards are compatible");
-        assert!(merged.is_complete(), "incomplete weighted merge (of={of})");
-        assert_eq!(
-            bits(&merged.into_cells()),
-            golden_bits,
-            "cost-balanced shards diverged from the single-process fold (of={of})"
-        );
+        for table in [&weights[..], &[]] {
+            let states: Vec<ShardState> = leases(&grid, table, of)
+                .iter()
+                .enumerate()
+                .map(|(index, plan)| {
+                    let part = sweep_for(ExecPolicy::threads(2)).run_fold_monitored(
+                        MetricStats::collector(&metrics),
+                        Some(plan),
+                        None,
+                        Some(&weights),
+                    );
+                    let text = ShardState::from_cells(
+                        "shard-eq-weighted",
+                        false,
+                        (index as u32, of as u32),
+                        &grid,
+                        &part,
+                    )
+                    .to_json();
+                    ShardState::parse(&text).expect("artifact parses")
+                })
+                .collect();
+            let merged = merge_states(states).expect("leases are compatible");
+            assert!(merged.is_complete(), "incomplete merge (of={of})");
+            assert_eq!(
+                bits(&merged.into_cells()),
+                golden_bits,
+                "leases diverged from the single-process fold (of={of}, {} costs)",
+                table.len()
+            );
+        }
     }
     // Sanity: the n log n weights (the n=800 cells carry ~80% of the work)
-    // must actually move at least one shard boundary away from the
-    // count-balanced partition, or this test proves nothing.
-    let moved = SHARD_COUNTS.iter().any(|&of| {
-        (0..of).any(|i| {
-            let w = CellRange::shard_weighted(&weights, i, of);
-            let c = CellRange::shard(grid.cell_count(), i, of);
-            (w.lo, w.hi) != (c.lo, c.hi)
-        })
-    });
+    // must actually move at least one lease boundary away from the
+    // uniform cut, and split a cell across two leases, or this test proves
+    // nothing.
+    let moved = SHARD_COUNTS
+        .iter()
+        .any(|&of| leases(&grid, &weights, of) != leases(&grid, &[], of));
     assert!(
         moved,
-        "weighted partition coincides with count partition everywhere; test is vacuous"
+        "the weighted cut coincides with the uniform one everywhere"
     );
+    let split = leases(&grid, &weights, 3)
+        .iter()
+        .map(|lease| {
+            lease
+                .iter()
+                .filter(|r| r.len() < grid.trials as usize)
+                .count()
+        })
+        .sum::<usize>();
+    assert!(split > 0, "no lease holds part of a cell");
 }
 
 /// Duplicate artifacts must be rejected, not double-counted — merging is a
@@ -313,20 +330,14 @@ fn duplicate_shard_artifacts_are_rejected() {
         metrics: vec![Metric::CwSlots],
         cost: CostSpec::Uniform,
     };
+    let plans = leases(&grid, &[], 2);
     let shard = |index: usize| {
-        let range = CellRange::shard(grid.cell_count(), index, 2);
-        let part = sweep.clone().run_fold_monitored(
+        let part = sweep.run_fold_monitored(
             MetricStats::collector(&[Metric::CwSlots]),
-            None,
+            Some(&plans[index]),
             None,
             None,
         );
-        let part: Vec<StatsCell> = part
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| range.lo <= *i && *i < range.hi)
-            .map(|(_, c)| c)
-            .collect();
         ShardState::from_cells("shard-eq-dup", false, (index as u32, 2), &grid, &part)
     };
     let err = merge_states(vec![shard(0), shard(0)]).unwrap_err();
@@ -338,8 +349,8 @@ fn duplicate_shard_artifacts_are_rejected() {
     assert!(err.contains("different sweep grid"), "{err}");
 }
 
-/// An empty shard (more shards than cells) serializes, parses and merges as
-/// a no-op — the N > cells edge the balanced partition permits.
+/// An empty shard (more shards than trials) serializes, parses and merges as
+/// a no-op — the N > trials edge of the lease cut.
 #[test]
 fn empty_shards_are_harmless() {
     let sweep_for = |exec: ExecPolicy| Sweep::<WindowedSim> {
@@ -363,17 +374,18 @@ fn empty_shards_are_harmless() {
         None,
         None,
     );
-    // 5 shards over 2 cells: three shards are empty.
-    let states: Vec<ShardState> = (0..5)
-        .map(|i| {
-            let plan = CellRange::shard(2, i, 5).plan(grid.trials);
+    // 7 shards over 4 trials: three shards are empty.
+    let states: Vec<ShardState> = leases(&grid, &grid.cell_trial_costs(), 7)
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| {
             let part = sweep_for(ExecPolicy::threads(1)).run_fold_monitored(
                 MetricStats::collector(&[Metric::CwSlots]),
-                Some(&plan),
+                Some(plan),
                 None,
                 None,
             );
-            let text = ShardState::from_cells("shard-eq-empty", false, (i as u32, 5), &grid, &part)
+            let text = ShardState::from_cells("shard-eq-empty", false, (i as u32, 7), &grid, &part)
                 .to_json();
             ShardState::parse(&text).expect("round trip")
         })

@@ -1,8 +1,8 @@
 //! Cross-engine golden determinism: the generic `Sweep<S>` must yield
 //! byte-identical results regardless of the worker-thread count *and* the
-//! shape of the plan it runs — the whole grid, cost-balanced shard ranges,
-//! or a sparse plan that splits one cell into separate trial ranges — for
-//! every simulator backend.
+//! shape of the plan it runs — the whole grid, the cost-weighted leases
+//! `TrialRange::partition` cuts, or a sparse plan that splits one cell into
+//! separate trial ranges — for every simulator backend.
 //!
 //! "Byte-identical" is checked literally: every metric of every trial is
 //! compared by its `f64` bit pattern, not by `==`, so even a sign-of-zero or
@@ -32,14 +32,25 @@ fn bits(cells: &[StatsCell]) -> Vec<(AlgorithmKind, u32, Vec<Vec<u64>>)> {
 }
 
 /// The plan shapes the matrix runs; each shape is a list of plans whose
-/// results reassemble into the whole grid.
-fn plan_shapes(grid: &GridMeta) -> Vec<(&'static str, Vec<Option<Vec<TrialRange>>>)> {
+/// results reassemble into the whole grid: the grid itself, its leases for
+/// 1, 2, 3 and 7 shards, and a split cell.
+fn plan_shapes(grid: &GridMeta) -> Vec<(String, Vec<Option<Vec<TrialRange>>>)> {
     let (cells, trials) = (grid.cell_count(), grid.trials);
     assert!(trials >= 3, "the split shape needs three trials per cell");
-    let weights = grid.cell_costs();
-    let shards = (0..3)
-        .map(|i| Some(CellRange::shard_weighted(&weights, i, 3).plan(trials)))
-        .collect();
+    let full = |cell| TrialRange {
+        cell,
+        lo: 0,
+        hi: trials,
+    };
+    let whole: Vec<TrialRange> = (0..cells).map(full).collect();
+    let mut shapes = vec![("whole grid".to_string(), vec![None])];
+    for of in [1, 2, 3, 7] {
+        let leases = TrialRange::partition(&whole, &grid.cell_trial_costs(), of);
+        shapes.push((
+            format!("{of} leases"),
+            leases.into_iter().map(Some).collect(),
+        ));
+    }
     // Cell 0 split around a hole at its middle trial, which a second plan
     // fills: two ranges of one cell inside a single plan.
     let mid = trials / 2;
@@ -55,17 +66,14 @@ fn plan_shapes(grid: &GridMeta) -> Vec<(&'static str, Vec<Option<Vec<TrialRange>
             hi: trials,
         },
     ];
-    split.extend(CellRange { lo: 1, hi: cells }.plan(trials));
+    split.extend((1..cells).map(full));
     let hole = vec![TrialRange {
         cell: 0,
         lo: mid,
         hi: mid + 1,
     }];
-    vec![
-        ("whole grid", vec![None]),
-        ("cost-balanced shards", shards),
-        ("split cell", vec![Some(split), Some(hole)]),
-    ]
+    shapes.push(("split cell".to_string(), vec![Some(split), Some(hole)]));
+    shapes
 }
 
 /// Every plan shape × thread count reproduces the 1-thread whole-grid fold
