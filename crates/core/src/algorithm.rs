@@ -87,14 +87,6 @@ impl AlgorithmKind {
             _ => None,
         }
     }
-
-    /// True for the algorithms whose window sizes never shrink.
-    ///
-    /// The paper contrasts the monotone algorithms (BEB, LB, LLB) with STB's
-    /// non-monotone "backon" component (§III).
-    pub fn is_monotone(&self) -> bool {
-        !matches!(self, AlgorithmKind::Sawtooth)
-    }
 }
 
 impl fmt::Display for AlgorithmKind {
@@ -147,12 +139,5 @@ mod tests {
     fn best_of_k_has_no_static_schedule() {
         let kind = AlgorithmKind::BestOfK { k: 5 };
         assert!(Backoff::new(kind, Truncation::paper()).is_none());
-    }
-
-    #[test]
-    fn monotonicity_classification() {
-        assert!(AlgorithmKind::Beb.is_monotone());
-        assert!(AlgorithmKind::LogBackoff.is_monotone());
-        assert!(!AlgorithmKind::Sawtooth.is_monotone());
     }
 }

@@ -2,6 +2,10 @@
 
 use crate::time::Nanos;
 
+/// Table I's backoff slot, 9 µs: the MAC's countdown step, and the unit
+/// in which the slotted kernels turn `cw_slots` into time.
+pub const SLOT: Nanos = Nanos::from_micros(9);
+
 /// All PHY/MAC constants the experiments depend on.
 ///
 /// Defaults ([`Phy80211g::paper_defaults`]) reproduce Table I:
@@ -54,7 +58,7 @@ impl Phy80211g {
     pub fn paper_defaults() -> Phy80211g {
         Phy80211g {
             data_rate_bps: 54_000_000,
-            slot: Nanos::from_micros(9),
+            slot: SLOT,
             sifs: Nanos::from_micros(16),
             difs: Nanos::from_micros(34),
             ack_timeout: Nanos::from_micros(75),

@@ -34,11 +34,6 @@ impl Nanos {
         self.0
     }
 
-    /// Whole microseconds, truncated.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Microseconds as a float (the unit the paper's figures use).
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
@@ -136,8 +131,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(Nanos::from_micros(9).as_nanos(), 9_000);
-        assert_eq!(Nanos::from_millis(2).as_micros(), 2_000);
-        assert_eq!(Nanos(18_962).as_micros(), 18);
         assert!((Nanos(18_962).as_micros_f64() - 18.962).abs() < 1e-9);
     }
 

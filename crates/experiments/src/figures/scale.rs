@@ -92,8 +92,8 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
         collisions[1].final_median()
     ));
     report.line(format!(
-        "streamed {} trials through batched workers; aggregation retained {} bytes \
-         ({} cells × {trials} trials × {} metrics × 8 B) — independent of n",
+        "streamed {} trials through workers claiming one at a time; aggregation \
+         retained {} bytes ({} cells × {trials} trials × {} metrics × 8 B) — independent of n",
         cells.len() * trials as usize,
         retained,
         cells.len(),

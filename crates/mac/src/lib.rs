@@ -28,7 +28,9 @@
 //! it operates in (Figure 13: "virtually all ACK failures result from a
 //! collision").
 //!
-//! Entry point: [`simulate`] with a [`MacConfig`].
+//! Entry point: [`MacSim`]'s
+//! [`Simulator::run`](contention_sim::engine::Simulator::run) with a
+//! [`MacConfig`].
 
 #![forbid(unsafe_code)]
 
@@ -39,5 +41,5 @@ pub mod simulator;
 pub mod trace;
 
 pub use config::MacConfig;
-pub use simulator::{simulate, simulate_with, MacRun, MacScratch, MacSim};
+pub use simulator::{MacRun, MacScratch, MacSim};
 pub use trace::{Span, SpanKind, Trace};

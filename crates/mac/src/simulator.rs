@@ -1,8 +1,8 @@
 //! The event-driven DCF simulator.
 //!
-//! One [`simulate`] call runs a single batch of `n` stations, all arriving at
-//! `t = 0` with one packet each, against an access point on an ideal channel.
-//! The machinery follows §I-B's description of DCF:
+//! One trial of [`MacSim`] runs a single batch of `n` stations, all arriving
+//! at `t = 0` with one packet each, against an access point on an ideal
+//! channel. The machinery follows §I-B's description of DCF:
 //!
 //! ```text
 //! station ──DIFS──► backoff countdown ──expiry──► DATA ──┬─ clean ─ SIFS ─ ACK ─► done
@@ -26,6 +26,7 @@ use contention_core::rng::UniformBelow;
 use contention_core::schedule::Backoff;
 use contention_core::time::Nanos;
 use contention_sim::event::{EventQueue, EventToken};
+use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -123,7 +124,7 @@ struct Station {
     metrics: StationMetrics,
 }
 
-/// Reusable per-worker arena for [`simulate_with`]: the event queue slab,
+/// Reusable per-worker arena for `MacSim::run_with`: the event queue slab,
 /// the medium buffers and the station table survive from trial to trial at
 /// their high-water capacity, and the [`Backoff`] table of each algorithm
 /// and truncation is built once, so steady-state trials allocate nothing but
@@ -173,12 +174,12 @@ impl MacScratch {
 /// its own and `deadline - clock` slots left, or a joiner behind a real
 /// `BackoffExpire`. A busy period touches only the entrants and the
 /// joiners, never every alive station.
-struct Sim<'a, R: Rng> {
+struct Sim<'a> {
     config: &'a MacConfig,
     /// The algorithm's window table; `None` for BEST-OF-k, whose stations
     /// draw from their estimates.
     backoff: Option<&'a Backoff>,
-    rng: &'a mut R,
+    rng: &'a mut SmallRng,
     n: u32,
     queue: &'a mut EventQueue<Event>,
     medium: &'a mut Medium,
@@ -234,28 +235,11 @@ struct Sim<'a, R: Rng> {
     trace: Option<Trace>,
 }
 
-/// Runs one single-batch trial. Deterministic for a given `(config, n, rng)`.
-pub fn simulate<R: Rng>(config: &MacConfig, n: u32, rng: &mut R) -> MacRun {
-    simulate_with(config, n, rng, &mut MacScratch::default())
-}
-
-/// [`simulate`] on a caller-owned [`MacScratch`] arena — what the sweep
-/// engine calls, with one arena per worker. Bit-identical to `simulate`.
-pub fn simulate_with<R: Rng>(
-    config: &MacConfig,
-    n: u32,
-    rng: &mut R,
-    scratch: &mut MacScratch,
-) -> MacRun {
-    scratch.reset();
-    let mut sim = Sim::new(config, n, rng, scratch);
-    sim.init();
-    sim.run();
-    sim.finish()
-}
-
-/// The 802.11g DCF backend of the generic sweep engine — a zero-sized entry
-/// point around [`simulate`].
+/// The 802.11g DCF backend of the generic sweep engine, and the MAC's one
+/// entry point: a lone trial is
+/// [`Simulator::run`](contention_sim::engine::Simulator::run), and a sweep
+/// worker calls `run_with` on its own [`MacScratch`]. Deterministic for a
+/// given `(config, n, rng)`.
 pub struct MacSim;
 
 impl contention_sim::engine::Simulator for MacSim {
@@ -278,10 +262,14 @@ impl contention_sim::engine::Simulator for MacSim {
     fn run_with(
         config: &MacConfig,
         n: u32,
-        rng: &mut rand::rngs::SmallRng,
+        rng: &mut SmallRng,
         scratch: &mut MacScratch,
     ) -> MacRun {
-        simulate_with(config, n, rng, scratch)
+        scratch.reset();
+        let mut sim = Sim::new(config, n, rng, scratch);
+        sim.init();
+        sim.run();
+        sim.finish()
     }
 }
 
@@ -292,13 +280,13 @@ impl From<MacRun> for contention_sim::summary::TrialSummary {
     }
 }
 
-impl<'a, R: Rng> Sim<'a, R> {
+impl<'a> Sim<'a> {
     fn new(
         config: &'a MacConfig,
         n: u32,
-        rng: &'a mut R,
+        rng: &'a mut SmallRng,
         scratch: &'a mut MacScratch,
-    ) -> Sim<'a, R> {
+    ) -> Sim<'a> {
         let MacScratch {
             queue,
             medium,
@@ -797,7 +785,7 @@ impl<'a, R: Rng> Sim<'a, R> {
     fn channel_delivers(&mut self, tx: &ActiveTx) -> bool {
         let channel = self.config.channel;
         let noise_erased =
-            |rng: &mut R, noise: f64| noise > 0.0 && rng.gen_bool(noise.clamp(0.0, 1.0));
+            |rng: &mut SmallRng, noise: f64| noise > 0.0 && rng.gen_bool(noise.clamp(0.0, 1.0));
         if !tx.corrupted {
             return !noise_erased(self.rng, channel.noise);
         }
@@ -1073,11 +1061,12 @@ mod tests {
     use super::*;
     use contention_core::algorithm::AlgorithmKind;
     use contention_core::rng::{experiment_tag, trial_rng};
+    use contention_sim::engine::Simulator;
 
     fn run(kind: AlgorithmKind, payload: u32, n: u32, trial: u32) -> MacRun {
         let config = MacConfig::paper(kind, payload);
         let mut rng = trial_rng(experiment_tag("mac-test"), kind, n, trial);
-        simulate(&config, n, &mut rng)
+        MacSim::run(&config, n, &mut rng)
     }
 
     #[test]
@@ -1136,7 +1125,7 @@ mod tests {
             1,
             2,
         );
-        let r = simulate(&config, 1, &mut rng);
+        let r = MacSim::run(&config, 1, &mut rng);
         let m = &r.metrics;
         assert_eq!(m.successes, 1);
         assert_eq!(m.cw_slots, m.stations[0].backoff_slots);
@@ -1158,7 +1147,7 @@ mod tests {
         let mut config = MacConfig::paper(AlgorithmKind::Beb, 64);
         config.capture_trace = true;
         let mut rng = trial_rng(experiment_tag("mac-trace"), AlgorithmKind::Beb, 20, 0);
-        let r = simulate(&config, 20, &mut rng);
+        let r = MacSim::run(&config, 20, &mut rng);
         let trace = r.trace.expect("trace captured");
         assert!(
             trace.first_overlap().is_none(),
@@ -1180,7 +1169,7 @@ mod tests {
         let mut config = MacConfig::paper(AlgorithmKind::Sawtooth, 64);
         config.capture_trace = true;
         let mut rng = trial_rng(experiment_tag("mac-trace2"), AlgorithmKind::Sawtooth, 15, 0);
-        let r = simulate(&config, 15, &mut rng);
+        let r = MacSim::run(&config, 15, &mut rng);
         let trace = r.trace.expect("trace");
         let failed_sends = trace
             .spans
@@ -1201,7 +1190,7 @@ mod tests {
         let mut config = MacConfig::paper(AlgorithmKind::Beb, 1024);
         config.rts_cts = true;
         let mut rng = trial_rng(experiment_tag("mac-rts"), AlgorithmKind::Beb, 25, 0);
-        let with_rts = simulate(&config, 25, &mut rng);
+        let with_rts = MacSim::run(&config, 25, &mut rng);
         assert_eq!(with_rts.metrics.successes, 25);
         assert!(with_rts.metrics.attempts_balance());
         let plain = run(AlgorithmKind::Beb, 1024, 25, 0);
@@ -1213,7 +1202,7 @@ mod tests {
         let kind = AlgorithmKind::BestOfK { k: 5 };
         let config = MacConfig::paper(kind, 64);
         let mut rng = trial_rng(experiment_tag("mac-bok"), kind, 50, 0);
-        let r = simulate(&config, 50, &mut rng);
+        let r = MacSim::run(&config, 50, &mut rng);
         assert_eq!(r.metrics.successes, 50);
         let estimates: Vec<u32> = r.estimates.iter().map(|e| e.expect("estimated")).collect();
         // §VI: the estimate cannot badly underestimate; with 50 stations no
@@ -1234,7 +1223,7 @@ mod tests {
         let b = {
             let config = MacConfig::with_channel(AlgorithmKind::Beb, 64, ChannelModel::ideal());
             let mut rng = trial_rng(experiment_tag("mac-test"), AlgorithmKind::Beb, 30, 2);
-            simulate(&config, 30, &mut rng)
+            MacSim::run(&config, 30, &mut rng)
         };
         assert_eq!(a.metrics, b.metrics);
     }
@@ -1244,7 +1233,7 @@ mod tests {
         use contention_core::channel::ChannelModel;
         let config = MacConfig::with_channel(AlgorithmKind::Beb, 64, ChannelModel::softened(1.0));
         let mut rng = trial_rng(experiment_tag("mac-soft"), AlgorithmKind::Beb, 30, 0);
-        let r = simulate(&config, 30, &mut rng);
+        let r = MacSim::run(&config, 30, &mut rng);
         let m = &r.metrics;
         assert_eq!(m.successes, 30);
         assert!(m.collisions > 0);
@@ -1263,7 +1252,7 @@ mod tests {
                     let config = MacConfig::with_channel(AlgorithmKind::Beb, 64, channel);
                     let mut rng =
                         trial_rng(experiment_tag("mac-soft-time"), AlgorithmKind::Beb, 40, t);
-                    simulate(&config, 40, &mut rng)
+                    MacSim::run(&config, 40, &mut rng)
                         .metrics
                         .total_time
                         .as_nanos()
@@ -1293,7 +1282,7 @@ mod tests {
         );
         config.max_sim_time = Nanos::from_millis(20);
         let mut rng = trial_rng(experiment_tag("mac-noise-first"), AlgorithmKind::Beb, 5, 0);
-        let r = simulate(&config, 5, &mut rng);
+        let r = MacSim::run(&config, 5, &mut rng);
         assert_eq!(r.metrics.successes, 0);
     }
 
@@ -1303,7 +1292,7 @@ mod tests {
         let mut config = MacConfig::with_channel(AlgorithmKind::Beb, 64, ChannelModel::noisy(1.0));
         config.max_sim_time = Nanos::from_millis(20);
         let mut rng = trial_rng(experiment_tag("mac-noise"), AlgorithmKind::Beb, 1, 0);
-        let r = simulate(&config, 1, &mut rng);
+        let r = MacSim::run(&config, 1, &mut rng);
         // Full noise: the lone station's clean frames are all erased — pure
         // ACK timeouts, zero collisions, no completion.
         assert_eq!(r.metrics.successes, 0);
@@ -1317,7 +1306,7 @@ mod tests {
         config.ack_loss_prob = 1.0;
         config.max_sim_time = Nanos::from_millis(20);
         let mut rng = trial_rng(experiment_tag("mac-loss"), AlgorithmKind::Beb, 1, 0);
-        let r = simulate(&config, 1, &mut rng);
+        let r = MacSim::run(&config, 1, &mut rng);
         // Every ACK lost: the lone station can never finish, and each
         // "failure" is an ACK timeout with zero collisions.
         assert_eq!(r.metrics.successes, 0);
@@ -1337,7 +1326,7 @@ mod tests {
         let mut config = MacConfig::paper(AlgorithmKind::Beb, 64);
         config.max_sim_time = Nanos::from_micros(50); // shorter than DIFS + data
         let mut rng = trial_rng(experiment_tag("mac-valve"), AlgorithmKind::Beb, 10, 0);
-        let r = simulate(&config, 10, &mut rng);
+        let r = MacSim::run(&config, 10, &mut rng);
         assert!(r.metrics.successes < 10);
     }
 }

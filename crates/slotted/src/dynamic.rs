@@ -2,10 +2,11 @@
 //! collision cost — the paper's §VIII question: *"Does this change when we
 //! consider … long-lived bursty traffic?"*
 //!
-//! Packets arrive over time (see [`ArrivalProcess`]) and each runs its own
-//! backoff schedule with residual timers. The channel is slotted, but —
-//! unlike the pure A0–A2 model — a transmission *occupies* the channel for a
-//! configurable number of slots:
+//! Packets arrive at Poisson instants, one at a time or in bursts (see
+//! [`ArrivalProcess`]), and each runs its own backoff schedule, truncated at
+//! the paper's CWmax ([`Truncation::paper`]), with residual timers. The
+//! channel is slotted, but — unlike the pure A0–A2 model — a transmission
+//! *occupies* the channel for a configurable number of slots:
 //!
 //! * `success_cost` slots for a successful transmission (data + SIFS + ACK
 //!   in slot units), and
@@ -60,11 +61,12 @@ use contention_core::schedule::{Backoff, Truncation};
 use contention_sim::summary::TrialSummary;
 use contention_stats::histogram::LatencyHistogram;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// How packets arrive.
+/// How packets arrive: Poisson instants at `rate` per wall slot, each
+/// bringing one packet or a burst of `size`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Independent packets at `rate` packets per wall slot (Poisson).
@@ -72,53 +74,19 @@ pub enum ArrivalProcess {
     /// Bursts of `size` simultaneous packets, burst instants Poisson at
     /// `rate` bursts per wall slot — the paper's bursty regime, repeated.
     PoissonBursts { rate: f64, size: u32 },
-    /// One batch of `size` packets at slot 0 and nothing else — the
-    /// single-batch drain problem of §III, embedded in the dynamic engine.
-    SingleBatch { size: u32 },
-    /// Sinusoidally modulated Poisson singles ("diurnal" load): instantaneous
-    /// rate `mean_rate · (1 + amplitude · sin(2πt/period))`, sampled by
-    /// thinning. `amplitude ∈ [0, 1]`, `period` in slots.
-    Diurnal {
-        mean_rate: f64,
-        amplitude: f64,
-        period: f64,
-    },
-    /// Bursts at Poisson instants with heavy-tailed (Pareto) sizes:
-    /// `size = ⌊min_size · U^(−1/alpha)⌋` clamped to `[min_size, max_size]`.
-    ParetoBursts {
-        rate: f64,
-        alpha: f64,
-        min_size: u32,
-        max_size: u32,
-    },
 }
 
 impl ArrivalProcess {
     /// Stationary offered load in packets per wall slot.
-    ///
-    /// [`ArrivalProcess::SingleBatch`] has no stationary rate and returns 0;
-    /// [`ArrivalProcess::ParetoBursts`] uses the analytic clamped-Pareto
-    /// mean burst size (`min·α/(α−1)` capped at `max`, or `max` for α ≤ 1),
-    /// which ignores the floor-discretization — close enough for display and
-    /// load rescaling.
     pub fn offered_load(&self) -> f64 {
         match *self {
             ArrivalProcess::PoissonSingles { rate } => rate,
             ArrivalProcess::PoissonBursts { rate, size } => rate * size as f64,
-            ArrivalProcess::SingleBatch { .. } => 0.0,
-            ArrivalProcess::Diurnal { mean_rate, .. } => mean_rate,
-            ArrivalProcess::ParetoBursts {
-                rate,
-                alpha,
-                min_size,
-                max_size,
-            } => rate * pareto_mean_size(alpha, min_size, max_size),
         }
     }
 
     /// The same process shape rescaled so [`ArrivalProcess::offered_load`]
-    /// equals `load` (packets per slot). Panics for
-    /// [`ArrivalProcess::SingleBatch`], which has no rate to scale.
+    /// equals `load` (packets per slot).
     pub fn with_offered_load(&self, load: f64) -> ArrivalProcess {
         assert!(load > 0.0, "offered load must be positive");
         match *self {
@@ -127,36 +95,7 @@ impl ArrivalProcess {
                 rate: load / size as f64,
                 size,
             },
-            ArrivalProcess::SingleBatch { .. } => {
-                panic!("SingleBatch has no stationary rate to rescale")
-            }
-            ArrivalProcess::Diurnal {
-                amplitude, period, ..
-            } => ArrivalProcess::Diurnal {
-                mean_rate: load,
-                amplitude,
-                period,
-            },
-            ArrivalProcess::ParetoBursts {
-                alpha,
-                min_size,
-                max_size,
-                ..
-            } => ArrivalProcess::ParetoBursts {
-                rate: load / pareto_mean_size(alpha, min_size, max_size),
-                alpha,
-                min_size,
-                max_size,
-            },
         }
-    }
-}
-
-fn pareto_mean_size(alpha: f64, min_size: u32, max_size: u32) -> f64 {
-    if alpha > 1.0 {
-        (min_size as f64 * alpha / (alpha - 1.0)).min(max_size as f64)
-    } else {
-        max_size as f64
     }
 }
 
@@ -180,11 +119,11 @@ pub enum DynAxis {
     LoadPerMille,
 }
 
-/// Configuration of a dynamic-traffic run.
+/// Configuration of a dynamic-traffic run. Windows follow the paper's
+/// truncation ([`Truncation::paper`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicConfig {
     pub algorithm: AlgorithmKind,
-    pub truncation: Truncation,
     pub arrivals: ArrivalProcess,
     /// Wall slots during which arrivals occur; the run then drains (up to
     /// `drain_slots` more wall slots) so latecomers can finish.
@@ -203,7 +142,6 @@ impl DynamicConfig {
     pub fn abstract_model(algorithm: AlgorithmKind, arrivals: ArrivalProcess) -> DynamicConfig {
         DynamicConfig {
             algorithm,
-            truncation: Truncation::paper(),
             arrivals,
             horizon_slots: 50_000,
             drain_slots: 200_000,
@@ -265,52 +203,14 @@ impl DynamicConfig {
     fn validate(&self) {
         assert!(self.success_cost >= 1 && self.collision_cost >= 1);
         assert!(
-            self.truncation.cw_min <= self.truncation.cw_max,
-            "truncation must satisfy cw_min ≤ cw_max"
-        );
-        assert!(
             !matches!(self.algorithm, AlgorithmKind::BestOfK { .. }),
             "{} has no static window schedule",
             self.algorithm
         );
-        match self.arrivals {
-            ArrivalProcess::SingleBatch { size } => {
-                assert!(size > 0, "batch size must be positive");
-            }
-            ArrivalProcess::Diurnal {
-                amplitude, period, ..
-            } => {
-                assert!(
-                    (0.0..=1.0).contains(&amplitude),
-                    "diurnal amplitude must be in [0, 1]"
-                );
-                assert!(period > 0.0, "diurnal period must be positive");
-                assert!(
-                    self.arrivals.offered_load() > 0.0,
-                    "arrival rate must be positive"
-                );
-            }
-            ArrivalProcess::ParetoBursts {
-                alpha,
-                min_size,
-                max_size,
-                ..
-            } => {
-                assert!(alpha > 0.0, "Pareto alpha must be positive");
-                assert!(
-                    min_size >= 1 && max_size >= min_size,
-                    "Pareto burst sizes must satisfy 1 ≤ min ≤ max"
-                );
-                assert!(
-                    self.arrivals.offered_load() > 0.0,
-                    "arrival rate must be positive"
-                );
-            }
-            _ => assert!(
-                self.arrivals.offered_load() > 0.0,
-                "arrival rate must be positive"
-            ),
-        }
+        assert!(
+            self.arrivals.offered_load() > 0.0,
+            "arrival rate must be positive"
+        );
     }
 }
 
@@ -566,83 +466,37 @@ impl BucketQueue {
 /// nondecreasing wall order until the horizon, drawing from its own RNG so
 /// the arrival sequence is independent of event-loop draw interleaving.
 struct ArrivalGen {
-    process: ArrivalProcess,
+    /// Arrival instants per wall slot, and packets per instant.
+    rate: f64,
+    size: u32,
     horizon: f64,
     rng: SmallRng,
     t: f64,
-    done: bool,
 }
 
 impl ArrivalGen {
     fn new(process: ArrivalProcess, horizon_slots: u64, rng: SmallRng) -> ArrivalGen {
+        let (rate, size) = match process {
+            ArrivalProcess::PoissonSingles { rate } => (rate, 1),
+            ArrivalProcess::PoissonBursts { rate, size } => (rate, size),
+        };
         ArrivalGen {
-            process,
+            rate,
+            size,
             horizon: horizon_slots as f64,
             rng,
             t: 0.0,
-            done: false,
         }
     }
 
+    /// Advances the exponential clock; `None` once past the horizon (and
+    /// ever after: the clock only moves forward).
     fn next(&mut self) -> Option<(u64, u32)> {
-        if self.done {
-            return None;
-        }
-        let batch = match self.process {
-            ArrivalProcess::PoissonSingles { rate } => self.poisson_step(rate).map(|w| (w, 1)),
-            ArrivalProcess::PoissonBursts { rate, size } => {
-                self.poisson_step(rate).map(|w| (w, size))
-            }
-            ArrivalProcess::SingleBatch { size } => {
-                self.done = true;
-                return Some((0, size));
-            }
-            ArrivalProcess::Diurnal {
-                mean_rate,
-                amplitude,
-                period,
-            } => loop {
-                // Thinning: sample at the peak rate, accept proportionally.
-                let peak = mean_rate * (1.0 + amplitude);
-                let Some(w) = self.poisson_step(peak) else {
-                    break None;
-                };
-                let instantaneous =
-                    1.0 + amplitude * (2.0 * std::f64::consts::PI * self.t / period).sin();
-                let accept = instantaneous / (1.0 + amplitude);
-                if self.rng.gen_range(0.0..1.0) < accept {
-                    break Some((w, 1));
-                }
-            },
-            ArrivalProcess::ParetoBursts {
-                rate,
-                alpha,
-                min_size,
-                max_size,
-            } => self.poisson_step(rate).map(|w| {
-                let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let raw = (min_size as f64 * u.powf(-1.0 / alpha)).floor();
-                let size = if raw >= max_size as f64 {
-                    max_size
-                } else {
-                    (raw as u32).max(min_size)
-                };
-                (w, size)
-            }),
-        };
-        if batch.is_none() {
-            self.done = true;
-        }
-        batch
-    }
-
-    /// Advances the exponential clock; `None` once past the horizon.
-    fn poisson_step(&mut self, rate: f64) -> Option<u64> {
-        self.t += exp_sample(&mut self.rng, rate);
+        self.t += exp_sample(&mut self.rng, self.rate);
         if self.t >= self.horizon {
             None
         } else {
-            Some(self.t as u64)
+            Some((self.t as u64, self.size))
         }
     }
 
@@ -657,7 +511,7 @@ impl ArrivalGen {
 }
 
 /// Exponential inter-arrival sample with the given rate (events per slot).
-fn exp_sample<R: Rng>(rng: &mut R, rate: f64) -> f64 {
+fn exp_sample(rng: &mut SmallRng, rate: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     -u.ln() / rate
 }
@@ -680,8 +534,8 @@ struct PacketSlot {
 
 /// Reusable per-worker state for dynamic trials: the packet slab (bounded by
 /// the instantaneous backlog, not by total arrivals), the calendar queue,
-/// the latency histogram, and the [`Backoff`] table of every
-/// `(algorithm, truncation)` the worker has run.
+/// the latency histogram, and the [`Backoff`] table of every algorithm the
+/// worker has run.
 #[derive(Default)]
 pub struct DynamicScratch {
     state: DynState,
@@ -703,11 +557,11 @@ struct DynState {
 /// leaves a [`DynAxis::Ignored`] config exactly as given.
 pub struct DynamicSim;
 
-fn run_streaming<R: Rng>(
+fn run_streaming(
     cfg: &DynamicConfig,
     backoff: &Backoff,
     state: &mut DynState,
-    rng: &mut R,
+    rng: &mut SmallRng,
 ) -> DynamicMetrics {
     let DynState {
         slab,
@@ -866,7 +720,7 @@ impl contention_sim::engine::Simulator for DynamicSim {
         config.validate();
         let resolved = config.resolve(n);
         resolved.validate();
-        let backoff = Backoff::cached(&mut scratch.tables, resolved.algorithm, resolved.truncation)
+        let backoff = Backoff::cached(&mut scratch.tables, resolved.algorithm, Truncation::paper())
             .expect("validated: the algorithm has a window schedule");
         run_streaming(&resolved, backoff, &mut scratch.state, rng)
     }
@@ -877,7 +731,6 @@ mod tests {
     use super::*;
     use contention_core::rng::{experiment_tag, trial_rng};
     use contention_sim::engine::Simulator;
-    use rand::RngCore;
 
     fn run(config: DynamicConfig, trial: u32) -> DynamicMetrics {
         let mut rng = trial_rng(experiment_tag("dynamic-test"), config.algorithm, 0, trial);
@@ -1082,79 +935,36 @@ mod tests {
     }
 
     #[test]
-    fn single_batch_is_one_burst_at_slot_zero() {
-        let mut config = DynamicConfig::abstract_model(
-            AlgorithmKind::Beb,
-            ArrivalProcess::SingleBatch { size: 64 },
-        );
-        config.horizon_slots = 1;
-        config.drain_slots = 500_000;
-        let m = run(config, 0);
-        assert_eq!(m.offered, 64);
-        assert_eq!(m.completed, 64, "{m:?}");
-    }
-
-    #[test]
-    fn diurnal_mean_rate_matches_poisson_on_average() {
-        let flat = DynamicConfig::abstract_model(
-            AlgorithmKind::Beb,
-            ArrivalProcess::Diurnal {
-                mean_rate: 0.02,
-                amplitude: 0.9,
-                period: 5_000.0,
-            },
-        );
-        let mut total = 0u64;
-        let trials = 8;
-        for t in 0..trials {
-            total += run(flat, t).offered;
-        }
-        let mean = total as f64 / trials as f64;
-        let expected = 0.02 * 50_000.0;
-        assert!(
-            (mean - expected).abs() < expected * 0.15,
-            "mean {mean} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn pareto_burst_sizes_stay_clamped() {
-        let config = DynamicConfig::abstract_model(
-            AlgorithmKind::Beb,
-            ArrivalProcess::ParetoBursts {
-                rate: 0.001,
-                alpha: 1.2,
-                min_size: 5,
-                max_size: 200,
-            },
-        );
-        let mut rng = trial_rng(experiment_tag("pareto-test"), config.algorithm, 0, 0);
-        let arrival_rng = SmallRng::seed_from_u64(rng.next_u64());
-        let mut gen = ArrivalGen::new(config.arrivals, config.horizon_slots, arrival_rng);
-        let mut seen_any = false;
-        while let Some((_, size)) = gen.next() {
-            assert!((5..=200).contains(&size), "burst size {size}");
-            seen_any = true;
-        }
-        assert!(seen_any);
-    }
-
-    #[test]
     fn load_per_mille_axis_rescales_to_capacity_fraction() {
-        let config = DynamicConfig {
-            axis: DynAxis::LoadPerMille,
-            ..DynamicConfig::mac_costs(
-                AlgorithmKind::Beb,
+        // Half the success capacity of a 13-slot channel: singles take the
+        // load as their rate; bursts keep their size and divide the load.
+        let load = 0.5 / 13.0;
+        for (arrivals, want) in [
+            (
                 ArrivalProcess::PoissonSingles { rate: 0.123 },
-                64,
-            )
-        };
-        let resolved = config.resolve(500);
-        // Half the success capacity of a 13-slot channel.
-        let want = 0.5 / 13.0;
-        assert!((resolved.arrivals.offered_load() - want).abs() < 1e-12);
-        // n = 0 keeps the configured rate.
-        assert_eq!(config.resolve(0), config);
+                ArrivalProcess::PoissonSingles { rate: load },
+            ),
+            (
+                ArrivalProcess::PoissonBursts {
+                    rate: 0.000_8,
+                    size: 30,
+                },
+                ArrivalProcess::PoissonBursts {
+                    rate: load / 30.0,
+                    size: 30,
+                },
+            ),
+        ] {
+            let config = DynamicConfig {
+                axis: DynAxis::LoadPerMille,
+                ..DynamicConfig::mac_costs(AlgorithmKind::Beb, arrivals, 64)
+            };
+            let resolved = config.resolve(500).arrivals;
+            assert_eq!(resolved, want);
+            assert!((resolved.offered_load() - load).abs() < 1e-12);
+            // n = 0 keeps the configured rate.
+            assert_eq!(config.resolve(0), config);
+        }
     }
 
     #[test]

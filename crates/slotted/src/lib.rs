@@ -26,10 +26,10 @@
 //!   alignment. This is the ablation separating *window semantics* from
 //!   *collision cost* when comparing against the MAC simulator.
 //! * [`dynamic::DynamicSim`] — long-lived traffic instead of one batch
-//!   (§VIII): packets arrive over time, each backs off with residual
-//!   timers, and a success or a collision occupies the channel for a
-//!   configurable number of slots. Its output is latency and throughput,
-//!   not batch completion.
+//!   (§VIII): packets arrive at Poisson instants, one at a time or in
+//!   bursts, each backs off with residual timers, and a success or a
+//!   collision occupies the channel for a configurable number of slots.
+//!   Its output is latency and throughput, not batch completion.
 //!
 //! All three are unit structs behind
 //! [`contention_sim::engine::Simulator`]: a lone trial is
@@ -39,7 +39,8 @@
 //!
 //! `ResidualSim`'s per-station output is
 //! [`contention_core::metrics::BatchMetrics`]; in every batch simulator
-//! `total_time` is `cw_slots × slot` — the total time the abstract model
+//! `total_time` is `cw_slots` × Table I's 9 µs
+//! [`contention_core::params::SLOT`] — the total time the abstract model
 //! *thinks* an execution takes, which is exactly the quantity the paper
 //! shows to be misleading.
 

@@ -14,14 +14,15 @@
 
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::metrics::{BatchMetrics, StationMetrics};
+use contention_core::params::SLOT;
 use contention_core::schedule::{Backoff, Truncation};
-use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
 use rand::rngs::SmallRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Configuration for one residual-timer run.
+/// Configuration for one residual-timer run. Times are `cw_slots` of
+/// Table I's 9 µs [`SLOT`].
 #[derive(Debug, Clone, Copy)]
 pub struct ResidualConfig {
     /// Which backoff algorithm every station runs.
@@ -29,8 +30,6 @@ pub struct ResidualConfig {
     /// Window clamping; Table I's 1/1024 by default, because this semantics
     /// exists to mirror the MAC layer.
     pub truncation: Truncation,
-    /// Slot duration for `total_time = cw_slots × slot`.
-    pub slot: Nanos,
     /// Abort valve in transmission events (0 = unlimited).
     pub max_events: u64,
 }
@@ -40,7 +39,6 @@ impl ResidualConfig {
         ResidualConfig {
             algorithm,
             truncation: Truncation::paper(),
-            slot: Nanos::from_micros(9),
             max_events: 0,
         }
     }
@@ -130,7 +128,7 @@ fn run_residual(
             let station = group[0];
             let s = &mut metrics.stations[station as usize];
             s.attempts += 1;
-            s.success_time = Some(config.slot * (slot + 1));
+            s.success_time = Some(SLOT * (slot + 1));
             metrics.successes += 1;
             if metrics.successes == half_target {
                 metrics.half_cw_slots = slot + 1;
@@ -153,8 +151,8 @@ fn run_residual(
         }
     }
 
-    metrics.total_time = config.slot * metrics.cw_slots;
-    metrics.half_time = config.slot * metrics.half_cw_slots;
+    metrics.total_time = SLOT * metrics.cw_slots;
+    metrics.half_time = SLOT * metrics.half_cw_slots;
     metrics
 }
 

@@ -49,15 +49,16 @@
 
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::{ChannelModel, SlotFate};
+use contention_core::params::SLOT;
 use contention_core::rng::UniformBelow;
 use contention_core::schedule::{Backoff, Truncation};
-use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
 use contention_sim::summary::TrialSummary;
 use rand::rngs::SmallRng;
 use rand::RngCore;
 
-/// Configuration for one windowed run.
+/// Configuration for one windowed run. Times are `cw_slots` of Table I's
+/// 9 µs [`SLOT`].
 #[derive(Debug, Clone, Copy)]
 pub struct WindowedConfig {
     /// Which backoff algorithm every station runs.
@@ -65,8 +66,6 @@ pub struct WindowedConfig {
     /// Window clamping. The abstract model is unbounded by default
     /// (§V-B notes the 1024 cap "differs from the abstract model").
     pub truncation: Truncation,
-    /// Slot duration used only to express `total_time = cw_slots × slot`.
-    pub slot: Nanos,
     /// The channel: collision softening and per-slot noise. The paper's
     /// model is [`ChannelModel::ideal`].
     pub channel: ChannelModel,
@@ -77,13 +76,12 @@ pub struct WindowedConfig {
 }
 
 impl WindowedConfig {
-    /// Abstract-model defaults for an algorithm: the ideal channel,
-    /// unbounded windows, 9 µs slots.
+    /// Abstract-model defaults for an algorithm: the ideal channel and
+    /// unbounded windows.
     pub fn abstract_model(algorithm: AlgorithmKind) -> WindowedConfig {
         WindowedConfig {
             algorithm,
             truncation: Truncation::unbounded(),
-            slot: Nanos::from_micros(9),
             channel: ChannelModel::ideal(),
             max_windows: 0,
         }
@@ -458,8 +456,8 @@ fn run_counts(
         successes: (n64 - alive) as u32,
         cw_slots: cw_slots as f64,
         half_cw_slots: half_cw_slots as f64,
-        total_time_us: (config.slot * elapsed).as_micros_f64(),
-        half_time_us: (config.slot * half_cw_slots).as_micros_f64(),
+        total_time_us: (SLOT * elapsed).as_micros_f64(),
+        half_time_us: (SLOT * half_cw_slots).as_micros_f64(),
         collisions: collisions as f64,
         colliding_stations: colliding_stations as f64,
         ack_timeouts: ack_timeouts as f64,
@@ -499,6 +497,7 @@ impl Simulator for WindowedSim {
 mod tests {
     use super::*;
     use contention_core::channel::Recovery;
+    use contention_core::time::Nanos;
     use contention_sim::engine::run_trial;
     use contention_sim::summary::Metric;
 
@@ -663,7 +662,7 @@ mod tests {
         // elapsed window is one slot.
         let t = run_trial::<WindowedSim>("valve", &config, 50, 0);
         assert_eq!(t.successes, 0);
-        assert_eq!(t.total_time_us, config.slot.as_micros_f64());
+        assert_eq!(t.total_time_us, SLOT.as_micros_f64());
         assert_eq!(t.max_ack_timeouts, 1.0);
         assert_eq!(t.ack_timeouts, 50.0);
         // Full noise: nothing can ever succeed, and every station attempts

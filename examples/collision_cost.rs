@@ -15,7 +15,7 @@ fn main() {
         println!("{:=^74}", format!(" BEB, n = {n}, payload {payload} B "));
         let config = MacConfig::paper(AlgorithmKind::Beb, payload);
         let mut rng = trial_rng(experiment_tag("collision-cost"), AlgorithmKind::Beb, n, 0);
-        let run = simulate(&config, n, &mut rng);
+        let run = MacSim::run(&config, n, &mut rng);
         let m = &run.metrics;
 
         let decomp = Decomposition::from_measurements(

@@ -23,7 +23,7 @@ fn main() {
             n,
             0,
         );
-        let run = simulate(&config, n, &mut rng);
+        let run = MacSim::run(&config, n, &mut rng);
         let m = &run.metrics;
         assert_eq!(m.successes, n);
         println!(

@@ -42,7 +42,7 @@ fn main() {
     for kind in AlgorithmKind::PAPER_SET {
         let config = MacConfig::paper(kind, 64);
         let mut rng = trial_rng(experiment_tag("quickstart-mac"), kind, n, 0);
-        let run = simulate(&config, n, &mut rng);
+        let run = MacSim::run(&config, n, &mut rng);
         let m = &run.metrics;
         assert_eq!(m.successes, n);
         println!(

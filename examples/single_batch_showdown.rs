@@ -28,7 +28,7 @@ fn main() {
                 let xs: Vec<f64> = (0..trials)
                     .map(|t| {
                         let mut rng = trial_rng(experiment_tag("showdown"), kind, n, t);
-                        let run = simulate(&config, n, &mut rng);
+                        let run = MacSim::run(&config, n, &mut rng);
                         if metric == "CW slots" {
                             run.metrics.cw_slots as f64
                         } else {

@@ -23,7 +23,7 @@ fn main() {
             let per_trial: Vec<f64> = (0..trials)
                 .map(|t| {
                     let mut rng = trial_rng(experiment_tag("size-est"), kind, n, t);
-                    let run = simulate(&config, n, &mut rng);
+                    let run = MacSim::run(&config, n, &mut rng);
                     let mut est: Vec<f64> =
                         run.estimates.iter().flatten().map(|&w| w as f64).collect();
                     est.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -42,7 +42,7 @@ fn main() {
             let per_trial: Vec<f64> = (0..trials)
                 .map(|t| {
                     let mut rng = trial_rng(experiment_tag("size-est-tt"), kind, n, t);
-                    simulate(&config, n, &mut rng)
+                    MacSim::run(&config, n, &mut rng)
                         .metrics
                         .total_time
                         .as_micros_f64()

@@ -19,7 +19,7 @@ fn main() {
     let mut config = MacConfig::paper(AlgorithmKind::Beb, 64);
     config.capture_trace = true;
     let mut rng = trial_rng(experiment_tag("trace-timeline"), AlgorithmKind::Beb, n, 0);
-    let run = simulate(&config, n, &mut rng);
+    let run = MacSim::run(&config, n, &mut rng);
     let trace = run.trace.expect("trace requested");
 
     println!("execution of BEB with {n} stations (64 B payload)");

@@ -22,7 +22,7 @@
 //! // Run a single batch of 50 stations under BEB on the 802.11g simulator.
 //! let config = MacConfig::paper(AlgorithmKind::Beb, 64);
 //! let mut rng = trial_rng(experiment_tag("docs"), AlgorithmKind::Beb, 50, 0);
-//! let run = simulate(&config, 50, &mut rng);
+//! let run = MacSim::run(&config, 50, &mut rng);
 //! assert_eq!(run.metrics.successes, 50);
 //! assert!(run.metrics.collisions > 0); // CWmin = 1 guarantees early pileups
 //! ```
@@ -48,7 +48,7 @@ pub mod prelude {
     pub use contention_core::rng::{experiment_tag, trial_rng};
     pub use contention_core::schedule::{Backoff, Truncation};
     pub use contention_core::time::Nanos;
-    pub use contention_mac::{simulate, MacConfig, MacRun, MacSim, Trace};
+    pub use contention_mac::{MacConfig, MacRun, MacSim, Trace};
     pub use contention_sim::engine::{
         folded, run_trial, run_trial_with, validate_plan, Accumulator, ExecPolicy, FoldedCell,
         Simulator, Sweep, TrialRange,
@@ -70,7 +70,7 @@ mod tests {
     fn facade_compiles_and_runs() {
         let config = MacConfig::paper(AlgorithmKind::Sawtooth, 64);
         let mut rng = trial_rng(experiment_tag("facade"), AlgorithmKind::Sawtooth, 10, 0);
-        let run = simulate(&config, 10, &mut rng);
+        let run = MacSim::run(&config, 10, &mut rng);
         assert_eq!(run.metrics.successes, 10);
     }
 }

@@ -22,7 +22,7 @@ fn mac_median(
     let xs: Vec<f64> = (0..trials)
         .map(|t| {
             let mut rng = trial_rng(experiment_tag(tag), kind, n, t);
-            f(&simulate(&config, n, &mut rng))
+            f(&MacSim::run(&config, n, &mut rng))
         })
         .collect();
     median(&xs)
@@ -102,7 +102,7 @@ fn fig4_cw_slot_ordering_at_1024_bytes() {
 fn fig6_stragglers_dominate_beb_cw_slots() {
     let config = MacConfig::paper(AlgorithmKind::Beb, 64);
     let mut rng = trial_rng(experiment_tag("fig6-bench"), AlgorithmKind::Beb, 100, 0);
-    let m = simulate(&config, 100, &mut rng).metrics;
+    let m = MacSim::run(&config, 100, &mut rng).metrics;
     assert!(
         m.half_cw_slots * 2 < m.cw_slots,
         "first n/2 took {} of {} CW slots",
@@ -177,7 +177,7 @@ fn result7_best_of_k() {
             n,
             t,
         );
-        let run = simulate(&config, n, &mut rng);
+        let run = MacSim::run(&config, n, &mut rng);
         let min_est = run
             .estimates
             .iter()
@@ -203,7 +203,7 @@ fn decomposition_lower_bound() {
                 150,
                 t,
             );
-            let run = simulate(&config, 150, &mut rng);
+            let run = MacSim::run(&config, 150, &mut rng);
             let d = Decomposition::from_measurements(
                 &phy,
                 payload,

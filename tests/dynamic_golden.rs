@@ -63,7 +63,7 @@ fn render(label: &str, n: u32, trial: u32, m: &DynamicMetrics) -> String {
     line
 }
 
-/// The seed matrix: every arrival process, both cost presets, both resolve
+/// The seed matrix: both arrival processes, both cost presets, both resolve
 /// axes and the scratch-cached engine entry point. Horizons are shortened
 /// so the whole matrix stays fast; the semantics under test don't depend
 /// on horizon length.
@@ -111,35 +111,6 @@ fn generate() -> String {
                 );
             }
         }
-    }
-
-    // The new arrival processes, one algorithm each.
-    let batch = short(DynamicConfig::abstract_model(
-        AlgorithmKind::Beb,
-        ArrivalProcess::SingleBatch { size: 200 },
-    ));
-    let diurnal = short(DynamicConfig::abstract_model(
-        AlgorithmKind::LogBackoff,
-        ArrivalProcess::Diurnal {
-            mean_rate: 0.01,
-            amplitude: 0.9,
-            period: 2_000.0,
-        },
-    ));
-    let pareto = short(DynamicConfig::mac_costs(
-        AlgorithmKind::Sawtooth,
-        ArrivalProcess::ParetoBursts {
-            rate: 0.000_5,
-            alpha: 1.5,
-            min_size: 2,
-            max_size: 64,
-        },
-        64,
-    ));
-    for trial in 0..3 {
-        case(&mut push, "batch200/BEB", &batch, 0, trial);
-        case(&mut push, "diurnal/LB", &diurnal, 0, trial);
-        case(&mut push, "pareto/STB", &pareto, 0, trial);
     }
 
     // The resolve axes the saturation and dynamic figures ride on: the

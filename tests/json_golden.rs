@@ -162,6 +162,8 @@ fn golden_fixtures_are_well_formed() {
         "fig16_full_collision_ratios.json",
         "soften_full_abstract_cw_slots.json",
         "soften_full_noise_cw_slots.json",
+        "dynamic_full_bursty_latency.json",
+        "saturation_full_phase.json",
     ] {
         let path = golden_dir().join(file);
         let text = std::fs::read_to_string(&path)

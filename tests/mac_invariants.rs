@@ -31,7 +31,7 @@ fn conservation_laws() {
     for (name, config) in all_configs() {
         for (n, trial) in [(1u32, 0u32), (7, 1), (40, 2), (90, 3), (150, 4)] {
             let mut rng = trial_rng(experiment_tag("mac-inv"), config.algorithm, n, trial);
-            let run = simulate(&config, n, &mut rng);
+            let run = MacSim::run(&config, n, &mut rng);
             let m = &run.metrics;
             assert_eq!(m.successes, n, "{name} n={n}: incomplete");
             assert!(
@@ -74,7 +74,7 @@ fn total_time_exceeds_serial_floor() {
         let config = MacConfig::paper(kind, 64);
         for n in [5u32, 25, 60] {
             let mut rng = trial_rng(experiment_tag("mac-floor"), kind, n, 0);
-            let run = simulate(&config, n, &mut rng);
+            let run = MacSim::run(&config, n, &mut rng);
             let floor = phy.success_exchange_time(64) * n as u64;
             assert!(
                 run.metrics.total_time > floor,
@@ -94,7 +94,7 @@ fn traces_are_consistent() {
         let mut config = MacConfig::paper(kind, 64);
         config.capture_trace = true;
         let mut rng = trial_rng(experiment_tag("mac-trace-inv"), kind, 30, 0);
-        let run = simulate(&config, 30, &mut rng);
+        let run = MacSim::run(&config, 30, &mut rng);
         let trace = run.trace.expect("trace");
         assert!(
             trace.first_overlap().is_none(),
@@ -118,7 +118,7 @@ fn determinism_and_seed_sensitivity() {
     let config = MacConfig::paper(AlgorithmKind::LogLogBackoff, 64);
     let run = |trial: u32| {
         let mut rng = trial_rng(experiment_tag("mac-det"), config.algorithm, 50, trial);
-        simulate(&config, 50, &mut rng).metrics
+        MacSim::run(&config, 50, &mut rng).metrics
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));
@@ -134,7 +134,7 @@ fn eifs_ablation_direction() {
         let mut xs: Vec<f64> = (0..9)
             .map(|t| {
                 let mut rng = trial_rng(experiment_tag("mac-eifs"), config.algorithm, 80, t);
-                simulate(&config, 80, &mut rng)
+                MacSim::run(&config, 80, &mut rng)
                     .metrics
                     .total_time
                     .as_micros_f64()

@@ -111,7 +111,7 @@ proptest! {
     ) {
         let config = MacConfig::paper(kind, payload);
         let mut rng = trial_rng(experiment_tag("prop-mac"), kind, n, trial);
-        let run = simulate(&config, n, &mut rng);
+        let run = MacSim::run(&config, n, &mut rng);
         let m = &run.metrics;
         prop_assert_eq!(m.successes, n, "incomplete run");
         prop_assert!(m.attempts_balance());

@@ -35,6 +35,7 @@
 //! REGEN_GOLDEN=1 cargo test --test windowed_golden
 //! ```
 
+use contention_core::params::SLOT;
 use contention_resolution::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -126,7 +127,7 @@ fn reference(config: &WindowedConfig, n: u32, rng: &mut SmallRng) -> BatchMetric
                 won[station as usize] = true;
                 m.successes += 1;
                 let at_slot = elapsed + u64::from(slot) + 1;
-                m.stations[station as usize].success_time = Some(config.slot * at_slot);
+                m.stations[station as usize].success_time = Some(SLOT * at_slot);
                 if m.successes == n.div_ceil(2) {
                     m.half_cw_slots = at_slot;
                 }
@@ -150,8 +151,8 @@ fn reference(config: &WindowedConfig, n: u32, rng: &mut SmallRng) -> BatchMetric
     } else {
         elapsed
     };
-    m.total_time = config.slot * span;
-    m.half_time = config.slot * m.half_cw_slots;
+    m.total_time = SLOT * span;
+    m.half_time = SLOT * m.half_cw_slots;
     m
 }
 
