@@ -1,13 +1,8 @@
-//! Figures 5, 15 and 16 — the abstract (A0–A2 only) simulator.
-//!
-//! Each figure is split into `*_cells` (the sweep, cell-range aware for
-//! process sharding) and `*_report` (pure function of the folded cells);
-//! Figures 15 and 16 share one large-n sweep, so they share its grid too.
+//! Figures 5, 15 and 16 — the abstract (A0–A2 only) simulator. Figures 15
+//! and 16 fold from one large-n sweep, [`LARGE_N`].
 
 use crate::aggregate::{series_per_algorithm, Series, SeriesPoint, StatsCell};
-use crate::figures::shared::{
-    abstract_windowed, paper_algorithms, report_from_series, SweepDef, SweepHooks,
-};
+use crate::figures::shared::{abstract_windowed, paper_algorithms, report_from_series, SweepDef};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
@@ -30,14 +25,11 @@ pub static FIG5: SweepDef = SweepDef {
     run: abstract_windowed,
 };
 
-pub fn fig5_grid(opts: &Options) -> GridMeta {
-    FIG5.grid(opts, &[Metric::CwSlots])
-}
-
-pub fn fig5_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    FIG5.fold(opts, &[Metric::CwSlots], hooks)
-}
-
+/// Figure 5: CW slots from the abstract simulator over the paper's n grid.
+///
+/// This is the "simple Java simulation" — it roughly agrees with the NS3
+/// numbers in magnitude and in BEB's separation, though the newer algorithms
+/// do not separate cleanly at this scale (§III-A1).
 pub fn fig5_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let series = series_per_algorithm(cells, &paper_algorithms(), Metric::CwSlots);
     report_from_series(
@@ -47,15 +39,6 @@ pub fn fig5_report(_opts: &Options, cells: &[StatsCell]) -> Report {
         &series,
         "BEB separates; LLB/LB/STB overlap at small n",
     )
-}
-
-/// Figure 5: CW slots from the abstract simulator over the paper's n grid.
-///
-/// This is the "simple Java simulation" — it roughly agrees with the NS3
-/// numbers in magnitude and in BEB's separation, though the newer algorithms
-/// do not separate cleanly at this scale (§III-A1).
-pub fn fig5(opts: &Options) -> Report {
-    fig5_report(opts, &fig5_cells(opts, &SweepHooks::none()))
 }
 
 /// The large-n sweep of §V-A, shared by Figures 15 and 16. The paper runs
@@ -78,17 +61,8 @@ pub static LARGE_N: SweepDef = SweepDef {
     run: abstract_windowed,
 };
 
-/// The metrics Figures 15 and 16 fold out of the large-n sweep.
-const LARGE_N_METRICS: [Metric; 2] = [Metric::CwSlots, Metric::Collisions];
-
-pub fn large_n_grid(opts: &Options) -> GridMeta {
-    LARGE_N.grid(opts, &LARGE_N_METRICS)
-}
-
-pub fn large_n_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    LARGE_N.fold(opts, &LARGE_N_METRICS, hooks)
-}
-
+/// Figure 15: CW slots at large n — STB pulls ahead and LLB finally
+/// outperforms LB, as the asymptotics (Table II) demand (§V-A(i)).
 pub fn fig15_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let series = series_per_algorithm(cells, &paper_algorithms(), Metric::CwSlots);
     let mut report = report_from_series(
@@ -108,18 +82,8 @@ pub fn fig15_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-/// Figure 15: CW slots at large n — STB pulls ahead and LLB finally
-/// outperforms LB, as the asymptotics (Table II) demand (§V-A(i)).
-pub fn fig15(opts: &Options) -> Report {
-    fig15_report(opts, &large_n_cells(opts, &SweepHooks::none()))
-}
-
 /// Figure 16: ratio of median collision counts vs STB (§V-A(ii)–(iii)):
 /// LB/STB exceeds 1 quickly, LLB/STB crawls upward, BEB/STB stays flat.
-pub fn fig16(opts: &Options) -> Report {
-    fig16_report(opts, &large_n_cells(opts, &SweepHooks::none()))
-}
-
 pub fn fig16_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let ns: Vec<u32> = {
         let mut v: Vec<u32> = cells.iter().map(|c| c.n).collect();
@@ -176,6 +140,7 @@ pub fn fig16_report(_opts: &Options, cells: &[StatsCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::run;
 
     fn opts() -> Options {
         Options {
@@ -187,14 +152,14 @@ mod tests {
 
     #[test]
     fn fig5_runs_and_orders_beb_worst() {
-        let r = fig5(&opts());
+        let r = run("fig5", &opts());
         let pct = r.body.lines().find(|l| l.starts_with("vs BEB")).unwrap();
         assert!(pct.contains("STB -"), "{pct}");
     }
 
     #[test]
     fn fig16_ratios_behave() {
-        let r = fig16(&opts());
+        let r = run("fig16", &opts());
         assert!(r.body.contains("LB/STB"));
         assert!(r.body.contains("BEB/STB"));
     }

@@ -5,20 +5,12 @@
 //! each one forces a costly retransmission.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{standard_mac_figure_from_cells, SweepHooks, MAC_64};
+use crate::figures::shared::standard_mac_figure_from_cells;
 use crate::figures::Report;
 use crate::options::Options;
-use crate::shard::GridMeta;
 use crate::summary::Metric;
 
-pub fn fig11_grid(opts: &Options) -> GridMeta {
-    MAC_64.grid(opts, &[Metric::MaxAckTimeouts])
-}
-
-pub fn fig11_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_64.fold(opts, &[Metric::MaxAckTimeouts], hooks)
-}
-
+/// Figure 11: maximum number of ACK timeouts suffered by any station.
 pub fn fig11_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 11 — max ACK timeouts per station vs n (MAC sim, 64 B payload)",
@@ -29,19 +21,7 @@ pub fn fig11_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 11: maximum number of ACK timeouts suffered by any station.
-pub fn fig11(opts: &Options) -> Report {
-    fig11_report(opts, &fig11_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig12_grid(opts: &Options) -> GridMeta {
-    MAC_64.grid(opts, &[Metric::MaxAckTimeoutTimeUs])
-}
-
-pub fn fig12_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_64.fold(opts, &[Metric::MaxAckTimeoutTimeUs], hooks)
-}
-
+/// Figure 12: ACK-timeout waiting time of the station from Figure 11.
 pub fn fig12_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 12 — max time waiting for ACK timeouts vs n (MAC sim, 64 B payload)",
@@ -52,16 +32,11 @@ pub fn fig12_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 12: ACK-timeout waiting time of the station from Figure 11.
-pub fn fig12(opts: &Options) -> Report {
-    fig12_report(opts, &fig12_cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::series_per_algorithm;
-    use crate::figures::shared::paper_algorithms;
+    use crate::figures::shared::{paper_algorithms, SweepHooks, MAC_64};
 
     #[test]
     fn beb_has_fewest_max_ack_timeouts() {

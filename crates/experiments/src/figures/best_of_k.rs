@@ -1,14 +1,10 @@
-//! Figures 18 and 19 — the BEST-OF-k size-estimation approach (§VI).
-//!
-//! Split like the other sweep figures: `*_cells` (the sweep) and `*_report`
-//! (a pure function of the folded cells), both over the one [`BEST_OF_K`]
-//! sweep.
+//! Figures 18 and 19 — the BEST-OF-k size-estimation approach (§VI). Both
+//! fold from the one [`BEST_OF_K`] sweep.
 
 use crate::aggregate::{series_per_algorithm, Series, SeriesPoint, StatsCell};
-use crate::figures::shared::{mac_paper, uniform_grid, SweepDef, SweepHooks};
+use crate::figures::shared::{mac_paper, uniform_grid, SweepDef};
 use crate::figures::Report;
 use crate::options::Options;
-use crate::shard::GridMeta;
 use crate::summary::Metric;
 use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
@@ -32,14 +28,9 @@ pub static BEST_OF_K: SweepDef = SweepDef {
     run: mac_paper::<64>,
 };
 
-pub fn fig18_grid(opts: &Options) -> GridMeta {
-    BEST_OF_K.grid(opts, &[Metric::MedianEstimate])
-}
-
-pub fn fig18_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    BEST_OF_K.fold(opts, &[Metric::MedianEstimate], hooks)
-}
-
+/// Figure 18: the estimates of n. Best-of-3 is noisier than Best-of-5, and
+/// only overestimates occur — which is what keeps fixed backoff
+/// collision-frugal.
 pub fn fig18_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let estimators = &algorithms()[1..];
     let mut series = series_per_algorithm(cells, estimators, Metric::MedianEstimate);
@@ -94,21 +85,8 @@ pub fn fig18_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-/// Figure 18: the estimates of n. Best-of-3 is noisier than Best-of-5, and
-/// only overestimates occur — which is what keeps fixed backoff
-/// collision-frugal.
-pub fn fig18(opts: &Options) -> Report {
-    fig18_report(opts, &fig18_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig19_grid(opts: &Options) -> GridMeta {
-    BEST_OF_K.grid(opts, &[Metric::TotalTimeUs])
-}
-
-pub fn fig19_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    BEST_OF_K.fold(opts, &[Metric::TotalTimeUs], hooks)
-}
-
+/// Figure 19: total time of BEB vs Best-of-3 vs Best-of-5 (64 B payload).
+/// The paper reports decreases of 26.0 % (k = 3) and 24.7 % (k = 5).
 pub fn fig19_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let series = series_per_algorithm(cells, &algorithms(), Metric::TotalTimeUs);
     let mut report = Report::new("Figure 19 — total time: BEB vs BEST-OF-k (64 B payload)");
@@ -126,15 +104,10 @@ pub fn fig19_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-/// Figure 19: total time of BEB vs Best-of-3 vs Best-of-5 (64 B payload).
-/// The paper reports decreases of 26.0 % (k = 3) and 24.7 % (k = 5).
-pub fn fig19(opts: &Options) -> Report {
-    fig19_report(opts, &fig19_cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::run;
 
     fn opts() -> Options {
         Options {
@@ -146,13 +119,13 @@ mod tests {
 
     #[test]
     fn estimates_respect_the_underestimate_bound() {
-        let r = fig18(&opts());
+        let r = run("fig18", &opts());
         assert!(r.body.contains("(never below n/2): holds"), "{}", r.body);
     }
 
     #[test]
     fn best_of_k_beats_beb_at_150() {
-        let r = fig19(&opts());
+        let r = run("fig19", &opts());
         for line in r.body.lines().filter(|l| l.contains("vs BEB at n=150")) {
             assert!(line.contains('-'), "Best-of-k should beat BEB: {line}");
         }

@@ -1,28 +1,15 @@
 //! Figures 3, 4 and 6 — contention-window slots in the MAC simulator.
-//!
-//! Each figure is split into a `*_cells` half (the sweep, optionally
-//! restricted to a plan of trial ranges for process sharding) and a
-//! `*_report` half (pure function of the folded cells) — `repro merge`
-//! re-runs only the report half on reassembled shard state.
 
 use crate::aggregate::{series_per_algorithm, StatsCell};
 use crate::figures::shared::{
-    paper_algorithms, report_from_series, standard_mac_figure_from_cells, SweepHooks, MAC_1024,
-    MAC_64,
+    paper_algorithms, report_from_series, standard_mac_figure_from_cells,
 };
 use crate::figures::Report;
 use crate::options::Options;
-use crate::shard::GridMeta;
 use crate::summary::Metric;
 
-pub fn fig3_grid(opts: &Options) -> GridMeta {
-    MAC_64.grid(opts, &[Metric::CwSlots])
-}
-
-pub fn fig3_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_64.fold(opts, &[Metric::CwSlots], hooks)
-}
-
+/// Figure 3: CW slots, 64 B payload. The theory's prediction (Table II) —
+/// each newer algorithm beats BEB — must hold here (Result 1).
 pub fn fig3_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 3 — CW slots vs n (MAC sim, 64 B payload)",
@@ -33,20 +20,7 @@ pub fn fig3_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 3: CW slots, 64 B payload. The theory's prediction (Table II) —
-/// each newer algorithm beats BEB — must hold here (Result 1).
-pub fn fig3(opts: &Options) -> Report {
-    fig3_report(opts, &fig3_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig4_grid(opts: &Options) -> GridMeta {
-    MAC_1024.grid(opts, &[Metric::CwSlots])
-}
-
-pub fn fig4_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_1024.fold(opts, &[Metric::CwSlots], hooks)
-}
-
+/// Figure 4: CW slots, 1024 B payload.
 pub fn fig4_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 4 — CW slots vs n (MAC sim, 1024 B payload)",
@@ -57,21 +31,12 @@ pub fn fig4_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 4: CW slots, 1024 B payload.
-pub fn fig4(opts: &Options) -> Report {
-    fig4_report(opts, &fig4_cells(opts, &SweepHooks::none()))
-}
-
-const FIG6_METRICS: [Metric; 2] = [Metric::HalfCwSlots, Metric::CwSlots];
-
-pub fn fig6_grid(opts: &Options) -> GridMeta {
-    MAC_64.grid(opts, &FIG6_METRICS)
-}
-
-pub fn fig6_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_64.fold(opts, &FIG6_METRICS, hooks)
-}
-
+/// Figure 6: CW slots needed to finish the first n/2 packets (64 B).
+///
+/// The paper's two observations: (1) the *remaining* n/2 packets account for
+/// the bulk of the CW slots; (2) the improvement over BEB shrinks for the
+/// first half (stragglers hurt BEB most). We print the half-completion table
+/// plus the half/full ratio that supports observation (1).
 pub fn fig6_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let half = series_per_algorithm(cells, &paper_algorithms(), Metric::HalfCwSlots);
     let full = series_per_algorithm(cells, &paper_algorithms(), Metric::CwSlots);
@@ -95,19 +60,10 @@ pub fn fig6_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-/// Figure 6: CW slots needed to finish the first n/2 packets (64 B).
-///
-/// The paper's two observations: (1) the *remaining* n/2 packets account for
-/// the bulk of the CW slots; (2) the improvement over BEB shrinks for the
-/// first half (stragglers hurt BEB most). We print the half-completion table
-/// plus the half/full ratio that supports observation (1).
-pub fn fig6(opts: &Options) -> Report {
-    fig6_report(opts, &fig6_cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::run;
 
     fn opts() -> Options {
         Options {
@@ -119,7 +75,7 @@ mod tests {
 
     #[test]
     fn fig3_orders_algorithms_as_theory_predicts() {
-        let r = fig3(&opts());
+        let r = run("fig3", &opts());
         // The percent line must show all three challengers negative.
         let pct_line = r.body.lines().find(|l| l.starts_with("vs BEB")).unwrap();
         assert!(pct_line.contains("LB -"), "{pct_line}");
@@ -128,7 +84,7 @@ mod tests {
 
     #[test]
     fn fig6_reports_half_share() {
-        let r = fig6(&opts());
+        let r = run("fig6", &opts());
         assert!(r.body.contains("share of CW slots"));
         assert!(r.body.contains("BEB"));
     }

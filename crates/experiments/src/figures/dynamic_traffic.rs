@@ -15,7 +15,7 @@
 //! shardable, checkpointable, and resumable like the batch figures.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{fold_grid, paper_algorithms, SweepDef, SweepHooks};
+use crate::figures::shared::{fold_grid, paper_algorithms, SweepDef};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
@@ -25,8 +25,6 @@ use contention_core::algorithm::AlgorithmKind;
 use contention_core::util::percent_change;
 use contention_sim::sched::CostSpec;
 use contention_slotted::dynamic::{ArrivalProcess, DynAxis, DynamicConfig, DynamicSim};
-
-const METRICS: [Metric; 2] = [Metric::MeanLatencySlots, Metric::CompletionRate];
 
 fn arrivals(opts: &Options) -> ArrivalProcess {
     ArrivalProcess::PoissonBursts {
@@ -56,14 +54,6 @@ pub static SWEEP: SweepDef = SweepDef {
     },
     run: |tag, grid, opts, hooks| fold_grid::<DynamicSim>(tag, config(opts), grid, opts, hooks),
 };
-
-pub fn grid(opts: &Options) -> GridMeta {
-    SWEEP.grid(opts, &METRICS)
-}
-
-pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    SWEEP.fold(opts, &METRICS, hooks)
-}
 
 pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
     let trials = opts.trials_or(5, 15);
@@ -160,13 +150,10 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-pub fn run(opts: &Options) -> Report {
-    report(opts, &cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::run;
 
     #[test]
     fn dynamic_report_runs_and_names_winners() {
@@ -175,7 +162,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = run("dynamic", &opts);
         assert!(r.body.contains("winner"));
         assert!(r.body.contains("802.11g"));
     }

@@ -6,19 +6,10 @@
 //! increases of +6.6 % (LLB), +17.8 % (LB) and +20.6 % (STB) over BEB.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{standard_mac_figure_from_cells, SweepHooks, MAC_12};
+use crate::figures::shared::standard_mac_figure_from_cells;
 use crate::figures::Report;
 use crate::options::Options;
-use crate::shard::GridMeta;
 use crate::summary::Metric;
-
-pub fn grid(opts: &Options) -> GridMeta {
-    MAC_12.grid(opts, &[Metric::TotalTimeUs])
-}
-
-pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_12.fold(opts, &[Metric::TotalTimeUs], hooks)
-}
 
 pub fn report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let mut report = standard_mac_figure_from_cells(
@@ -35,13 +26,10 @@ pub fn report(_opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-pub fn run(opts: &Options) -> Report {
-    report(opts, &cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::run;
 
     #[test]
     fn min_packet_figure_runs() {
@@ -50,7 +38,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = run("minpkt", &opts);
         assert!(r.body.contains("vs BEB"));
     }
 }

@@ -1,7 +1,21 @@
-//! One module per table/figure of the paper's evaluation.
+//! One module per table/figure of the paper's evaluation, and the one table
+//! of every experiment `repro` runs.
 //!
-//! Every experiment exposes `run(&Options) -> Report`; the `repro` binary
-//! maps subcommands onto these functions (see [`registry`]).
+//! The table, `EXPERIMENTS`, holds one row per experiment in paper order:
+//! the order `repro list` prints and `repro all` runs. A row is one of two
+//! kinds:
+//!
+//! * **whole** — a runner called as-is (`table1`, `fig13`, `fig14`,
+//!   `decomp`, `rtscts`, `model`, the six ablations and `soften`);
+//! * **split** — stated once as a [`SweepDef`](shared::SweepDef), the
+//!   metrics the experiment folds out of it and a report over the folded
+//!   cells. The row's runner and its [`ShardableEntry`] halves are built
+//!   from that, so `repro shard`, `serve`, `--checkpoint` and the sweep
+//!   sharing of `repro all` take every split row.
+//!
+//! [`registry`], [`sharding::shardable_registry`],
+//! [`sharding::find_shardable`] and [`sharding::shardable_names`] are views
+//! of the table.
 
 pub mod ablations;
 pub mod abstract_cw;
@@ -25,7 +39,10 @@ pub mod trace_fig13;
 
 use crate::aggregate::Series;
 use crate::options::Options;
+use crate::summary::Metric;
 use crate::{csvout, jsonout};
+use sharding::ShardableEntry;
+use shared::{SweepHooks, MAC_1024, MAC_12, MAC_64};
 use std::path::Path;
 
 /// A CSV artifact a figure wants written alongside its text output.
@@ -131,176 +148,278 @@ impl Report {
 /// `(subcommand, description, runner)` for every experiment.
 pub type Entry = (&'static str, &'static str, fn(&Options) -> Report);
 
-/// Everything `repro` can regenerate, in paper order.
+/// One row of `EXPERIMENTS`: a subcommand, its `repro list` description, its
+/// runner and, for a split row, the sweep and report halves the runner is
+/// built from.
+struct Row {
+    name: &'static str,
+    desc: &'static str,
+    run: fn(&Options) -> Report,
+    split: Option<ShardableEntry>,
+}
+
+/// A whole row: `run` is called as-is.
+macro_rules! whole {
+    ($name:literal, $desc:literal, $run:expr) => {
+        Row {
+            name: $name,
+            desc: $desc,
+            run: $run,
+            split: None,
+        }
+    };
+}
+
+/// A split row: `report` over the cells `sweep` folds down to `metrics`.
+/// Its runner folds the whole grid and reports it.
+macro_rules! split {
+    ($name:literal, $desc:literal, $sweep:expr, [$($metric:ident),+], $report:expr) => {{
+        const METRICS: &[Metric] = &[$(Metric::$metric),+];
+        Row {
+            name: $name,
+            desc: $desc,
+            run: |opts| $report(opts, &$sweep.fold(opts, METRICS, &SweepHooks::none())),
+            split: Some(ShardableEntry {
+                name: $name,
+                sweep: &$sweep,
+                grid: |opts| $sweep.grid(opts, METRICS),
+                cells: |opts, hooks| $sweep.fold(opts, METRICS, hooks),
+                report: $report,
+            }),
+        }
+    }};
+}
+
+/// Every experiment `repro` can regenerate, in paper order: what `repro
+/// list` prints and `repro all` runs.
+static EXPERIMENTS: [Row; 33] = [
+    whole!(
+        "table1",
+        "Table I — 802.11g parameters and derived frame times",
+        tables::table1
+    ),
+    split!(
+        "table2",
+        "Table II — CW-slot guarantees vs measured growth",
+        tables::GROWTH,
+        [CwSlots],
+        tables::table2_report
+    ),
+    split!(
+        "fig3",
+        "Figure 3 — CW slots, MAC sim, 64 B payload",
+        MAC_64,
+        [CwSlots],
+        cw_slots::fig3_report
+    ),
+    split!(
+        "fig4",
+        "Figure 4 — CW slots, MAC sim, 1024 B payload",
+        MAC_1024,
+        [CwSlots],
+        cw_slots::fig4_report
+    ),
+    split!(
+        "fig5",
+        "Figure 5 — CW slots, abstract simulator",
+        abstract_cw::FIG5,
+        [CwSlots],
+        abstract_cw::fig5_report
+    ),
+    split!(
+        "fig6",
+        "Figure 6 — CW slots to finish n/2 packets",
+        MAC_64,
+        [HalfCwSlots, CwSlots],
+        cw_slots::fig6_report
+    ),
+    split!(
+        "fig7",
+        "Figure 7 — total time, 64 B payload",
+        MAC_64,
+        [TotalTimeUs],
+        total_time::fig7_report
+    ),
+    split!(
+        "fig8",
+        "Figure 8 — total time, 1024 B payload",
+        MAC_1024,
+        [TotalTimeUs],
+        total_time::fig8_report
+    ),
+    split!(
+        "fig9",
+        "Figure 9 — time for n/2 packets, 64 B",
+        MAC_64,
+        [HalfTimeUs],
+        total_time::fig9_report
+    ),
+    split!(
+        "fig10",
+        "Figure 10 — time for n/2 packets, 1024 B",
+        MAC_1024,
+        [HalfTimeUs],
+        total_time::fig10_report
+    ),
+    split!(
+        "fig11",
+        "Figure 11 — max ACK timeouts per station",
+        MAC_64,
+        [MaxAckTimeouts],
+        ack_timeouts::fig11_report
+    ),
+    split!(
+        "fig12",
+        "Figure 12 — time waiting for ACK timeouts",
+        MAC_64,
+        [MaxAckTimeoutTimeUs],
+        ack_timeouts::fig12_report
+    ),
+    whole!(
+        "fig13",
+        "Figure 13 — execution trace, BEB, 20 stations",
+        trace_fig13::fig13
+    ),
+    whole!(
+        "fig14",
+        "Figure 14 — LLB − BEB total time vs packet size",
+        payload_regression::fig14
+    ),
+    split!(
+        "table3",
+        "Table III — collision bounds vs measured growth",
+        tables::GROWTH,
+        [Collisions],
+        tables::table3_report
+    ),
+    split!(
+        "fig15",
+        "Figure 15 — CW slots at large n (abstract)",
+        abstract_cw::LARGE_N,
+        [CwSlots, Collisions],
+        abstract_cw::fig15_report
+    ),
+    split!(
+        "fig16",
+        "Figure 16 — collision ratios vs STB (abstract)",
+        abstract_cw::LARGE_N,
+        [CwSlots, Collisions],
+        abstract_cw::fig16_report
+    ),
+    split!(
+        "fig18",
+        "Figure 18 — BEST-OF-k estimates of n",
+        best_of_k::BEST_OF_K,
+        [MedianEstimate],
+        best_of_k::fig18_report
+    ),
+    split!(
+        "fig19",
+        "Figure 19 — total time, BEST-OF-k vs BEB",
+        best_of_k::BEST_OF_K,
+        [TotalTimeUs],
+        best_of_k::fig19_report
+    ),
+    whole!(
+        "decomp",
+        "§III-B — total-time decomposition, BEB n=150",
+        decomposition::run
+    ),
+    whole!("rtscts", "§III-B — RTS/CTS check, LLB vs BEB", rts_cts::run),
+    split!(
+        "minpkt",
+        "§V-B — minimum-size packets (12 B payload)",
+        MAC_12,
+        [TotalTimeUs],
+        min_packet::report
+    ),
+    whole!(
+        "model",
+        "§IV — T_A = Θ(C·P + W) model checks",
+        model_check::run
+    ),
+    whole!(
+        "ablate-ackto",
+        "ablation — ACK-timeout duration sweep (§V-B cliff)",
+        ablations::ack_timeout
+    ),
+    whole!(
+        "ablate-eifs",
+        "ablation — 802.11 EIFS rule on/off",
+        ablations::eifs
+    ),
+    whole!(
+        "ablate-trunc",
+        "ablation — CWmax truncation (§V-B)",
+        ablations::truncation
+    ),
+    whole!(
+        "ablate-sem",
+        "ablation — windowed vs residual-timer semantics",
+        ablations::semantics
+    ),
+    whole!(
+        "ablate-loss",
+        "ablation — ACK-loss failure injection",
+        ablations::ack_loss
+    ),
+    whole!(
+        "ablate-poly",
+        "ablation — polynomial backoff baselines",
+        ablations::polynomial
+    ),
+    split!(
+        "dynamic",
+        "§VIII extension — long-lived bursty traffic",
+        dynamic_traffic::SWEEP,
+        [MeanLatencySlots, CompletionRate],
+        dynamic_traffic::report
+    ),
+    split!(
+        "saturation",
+        "saturation phase diagram — offered-load sweep on 802.11g costs",
+        saturation::SWEEP,
+        [
+            Throughput,
+            CompletionRate,
+            P50LatencySlots,
+            P99LatencySlots,
+            MeanLatencySlots
+        ],
+        saturation::report
+    ),
+    whole!(
+        "soften",
+        "arXiv:2408.11275 extension — softened collisions / noisy channel",
+        noisy::run
+    ),
+    split!(
+        "scale",
+        "§V-A at scale — streaming sweep to n = 10⁵ (10⁶ with --full)",
+        scale::SWEEP,
+        [CwSlots, Collisions],
+        scale::report
+    ),
+];
+
+/// Every experiment's `(subcommand, description, runner)`, in table order.
 pub fn registry() -> Vec<Entry> {
-    vec![
-        (
-            "table1",
-            "Table I — 802.11g parameters and derived frame times",
-            tables::table1,
-        ),
-        (
-            "table2",
-            "Table II — CW-slot guarantees vs measured growth",
-            tables::table2,
-        ),
-        (
-            "fig3",
-            "Figure 3 — CW slots, MAC sim, 64 B payload",
-            cw_slots::fig3,
-        ),
-        (
-            "fig4",
-            "Figure 4 — CW slots, MAC sim, 1024 B payload",
-            cw_slots::fig4,
-        ),
-        (
-            "fig5",
-            "Figure 5 — CW slots, abstract simulator",
-            abstract_cw::fig5,
-        ),
-        (
-            "fig6",
-            "Figure 6 — CW slots to finish n/2 packets",
-            cw_slots::fig6,
-        ),
-        (
-            "fig7",
-            "Figure 7 — total time, 64 B payload",
-            total_time::fig7,
-        ),
-        (
-            "fig8",
-            "Figure 8 — total time, 1024 B payload",
-            total_time::fig8,
-        ),
-        (
-            "fig9",
-            "Figure 9 — time for n/2 packets, 64 B",
-            total_time::fig9,
-        ),
-        (
-            "fig10",
-            "Figure 10 — time for n/2 packets, 1024 B",
-            total_time::fig10,
-        ),
-        (
-            "fig11",
-            "Figure 11 — max ACK timeouts per station",
-            ack_timeouts::fig11,
-        ),
-        (
-            "fig12",
-            "Figure 12 — time waiting for ACK timeouts",
-            ack_timeouts::fig12,
-        ),
-        (
-            "fig13",
-            "Figure 13 — execution trace, BEB, 20 stations",
-            trace_fig13::fig13,
-        ),
-        (
-            "fig14",
-            "Figure 14 — LLB − BEB total time vs packet size",
-            payload_regression::fig14,
-        ),
-        (
-            "table3",
-            "Table III — collision bounds vs measured growth",
-            tables::table3,
-        ),
-        (
-            "fig15",
-            "Figure 15 — CW slots at large n (abstract)",
-            abstract_cw::fig15,
-        ),
-        (
-            "fig16",
-            "Figure 16 — collision ratios vs STB (abstract)",
-            abstract_cw::fig16,
-        ),
-        (
-            "fig18",
-            "Figure 18 — BEST-OF-k estimates of n",
-            best_of_k::fig18,
-        ),
-        (
-            "fig19",
-            "Figure 19 — total time, BEST-OF-k vs BEB",
-            best_of_k::fig19,
-        ),
-        (
-            "decomp",
-            "§III-B — total-time decomposition, BEB n=150",
-            decomposition::run,
-        ),
-        ("rtscts", "§III-B — RTS/CTS check, LLB vs BEB", rts_cts::run),
-        (
-            "minpkt",
-            "§V-B — minimum-size packets (12 B payload)",
-            min_packet::run,
-        ),
-        (
-            "model",
-            "§IV — T_A = Θ(C·P + W) model checks",
-            model_check::run,
-        ),
-        (
-            "ablate-ackto",
-            "ablation — ACK-timeout duration sweep (§V-B cliff)",
-            ablations::ack_timeout,
-        ),
-        (
-            "ablate-eifs",
-            "ablation — 802.11 EIFS rule on/off",
-            ablations::eifs,
-        ),
-        (
-            "ablate-trunc",
-            "ablation — CWmax truncation (§V-B)",
-            ablations::truncation,
-        ),
-        (
-            "ablate-sem",
-            "ablation — windowed vs residual-timer semantics",
-            ablations::semantics,
-        ),
-        (
-            "ablate-loss",
-            "ablation — ACK-loss failure injection",
-            ablations::ack_loss,
-        ),
-        (
-            "ablate-poly",
-            "ablation — polynomial backoff baselines",
-            ablations::polynomial,
-        ),
-        (
-            "dynamic",
-            "§VIII extension — long-lived bursty traffic",
-            dynamic_traffic::run,
-        ),
-        (
-            "saturation",
-            "saturation phase diagram — offered-load sweep on 802.11g costs",
-            saturation::run,
-        ),
-        (
-            "soften",
-            "arXiv:2408.11275 extension — softened collisions / noisy channel",
-            noisy::run,
-        ),
-        (
-            "scale",
-            "§V-A at scale — streaming sweep to n = 10⁵ (10⁶ with --full)",
-            scale::run,
-        ),
-    ]
+    EXPERIMENTS
+        .iter()
+        .map(|row| (row.name, row.desc, row.run))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs experiment `name` through its table row, as `repro <name>` does.
+    pub(super) fn run(name: &str, opts: &Options) -> Report {
+        let row = EXPERIMENTS.iter().find(|row| row.name == name);
+        let row = row.unwrap_or_else(|| panic!("{name} is not a table row"));
+        (row.run)(opts)
+    }
 
     #[test]
     fn registry_names_are_unique() {

@@ -18,7 +18,7 @@
 //! saturation` / `repro merge` reproduce this report byte-for-byte.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{fold_grid, paper_algorithms, SweepDef, SweepHooks};
+use crate::figures::shared::{fold_grid, paper_algorithms, SweepDef};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
@@ -27,14 +27,6 @@ use crate::table::render;
 use contention_core::algorithm::AlgorithmKind;
 use contention_sim::sched::CostSpec;
 use contention_slotted::dynamic::{ArrivalProcess, DynAxis, DynamicConfig, DynamicSim};
-
-const METRICS: [Metric; 5] = [
-    Metric::Throughput,
-    Metric::CompletionRate,
-    Metric::P50LatencySlots,
-    Metric::P99LatencySlots,
-    Metric::MeanLatencySlots,
-];
 
 /// A cell counts as "stable" when its median completion rate is at least
 /// this; the phase boundary is the largest swept load that still clears it.
@@ -84,14 +76,6 @@ pub static SWEEP: SweepDef = SweepDef {
     },
     run: |tag, grid, opts, hooks| fold_grid::<DynamicSim>(tag, config(opts), grid, opts, hooks),
 };
-
-pub fn grid(opts: &Options) -> GridMeta {
-    SWEEP.grid(opts, &METRICS)
-}
-
-pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    SWEEP.fold(opts, &METRICS, hooks)
-}
 
 pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
     let cfg = config(opts);
@@ -184,13 +168,12 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-pub fn run(opts: &Options) -> Report {
-    report(opts, &cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::sharding::find_shardable;
+    use crate::figures::shared::SweepHooks;
+    use crate::figures::tests::run;
 
     #[test]
     fn saturation_report_shows_boundary_and_all_algorithms() {
@@ -199,7 +182,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = run("saturation", &opts);
         assert!(r.body.contains("phase boundary"), "{}", r.body);
         for alg in paper_algorithms() {
             assert!(r.body.contains(&alg.label()), "{}", r.body);
@@ -214,7 +197,8 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let cells = cells(&opts, &SweepHooks::none());
+        let entry = find_shardable("saturation").expect("a split row");
+        let cells = (entry.cells)(&opts, &SweepHooks::none());
         let completion = |alg, load| {
             cells
                 .iter()

@@ -16,7 +16,7 @@
 //! (Table II), so the gap must widen with n.
 
 use crate::aggregate::{series_per_algorithm, StatsCell};
-use crate::figures::shared::{abstract_windowed, SweepDef, SweepHooks};
+use crate::figures::shared::{abstract_windowed, SweepDef};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::shard::GridMeta;
@@ -25,9 +25,6 @@ use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::util::percent_change;
 use contention_sim::sched::CostSpec;
-
-/// The cw-slot metrics the figure folds out per trial.
-const METRICS: [Metric; 2] = [Metric::CwSlots, Metric::Collisions];
 
 /// The abstract-model sweep of BEB vs STB up to the paper's ceiling.
 pub static SWEEP: SweepDef = SweepDef {
@@ -55,20 +52,8 @@ fn shape(opts: &Options, metrics: &[Metric]) -> GridMeta {
     }
 }
 
-pub fn grid(opts: &Options) -> GridMeta {
-    SWEEP.grid(opts, &METRICS)
-}
-
-pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    SWEEP.fold(opts, &METRICS, hooks)
-}
-
-pub fn run(opts: &Options) -> Report {
-    report(opts, &cells(opts, &SweepHooks::none()))
-}
-
 pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
-    let g = grid(opts);
+    let g = shape(opts, &[]);
     let (algorithms, ns, trials) = (g.algorithms, g.ns, g.trials);
 
     let max_n = *ns.last().expect("non-empty grid");
@@ -97,7 +82,7 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
         cells.len() * trials as usize,
         retained,
         cells.len(),
-        METRICS.len(),
+        cells[0].acc.metrics().len(),
     ));
     report.series_csv("scale_cw_slots", "n", &cw);
     report.series_csv("scale_collisions", "n", &collisions);
@@ -107,6 +92,7 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::run;
 
     #[test]
     fn scale_grid_reaches_1e5_and_stb_wins() {
@@ -115,7 +101,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = run("scale", &opts);
         assert!(r.title.contains("n up to 100000"), "{}", r.title);
         let pct = r
             .body
@@ -133,7 +119,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = run("scale", &opts);
         // 16 cells × 2 trials × 2 metrics × 8 B = 512 bytes.
         assert!(r.body.contains("retained 512 bytes"), "{}", r.body);
     }

@@ -1,28 +1,27 @@
-//! The shardable-experiment registry: which figures `repro shard` /
-//! `repro merge` can split across processes.
+//! The split rows of the experiment table as [`ShardableEntry`]s: what
+//! `repro shard`, `merge`, `serve`, `work` and `--checkpoint` run, and the
+//! sweeps `repro all` shares.
 //!
-//! A figure is shardable when it factors into a *cells* half (one engine
-//! sweep, restrictable to a plan of trial ranges) and a *report* half (a
-//! pure function of the folded cells). Each entry wires those halves
-//! together with the [`GridMeta`] describing the sweep, so the CLI can cut
-//! the grid into leases, run one lease per process, and rebuild the exact
-//! single-process report from merged `shard_state/v1` artifacts.
+//! A split row factors into a *cells* half (one engine sweep, restrictable
+//! to a plan of trial ranges) and a *report* half (a pure function of the
+//! folded cells). Its entry wires those halves together with the
+//! [`GridMeta`] describing the sweep, so the CLI can cut the grid into
+//! leases, run one lease per process, and rebuild the exact single-process
+//! report from merged `shard_state/v1` artifacts.
 //!
-//! The invariant every entry must satisfy — pinned by this module's tests
-//! and by `tests/shard_equivalence.rs` — is
-//! `report(opts, cells(opts, None)) == <registry runner>(opts)`, byte for
-//! byte, including the CSV/JSON artifacts.
+//! The table's `split!` macro builds each entry and the row's runner from
+//! one statement of the row's [`SweepDef`] and metrics. The invariant every
+//! entry satisfies — pinned by this module's tests and by
+//! `tests/shard_equivalence.rs` — is
+//! `report(opts, cells(opts, &SweepHooks::none())) == <registry runner>(opts)`,
+//! byte for byte, including the CSV/JSON artifacts.
 //!
-//! Each entry also names the [`SweepDef`] its cells fold from. `repro all`
-//! plans with it ([`SharedSweeps`]): experiments folding from one
-//! definition share one run of its sweep.
+//! `repro all` plans with each entry's [`SweepDef`] ([`SharedSweeps`]):
+//! experiments folding from one definition share one run of its sweep.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{SweepDef, SweepHooks, MAC_1024, MAC_12, MAC_64};
-use crate::figures::{
-    abstract_cw, ack_timeouts, best_of_k, cw_slots, dynamic_traffic, min_packet, saturation, scale,
-    tables, total_time, Report,
-};
+use crate::figures::shared::{SweepDef, SweepHooks};
+use crate::figures::{Report, EXPERIMENTS};
 use crate::options::Options;
 use crate::shard::GridMeta;
 use crate::summary::Metric;
@@ -47,155 +46,15 @@ pub struct ShardableEntry {
     pub report: fn(&Options, &[StatsCell]) -> Report,
 }
 
-/// Every experiment `repro shard` accepts, in paper order.
+/// Every split row of the experiment table, in table order: the
+/// experiments `repro shard` accepts.
 pub fn shardable_registry() -> Vec<ShardableEntry> {
-    vec![
-        ShardableEntry {
-            name: "table2",
-            sweep: &tables::GROWTH,
-            grid: tables::table2_grid,
-            cells: tables::table2_cells,
-            report: tables::table2_report,
-        },
-        ShardableEntry {
-            name: "fig3",
-            sweep: &MAC_64,
-            grid: cw_slots::fig3_grid,
-            cells: cw_slots::fig3_cells,
-            report: cw_slots::fig3_report,
-        },
-        ShardableEntry {
-            name: "fig4",
-            sweep: &MAC_1024,
-            grid: cw_slots::fig4_grid,
-            cells: cw_slots::fig4_cells,
-            report: cw_slots::fig4_report,
-        },
-        ShardableEntry {
-            name: "fig5",
-            sweep: &abstract_cw::FIG5,
-            grid: abstract_cw::fig5_grid,
-            cells: abstract_cw::fig5_cells,
-            report: abstract_cw::fig5_report,
-        },
-        ShardableEntry {
-            name: "fig6",
-            sweep: &MAC_64,
-            grid: cw_slots::fig6_grid,
-            cells: cw_slots::fig6_cells,
-            report: cw_slots::fig6_report,
-        },
-        ShardableEntry {
-            name: "fig7",
-            sweep: &MAC_64,
-            grid: total_time::fig7_grid,
-            cells: total_time::fig7_cells,
-            report: total_time::fig7_report,
-        },
-        ShardableEntry {
-            name: "fig8",
-            sweep: &MAC_1024,
-            grid: total_time::fig8_grid,
-            cells: total_time::fig8_cells,
-            report: total_time::fig8_report,
-        },
-        ShardableEntry {
-            name: "fig9",
-            sweep: &MAC_64,
-            grid: total_time::fig9_grid,
-            cells: total_time::fig9_cells,
-            report: total_time::fig9_report,
-        },
-        ShardableEntry {
-            name: "fig10",
-            sweep: &MAC_1024,
-            grid: total_time::fig10_grid,
-            cells: total_time::fig10_cells,
-            report: total_time::fig10_report,
-        },
-        ShardableEntry {
-            name: "fig11",
-            sweep: &MAC_64,
-            grid: ack_timeouts::fig11_grid,
-            cells: ack_timeouts::fig11_cells,
-            report: ack_timeouts::fig11_report,
-        },
-        ShardableEntry {
-            name: "fig12",
-            sweep: &MAC_64,
-            grid: ack_timeouts::fig12_grid,
-            cells: ack_timeouts::fig12_cells,
-            report: ack_timeouts::fig12_report,
-        },
-        ShardableEntry {
-            name: "table3",
-            sweep: &tables::GROWTH,
-            grid: tables::table3_grid,
-            cells: tables::table3_cells,
-            report: tables::table3_report,
-        },
-        ShardableEntry {
-            name: "fig15",
-            sweep: &abstract_cw::LARGE_N,
-            grid: abstract_cw::large_n_grid,
-            cells: abstract_cw::large_n_cells,
-            report: abstract_cw::fig15_report,
-        },
-        ShardableEntry {
-            name: "fig16",
-            sweep: &abstract_cw::LARGE_N,
-            grid: abstract_cw::large_n_grid,
-            cells: abstract_cw::large_n_cells,
-            report: abstract_cw::fig16_report,
-        },
-        ShardableEntry {
-            name: "fig18",
-            sweep: &best_of_k::BEST_OF_K,
-            grid: best_of_k::fig18_grid,
-            cells: best_of_k::fig18_cells,
-            report: best_of_k::fig18_report,
-        },
-        ShardableEntry {
-            name: "fig19",
-            sweep: &best_of_k::BEST_OF_K,
-            grid: best_of_k::fig19_grid,
-            cells: best_of_k::fig19_cells,
-            report: best_of_k::fig19_report,
-        },
-        ShardableEntry {
-            name: "minpkt",
-            sweep: &MAC_12,
-            grid: min_packet::grid,
-            cells: min_packet::cells,
-            report: min_packet::report,
-        },
-        ShardableEntry {
-            name: "scale",
-            sweep: &scale::SWEEP,
-            grid: scale::grid,
-            cells: scale::cells,
-            report: scale::report,
-        },
-        ShardableEntry {
-            name: "dynamic",
-            sweep: &dynamic_traffic::SWEEP,
-            grid: dynamic_traffic::grid,
-            cells: dynamic_traffic::cells,
-            report: dynamic_traffic::report,
-        },
-        ShardableEntry {
-            name: "saturation",
-            sweep: &saturation::SWEEP,
-            grid: saturation::grid,
-            cells: saturation::cells,
-            report: saturation::report,
-        },
-    ]
+    EXPERIMENTS.iter().filter_map(|row| row.split).collect()
 }
 
 /// Looks up one shardable experiment by name.
 pub fn find_shardable(name: &str) -> Option<ShardableEntry> {
-    shardable_registry().into_iter().find(|e| e.name == name)
+    EXPERIMENTS.iter().find(|row| row.name == name)?.split
 }
 
 /// The names `repro shard` advertises in error messages.
@@ -367,6 +226,40 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate shardable name");
+    }
+
+    /// Exactly these rows are split, in table order. A row that lost its
+    /// halves would stop sharing its sweep under `repro all`, and `shard`,
+    /// `serve` and `--checkpoint` would refuse it.
+    #[test]
+    fn the_split_rows_are_the_twenty_sweep_experiments() {
+        let split = [
+            "table2",
+            "fig3",
+            "fig4",
+            "fig5",
+            "fig6",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "table3",
+            "fig15",
+            "fig16",
+            "fig18",
+            "fig19",
+            "minpkt",
+            "dynamic",
+            "saturation",
+            "scale",
+        ];
+        assert_eq!(shardable_names(), split);
+        for (name, _, _) in registry() {
+            let entry = find_shardable(name);
+            assert_eq!(entry.map(|e| e.name), split.contains(&name).then_some(name));
+        }
     }
 
     /// The load-bearing invariant: the split pipeline reproduces the

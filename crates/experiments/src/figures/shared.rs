@@ -28,8 +28,9 @@ pub fn paper_algorithms() -> Vec<AlgorithmKind> {
 }
 
 /// Execution seams the CLI threads into a shardable figure's sweep. One
-/// struct (rather than a parameter per seam) because every shardable
-/// `*_cells` function forwards it untouched to [`fold_grid`].
+/// struct (rather than a parameter per seam) because every split row's
+/// `cells` half forwards it untouched, through [`SweepDef::fold`], to
+/// [`fold_grid`].
 #[derive(Default, Clone, Copy)]
 pub struct SweepHooks<'a> {
     /// Run only these trial ranges (`repro shard`, `repro resume`, a

@@ -1,16 +1,10 @@
-//! Tables I, II and III.
-//!
-//! Tables II and III are split like the figures: `*_cells` (the sweep) and
-//! `*_report` (a pure function of the folded cells), both over the one
-//! [`GROWTH`] sweep.
+//! Tables I, II and III. Tables II and III fold from the one [`GROWTH`]
+//! sweep.
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{
-    abstract_windowed, paper_algorithms, uniform_grid, SweepDef, SweepHooks,
-};
+use crate::figures::shared::{abstract_windowed, paper_algorithms, uniform_grid, SweepDef};
 use crate::figures::Report;
 use crate::options::Options;
-use crate::shard::GridMeta;
 use crate::summary::Metric;
 use crate::table::render;
 use contention_core::algorithm::AlgorithmKind;
@@ -150,14 +144,7 @@ fn growth_table(
     report
 }
 
-pub fn table2_grid(opts: &Options) -> GridMeta {
-    GROWTH.grid(opts, &[Metric::CwSlots])
-}
-
-pub fn table2_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    GROWTH.fold(opts, &[Metric::CwSlots], hooks)
-}
-
+/// Table II: CW-slot guarantees vs measured growth (abstract model).
 pub fn table2_report(opts: &Options, cells: &[StatsCell]) -> Report {
     growth_table(
         "Table II — CW-slot guarantees vs measured growth (abstract simulator)",
@@ -170,19 +157,7 @@ pub fn table2_report(opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Table II: CW-slot guarantees vs measured growth (abstract model).
-pub fn table2(opts: &Options) -> Report {
-    table2_report(opts, &table2_cells(opts, &SweepHooks::none()))
-}
-
-pub fn table3_grid(opts: &Options) -> GridMeta {
-    GROWTH.grid(opts, &[Metric::Collisions])
-}
-
-pub fn table3_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    GROWTH.fold(opts, &[Metric::Collisions], hooks)
-}
-
+/// Table III: collision bounds vs measured growth (abstract model).
 pub fn table3_report(opts: &Options, cells: &[StatsCell]) -> Report {
     let mut report = growth_table(
         "Table III — collision bounds vs measured growth (abstract simulator)",
@@ -200,14 +175,10 @@ pub fn table3_report(opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-/// Table III: collision bounds vs measured growth (abstract model).
-pub fn table3(opts: &Options) -> Report {
-    table3_report(opts, &table3_cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::run;
 
     #[test]
     fn table1_prints_all_parameters() {
@@ -232,7 +203,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = table3(&opts);
+        let r = run("table3", &opts);
         assert!(r.body.contains("O(n)"));
         assert!(r.body.contains("flatness"));
     }

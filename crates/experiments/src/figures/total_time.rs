@@ -2,25 +2,14 @@
 //!
 //! These are the paper's headline reversal: the ordering of Figures 3–6
 //! flips once the cost of collisions is measured (Result 2).
-//!
-//! Each figure is split into `*_cells` (the sweep, cell-range aware for
-//! process sharding) and `*_report` (pure function of the folded cells).
 
 use crate::aggregate::StatsCell;
-use crate::figures::shared::{standard_mac_figure_from_cells, SweepHooks, MAC_1024, MAC_64};
+use crate::figures::shared::standard_mac_figure_from_cells;
 use crate::figures::Report;
 use crate::options::Options;
-use crate::shard::GridMeta;
 use crate::summary::Metric;
 
-pub fn fig7_grid(opts: &Options) -> GridMeta {
-    MAC_64.grid(opts, &[Metric::TotalTimeUs])
-}
-
-pub fn fig7_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_64.fold(opts, &[Metric::TotalTimeUs], hooks)
-}
-
+/// Figure 7: total time, 64 B payload.
 pub fn fig7_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 7 — total time vs n (MAC sim, 64 B payload)",
@@ -31,19 +20,7 @@ pub fn fig7_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 7: total time, 64 B payload.
-pub fn fig7(opts: &Options) -> Report {
-    fig7_report(opts, &fig7_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig8_grid(opts: &Options) -> GridMeta {
-    MAC_1024.grid(opts, &[Metric::TotalTimeUs])
-}
-
-pub fn fig8_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_1024.fold(opts, &[Metric::TotalTimeUs], hooks)
-}
-
+/// Figure 8: total time, 1024 B payload (larger packets favour BEB more).
 pub fn fig8_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 8 — total time vs n (MAC sim, 1024 B payload)",
@@ -54,19 +31,8 @@ pub fn fig8_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 8: total time, 1024 B payload (larger packets favour BEB more).
-pub fn fig8(opts: &Options) -> Report {
-    fig8_report(opts, &fig8_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig9_grid(opts: &Options) -> GridMeta {
-    MAC_64.grid(opts, &[Metric::HalfTimeUs])
-}
-
-pub fn fig9_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_64.fold(opts, &[Metric::HalfTimeUs], hooks)
-}
-
+/// Figure 9: time until n/2 packets complete, 64 B — stragglers are *not*
+/// the explanation; BEB leads on the first half too.
 pub fn fig9_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 9 — time for n/2 packets vs n (MAC sim, 64 B payload)",
@@ -77,20 +43,7 @@ pub fn fig9_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 9: time until n/2 packets complete, 64 B — stragglers are *not*
-/// the explanation; BEB leads on the first half too.
-pub fn fig9(opts: &Options) -> Report {
-    fig9_report(opts, &fig9_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig10_grid(opts: &Options) -> GridMeta {
-    MAC_1024.grid(opts, &[Metric::HalfTimeUs])
-}
-
-pub fn fig10_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
-    MAC_1024.fold(opts, &[Metric::HalfTimeUs], hooks)
-}
-
+/// Figure 10: time until n/2 packets complete, 1024 B.
 pub fn fig10_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 10 — time for n/2 packets vs n (MAC sim, 1024 B payload)",
@@ -101,14 +54,10 @@ pub fn fig10_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 10: time until n/2 packets complete, 1024 B.
-pub fn fig10(opts: &Options) -> Report {
-    fig10_report(opts, &fig10_cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::run;
 
     #[test]
     fn fig7_shows_the_reversal() {
@@ -117,7 +66,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = fig7(&opts);
+        let r = run("fig7", &opts);
         let pct_line = r.body.lines().find(|l| l.starts_with("vs BEB")).unwrap();
         // The strongly-separated challengers must be *slower* than BEB in
         // total time (LLB sits within noise of BEB at few trials, so it is

@@ -2,7 +2,11 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation. Each figure lives in its own module under
-//! [`figures`]; the `repro` binary exposes one subcommand per figure.
+//! [`figures`]; the `repro` binary exposes one subcommand per row of the
+//! experiment table in `figures` (paper order). A *split* row is a sweep
+//! definition, the metrics it folds and a report over the folded cells —
+//! shardable, checkpointable, servable and shared under `repro all`; a
+//! *whole* row is a runner called as-is.
 //!
 //! The building blocks:
 //!

@@ -11,6 +11,8 @@
 //! The reports that write no artifact at all (Table I, the cost model and
 //! five ablations) are pinned by their rendered text instead:
 //! `report_bodies.txt` holds every one of their quick-grid bodies.
+//! `repro_list.txt` pins the experiment table's names, descriptions and
+//! order as `repro list` prints them.
 //!
 //! Every trial derives its RNG from `(experiment, algorithm, n, trial)` and
 //! the JSON writer prints shortest-round-trip floats, so these bytes are
@@ -143,31 +145,23 @@ fn reports_without_artifacts_match_their_golden_bodies() {
     check_fixture("report_bodies.txt", &text);
 }
 
-/// The fixtures themselves parse as JSON-shaped text: balanced braces and
-/// the expected top-level keys (cheap structural guard so a bad regen can't
-/// check in garbage).
+/// Every JSON fixture parses as JSON-shaped text: balanced braces and the
+/// expected top-level keys (cheap structural guard so a bad regen can't
+/// check in garbage, and a truncated `--full` fixture fails here, not only
+/// in CI's diff against a `--full` run).
 #[test]
 fn golden_fixtures_are_well_formed() {
-    for file in [
-        "fig5_cw_slots_abstract.json",
-        "fig13_trace_spans.json",
-        "fig5_full_cw_slots_abstract.json",
-        "table2_full_cw_growth.json",
-        "table3_full_collision_growth.json",
-        "fig7_full_total_time_64.json",
-        "fig8_full_total_time_1024.json",
-        "fig18_full_estimates.json",
-        "fig19_full_best_of_k_total_time.json",
-        "fig15_full_large_n_cw_slots.json",
-        "fig16_full_collision_ratios.json",
-        "soften_full_abstract_cw_slots.json",
-        "soften_full_noise_cw_slots.json",
-        "dynamic_full_bursty_latency.json",
-        "saturation_full_phase.json",
-    ] {
-        let path = golden_dir().join(file);
+    let mut files: Vec<PathBuf> = std::fs::read_dir(golden_dir())
+        .expect("read tests/golden")
+        .map(|entry| entry.expect("a directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 17, "only {} JSON fixtures", files.len());
+    for path in files {
+        let file = path.display();
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+            .unwrap_or_else(|e| panic!("unreadable fixture {file}: {e}"));
         assert!(text.starts_with("{\n"), "{file}: not an object");
         assert!(text.ends_with("}\n"), "{file}: unterminated object");
         assert!(text.contains("\"name\""), "{file}: missing name");
@@ -175,4 +169,22 @@ fn golden_fixtures_are_well_formed() {
         let closes = text.matches('}').count();
         assert_eq!(opens, closes, "{file}: unbalanced braces");
     }
+}
+
+/// `repro list` names every experiment in table order: the order `repro
+/// all` runs, CI's one-at-a-time loop walks and the benchmark's reference
+/// digests assign each artifact by. Read from the built binary.
+#[test]
+fn repro_list_matches_its_golden_fixture() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("list")
+        .output()
+        .expect("spawn repro list");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    check_fixture("repro_list.txt", &text);
 }
