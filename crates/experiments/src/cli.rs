@@ -303,9 +303,9 @@ impl Experiment {
 }
 
 /// The newest checkpoint under `dir` and its sequence number — where
-/// `resume` and a restarted `serve` start. Recovery that stepped over
-/// damage (a dangling `latest` pointer, torn artifacts) still works, but
-/// never silently: each step is printed as a warning.
+/// `resume` and a restarted `serve` start. Recovery that stepped over torn
+/// checkpoints still works, but never silently: each one skipped is
+/// printed as a warning.
 pub(crate) fn load_checkpoint(dir: &Path) -> Result<(ShardState, u64), String> {
     let loaded = checkpoint::load_latest(dir)?;
     for warning in &loaded.warnings {

@@ -56,7 +56,7 @@ pub static SWEEP: SweepDef = SweepDef {
 };
 
 pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
-    let trials = opts.trials_or(5, 15);
+    let trials = SWEEP.grid(opts, &[]).trials;
     let arrivals = arrivals(opts);
     let mut report =
         Report::new("§VIII extension — long-lived bursty traffic (Poisson bursts of 60 packets)");

@@ -88,7 +88,7 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
         cfg.success_cost,
         cfg.horizon_slots,
         cfg.drain_slots,
-        opts.trials_or(3, 10)
+        SWEEP.grid(opts, &[]).trials
     ));
 
     let at = |alg: AlgorithmKind, n: u32, metric: Metric| -> f64 {

@@ -5,9 +5,10 @@
 //! in the destination directory, are fsynced, and are renamed over the final
 //! name. A process killed at any instant therefore leaves either the old
 //! file, the new file, or a stray `*.tmp` — never a truncated artifact under
-//! the real name. Readers ignore `*.tmp` (see `shard::load_dir` and
-//! `checkpoint::load_latest`), so torn writes are invisible to
-//! `repro merge` and `repro resume`.
+//! the real name. Readers ignore `*.tmp` (see `shard::load_dir`, and
+//! `checkpoint::load_latest`, which finds the newest checkpoint by its
+//! sequence number alone), so torn writes are invisible to `repro merge`
+//! and `repro resume`.
 
 use std::fs::{self, File};
 use std::io::Write;

@@ -48,9 +48,11 @@
 //! resumes with `repro serve` pointed at the same `--out`, re-leasing only
 //! the missing trials. A POST whose checkpoint write fails gets a 503
 //! instead: its trials are folded and its lease is complete, so the next
-//! checkpoint that is written holds them. Every failed write is logged on
-//! stderr, and if the final checkpoint cannot be written, `serve` still
-//! writes the reports but exits with an error. Checkpoints are
+//! checkpoint that is written holds them. Every failed checkpoint write is
+//! logged on stderr, and if the final checkpoint cannot be written, `serve`
+//! still writes the reports but exits with an error. The `metrics.json`
+//! refresh that follows each checkpoint is not part of it: a failed refresh
+//! only warns, and changes no reply and no exit code. Checkpoints are
 //! group-committed: a POST's handler folds and clones the
 //! fold state under the fold lock, queues the clone, and then, outside the
 //! lock, waits until a checkpoint holding its fold is durable. Checkpoints

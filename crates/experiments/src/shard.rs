@@ -72,9 +72,7 @@ pub struct GridMeta {
     /// The analytic per-trial cost shape of this grid's backend — what the
     /// engine orders its claims by and the lease cut that `repro shard` and
     /// `repro serve` share weighs trials with. Serialized into artifacts so
-    /// resumed/merged runs plan work with the same estimates; artifacts
-    /// written before cost metadata existed read back as
-    /// [`CostSpec::Uniform`].
+    /// resumed/merged runs plan work with the same estimates.
     pub cost: CostSpec,
 }
 
@@ -307,15 +305,8 @@ impl ShardState {
         if trials == 0 {
             return Err("trials must be at least 1".to_string());
         }
-        // Tolerant: artifacts written before cost metadata existed carry no
-        // "cost" key and deserialize to the uniform estimate.
-        let cost = match doc.field("cost") {
-            Err(_) => CostSpec::Uniform,
-            Ok(field) => {
-                let key = field.as_str()?;
-                CostSpec::from_key(key).ok_or_else(|| format!("unknown cost spec {key:?}"))?
-            }
-        };
+        let key = doc.field("cost")?.as_str()?;
+        let cost = CostSpec::from_key(key).ok_or_else(|| format!("unknown cost spec {key:?}"))?;
         let shard_field = doc.field("shard")?.as_array()?;
         if shard_field.len() != 2 {
             return Err("shard must be [index, of]".to_string());
@@ -741,17 +732,17 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_without_cost_metadata_read_back_as_uniform() {
-        // A pre-cost artifact: strip the "cost" line entirely.
+    fn artifacts_without_cost_metadata_are_a_parse_error_naming_cost() {
+        // An artifact with its "cost" line stripped entirely.
         let text = state((0, 1), &[(Beb, 10)]).to_json();
-        let legacy: String = text
+        let costless: String = text
             .lines()
             .filter(|l| !l.contains("\"cost\""))
             .collect::<Vec<_>>()
             .join("\n");
-        assert_ne!(legacy, text);
-        let parsed = ShardState::parse(&legacy).unwrap();
-        assert_eq!(parsed.grid.cost, CostSpec::Uniform);
+        assert_ne!(costless, text);
+        let err = ShardState::parse(&costless).unwrap_err();
+        assert!(err.contains("\"cost\""), "{err}");
     }
 
     #[test]

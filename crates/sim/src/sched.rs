@@ -27,8 +27,7 @@
 /// the same estimates the original run used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostSpec {
-    /// Every cell costs the same (the safe default; also what artifacts
-    /// recorded before cost metadata existed deserialize to).
+    /// Every cell costs the same (the safe default).
     #[default]
     Uniform,
     /// Cost proportional to `n` — e.g. the saturation sweep, where the `n`

@@ -13,7 +13,7 @@
 //! who runs a trial, and when, cannot matter).
 
 use contention_experiments::checkpoint::{
-    checkpoint_file_name, MetricsDoc, CHECKPOINT_DIR, LATEST_FILE, METRICS_FILE,
+    checkpoint_file_name, load_latest, MetricsDoc, CHECKPOINT_DIR, METRICS_FILE,
 };
 use contention_experiments::cli;
 use contention_experiments::shard::SHARD_SUFFIX;
@@ -40,13 +40,12 @@ fn golden() -> String {
 }
 
 /// Installs `state_json` as checkpoint `seq` of `experiment` under
-/// `run_dir/checkpoints/`, with the `latest` pointer naming it.
+/// `run_dir/checkpoints/`.
 fn install_checkpoint(run_dir: &std::path::Path, experiment: &str, seq: u64, state_json: &str) {
     let ckpt_dir = run_dir.join(CHECKPOINT_DIR);
     std::fs::create_dir_all(&ckpt_dir).unwrap();
     let name = checkpoint_file_name(experiment, seq);
-    std::fs::write(ckpt_dir.join(&name), state_json).unwrap();
-    std::fs::write(ckpt_dir.join(LATEST_FILE), format!("{name}\n")).unwrap();
+    std::fs::write(ckpt_dir.join(name), state_json).unwrap();
 }
 
 /// Half the fig5 grid, run for real as `repro shard 0/2` into `shards`: the
@@ -130,14 +129,13 @@ fn checkpointed_run_matches_the_golden_and_leaves_a_complete_latest() {
     let direct = std::fs::read_to_string(run_dir.join("fig5_cw_slots_abstract.json")).unwrap();
     assert_eq!(direct, golden(), "checkpointing perturbed the results");
 
-    // `latest` names a checkpoint on disk holding the complete final state.
-    let ckpt_dir = run_dir.join(CHECKPOINT_DIR);
-    let pointer = std::fs::read_to_string(ckpt_dir.join(LATEST_FILE)).unwrap();
-    let state = contention_experiments::shard::ShardState::parse(
-        &std::fs::read_to_string(ckpt_dir.join(pointer.trim())).unwrap(),
-    )
-    .expect("latest checkpoint parses");
-    assert!(state.is_complete(), "final checkpoint must be complete");
+    // The newest checkpoint on disk holds the complete final state.
+    let latest = load_latest(&run_dir).expect("latest checkpoint parses");
+    assert!(latest.warnings.is_empty(), "{:?}", latest.warnings);
+    assert!(
+        latest.state.is_complete(),
+        "final checkpoint must be complete"
+    );
     let _ = std::fs::remove_dir_all(&run_dir);
 }
 

@@ -8,13 +8,19 @@
 //! measures the peak heap growth during the sweep; one trial here is tiny
 //! (n = 1), so any per-trial retention would dominate the measurement.
 //!
-//! The counters are process-wide and the test harness runs tests on
-//! parallel threads, so every measurement holds [`measuring`]'s lock for
-//! its whole duration: no other test's allocations land inside it.
-//! (Thread-local counters would instead miss the engine's worker threads.)
+//! The byte counters are process-wide, since a sweep's workers allocate on
+//! threads of their own, and the test harness runs tests on parallel
+//! threads, so every measurement holds [`measuring`]'s lock for its whole
+//! duration: no other test's allocations land inside it. The lock cannot
+//! hold off the harness's own threads, which allocate while they start a
+//! test or collect a result; the byte bounds leave room for that. The
+//! allocation-call counts leave none, so they count only the calls made on
+//! the measuring thread (`ALLOC_CALLS` is thread-local), where an
+//! `ExecPolicy::threads(1)` sweep runs inline.
 
 use contention_resolution::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -22,7 +28,12 @@ struct CountingAllocator;
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Allocation calls made on this thread. Const-initialized and without
+    /// a destructor, so the allocator can count into it without allocating.
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // `GlobalAlloc`'s contract; the counters only observe layout sizes.
@@ -30,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
-            ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+            let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
             let now = CURRENT.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
             PEAK.fetch_max(now, Ordering::SeqCst);
         }
@@ -250,9 +261,9 @@ fn ten_million_arrivals_stream_in_bounded_memory() {
 /// station table, membership lists all recycled), a steady-state MAC trial
 /// may allocate only its *output*: the per-station metrics vector, plus a
 /// couple of transients. Running the same sweep with two trial counts and
-/// differencing the allocation-call counter isolates exactly the per-trial
-/// cost — sweep setup, arena growth to the high-water mark and test-harness
-/// noise cancel out.
+/// differencing the measuring thread's allocation calls isolates exactly
+/// the per-trial cost — sweep setup and arena growth to the high-water mark
+/// cancel out, and the test harness's threads are not counted.
 #[test]
 fn mac_trial_loop_allocates_only_its_output() {
     let _guard = measuring();
@@ -269,7 +280,7 @@ fn mac_trial_loop_allocates_only_its_output() {
     };
 
     let allocs_for = |trials: u32| {
-        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        let before = ALLOC_CALLS.with(Cell::get);
         let cells = sweep(trials).run_fold_monitored(
             |_, _, _| CountMax::new(Metric::TotalTimeUs),
             None,
@@ -277,7 +288,7 @@ fn mac_trial_loop_allocates_only_its_output() {
             None,
         );
         assert_eq!(cells[0].acc.count, trials as u64);
-        ALLOC_CALLS.load(Ordering::SeqCst) - before
+        ALLOC_CALLS.with(Cell::get) - before
     };
 
     // Warm-up run also verifies the sweep completes.
@@ -321,7 +332,7 @@ fn windowed_sweep_allocates_nothing_per_trial() {
     };
 
     let allocs_for = |trials: u32| {
-        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        let before = ALLOC_CALLS.with(Cell::get);
         let cells = sweep(trials).run_fold_monitored(
             |_, _, _| CountMax::new(Metric::CwSlots),
             None,
@@ -329,11 +340,14 @@ fn windowed_sweep_allocates_nothing_per_trial() {
             None,
         );
         assert_eq!(cells[0].acc.count, trials as u64);
-        ALLOC_CALLS.load(Ordering::SeqCst) - before
+        ALLOC_CALLS.with(Cell::get) - before
     };
 
     let short = allocs_for(2);
     let long = allocs_for(10);
+    // The sweep's setup allocates on this thread; none counted would mean
+    // the trials ran on another thread, out of the count's sight.
+    assert!(short > 0, "the sweep ran off the measuring thread");
     let per_trial = long.saturating_sub(short) as f64 / 8.0;
     assert_eq!(
         per_trial, 0.0,

@@ -14,7 +14,7 @@
 //! fraction of a second.
 
 use contention_experiments::checkpoint::{
-    checkpoint_file_name, load_latest, missing_work, CHECKPOINT_DIR, LATEST_FILE,
+    checkpoint_file_name, load_latest, missing_work, CHECKPOINT_DIR, METRICS_FILE,
 };
 use contention_experiments::cli;
 use contention_experiments::figures::sharding::find_shardable;
@@ -658,9 +658,9 @@ impl Drop for ServeProcess {
 
 /// A coordinator killed between a checkpoint's `*.tmp` write and its
 /// rename, then restarted on the same out-dir, resumes from the last
-/// renamed checkpoint (seq 0): the staged seq 1 artifact and `latest`
-/// pointer are invisible to it, and its own writes replace them. It then
-/// drains to the direct run's artifacts.
+/// renamed checkpoint (seq 0): the staged seq 1 artifact is invisible to
+/// it, and its own writes replace it. It then drains to the direct run's
+/// artifacts.
 #[test]
 fn a_coordinator_killed_between_a_checkpoint_write_and_its_rename_resumes_from_the_last_one() {
     let direct_dir = scratch("killed-direct");
@@ -683,8 +683,6 @@ fn a_coordinator_killed_between_a_checkpoint_write_and_its_rename_resumes_from_t
     let seq0 = std::fs::read(ckpt.join(checkpoint_file_name("fig5", 0))).unwrap();
     let staged = ckpt.join(format!("{}.tmp", checkpoint_file_name("fig5", 1)));
     std::fs::write(staged, &seq0[..seq0.len() / 2]).unwrap();
-    let pointer = format!("{}\n", checkpoint_file_name("fig5", 1));
-    std::fs::write(ckpt.join(format!("{LATEST_FILE}.tmp")), pointer).unwrap();
 
     // Second life: resumes from seq 0 and finishes the sweep.
     let (mut second, addr, head) = ServeProcess::start(&dir);
@@ -867,6 +865,29 @@ fn a_final_checkpoint_that_cannot_be_written_fails_the_run() {
         "{err}"
     );
     assert!(load_latest(&dir).is_err(), "no checkpoint was written");
+    assert_eq!(artifacts(&dir), direct);
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A `metrics.json` refresh that fails after a durable checkpoint fails
+/// nothing: both POSTs get 200, the run succeeds, and the final checkpoint
+/// and the artifacts hold every trial. A directory takes the sidecar's
+/// temp name, so every refresh fails.
+#[test]
+fn a_failed_metrics_refresh_fails_no_post_and_not_the_run() {
+    let direct_dir = scratch("sidecar-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("sidecar-serve");
+    std::fs::create_dir(dir.join(format!("{METRICS_FILE}.tmp"))).unwrap();
+    let (replies, served) = serve_fig5_failing(&dir, &[]);
+    for (status, reply) in &replies {
+        assert_eq!(*status, 200, "{reply}");
+    }
+    served.expect("server finalizes");
+    let last = load_latest(&dir).unwrap();
+    assert!(missing_work(&last.state).unwrap().is_empty());
     assert_eq!(artifacts(&dir), direct);
     for dir in [dir, direct_dir] {
         let _ = std::fs::remove_dir_all(&dir);
