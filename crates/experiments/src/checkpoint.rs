@@ -357,14 +357,13 @@ pub struct LoadedCheckpoint {
 /// sequence number: every checkpoint is tried from the highest sequence
 /// number down, and the first that reads and parses wins. Each torn one
 /// stepped over on the way lands in
-/// [`warnings`](LoadedCheckpoint::warnings), file name included.
-pub fn load_latest(out_dir: &Path) -> Result<LoadedCheckpoint, String> {
+/// [`warnings`](LoadedCheckpoint::warnings), file name included. `None`
+/// when there is nothing to resume (no directory, or no checkpoint in it);
+/// an error only when checkpoints exist and none of them reads.
+pub fn load_latest(out_dir: &Path) -> Result<Option<LoadedCheckpoint>, String> {
     let ckpt_dir = out_dir.join(CHECKPOINT_DIR);
     if !ckpt_dir.is_dir() {
-        return Err(format!(
-            "{} does not exist — was this run started with --checkpoint?",
-            ckpt_dir.display()
-        ));
+        return Ok(None);
     }
     let mut failures = Vec::new();
     for (seq, path) in checkpoints(&ckpt_dir)? {
@@ -374,24 +373,23 @@ pub fn load_latest(out_dir: &Path) -> Result<LoadedCheckpoint, String> {
                     .iter()
                     .map(|e| format!("skipping torn checkpoint: {e}"))
                     .collect();
-                return Ok(LoadedCheckpoint {
+                return Ok(Some(LoadedCheckpoint {
                     state,
                     seq,
                     warnings,
-                });
+                }));
             }
             Err(e) => failures.push(e),
         }
     }
     if failures.is_empty() {
-        Err(format!("no checkpoints in {}", ckpt_dir.display()))
-    } else {
-        Err(format!(
-            "no valid checkpoint in {}:\n  {}",
-            ckpt_dir.display(),
-            failures.join("\n  ")
-        ))
+        return Ok(None);
     }
+    Err(format!(
+        "no valid checkpoint in {}:\n  {}",
+        ckpt_dir.display(),
+        failures.join("\n  ")
+    ))
 }
 
 fn load_checkpoint(path: &Path) -> Result<ShardState, String> {
@@ -664,7 +662,7 @@ mod tests {
             ));
         }
         let ckpt_dir = dir.join(CHECKPOINT_DIR);
-        assert_eq!(load_latest(&dir).unwrap().seq, 4);
+        assert_eq!(load_latest(&dir).unwrap().unwrap().seq, 4);
         // Retention keeps the RETAIN newest.
         assert!(!ckpt_dir.join(checkpoint_file_name("t", 0)).exists());
         assert!(!ckpt_dir.join(checkpoint_file_name("t", 1)).exists());
@@ -711,7 +709,7 @@ mod tests {
             workers: 1,
             finished: true,
         });
-        let loaded = load_latest(&dir).unwrap();
+        let loaded = load_latest(&dir).unwrap().unwrap();
         assert_eq!(loaded.seq, 0);
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
         assert!(loaded.state.is_complete(), "base + resume must be complete");
@@ -726,7 +724,14 @@ mod tests {
     #[test]
     fn load_latest_ignores_a_stale_pointer_and_skips_torn_artifacts() {
         let dir = scratch_dir("torn");
+        // Nothing to resume is not an error: no directory, an empty one, or
+        // one holding only a staged temp file.
+        assert!(load_latest(&dir).unwrap().is_none());
         let writer = CheckpointWriter::new(&dir, "t", false, tiny_grid()).unwrap();
+        assert!(load_latest(&dir).unwrap().is_none());
+        let staged = format!("{}.tmp", checkpoint_file_name("t", 0));
+        fs::write(dir.join(CHECKPOINT_DIR).join(staged), "{}").unwrap();
+        assert!(load_latest(&dir).unwrap().is_none());
         writer.snapshot(snap(vec![cell(10, vec![1.0, 2.0])], 2, false));
         writer.snapshot(snap(vec![cell(10, vec![1.0, 2.0])], 2, false));
         let ckpt_dir = dir.join(CHECKPOINT_DIR);
@@ -734,7 +739,7 @@ mod tests {
         // A `latest` pointer file as older builds wrote it, left naming seq
         // 0 by a kill between two renames: the highest seq still wins.
         fs::write(ckpt_dir.join("latest"), checkpoint_file_name("t", 0)).unwrap();
-        let loaded = load_latest(&dir).unwrap();
+        let loaded = load_latest(&dir).unwrap().unwrap();
         assert_eq!(loaded.seq, 1, "the newest valid checkpoint must win");
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
 
@@ -747,7 +752,7 @@ mod tests {
             "garbage",
         )
         .unwrap();
-        let loaded = load_latest(&dir).unwrap();
+        let loaded = load_latest(&dir).unwrap().unwrap();
         assert_eq!(loaded.seq, 0);
         assert_eq!(loaded.state.cells.len(), 1);
         assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
@@ -846,7 +851,7 @@ mod tests {
         let written = writer.write_snapshot(snap(vec![cell(10, vec![1.0, 2.0])], 2, true));
         assert_eq!(written, Ok(()));
         assert!(writer.sidecar_warned.load(Ordering::Relaxed));
-        assert_eq!(load_latest(&dir).unwrap().seq, 0);
+        assert_eq!(load_latest(&dir).unwrap().unwrap().seq, 0);
         assert!(!dir.join(METRICS_FILE).exists());
         let _ = fs::remove_dir_all(&dir);
     }

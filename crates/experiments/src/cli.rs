@@ -1,21 +1,11 @@
 //! The `repro` command-line interface.
 //!
-//! ```text
-//! repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json]
-//!       [--threads N]                                   # direct run
-//! repro <experiment> --checkpoint[-secs N|-trials N] --out DIR [--json]
-//! repro resume DIR [--json]                             # continue a checkpointed run
-//! repro shard <experiment> --shard i/N --out DIR        # partial-state artifact
-//! repro merge DIR... --out DIR [--json]                 # recombine + report
-//! repro serve <experiment> --out DIR [--json] [--port P] [--leases N]
-//!       [--lease-secs S] [--linger-secs S]              # distributed coordinator
-//! repro work --connect HOST:PORT [--threads N]          # pull-based worker
-//! ```
-//!
-//! Default grids are laptop-quick; `--full` switches to the paper's grids
-//! (and turns on the stderr progress meter when stderr is a TTY). With
-//! `--out DIR` each experiment also writes CSV series for plotting;
-//! `--json` adds JSON artifacts next to them.
+//! Each mode takes the flags of its row in the mode table of `options.rs`,
+//! which `repro --help` prints as the mode's usage line (pinned by
+//! `tests/golden/repro_help.txt`); any other flag is refused as
+//! ``{flag} does not apply to `{sub}` `` before anything runs. `--json` and
+//! the `--checkpoint*` flags need `--out` wherever the mode takes it
+//! (`resume DIR` writes into `DIR`).
 //!
 //! Every mode is one pipeline, **plan → execute → fold → report**; the
 //! modes differ only in which steps run in this process:
@@ -53,7 +43,7 @@ use crate::checkpoint::{self, CheckpointWriter};
 use crate::figures::sharding::{find_shardable, shardable_names, ShardableEntry, SharedSweeps};
 use crate::figures::shared::SweepHooks;
 use crate::figures::{registry, Report};
-use crate::options::{Options, MAX_TRIALS};
+use crate::options::{self, trial_count, Options, MAX_TRIALS};
 use crate::server::{Limits, Server};
 use crate::shard::{load_dir, merge_states, write_state, GridMeta, ShardCell, ShardState};
 use crate::worker::run_worker;
@@ -205,14 +195,9 @@ impl Experiment {
         trials: u32,
         opts: &Options,
     ) -> Result<Experiment, String> {
-        if !(1..=MAX_TRIALS).contains(&trials) {
-            return Err(format!(
-                "recorded trial count {trials} is outside 1..={MAX_TRIALS}"
-            ));
-        }
         let grid_opts = Options {
             full,
-            trials: Some(trials),
+            trials: Some(trial_count(trials, "recorded trial count")?),
             threads: opts.threads,
             ..Options::default()
         };
@@ -302,16 +287,30 @@ impl Experiment {
     }
 }
 
-/// The newest checkpoint under `dir` and its sequence number — where
-/// `resume` and a restarted `serve` start. Recovery that stepped over torn
-/// checkpoints still works, but never silently: each one skipped is
-/// printed as a warning.
-pub(crate) fn load_checkpoint(dir: &Path) -> Result<(ShardState, u64), String> {
-    let loaded = checkpoint::load_latest(dir)?;
+/// The newest checkpoint under `dir` and its sequence number, or `None`
+/// when there is none — where `resume` and a restarted `serve` start.
+/// Recovery that stepped over torn checkpoints still works, but never
+/// silently: each one skipped is printed as a warning.
+pub(crate) fn load_checkpoint(dir: &Path) -> Result<Option<(ShardState, u64)>, String> {
+    let Some(loaded) = checkpoint::load_latest(dir)? else {
+        return Ok(None);
+    };
     for warning in &loaded.warnings {
         eprintln!("warning: {warning}");
     }
-    Ok((loaded.state, loaded.seq))
+    Ok(Some((loaded.state, loaded.seq)))
+}
+
+/// How often a checkpointed run snapshots when no cadence flag says.
+const DEFAULT_CHECKPOINT_SECS: u64 = 30;
+
+/// The cadence a checkpointed run snapshots on: the flags' own, or every
+/// [`DEFAULT_CHECKPOINT_SECS`] under a bare `--checkpoint` and a plain
+/// `repro resume DIR`, which set neither axis.
+fn cadence(flags: Option<SnapshotCadence>) -> SnapshotCadence {
+    flags
+        .filter(|cadence| *cadence != SnapshotCadence::default())
+        .unwrap_or(SnapshotCadence::secs(DEFAULT_CHECKPOINT_SECS))
 }
 
 /// `repro <experiment> --checkpoint… --out DIR` and `repro resume DIR`:
@@ -332,7 +331,7 @@ fn run_checkpointed(
     // interruption still loses nothing.
     let writer = CheckpointWriter::new(dir, exp.entry.name, exp.opts.full, exp.grid.clone())?
         .with_base(state);
-    let cadence = opts.checkpoint.unwrap_or_default().cadence();
+    let cadence = cadence(opts.checkpoint);
     let cells = writer.fold(exp.execute(&plan, Some((cadence, &writer))))?;
     let name = exp.entry.name;
     exp.report(&cells, &format!("[{name}]"), dir, opts.json)?;
@@ -344,7 +343,12 @@ fn run_checkpointed(
 /// from its newest valid checkpoint, running only the missing trials.
 fn run_resume(opts: &Options) -> Result<(), String> {
     let dir = Path::new(&opts.inputs[0]);
-    let (state, seq) = load_checkpoint(dir)?;
+    let (state, seq) = load_checkpoint(dir)?.ok_or_else(|| {
+        format!(
+            "no checkpoint in {} — was this run started with --checkpoint?",
+            dir.join(checkpoint::CHECKPOINT_DIR).display()
+        )
+    })?;
     let exp = Experiment::recorded(&state.experiment, state.full, state.grid.trials, opts)?;
     exp.check(&state)?;
     let recorded: usize = state.cells.iter().map(ShardCell::recorded).sum();
@@ -408,17 +412,8 @@ pub fn main() -> ExitCode {
 }
 
 fn print_usage() {
-    println!(
-        "usage: repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json] \
-         [--threads N]"
-    );
-    println!("       repro shard <experiment> --shard i/N --out DIR   (partial-state artifact)");
-    println!("       repro merge DIR... --out DIR [--json]            (recombine + report)");
-    println!("       repro <experiment> --checkpoint --out DIR        (crash-safe long run)");
-    println!("       repro resume DIR [--json]                        (continue from checkpoint)");
-    println!("       repro serve <experiment> --out DIR [--json] [--port P] [--leases N]");
-    println!("                   [--lease-secs S] [--linger-secs S]   (distributed coordinator)");
-    println!("       repro work --connect HOST:PORT [--threads N]     (pull-based worker)");
+    println!("usage:");
+    print!("{}", options::usage());
     println!();
     println!("  --full      use the paper's grids (minutes) instead of quick ones (seconds);");
     println!("              prints trials-completed progress + ETA to stderr when it is a TTY");
@@ -426,32 +421,23 @@ fn print_usage() {
     println!("  --out DIR   also write CSV series to DIR");
     println!("  --json      also write JSON artifacts to DIR (needs --out)");
     println!("  --threads N worker threads (default: all cores; results never depend on it)");
-    println!("  --shard i/N run only lease i of the N that `serve --leases N` cuts (shard");
-    println!("              subcommand; run every shard with one build; merged output");
-    println!("              is byte-identical to one process)");
+    println!("  --shard i/N run only lease i of the N that `serve --leases N` cuts (merged,");
+    println!("              the shards of one build give the one-process output)");
     println!("  --checkpoint           snapshot in-flight state into DIR/checkpoints/ and");
-    println!("                         refresh DIR/metrics.json (default: every 30 s)");
+    println!(
+        "                         refresh DIR/metrics.json (default: every {DEFAULT_CHECKPOINT_SECS} s)"
+    );
     println!("  --checkpoint-secs N    snapshot every N seconds (implies --checkpoint)");
     println!("  --checkpoint-trials N  snapshot every N completed trials (implies it too;");
     println!("                         resumed reports are byte-identical to uninterrupted)");
     let limits = Limits::of(&Options::default());
-    println!(
-        "  --port P        serve: listen port (default {}; 0 = ephemeral)",
-        limits.port
-    );
-    println!(
-        "  --leases N      serve: cut the sweep into N cost-weighted leases (default {})",
-        limits.leases
-    );
-    println!(
-        "  --lease-secs S  serve: re-issue a lease not completed within S s (default {})",
-        limits.lease_ttl.as_secs()
-    );
-    println!(
-        "  --linger-secs S serve: answer `done` for S s after completion (default {})",
-        limits.linger.as_secs()
-    );
-    println!("  --connect H:P   work: the coordinator to pull leases from");
+    let (port, leases) = (limits.port, limits.leases);
+    let (ttl, linger) = (limits.lease_ttl.as_secs(), limits.linger.as_secs());
+    println!("  --port P        listen port (default {port}; 0 = ephemeral)");
+    println!("  --leases N      cut the sweep into N cost-weighted leases (default {leases})");
+    println!("  --lease-secs S  re-issue a lease not completed within S s (default {ttl})");
+    println!("  --linger-secs S answer `done` for S s after completion (default {linger})");
+    println!("  --connect H:P   the coordinator to pull leases from");
     println!();
     println!("experiments:");
     for (name, desc, _) in registry() {
@@ -608,6 +594,24 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&direct);
+    }
+
+    /// A bare `--checkpoint` and a plain `resume` snapshot every 30 s, not
+    /// only at the end: a run that writes only its final checkpoint is not
+    /// crash-safe.
+    #[test]
+    fn a_checkpoint_without_a_cadence_flag_snapshots_every_30_s() {
+        let default = SnapshotCadence::secs(DEFAULT_CHECKPOINT_SECS);
+        assert_eq!(DEFAULT_CHECKPOINT_SECS, 30);
+        assert_eq!(cadence(None), default);
+        assert_eq!(cadence(Some(SnapshotCadence::default())), default);
+        for flags in [SnapshotCadence::trials(64), SnapshotCadence::secs(5)] {
+            assert_eq!(cadence(Some(flags)), flags);
+        }
+        let (_, opts) = Options::parse(&strs(&["fig5", "--checkpoint", "--out", "D"])).unwrap();
+        assert_eq!(cadence(opts.checkpoint), default);
+        let (_, opts) = Options::parse(&strs(&["resume", "D"])).unwrap();
+        assert_eq!(cadence(opts.checkpoint), default);
     }
 
     #[test]

@@ -25,14 +25,14 @@ impl Json {
     /// Parses one JSON document (surrounding whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.fail("trailing characters after the document"));
         }
         Ok(value)
@@ -99,8 +99,11 @@ impl Json {
 /// shallow.
 const MAX_DEPTH: usize = 128;
 
+/// The reader's cursor: `pos` is a byte offset into `text`, always on a
+/// char boundary (structure is ASCII, and a string's text is consumed in
+/// whole runs of chars).
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -123,7 +126,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -142,7 +145,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -171,7 +174,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let token = &self.text[start..self.pos];
         token
             .parse::<f64>()
             .map(Json::Num)
@@ -201,11 +204,9 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.fail("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.fail("bad \\u escape"))?;
+                                .ok_or_else(|| self.fail("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.fail("bad \\u escape"))?;
                             // The writer never emits surrogate pairs (it
@@ -222,12 +223,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("utf8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The run up to the next quote or escape, in one step:
+                    // each char is looked at once, whatever the length.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -358,6 +359,25 @@ mod tests {
             let doc = format!("\"{}\"", crate::jsonout::escape(s));
             assert_eq!(Json::parse(&doc).unwrap().as_str().unwrap(), s);
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Regression: each unescaped char re-validated the rest of the input
+        // as UTF-8, so a string-only document, which one POST to the
+        // coordinator can carry, took time quadratic in its length (8 MiB:
+        // about 25 minutes).
+        let len = 8 << 20;
+        let doc = format!("\"{}é\\n\"", "x".repeat(len));
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || sender.send(Json::parse(&doc)).unwrap());
+        let parsed = receiver
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("an 8 MiB string parses within 10 s");
+        parser.join().unwrap();
+        let text = parsed.unwrap();
+        assert_eq!(text.as_str().unwrap().len(), len + "é\n".len());
+        assert!(text.as_str().unwrap().ends_with("xé\n"));
     }
 
     #[test]

@@ -1,43 +1,30 @@
-//! CLI options shared by every `repro` subcommand.
+//! CLI options shared by every `repro` subcommand, and the one table of the
+//! flags each mode takes.
 
 use contention_sim::engine::ExecPolicy;
 use contention_sim::monitor::SnapshotCadence;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
+use std::slice::Iter;
+use std::str::FromStr;
 use std::time::Duration;
-
-/// Checkpoint cadence knobs (`--checkpoint`, `--checkpoint-secs`,
-/// `--checkpoint-trials`). Either axis snapshots the run; with neither
-/// given, `--checkpoint` defaults to every 30 seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CheckpointOpts {
-    /// Snapshot every this many seconds.
-    pub secs: Option<u64>,
-    /// Snapshot every this many completed trials.
-    pub trials: Option<usize>,
-}
-
-impl CheckpointOpts {
-    /// Default wall-clock cadence when only bare `--checkpoint` was given.
-    pub const DEFAULT_SECS: u64 = 30;
-
-    /// The engine-facing cadence these knobs describe.
-    pub fn cadence(&self) -> SnapshotCadence {
-        if self.secs.is_none() && self.trials.is_none() {
-            SnapshotCadence::secs(Self::DEFAULT_SECS)
-        } else {
-            SnapshotCadence {
-                every: self.secs.map(Duration::from_secs),
-                every_trials: self.trials,
-            }
-        }
-    }
-}
 
 /// The most trials a sweep may run per cell, from `--trials` or from a
 /// lease, checkpoint or shard artifact. Every (cell, metric) buffer is
 /// sized to the trial count up front, so a larger count is refused before
 /// anything is allocated; the paper uses at most 30.
 pub const MAX_TRIALS: u32 = 1_000_000;
+
+/// `trials` when it lies in `1..=MAX_TRIALS`, else an error naming it as
+/// `what`: the one check of a trial count, from the command line or from
+/// an artifact.
+pub(crate) fn trial_count(trials: u32, what: &str) -> Result<u32, String> {
+    if (1..=MAX_TRIALS).contains(&trials) {
+        Ok(trials)
+    } else {
+        Err(format!("{what} {trials} is outside 1..={MAX_TRIALS}"))
+    }
+}
 
 /// Harness options.
 ///
@@ -60,8 +47,10 @@ pub struct Options {
     /// `--shard i/N`: run only shard `i` of `N` (the `shard` subcommand).
     pub shard: Option<(u32, u32)>,
     /// `--checkpoint[-secs/-trials]`: periodically snapshot in-flight state
-    /// into `--out/checkpoints/` (and refresh `metrics.json`).
-    pub checkpoint: Option<CheckpointOpts>,
+    /// into `--out/checkpoints/` (and refresh `metrics.json`) on this
+    /// cadence. Bare `--checkpoint` sets neither axis, and the run applies
+    /// its default.
+    pub checkpoint: Option<SnapshotCadence>,
     /// `--port P`: TCP port the `serve` coordinator listens on (`0` = an
     /// ephemeral port, printed at startup — what tests use).
     pub port: Option<u16>,
@@ -78,9 +67,130 @@ pub struct Options {
     /// `done` before exiting, so slow workers learn the run is over.
     pub linger: Option<Duration>,
     /// Positional arguments after the subcommand: the experiment name for
-    /// `shard`/`serve`, the artifact directories for `merge`. Empty
-    /// elsewhere.
+    /// `shard`/`serve`, the artifact directories for `merge`, the run
+    /// directory for `resume`. Empty elsewhere.
     pub inputs: Vec<String>,
+}
+
+/// One `repro` mode: how many positional arguments it takes, and its
+/// usage after `repro <sub>`: those arguments, then every flag it takes,
+/// bracketed unless the mode needs it. Every other flag is refused, so the
+/// usage is the mode's whole command line.
+struct Mode {
+    /// The subcommand; [`EXPERIMENT`] stands for every experiment name.
+    sub: &'static str,
+    count: RangeInclusive<usize>,
+    /// A `\n` breaks the line where `repro --help` wraps it.
+    usage: &'static str,
+    /// What the mode does, for `repro --help`.
+    about: &'static str,
+}
+
+/// The row of every subcommand that has none of its own.
+const EXPERIMENT: &str = "<experiment>";
+
+static MODES: [Mode; 8] = [
+    Mode {
+        sub: "list",
+        count: 0..=0,
+        usage: "",
+        about: "print every experiment and what it reproduces",
+    },
+    Mode {
+        sub: "all",
+        count: 0..=0,
+        usage: "[--full] [--trials N] [--threads N] [--out DIR] [--json]",
+        about: "run every experiment in table order, each shared sweep once",
+    },
+    Mode {
+        sub: EXPERIMENT,
+        count: 0..=0,
+        usage: "[--full] [--trials N] [--threads N] [--out DIR] [--json]\n\
+                [--checkpoint] [--checkpoint-secs N] [--checkpoint-trials N]",
+        about: "run one experiment; --checkpoint* makes the run crash-safe",
+    },
+    Mode {
+        sub: "shard",
+        count: 1..=1,
+        usage: "<experiment> --shard i/N --out DIR [--full] [--trials N]\n\
+                [--threads N]",
+        about: "run lease i of the N that `serve --leases N` cuts into a state artifact",
+    },
+    Mode {
+        sub: "merge",
+        count: 1..=usize::MAX,
+        usage: "DIR... --out DIR [--json]",
+        about: "fold state artifacts and report, as one process would",
+    },
+    Mode {
+        sub: "resume",
+        count: 1..=1,
+        usage: "DIR [--threads N] [--json]\n\
+                [--checkpoint] [--checkpoint-secs N] [--checkpoint-trials N]",
+        about: "continue the checkpointed run in DIR, writing into DIR",
+    },
+    Mode {
+        sub: "serve",
+        count: 1..=1,
+        usage: "<experiment> --out DIR [--full] [--trials N] [--json]\n\
+                [--port P] [--leases N] [--lease-secs S] [--linger-secs S]",
+        about: "coordinate `repro work` processes over HTTP and report",
+    },
+    Mode {
+        sub: "work",
+        count: 0..=0,
+        usage: "--connect HOST:PORT [--threads N]",
+        about: "run leases pulled from a coordinator",
+    },
+];
+
+impl Mode {
+    /// The row `sub` runs under.
+    fn of(sub: &str) -> &'static Mode {
+        let row = |name: &str| MODES.iter().find(|mode| mode.sub == name);
+        row(sub)
+            .or_else(|| row(EXPERIMENT))
+            .expect("MODES has an <experiment> row")
+    }
+
+    /// The flags the usage shows, each with whether the mode needs it.
+    fn flags(&self) -> impl Iterator<Item = (&'static str, bool)> {
+        self.usage.split_whitespace().filter_map(|word| {
+            let flag = word.trim_start_matches('[').trim_end_matches(']');
+            flag.starts_with("--")
+                .then_some((flag, !word.starts_with('[')))
+        })
+    }
+
+    fn takes(&self, flag: &str) -> bool {
+        self.flags().any(|(f, _)| f == flag)
+    }
+}
+
+/// Every mode's usage line from the table, each followed by what the mode
+/// does: the head of `repro --help`.
+pub(crate) fn usage() -> String {
+    let mut text = String::new();
+    for mode in &MODES {
+        let line = format!("repro {} {}", mode.sub, mode.usage);
+        let line = line.trim_end().replace('\n', "\n          ");
+        text += &format!("  {line}\n      {}\n", mode.about);
+    }
+    text
+}
+
+/// Reads `flag`'s value off `args`: a `T`, and with `positive` not zero.
+fn value<T: FromStr + Default + PartialEq>(
+    args: &mut Iter<'_, String>,
+    flag: &str,
+    positive: bool,
+) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    let value: T = v.parse().map_err(|_| format!("bad {flag} value {v:?}"))?;
+    if positive && value == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(value)
 }
 
 impl Options {
@@ -117,311 +227,107 @@ impl Options {
         }
     }
 
-    /// Parses `repro`-style flags. Returns `(subcommand, options)`.
+    /// Parses `repro`-style flags. Returns `(subcommand, options)`, or an
+    /// error, before anything runs, for a command line the subcommand's row
+    /// of the mode table does not admit.
     pub fn parse(args: &[String]) -> Result<(String, Options), String> {
         let mut sub = None;
         let mut opts = Options::default();
+        let mut seen = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            match arg.as_str() {
+            let flag = arg.as_str();
+            match flag {
                 "--full" => opts.full = true,
                 "--json" => opts.json = true,
-                "--trials" => {
-                    let v = it.next().ok_or("--trials needs a value")?;
-                    let trials: u32 = v.parse().map_err(|_| format!("bad trial count {v:?}"))?;
-                    if trials == 0 {
-                        return Err("--trials must be at least 1".to_string());
-                    }
-                    if trials > MAX_TRIALS {
-                        return Err(format!("--trials must be at most {MAX_TRIALS}"));
-                    }
-                    opts.trials = Some(trials);
-                }
-                "--out" => {
-                    let v = it.next().ok_or("--out needs a directory")?;
-                    opts.out_dir = Some(PathBuf::from(v));
-                }
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a value")?;
-                    let threads: usize =
-                        v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                    if threads == 0 {
-                        return Err("--threads must be at least 1".to_string());
-                    }
-                    opts.threads = Some(threads);
-                }
+                "--trials" => opts.trials = Some(trial_count(value(&mut it, flag, false)?, flag)?),
+                "--threads" => opts.threads = Some(value(&mut it, flag, true)?),
+                "--out" => opts.out_dir = Some(value(&mut it, flag, false)?),
                 "--shard" => {
-                    let v = it.next().ok_or("--shard needs a value like 0/4")?;
-                    opts.shard = Some(Self::parse_shard(v)?);
+                    opts.shard = Some(parse_shard(&value::<String>(&mut it, flag, false)?)?)
                 }
                 "--checkpoint" => {
-                    opts.checkpoint.get_or_insert_with(CheckpointOpts::default);
+                    opts.checkpoint.get_or_insert_default();
                 }
                 "--checkpoint-secs" => {
-                    let v = it.next().ok_or("--checkpoint-secs needs a value")?;
-                    let secs: u64 = v
-                        .parse()
-                        .map_err(|_| format!("bad checkpoint interval {v:?}"))?;
-                    if secs == 0 {
-                        return Err("--checkpoint-secs must be at least 1".to_string());
-                    }
-                    opts.checkpoint
-                        .get_or_insert_with(CheckpointOpts::default)
-                        .secs = Some(secs);
+                    let every = Duration::from_secs(value(&mut it, flag, true)?);
+                    opts.checkpoint.get_or_insert_default().every = Some(every);
                 }
                 "--checkpoint-trials" => {
-                    let v = it.next().ok_or("--checkpoint-trials needs a value")?;
-                    let trials: usize = v
-                        .parse()
-                        .map_err(|_| format!("bad checkpoint trial count {v:?}"))?;
-                    if trials == 0 {
-                        return Err("--checkpoint-trials must be at least 1".to_string());
-                    }
-                    opts.checkpoint
-                        .get_or_insert_with(CheckpointOpts::default)
-                        .trials = Some(trials);
+                    let every = value(&mut it, flag, true)?;
+                    opts.checkpoint.get_or_insert_default().every_trials = Some(every);
                 }
-                "--port" => {
-                    let v = it.next().ok_or("--port needs a value")?;
-                    opts.port = Some(v.parse().map_err(|_| format!("bad port {v:?}"))?);
-                }
-                "--connect" => {
-                    let v = it.next().ok_or("--connect needs HOST:PORT")?;
-                    if !v.contains(':') {
-                        return Err(format!("bad --connect address {v:?} (expected HOST:PORT)"));
-                    }
-                    opts.connect = Some(v.clone());
-                }
+                "--port" => opts.port = Some(value(&mut it, flag, false)?),
+                "--leases" => opts.leases = Some(value(&mut it, flag, true)?),
                 "--lease-secs" => {
-                    let v = it.next().ok_or("--lease-secs needs a value")?;
-                    let secs: u64 = v.parse().map_err(|_| format!("bad lease duration {v:?}"))?;
-                    if secs == 0 {
-                        return Err("--lease-secs must be at least 1".to_string());
-                    }
-                    opts.lease_ttl = Some(Duration::from_secs(secs));
-                }
-                "--leases" => {
-                    let v = it.next().ok_or("--leases needs a value")?;
-                    let count: usize = v.parse().map_err(|_| format!("bad lease count {v:?}"))?;
-                    if count == 0 {
-                        return Err("--leases must be at least 1".to_string());
-                    }
-                    opts.leases = Some(count);
+                    opts.lease_ttl = Some(Duration::from_secs(value(&mut it, flag, true)?));
                 }
                 "--linger-secs" => {
-                    let v = it.next().ok_or("--linger-secs needs a value")?;
-                    let secs = v
-                        .parse()
-                        .map_err(|_| format!("bad linger duration {v:?}"))?;
-                    opts.linger = Some(Duration::from_secs(secs));
+                    opts.linger = Some(Duration::from_secs(value(&mut it, flag, false)?));
                 }
-                flag if flag.starts_with("--") => {
-                    return Err(format!("unknown flag {flag:?}"));
-                }
-                name => {
-                    if sub.is_none() {
-                        sub = Some(name.to_string());
-                    } else {
-                        opts.inputs.push(name.to_string());
+                "--connect" => {
+                    let addr: String = value(&mut it, flag, false)?;
+                    if !addr.contains(':') {
+                        return Err(format!(
+                            "bad --connect address {addr:?} (expected HOST:PORT)"
+                        ));
                     }
+                    opts.connect = Some(addr);
+                }
+                _ if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
+                _ => {
+                    match sub {
+                        None => sub = Some(arg.clone()),
+                        Some(_) => opts.inputs.push(arg.clone()),
+                    }
+                    continue;
                 }
             }
+            seen.push(flag);
         }
         let sub = sub.ok_or("missing subcommand")?;
-        opts.validate(&sub)?;
+        let mode = Mode::of(&sub);
+        if let Some(flag) = seen.iter().find(|flag| !mode.takes(flag)) {
+            return Err(format!("{flag} does not apply to `{sub}`"));
+        }
+        if !mode.count.contains(&opts.inputs.len()) {
+            let wanted = match mode.count.end() {
+                0 => "no arguments",
+                1 => "one argument",
+                _ => "one or more arguments",
+            };
+            return Err(format!("`{sub}` takes {wanted}, not {:?}", opts.inputs));
+        }
+        let needed = mode
+            .flags()
+            .find(|&(flag, needs)| needs && !seen.contains(&flag));
+        if let Some((flag, _)) = needed {
+            return Err(format!("`{sub}` needs {flag}"));
+        }
+        // `resume DIR` writes into DIR; every mode that takes --out writes
+        // its JSON and its checkpoints there.
+        if opts.out_dir.is_none() && mode.takes("--out") {
+            let writer = seen
+                .iter()
+                .find(|flag| **flag == "--json" || flag.starts_with("--checkpoint"));
+            if let Some(flag) = writer {
+                return Err(format!("{flag} needs --out DIR to write into"));
+            }
+        }
         Ok((sub, opts))
     }
+}
 
-    /// Parses a `--shard` value: `i/N` with `i < N`, `N ≥ 1`.
-    fn parse_shard(v: &str) -> Result<(u32, u32), String> {
-        let bad = || format!("bad shard spec {v:?} (expected i/N with i < N, N >= 1)");
-        let (index, of) = v.split_once('/').ok_or_else(bad)?;
-        let index: u32 = index.parse().map_err(|_| bad())?;
-        let of: u32 = of.parse().map_err(|_| bad())?;
-        if of == 0 || index >= of {
-            return Err(bad());
-        }
-        Ok((index, of))
+/// Parses a `--shard` value: `i/N` with `i < N`, `N ≥ 1`.
+fn parse_shard(v: &str) -> Result<(u32, u32), String> {
+    let bad = || format!("bad shard spec {v:?} (expected i/N with i < N, N >= 1)");
+    let (index, of) = v.split_once('/').ok_or_else(bad)?;
+    let index: u32 = index.parse().map_err(|_| bad())?;
+    let of: u32 = of.parse().map_err(|_| bad())?;
+    if of == 0 || index >= of {
+        return Err(bad());
     }
-
-    /// Flag-combination validation, run up front (at parse time) so a bad
-    /// combination can never surface as an error *after* a long run.
-    fn validate(&self, sub: &str) -> Result<(), String> {
-        // `resume DIR` writes into DIR itself; every other figure needs a
-        // directory to put its JSON series in.
-        if self.json && self.out_dir.is_none() && sub != "resume" {
-            return Err("--json needs --out DIR to write into".to_string());
-        }
-        if self.shard.is_some() && sub != "shard" {
-            return Err(format!("--shard only applies to `shard`, not {sub:?}"));
-        }
-        // The distributed-run knobs belong to exactly one side of the wire.
-        if sub != "serve" {
-            for (set, flag) in [
-                (self.port.is_some(), "--port"),
-                (self.lease_ttl.is_some(), "--lease-secs"),
-                (self.leases.is_some(), "--leases"),
-                (self.linger.is_some(), "--linger-secs"),
-            ] {
-                if set {
-                    return Err(format!("{flag} only applies to `serve`, not {sub:?}"));
-                }
-            }
-        }
-        if self.connect.is_some() && sub != "work" {
-            return Err(format!("--connect only applies to `work`, not {sub:?}"));
-        }
-        if self.checkpoint.is_some() {
-            match sub {
-                // Resume re-checkpoints into the run directory automatically;
-                // the flags only tune its cadence there.
-                "resume" => {}
-                "shard" | "merge" | "all" => {
-                    return Err(format!("--checkpoint does not apply to {sub:?}"));
-                }
-                _ => {
-                    if self.out_dir.is_none() {
-                        return Err("--checkpoint needs --out DIR for its artifacts".to_string());
-                    }
-                }
-            }
-        }
-        match sub {
-            "shard" => {
-                // A partial run: exactly one experiment, explicit shard
-                // coordinates, and a directory for the state artifact.
-                if self.inputs.len() != 1 {
-                    return Err(
-                        "shard needs exactly one experiment, e.g. `repro shard fig5 \
-                         --shard 0/3 --out DIR`"
-                            .to_string(),
-                    );
-                }
-                if self.shard.is_none() {
-                    return Err("shard needs --shard i/N".to_string());
-                }
-                if self.out_dir.is_none() {
-                    return Err("shard needs --out DIR for its state artifact".to_string());
-                }
-                if self.json {
-                    return Err(
-                        "shard always writes a JSON state artifact; drop --json".to_string()
-                    );
-                }
-            }
-            "merge" => {
-                // Merge folds saved state — no trials run, so every
-                // execution knob is meaningless and rejecting it up front
-                // beats silently ignoring it.
-                if self.inputs.is_empty() {
-                    return Err(
-                        "merge needs at least one artifact directory, e.g. `repro merge \
-                         outA outB --out DIR`"
-                            .to_string(),
-                    );
-                }
-                if self.out_dir.is_none() {
-                    return Err("merge needs --out DIR for its reports".to_string());
-                }
-                for (set, flag) in [
-                    (self.threads.is_some(), "--threads"),
-                    (self.trials.is_some(), "--trials"),
-                    (self.full, "--full"),
-                ] {
-                    if set {
-                        return Err(format!(
-                            "{flag} does not apply to `merge` (merging folds saved shard \
-                             state; no trials run)"
-                        ));
-                    }
-                }
-            }
-            "resume" => {
-                if self.inputs.len() != 1 {
-                    return Err(
-                        "resume needs exactly one run directory, e.g. `repro resume DIR`"
-                            .to_string(),
-                    );
-                }
-                if self.out_dir.is_some() {
-                    return Err(
-                        "resume writes into the run directory itself; drop --out".to_string()
-                    );
-                }
-                // The grid must come from the checkpoint — overriding it
-                // would make the resumed run diverge from the original.
-                for (set, flag) in [(self.trials.is_some(), "--trials"), (self.full, "--full")] {
-                    if set {
-                        return Err(format!(
-                            "{flag} does not apply to `resume` (the grid comes from the \
-                             checkpoint artifact)"
-                        ));
-                    }
-                }
-            }
-            "serve" => {
-                // The coordinator runs no trials itself: it cuts the sweep
-                // into leases, folds results, and writes the artifacts.
-                if self.inputs.len() != 1 {
-                    return Err(
-                        "serve needs exactly one experiment, e.g. `repro serve fig5 --out DIR`"
-                            .to_string(),
-                    );
-                }
-                if self.out_dir.is_none() {
-                    return Err("serve needs --out DIR for its checkpoints and reports".to_string());
-                }
-                if self.threads.is_some() {
-                    return Err(
-                        "--threads does not apply to `serve` (workers run the trials; \
-                         pass it to `repro work`)"
-                            .to_string(),
-                    );
-                }
-                if self.checkpoint.is_some() {
-                    return Err(
-                        "--checkpoint does not apply to `serve` (it checkpoints on every \
-                         accepted result)"
-                            .to_string(),
-                    );
-                }
-            }
-            "work" => {
-                // A worker learns everything — experiment, grid, trials —
-                // from its leases; only execution knobs make sense here.
-                if self.connect.is_none() {
-                    return Err(
-                        "work needs --connect HOST:PORT, e.g. `repro work --connect \
-                         127.0.0.1:7481`"
-                            .to_string(),
-                    );
-                }
-                if let Some(extra) = self.inputs.first() {
-                    return Err(format!("unexpected extra argument {extra:?}"));
-                }
-                for (set, flag) in [
-                    (self.trials.is_some(), "--trials"),
-                    (self.full, "--full"),
-                    (self.out_dir.is_some(), "--out"),
-                    (self.json, "--json"),
-                    (self.checkpoint.is_some(), "--checkpoint"),
-                ] {
-                    if set {
-                        return Err(format!(
-                            "{flag} does not apply to `work` (the grid and artifacts \
-                             belong to the coordinator)"
-                        ));
-                    }
-                }
-            }
-            _ => {
-                if let Some(extra) = self.inputs.first() {
-                    return Err(format!("unexpected extra argument {extra:?}"));
-                }
-            }
-        }
-        Ok(())
-    }
+    Ok((index, of))
 }
 
 #[cfg(test)]
@@ -459,11 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn json_without_out_is_rejected_up_front() {
+    fn json_and_checkpoints_without_out_are_rejected_up_front() {
         // The combination must fail at parse time — before any trial runs —
         // not when the report writer finally looks for its directory.
-        assert!(Options::parse(&strs(&["fig3", "--json"])).is_err());
-        assert!(Options::parse(&strs(&["all", "--json"])).is_err());
+        for (args, flag) in [
+            (vec!["fig3", "--json"], "--json"),
+            (vec!["all", "--json"], "--json"),
+            (vec!["fig5", "--checkpoint"], "--checkpoint"),
+            (vec!["fig5", "--checkpoint-secs", "5"], "--checkpoint-secs"),
+        ] {
+            let err = Options::parse(&strs(&args)).unwrap_err();
+            assert_eq!(err, format!("{flag} needs --out DIR to write into"));
+        }
+        // `resume DIR` writes into DIR itself.
+        assert!(Options::parse(&strs(&["resume", "D", "--json", "--checkpoint"])).is_ok());
     }
 
     #[test]
@@ -481,15 +396,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_trials_and_zero_threads_are_rejected_at_parse_time() {
+    fn value_flags_fail_on_missing_bad_and_zero_values() {
         // Zero trials leave nothing to aggregate, and zero threads would
         // silently mean one: both fail before any work starts.
         for (args, expect) in [
-            (vec!["fig5", "--trials", "0"], "--trials must be at least 1"),
+            (
+                vec!["fig5", "--trials", "0"],
+                "--trials 0 is outside 1..=1000000",
+            ),
             (
                 vec!["fig5", "--trials", "4294967295"],
-                "--trials must be at most 1000000",
+                "--trials 4294967295 is outside 1..=1000000",
             ),
+            (vec!["fig5", "--trials", "x"], "bad --trials value \"x\""),
+            (vec!["fig5", "--trials"], "--trials needs a value"),
             (
                 vec!["fig5", "--threads", "0"],
                 "--threads must be at least 1",
@@ -498,6 +418,7 @@ mod tests {
                 vec!["work", "--connect", "h:1", "--threads", "0"],
                 "--threads must be at least 1",
             ),
+            (vec!["fig5", "--out"], "--out needs a value"),
         ] {
             let err = Options::parse(&strs(&args)).unwrap_err();
             assert_eq!(err, expect, "{args:?}");
@@ -525,120 +446,35 @@ mod tests {
     }
 
     #[test]
-    fn shard_mode_requires_its_pieces_up_front() {
-        // Missing experiment / --shard / --out each fail at parse time.
-        assert!(Options::parse(&strs(&["shard", "--shard", "0/2", "--out", "/t"])).is_err());
-        assert!(Options::parse(&strs(&["shard", "fig5", "--out", "/t"])).is_err());
-        assert!(Options::parse(&strs(&["shard", "fig5", "--shard", "0/2"])).is_err());
-        // Two experiments is ambiguous.
-        assert!(Options::parse(&strs(&[
-            "shard", "fig5", "fig7", "--shard", "0/2", "--out", "/t"
-        ]))
-        .is_err());
-        // The artifact is always JSON; --json would suggest otherwise.
-        assert!(Options::parse(&strs(&[
-            "shard", "fig5", "--shard", "0/2", "--out", "/t", "--json"
-        ]))
-        .is_err());
-        // --shard outside the shard subcommand is rejected.
-        let err = Options::parse(&strs(&["fig5", "--shard", "0/2"])).unwrap_err();
-        assert!(err.contains("only applies to `shard`"), "{err}");
-    }
-
-    #[test]
-    fn merge_mode_takes_dirs_and_rejects_execution_knobs() {
-        let (sub, opts) =
-            Options::parse(&strs(&["merge", "a", "b", "c", "--out", "/t", "--json"])).unwrap();
-        assert_eq!(sub, "merge");
-        assert_eq!(opts.inputs, vec!["a", "b", "c"]);
-        assert!(opts.json);
-        // No inputs / no --out fail at parse time.
-        assert!(Options::parse(&strs(&["merge", "--out", "/t"])).is_err());
-        assert!(Options::parse(&strs(&["merge", "a"])).is_err());
-        // Merge runs no trials: every execution knob is rejected, not
-        // silently ignored.
-        for flags in [
-            vec!["merge", "a", "--out", "/t", "--threads", "2"],
-            vec!["merge", "a", "--out", "/t", "--trials", "5"],
-            vec!["merge", "a", "--out", "/t", "--full"],
-            vec!["merge", "a", "--out", "/t", "--shard", "0/2"],
-        ] {
-            let err = Options::parse(&strs(&flags)).unwrap_err();
-            assert!(
-                err.contains("does not apply to `merge`") || err.contains("only applies to"),
-                "{flags:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_flags_parse_and_validate() {
-        let (_, opts) = Options::parse(&strs(&["fig5", "--checkpoint", "--out", "/t"])).unwrap();
-        assert_eq!(opts.checkpoint, Some(CheckpointOpts::default()));
+    fn checkpoint_flags_set_the_cadence() {
+        let parse = |args: &[&str]| Options::parse(&strs(args)).unwrap().1.checkpoint;
+        // Bare --checkpoint leaves the cadence to the run.
         assert_eq!(
-            opts.checkpoint.unwrap().cadence(),
-            SnapshotCadence::secs(CheckpointOpts::DEFAULT_SECS)
+            parse(&["fig5", "--checkpoint", "--out", "/t"]),
+            Some(SnapshotCadence::default())
         );
         // Either cadence flag implies --checkpoint.
-        let (_, opts) =
-            Options::parse(&strs(&["fig5", "--checkpoint-secs", "5", "--out", "/t"])).unwrap();
-        assert_eq!(opts.checkpoint.unwrap().cadence(), SnapshotCadence::secs(5));
-        let (_, opts) =
-            Options::parse(&strs(&["fig5", "--checkpoint-trials", "64", "--out", "/t"])).unwrap();
         assert_eq!(
-            opts.checkpoint.unwrap().cadence(),
-            SnapshotCadence::trials(64)
+            parse(&["fig5", "--checkpoint-secs", "5", "--out", "/t"]),
+            Some(SnapshotCadence::secs(5))
         );
-        // Checkpointing needs somewhere to write.
-        let err = Options::parse(&strs(&["fig5", "--checkpoint"])).unwrap_err();
-        assert!(err.contains("--checkpoint needs --out"), "{err}");
+        assert_eq!(
+            parse(&["fig5", "--checkpoint-trials", "64", "--out", "/t"]),
+            Some(SnapshotCadence::trials(64))
+        );
+        assert_eq!(
+            parse(&["resume", "/t/run", "--checkpoint-secs", "9"]),
+            Some(SnapshotCadence::secs(9))
+        );
         // Zero cadences are rejected.
         assert!(Options::parse(&strs(&["fig5", "--checkpoint-secs", "0", "--out", "/t"])).is_err());
         assert!(
             Options::parse(&strs(&["fig5", "--checkpoint-trials", "0", "--out", "/t"])).is_err()
         );
-        // Subcommands that run no single figure sweep reject it.
-        for sub in [
-            vec!["merge", "a", "--out", "/t", "--checkpoint"],
-            vec!["all", "--checkpoint", "--out", "/t"],
-            vec![
-                "shard",
-                "fig5",
-                "--shard",
-                "0/2",
-                "--out",
-                "/t",
-                "--checkpoint",
-            ],
-        ] {
-            let err = Options::parse(&strs(&sub)).unwrap_err();
-            assert!(
-                err.contains("--checkpoint does not apply"),
-                "{sub:?}: {err}"
-            );
-        }
     }
 
     #[test]
-    fn resume_mode_takes_one_dir_and_rejects_grid_overrides() {
-        let (sub, opts) = Options::parse(&strs(&["resume", "/t/run", "--json"])).unwrap();
-        assert_eq!(sub, "resume");
-        assert_eq!(opts.inputs, vec!["/t/run"]);
-        assert!(opts.json && opts.out_dir.is_none());
-        // Cadence tuning for the automatic re-checkpointing is allowed.
-        let (_, opts) =
-            Options::parse(&strs(&["resume", "/t/run", "--checkpoint-secs", "9"])).unwrap();
-        assert_eq!(opts.checkpoint.unwrap().secs, Some(9));
-        // No dir, two dirs, --out, and grid overrides all fail up front.
-        assert!(Options::parse(&strs(&["resume"])).is_err());
-        assert!(Options::parse(&strs(&["resume", "a", "b"])).is_err());
-        assert!(Options::parse(&strs(&["resume", "a", "--out", "/t"])).is_err());
-        assert!(Options::parse(&strs(&["resume", "a", "--trials", "5"])).is_err());
-        assert!(Options::parse(&strs(&["resume", "a", "--full"])).is_err());
-    }
-
-    #[test]
-    fn serve_mode_takes_one_experiment_and_its_own_knobs() {
+    fn serve_and_work_take_their_own_knobs() {
         let (sub, opts) = Options::parse(&strs(&[
             "serve",
             "fig5",
@@ -653,7 +489,7 @@ mod tests {
             "--leases",
             "8",
             "--linger-secs",
-            "3",
+            "0",
             "--json",
         ]))
         .unwrap();
@@ -662,39 +498,16 @@ mod tests {
         assert_eq!(opts.port, Some(0));
         assert_eq!(opts.lease_ttl, Some(Duration::from_secs(5)));
         assert_eq!(opts.leases, Some(8));
-        assert_eq!(opts.linger, Some(Duration::from_secs(3)));
-        // No experiment, no --out, execution knobs, and --checkpoint all
-        // fail up front.
-        assert!(Options::parse(&strs(&["serve", "--out", "/t"])).is_err());
-        assert!(Options::parse(&strs(&["serve", "a", "b", "--out", "/t"])).is_err());
-        assert!(Options::parse(&strs(&["serve", "fig5"])).is_err());
-        assert!(
-            Options::parse(&strs(&["serve", "fig5", "--out", "/t", "--threads", "2"])).is_err()
-        );
-        assert!(Options::parse(&strs(&["serve", "fig5", "--out", "/t", "--checkpoint"])).is_err());
-        // The serve knobs are rejected everywhere else.
-        assert!(Options::parse(&strs(&["fig5", "--port", "7000"])).is_err());
-        assert!(Options::parse(&strs(&["fig5", "--lease-secs", "5"])).is_err());
-        assert!(Options::parse(&strs(&["fig5", "--leases", "4"])).is_err());
-        assert!(Options::parse(&strs(&["fig5", "--linger-secs", "1"])).is_err());
+        assert_eq!(opts.linger, Some(Duration::ZERO));
         // Degenerate values are rejected at parse time.
-        assert!(Options::parse(&strs(&[
-            "serve",
-            "fig5",
-            "--out",
-            "/t",
-            "--lease-secs",
-            "0"
-        ]))
-        .is_err());
-        assert!(Options::parse(&strs(&["serve", "fig5", "--out", "/t", "--leases", "0"])).is_err());
-        assert!(
-            Options::parse(&strs(&["serve", "fig5", "--out", "/t", "--port", "99999"])).is_err()
-        );
-    }
-
-    #[test]
-    fn work_mode_needs_connect_and_rejects_grid_knobs() {
+        for (flag, v) in [
+            ("--lease-secs", "0"),
+            ("--leases", "0"),
+            ("--port", "99999"),
+        ] {
+            let args = ["serve", "fig5", "--out", "/t", flag, v];
+            assert!(Options::parse(&strs(&args)).is_err(), "{args:?}");
+        }
         let (sub, opts) = Options::parse(&strs(&[
             "work",
             "--connect",
@@ -706,16 +519,7 @@ mod tests {
         assert_eq!(sub, "work");
         assert_eq!(opts.connect.as_deref(), Some("127.0.0.1:7481"));
         assert_eq!(opts.threads, Some(2));
-        // Missing/bad --connect, positional args, and grid/artifact knobs
-        // all fail up front.
-        assert!(Options::parse(&strs(&["work"])).is_err());
         assert!(Options::parse(&strs(&["work", "--connect", "noport"])).is_err());
-        assert!(Options::parse(&strs(&["work", "fig5", "--connect", "h:1"])).is_err());
-        assert!(Options::parse(&strs(&["work", "--connect", "h:1", "--trials", "3"])).is_err());
-        assert!(Options::parse(&strs(&["work", "--connect", "h:1", "--full"])).is_err());
-        assert!(Options::parse(&strs(&["work", "--connect", "h:1", "--out", "/t"])).is_err());
-        // --connect is meaningless outside `work`.
-        assert!(Options::parse(&strs(&["fig5", "--connect", "h:1"])).is_err());
     }
 
     #[test]

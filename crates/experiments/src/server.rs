@@ -399,24 +399,27 @@ impl Server {
         let out_dir = opts.out_dir.clone().expect("validated at parse time");
 
         // Resume: the newest surviving checkpoint is the starting master
-        // state if it records this very sweep; anything else starts fresh.
+        // state if it records this very sweep; anything else starts fresh,
+        // with a warning unless there was nothing to resume.
         let mut cells: Vec<StatsCell> = Vec::new();
-        if out_dir.join(checkpoint::CHECKPOINT_DIR).is_dir() {
-            match load_checkpoint(&out_dir)
-                .and_then(|(state, seq)| exp.check(&state).map(|()| (state, seq)))
-            {
-                Ok((state, seq)) => {
-                    cells = state.into_cells();
-                    println!(
-                        "[serve] resuming from checkpoint seq {seq} ({} trials recorded)",
-                        recorded(&cells)
-                    );
-                }
-                Err(e) => eprintln!(
-                    "warning: cannot resume from {}: {e} — starting fresh",
-                    out_dir.display()
-                ),
+        let resumable = load_checkpoint(&out_dir).and_then(|found| {
+            found
+                .map(|(state, seq)| exp.check(&state).map(|()| (state, seq)))
+                .transpose()
+        });
+        match resumable {
+            Ok(None) => {}
+            Ok(Some((state, seq))) => {
+                cells = state.into_cells();
+                println!(
+                    "[serve] resuming from checkpoint seq {seq} ({} trials recorded)",
+                    recorded(&cells)
+                );
             }
+            Err(e) => eprintln!(
+                "warning: cannot resume from {}: {e} — starting fresh",
+                out_dir.display()
+            ),
         }
 
         let leases = exp.leases(&cells, limits.leases)?;
@@ -1032,7 +1035,7 @@ mod tests {
         assert_eq!(gate.durable, 2);
         drop(gate);
         assert_eq!(
-            load_checkpoint(&dir).unwrap().1,
+            load_checkpoint(&dir).unwrap().unwrap().1,
             0,
             "the waiter wrote seq 0"
         );

@@ -130,7 +130,9 @@ fn checkpointed_run_matches_the_golden_and_leaves_a_complete_latest() {
     assert_eq!(direct, golden(), "checkpointing perturbed the results");
 
     // The newest checkpoint on disk holds the complete final state.
-    let latest = load_latest(&run_dir).expect("latest checkpoint parses");
+    let latest = load_latest(&run_dir)
+        .expect("latest checkpoint parses")
+        .expect("a checkpoint exists");
     assert!(latest.warnings.is_empty(), "{:?}", latest.warnings);
     assert!(
         latest.state.is_complete(),

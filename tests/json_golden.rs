@@ -12,7 +12,8 @@
 //! five ablations) are pinned by their rendered text instead:
 //! `report_bodies.txt` holds every one of their quick-grid bodies.
 //! `repro_list.txt` pins the experiment table's names, descriptions and
-//! order as `repro list` prints them.
+//! order as `repro list` prints them, and `repro_help.txt` the usage text
+//! of `repro --help` before that list.
 //!
 //! Every trial derives its RNG from `(experiment, algorithm, n, trial)` and
 //! the JSON writer prints shortest-round-trip floats, so these bytes are
@@ -171,20 +172,43 @@ fn golden_fixtures_are_well_formed() {
     }
 }
 
-/// `repro list` names every experiment in table order: the order `repro
-/// all` runs, CI's one-at-a-time loop walks and the benchmark's reference
-/// digests assign each artifact by. Read from the built binary.
-#[test]
-fn repro_list_matches_its_golden_fixture() {
+/// The stdout of `repro <arg>`, run from the built binary.
+fn repro_stdout(arg: &str) -> String {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("list")
+        .arg(arg)
         .output()
-        .expect("spawn repro list");
+        .expect("spawn repro");
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = String::from_utf8(out.stdout).expect("UTF-8 stdout");
-    check_fixture("repro_list.txt", &text);
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+}
+
+/// `repro list` names every experiment in table order: the order `repro
+/// all` runs, CI's one-at-a-time loop walks and the benchmark's reference
+/// digests assign each artifact by.
+#[test]
+fn repro_list_matches_its_golden_fixture() {
+    check_fixture("repro_list.txt", &repro_stdout("list"));
+}
+
+/// `repro --help` up to its experiment list (which `repro_list.txt` pins):
+/// every mode's usage line, printed from the mode table, then the flags. A
+/// change to the usage text shows up as a diff of this fixture, and README
+/// quotes the fixture's usage lines verbatim.
+#[test]
+fn repro_help_matches_its_golden_fixture() {
+    let help = repro_stdout("--help");
+    let (usage, _) = help
+        .split_once("\nexperiments:\n")
+        .expect("an experiment list");
+    check_fixture("repro_help.txt", usage);
+    let modes = usage.split("\n\n").next().expect("the usage lines");
+    let readme = include_str!("../README.md");
+    assert!(
+        readme.contains(&format!("```\n{modes}\n```\n")),
+        "README's `repro` usage block differs from the usage lines of repro_help.txt"
+    );
 }

@@ -623,14 +623,15 @@ struct ServeProcess {
 }
 
 impl ServeProcess {
-    /// Starts the process over `dir`; returns it, the address it listens
-    /// on, and its stdout up to its `[serve] limits:` line.
-    fn start(dir: &Path) -> (ServeProcess, String, Vec<String>) {
+    /// Starts the process over `dir` with `stderr`; returns it, the address
+    /// it listens on, and its stdout up to its `[serve] limits:` line.
+    fn start(dir: &Path, stderr: Stdio) -> (ServeProcess, String, Vec<String>) {
         let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(["serve", "fig5", "--trials", "2", "--leases", "2"])
             .args(["--port", "0", "--linger-secs", "0", "--json", "--out"])
             .arg(dir)
             .stdout(Stdio::piped())
+            .stderr(stderr)
             .spawn()
             .expect("spawn repro serve");
         let stdout = BufReader::new(child.stdout.take().unwrap()).lines();
@@ -669,7 +670,7 @@ fn a_coordinator_killed_between_a_checkpoint_write_and_its_rename_resumes_from_t
 
     // First life: one folded trial, so checkpoint seq 0 exists; then death
     // mid-way through writing seq 1.
-    let (first, addr, _) = ServeProcess::start(&dir);
+    let (first, addr, _) = ServeProcess::start(&dir, Stdio::inherit());
     let trial = fig5_state(&[TrialRange {
         cell: 0,
         lo: 0,
@@ -685,7 +686,7 @@ fn a_coordinator_killed_between_a_checkpoint_write_and_its_rename_resumes_from_t
     std::fs::write(staged, &seq0[..seq0.len() / 2]).unwrap();
 
     // Second life: resumes from seq 0 and finishes the sweep.
-    let (mut second, addr, head) = ServeProcess::start(&dir);
+    let (mut second, addr, head) = ServeProcess::start(&dir, Stdio::inherit());
     let resumed = "[serve] resuming from checkpoint seq 0 (1 trials recorded)";
     assert!(head.iter().any(|l| l == resumed), "{head:?}");
     drain(addr);
@@ -701,6 +702,31 @@ fn a_coordinator_killed_between_a_checkpoint_write_and_its_rename_resumes_from_t
     }
 }
 
+/// A coordinator killed before its first checkpoint leaves an empty
+/// `checkpoints/` behind. Restarted on that out-dir, it has nothing to
+/// resume, so it starts fresh without a warning, and one worker drains it
+/// to the direct run's artifacts.
+#[test]
+fn a_coordinator_restarted_over_an_empty_checkpoint_dir_starts_fresh_without_a_warning() {
+    let direct_dir = scratch("empty-ckpt-direct");
+    let direct = direct_fig5(&direct_dir);
+    let dir = scratch("empty-ckpt-serve");
+    std::fs::create_dir(dir.join(CHECKPOINT_DIR)).unwrap();
+    let (mut serve, addr, head) = ServeProcess::start(&dir, Stdio::piped());
+    assert!(!head.iter().any(|l| l.contains("resuming")), "{head:?}");
+    drain(addr);
+    let rest: Vec<String> = serve.stdout.by_ref().map(Result::unwrap).collect();
+    assert!(serve.child.wait().unwrap().success(), "{rest:?}");
+    let mut stderr = String::new();
+    let mut pipe = serve.child.stderr.take().unwrap();
+    pipe.read_to_string(&mut stderr).unwrap();
+    assert!(!stderr.contains("cannot resume"), "{stderr}");
+    assert_eq!(artifacts(&dir), direct);
+    for dir in [dir, direct_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A `repro serve --linger-secs 0` process leaves as soon as the sweep is
 /// reported, but answers the POST that completed it first. Leaving before
 /// that reply is written is a race, so 20 rounds pin the contract rather
@@ -710,7 +736,7 @@ fn a_coordinator_that_leaves_at_once_answers_the_post_that_completed_the_sweep()
     let dir = scratch("leave");
     for round in 0..20 {
         let _ = std::fs::remove_dir_all(&dir);
-        let (mut serve, addr, _) = ServeProcess::start(&dir);
+        let (mut serve, addr, _) = ServeProcess::start(&dir, Stdio::inherit());
         let leases = [claim(&addr), claim(&addr)];
         deliver(&addr, &leases[0]);
         let reply = deliver(&addr, &leases[1]);
@@ -747,7 +773,7 @@ fn every_200_reply_is_durable_under_concurrent_posts() {
     });
     handle.join().unwrap().expect("server finalizes");
     assert_eq!(posts, 8, "one POST per lease");
-    let last = load_latest(&dir).unwrap();
+    let last = load_latest(&dir).unwrap().unwrap();
     assert!(missing_work(&last.state).unwrap().is_empty());
     assert!(
         last.seq < posts,
@@ -773,7 +799,9 @@ fn post_and_check_durability(addr: &str, dir: &Path) -> u64 {
             // POST completes the sweep, and drops a claim that races it.
             // Only then may a claim fail: the final checkpoint is complete.
             Err(e) => {
-                let latest = load_latest(dir).expect("a checkpoint once the sweep is done");
+                let latest = load_latest(dir)
+                    .unwrap()
+                    .expect("a checkpoint once the sweep is done");
                 let missing = missing_work(&latest.state).unwrap();
                 assert!(missing.is_empty(), "claim failed mid-sweep: {e}");
                 return posts;
@@ -790,7 +818,9 @@ fn post_and_check_durability(addr: &str, dir: &Path) -> u64 {
         deliver(addr, &body);
         posts += 1;
         delivered.extend(lease_of(&body).1);
-        let newest = load_latest(dir).expect("a checkpoint after a 200 reply");
+        let newest = load_latest(dir)
+            .unwrap()
+            .expect("a checkpoint after a 200 reply");
         assert!(newest.seq >= seq, "seq {} after seq {seq}", newest.seq);
         seq = newest.seq;
         let missing = missing_work(&newest.state).unwrap();
@@ -838,7 +868,7 @@ fn a_post_no_checkpoint_holds_gets_503() {
     assert_eq!(status1, 200, "{reply1}");
     assert!(reply1.contains("\"remaining\":0"), "{reply1}");
     served.expect("server finalizes");
-    let last = load_latest(&dir).unwrap();
+    let last = load_latest(&dir).unwrap().unwrap();
     assert_eq!(last.seq, 1, "seq 0 was never written");
     assert!(missing_work(&last.state).unwrap().is_empty());
     assert_eq!(artifacts(&dir), direct);
@@ -864,7 +894,10 @@ fn a_final_checkpoint_that_cannot_be_written_fails_the_run() {
         err.contains("final checkpoint could not be written"),
         "{err}"
     );
-    assert!(load_latest(&dir).is_err(), "no checkpoint was written");
+    assert!(
+        load_latest(&dir).unwrap().is_none(),
+        "no checkpoint was written"
+    );
     assert_eq!(artifacts(&dir), direct);
     for dir in [dir, direct_dir] {
         let _ = std::fs::remove_dir_all(&dir);
@@ -886,7 +919,7 @@ fn a_failed_metrics_refresh_fails_no_post_and_not_the_run() {
         assert_eq!(*status, 200, "{reply}");
     }
     served.expect("server finalizes");
-    let last = load_latest(&dir).unwrap();
+    let last = load_latest(&dir).unwrap().unwrap();
     assert!(missing_work(&last.state).unwrap().is_empty());
     assert_eq!(artifacts(&dir), direct);
     for dir in [dir, direct_dir] {
