@@ -166,6 +166,23 @@ impl Backoff {
         }
     }
 
+    /// The stage after `stage`, folded into the table's cycle: `draw` of the
+    /// result is `draw(stage + 1)`, and past the table's end the stage
+    /// returns to the cycle's start, so a kernel that walks its stages this
+    /// way from 0 never pays `draw`'s division. POLYNOMIAL has no table: its
+    /// next stage is `stage + 1`, saturating. `stage` must be 0 or a stage
+    /// this method returned.
+    #[inline]
+    pub fn next_stage(&self, stage: u32) -> u32 {
+        debug_assert!(self.draws.is_empty() || (stage as usize) < self.draws.len());
+        let next = stage.saturating_add(1);
+        if self.draws.is_empty() || (next as usize) < self.draws.len() {
+            next
+        } else {
+            self.prefix as u32
+        }
+    }
+
     /// The window, in slots, of `stage`. Never 0.
     pub fn window(&self, stage: u32) -> u32 {
         self.draw(stage).span() as u32
@@ -502,6 +519,38 @@ mod tests {
                 assert_eq!(rng, reference, "{kind:?} {trunc:?}");
             }
         }
+    }
+
+    /// Walking `next_stage` from 0 for three table lengths draws the window
+    /// of every unfolded stage, at the table's end and at each wrap of the
+    /// cycle.
+    #[test]
+    fn next_stage_folds_into_the_cycle() {
+        for trunc in [Truncation::paper(), Truncation::unbounded()] {
+            for kind in [
+                AlgorithmKind::Beb,
+                AlgorithmKind::LogBackoff,
+                AlgorithmKind::LogLogBackoff,
+                AlgorithmKind::Sawtooth,
+                AlgorithmKind::Fixed { window: 37 },
+            ] {
+                let table = Backoff::new(kind, trunc).expect("a static schedule");
+                let mut folded = 0;
+                for stage in 0..3 * table.draws.len() as u32 {
+                    assert!((folded as usize) < table.draws.len(), "{kind:?} {trunc:?}");
+                    assert_eq!(
+                        table.draw(folded).span(),
+                        table.draw(stage).span(),
+                        "{kind:?} {trunc:?} stage {stage}"
+                    );
+                    folded = table.next_stage(folded);
+                }
+            }
+        }
+        let poly = Backoff::new(AlgorithmKind::Polynomial { degree: 2 }, Truncation::paper())
+            .expect("a static schedule");
+        assert_eq!(poly.next_stage(5), 6);
+        assert_eq!(poly.next_stage(u32::MAX), u32::MAX);
     }
 
     /// The table sizes the builder settles on, which the cycle detection

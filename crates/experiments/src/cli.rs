@@ -70,10 +70,12 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// [`run`] without its error sink: parses `args` (printing the usage when
-/// they do not parse) and runs the selected mode.
+/// [`run`] without its error sink: parses `args` and runs the selected
+/// mode. A command line that does not parse writes nothing to stdout: its
+/// error ends with a pointer to `repro --help`.
 pub fn try_run(args: &[String]) -> Result<(), String> {
-    let (sub, opts) = Options::parse(args).inspect_err(|_| print_usage())?;
+    let (sub, opts) =
+        Options::parse(args).map_err(|e| format!("{e}\nrun `repro --help` for usage"))?;
     if sub == "list" {
         for (name, desc, _) in registry() {
             println!("{name:<12} {desc}");

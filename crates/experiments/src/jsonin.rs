@@ -1,10 +1,13 @@
 //! A minimal JSON reader — the parsing side of [`crate::jsonout`].
 //!
 //! Artifacts this crate writes (`repro --json`, shard state) are parsed
-//! back with this hand-rolled recursive-descent reader. It accepts exactly RFC 8259 JSON; numbers are
-//! parsed with Rust's correctly-rounding `str::parse::<f64>`, which inverts
-//! `jsonout::num`'s shortest-round-trip formatting **exactly** — write then
-//! read recovers the original bits, the property the shard merge pipeline's
+//! back with this hand-rolled recursive-descent reader. It accepts exactly
+//! RFC 8259 JSON, except that a `\u` escape must name a Unicode scalar value
+//! on its own (the writer escapes only control characters, so it never
+//! emits a surrogate pair). Numbers are parsed with Rust's
+//! correctly-rounding `str::parse::<f64>`, which inverts `jsonout::num`'s
+//! shortest-round-trip formatting **exactly** — write then read recovers
+//! the original bits, the property the shard merge pipeline's
 //! byte-identity guarantee rests on.
 
 /// A parsed JSON value.
@@ -166,19 +169,45 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Skips a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        self.pos - start
+    }
+
+    /// RFC 8259's `number`: `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        // A leading zero stands alone; every other part needs a digit.
+        let mut ok = if self.peek() == Some(b'0') {
+            self.pos += 1;
+            true
+        } else {
+            self.digits() > 0
+        };
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            ok &= self.digits() > 0;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            ok &= self.digits() > 0;
+        }
         let token = &self.text[start..self.pos];
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.fail(&format!("bad number {token:?}")))
+        let bad = || self.fail(&format!("bad number {token:?}"));
+        if !ok {
+            return Err(bad());
+        }
+        token.parse::<f64>().map(Json::Num).map_err(|_| bad())
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -203,12 +232,12 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
+                            let code = self
                                 .text
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
                                 .ok_or_else(|| self.fail("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.fail("bad \\u escape"))?;
                             // The writer never emits surrogate pairs (it
                             // only escapes control characters); reject
                             // anything that is not a scalar value.
@@ -222,11 +251,15 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(..0x20) => return Err(self.fail("raw control character in a string")),
                 Some(_) => {
-                    // The run up to the next quote or escape, in one step:
-                    // each char is looked at once, whatever the length.
+                    // The run up to the next quote, escape or control
+                    // character, in one step: each char is looked at once,
+                    // whatever the length.
                     let rest = &self.text[self.pos..];
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    let run = rest
+                        .find(|c| matches!(c, '"' | '\\' | '\0'..='\x1f'))
+                        .unwrap_or(rest.len());
                     out.push_str(&rest[..run]);
                     self.pos += run;
                 }
@@ -312,6 +345,43 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
         }
+        // RFC 8259 grammar: no leading zero, no bare point, no leading
+        // plus, no raw control character in a string, and `\u` takes
+        // exactly four hex digits.
+        for bad in [
+            "01",
+            "1.",
+            "-.5",
+            "+1",
+            ".5",
+            "-",
+            "1e",
+            "1e+",
+            "[01]",
+            "\"a\tb\"",
+            "\"\n\"",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u041\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+        }
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("-1.25", -1.25),
+            ("0.5e1", 5.0),
+            ("1E+2", 100.0),
+            ("2e-1", 0.2),
+        ] {
+            assert_eq!(Json::parse(good).unwrap(), Json::Num(value), "{good:?}");
+        }
+        assert_eq!(
+            Json::parse("\"\\u0041\\u00e9\"").unwrap(),
+            Json::Str("Aé".to_string())
+        );
     }
 
     #[test]
@@ -412,14 +482,23 @@ mod tests {
     }
 
     #[test]
-    fn the_golden_series_fixture_parses() {
+    fn the_golden_fixtures_parse() {
         // The reader must handle everything the writer emits; the checked-in
-        // fixture is the canonical sample.
-        let text = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../../tests/golden/fig5_cw_slots_abstract.json"),
-        )
-        .expect("fixture");
+        // fixtures are the canonical sample.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(&dir).expect("tests/golden") {
+            let path = entry.expect("a fixture").path();
+            if path.extension().is_some_and(|ext| ext == "json") {
+                let text = std::fs::read_to_string(&path).expect("fixture");
+                let v = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert!(v.field("name").is_ok(), "{}", path.display());
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 17, "only {parsed} JSON fixtures");
+        let text =
+            std::fs::read_to_string(dir.join("fig5_cw_slots_abstract.json")).expect("fixture");
         let v = Json::parse(&text).unwrap();
         assert_eq!(
             v.field("name").unwrap().as_str().unwrap(),

@@ -3,6 +3,7 @@
 
 use contention_sim::engine::ExecPolicy;
 use contention_sim::monitor::SnapshotCadence;
+use std::fmt::Display;
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::slice::Iter;
@@ -15,14 +16,28 @@ use std::time::Duration;
 /// anything is allocated; the paper uses at most 30.
 pub const MAX_TRIALS: u32 = 1_000_000;
 
+/// The most worker threads `--threads` may ask for. A sweep spawns at most
+/// one thread per core whatever the flag says, so a larger count can only
+/// be a mistake, and it is refused before anything starts.
+pub const MAX_THREADS: usize = 1024;
+
 /// `trials` when it lies in `1..=MAX_TRIALS`, else an error naming it as
 /// `what`: the one check of a trial count, from the command line or from
 /// an artifact.
 pub(crate) fn trial_count(trials: u32, what: &str) -> Result<u32, String> {
-    if (1..=MAX_TRIALS).contains(&trials) {
-        Ok(trials)
+    within(trials, MAX_TRIALS, what)
+}
+
+/// `count` when it lies in `1..=max`, else an error naming it as `what`.
+fn within<T: Copy + PartialOrd + From<u8> + Display>(
+    count: T,
+    max: T,
+    what: &str,
+) -> Result<T, String> {
+    if (T::from(1)..=max).contains(&count) {
+        Ok(count)
     } else {
-        Err(format!("{what} {trials} is outside 1..={MAX_TRIALS}"))
+        Err(format!("{what} {count} is outside 1..={max}"))
     }
 }
 
@@ -39,7 +54,7 @@ pub struct Options {
     pub trials: Option<u32>,
     /// Write CSVs here in addition to printing.
     pub out_dir: Option<PathBuf>,
-    /// Worker threads (`None` = all cores).
+    /// Worker threads (`None` = all cores), at most [`MAX_THREADS`].
     pub threads: Option<usize>,
     /// Also write JSON series next to the CSVs (requires `--out`, except for
     /// `resume`, which writes into its run directory).
@@ -241,7 +256,9 @@ impl Options {
                 "--full" => opts.full = true,
                 "--json" => opts.json = true,
                 "--trials" => opts.trials = Some(trial_count(value(&mut it, flag, false)?, flag)?),
-                "--threads" => opts.threads = Some(value(&mut it, flag, true)?),
+                "--threads" => {
+                    opts.threads = Some(within(value(&mut it, flag, true)?, MAX_THREADS, flag)?)
+                }
                 "--out" => opts.out_dir = Some(value(&mut it, flag, false)?),
                 "--shard" => {
                     opts.shard = Some(parse_shard(&value::<String>(&mut it, flag, false)?)?)

@@ -47,7 +47,10 @@ use crate::summary::Metric;
 use contention_core::algorithm::AlgorithmKind;
 use contention_sim::sched::CostSpec;
 use contention_stats::stream::StreamingSample;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 
 /// Schema tag every artifact carries; bumped on layout changes.
@@ -82,14 +85,22 @@ impl GridMeta {
         self.algorithms.len() * self.ns.len()
     }
 
-    /// The index of cell `(algorithm, n)` in canonical grid order
-    /// (algorithms outer, ns inner): the order a single-process sweep
-    /// returns cells in, which every reassembled state keeps so that its
-    /// report is byte-identical. `None` off the grid.
-    pub(crate) fn position(&self, algorithm: AlgorithmKind, n: u32) -> Option<usize> {
-        let a = self.algorithms.iter().position(|&x| x == algorithm)?;
-        let i = self.ns.iter().position(|&x| x == n)?;
-        Some(a * self.ns.len() + i)
+    /// The grid's positions by coordinate, built in one pass over its axes,
+    /// so that looking a cell up costs O(1) however long they are.
+    pub(crate) fn index(&self) -> GridIndex {
+        // The first listing of a coordinate wins, as a scan would find it.
+        fn first<T: Copy + Eq + Hash>(axis: &[T]) -> HashMap<T, usize> {
+            let mut at = HashMap::with_capacity(axis.len());
+            for (i, &x) in axis.iter().enumerate() {
+                at.entry(x).or_insert(i);
+            }
+            at
+        }
+        GridIndex {
+            algorithms: first(&self.algorithms),
+            ns: first(&self.ns),
+            width: self.ns.len(),
+        }
     }
 
     /// Estimated per-*trial* cost of every cell, in grid order (algorithms
@@ -102,6 +113,23 @@ impl GridMeta {
             .iter()
             .flat_map(|_| self.ns.iter().map(|&n| self.cost.cost(n)))
             .collect()
+    }
+}
+
+/// A [`GridMeta`]'s positions by coordinate (see [`GridMeta::index`]).
+pub(crate) struct GridIndex {
+    algorithms: HashMap<AlgorithmKind, usize>,
+    ns: HashMap<u32, usize>,
+    width: usize,
+}
+
+impl GridIndex {
+    /// The index of cell `(algorithm, n)` in canonical grid order
+    /// (algorithms outer, ns inner): the order a single-process sweep
+    /// returns cells in, which every reassembled state keeps so that its
+    /// report is byte-identical. `None` off the grid.
+    pub(crate) fn position(&self, algorithm: AlgorithmKind, n: u32) -> Option<usize> {
+        Some(self.algorithms.get(&algorithm)? * self.width + self.ns.get(&n)?)
     }
 }
 
@@ -349,19 +377,26 @@ impl ShardState {
             metrics,
             cost,
         };
-        let mut cells = Vec::new();
-        for cell in doc.field("cells")?.as_array()? {
+        let listed = doc.field("cells")?.as_array()?;
+        if listed.len() > grid.cell_count() {
+            return Err(format!(
+                "{} cells listed for a grid of {}",
+                listed.len(),
+                grid.cell_count()
+            ));
+        }
+        let index = grid.index();
+        let mut seen = HashSet::with_capacity(listed.len());
+        let mut cells = Vec::with_capacity(listed.len());
+        for cell in listed {
             let key = cell.field("algorithm")?.as_str()?;
             let algorithm =
                 AlgorithmKind::from_key(key).ok_or_else(|| format!("unknown algorithm {key:?}"))?;
             let n = cell.field("n")?.as_u32()?;
-            if !grid.algorithms.contains(&algorithm) || !grid.ns.contains(&n) {
-                return Err(format!("cell ({algorithm}, n={n}) is outside the grid"));
-            }
-            if cells
-                .iter()
-                .any(|c: &ShardCell| c.algorithm == algorithm && c.n == n)
-            {
+            let at = index
+                .position(algorithm, n)
+                .ok_or_else(|| format!("cell ({algorithm}, n={n}) is outside the grid"))?;
+            if !seen.insert(at) {
                 return Err(format!("cell ({algorithm}, n={n}) appears twice"));
             }
             let samples = cell
@@ -507,30 +542,33 @@ pub fn merge_states(states: Vec<ShardState>) -> Result<ShardState, String> {
 }
 
 /// `base` with `fresh` folded in cell by cell — `merge` combines a cell
-/// both hold — in canonical grid order (`GridMeta::position`): the one
+/// both hold — in canonical grid order (`GridIndex::position`): the one
 /// fold behind a checkpoint (a resume's loaded state ∪ the in-flight cut),
 /// `repro merge` (artifact after artifact) and the coordinator (its master
 /// ∪ one POST). Cells neither holds stay absent, as in any partial
-/// artifact; every caller's cells lie on `grid`.
+/// artifact; a cell off `grid` is an error.
 pub fn merge_cells(
     grid: &GridMeta,
     base: Vec<StatsCell>,
     fresh: Vec<StatsCell>,
     merge: impl Fn(&mut MetricStats, MetricStats) -> Result<(), String>,
 ) -> Result<Vec<StatsCell>, String> {
-    let mut merged = base;
-    for cell in fresh {
-        match merged
-            .iter_mut()
-            .find(|c| c.algorithm == cell.algorithm && c.n == cell.n)
-        {
-            Some(mine) => merge(&mut mine.acc, cell.acc)
-                .map_err(|e| format!("cell ({}, n={}): {e}", cell.algorithm, cell.n))?,
-            None => merged.push(cell),
+    let index = grid.index();
+    let mut merged: BTreeMap<usize, StatsCell> = BTreeMap::new();
+    for cell in base.into_iter().chain(fresh) {
+        let (algorithm, n) = (cell.algorithm, cell.n);
+        let at = index
+            .position(algorithm, n)
+            .ok_or_else(|| format!("cell ({algorithm}, n={n}) is outside the grid"))?;
+        match merged.entry(at) {
+            Entry::Occupied(mut mine) => merge(&mut mine.get_mut().acc, cell.acc)
+                .map_err(|e| format!("cell ({algorithm}, n={n}): {e}"))?,
+            Entry::Vacant(slot) => {
+                slot.insert(cell);
+            }
         }
     }
-    merged.sort_by_key(|c| grid.position(c.algorithm, c.n));
-    Ok(merged)
+    Ok(merged.into_values().collect())
 }
 
 #[cfg(test)]
@@ -727,8 +765,52 @@ mod tests {
         assert!(ShardState::parse(&bad)
             .unwrap_err()
             .contains("outside the grid"));
+        // More cells than the declared grid holds.
+        let all = [(Beb, 10), (Beb, 20), (Sawtooth, 10), (Sawtooth, 20)];
+        let bad = state((0, 1), &all)
+            .to_json()
+            .replace("\"ns\": [10, 20]", "\"ns\": [10]");
+        assert_eq!(
+            ShardState::parse(&bad).unwrap_err(),
+            "4 cells listed for a grid of 2"
+        );
         // Truncated document.
         assert!(ShardState::parse(&good[..good.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn many_cells_parse_in_linear_time() {
+        // Regression: each cell was checked against every cell parsed
+        // before it and its `n` found by a scan of `ns`, so k distinct
+        // cells under an empty `metrics` list, which one POST to the
+        // coordinator can carry, took time quadratic in k (80 000 cells:
+        // 5.6 s).
+        use std::fmt::Write;
+        const CELLS: u32 = 400_000;
+        let (mut ns, mut cells) = (String::new(), String::new());
+        for n in 0..CELLS {
+            let sep = if n == 0 { "" } else { "," };
+            write!(ns, "{sep}{n}").unwrap();
+            write!(
+                cells,
+                "{sep}{{\"algorithm\":\"beb\",\"n\":{n},\"samples\":[]}}"
+            )
+            .unwrap();
+        }
+        let cost = CostSpec::Uniform.key();
+        let doc = format!(
+            "{{\"schema\":\"{SHARD_SCHEMA}\",\"experiment\":\"x\",\"full\":false,\
+             \"trials\":1,\"cost\":\"{cost}\",\"shard\":[0,1],\"metrics\":[],\
+             \"algorithms\":[\"beb\"],\"ns\":[{ns}],\"cells\":[{cells}]}}"
+        );
+        drop((ns, cells));
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || sender.send(ShardState::parse(&doc)).unwrap());
+        let parsed = receiver
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("400 000 cells parse within 10 s");
+        parser.join().unwrap();
+        assert_eq!(parsed.unwrap().cells.len(), CELLS as usize);
     }
 
     #[test]

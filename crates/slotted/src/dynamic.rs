@@ -42,12 +42,17 @@
 //!   sustained 39 % wall-time load is a multiple of that per *idle* slot,
 //!   which is why collision-fragile schedules (SAWTOOTH in particular) now
 //!   collapse under loads the old engine sailed through.
-//! * Per-packet state is a slab entry of `{arrival_wall, backoff stage}`;
-//!   timers are drawn through the algorithm's [`Backoff`] table, indexed by
-//!   that stage.
-//! * Timers live in a calendar `BucketQueue` (2048 near-future buckets +
-//!   an overflow heap), making push/pop O(1) amortized instead of the old
-//!   global `BinaryHeap`'s O(log backlog).
+//! * Per-packet state is a slab entry holding its arrival wall slot. The
+//!   backoff stage rides in the packet's queue entry, `(id, stage)`: a
+//!   collided timer reads it from the entry it was popped from, steps it
+//!   with [`Backoff::next_stage`], which folds it into the table's cycle so
+//!   the draw never divides, and pushes the new entry.
+//! * Timers live in a calendar `BucketQueue`, making push/pop O(1)
+//!   amortized instead of the old global `BinaryHeap`'s O(log backlog). Its
+//!   ring has one bucket per slot of the paper's CWmax (1024): a redraw
+//!   always lands within CWmax slots of the collision, inside the ring, and
+//!   the ring stays small enough to sit in L1. An arrival after a longer
+//!   idle stretch waits in an overflow heap.
 //! * Latencies stream into a fixed-footprint
 //!   [`contention_stats::histogram::LatencyHistogram`] — no per-packet
 //!   latency vector, no end-of-trial sort.
@@ -314,29 +319,44 @@ impl From<DynamicMetrics> for TrialSummary {
 // Calendar bucket queue over idle-slot coordinates.
 // ---------------------------------------------------------------------------
 
-const RING_BITS: u32 = 11;
 /// Near-future window: coordinates in `[base, base + RING)` go into ring
-/// buckets (the paper's CWmax = 1024 redraws always land here); farther
-/// timers wait in an overflow heap and are promoted as `base` advances.
-const RING: u64 = 1 << RING_BITS;
+/// buckets, farther timers wait in an overflow heap. The window is the
+/// paper's CWmax wide, the truncation the engine runs: a redraw after a
+/// collision at `x` lands in `[x + 1, x + CWmax]`, inside the window the
+/// pop leaves, so only an arrival after a long idle stretch overflows.
+const RING: u64 = 1024;
 const RING_WORDS: usize = (RING as usize) / 64;
 
-/// Calendar queue of `(idle-coordinate, packet id)` timers.
+/// A queued timer: its packet, and the backoff stage it was drawn at,
+/// folded into the schedule's cycle by [`Backoff::next_stage`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Timer {
+    id: u32,
+    stage: u32,
+}
+
+/// Calendar queue of timers keyed by idle-slot coordinate.
 ///
-/// O(1) amortized push and pop-min: a 2048-slot ring of buckets indexed by
-/// `coord mod RING` with an occupancy bitmap for constant-time min scans,
-/// plus a `BinaryHeap` for coordinates beyond the ring window. Entries at
-/// the same coordinate pop as one group, in push order (deterministic).
+/// O(1) amortized push and pop-min: a `RING`-bucket ring indexed by
+/// `coord mod RING` with an occupancy bitmap for the min scan, plus a
+/// `BinaryHeap` for coordinates beyond the ring window, which moves into
+/// the ring as soon as the window reaches it. The smallest coordinate is
+/// cached, so `peek` reads a field. Entries at the same coordinate pop as
+/// one group, in push order (deterministic).
 #[derive(Debug)]
 struct BucketQueue {
-    ring: Vec<Vec<u32>>,
+    ring: Vec<Vec<Timer>>,
     occupied: [u64; RING_WORDS],
-    /// Smallest coordinate the ring can currently hold; all live entries
-    /// have coordinates ≥ `base`.
+    /// Smallest coordinate the ring can currently hold: every live entry
+    /// is at or past `base`, and every overflow entry at or past
+    /// `base + RING`.
     base: u64,
-    ring_len: usize,
-    len: usize,
-    overflow: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Smallest live coordinate.
+    min: Option<u64>,
+    /// Timers beyond the ring window, by coordinate, then push order.
+    overflow: BinaryHeap<Reverse<(u64, u64, Timer)>>,
+    /// Timers pushed into `overflow` so far: its push order.
+    overflowed: u64,
 }
 
 impl Default for BucketQueue {
@@ -345,19 +365,14 @@ impl Default for BucketQueue {
             ring: (0..RING).map(|_| Vec::new()).collect(),
             occupied: [0; RING_WORDS],
             base: 0,
-            ring_len: 0,
-            len: 0,
+            min: None,
             overflow: BinaryHeap::new(),
+            overflowed: 0,
         }
     }
 }
 
 impl BucketQueue {
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Reset to empty, retaining every allocation.
     fn clear(&mut self) {
         for w in 0..RING_WORDS {
@@ -370,72 +385,71 @@ impl BucketQueue {
             self.occupied[w] = 0;
         }
         self.base = 0;
-        self.ring_len = 0;
-        self.len = 0;
+        self.min = None;
         self.overflow.clear();
+        self.overflowed = 0;
     }
 
     #[inline]
-    fn push(&mut self, coord: u64, id: u32) {
+    fn push(&mut self, coord: u64, timer: Timer) {
         debug_assert!(coord >= self.base, "cannot schedule into the past");
         if coord - self.base < RING {
-            let i = (coord % RING) as usize;
-            self.ring[i].push(id);
-            self.occupied[i / 64] |= 1u64 << (i % 64);
-            self.ring_len += 1;
+            self.insert(coord, timer);
         } else {
-            self.overflow.push(Reverse((coord, id)));
+            self.overflow.push(Reverse((coord, self.overflowed, timer)));
+            self.overflowed += 1;
         }
-        self.len += 1;
+        self.min = Some(self.min.map_or(coord, |m| m.min(coord)));
+    }
+
+    #[inline]
+    fn insert(&mut self, coord: u64, timer: Timer) {
+        let i = (coord % RING) as usize;
+        self.ring[i].push(timer);
+        self.occupied[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Smallest live coordinate, if any.
+    #[inline]
     fn peek(&self) -> Option<u64> {
-        let ring = self.next_ring_coord();
-        let over = self.overflow.peek().map(|&Reverse((c, _))| c);
-        match (ring, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.min
     }
 
-    /// Pops every entry at the minimum coordinate into `group` (appended in
-    /// push order) and returns that coordinate.
-    fn pop_group(&mut self, group: &mut Vec<u32>) -> Option<u64> {
-        let target = self.peek()?;
-        if target >= self.base + RING {
+    /// Replaces `group` with every entry at the minimum coordinate, in push
+    /// order, and returns that coordinate.
+    fn pop_group(&mut self, group: &mut Vec<Timer>) -> Option<u64> {
+        let x = self.min?;
+        if x - self.base >= RING {
             // Only reachable with an empty ring: jump the window forward.
-            debug_assert_eq!(self.ring_len, 0);
-            self.base = target;
+            self.base = x;
+            self.promote();
         }
-        // Promote overflow timers that now fall inside the ring window.
-        while let Some(&Reverse((c, id))) = self.overflow.peek() {
-            if c - self.base >= RING {
+        let i = (x % RING) as usize;
+        group.clear();
+        std::mem::swap(group, &mut self.ring[i]);
+        self.occupied[i / 64] &= !(1u64 << (i % 64));
+        self.base = x + 1;
+        self.promote();
+        self.min = self
+            .next_ring_coord()
+            .or_else(|| self.overflow.peek().map(|&Reverse((c, _, _))| c));
+        Some(x)
+    }
+
+    /// Moves the overflow timers the ring window now reaches into the ring,
+    /// in push order, ahead of any later push at their coordinates.
+    fn promote(&mut self) {
+        while let Some(&Reverse((coord, _, timer))) = self.overflow.peek() {
+            if coord - self.base >= RING {
                 break;
             }
             self.overflow.pop();
-            let i = (c % RING) as usize;
-            self.ring[i].push(id);
-            self.occupied[i / 64] |= 1u64 << (i % 64);
-            self.ring_len += 1;
+            self.insert(coord, timer);
         }
-        let x = self.next_ring_coord().expect("nonempty after promotion");
-        debug_assert_eq!(x, target);
-        let i = (x % RING) as usize;
-        let count = self.ring[i].len();
-        group.append(&mut self.ring[i]);
-        self.occupied[i / 64] &= !(1u64 << (i % 64));
-        self.ring_len -= count;
-        self.len -= count;
-        self.base = x + 1;
-        Some(x)
     }
 
     /// Smallest coordinate present in the ring (bitmap scan from `base`).
     fn next_ring_coord(&self) -> Option<u64> {
-        if self.ring_len == 0 {
-            return None;
-        }
         let start = (self.base % RING) as usize;
         let (w0, b0) = (start / 64, start % 64);
         let mut word = self.occupied[w0] & (u64::MAX << b0);
@@ -454,7 +468,7 @@ impl BucketQueue {
                 word &= !(u64::MAX << b0);
             }
         }
-        unreachable!("ring_len > 0 but no occupied bucket")
+        None
     }
 }
 
@@ -520,18 +534,6 @@ fn exp_sample(rng: &mut SmallRng, rate: f64) -> f64 {
 // The engine.
 // ---------------------------------------------------------------------------
 
-const NO_SLOT: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct PacketSlot {
-    arrival_wall: u64,
-    /// Backoff stage: how many windows this packet has drawn so far minus
-    /// one (stage s draws through `Backoff::sample(s, _)`).
-    stage: u32,
-    /// Free-list link when the slot is vacant.
-    next_free: u32,
-}
-
 /// Reusable per-worker state for dynamic trials: the packet slab (bounded by
 /// the instantaneous backlog, not by total arrivals), the calendar queue,
 /// the latency histogram, and the [`Backoff`] table of every algorithm the
@@ -544,10 +546,12 @@ pub struct DynamicScratch {
 
 #[derive(Default)]
 struct DynState {
-    slab: Vec<PacketSlot>,
-    free_head: Option<u32>,
+    /// The slab: each live packet's arrival wall slot, by packet id.
+    arrivals: Vec<u64>,
+    /// Ids of completed packets, reused last freed first.
+    free: Vec<u32>,
     queue: BucketQueue,
-    group: Vec<u32>,
+    group: Vec<Timer>,
     hist: LatencyHistogram,
 }
 
@@ -564,14 +568,14 @@ fn run_streaming(
     rng: &mut SmallRng,
 ) -> DynamicMetrics {
     let DynState {
-        slab,
-        free_head,
+        arrivals,
+        free,
         queue,
         group,
         hist,
     } = state;
-    slab.clear();
-    *free_head = None;
+    arrivals.clear();
+    free.clear();
     queue.clear();
     group.clear();
     hist.clear();
@@ -609,9 +613,18 @@ fn run_streaming(
             // idle clock.
             let idle_coord = wall.saturating_sub(busy_total).max(last_idle);
             for _ in 0..count {
-                let id = alloc_slot(slab, free_head, wall);
+                let id = match free.pop() {
+                    Some(id) => {
+                        arrivals[id as usize] = wall;
+                        id
+                    }
+                    None => {
+                        arrivals.push(wall);
+                        (arrivals.len() - 1) as u32
+                    }
+                };
                 let timer = backoff.sample(0, rng);
-                queue.push(idle_coord + timer, id);
+                queue.push(idle_coord + timer, Timer { id, stage: 0 });
             }
         }
 
@@ -622,24 +635,21 @@ fn run_streaming(
         if wall_now > deadline {
             break; // Drain deadline: whatever is left is incomplete.
         }
-        group.clear();
         queue.pop_group(group);
         last_idle = x + 1;
-        if group.len() == 1 {
-            let id = group[0];
+        if let [Timer { id, .. }] = group[..] {
             busy_total += cfg.success_cost - 1;
             // Success is observed at the end of the exchange.
             let done_wall = wall_now + cfg.success_cost - 1;
-            hist.record(done_wall - slab[id as usize].arrival_wall);
-            free_slot(slab, free_head, id);
+            hist.record(done_wall - arrivals[id as usize]);
+            free.push(id);
         } else {
             collisions += 1;
             busy_total += cfg.collision_cost - 1;
-            for &id in group.iter() {
-                let slot = &mut slab[id as usize];
-                slot.stage = slot.stage.saturating_add(1);
-                let timer = backoff.sample(slot.stage, rng);
-                queue.push(x + 1 + timer, id);
+            for &Timer { id, stage } in group.iter() {
+                let stage = backoff.next_stage(stage);
+                let timer = backoff.sample(stage, rng);
+                queue.push(x + 1 + timer, Timer { id, stage });
             }
         }
     }
@@ -657,35 +667,6 @@ fn run_streaming(
         collisions,
         latency: hist.clone(),
     }
-}
-
-#[inline]
-fn alloc_slot(slab: &mut Vec<PacketSlot>, free_head: &mut Option<u32>, arrival_wall: u64) -> u32 {
-    match *free_head {
-        Some(id) => {
-            let slot = &mut slab[id as usize];
-            *free_head = (slot.next_free != NO_SLOT).then_some(slot.next_free);
-            slot.arrival_wall = arrival_wall;
-            slot.stage = 0;
-            slot.next_free = NO_SLOT;
-            id
-        }
-        None => {
-            let id = slab.len() as u32;
-            slab.push(PacketSlot {
-                arrival_wall,
-                stage: 0,
-                next_free: NO_SLOT,
-            });
-            id
-        }
-    }
-}
-
-#[inline]
-fn free_slot(slab: &mut [PacketSlot], free_head: &mut Option<u32>, id: u32) {
-    slab[id as usize].next_free = free_head.unwrap_or(NO_SLOT);
-    *free_head = Some(id);
 }
 
 /// Plugs the dynamic-traffic simulator into the generic sweep engine.
@@ -871,65 +852,82 @@ mod tests {
     }
 
     #[test]
+    fn the_ring_is_the_engines_cw_max_wide() {
+        // A redraw lands at most CWmax slots past the popped coordinate, so
+        // it always fits the window the pop leaves.
+        assert_eq!(RING, u64::from(Truncation::paper().cw_max));
+    }
+
+    #[test]
     fn bucket_queue_pops_in_coordinate_order_with_push_order_groups() {
         let mut q = BucketQueue::default();
+        let timer = |id| Timer { id, stage: id % 3 };
         // Mix near-future, same-coordinate, and far-overflow pushes.
-        q.push(5, 1);
-        q.push(3, 2);
-        q.push(5, 3);
-        q.push(RING + 10_000, 4); // overflow
-        q.push(3, 5);
+        q.push(5, timer(1));
+        q.push(3, timer(2));
+        q.push(5, timer(3));
+        q.push(RING + 10_000, timer(4)); // overflow
+        q.push(3, timer(5));
+        q.push(RING + 10_000, timer(0)); // overflow, pushed after id 4
+        assert_eq!(q.peek(), Some(3));
         let mut group = Vec::new();
         assert_eq!(q.pop_group(&mut group), Some(3));
-        assert_eq!(group, vec![2, 5]);
-        group.clear();
+        assert_eq!(group, [timer(2), timer(5)]);
         assert_eq!(q.pop_group(&mut group), Some(5));
-        assert_eq!(group, vec![1, 3]);
-        group.clear();
-        // Ring now empty: base must jump to the overflow entry.
+        assert_eq!(group, [timer(1), timer(3)]);
+        // Ring now empty: base must jump to the overflow entries, which
+        // keep their push order.
+        assert_eq!(q.peek(), Some(RING + 10_000));
         assert_eq!(q.pop_group(&mut group), Some(RING + 10_000));
-        assert_eq!(group, vec![4]);
-        group.clear();
+        assert_eq!(group, [timer(4), timer(0)]);
         assert_eq!(q.pop_group(&mut group), None);
-        assert!(q.is_empty());
+        assert_eq!(q.peek(), None);
     }
 
     #[test]
     fn bucket_queue_matches_binary_heap_reference() {
         let mut rng = trial_rng(experiment_tag("bucket-queue"), AlgorithmKind::Beb, 0, 0);
         let mut q = BucketQueue::default();
-        let mut reference: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        // Keyed by coordinate, then push order: a group pops in push order.
+        let mut reference: BinaryHeap<Reverse<(u64, u64, Timer)>> = BinaryHeap::new();
         let mut cursor = 0u64; // monotone pop frontier, as in the sim
-        let mut next_id = 0u32;
-        for _ in 0..2_000 {
-            // A few pushes ahead of the frontier (some far into overflow)...
+        let mut pushes = 0u64;
+        let mut group = Vec::new();
+        for _ in 0..4_000 {
+            // A few pushes ahead of the frontier (some far into overflow,
+            // some just past the ring window)...
             for _ in 0..(rng.next_u32() % 4) {
-                let gap = if rng.next_u32().is_multiple_of(10) {
-                    RING + rng.next_u64() % 100_000
-                } else {
-                    rng.next_u64() % 1024
+                let gap = match rng.next_u32() % 10 {
+                    0 => RING + rng.next_u64() % 100_000,
+                    1 => RING - 2 + rng.next_u64() % 4,
+                    _ => rng.next_u64() % RING,
                 };
-                q.push(cursor + gap, next_id);
-                reference.push(Reverse((cursor + gap, next_id)));
-                next_id += 1;
+                let timer = Timer {
+                    id: rng.next_u32() % 64,
+                    stage: rng.next_u32() % 64,
+                };
+                q.push(cursor + gap, timer);
+                reference.push(Reverse((cursor + gap, pushes, timer)));
+                pushes += 1;
+                let want = reference.peek().map(|&Reverse((c, _, _))| c);
+                assert_eq!(q.peek(), want, "cached minimum after a push");
             }
             // ...then drain one coordinate group from each and compare.
-            let mut group = Vec::new();
             let got = q.pop_group(&mut group);
-            let want = reference.peek().map(|&Reverse((c, _))| c);
+            let want = reference.peek().map(|&Reverse((c, _, _))| c);
             assert_eq!(got, want);
             let Some(x) = got else { continue };
             let mut ref_group = Vec::new();
-            while let Some(&Reverse((c, id))) = reference.peek() {
+            while let Some(&Reverse((c, _, timer))) = reference.peek() {
                 if c != x {
                     break;
                 }
                 reference.pop();
-                ref_group.push(id);
+                ref_group.push(timer);
             }
-            group.sort_unstable();
-            ref_group.sort_unstable();
             assert_eq!(group, ref_group, "members at coordinate {x}");
+            let want = reference.peek().map(|&Reverse((c, _, _))| c);
+            assert_eq!(q.peek(), want, "cached minimum after a pop");
             cursor = x + 1;
         }
     }

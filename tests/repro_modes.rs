@@ -2,7 +2,7 @@
 //! the 14 flags against every one of the 8 modes, with every refusal in
 //! the one wording, and each mode's positional arguments and needed flags.
 
-use contention_experiments::options::Options;
+use contention_experiments::options::{Options, MAX_THREADS};
 use std::process::Command;
 
 /// The modes, each as a command line it accepts: its positional arguments
@@ -121,7 +121,35 @@ fn every_mode_needs_its_positional_arguments_and_flags() {
     }
 }
 
-/// `list` takes no flags: one with a flag exits 1 and says why.
+/// Every mode that takes `--threads` refuses more than `MAX_THREADS`, at
+/// parse time, before any thread starts.
+#[test]
+fn every_mode_bounds_its_threads() {
+    let (flag, _, row) = TAKES[2];
+    assert_eq!(flag, "--threads");
+    for (base, taken) in MODES.iter().zip(row.chars()) {
+        if taken != 'y' {
+            continue;
+        }
+        let with = |threads: &'static str| {
+            let mut args = base.to_vec();
+            args.extend(["--threads", threads]);
+            parse(&args)
+        };
+        assert_eq!(
+            with("1024").unwrap().1.threads,
+            Some(MAX_THREADS),
+            "{base:?}"
+        );
+        for threads in ["1025", "18446744073709551615"] {
+            let refusal = format!("--threads {threads} is outside 1..=1024");
+            assert_eq!(with(threads), Err(refusal), "{base:?}");
+        }
+    }
+}
+
+/// `list` takes no flags: one with a flag exits 1 and says why on stderr,
+/// leaving stdout empty for whatever reads it.
 #[test]
 fn list_with_a_flag_exits_1() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -129,6 +157,10 @@ fn list_with_a_flag_exits_1() {
         .output()
         .expect("spawn repro list --full");
     assert_eq!(out.status.code(), Some(1));
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), "");
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(stderr, "error: --full does not apply to `list`\n");
+    assert_eq!(
+        stderr,
+        "error: --full does not apply to `list`\nrun `repro --help` for usage\n"
+    );
 }
