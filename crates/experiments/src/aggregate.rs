@@ -140,13 +140,24 @@ impl MetricStats {
         &self.samples
     }
 
-    /// Trials recorded: a trial counts once every metric buffer holds it.
+    /// Whether trial `trial` is recorded: `Some(true)` once every metric
+    /// buffer holds it, `Some(false)` while none does, and `None` for a
+    /// torn trial that only some buffers hold, which no fold produces (a
+    /// trial records all its metrics at once). A collector of no metrics
+    /// holds no trial.
+    pub(crate) fn holds(&self, trial: usize) -> Option<bool> {
+        let held = self.samples.iter().filter(|s| !s.raw()[trial].is_nan());
+        match held.count() {
+            0 => Some(false),
+            all if all == self.samples.len() => Some(true),
+            _ => None,
+        }
+    }
+
+    /// Trials recorded: those `holds` counts as recorded.
     pub(crate) fn recorded(&self) -> usize {
-        self.samples
-            .iter()
-            .map(StreamingSample::filled)
-            .min()
-            .unwrap_or(0)
+        let trials = self.samples.first().map_or(0, StreamingSample::len);
+        (0..trials).filter(|&t| self.holds(t) == Some(true)).count()
     }
 
     /// True once every (trial, metric) slot has been recorded.

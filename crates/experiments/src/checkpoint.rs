@@ -17,11 +17,11 @@
 //!
 //! `repro resume <out>` loads the newest valid checkpoint (trying them from
 //! the highest sequence number down — a torn one is skipped with a warning,
-//! never fatal), computes the [`missing_work`] plan, runs *only* those
-//! trials, and merges them into the loaded state. Because the per-trial RNG
-//! is position-addressed, the resumed report is byte-identical to an
-//! uninterrupted run — `tests/checkpoint_resume.rs` pins this against the
-//! committed golden.
+//! never fatal), turns it into engine cells, plans their holes
+//! ([`GridMeta::holes`]), runs *only* those trials, and folds them over the
+//! loaded cells. Because the per-trial RNG is position-addressed, the
+//! resumed report is byte-identical to an uninterrupted run —
+//! `tests/checkpoint_resume.rs` pins this against the committed golden.
 //!
 //! Checkpoint I/O must never kill the run it protects: a failed checkpoint
 //! write warns on stderr once and the sweep continues; the next snapshot
@@ -139,14 +139,13 @@ impl CheckpointWriter {
         })
     }
 
-    /// Folds an already-loaded state (the checkpoint a resume starts from)
-    /// into every future checkpoint, so an interrupted *resume* still
-    /// leaves a checkpoint holding everything recorded so far.
-    pub fn with_base(mut self, base: ShardState) -> CheckpointWriter {
-        assert_eq!(base.grid, self.grid, "base state must match the run grid");
-        self.base = base.into_cells();
-        self.base_trials = self.base.iter().map(|c| c.acc.recorded()).sum();
-        self.base_work = self.work_of(&self.base);
+    /// Folds already-recorded cells of the run's grid (the checkpoint a
+    /// resume starts from) into every future checkpoint, so an interrupted
+    /// *resume* still leaves a checkpoint holding everything recorded so far.
+    pub fn with_base(mut self, base: Vec<StatsCell>) -> CheckpointWriter {
+        self.base_trials = base.iter().map(|c| c.acc.recorded()).sum();
+        self.base_work = self.work_of(&base);
+        self.base = base;
         self
     }
 
@@ -288,57 +287,10 @@ fn guarded_rate(numer: f64, denom: f64) -> f64 {
     }
 }
 
-/// The resume work plan: the trials the state has not recorded, as
-/// [`TrialRange`]s in grid order (one per run of consecutive holes) —
-/// exactly the `plan` argument of `Sweep::run_fold_monitored`. Cells with
-/// nothing missing are omitted; a complete state yields an empty plan.
-///
-/// A trial recorded for only *some* of a cell's metrics cannot have come
-/// from this pipeline (trials record all metrics atomically under the cell
-/// lock) and is rejected as a corrupt artifact rather than re-run — re-running
-/// it would double-record the metrics that are present.
+/// The trials `state` has not recorded, as the plan that runs them: its
+/// grid's [`GridMeta::holes`] of its cells.
 pub fn missing_work(state: &ShardState) -> Result<Vec<TrialRange>, String> {
-    let trials = state.grid.trials;
-    let mut plan: Vec<TrialRange> = Vec::new();
-    let mut cell_index = 0usize;
-    for &alg in &state.grid.algorithms {
-        for &n in &state.grid.ns {
-            let cell = state.cells.iter().find(|c| c.algorithm == alg && c.n == n);
-            for t in 0..trials {
-                let missing = match cell {
-                    None => true,
-                    Some(cell) => {
-                        let holes = cell
-                            .samples
-                            .iter()
-                            .filter(|s| s[t as usize].is_nan())
-                            .count();
-                        let missing = holes == cell.samples.len();
-                        if holes > 0 && !missing {
-                            return Err(format!(
-                                "cell ({alg}, n={n}) trial {t} is recorded for only some \
-                                 metrics — corrupt artifact"
-                            ));
-                        }
-                        missing
-                    }
-                };
-                if !missing {
-                    continue;
-                }
-                match plan.last_mut() {
-                    Some(last) if last.cell == cell_index && last.hi == t => last.hi = t + 1,
-                    _ => plan.push(TrialRange {
-                        cell: cell_index,
-                        lo: t,
-                        hi: t + 1,
-                    }),
-                }
-            }
-            cell_index += 1;
-        }
-    }
-    Ok(plan)
+    state.grid.holes(&state.clone().into_cells())
 }
 
 /// What [`load_latest`] recovered: the state, its sequence number, and one
@@ -687,16 +639,38 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `missing_work` places each cell by its grid position: a state of
+    /// 400 000 cells, every one missing its only trial, plans in linear
+    /// time, where a scan of the cells per grid cell takes about 10¹¹ steps.
     #[test]
-    fn with_base_merges_prior_state_into_checkpoints() {
+    fn missing_work_of_many_cells_takes_linear_time() {
+        const CELLS: u32 = 400_000;
+        let grid = GridMeta {
+            ns: (0..CELLS).collect(),
+            trials: 1,
+            ..tiny_grid()
+        };
+        let cells: Vec<StatsCell> = (0..CELLS).map(|n| cell(n, vec![f64::NAN])).collect();
+        let state = ShardState::from_cells("t", false, (0, 1), &grid, &cells);
+        drop(cells);
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let planner = std::thread::spawn(move || sender.send(missing_work(&state)).unwrap());
+        let plan = receiver
+            .recv_timeout(Duration::from_secs(10))
+            .expect("400 000 cells plan within 10 s")
+            .unwrap();
+        planner.join().unwrap();
+        assert_eq!(plan.len(), CELLS as usize);
+        assert!(plan
+            .iter()
+            .enumerate()
+            .all(|(i, r)| (r.cell, r.lo, r.hi) == (i, 0, 1)));
+    }
+
+    #[test]
+    fn with_base_merges_prior_cells_into_checkpoints() {
         let dir = scratch_dir("base");
-        let base = ShardState::from_cells(
-            "t",
-            false,
-            (0, 1),
-            &tiny_grid(),
-            &[cell(10, vec![1.0, 2.0]), cell(20, vec![3.0, f64::NAN])],
-        );
+        let base = vec![cell(10, vec![1.0, 2.0]), cell(20, vec![3.0, f64::NAN])];
         let writer = CheckpointWriter::new(&dir, "t", false, tiny_grid())
             .unwrap()
             .with_base(base);

@@ -20,12 +20,15 @@
 //! | `serve` | the missing trials, cut into leases | by `work` processes | master ∪ each POST | here |
 //! | `work` | its lease | here | — | POSTs `shard_state/v1` |
 //!
-//! A checkpointed run is a resume from an empty state: per-trial RNG
-//! streams make a trial's bits independent of the plan it runs in, so
-//! every mode reports the direct run's bytes. `all` runs each sweep that
-//! several experiments fold from once for all of them ([`SharedSweeps`]),
-//! with the same output, byte for byte, as running the experiments one at
-//! a time.
+//! A checkpointed run is a resume from no cells: per-trial RNG streams make
+//! a trial's bits independent of the plan it runs in, so every mode reports
+//! the direct run's bytes. Every mode plans and reports on the engine's
+//! folded cells, whose holes one walk finds
+//! ([`GridMeta::holes`](crate::shard::GridMeta::holes)); a `shard_state/v1`
+//! artifact is built only where cells cross a file or a socket. `all` runs
+//! each sweep that several experiments fold from once for all of them
+//! ([`SharedSweeps`]), with the same output, byte for byte, as running the
+//! experiments one at a time.
 //!
 //! Each decision the modes share has one home: `Experiment` (which
 //! shardable sweep, under which options; whether an artifact belongs to
@@ -45,7 +48,7 @@ use crate::figures::shared::SweepHooks;
 use crate::figures::{registry, Report};
 use crate::options::{self, trial_count, Options, MAX_TRIALS};
 use crate::server::{Limits, Server};
-use crate::shard::{load_dir, merge_states, write_state, GridMeta, ShardCell, ShardState};
+use crate::shard::{load_dir, merge_states, write_state, GridMeta, ShardState};
 use crate::worker::run_worker;
 use contention_sim::engine::{validate_plan, TrialRange};
 use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
@@ -98,7 +101,7 @@ pub fn try_run(args: &[String]) -> Result<(), String> {
             let exp = Experiment::new(&sub, &opts)
                 .map_err(|e| format!("--checkpoint needs one sweep grid to snapshot: {e}"))?;
             let dir = opts.out_dir.as_deref().expect("validated at parse time");
-            run_checkpointed(&exp, exp.state((0, 1), &[]), dir, &opts)
+            run_checkpointed(&exp, Vec::new(), dir, &opts)
         }
         _ => run_direct(&sub, &opts),
     }
@@ -223,11 +226,6 @@ impl Experiment {
         ))
     }
 
-    /// `cells` as shard `shard` of this sweep's `shard_state/v1` artifact.
-    pub(crate) fn state(&self, shard: (u32, u32), cells: &[StatsCell]) -> ShardState {
-        ShardState::from_cells(self.entry.name, self.opts.full, shard, &self.grid, cells)
-    }
-
     /// The execute step, in this process: runs `plan`, with `monitor` on
     /// the engine's snapshot seam, into the folded cells it touched.
     fn execute(
@@ -251,7 +249,7 @@ impl Experiment {
         cells: &[StatsCell],
         target: usize,
     ) -> Result<Vec<Vec<TrialRange>>, String> {
-        let plan = checkpoint::missing_work(&self.state((0, 1), cells))?;
+        let plan = self.grid.holes(cells)?;
         let costs = self.grid.cell_trial_costs();
         Ok(TrialRange::partition(&plan, &costs, target))
     }
@@ -259,11 +257,13 @@ impl Experiment {
     /// `plan` run into shard `shard`'s artifact: what `repro shard` writes
     /// and `repro work` posts.
     pub(crate) fn run_plan(&self, plan: &[TrialRange], shard: (u32, u32)) -> ShardState {
-        self.state(shard, &self.execute(plan, None))
+        let cells = self.execute(plan, None);
+        ShardState::from_cells(self.entry.name, self.opts.full, shard, &self.grid, &cells)
     }
 
     /// The report step for folded cells: refuses an incomplete fold, naming
-    /// what is missing, and otherwise [`publish`]es the report into `dir`.
+    /// up to 8 cells with holes, and otherwise [`publish`]es the report into
+    /// `dir`.
     pub(crate) fn report(
         &self,
         cells: &[StatsCell],
@@ -271,13 +271,29 @@ impl Experiment {
         dir: &Path,
         json: bool,
     ) -> Result<(), String> {
-        let missing = self.state((0, 1), cells).missing();
-        if !missing.is_empty() {
+        let (grid, trials) = (&self.grid, self.grid.trials);
+        // A cell's ranges are adjacent in the plan.
+        let short: Vec<String> = grid
+            .holes(cells)?
+            .chunk_by(|a, b| a.cell == b.cell)
+            .map(|ranges| {
+                let cell = ranges[0].cell;
+                let (alg, n) = (
+                    grid.algorithms[cell / grid.ns.len()],
+                    grid.ns[cell % grid.ns.len()],
+                );
+                match trials - ranges.iter().map(|r| r.hi - r.lo).sum::<u32>() {
+                    0 => format!("cell ({alg}, n={n}) missing"),
+                    held => format!("cell ({alg}, n={n}): {held} of {trials} trials recorded"),
+                }
+            })
+            .collect();
+        if !short.is_empty() {
             return Err(format!(
                 "{} is incomplete in {} cells (a shard not merged? a corrupt checkpoint?):\n  {}",
                 self.entry.name,
-                missing.len(),
-                missing[..missing.len().min(8)].join("\n  ")
+                short.len(),
+                short[..short.len().min(8)].join("\n  ")
             ));
         }
         publish(
@@ -316,23 +332,23 @@ fn cadence(flags: Option<SnapshotCadence>) -> SnapshotCadence {
 }
 
 /// `repro <experiment> --checkpoint… --out DIR` and `repro resume DIR`:
-/// runs what `state` has not recorded (everything, on a fresh run) with a
-/// [`CheckpointWriter`] on the snapshot seam, folds that over `state`, and
-/// reports into `dir` — byte-identical to an uninterrupted run, because
-/// per-trial RNG streams are position-addressed.
+/// runs the trials `base` lacks (everything, on a fresh run, which passes
+/// no cells) with a [`CheckpointWriter`] on the snapshot seam, folds them
+/// over `base`, and reports into `dir` — byte-identical to an uninterrupted
+/// run, because per-trial RNG streams are position-addressed.
 fn run_checkpointed(
     exp: &Experiment,
-    state: ShardState,
+    base: Vec<StatsCell>,
     dir: &Path,
     opts: &Options,
 ) -> Result<(), String> {
     let started = Instant::now();
-    let plan = checkpoint::missing_work(&state)?;
+    let plan = exp.grid.holes(&base)?;
     validate_plan(&plan, exp.grid.cell_count(), exp.grid.trials)?;
-    // The writer folds `state` into every checkpoint, so a second
+    // The writer folds `base` into every checkpoint, so a second
     // interruption still loses nothing.
     let writer = CheckpointWriter::new(dir, exp.entry.name, exp.opts.full, exp.grid.clone())?
-        .with_base(state);
+        .with_base(base);
     let cadence = cadence(opts.checkpoint);
     let cells = writer.fold(exp.execute(&plan, Some((cadence, &writer))))?;
     let name = exp.entry.name;
@@ -353,14 +369,15 @@ fn run_resume(opts: &Options) -> Result<(), String> {
     })?;
     let exp = Experiment::recorded(&state.experiment, state.full, state.grid.trials, opts)?;
     exp.check(&state)?;
-    let recorded: usize = state.cells.iter().map(ShardCell::recorded).sum();
+    let cells = state.into_cells();
+    let missing: usize = exp.grid.holes(&cells)?.iter().map(TrialRange::len).sum();
     let total = exp.grid.cell_count() * exp.grid.trials as usize;
     println!(
-        "[resume] {} from checkpoint seq {seq}: {recorded} of {total} trials recorded, {} to run",
+        "[resume] {} from checkpoint seq {seq}: {} of {total} trials recorded, {missing} to run",
         exp.entry.name,
-        total - recorded
+        total - missing
     );
-    run_checkpointed(&exp, state, dir, opts)
+    run_checkpointed(&exp, cells, dir, opts)
 }
 
 /// `repro shard <experiment> --shard i/N --out DIR`: runs lease `i` of the
@@ -550,6 +567,35 @@ mod tests {
         for dir in [empty, out, shard_dir] {
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// An incomplete fold is refused by name, in grid order: a cell holding
+    /// some trials reads `k of T trials recorded`, one holding none
+    /// `missing`, and the first 8 are listed.
+    #[test]
+    fn report_names_the_cells_an_incomplete_fold_lacks() {
+        let opts = Options {
+            trials: Some(3),
+            ..Options::default()
+        };
+        let exp = Experiment::new("fig5", &opts).unwrap();
+        let range = |cell, lo, hi| TrialRange { cell, lo, hi };
+        let cells = exp.execute(&[range(0, 0, 2), range(1, 0, 3), range(2, 1, 2)], None);
+        let dir = temp_dir("incomplete");
+        let err = exp.report(&cells, "[fig5]", &dir, false).unwrap_err();
+        let (algorithm, ns) = (exp.grid.algorithms[0], &exp.grid.ns);
+        let expected = [
+            format!("cell ({algorithm}, n={}): 2 of 3 trials recorded", ns[0]),
+            format!("cell ({algorithm}, n={}): 1 of 3 trials recorded", ns[2]),
+            format!("cell ({algorithm}, n={}) missing", ns[3]),
+        ];
+        let head = "fig5 is incomplete in 15 cells (a shard not merged? a corrupt checkpoint?):";
+        assert!(
+            err.starts_with(&format!("{head}\n  {}", expected.join("\n  "))),
+            "{err}"
+        );
+        assert_eq!(err.lines().count(), 1 + 8, "{err}");
+        assert!(!dir.exists());
     }
 
     /// `repro shard i/N` runs lease `i` of the cut `serve --leases N`

@@ -13,15 +13,22 @@
 //!
 //! Three routes, all JSON over HTTP/1.1 with `Connection: close`:
 //!
-//! * `GET /lease` — claim work. Responses:
+//! * `GET /lease` — claim work. The reply is a [`LeaseReply`], the one type
+//!   both ends encode and decode it with:
 //!   `{"status":"lease","id":N,"experiment":...,"full":...,"trials":T,`
 //!   `"work":[[cell,lo,hi],...]}` (run trials `[lo,hi)` of each grid cell),
 //!   `{"status":"wait","retry_ms":200}` (everything is leased out; poll
 //!   again), or `{"status":"done"}` (the sweep is complete; exit).
 //! * `POST /result/<id>` — body is a `shard_state/v1` artifact (the same
 //!   format `repro shard` writes; the artifact seam *is* the wire format).
-//!   The server validates it against the run's grid, folds it with
-//!   duplicate-trial tolerance, checkpoints, and answers
+//!   A body longer than the largest artifact an honest worker of the sweep
+//!   can send is refused with 413 from its `Content-Length` alone. The
+//!   server checks the artifact's header (experiment, `--full`, grid)
+//!   against its sweep before it reads any cell, so a POST for another
+//!   sweep costs no more than its JSON parse and gets 409. It then converts
+//!   the cells, refuses a torn trial with the walk that plans a resume
+//!   ([`GridMeta::holes`]), folds them with duplicate-trial tolerance,
+//!   checkpoints, and answers
 //!   `{"status":"ok","fresh":F,"duplicate":D,"remaining":R}`.
 //! * `GET /metrics` — the live `sweep_metrics/v2` sidecar, re-served
 //!   verbatim from `--out/metrics.json`.
@@ -61,12 +68,14 @@
 //! claims never wait on the disk.
 //!
 //! [`MetricStats::try_merge_dedup`]: crate::aggregate::MetricStats::try_merge_dedup
+//! [`GridMeta::holes`]: crate::shard::GridMeta::holes
 
 use crate::aggregate::{MetricStats, StatsCell};
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::cli::{load_checkpoint, Experiment};
+use crate::jsonin::Json;
 use crate::options::Options;
-use crate::shard::{merge_cells, ShardState};
+use crate::shard::{merge_cells, ShardState, SAMPLE_WIDTH};
 use contention_sim::engine::TrialRange;
 use contention_sim::monitor::SweepSnapshot;
 use std::collections::VecDeque;
@@ -80,9 +89,11 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_LEASES: usize = 16;
 
 /// Every bound of `serve` and `work`, in one place: the four values the
-/// CLI sets and the fixed caps, timeouts and pauses. [`Limits::of`] builds
-/// it from the options, and nothing takes a `Limits` as input, so the four
-/// flags stay the only settable bounds. `serve` prints it when it starts.
+/// CLI sets, the body cap a coordinator derives from its sweep, and the
+/// fixed caps, timeouts and pauses. [`Limits::of`] builds it from the
+/// options and [`Server::start`] adds the body cap, and nothing takes a
+/// `Limits` as input, so the four flags stay the only settable bounds.
+/// `serve` prints it when it starts.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
     /// Listen port (`--port`; `0` = ephemeral).
@@ -95,9 +106,11 @@ pub struct Limits {
     pub linger: Duration,
     /// Poll interval the `wait` response suggests to workers.
     pub wait_retry: Duration,
-    /// Request bodies larger than this are refused with 413 up front — a
-    /// full-grid artifact is megabytes; hundreds of megabytes is an attack,
-    /// not a result.
+    /// Request bodies larger than this are refused with 413 up front: the
+    /// sweep's artifact with every grid cell listed and every sample at
+    /// the widest an honest trial's value renders (`SAMPLE_WIDTH`), which
+    /// no honest lease's artifact exceeds. [`Server::start`] derives it
+    /// from its sweep; [`Limits::of`] knows no sweep and leaves it 0.
     pub max_body_bytes: usize,
     /// The request line and headers together are refused with 431 past this —
     /// a worker's head is under 200 bytes, and the bound stops a client that
@@ -128,7 +141,7 @@ impl Limits {
             lease_ttl,
             linger: opts.linger.unwrap_or(Duration::from_secs(2)),
             wait_retry: Duration::from_millis(200),
-            max_body_bytes: 64 << 20,
+            max_body_bytes: 0,
             max_head_bytes: 16 << 10,
             max_handlers: 32,
             socket_timeout: lease_ttl.min(Duration::from_secs(30)),
@@ -251,16 +264,15 @@ fn recorded(cells: &[StatsCell]) -> usize {
 }
 
 impl Fold {
-    /// Validates and folds one posted artifact, all or nothing: the fold
-    /// runs on a copy of the master that replaces it only on success, so a
-    /// rejected POST leaves no trial behind. Returns the tally in *trial*
-    /// units.
-    fn fold_post(&mut self, exp: &Experiment, posted: ShardState) -> Result<MergeStats, String> {
-        exp.check(&posted)?;
-        // A trial recorded for only some metrics cannot have come from
-        // this pipeline; folding it would corrupt the master state.
-        checkpoint::missing_work(&posted)?;
-        let posted = posted.into_cells();
+    /// Folds the cells of one POST that `read_post` accepted, all or
+    /// nothing: the fold runs on a copy of the master that replaces it only
+    /// on success, so a rejected POST leaves no trial behind. Returns the
+    /// tally in *trial* units.
+    fn fold_post(
+        &mut self,
+        exp: &Experiment,
+        posted: Vec<StatsCell>,
+    ) -> Result<MergeStats, String> {
         let offered = recorded(&posted);
         let before = recorded(&self.cells);
         self.cells = merge_cells(&exp.grid, self.cells.clone(), posted, |mine, theirs| {
@@ -394,8 +406,12 @@ impl Server {
     /// exists, cuts the remaining work into cost-weighted leases, and
     /// binds the listen socket. No trials run here — workers do that.
     pub fn start(opts: &Options) -> Result<Server, String> {
-        let limits = Limits::of(opts);
         let exp = Experiment::new(&opts.inputs[0], opts)?;
+        let header = ShardState::from_cells(exp.entry.name, opts.full, (0, 1), &exp.grid, &[]);
+        let limits = Limits {
+            max_body_bytes: header.len_at(SAMPLE_WIDTH),
+            ..Limits::of(opts)
+        };
         let out_dir = opts.out_dir.clone().expect("validated at parse time");
 
         // Resume: the newest surviving checkpoint is the starting master
@@ -466,6 +482,12 @@ impl Server {
     /// The bound address — the `HOST:PORT` workers `--connect` to.
     pub fn local_addr(&self) -> SocketAddr {
         self.listener.local_addr().expect("bound listener")
+    }
+
+    /// The bounds this coordinator serves under, its derived body cap
+    /// included: what its `[serve] limits:` line prints.
+    pub fn limits(&self) -> Limits {
+        self.shared.limits
     }
 
     /// Serves until the sweep completes, then writes the experiment's
@@ -722,40 +744,112 @@ fn error_body(message: &str) -> String {
     format!("{{\"status\":\"error\",\"error\":{}}}", json_str(message))
 }
 
+/// A `GET /lease` reply: what the coordinator encodes and a worker decodes,
+/// so the two ends of the lease wire format are one type.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LeaseReply {
+    /// Run trials `[lo, hi)` of each `work` range of the sweep `experiment`,
+    /// `full` and `trials` name, and POST them to `/result/<id>`.
+    Lease {
+        id: u64,
+        experiment: String,
+        full: bool,
+        trials: u32,
+        work: Vec<TrialRange>,
+    },
+    /// Everything is leased out: ask again after this pause.
+    Wait(Duration),
+    /// The sweep is complete.
+    Done,
+}
+
+impl LeaseReply {
+    /// The reply's JSON body.
+    pub fn to_json(&self) -> String {
+        match self {
+            LeaseReply::Lease {
+                id,
+                experiment,
+                full,
+                trials,
+                work,
+            } => {
+                let ranges: Vec<String> = work
+                    .iter()
+                    .map(|r| format!("[{},{},{}]", r.cell, r.lo, r.hi))
+                    .collect();
+                format!(
+                    "{{\"status\":\"lease\",\"id\":{id},\"experiment\":{},\"full\":{full},\
+                     \"trials\":{trials},\"work\":[{}]}}",
+                    json_str(experiment),
+                    ranges.join(",")
+                )
+            }
+            LeaseReply::Wait(pause) => {
+                format!("{{\"status\":\"wait\",\"retry_ms\":{}}}", pause.as_millis())
+            }
+            LeaseReply::Done => "{\"status\":\"done\"}".to_string(),
+        }
+    }
+
+    /// Decodes a reply body. It checks the shape only: whether the lease
+    /// names a sweep of this build and a valid plan of it is the worker's
+    /// check. A `wait` without `retry_ms` pauses for the default poll.
+    pub fn parse(body: &str) -> Result<LeaseReply, String> {
+        let json = Json::parse(body)?;
+        match json.field("status")?.as_str()? {
+            "done" => Ok(LeaseReply::Done),
+            "wait" => {
+                let default = Limits::of(&Options::default()).wait_retry.as_millis() as f64;
+                let ms = json.field("retry_ms").and_then(Json::as_f64);
+                let ms = ms.unwrap_or(default).max(0.0);
+                Ok(LeaseReply::Wait(Duration::from_millis(ms as u64)))
+            }
+            "lease" => {
+                let mut work = Vec::new();
+                for range in json.field("work")?.as_array()? {
+                    let triple = range.as_array()?;
+                    if triple.len() != 3 {
+                        return Err("work ranges must be [cell, lo, hi]".to_string());
+                    }
+                    work.push(TrialRange {
+                        cell: triple[0].as_u32()? as usize,
+                        lo: triple[1].as_u32()?,
+                        hi: triple[2].as_u32()?,
+                    });
+                }
+                Ok(LeaseReply::Lease {
+                    id: json.field("id")?.as_f64()? as u64,
+                    experiment: json.field("experiment")?.as_str()?.to_string(),
+                    full: json.field("full")?.as_bool()?,
+                    trials: json.field("trials")?.as_u32()?,
+                    work,
+                })
+            }
+            other => Err(format!("unknown lease status {other:?}")),
+        }
+    }
+}
+
 fn lease_response(shared: &Shared) -> (u16, String) {
     let mut fold = shared.fold.lock().expect("fold poisoned");
     if shared.gate().complete {
-        return (200, "{\"status\":\"done\"}".to_string());
+        return (200, LeaseReply::Done.to_json());
     }
     let claimed = fold.store.claim(Instant::now());
     drop(fold);
     let exp = &shared.exp;
-    match claimed {
-        None => (
-            200,
-            format!(
-                "{{\"status\":\"wait\",\"retry_ms\":{}}}",
-                shared.limits.wait_retry.as_millis()
-            ),
-        ),
-        Some((id, work)) => {
-            let ranges: Vec<String> = work
-                .iter()
-                .map(|r| format!("[{},{},{}]", r.cell, r.lo, r.hi))
-                .collect();
-            (
-                200,
-                format!(
-                    "{{\"status\":\"lease\",\"id\":{id},\"experiment\":{},\"full\":{},\
-                     \"trials\":{},\"work\":[{}]}}",
-                    json_str(exp.entry.name),
-                    exp.opts.full,
-                    exp.grid.trials,
-                    ranges.join(",")
-                ),
-            )
-        }
-    }
+    let reply = match claimed {
+        None => LeaseReply::Wait(shared.limits.wait_retry),
+        Some((id, work)) => LeaseReply::Lease {
+            id,
+            experiment: exp.entry.name.to_string(),
+            full: exp.opts.full,
+            trials: exp.grid.trials,
+            work,
+        },
+    };
+    (200, reply.to_json())
 }
 
 fn metrics_response(shared: &Shared) -> (u16, String) {
@@ -766,20 +860,37 @@ fn metrics_response(shared: &Shared) -> (u16, String) {
     }
 }
 
+/// Reads a POST body as the cells of an artifact of `exp`'s sweep. Its
+/// header is checked against the sweep before any cell is read, so a POST
+/// for another sweep costs no more than its JSON parse. The error carries
+/// its status: 400 for a body that does not parse, 409 for another sweep's
+/// artifact or a torn trial.
+fn read_post(exp: &Experiment, body: &str) -> Result<Vec<StatsCell>, (u16, String)> {
+    let unparseable = |e: String| (400, format!("unparseable artifact: {e}"));
+    let doc = Json::parse(body).map_err(unparseable)?;
+    let header = ShardState::header(&doc).map_err(unparseable)?;
+    exp.check(&header).map_err(|e| (409, e))?;
+    let cells = header.with_cells(&doc).map_err(unparseable)?.into_cells();
+    // A trial recorded for only some metrics cannot have come from this
+    // pipeline; folding it would corrupt the master state.
+    exp.grid.holes(&cells).map_err(|e| (409, e))?;
+    Ok(cells)
+}
+
 fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
-    // Parse and validate outside the fold lock — `ShardState::parse` is the
-    // expensive part, and its grid/duplicate/shape checks (plus jsonin's
-    // depth cap) are what stand between untrusted bytes and the master
-    // state.
-    let posted = match ShardState::parse(body) {
-        Ok(state) => state,
-        Err(e) => return (400, error_body(&format!("unparseable artifact: {e}"))),
+    // Parse and validate outside the fold lock — the parse is the expensive
+    // part, and its header, grid, duplicate, shape and torn-trial checks
+    // (plus jsonin's depth cap) are what stand between untrusted bytes and
+    // the master state.
+    let posted = match read_post(&shared.exp, body) {
+        Ok(cells) => cells,
+        Err((status, e)) => return (status, error_body(&e)),
     };
     let mut fold = shared.fold.lock().expect("fold poisoned");
     if shared.gate().complete {
         // A straggler finishing after the sweep completed: its trials are
         // all duplicates by construction. Nothing to fold.
-        return (200, "{\"status\":\"done\"}".to_string());
+        return (200, LeaseReply::Done.to_json());
     }
     let stats = match fold.fold_post(&shared.exp, posted) {
         Ok(stats) => stats,
@@ -939,6 +1050,7 @@ mod tests {
     use super::*;
     use crate::figures::sharding::find_shardable;
     use crate::figures::shared::SweepHooks;
+    use crate::shard::ShardCell;
 
     fn lease(cell: usize, lo: u32, hi: u32) -> Vec<TrialRange> {
         vec![TrialRange { cell, lo, hi }]
@@ -1073,12 +1185,12 @@ mod tests {
             trials.sort_unstable();
             trials
         };
-        let plan = checkpoint::missing_work(&exp.state((0, 1), &[])).unwrap();
+        let plan = exp.grid.holes(&[]).unwrap();
         assert_eq!(trials(&leases.concat()), trials(&plan));
     }
 
     #[test]
-    fn fold_post_rejects_foreign_grids_and_conflicting_duplicates() {
+    fn fold_post_discards_replays_and_rejects_conflicting_duplicates() {
         let entry = find_shardable("fig5").unwrap();
         let opts = Options {
             trials: Some(2),
@@ -1104,9 +1216,8 @@ mod tests {
             plan: Some(&plan),
             ..SweepHooks::default()
         };
-        let cells = (entry.cells)(&opts, &hooks);
-        let posted = ShardState::from_cells("fig5", false, (0, 1), &grid, &cells);
-        let replay = ShardState::parse(&posted.to_json()).unwrap();
+        let posted = (entry.cells)(&opts, &hooks);
+        let replay = posted.clone();
 
         let first = fold.fold_post(&exp, posted).unwrap();
         assert_eq!(first.fresh, grid.cell_count());
@@ -1132,8 +1243,7 @@ mod tests {
                 ..cell.clone()
             }
         };
-        let conflicting =
-            ShardState::from_cells("fig5", false, (0, 1), &grid, &[tamper(&fold.cells[0])]);
+        let conflicting = vec![tamper(&fold.cells[0])];
         let err = fold.fold_post(&exp, conflicting).unwrap_err();
         assert!(err.contains("conflicting"), "{err}");
 
@@ -1150,26 +1260,140 @@ mod tests {
         };
         let mut mixed = (entry.cells)(&opts, &hooks);
         mixed.push(tamper(&fold.cells[1]));
-        let err = fold
-            .fold_post(
-                &exp,
-                ShardState::from_cells("fig5", false, (0, 1), &grid, &mixed),
-            )
-            .unwrap_err();
+        let err = fold.fold_post(&exp, mixed).unwrap_err();
         assert!(err.contains("conflicting"), "{err}");
         let rejected = ShardState::from_cells("fig5", false, (0, 1), &grid, &fold.cells).to_json();
         assert_eq!(
             after, rejected,
             "a rejected POST must leave the master as it was"
         );
+    }
 
-        // A wrong-experiment artifact never folds.
-        let foreign_entry = find_shardable("fig3").unwrap();
-        let foreign_grid = (foreign_entry.grid)(&opts);
-        let foreign = ShardState::from_cells("fig3", false, (0, 1), &foreign_grid, &[]);
-        let err = fold
-            .fold_post(&exp, ShardState::parse(&foreign.to_json()).unwrap())
-            .unwrap_err();
-        assert!(err.contains("fig3"), "{err}");
+    /// A POST is checked against the sweep by its header before any cell is
+    /// read: another sweep's artifact is a 409 naming it, even when its
+    /// cells would not parse, and only this sweep's malformed cells are a
+    /// 400. A torn trial in this sweep's cells is a 409.
+    #[test]
+    fn a_post_for_another_sweep_is_refused_by_its_header() {
+        let opts = Options {
+            trials: Some(2),
+            ..Options::default()
+        };
+        let exp = Experiment::new("fig5", &opts).unwrap();
+        let other = Experiment::new("fig3", &opts).unwrap();
+        let foreign = ShardState::from_cells("fig3", false, (0, 1), &other.grid, &[]).to_json();
+        let stray = "\"cells\": [\n    {\"algorithm\": \"beb\", \"n\": 999, \"samples\": []}\n  ]";
+        for body in [foreign.clone(), foreign.replace("\"cells\": [\n  ]", stray)] {
+            let (status, err) = read_post(&exp, &body).unwrap_err();
+            assert_eq!(status, 409, "{err}");
+            assert!(
+                err.contains("artifact of \"fig3\" does not match \"fig5\""),
+                "{err}"
+            );
+        }
+        let own = ShardState::from_cells("fig5", false, (0, 1), &exp.grid, &[]).to_json();
+        assert!(read_post(&exp, &own).unwrap().is_empty());
+        let (status, err) = read_post(&exp, &own.replace("\"cells\": [\n  ]", stray)).unwrap_err();
+        assert_eq!(status, 400, "{err}");
+        assert_eq!(
+            err,
+            "unparseable artifact: cell (BEB, n=999) is outside the grid"
+        );
+        let (status, err) = read_post(&exp, "not json").unwrap_err();
+        assert_eq!(status, 400, "{err}");
+        assert!(err.starts_with("unparseable artifact: "), "{err}");
+
+        // Trial 0 of one cell recorded for all metrics but the first.
+        let exp = Experiment::new("saturation", &opts).unwrap();
+        let grid = &exp.grid;
+        let mut samples = vec![vec![1.0; grid.trials as usize]; grid.metrics.len()];
+        samples[0][0] = f64::NAN;
+        let (algorithm, n) = (grid.algorithms[0], grid.ns[0]);
+        let torn = ShardState {
+            experiment: "saturation".to_string(),
+            full: false,
+            shard: (0, 1),
+            grid: grid.clone(),
+            cells: vec![ShardCell {
+                algorithm,
+                n,
+                samples,
+            }],
+        };
+        let (status, err) = read_post(&exp, &torn.to_json()).unwrap_err();
+        assert_eq!(status, 409, "{err}");
+        assert!(
+            err.contains("trial 0 is recorded for only some metrics"),
+            "{err}"
+        );
+    }
+
+    /// Each reply encodes to the bytes the coordinator has always sent and
+    /// decodes back to itself.
+    #[test]
+    fn lease_replies_round_trip_through_the_wire_format() {
+        let range = |cell, lo, hi| TrialRange { cell, lo, hi };
+        for (reply, wire) in [
+            (
+                LeaseReply::Lease {
+                    id: 7,
+                    experiment: "fig5".to_string(),
+                    full: true,
+                    trials: 8,
+                    work: vec![range(2, 0, 3), range(0, 6, 8)],
+                },
+                "{\"status\":\"lease\",\"id\":7,\"experiment\":\"fig5\",\"full\":true,\
+                 \"trials\":8,\"work\":[[2,0,3],[0,6,8]]}",
+            ),
+            (
+                LeaseReply::Wait(Duration::from_millis(200)),
+                "{\"status\":\"wait\",\"retry_ms\":200}",
+            ),
+            (LeaseReply::Done, "{\"status\":\"done\"}"),
+        ] {
+            assert_eq!(reply.to_json(), wire);
+            assert_eq!(LeaseReply::parse(wire).unwrap(), reply);
+        }
+        let err = LeaseReply::parse("{\"status\":\"gone\"}").unwrap_err();
+        assert_eq!(err, "unknown lease status \"gone\"");
+    }
+
+    /// The body cap holds every artifact a worker posts for a lease of the
+    /// fig5, saturation and scale sweeps, cut as `serve` cuts them, and
+    /// the sweep's complete artifact, which a coordinator of one lease
+    /// would take in one POST.
+    #[test]
+    fn every_honest_lease_artifact_fits_under_the_body_cap() {
+        for name in ["fig5", "saturation", "scale"] {
+            let dir = std::env::temp_dir().join(format!("serve-cap-{name}-{}", std::process::id()));
+            let opts = Options {
+                inputs: vec![name.to_string()],
+                out_dir: Some(dir.clone()),
+                port: Some(0),
+                ..Options::default()
+            };
+            let server = Server::start(&opts).unwrap();
+            let (cap, exp) = (server.limits().max_body_bytes, &server.shared.exp);
+            let mut all = Vec::new();
+            for lease in exp.leases(&[], DEFAULT_LEASES).unwrap() {
+                let state = exp.run_plan(&lease, (0, 1));
+                let posted = state.to_json().len();
+                assert!(
+                    posted <= cap,
+                    "{name}: a {posted}-byte lease over the {cap}-byte cap"
+                );
+                all.extend(state.into_cells());
+            }
+            let complete = merge_cells(&exp.grid, Vec::new(), all, MetricStats::try_merge).unwrap();
+            let state = ShardState::from_cells(name, false, (0, 1), &exp.grid, &complete);
+            assert!(state.is_complete());
+            let whole = state.to_json().len();
+            assert!(
+                whole <= cap,
+                "{name}: the {whole}-byte sweep over the {cap}-byte cap"
+            );
+            drop(server);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -39,12 +39,19 @@
 //! values in trial order; an unrecorded trial slot is `null` (the NaN
 //! sentinel), so partial state survives the round trip. A complete state —
 //! what `merge` produces — is written as shard `[0, 1]`.
+//!
+//! A [`ShardState`] is built only to cross a file or a socket. Every mode
+//! works on the engine's folded cells, and one walk, [`GridMeta::holes`],
+//! decides which trials they hold: the resume plan, the leases `serve`
+//! cuts, the incomplete-fold error of a report and the coordinator's
+//! torn-trial check all read it.
 
 use crate::aggregate::{MetricStats, StatsCell};
 use crate::jsonin::Json;
 use crate::jsonout::{escape, num};
 use crate::summary::Metric;
 use contention_core::algorithm::AlgorithmKind;
+use contention_sim::engine::TrialRange;
 use contention_sim::sched::CostSpec;
 use contention_stats::stream::StreamingSample;
 use std::collections::btree_map::Entry;
@@ -85,9 +92,12 @@ impl GridMeta {
         self.algorithms.len() * self.ns.len()
     }
 
-    /// The grid's positions by coordinate, built in one pass over its axes,
-    /// so that looking a cell up costs O(1) however long they are.
-    pub(crate) fn index(&self) -> GridIndex {
+    /// The position of cell `(algorithm, n)` in canonical grid order
+    /// (algorithms outer, ns inner): the order a single-process sweep
+    /// returns cells in, which every reassembled state keeps so that its
+    /// report is byte-identical. A cell off the grid is an error. The axes
+    /// are indexed once, so a lookup costs O(1) however long they are.
+    pub(crate) fn index(&self) -> impl Fn(AlgorithmKind, u32) -> Result<usize, String> {
         // The first listing of a coordinate wins, as a scan would find it.
         fn first<T: Copy + Eq + Hash>(axis: &[T]) -> HashMap<T, usize> {
             let mut at = HashMap::with_capacity(axis.len());
@@ -96,11 +106,65 @@ impl GridMeta {
             }
             at
         }
-        GridIndex {
-            algorithms: first(&self.algorithms),
-            ns: first(&self.ns),
-            width: self.ns.len(),
+        let (algorithms, ns, width) = (first(&self.algorithms), first(&self.ns), self.ns.len());
+        move |algorithm, n| match (algorithms.get(&algorithm), ns.get(&n)) {
+            (Some(a), Some(i)) => Ok(a * width + i),
+            _ => Err(format!("cell ({algorithm}, n={n}) is outside the grid")),
         }
+    }
+
+    /// The trials `cells` lack, as the plan that runs them: [`TrialRange`]s
+    /// in grid order, one per run of missing trials of a cell, so a cell no
+    /// entry of `cells` holds is one range of all its trials and a complete
+    /// fold gives an empty plan. This is the one rule for which trials a
+    /// fold holds: a trial counts once every metric buffer holds it
+    /// (`MetricStats::holds`, which `MetricStats::recorded` counts with).
+    ///
+    /// Each cell is placed once by its grid position, so the walk takes
+    /// O(grid + slots) time. A cell off the grid or listed twice is an
+    /// error, and so is a trial recorded for only some metrics: no fold
+    /// produces one, and running it again would record its other metrics
+    /// twice. Every buffer must be `trials` long, as in every fold and every
+    /// parsed artifact.
+    pub fn holes(&self, cells: &[StatsCell]) -> Result<Vec<TrialRange>, String> {
+        let position = self.index();
+        let mut placed: Vec<Option<&StatsCell>> = vec![None; self.cell_count()];
+        for cell in cells {
+            let (algorithm, n) = (cell.algorithm, cell.n);
+            if placed[position(algorithm, n)?].replace(cell).is_some() {
+                return Err(format!("cell ({algorithm}, n={n}) appears twice"));
+            }
+        }
+        let trials = self.trials;
+        let mut plan: Vec<TrialRange> = Vec::new();
+        // Trials [lo, hi) of `cell` are missing: one more range, or a longer last one.
+        let mut lacks = |cell: usize, lo: u32, hi: u32| match plan.last_mut() {
+            Some(last) if last.cell == cell && last.hi == lo => last.hi = hi,
+            _ => plan.push(TrialRange { cell, lo, hi }),
+        };
+        for (at, cell) in placed.into_iter().enumerate() {
+            // A cell `cells` does not list is missing whole.
+            let Some(cell) = cell else {
+                if trials > 0 {
+                    lacks(at, 0, trials);
+                }
+                continue;
+            };
+            let (algorithm, n) = (cell.algorithm, cell.n);
+            for t in 0..trials {
+                match cell.acc.holds(t as usize) {
+                    Some(true) => {}
+                    Some(false) => lacks(at, t, t + 1),
+                    None => {
+                        return Err(format!(
+                            "cell ({algorithm}, n={n}) trial {t} is recorded for only some \
+                             metrics — corrupt artifact"
+                        ))
+                    }
+                }
+            }
+        }
+        Ok(plan)
     }
 
     /// Estimated per-*trial* cost of every cell, in grid order (algorithms
@@ -116,23 +180,6 @@ impl GridMeta {
     }
 }
 
-/// A [`GridMeta`]'s positions by coordinate (see [`GridMeta::index`]).
-pub(crate) struct GridIndex {
-    algorithms: HashMap<AlgorithmKind, usize>,
-    ns: HashMap<u32, usize>,
-    width: usize,
-}
-
-impl GridIndex {
-    /// The index of cell `(algorithm, n)` in canonical grid order
-    /// (algorithms outer, ns inner): the order a single-process sweep
-    /// returns cells in, which every reassembled state keeps so that its
-    /// report is byte-identical. `None` off the grid.
-    pub(crate) fn position(&self, algorithm: AlgorithmKind, n: u32) -> Option<usize> {
-        Some(self.algorithms.get(&algorithm)? * self.width + self.ns.get(&n)?)
-    }
-}
-
 /// One cell's serialized accumulator state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCell {
@@ -140,15 +187,6 @@ pub struct ShardCell {
     pub n: u32,
     /// Per-metric raw trial buffers (NaN = not yet recorded).
     pub samples: Vec<Vec<f64>>,
-}
-
-impl ShardCell {
-    /// Trials this cell has recorded: a trial counts once every metric
-    /// buffer holds it.
-    pub(crate) fn recorded(&self) -> usize {
-        let filled = |s: &Vec<f64>| s.iter().filter(|v| !v.is_nan()).count();
-        self.samples.iter().map(filled).min().unwrap_or(0)
-    }
 }
 
 /// A partial (or, after merging, complete) sweep: the grid description plus
@@ -236,79 +274,40 @@ impl ShardState {
 
     /// True once every grid cell is present with every trial recorded.
     pub fn is_complete(&self) -> bool {
-        self.missing().is_empty()
-    }
-
-    /// Human-readable descriptions of whatever is still missing — what an
-    /// incomplete fold's error lists.
-    pub fn missing(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for &alg in &self.grid.algorithms {
-            for &n in &self.grid.ns {
-                match self.cells.iter().find(|c| c.algorithm == alg && c.n == n) {
-                    None => out.push(format!("cell ({alg}, n={n}) missing")),
-                    Some(cell) if cell.recorded() < self.grid.trials as usize => out.push(format!(
-                        "cell ({alg}, n={n}): {} of {} trials recorded",
-                        cell.recorded(),
-                        self.grid.trials
-                    )),
-                    Some(_) => {}
-                }
-            }
-        }
-        out
+        self.grid
+            .holes(&self.clone().into_cells())
+            .is_ok_and(|plan| plan.is_empty())
     }
 
     /// Renders the artifact (see the module docs for the shape).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", escape(SHARD_SCHEMA)));
-        out.push_str(&format!(
-            "  \"experiment\": \"{}\",\n",
-            escape(&self.experiment)
-        ));
-        out.push_str(&format!("  \"full\": {},\n", self.full));
-        out.push_str(&format!("  \"trials\": {},\n", self.grid.trials));
-        out.push_str(&format!(
-            "  \"cost\": \"{}\",\n",
-            escape(self.grid.cost.key())
-        ));
-        out.push_str(&format!(
-            "  \"shard\": [{}, {}],\n",
-            self.shard.0, self.shard.1
-        ));
-        let metrics: Vec<String> = self
-            .grid
-            .metrics
-            .iter()
-            .map(|m| format!("\"{}\"", escape(m.key())))
-            .collect();
-        out.push_str(&format!("  \"metrics\": [{}],\n", metrics.join(", ")));
-        let algorithms: Vec<String> = self
-            .grid
-            .algorithms
-            .iter()
-            .map(|a| format!("\"{}\"", escape(&a.key())))
-            .collect();
-        out.push_str(&format!("  \"algorithms\": [{}],\n", algorithms.join(", ")));
-        let ns: Vec<String> = self.grid.ns.iter().map(|n| n.to_string()).collect();
-        out.push_str(&format!("  \"ns\": [{}],\n", ns.join(", ")));
-        out.push_str("  \"cells\": [\n");
+        let grid = &self.grid;
+        let list = |items: Vec<String>| items.join(", ");
+        let quoted = |key: &str| format!("\"{}\"", escape(key));
+        let mut out = format!(
+            "{{\n  \"schema\": {},\n  \"experiment\": {},\n  \"full\": {},\n  \"trials\": {},\n  \
+             \"cost\": {},\n  \"shard\": [{}, {}],\n  \"metrics\": [{}],\n  \"algorithms\": [{}],\n  \
+             \"ns\": [{}],\n  \"cells\": [\n",
+            quoted(SHARD_SCHEMA),
+            quoted(&self.experiment),
+            self.full,
+            grid.trials,
+            quoted(grid.cost.key()),
+            self.shard.0,
+            self.shard.1,
+            list(grid.metrics.iter().map(|m| quoted(m.key())).collect()),
+            list(grid.algorithms.iter().map(|a| quoted(&a.key())).collect()),
+            list(grid.ns.iter().map(u32::to_string).collect()),
+        );
         for (ci, cell) in self.cells.iter().enumerate() {
-            let samples: Vec<String> = cell
-                .samples
-                .iter()
-                .map(|buf| {
-                    let vals: Vec<String> = buf.iter().map(|&v| num(v)).collect();
-                    format!("[{}]", vals.join(", "))
-                })
-                .collect();
+            let buffers = cell.samples.iter();
+            let samples =
+                buffers.map(|buf| format!("[{}]", list(buf.iter().map(|&v| num(v)).collect())));
             out.push_str(&format!(
-                "    {{\"algorithm\": \"{}\", \"n\": {}, \"samples\": [{}]}}{}\n",
-                escape(&cell.algorithm.key()),
+                "    {{\"algorithm\": {}, \"n\": {}, \"samples\": [{}]}}{}\n",
+                quoted(&cell.algorithm.key()),
                 cell.n,
-                samples.join(", "),
+                list(samples.collect()),
                 if ci + 1 < self.cells.len() { "," } else { "" }
             ));
         }
@@ -316,9 +315,36 @@ impl ShardState {
         out
     }
 
+    /// The length of this header's artifact with every grid cell listed and
+    /// each sample `width` characters wide (`null` is 4), whatever cells
+    /// `self` holds. At [`SAMPLE_WIDTH`] it bounds every artifact with this
+    /// header that honest trials fill.
+    pub(crate) fn len_at(self, width: usize) -> usize {
+        let grid = &self.grid;
+        let every = grid.algorithms.iter().flat_map(|&algorithm| {
+            let samples = vec![Vec::new(); grid.metrics.len()];
+            grid.ns.iter().map(move |&n| ShardCell {
+                algorithm,
+                n,
+                samples: samples.clone(),
+            })
+        });
+        let cells: Vec<ShardCell> = every.collect();
+        // Each `[]` of the frame takes `trials` samples joined by ", ".
+        let buffer = (grid.trials as usize * (width + 2)).saturating_sub(2);
+        let filled = cells.len() * grid.metrics.len() * buffer;
+        ShardState { cells, ..self }.to_json().len() + filled
+    }
+
     /// Parses and validates one artifact.
     pub fn parse(text: &str) -> Result<ShardState, String> {
         let doc = Json::parse(text)?;
+        ShardState::header(&doc)?.with_cells(&doc)
+    }
+
+    /// Everything of a parsed artifact but its cells: a state with none,
+    /// enough to tell whose sweep the artifact is before any cell is read.
+    pub(crate) fn header(doc: &Json) -> Result<ShardState, String> {
         let schema = doc.field("schema")?.as_str()?;
         if schema != SHARD_SCHEMA {
             return Err(format!(
@@ -333,8 +359,7 @@ impl ShardState {
         if trials == 0 {
             return Err("trials must be at least 1".to_string());
         }
-        let key = doc.field("cost")?.as_str()?;
-        let cost = CostSpec::from_key(key).ok_or_else(|| format!("unknown cost spec {key:?}"))?;
+        let cost = known(doc.field("cost")?, "cost spec", CostSpec::from_key)?;
         let shard_field = doc.field("shard")?.as_array()?;
         if shard_field.len() != 2 {
             return Err("shard must be [index, of]".to_string());
@@ -346,37 +371,35 @@ impl ShardState {
                 shard.0, shard.1
             ));
         }
-        let metrics = doc
-            .field("metrics")?
-            .as_array()?
-            .iter()
-            .map(|m| {
-                let key = m.as_str()?;
-                Metric::from_key(key).ok_or_else(|| format!("unknown metric {key:?}"))
-            })
-            .collect::<Result<Vec<Metric>, String>>()?;
-        let algorithms = doc
-            .field("algorithms")?
-            .as_array()?
-            .iter()
-            .map(|a| {
-                let key = a.as_str()?;
-                AlgorithmKind::from_key(key).ok_or_else(|| format!("unknown algorithm {key:?}"))
-            })
-            .collect::<Result<Vec<AlgorithmKind>, String>>()?;
+        let metrics = doc.field("metrics")?.as_array()?.iter();
+        let metrics = metrics.map(|m| known(m, "metric", Metric::from_key));
+        let algorithms = doc.field("algorithms")?.as_array()?.iter();
+        let algorithms = algorithms.map(|a| known(a, "algorithm", AlgorithmKind::from_key));
         let ns = doc
             .field("ns")?
             .as_array()?
             .iter()
             .map(Json::as_u32)
             .collect::<Result<Vec<u32>, String>>()?;
-        let grid = GridMeta {
-            algorithms,
-            ns,
-            trials,
-            metrics,
-            cost,
-        };
+        Ok(ShardState {
+            experiment,
+            full,
+            shard,
+            grid: GridMeta {
+                algorithms: algorithms.collect::<Result<_, _>>()?,
+                ns,
+                trials,
+                metrics: metrics.collect::<Result<_, _>>()?,
+                cost,
+            },
+            cells: Vec::new(),
+        })
+    }
+
+    /// This [`ShardState::header`] with the cells `doc` lists, each checked
+    /// against the header's grid.
+    pub(crate) fn with_cells(mut self, doc: &Json) -> Result<ShardState, String> {
+        let (grid, trials) = (&self.grid, self.grid.trials);
         let listed = doc.field("cells")?.as_array()?;
         if listed.len() > grid.cell_count() {
             return Err(format!(
@@ -385,18 +408,17 @@ impl ShardState {
                 grid.cell_count()
             ));
         }
-        let index = grid.index();
+        let position = grid.index();
         let mut seen = HashSet::with_capacity(listed.len());
         let mut cells = Vec::with_capacity(listed.len());
         for cell in listed {
-            let key = cell.field("algorithm")?.as_str()?;
-            let algorithm =
-                AlgorithmKind::from_key(key).ok_or_else(|| format!("unknown algorithm {key:?}"))?;
+            let algorithm = known(
+                cell.field("algorithm")?,
+                "algorithm",
+                AlgorithmKind::from_key,
+            )?;
             let n = cell.field("n")?.as_u32()?;
-            let at = index
-                .position(algorithm, n)
-                .ok_or_else(|| format!("cell ({algorithm}, n={n}) is outside the grid"))?;
-            if !seen.insert(at) {
+            if !seen.insert(position(algorithm, n)?) {
                 return Err(format!("cell ({algorithm}, n={n}) appears twice"));
             }
             let samples = cell
@@ -428,14 +450,24 @@ impl ShardState {
                 samples,
             });
         }
-        Ok(ShardState {
-            experiment,
-            full,
-            shard,
-            grid,
-            cells,
-        })
+        self.cells = cells;
+        Ok(self)
     }
+}
+
+/// The widest a sample of an honest trial renders. `num` prints Rust's
+/// shortest round-trip form, never an exponent: a count (below 2⁵³) takes
+/// at most 16 characters, a value of at least 1 with a fraction (a µs time
+/// under the MAC's 60 s valve, a mean latency) at most 17 digits and its
+/// point, a rate in [1e-6, 1) at most 24 (`0.00000` and 17 digits), and an
+/// unrecorded slot's `null` 4.
+pub(crate) const SAMPLE_WIDTH: usize = 24;
+
+/// What `from_key` reads from the string `key`; an unknown key is named as
+/// a `what`.
+fn known<T>(key: &Json, what: &str, from_key: fn(&str) -> Option<T>) -> Result<T, String> {
+    let key = key.as_str()?;
+    from_key(key).ok_or_else(|| format!("unknown {what} {key:?}"))
 }
 
 /// Writes an artifact to `<dir>/<file_name()>` atomically (staged as
@@ -542,7 +574,7 @@ pub fn merge_states(states: Vec<ShardState>) -> Result<ShardState, String> {
 }
 
 /// `base` with `fresh` folded in cell by cell — `merge` combines a cell
-/// both hold — in canonical grid order (`GridIndex::position`): the one
+/// both hold — in canonical grid order (`GridMeta::index`): the one
 /// fold behind a checkpoint (a resume's loaded state ∪ the in-flight cut),
 /// `repro merge` (artifact after artifact) and the coordinator (its master
 /// ∪ one POST). Cells neither holds stay absent, as in any partial
@@ -553,14 +585,11 @@ pub fn merge_cells(
     fresh: Vec<StatsCell>,
     merge: impl Fn(&mut MetricStats, MetricStats) -> Result<(), String>,
 ) -> Result<Vec<StatsCell>, String> {
-    let index = grid.index();
+    let position = grid.index();
     let mut merged: BTreeMap<usize, StatsCell> = BTreeMap::new();
     for cell in base.into_iter().chain(fresh) {
         let (algorithm, n) = (cell.algorithm, cell.n);
-        let at = index
-            .position(algorithm, n)
-            .ok_or_else(|| format!("cell ({algorithm}, n={n}) is outside the grid"))?;
-        match merged.entry(at) {
+        match merged.entry(position(algorithm, n)?) {
             Entry::Occupied(mut mine) => merge(&mut mine.get_mut().acc, cell.acc)
                 .map_err(|e| format!("cell ({algorithm}, n={n}): {e}"))?,
             Entry::Vacant(slot) => {
@@ -717,22 +746,91 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_states_name_what_is_missing() {
+    fn holes_plan_what_a_fold_lacks_in_grid_order() {
+        let range = |cell, lo, hi| TrialRange { cell, lo, hi };
         let s = state((0, 2), &[(Beb, 10)]);
         assert!(!s.is_complete());
-        let missing = s.missing();
-        assert_eq!(missing.len(), 3);
-        assert!(missing[0].contains("(BEB, n=20) missing"), "{missing:?}");
-        let mut partial = state((0, 2), &[(Beb, 10)]);
-        partial.cells[0].samples[0][2] = f64::NAN;
-        assert!(
-            partial
-                .missing()
-                .iter()
-                .any(|m| m.contains("2 of 3 trials")),
-            "{:?}",
-            partial.missing()
+        let holes = |s: &ShardState| grid().holes(&s.clone().into_cells());
+        assert_eq!(
+            holes(&s).unwrap(),
+            vec![range(1, 0, 3), range(2, 0, 3), range(3, 0, 3)]
         );
+        // A trial no buffer holds is a hole; one every buffer holds is not.
+        let mut partial = state((0, 2), &[(Sawtooth, 20), (Beb, 20)]);
+        for buf in &mut partial.cells[0].samples {
+            buf[0] = f64::NAN;
+            buf[2] = f64::NAN;
+        }
+        assert_eq!(
+            holes(&partial).unwrap(),
+            vec![
+                range(0, 0, 3),
+                range(2, 0, 3),
+                range(3, 0, 1),
+                range(3, 2, 3)
+            ]
+        );
+        let cells = partial.into_cells();
+        assert_eq!(cells[0].acc.recorded(), 1);
+        // A trial only some buffers hold is torn.
+        let mut torn = state((0, 2), &[(Beb, 10)]);
+        torn.cells[0].samples[1][2] = f64::NAN;
+        let err = holes(&torn).unwrap_err();
+        assert!(
+            err.contains("(BEB, n=10) trial 2") && err.contains("only some"),
+            "{err}"
+        );
+        assert!(!torn.is_complete());
+        assert_eq!(torn.into_cells()[0].acc.recorded(), 2);
+        // A cell off the grid, or listed twice.
+        let s = state((0, 1), &[(Beb, 10)]);
+        let mut cells = s.clone().into_cells();
+        cells[0].n = 999;
+        let err = grid().holes(&cells).unwrap_err();
+        assert_eq!(err, "cell (BEB, n=999) is outside the grid");
+        let cells = [s.clone().into_cells(), s.into_cells()].concat();
+        let err = grid().holes(&cells).unwrap_err();
+        assert_eq!(err, "cell (BEB, n=10) appears twice");
+    }
+
+    #[test]
+    fn the_widest_artifact_bound_is_exact_at_the_null_width() {
+        let all = [(Beb, 10), (Beb, 20), (Sawtooth, 10), (Sawtooth, 20)];
+        let real = state((0, 1), &all);
+        let mut nulls = real.clone();
+        for buf in nulls.cells.iter_mut().flat_map(|c| &mut c.samples) {
+            buf.fill(f64::NAN);
+        }
+        // Whatever cells a state holds, it bounds its grid's all-`null`
+        // artifact exactly.
+        let header = ShardState {
+            cells: Vec::new(),
+            ..real.clone()
+        };
+        assert_eq!(header.clone().len_at(4), nulls.to_json().len());
+        assert_eq!(real.clone().len_at(4), nulls.to_json().len());
+        // One trial and one metric, and a grid of one cell.
+        let narrow = GridMeta {
+            algorithms: vec![Beb],
+            ns: vec![10],
+            trials: 1,
+            metrics: vec![Metric::CwSlots],
+            ..grid()
+        };
+        let one = ShardState::from_cells(
+            "x",
+            false,
+            (0, 1),
+            &narrow,
+            &[StatsCell {
+                algorithm: Beb,
+                n: 10,
+                acc: MetricStats::new(&narrow.metrics, 1),
+            }],
+        );
+        assert_eq!(one.clone().len_at(4), one.to_json().len());
+        // Every sample of the real state fits the width it is bounded by.
+        assert!(real.to_json().len() <= header.len_at(SAMPLE_WIDTH));
     }
 
     #[test]

@@ -25,9 +25,8 @@
 //! dedup fold discards bit-identical replays).
 
 use crate::cli::Experiment;
-use crate::jsonin::Json;
 use crate::options::Options;
-use crate::server::{http_request, Limits};
+use crate::server::{http_request, LeaseReply, Limits};
 use contention_sim::engine::{validate_plan, TrialRange};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -47,54 +46,39 @@ struct Lease {
     plan: Vec<TrialRange>,
 }
 
-/// A decoded `/lease` response: work, a pause, or the end of the run.
-enum LeaseReply {
-    Lease(Box<Lease>),
+/// A `/lease` reply as this worker acts on it: work checked against this
+/// build, a pause, or the end of the run.
+enum Claim {
+    Run(Box<Lease>),
     Wait(Duration),
     Done,
 }
 
-/// Decodes a `/lease` response body for a worker run with `opts`. A
-/// lease's ranges must form a valid plan of its experiment's grid (see
-/// [`validate_plan`]); anything else is an error, never a panic in the
-/// engine.
-fn decode_lease(body: &str, opts: &Options) -> Result<LeaseReply, String> {
-    let json = Json::parse(body)?;
-    match json.field("status")?.as_str()? {
-        "done" => Ok(LeaseReply::Done),
-        "wait" => {
-            let ms = json
-                .field("retry_ms")
-                .and_then(Json::as_f64)
-                .unwrap_or(Limits::of(opts).wait_retry.as_millis() as f64);
-            Ok(LeaseReply::Wait(Duration::from_millis(ms.max(0.0) as u64)))
-        }
-        "lease" => {
-            let id = json.field("id")?.as_f64()? as u64;
-            let exp = Experiment::recorded(
-                json.field("experiment")?.as_str()?,
-                json.field("full")?.as_bool()?,
-                json.field("trials")?.as_u32()?,
-                opts,
-            )?;
-            let mut plan = Vec::new();
-            for range in json.field("work")?.as_array()? {
-                let triple = range.as_array()?;
-                if triple.len() != 3 {
-                    return Err("work ranges must be [cell, lo, hi]".to_string());
-                }
-                plan.push(TrialRange {
-                    cell: triple[0].as_u32()? as usize,
-                    lo: triple[1].as_u32()?,
-                    hi: triple[2].as_u32()?,
-                });
-            }
-            validate_plan(&plan, exp.grid.cell_count(), exp.grid.trials).map_err(|e| {
+/// Decodes a `/lease` response body ([`LeaseReply::parse`]) for a worker
+/// run with `opts`. A lease must name a sweep of this build, and its ranges
+/// must form a valid plan of that grid (see [`validate_plan`]); anything
+/// else is an error, never a panic in the engine.
+fn decode_lease(body: &str, opts: &Options) -> Result<Claim, String> {
+    match LeaseReply::parse(body)? {
+        LeaseReply::Done => Ok(Claim::Done),
+        LeaseReply::Wait(pause) => Ok(Claim::Wait(pause)),
+        LeaseReply::Lease {
+            id,
+            experiment,
+            full,
+            trials,
+            work,
+        } => {
+            let exp = Experiment::recorded(&experiment, full, trials, opts)?;
+            validate_plan(&work, exp.grid.cell_count(), exp.grid.trials).map_err(|e| {
                 format!("{e} — coordinator and worker run different code, or a corrupt lease")
             })?;
-            Ok(LeaseReply::Lease(Box::new(Lease { id, exp, plan })))
+            Ok(Claim::Run(Box::new(Lease {
+                id,
+                exp,
+                plan: work,
+            })))
         }
-        other => Err(format!("unknown lease status {other:?}")),
     }
 }
 
@@ -209,19 +193,19 @@ pub fn run_worker(opts: &Options) -> Result<(), String> {
             ));
         }
         let lease = match decode_lease(&body, opts) {
-            Ok(LeaseReply::Lease(lease)) => *lease,
+            Ok(Claim::Run(lease)) => *lease,
             // Everything is leased out, our own last lease included while
             // its POST is in flight: its reply may free or finish the sweep,
             // so ask again as soon as it is in.
-            Ok(LeaseReply::Wait(_)) if outbox.in_flight.is_some() => {
+            Ok(Claim::Wait(_)) if outbox.in_flight.is_some() => {
                 outbox.collect()?;
                 continue;
             }
-            Ok(LeaseReply::Wait(pause)) => {
+            Ok(Claim::Wait(pause)) => {
                 std::thread::sleep(pause);
                 continue;
             }
-            Ok(LeaseReply::Done) => {
+            Ok(Claim::Done) => {
                 outbox.collect()?;
                 println!("[work] sweep complete after {} leases", outbox.accepted);
                 return Ok(());
@@ -274,7 +258,7 @@ mod tests {
             &Options::default(),
         )
         .unwrap();
-        let LeaseReply::Lease(lease) = reply else {
+        let Claim::Run(lease) = reply else {
             panic!("expected a lease");
         };
         assert_eq!(lease.id, 7);
@@ -293,11 +277,11 @@ mod tests {
 
         assert!(matches!(
             decode_lease("{\"status\":\"wait\",\"retry_ms\":50}", &Options::default()),
-            Ok(LeaseReply::Wait(p)) if p == Duration::from_millis(50)
+            Ok(Claim::Wait(p)) if p == Duration::from_millis(50)
         ));
         assert!(matches!(
             decode_lease("{\"status\":\"done\"}", &Options::default()),
-            Ok(LeaseReply::Done)
+            Ok(Claim::Done)
         ));
         assert!(decode_lease("not json", &Options::default()).is_err());
     }

@@ -279,9 +279,17 @@ fn response_of(mut stream: TcpStream) -> (u16, String) {
 /// Starts a coordinator with `opts` on its own thread; returns its address
 /// and the thread, which ends once the sweep is reported.
 fn spawn_server(opts: &Options) -> (String, JoinHandle<Result<(), String>>) {
+    let (addr, _, handle) = spawn_server_with_limits(opts);
+    (addr, handle)
+}
+
+/// [`spawn_server`], also returning the limits the coordinator serves under
+/// (its body cap follows its sweep, so only the coordinator knows it).
+fn spawn_server_with_limits(opts: &Options) -> (String, Limits, JoinHandle<Result<(), String>>) {
     let server = Server::start(opts).expect("server binds");
     let addr = format!("127.0.0.1:{}", server.local_addr().port());
-    (addr, std::thread::spawn(move || server.run()))
+    let limits = server.limits();
+    (addr, limits, std::thread::spawn(move || server.run()))
 }
 
 /// One honest worker pulls leases from `addr` until the sweep is done.
@@ -338,8 +346,9 @@ fn deliver(addr: &str, body: &str) -> String {
 /// with, and a message the answer must contain.
 type Fault = (Vec<u8>, u16, String);
 
-/// A body one byte over the cap: refused with 413 from its headers alone,
-/// so the coordinator never waits for the body.
+/// A body one byte over the coordinator's cap, which it derives from its
+/// sweep: refused with 413 from its headers alone, so the coordinator never
+/// waits for the body.
 fn over_cap_body(limits: &Limits) -> Fault {
     let request = format!(
         "POST /result/0 HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
@@ -366,9 +375,8 @@ fn oversized_head(limits: &Limits) -> Fault {
 /// requires the same coordinator to lease and finish the sweep.
 fn refuses_then_keeps_leasing(tag: &str, fault: fn(&Limits) -> Fault) {
     let dir = scratch(tag);
-    let opts = serve_fig5(&dir);
-    let (request, expected, message) = fault(&Limits::of(&opts));
-    let (addr, handle) = spawn_server(&opts);
+    let (addr, limits, handle) = spawn_server_with_limits(&serve_fig5(&dir));
+    let (request, expected, message) = fault(&limits);
 
     let (status, text) = raw_request(&addr, &request);
     assert_eq!(status, expected, "{message}: {text}");
@@ -398,6 +406,8 @@ fn oversized_request_head_gets_431() {
 /// * `GET /nope` → 404 (`no route`);
 /// * `POST /result/abc` → 400 (`bad lease id in path`);
 /// * an artifact body that does not parse → 400 (`unparseable artifact`);
+/// * an artifact of another sweep whose cells are off its own grid → 409
+///   (`does not match`): its header is checked before any cell is read;
 /// * a `Content-Length` that is not a number → 400 (`bad content-length`);
 /// * two `Content-Length` headers → 400 (`repeated content-length`);
 /// * a body one byte over the cap → 413, from its headers alone;
@@ -418,15 +428,15 @@ fn malformed_requests_get_clean_statuses_and_the_coordinator_keeps_leasing() {
     let dir = scratch("faults-serve");
     // One lease per claim below, and one for the final drain.
     let opts = Options {
-        leases: Some(12),
+        leases: Some(13),
         ..serve_fig5(&dir)
     };
-    let limits = Limits::of(&opts);
-    let (addr, handle) = spawn_server(&opts);
+    let (addr, limits, handle) = spawn_server_with_limits(&opts);
 
     let (over_cap, body_status, body_cap) = over_cap_body(&limits);
     let (huge_head, head_status, head_cap) = oversized_head(&limits);
-    let cases: [(&[u8], u16, &str); 9] = [
+    let foreign = foreign_post();
+    let cases: [(&[u8], u16, &str); 10] = [
         (
             b"POST /result/0 HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"schema\"",
             400,
@@ -444,6 +454,7 @@ fn malformed_requests_get_clean_statuses_and_the_coordinator_keeps_leasing() {
             400,
             "unparseable artifact",
         ),
+        (&foreign, 409, "does not match"),
         (
             b"GET /lease HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
             400,
@@ -512,6 +523,26 @@ fn malformed_requests_get_clean_statuses_and_the_coordinator_keeps_leasing() {
     for dir in [dir, direct_dir] {
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A POST of a fig3 artifact whose one cell lies off fig3's own grid: a
+/// fig5 coordinator refuses it by its header, as another sweep's.
+fn foreign_post() -> Vec<u8> {
+    let opts = Options {
+        trials: Some(2),
+        ..Options::default()
+    };
+    let grid = (find_shardable("fig3").unwrap().grid)(&opts);
+    let stray = "\"cells\": [\n    {\"algorithm\": \"beb\", \"n\": 999, \"samples\": []}\n  ]";
+    let body = ShardState::from_cells("fig3", false, (0, 1), &grid, &[])
+        .to_json()
+        .replace("\"cells\": [\n  ]", stray);
+    assert!(body.contains("999"), "{body}");
+    let head = format!(
+        "POST /result/0 HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    (head + &body).into_bytes()
 }
 
 /// `repro <args> --out <out>` through the CLI entry point.
