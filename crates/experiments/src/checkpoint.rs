@@ -1,7 +1,9 @@
 //! Crash-safe long runs: periodic checkpoints, resume, live metrics.
 //!
-//! A checkpointed run attaches a [`CheckpointWriter`] to the engine's
-//! snapshot seam (`contention_sim::monitor`). On each snapshot the writer
+//! A checkpointed run attaches [`CheckpointWriter::snapshot`] to the
+//! engine's snapshot seam (`contention_sim::monitor`). It runs on the sweep
+//! worker whose trial made the snapshot due (the finished one on the
+//! caller's thread) while the other workers keep running trials, and
 //! serializes the in-flight accumulator state as a plain `shard_state/v1`
 //! artifact — the same format `repro shard` emits, with shard coordinates
 //! `(0, 1)` and holes (`null`) for trials the snapshot's ragged cut missed —
@@ -9,7 +11,8 @@
 //! monotonically increasing sequence number. That one file is the
 //! checkpoint; the newest is the one with the highest sequence number. A
 //! `metrics.json` sidecar (`sweep_metrics/v2`) lands in `<out>` on the same
-//! cadence: the machine-readable counterpart to the TTY progress meter.
+//! cadence: the machine-readable counterpart to the TTY progress meter. It
+//! counts the trials and work its checkpoint holds.
 //! Since v2 the sidecar reports `work_done` / `work_total` in the grid's
 //! [`CostSpec`](contention_sim::sched::CostSpec) units and derives
 //! `eta_secs` from the *work* rate, so the ETA no longer lies when the
@@ -34,7 +37,7 @@ use crate::jsonin::Json;
 use crate::jsonout::{escape, num};
 use crate::shard::{merge_cells, GridMeta, ShardState, SHARD_SUFFIX};
 use contention_sim::engine::TrialRange;
-use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
+use contention_sim::monitor::SweepSnapshot;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,8 +98,6 @@ pub struct CheckpointWriter {
     /// Already-recorded state a resume run starts from; merged into every
     /// checkpoint so a second crash loses nothing.
     base: Vec<StatsCell>,
-    /// Trials the base already holds.
-    base_trials: usize,
     /// Cost-weighted work the base already holds — subtracted from the
     /// snapshot's work before computing the work *rate*, since the base's
     /// trials did not run in this process's elapsed time.
@@ -131,7 +132,6 @@ impl CheckpointWriter {
             full,
             grid,
             base: Vec::new(),
-            base_trials: 0,
             base_work: 0.0,
             seq: AtomicU64::new(next_seq),
             warned: AtomicBool::new(false),
@@ -143,8 +143,7 @@ impl CheckpointWriter {
     /// resume starts from) into every future checkpoint, so an interrupted
     /// *resume* still leaves a checkpoint holding everything recorded so far.
     pub fn with_base(mut self, base: Vec<StatsCell>) -> CheckpointWriter {
-        self.base_trials = base.iter().map(|c| c.acc.recorded()).sum();
-        self.base_work = self.work_of(&base);
+        self.base_work = self.held(&base).1;
         self.base = base;
         self
     }
@@ -160,13 +159,15 @@ impl CheckpointWriter {
         merge_cells(&self.grid, self.base.clone(), cells, MetricStats::try_merge)
     }
 
-    /// Cost-weighted work the given cells hold, in the grid's cost units:
-    /// each recorded trial weighted by its cell's per-trial cost.
-    fn work_of(&self, cells: &[StatsCell]) -> f64 {
-        cells
-            .iter()
-            .map(|c| c.acc.recorded() as f64 * self.grid.cost.cost(c.n))
-            .sum()
+    /// The trials the given cells hold, and their cost-weighted work in the
+    /// grid's cost units: each recorded trial weighted by its cell's
+    /// per-trial cost.
+    fn held(&self, cells: &[StatsCell]) -> (usize, f64) {
+        cells.iter().fold((0, 0.0), |(trials, work), c| {
+            let recorded = c.acc.recorded();
+            let cost = self.grid.cost.cost(c.n);
+            (trials + recorded, work + recorded as f64 * cost)
+        })
     }
 
     /// Writes one snapshot as the next checkpoint, prunes old ones and
@@ -182,14 +183,12 @@ impl CheckpointWriter {
         fsutil::write_atomic(&self.ckpt_dir.join(name), state.to_json().as_bytes())?;
         self.prune();
 
-        let trials_done = self.base_trials + snap.completed_trials;
-        let trials_total = self.base_trials + snap.total_trials;
         let elapsed_secs = snap.elapsed.as_secs_f64();
         let rate = guarded_rate(snap.completed_trials as f64, elapsed_secs);
         // ETA from the cost-weighted work rate of *this run's* trials (the
         // base was recorded in an earlier process; its work contributes no
         // rate information): remaining heavy cells weigh in as heavy.
-        let work_done = self.work_of(&cells);
+        let (trials_done, work_done) = self.held(&cells);
         let trials = f64::from(self.grid.trials);
         let work_total: f64 = self
             .grid
@@ -211,7 +210,7 @@ impl CheckpointWriter {
             cells_done: cells.iter().filter(|c| c.acc.is_complete()).count(),
             cells_total: self.grid.cell_count(),
             trials_done,
-            trials_total,
+            trials_total: self.grid.cell_count() * self.grid.trials as usize,
             work_done,
             work_total,
             elapsed_secs,
@@ -245,13 +244,12 @@ impl CheckpointWriter {
             let _ = fs::remove_file(path);
         }
     }
-}
 
-impl SweepMonitor<MetricStats> for CheckpointWriter {
-    /// Persists one snapshot. Never panics and never propagates: checkpoint
-    /// I/O failing must not take down the sweep it protects. The first
-    /// failure warns on stderr; later snapshots keep retrying silently.
-    fn snapshot(&self, snap: SweepSnapshot<MetricStats>) {
+    /// Persists one snapshot: the sink a checkpointed sweep calls. Never
+    /// panics and never propagates: checkpoint I/O failing must not take
+    /// down the sweep it protects. The first failure warns on stderr; later
+    /// snapshots keep retrying silently.
+    pub fn snapshot(&self, snap: SweepSnapshot<MetricStats>) {
         if let Err(e) = self.write_snapshot(snap) {
             if !self.warned.swap(true, Ordering::Relaxed) {
                 eprintln!(
@@ -481,7 +479,6 @@ mod tests {
         SweepSnapshot {
             cells,
             completed_trials: done,
-            total_trials: 4,
             elapsed: Duration::from_secs(2),
             workers: 2,
             finished,
@@ -625,7 +622,9 @@ mod tests {
         assert!(doc.finished);
         assert_eq!(doc.checkpoint_seq, 4);
         assert_eq!((doc.cells_done, doc.cells_total), (1, 2));
-        assert_eq!((doc.trials_done, doc.trials_total), (6, 4));
+        // It counts the trials the checkpoint holds, not the snapshot's
+        // counter (6 here), out of the grid's 2 cells × 2 trials.
+        assert_eq!((doc.trials_done, doc.trials_total), (3, 4));
         // Work is cost-weighted: both recorded n=10 trials (cost 10 each)
         // plus one of two n=20 trials (cost 20) out of a 60-unit grid.
         assert_eq!((doc.work_done, doc.work_total), (40.0, 60.0));
@@ -678,7 +677,6 @@ mod tests {
         writer.snapshot(SweepSnapshot {
             cells: vec![cell(20, vec![f64::NAN, 9.0])],
             completed_trials: 1,
-            total_trials: 1,
             elapsed: Duration::from_secs(1),
             workers: 1,
             finished: true,
@@ -755,7 +753,6 @@ mod tests {
         writer.snapshot(SweepSnapshot {
             cells: vec![cell(10, vec![1.0, f64::NAN])],
             completed_trials: 1,
-            total_trials: 4,
             elapsed: Duration::ZERO,
             workers: 1,
             finished: false,
@@ -788,7 +785,6 @@ mod tests {
         writer.snapshot(SweepSnapshot {
             cells: Vec::new(),
             completed_trials: 0,
-            total_trials: 0,
             elapsed: Duration::from_secs(1),
             workers: 1,
             finished: true,

@@ -51,7 +51,7 @@ use crate::server::{Limits, Server};
 use crate::shard::{load_dir, merge_states, write_state, GridMeta, ShardState};
 use crate::worker::run_worker;
 use contention_sim::engine::{validate_plan, TrialRange};
-use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
+use contention_sim::monitor::{Monitor, SnapshotCadence};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -231,7 +231,7 @@ impl Experiment {
     fn execute(
         &self,
         plan: &[TrialRange],
-        monitor: Option<(SnapshotCadence, &dyn SweepMonitor<MetricStats>)>,
+        monitor: Option<Monitor<MetricStats>>,
     ) -> Vec<StatsCell> {
         let hooks = SweepHooks {
             plan: Some(plan),
@@ -350,7 +350,8 @@ fn run_checkpointed(
     let writer = CheckpointWriter::new(dir, exp.entry.name, exp.opts.full, exp.grid.clone())?
         .with_base(base);
     let cadence = cadence(opts.checkpoint);
-    let cells = writer.fold(exp.execute(&plan, Some((cadence, &writer))))?;
+    let sink = |snap| writer.snapshot(snap);
+    let cells = writer.fold(exp.execute(&plan, Some((cadence, &sink))))?;
     let name = exp.entry.name;
     exp.report(&cells, &format!("[{name}]"), dir, opts.json)?;
     println!("[{name}] done in {:.1?}\n", started.elapsed());

@@ -17,7 +17,7 @@ use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_mac::{MacConfig, MacSim};
 use contention_sim::engine::{Simulator, Sweep, TrialRange};
-use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
+use contention_sim::monitor::Monitor;
 use contention_sim::sched::CostSpec;
 use contention_slotted::windowed::WindowedConfig;
 use contention_slotted::WindowedSim;
@@ -38,7 +38,7 @@ pub struct SweepHooks<'a> {
     pub plan: Option<&'a [TrialRange]>,
     /// Snapshot the in-flight accumulators on this cadence into this sink
     /// (`--checkpoint`).
-    pub monitor: Option<(SnapshotCadence, &'a dyn SweepMonitor<MetricStats>)>,
+    pub monitor: Option<Monitor<'a, MetricStats>>,
 }
 
 impl SweepHooks<'_> {

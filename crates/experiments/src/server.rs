@@ -911,7 +911,6 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
     let snapshot = SweepSnapshot {
         cells: fold.cells.clone(),
         completed_trials: recorded,
-        total_trials: fold.trials_total,
         elapsed: shared.started.elapsed(),
         workers: fold.store.active.len().max(1),
         finished: remaining == 0,
@@ -1128,7 +1127,6 @@ mod tests {
         let snapshot = SweepSnapshot {
             cells: Vec::new(),
             completed_trials: 0,
-            total_trials: 32,
             elapsed: Duration::ZERO,
             workers: 1,
             finished: false,

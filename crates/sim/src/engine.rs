@@ -34,21 +34,15 @@
 //! experiment layer changes. This is the seam where additional channel
 //! models (e.g. the noisy/corrupted-slot model of arXiv:2408.11275) slot in.
 
-use crate::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
+use crate::monitor::{Monitor, SweepSnapshot};
 use crate::parallel::parallel_for;
 use crate::progress::Progress;
 use crate::summary::TrialSummary;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::rng::{experiment_tag, trial_rng};
 use rand::rngs::SmallRng;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
-
-/// How long the snapshot thread sleeps between cadence checks. Snapshots
-/// themselves are taken at the requested cadence; this only bounds how stale
-/// the "is one due?" decision can be.
-const SNAPSHOT_POLL: Duration = Duration::from_millis(20);
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// One execution backend: everything [`Sweep`] needs to run trials of it.
 ///
@@ -410,14 +404,19 @@ where
     ///   no trial twice ([`validate_plan`] holds, or this panics).
     ///   Per-trial values are bit-identical to the same trials of any other
     ///   plan.
-    /// * `monitor` — a snapshot sink called on `cadence` from a dedicated
-    ///   thread with clones of the in-flight accumulators (each under its
-    ///   own cell lock — workers keep claiming), plus once more (with
-    ///   `finished: true`) after the workers join. Snapshots are read-only:
-    ///   results are unaffected by the monitor's presence. If a trial
-    ///   panics, the snapshot thread stops without a finished snapshot (the
-    ///   last periodic one stays the resume point) and the panic
-    ///   propagates.
+    /// * `monitor` — a snapshot sink and its `cadence`. The worker that
+    ///   folds and counts a trial then checks the cadence; when a snapshot
+    ///   is due it calls the sink with clones of the in-flight accumulators
+    ///   (each under its own cell lock — the other workers keep claiming).
+    ///   A worker that finds another one checking skips the check instead
+    ///   of waiting; the next trial to finish checks again, so a due
+    ///   snapshot is late by a trial or so and never lost. The
+    ///   plan's last trial takes no periodic snapshot: after the workers
+    ///   join, the caller's thread takes the one with `finished: true`.
+    ///   Snapshots are read-only: results are unaffected by the monitor's
+    ///   presence. If a trial panics, the panic propagates without a
+    ///   finished snapshot (the last periodic one stays the resume point);
+    ///   a plan of zero trials takes no snapshot at all.
     /// * `costs` — estimated per-trial cost of every full-grid cell (same
     ///   order as `algorithms × ns`), from the experiment's
     ///   [`CostSpec`](crate::sched::CostSpec). Scheduling-only: workers
@@ -428,7 +427,7 @@ where
         &self,
         mut init: I,
         plan: Option<&[TrialRange]>,
-        monitor: Option<(SnapshotCadence, &dyn SweepMonitor<A>)>,
+        monitor: Option<Monitor<A>>,
         costs: Option<&[f64]>,
     ) -> Vec<FoldedCell<A>>
     where
@@ -498,6 +497,26 @@ where
             let progress = Progress::new(total, self.exec.progress);
             let tag = experiment_tag(self.experiment);
             let base = self.config.clone();
+            let started = Instant::now();
+            let snapshot = |completed_trials, finished| SweepSnapshot {
+                cells: grid
+                    .iter()
+                    .zip(&accumulators)
+                    .map(|(&(algorithm, n), acc)| FoldedCell {
+                        algorithm,
+                        n,
+                        acc: lock(acc).clone(),
+                    })
+                    .collect(),
+                completed_trials,
+                elapsed: started.elapsed(),
+                workers: threads,
+                finished,
+            };
+            // When the last snapshot was taken, and how many trials it
+            // counted. Only written under its lock, with a count read under
+            // it, so the count never goes backwards.
+            let mark = Mutex::new((started, 0usize));
             // Each worker owns one scratch arena for its whole share of the
             // sweep.
             let work = |index: usize, scratch: &mut S::Scratch| {
@@ -510,70 +529,28 @@ where
                 let value = TrialSummary::from(S::run_with(&config, n, &mut rng, scratch));
                 lock(&accumulators[slot]).record(trial, value);
                 progress.tick();
-            };
-            let run_workers = || parallel_for(total, threads, S::Scratch::default, work);
-            match monitor {
-                None => run_workers(),
-                Some((cadence, sink)) => {
-                    // Set once the workers return: whether every trial ran.
-                    let ended = OnceLock::new();
-                    let started = Instant::now();
-                    std::thread::scope(|scope| {
-                        scope.spawn(|| {
-                            let mut last_snap = Instant::now();
-                            let mut last_done = 0usize;
-                            loop {
-                                // Read the end state *before* the counter:
-                                // if workers finish in between, the final
-                                // pass still runs with stopping == false and
-                                // the next iteration takes the guaranteed
-                                // finished snapshot.
-                                let stopping = match ended.get() {
-                                    None => false,
-                                    Some(&true) => true,
-                                    // A panicked run takes no final
-                                    // snapshot: it is never reported
-                                    // finished.
-                                    Some(&false) => break,
-                                };
-                                let done = progress.completed();
-                                if stopping || cadence.due(last_snap.elapsed(), done - last_done) {
-                                    let cells = grid
-                                        .iter()
-                                        .zip(&accumulators)
-                                        .map(|(&(algorithm, n), acc)| FoldedCell {
-                                            algorithm,
-                                            n,
-                                            acc: lock(acc).clone(),
-                                        })
-                                        .collect();
-                                    sink.snapshot(SweepSnapshot {
-                                        cells,
-                                        completed_trials: done,
-                                        total_trials: total,
-                                        elapsed: started.elapsed(),
-                                        workers: threads,
-                                        finished: stopping,
-                                    });
-                                    last_snap = Instant::now();
-                                    last_done = done;
-                                }
-                                if stopping {
-                                    break;
-                                }
-                                std::thread::sleep(SNAPSHOT_POLL);
-                            }
-                        });
-                        // Without this catch a trial panic would leave
-                        // the snapshot thread polling, and the scope would
-                        // wait for it forever.
-                        let run = catch_unwind(AssertUnwindSafe(run_workers));
-                        let _ = ended.set(run.is_ok());
-                        if let Err(payload) = run {
-                            resume_unwind(payload);
-                        }
-                    });
+                let Some((cadence, sink)) = monitor else {
+                    return;
+                };
+                // Another worker is checking or snapshotting: the next trial
+                // to finish checks again.
+                let Ok(mut last) = mark.try_lock() else {
+                    return;
+                };
+                // Read after this worker's tick and before the clone. Every
+                // counted trial was folded before it was counted, so the
+                // snapshot holds at least `done` trials.
+                let done = progress.completed();
+                if done < total && cadence.due(last.0.elapsed(), done - last.1) {
+                    sink(snapshot(done, false));
+                    *last = (Instant::now(), done);
                 }
+            };
+            // A trial panic propagates from here: the run takes no finished
+            // snapshot, so the last periodic one stays the resume point.
+            parallel_for(total, threads, S::Scratch::default, work);
+            if let Some((_, sink)) = monitor {
+                sink(snapshot(total, true));
             }
             progress.finish();
         }
@@ -589,9 +566,9 @@ where
 }
 
 /// Locks a mutex, shrugging off poisoning. A worker's panic is re-raised
-/// after the join and ends the sweep, so the other workers and the snapshot
-/// thread must not turn it into poison panics of their own: the original
-/// panic is the one that reaches the caller.
+/// after the join and ends the sweep, so the other workers, and the
+/// snapshots they take, must not turn it into poison panics of their own:
+/// the original panic is the one that reaches the caller.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -613,8 +590,11 @@ pub fn folded<A>(cells: &[FoldedCell<A>], alg: AlgorithmKind, n: u32) -> &Folded
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::SnapshotCadence;
     use contention_core::metrics::BatchMetrics;
     use rand::Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
 
     /// A deterministic toy backend: "runs" a trial by hashing its inputs.
     struct ToySim;
@@ -1026,43 +1006,67 @@ mod tests {
         let _ = fold(&toy_sweep(ExecPolicy::threads(1)), cw_sum, Some(&plan));
     }
 
-    /// Counts snapshots and checks the final one is complete and flagged.
+    /// Records each snapshot as `(completed_trials, finished)`, checking
+    /// that it holds every trial it counts: a worker folds a trial before
+    /// it counts it.
     #[derive(Default)]
-    struct RecordingMonitor {
-        snaps: Mutex<Vec<(usize, usize, bool)>>,
-    }
+    struct Recorder(Mutex<Vec<(usize, bool)>>);
 
-    impl SweepMonitor<CwSum> for RecordingMonitor {
-        fn snapshot(&self, snap: SweepSnapshot<CwSum>) {
+    impl Recorder {
+        fn record(&self, snap: SweepSnapshot<CwSum>) {
             let folded: u32 = snap.cells.iter().map(|c| c.acc.count).sum();
             assert!(
-                folded as usize <= snap.completed_trials,
-                "snapshot saw more folded trials than the counter reported"
+                folded as usize >= snap.completed_trials,
+                "snapshot holds fewer folded trials than the counter reported"
             );
-            lock(&self.snaps).push((snap.completed_trials, snap.total_trials, snap.finished));
+            lock(&self.0).push((snap.completed_trials, snap.finished));
         }
+    }
+
+    /// `sweep` folded into [`CwSum`]s with a [`Recorder`] on `cadence`: the
+    /// cells and the snapshots it saw.
+    fn monitored<S: Simulator>(
+        sweep: &Sweep<S>,
+        cadence: SnapshotCadence,
+    ) -> (Vec<FoldedCell<CwSum>>, Vec<(usize, bool)>)
+    where
+        TrialSummary: From<S::Output>,
+    {
+        let recorder = Recorder::default();
+        let sink = |snap| recorder.record(snap);
+        let cells = sweep.run_fold_monitored(cw_sum, None, Some((cadence, &sink)), None);
+        (cells, recorder.0.into_inner().unwrap())
     }
 
     #[test]
     fn monitored_run_takes_a_final_snapshot_and_leaves_results_unchanged() {
         let plain = fold(&toy_sweep(ExecPolicy::threads(2)), cw_sum, None);
-        let monitor = RecordingMonitor::default();
-        let monitored = toy_sweep(ExecPolicy::threads(2)).run_fold_monitored(
-            cw_sum,
-            None,
-            Some((SnapshotCadence::trials(1), &monitor)),
-            None,
+        let (monitored, snaps) = monitored(
+            &toy_sweep(ExecPolicy::threads(2)),
+            SnapshotCadence::trials(1),
         );
         assert_eq!(plain, monitored, "attaching a monitor changed the fold");
-        let snaps = monitor.snaps.into_inner().unwrap();
-        assert!(!snaps.is_empty());
-        let &(done, total, finished) = snaps.last().unwrap();
-        assert!(finished, "last snapshot must be flagged finished");
-        assert_eq!((done, total), (24, 24));
+        assert_eq!(snaps.last(), Some(&(24, true)), "{snaps:?}");
         assert!(
-            snaps[..snaps.len() - 1].iter().all(|&(_, _, f)| !f),
-            "only the last snapshot may be flagged finished"
+            snaps[..snaps.len() - 1]
+                .iter()
+                .all(|&(done, f)| done < 24 && !f),
+            "only the last snapshot may count the last trial or be flagged finished: {snaps:?}"
         );
+    }
+
+    #[test]
+    fn one_worker_snapshots_exactly_on_its_trial_cadence() {
+        let sweep = toy_sweep(ExecPolicy::threads(1));
+        for (every, periodic) in [(1, (1..24).collect()), (5, vec![5, 10, 15, 20])] {
+            let (_, snaps) = monitored(&sweep, SnapshotCadence::trials(every));
+            let expect: Vec<(usize, bool)> = periodic
+                .into_iter()
+                .map(|done| (done, false))
+                .chain([(24, true)])
+                .collect();
+            assert_eq!(snaps, expect, "every {every} trials");
+        }
     }
 
     /// [`ToySim`], except that every trial at n = 20 panics.
@@ -1113,21 +1117,30 @@ mod tests {
                     trials: 4,
                     exec: ExecPolicy::threads(threads),
                 };
-                let monitor = RecordingMonitor::default();
+                let recorder = Recorder::default();
+                let sink = |snap| recorder.record(snap);
                 let run = catch_unwind(AssertUnwindSafe(|| {
-                    let cadence = SnapshotCadence::secs(3600);
-                    sweep.run_fold_monitored(cw_sum, None, Some((cadence, &monitor)), None)
+                    let cadence = SnapshotCadence::trials(1);
+                    sweep.run_fold_monitored(cw_sum, None, Some((cadence, &sink)), None)
                 }));
                 let message = run.err().and_then(|p| p.downcast_ref::<&str>().copied());
-                let _ = tx.send((message, monitor.snaps.into_inner().unwrap()));
+                let _ = tx.send((message, recorder.0.into_inner().unwrap()));
             });
             let (message, snaps) = rx
                 .recv_timeout(Duration::from_secs(5))
                 .unwrap_or_else(|_| panic!("threads={threads}: a trial panic hung the run"));
             assert_eq!(message, Some("trial at n=20 failed"), "threads={threads}");
-            // No periodic snapshot was due, and a panicked run takes no
-            // final one: nothing may report it finished.
-            assert_eq!(snaps, vec![], "threads={threads}");
+            // A panicked run takes no finished snapshot.
+            assert!(
+                snaps.iter().all(|&(_, f)| !f),
+                "threads={threads}: {snaps:?}"
+            );
+            if threads == 1 {
+                // Plan order runs cells (BEB, 5) and (BEB, 10) before the
+                // first n = 20 trial panics: 8 trials, each snapshotted.
+                let expect: Vec<(usize, bool)> = (1..=8).map(|done| (done, false)).collect();
+                assert_eq!(snaps, expect);
+            }
         }
     }
 

@@ -20,9 +20,9 @@
 //!   [`engine::Sweep::run_fold_monitored`], which executes any plan of
 //!   [`engine::TrialRange`]s under an [`engine::ExecPolicy`] (threads /
 //!   progress).
-//! * [`monitor`] — the live-observation seam: [`monitor::SnapshotCadence`],
-//!   [`monitor::SweepSnapshot`], and the [`monitor::SweepMonitor`] sink a
-//!   checkpoint writer attaches to an in-flight fold run.
+//! * [`monitor`] — the live-observation seam: the [`monitor::SnapshotCadence`]
+//!   on which a fold run's workers hand [`monitor::SweepSnapshot`]s to the
+//!   sink a checkpoint writer attaches.
 //! * [`progress`] — the rate-limited stderr progress meter long sweeps use.
 //! * [`summary`] — [`summary::TrialSummary`], the scalar per-trial record
 //!   every backend's output reduces to, and the [`summary::Metric`]
@@ -43,6 +43,6 @@ pub use engine::{
     TrialRange,
 };
 pub use event::{EventQueue, EventToken};
-pub use monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
+pub use monitor::{Monitor, SnapshotCadence, SweepSnapshot};
 pub use sched::CostSpec;
 pub use summary::{Metric, TrialSummary};

@@ -1,29 +1,34 @@
 //! Live observation of an in-flight sweep: the checkpoint/metrics seam.
 //!
 //! A long sweep (10⁷ trials at n = 10⁶) that dies at 90 % should not restart
-//! from zero. The engine therefore lets a caller attach a [`SweepMonitor`]
-//! to a fold run: a dedicated snapshot thread wakes on a [`SnapshotCadence`]
-//! (wall time and/or completed trials), clones the per-cell accumulator
-//! state **off the fold seam** — workers keep claiming trials; only a
-//! worker recording into the one cell currently being cloned briefly waits
-//! on that cell's lock — and hands the clone to the monitor as a
-//! [`SweepSnapshot`]. The monitor side (in `contention-experiments`) turns
-//! snapshots into atomic `shard_state/v1` checkpoint artifacts and a
-//! `metrics.json` sidecar.
+//! from zero. The engine therefore lets a caller attach a [`Monitor`] to a
+//! fold run: a snapshot sink, a plain `Fn(SweepSnapshot<A>)`, and the
+//! [`SnapshotCadence`] (wall time and/or completed trials) it is called on.
+//! The worker whose trial makes a snapshot due clones the per-cell
+//! accumulator state and calls the sink with it as a [`SweepSnapshot`], on
+//! its own thread. The other workers keep claiming trials: one recording
+//! into the cell being cloned briefly waits on that cell's lock, and one
+//! that finishes a trial meanwhile skips its cadence check rather than
+//! wait. After the workers join, the caller's thread takes the finished
+//! snapshot. The sink side (in `contention-experiments`) turns snapshots
+//! into atomic `shard_state/v1` checkpoint artifacts and a `metrics.json`
+//! sidecar. With one worker the trials run in plan order on the caller's
+//! thread, so the snapshots a trial cadence takes, and what each holds,
+//! depend on the plan alone.
 //!
 //! Snapshots are read-only observations: they can never change a single bit
 //! of the sweep's results, so determinism across thread counts and plans
 //! is untouched. The state they capture is a *ragged cut* — each cell
 //! is internally consistent (cloned under its lock, and a trial's metrics
 //! are recorded atomically under that lock), but cells are cloned one after
-//! another while workers race ahead. That is exactly what the
+//! another while other workers race ahead. That is exactly what the
 //! position-addressed artifact format tolerates: a resumed run recomputes
 //! whatever trials the cut missed and merges bit-identically.
 
 use crate::engine::FoldedCell;
 use std::time::Duration;
 
-/// When the snapshot thread should capture in-flight state.
+/// When a sweep's workers snapshot its in-flight state.
 ///
 /// Either trigger fires a snapshot; with both `None` only the guaranteed
 /// final snapshot (after the workers join) is taken.
@@ -61,7 +66,13 @@ impl SnapshotCadence {
     }
 }
 
-/// One observation of an in-flight sweep, handed to a [`SweepMonitor`].
+/// The engine's snapshot seam ([`Sweep::run_fold_monitored`]): the cadence
+/// a fold run snapshots on, and the sink it hands each [`SweepSnapshot`] to.
+///
+/// [`Sweep::run_fold_monitored`]: crate::engine::Sweep::run_fold_monitored
+pub type Monitor<'a, A> = (SnapshotCadence, &'a (dyn Fn(SweepSnapshot<A>) + Sync));
+
+/// One observation of an in-flight sweep, handed to a snapshot sink.
 #[derive(Debug, Clone)]
 pub struct SweepSnapshot<A> {
     /// Clones of every accumulator the run is folding into, in grid order —
@@ -70,31 +81,16 @@ pub struct SweepSnapshot<A> {
     ///
     /// [`Sweep::run_fold_monitored`]: crate::engine::Sweep::run_fold_monitored
     pub cells: Vec<FoldedCell<A>>,
-    /// Trials completed *by this run* at capture time.
+    /// Trials completed *by this run* at capture time. The cells hold at
+    /// least these: a worker folds a trial before it counts it.
     pub completed_trials: usize,
-    /// Trials this run will execute in total (not the whole grid's count
-    /// when resuming — the monitor knows its own baseline).
-    pub total_trials: usize,
     /// Wall time since the run's workers started.
     pub elapsed: Duration,
     /// Worker threads executing the run.
     pub workers: usize,
     /// True for the guaranteed last snapshot, taken after the workers have
-    /// joined — `completed_trials == total_trials` and every cell is final.
+    /// joined — every planned trial is folded and counted.
     pub finished: bool,
-}
-
-/// A sink for in-flight sweep state, called from the snapshot thread.
-///
-/// Implementations must tolerate being called at any moment between (and
-/// once after) worker claims, and should not panic: a failing sink would
-/// tear down the whole sweep. I/O-backed monitors (checkpoint writers)
-/// swallow and report their own errors instead of propagating them.
-pub trait SweepMonitor<A>: Sync {
-    /// Observes one snapshot. Runs on the dedicated snapshot thread, never
-    /// on a worker, so moderate work here (serialization, file writes) does
-    /// not stall the sweep.
-    fn snapshot(&self, snap: SweepSnapshot<A>);
 }
 
 #[cfg(test)]

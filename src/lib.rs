@@ -53,7 +53,7 @@ pub mod prelude {
         folded, run_trial, run_trial_with, validate_plan, Accumulator, ExecPolicy, FoldedCell,
         Simulator, Sweep, TrialRange,
     };
-    pub use contention_sim::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
+    pub use contention_sim::monitor::{Monitor, SnapshotCadence, SweepSnapshot};
     pub use contention_sim::sched::CostSpec;
     pub use contention_sim::summary::{Metric, TrialSummary};
     pub use contention_slotted::residual::{ResidualConfig, ResidualSim};

@@ -13,10 +13,10 @@
 //! who runs a trial, and when, cannot matter).
 
 use contention_experiments::checkpoint::{
-    checkpoint_file_name, load_latest, MetricsDoc, CHECKPOINT_DIR, METRICS_FILE,
+    checkpoint_file_name, load_latest, missing_work, MetricsDoc, CHECKPOINT_DIR, METRICS_FILE,
 };
 use contention_experiments::cli;
-use contention_experiments::shard::SHARD_SUFFIX;
+use contention_experiments::shard::{ShardState, SHARD_SUFFIX};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -139,6 +139,81 @@ fn checkpointed_run_matches_the_golden_and_leaves_a_complete_latest() {
         "final checkpoint must be complete"
     );
     let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+/// The checkpoint files under `dir`, by name, with their bytes.
+fn checkpoint_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir.join(CHECKPOINT_DIR))
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// At one thread the trials run in plan order on the main thread, so the
+/// checkpoints depend on the plan alone: over fig5's 16 cells × 3 trials,
+/// `--checkpoint-trials 16` snapshots after trials 16 and 32, then the
+/// finished run — seqs 0, 1, 2 — and a second run writes the same bytes. A
+/// bare `--checkpoint` (every 30 s) writes only the finished one.
+#[test]
+fn one_thread_checkpoints_follow_the_trial_cadence_byte_for_byte() {
+    let run = |tag: &str, cadence: &[&str]| {
+        let dir = temp_dir(tag);
+        let mut args = vec!["fig5", "--trials", "3", "--threads", "1", "--json"];
+        args.extend(cadence);
+        args.extend(["--out", dir.to_str().unwrap()]);
+        assert_eq!(cli::run(&strs(&args)), ExitCode::SUCCESS, "{tag}");
+        let report = std::fs::read_to_string(dir.join("fig5_cw_slots_abstract.json")).unwrap();
+        assert_eq!(
+            report,
+            golden(),
+            "{tag}: checkpointing perturbed the results"
+        );
+        dir
+    };
+    let every_16 = ["--checkpoint-trials", "16"];
+    let (first, second) = (run("cadence-a", &every_16), run("cadence-b", &every_16));
+    let latest = load_latest(&first).unwrap().expect("a checkpoint exists");
+    assert_eq!(latest.seq, 2);
+    assert!(
+        latest.state.is_complete(),
+        "the last checkpoint is the finished one"
+    );
+    let files = checkpoint_files(&first);
+    let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+    let expect: Vec<String> = (0..3)
+        .map(|seq| checkpoint_file_name("fig5", seq))
+        .collect();
+    assert_eq!(names, expect);
+    // Each periodic checkpoint holds exactly the trials before it.
+    for ((name, bytes), missing) in files.iter().zip([32, 16, 0]) {
+        let state = ShardState::parse(std::str::from_utf8(bytes).unwrap()).unwrap();
+        let plan = missing_work(&state).unwrap();
+        assert_eq!(
+            plan.iter().map(|r| r.len()).sum::<usize>(),
+            missing,
+            "{name}"
+        );
+    }
+    assert!(
+        files == checkpoint_files(&second),
+        "two runs wrote different checkpoints"
+    );
+
+    let bare = run("cadence-bare", &["--checkpoint"]);
+    let names: Vec<String> = checkpoint_files(&bare)
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    assert_eq!(names, [checkpoint_file_name("fig5", 0)]);
+    for dir in [first, second, bare] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// `resume` refuses a checkpoint this build cannot replay, and writes no
